@@ -249,20 +249,48 @@ def dc_regret_batch(workloads, lams, c_hat, c) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def ev_regret_batch(ctx: ChargingContext, e_hat, e) -> np.ndarray:
-    """Vectorized charging regret over (B, T) forecast/realized signal rows."""
+def _cheapest_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Boolean mask of each row's `slots` smallest entries, earliest index first on ties.
+
+    One sort gives each row's k-th smallest value, and the entries at or
+    below it are chosen.  Rows where that is not exactly k entries (ties at
+    the k-th value, NaN) are ranked again with the stable argsort of `ev_act`.
+    """
+    threshold = np.sort(values, axis=1)[np.arange(len(values)), slots - 1]
+    chosen = values <= threshold[:, None]
+    odd = np.flatnonzero(chosen.sum(axis=1) != slots)
+    if odd.size:
+        order = np.argsort(values[odd], axis=1, kind="stable")
+        ranked = np.empty((odd.size, values.shape[1]), dtype=bool)
+        np.put_along_axis(ranked, order, np.arange(values.shape[1]) < slots[odd, None], axis=1)
+        chosen[odd] = ranked
+    return chosen
+
+
+def ev_regret_batch(slots, e_hat, e, rates) -> np.ndarray:
+    """Vectorized charging regret of (N, T) forecast rows against (B, T) realized rows.
+
+    Realized row i charges `slots[i]` slots at `rates[i]` (scalars broadcast
+    over the rows); this is what `ev_act` and `ev_cost` do for a context with
+    k = required_slots(ctx).  N may be a multiple of B: the forecasts then
+    come in blocks of B rows (one block per draw), forecast row j is scored
+    against realized row j % B, and the hindsight cost is computed once per
+    realized row.  Matches `regret` sample by sample.
+    """
     eh = np.asarray(e_hat, dtype=float)
     ev = np.asarray(e, dtype=float)
-    if eh.ndim != 2 or eh.shape[1] != ctx.horizon or ev.shape != eh.shape:
-        raise ValueError(f"expected matching (B, {ctx.horizon}) matrices, got {eh.shape} and {ev.shape}")
-    k = required_slots(ctx)
-    if k > ctx.horizon:
-        raise InfeasibleActionError(f"need {k} slots but horizon is {ctx.horizon}")
-    chosen = np.argsort(eh, axis=1, kind="stable")[:, :k]
-    taken = ctx.rate * np.take_along_axis(ev, chosen, axis=1).sum(axis=1)
-    ideal = np.argsort(ev, axis=1, kind="stable")[:, :k]
-    best = ctx.rate * np.take_along_axis(ev, ideal, axis=1).sum(axis=1)
-    values = taken - best
+    if eh.ndim != 2 or ev.ndim != 2 or eh.shape[1] != ev.shape[1] or len(ev) == 0 or len(eh) % len(ev):
+        raise ValueError(f"expected (D*B, T) forecasts for (B, T) realized rows, got {eh.shape} and {ev.shape}")
+    n_rows, horizon = ev.shape
+    k = np.broadcast_to(np.asarray(slots, dtype=np.int64), (n_rows,))
+    rate = np.broadcast_to(np.asarray(rates, dtype=float), (n_rows,))
+    if np.any(k < 1) or np.any(k > horizon):
+        raise InfeasibleActionError(f"need between 1 and {horizon} slots per row, got {k.min()}..{k.max()}")
+    eh = eh.reshape(-1, n_rows, horizon)
+    chosen = _cheapest_slots(eh.reshape(-1, horizon), np.tile(k, len(eh))).reshape(eh.shape)
+    taken = rate * np.sum(np.where(chosen, ev, 0.0), axis=2)
+    best = rate * np.sum(np.where(_cheapest_slots(ev, k), ev, 0.0), axis=1)
+    values = (taken - best).reshape(-1)
     if np.any(values < -REGRET_TOLERANCE):
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")
     return np.clip(values, 0.0, None)

@@ -109,9 +109,22 @@ class Pool:
     dataset: datamod.SeriesDataset | None = None
 
 
-def _shared_target_stats(splits: list[WindowSplit]) -> tuple[float, float]:
+def _pool_target_stats(splits: list[WindowSplit]) -> list[WindowSplit]:
+    """Re-scale every split's targets with the stats of the pooled raw training targets.
+
+    One public model emits one raw-unit forecast, so agents must not get
+    individually calibrated output scalings; this gives the same arrays as
+    windowing again with `target_stats`.
+    """
     pooled = np.concatenate([s.train_y_raw.ravel() for s in splits])
-    return float(pooled.mean()), max(float(pooled.std()), 1e-9)
+    mean, scale = float(pooled.mean()), max(float(pooled.std()), 1e-9)
+    return [
+        replace(
+            s, target_mean=mean, target_scale=scale,
+            train_y=(s.train_y_raw - mean) / scale, test_y=(s.test_y_raw - mean) / scale,
+        )
+        for s in splits
+    ]
 
 
 def build_pool(config: ExperimentConfig, seed: int) -> Pool:
@@ -124,16 +137,14 @@ def build_pool(config: ExperimentConfig, seed: int) -> Pool:
             config.n_agents, config.heterogeneity, config.lambda_scheme, seed=seed, length=config.length
         )
 
-        def make(m, stats):
-            return window_split(
+        splits = [
+            window_split(
                 ds.signal, ds.agent_targets[m], config.lookback, split_spec,
-                target_steps=1, context_series=ds.workloads[m], target_stats=stats,
+                target_steps=1, context_series=ds.workloads[m],
             )
-
-        prelim = [make(m, None) for m in range(config.n_agents)]
-        stats = _shared_target_stats(prelim)
-        splits = [make(m, stats) for m in range(config.n_agents)]
-        return Pool(agents, splits, [config.lookback, config.hidden, 1], ds)
+            for m in range(config.n_agents)
+        ]
+        return Pool(agents, _pool_target_stats(splits), [config.lookback, config.hidden, 1], ds)
     if config.application == "charging":
         agents, ds = synth_charging(
             config.n_agents, horizon=config.horizon, heterogeneity=config.heterogeneity,
@@ -141,18 +152,16 @@ def build_pool(config: ExperimentConfig, seed: int) -> Pool:
             price_weight=config.price_weight, predict_target=config.predict_target,
         )
 
-        def make(m, stats):
-            return window_split(
+        splits = [
+            window_split(
                 ds.signal, ds.agent_targets[m], config.lookback, split_spec,
                 target_steps=config.horizon,
                 outcome_series=None if ds.outcome_targets is None else ds.outcome_targets[m],
-                outcome_steps=config.horizon, target_stats=stats,
+                outcome_steps=config.horizon,
             )
-
-        prelim = [make(m, None) for m in range(config.n_agents)]
-        stats = _shared_target_stats(prelim)
-        splits = [make(m, stats) for m in range(config.n_agents)]
-        return Pool(agents, splits, [config.lookback, config.hidden, config.horizon], ds)
+            for m in range(config.n_agents)
+        ]
+        return Pool(agents, _pool_target_stats(splits), [config.lookback, config.hidden, config.horizon], ds)
     return _build_mixed_pool(config, seed, split_spec)
 
 
@@ -287,7 +296,7 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
         workloads = load_csv(root / "workloads.csv", "workload").workloads
     split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
 
-    def make(i, agent, stats):
+    def make(i, agent):
         targets = load_csv(root / agent.data_ref, schema).signal
         outcome = None
         if meta.get("outcome_refs"):
@@ -295,16 +304,14 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
         if application == "datacenter":
             return window_split(
                 signal, targets, config.lookback, split_spec, target_steps=1,
-                context_series=None if workloads is None else workloads[i], target_stats=stats,
+                context_series=None if workloads is None else workloads[i],
             )
         return window_split(
             signal, targets, config.lookback, split_spec, target_steps=config.horizon,
-            outcome_series=outcome, outcome_steps=config.horizon, target_stats=stats,
+            outcome_series=outcome, outcome_steps=config.horizon,
         )
 
-    prelim = [make(i, a, None) for i, a in enumerate(agents)]
-    stats = _shared_target_stats(prelim)
-    splits = [make(i, a, stats) for i, a in enumerate(agents)]
+    splits = _pool_target_stats([make(i, a) for i, a in enumerate(agents)])
     out_size = 1 if application == "datacenter" else config.horizon
     return Pool(agents, splits, [config.lookback, config.hidden, out_size], None)
 

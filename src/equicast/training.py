@@ -9,7 +9,12 @@ Three modes share one loop:
   family).
 * pg: score-function estimator: sample forecasts from the Gaussian head,
   multiply the summed log-density gradients by the scalar batch loss.  Works
-  for discrete decisions (charging schedules).
+  for discrete decisions (charging schedules).  A step is fused over the
+  pool: one forward over all agents' batches stacked (M*b rows), one batched
+  regret call per agent family for all D draws, and one vjp over the same
+  M*b rows.  A draw's log-density gradient is the vjp of eps_d / std and the
+  vjp is linear in its cotangent, so the draws, each weighted by its loss
+  minus its baseline, fold into one cotangent sum_d w_d * eps_d per row.
 
 Updates are theta <- theta - lr_t * g with lr_t = lr * decay^floor(t/step);
 SGD (optionally with momentum) is the default, Adam is available for runs
@@ -34,6 +39,7 @@ from .agents import (
     dc_regret_batch,
     ev_regret_batch,
     regret,
+    required_slots,
 )
 from .data import WindowSplit
 from .errors import ConfigError, DivergenceError
@@ -151,13 +157,87 @@ def _outcome_to_decision(agent: AgentSpec, outcome_raw: np.ndarray):
     return outcome_raw
 
 
-def _batch_regrets(agent: AgentSpec, split: WindowSplit, raws: np.ndarray, outcomes: np.ndarray, ctxs) -> np.ndarray:
-    """Vectorized per-sample regrets for a (B, O) block of raw forecasts."""
-    if agent.family == "datacenter":
-        c_hat = raws.mean(axis=1) if split.predict_adapter == "window_mean" else raws[:, 0]
-        w = np.full(raws.shape[0], agent.context.workload) if ctxs is None else np.asarray(ctxs, dtype=float)
-        return dc_regret_batch(w, agent.context.latency_weight, c_hat, outcomes[:, 0])
-    return ev_regret_batch(agent.context, raws, outcomes)
+class _StackedRows:
+    """One part ("train" or "test") of every agent's split, stacked in agent order.
+
+    A batch holds `sizes[m]` rows of agent m, agents in order; `index` maps
+    per-agent row numbers to rows of the stacked arrays, and `regrets` scores
+    a batch's forecasts with one batched call per agent family.
+    """
+
+    def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, sizes, n_outputs: int):
+        for agent in agents:
+            if agent.family == "charging" and agent.context.horizon != n_outputs:
+                raise ConfigError(
+                    f"charging agent {agent.agent_id} has horizon {agent.context.horizon} "
+                    f"but the model emits {n_outputs} values"
+                )
+        self.sizes = np.asarray(sizes)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.x = np.concatenate([getattr(s, f"{part}_x") for s in splits])
+        self.y = np.concatenate([getattr(s, f"{part}_y") for s in splits])
+        counts = np.array([len(getattr(s, f"{part}_x")) for s in splits])
+        self.offsets = np.repeat(np.cumsum(counts) - counts, self.sizes)
+        # realized decision inputs per stacked row: the signal window of a
+        # charging agent, the intensity and workload of a data-center agent
+        realized_e, realized_c, workload = [], [], []
+        for agent, split, n in zip(agents, splits, counts):
+            outcome, ctx = getattr(split, f"{part}_outcome"), getattr(split, f"{part}_ctx")
+            charging = agent.family == "charging"
+            realized_e.append(outcome if charging else np.zeros((n, n_outputs)))
+            realized_c.append(outcome[:, 0])
+            if charging or ctx is None:
+                ctx = np.full(n, 0.0 if charging else agent.context.workload)
+            workload.append(np.asarray(ctx, dtype=float))
+        self.realized_e = np.concatenate(realized_e)
+        self.realized_c = np.concatenate(realized_c)
+        self.workload = np.concatenate(workload)
+
+        owner = np.repeat(np.arange(len(agents)), self.sizes)
+        # full (R, O) operands: broadcasting an (R, 1) column over the short
+        # output axis is many times slower
+        self.t_mean = np.array([s.target_mean for s in splits])[owner, None].repeat(n_outputs, axis=1)
+        self.t_scale = np.array([s.target_scale for s in splits])[owner, None].repeat(n_outputs, axis=1)
+        charging = np.array([a.family == "charging" for a in agents])
+        # a family that owns every row is addressed by a slice, which keeps
+        # the single-family pools free of gather copies
+        self.ev_rows = slice(None) if charging.all() else np.flatnonzero(charging[owner])
+        self.dc_rows = slice(None) if not charging.any() else np.flatnonzero(~charging[owner])
+        ctxs = [a.context for a in agents]
+        ev_owner, dc_owner = owner[self.ev_rows], owner[self.dc_rows]
+        self.ev_slots = np.array([required_slots(c) if ev else 0 for c, ev in zip(ctxs, charging)])[ev_owner]
+        self.ev_rates = np.array([c.rate if ev else 0.0 for c, ev in zip(ctxs, charging)])[ev_owner]
+        self.dc_lam = np.array([0.0 if ev else c.latency_weight for c, ev in zip(ctxs, charging)])[dc_owner]
+        self.dc_window_mean = np.array([s.predict_adapter == "window_mean" for s in splits])[dc_owner]
+
+    def index(self, local: list[np.ndarray]) -> np.ndarray:
+        """Stacked rows of a batch given each agent's own row numbers."""
+        return np.concatenate(local) + self.offsets
+
+    def to_raw(self, normalized: np.ndarray) -> np.ndarray:
+        return self.t_mean + self.t_scale * normalized
+
+    def regrets(self, raws: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """(D, R) regrets of (D, R, O) raw forecasts for the batch at stacked rows `idx`."""
+        n_draws, _, n_out = raws.shape
+        values = np.empty(raws.shape[:2])
+        if len(self.ev_slots):
+            values[:, self.ev_rows] = ev_regret_batch(
+                self.ev_slots, raws[:, self.ev_rows].reshape(-1, n_out),
+                self.realized_e[idx[self.ev_rows]], self.ev_rates,
+            ).reshape(n_draws, -1)
+        if len(self.dc_lam):
+            sub, at = raws[:, self.dc_rows], idx[self.dc_rows]
+            c_hat = np.where(self.dc_window_mean, sub.mean(axis=2), sub[:, :, 0])
+            values[:, self.dc_rows] = dc_regret_batch(
+                np.tile(self.workload[at], n_draws), np.tile(self.dc_lam, n_draws), c_hat.ravel(),
+                np.tile(self.realized_c[at], n_draws),
+            ).reshape(n_draws, -1)
+        return values
+
+    def agent_means(self, values: np.ndarray) -> np.ndarray:
+        """Per-agent means over the last (row) axis."""
+        return np.add.reduceat(values, self.starts, axis=-1) / self.sizes
 
 
 def _chain_samples(
@@ -229,6 +309,9 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     batch_sizes = [min(config.batch_size, n) for n in counts]
     steps_per_epoch = min(n // b for n, b in zip(counts, batch_sizes))
     baseline_ema: float | None = None  # tracks past batch losses only
+    if config.mode == "pg":
+        rows = _StackedRows(agents, data, "train", batch_sizes, params.n_outputs)
+        eps_splits = np.cumsum([config.pg_samples * b * params.n_outputs for b in batch_sizes])[:-1]
 
     t = 0
     for _ in range(config.epochs):
@@ -272,25 +355,19 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                     combined = (1.0 - config.beta) * eq_term + config.beta * mse_term
                 else:  # pg
                     n_draws = config.pg_samples
-                    X_blocks, eps_blocks = [], []
-                    mse_by_draw = np.zeros(n_draws)
-                    regret_means = np.zeros((n_draws, len(agents)))
-                    for a_i, (agent, split, perm, b) in enumerate(zip(agents, data, perms, batch_sizes)):
-                        sel = perm[k * b : (k + 1) * b]
-                        X, Y = split.train_x[sel], split.train_y[sel]
-                        outcomes = split.train_outcome[sel]
-                        ctxs = None if split.train_ctx is None else split.train_ctx[sel]
-                        preds = predictor.forward_batch(current, X)
-                        eps = rng.standard_normal((n_draws, b, preds.shape[1]))
-                        sampled = preds[None, :, :] + std * eps
-                        raws = split.to_raw(sampled.reshape(n_draws * b, -1))
-                        out_rep = np.tile(outcomes, (n_draws, 1))
-                        ctx_rep = None if ctxs is None else np.tile(ctxs, n_draws)
-                        regs = _batch_regrets(agent, split, raws, out_rep, ctx_rep).reshape(n_draws, b)
-                        regret_means[:, a_i] = regs.mean(axis=1)
-                        mse_by_draw += np.sum((sampled - Y[None, :, :]) ** 2, axis=2).mean(axis=1)
-                        X_blocks.append(np.tile(X, (n_draws, 1)))
-                        eps_blocks.append(eps)
+                    idx = rows.index([perm[k * b : (k + 1) * b] for perm, b in zip(perms, batch_sizes)])
+                    X, Y = rows.x[idx], rows.y[idx]
+                    preds = predictor.forward_batch(current, X)
+                    # the flat draw holds each agent's (D, b_m, O) block in agent
+                    # order, which fixes the RNG stream; restack as (D, rows, O)
+                    flat = rng.standard_normal(n_draws * preds.size)
+                    eps = np.concatenate(
+                        [e.reshape(n_draws, b, -1) for e, b in zip(np.split(flat, eps_splits), batch_sizes)],
+                        axis=1,
+                    )
+                    sampled = preds + std * eps
+                    regret_means = rows.agent_means(rows.regrets(rows.to_raw(sampled), idx))
+                    mse_by_draw = rows.agent_means(np.sum((sampled - Y) ** 2, axis=2)).sum(axis=1)
                     eq_by_draw = np.sum(np.clip(regret_means, 0.0, None) ** (config.q + 1.0), axis=1)
                     losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
                     # baseline: leave-one-out mean across draws when available,
@@ -302,14 +379,10 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                         base = np.full(n_draws, baseline_ema)
                     else:
                         base = np.zeros(n_draws)
+                    # the vjp is linear in the cotangent, so the D draws' score
+                    # terms fold into one cotangent per row
                     weights = (losses - base) / (n_draws * std)
-                    cot_blocks = [
-                        (eps * weights[:, None, None]).reshape(eps.shape[0] * eps.shape[1], -1)
-                        for eps in eps_blocks
-                    ]
-                    grad = predictor.vjp_batch(
-                        current, np.concatenate(X_blocks), np.concatenate(cot_blocks)
-                    )
+                    grad = predictor.vjp_batch(current, X, np.tensordot(weights, eps, axes=1))
                     eq_term = float(eq_by_draw.mean())
                     mse_term = float(mse_by_draw.mean())
                     combined = float(losses.mean())
@@ -354,19 +427,15 @@ def evaluate(params: ParamVector, agents: list[AgentSpec], data: list[WindowSpli
     """Deterministic (Gaussian-mean) inference on the test split, plus statistics."""
     if len(agents) != len(data):
         raise ConfigError(f"{len(agents)} agents but {len(data)} data splits")
-    mean_regrets = []
-    preds_raw = []
-    targets_raw = []
     for agent, split in zip(agents, data):
         if split.test_x.shape[0] == 0:
             raise ConfigError(f"agent {agent.agent_id} has an empty test split")
-        preds = predictor.forward_batch(params, split.test_x)
-        raws = split.to_raw(preds)
-        values = _batch_regrets(agent, split, raws, split.test_outcome, split.test_ctx)
-        mean_regrets.append(float(np.mean(values)))
-        preds_raw.append(raws)
-        targets_raw.append(split.test_y_raw)
-    r = np.asarray(mean_regrets)
+    rows = _StackedRows(agents, data, "test", [d.test_x.shape[0] for d in data], params.n_outputs)
+    raws = rows.to_raw(predictor.forward_batch(params, rows.x))
+    values = rows.regrets(raws[None], np.arange(len(rows.x)))
+    r = rows.agent_means(values)[0]
+    preds_raw = np.split(raws, rows.starts[1:])
+    targets_raw = [d.test_y_raw for d in data]
     return RunSummary(
         per_agent_regret=r,
         variance=metrics.variance(r),

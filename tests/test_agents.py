@@ -253,9 +253,35 @@ def test_regret_batch_helpers_match_scalar_path():
     spec = AgentSpec(1, "charging", ctx)
     eh = rng.uniform(0.1, 3, size=(50, 8))
     ee = rng.uniform(0.1, 3, size=(50, 8))
-    batch = ev_regret_batch(ctx, eh, ee)
+    batch = ev_regret_batch(required_slots(ctx), eh, ee, ctx.rate)
     for i in range(50):
         assert batch[i] == pytest.approx(regret(spec, eh[i], ee[i]).value, abs=1e-12)
+
+    # several agents' (k, rate) in one call, three draws of forecasts per
+    # realized row, and integer forecasts so rows tie at the k-th value
+    specs = [
+        AgentSpec(m, "charging", ChargingContext(0.1 * m, 0.1 * m + rate * (k - 0.5), rate, 8))
+        for m, (k, rate) in enumerate([(1, 0.7), (3, 1.1), (4, 2.0), (7, 0.3), (8, 1.4)])
+    ]
+    owner = np.repeat(np.arange(len(specs)), 12)
+    slots = [required_slots(specs[m].context) for m in owner]
+    rates = [specs[m].context.rate for m in owner]
+    realized = rng.integers(1, 4, size=(len(owner), 8)).astype(float)
+    realized[::3] += rng.uniform(0, 0.5, size=(len(owner[::3]), 8))
+    draws = rng.integers(0, 4, size=(3, len(owner), 8)).astype(float)
+    draws[0, 5, 2] = np.nan  # ranks last, as in ev_act's stable argsort
+    batch = ev_regret_batch(slots, draws.reshape(-1, 8), realized, rates).reshape(3, -1)
+    ties = 0
+    for d in range(3):
+        for i, m in enumerate(owner):
+            row = draws[d, i]
+            ties += np.sum(row == np.sort(row)[slots[i] - 1]) > 1
+            assert batch[d, i] == regret(specs[m], row, realized[i]).value
+    assert ties > 50
+    with pytest.raises(InfeasibleActionError):
+        ev_regret_batch(9, draws[0], realized, 1.0)
+    with pytest.raises(ValueError):
+        ev_regret_batch(2, draws.reshape(-1, 8)[:-1], realized, 1.0)
 
 
 # --- contexts and pool files

@@ -177,6 +177,106 @@ def test_pg_step_matches_batch_op():
     assert np.allclose(res.params.values, expected, atol=1e-10)
 
 
+def _three_agent_pool():
+    """A charging agent, a data-center agent with a workload stream and a
+    window-mean data-center agent; the last one's train split (5 rows) is
+    smaller than the batch size used below, so batch sizes differ."""
+    rng = np.random.default_rng(21)
+    ev = AgentSpec(0, "charging", ChargingContext(0.2, 2.3, 1.0, 3))
+    dc = AgentSpec(1, "datacenter", DataCenterContext(2.0, 3.0))
+    dc_mean = AgentSpec(2, "datacenter", DataCenterContext(1.5, 8.0))
+    ev_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)), t_mean=1.8, t_scale=0.7)
+    dc_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)),
+                          ctx=rng.uniform(1.0, 4.0, 12), t_mean=1.5, t_scale=0.5)
+    mean_split = make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 3)), t_mean=2.0, t_scale=0.6)
+    mean_split.predict_adapter = "window_mean"
+    return [ev, dc, dc_mean], [ev_split, dc_split, mean_split]
+
+
+def _sample_regret(agent, split, raw, outcome, ctx):
+    if agent.family == "charging":
+        return regret(agent, raw, outcome).value
+    c_hat = raw.mean() if split.predict_adapter == "window_mean" else raw[0]
+    context = None if ctx is None else DataCenterContext(float(ctx), agent.context.latency_weight)
+    return regret(agent, c_hat, outcome[0], context=context).value
+
+
+def _reference_pg_sgd(cfg, params, agents, splits):
+    """SGD on the mean over draws of `pg_batch_grad`, drawing randomness in the trainer's order."""
+    rng = np.random.default_rng(cfg.seed)
+    counts = [s.train_x.shape[0] for s in splits]
+    sizes = [min(cfg.batch_size, n) for n in counts]
+    steps = min(n // b for n, b in zip(counts, sizes))
+    std, n_draws = cfg.std, cfg.pg_samples
+    ema = None
+    for _ in range(cfg.epochs):
+        perms = [rng.permutation(n) for n in counts]
+        for k in range(steps):
+            sels = [perm[k * b : (k + 1) * b] for perm, b in zip(perms, sizes)]
+            means = [predictor.forward_batch(params, s.train_x[sel]) for s, sel in zip(splits, sels)]
+            eps = [rng.standard_normal((n_draws, b, params.n_outputs)) for b in sizes]
+            draws = []
+            for d in range(n_draws):
+                scores, regrets, sq_errors = [], [], []
+                for m, (agent, split, sel) in enumerate(zip(agents, splits, sels)):
+                    sample = means[m] + std * eps[m][d]
+                    raws = split.to_raw(sample)
+                    ctxs = None if split.train_ctx is None else split.train_ctx[sel]
+                    regrets.append([
+                        _sample_regret(agent, split, raws[i], split.train_outcome[sel][i],
+                                       None if ctxs is None else ctxs[i])
+                        for i in range(len(sel))
+                    ])
+                    sq_errors.append(np.sum((sample - split.train_y[sel]) ** 2, axis=1))
+                    scores.extend(
+                        predictor.score_grad(params, split.train_x[sel][i],
+                                             predictor.PolicySample(sample[i], means[m][i], std))
+                        for i in range(len(sel))
+                    )
+                loss = (1.0 - cfg.beta) * objective.equitable_loss([np.mean(r) for r in regrets], cfg.q)
+                loss += cfg.beta * float(np.sum([np.mean(e) for e in sq_errors]))
+                draws.append((np.stack(scores), regrets, sq_errors, loss))
+            losses = np.array([loss for *_, loss in draws])
+            if cfg.pg_baseline and n_draws > 1:
+                bases = (losses.sum() - losses) / (n_draws - 1)
+            else:
+                bases = np.full(n_draws, 0.0 if ema is None or not cfg.pg_baseline else ema)
+            grad = np.mean([
+                objective.pg_batch_grad(scores, regrets, cfg.q, cfg.beta, sq_errors, baseline=base)
+                for (scores, regrets, sq_errors, _), base in zip(draws, bases)
+            ], axis=0)
+            params = params.with_values(params.values - cfg.lr * grad)
+            ema = losses.mean() if ema is None else 0.9 * ema + 0.1 * losses.mean()
+    return params
+
+
+@pytest.mark.parametrize(
+    "pg_samples, epochs",
+    [(4, 1), (1, 2)],  # leave-one-out baseline over draws; EMA baseline over steps
+)
+def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs):
+    agents, splits = _three_agent_pool()
+    p0 = predictor.init_params([2, 4, 3], seed=4)
+    cfg = TrainConfig(mode="pg", q=1.0, beta=0.5, lr=0.05, lr_step=10**6, std=0.3, epochs=epochs,
+                      batch_size=6, seed=17, optimizer="sgd", pg_baseline=True, pg_samples=pg_samples)
+    res = train(cfg, p0, agents, splits)
+    assert len(res.step_log) == epochs
+    expected = _reference_pg_sgd(cfg, p0, agents, splits)
+    assert np.allclose(res.params.values, expected.values, rtol=0.0, atol=1e-10)
+    assert not np.allclose(res.params.values, p0.values, rtol=0.0, atol=1e-6)
+
+
+def test_charging_horizon_must_match_model_outputs():
+    # a 3-slot agent served by a 2-output model must be refused, not trained
+    agents, splits = _three_agent_pool()
+    p0 = predictor.init_params([2, 4, 2], seed=4)
+    cfg = TrainConfig(mode="pg", std=0.3, epochs=1, batch_size=6, seed=17)
+    with pytest.raises(ConfigError, match="horizon 3"):
+        train(cfg, p0, agents, splits)
+    with pytest.raises(ConfigError, match="horizon 3"):
+        evaluate(p0, agents, splits)
+
+
 def test_evaluate_perfect_predictor():
     # targets equal a constant the model can represent exactly with zero weights
     split = make_split(np.zeros((40, 1)), np.full((40, 1), 2.0), t_mean=2.0, t_scale=1.0)
