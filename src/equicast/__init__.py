@@ -21,7 +21,6 @@ from .agents import (
 from .metrics import MetricReport, mse, norm_entropy, percentile_gap, variance
 from .objective import (
     BatchLoss,
-    ChainSample,
     chain_grad,
     combined_loss,
     dual_norm_value,

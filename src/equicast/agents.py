@@ -232,21 +232,33 @@ def regret(agent: AgentSpec, y_hat, y, context=None) -> RegretRecord:
     return RegretRecord(agent_id=agent.agent_id, value=max(value, 0.0))
 
 
-def dc_regret_batch(workloads, lams, c_hat, c) -> np.ndarray:
-    """Vectorized data-center regret; matches `regret` sample by sample."""
+def dc_regret_batch(workloads, lams, c_hat, c) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized data-center regret and its derivative with respect to the forecast.
+
+    The regret matches `regret` sample by sample.  The derivative is
+    dC/dp * dp/dc_hat as `dc_cost_grad_action` and `dc_act_jacobian` give
+    them (zero in the clamped region); the hindsight cost does not depend on
+    the forecast.
+    """
     w = np.asarray(workloads, dtype=float)
     lam = np.asarray(lams, dtype=float)
-    ch = np.maximum(np.asarray(c_hat, dtype=float), FORECAST_FLOOR)
+    raw = np.asarray(c_hat, dtype=float)
+    ch = np.maximum(raw, FORECAST_FLOOR)
     cv = np.asarray(c, dtype=float)
     if np.any(cv <= 0):
         raise ValueError("realized intensity must be positive")
-    p_hat = w + np.maximum(np.sqrt(lam * w / ch), ALLOCATION_MARGIN * w)
-    taken = p_hat * cv + lam * w / (p_hat - w)
-    best = w * cv + 2.0 * np.sqrt(lam * w * cv)
+    lw = lam * w
+    root = np.sqrt(lw / ch)
+    p_hat = w + np.maximum(root, ALLOCATION_MARGIN * w)
+    headroom = p_hat - w
+    taken = p_hat * cv + lw / headroom
+    best = w * cv + 2.0 * np.sqrt(lw * cv)
     values = taken - best
     if np.any(values < -REGRET_TOLERANCE):
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")
-    return np.clip(values, 0.0, None)
+    # dp/dc_hat = -sqrt(lam*w) / 2 * c_hat^-1.5 = -root / (2 c_hat)
+    dact = np.where(raw > FORECAST_FLOOR, -0.5 * root / ch, 0.0)
+    return np.clip(values, 0.0, None), (cv - lw / headroom**2) * dact
 
 
 def _cheapest_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:

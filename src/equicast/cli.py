@@ -8,8 +8,8 @@ Subcommands:
 * sweep   : grid over (q+1, beta, seed), emit sweep.csv and regret files
 * verify  : run the oracle/gradient/theorem suites, nonzero exit on failure
 
-Exit codes: 0 success, 1 usage or config error, 2 divergence or verification
-failure.
+Exit codes: 0 success, 1 usage or config error, 2 divergence, verification
+failure or a failed sweep cell (the sweep still writes its table).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def cmd_sweep(args) -> int:
     print(f"{len(rows)} runs ({len(failed)} failed); table at {path}")
     for r in failed:
         print(f"  failed q+1={r.q_plus_1:g} beta={r.beta:g} seed={r.seed}: {r.error}")
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_verify(args) -> int:

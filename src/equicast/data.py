@@ -465,7 +465,6 @@ def window_split(
     context_series=None,
     outcome_series=None,
     outcome_steps: int | None = None,
-    target_stats: tuple[float, float] | None = None,
 ) -> WindowSplit:
     """Slide a lookback window over `features_series`; predict the next value(s) of `target_series`."""
     x_series = np.asarray(features_series, dtype=float)
@@ -504,14 +503,8 @@ def window_split(
     f_mean = X[train_idx].mean(axis=0)
     f_std = X[train_idx].std(axis=0)
     f_std = np.where(f_std < 1e-9, 1.0, f_std)
-    if target_stats is not None:
-        # pooled transform shared by every agent of the pool: one public
-        # model emits one raw-unit forecast, so agents must not get
-        # individually calibrated output scalings
-        t_mean, t_scale = float(target_stats[0]), float(target_stats[1])
-    else:
-        t_mean = float(Y[train_idx].mean())
-        t_scale = float(Y[train_idx].std())
+    t_mean = float(Y[train_idx].mean())
+    t_scale = float(Y[train_idx].std())
     if t_scale < 1e-9:
         t_scale = 1.0
 

@@ -113,8 +113,7 @@ def _pool_target_stats(splits: list[WindowSplit]) -> list[WindowSplit]:
     """Re-scale every split's targets with the stats of the pooled raw training targets.
 
     One public model emits one raw-unit forecast, so agents must not get
-    individually calibrated output scalings; this gives the same arrays as
-    windowing again with `target_stats`.
+    individually calibrated output scalings.
     """
     pooled = np.concatenate([s.train_y_raw.ravel() for s in splits])
     mean, scale = float(pooled.mean()), max(float(pooled.std()), 1e-9)

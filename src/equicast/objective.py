@@ -7,9 +7,12 @@ trading fairness against accuracy.
 
 Two gradient paths are provided:
 
-* `chain_grad` multiplies the per-sample factors loss->regret->action->
-  prediction->parameters; it requires every factor to exist (differentiable
-  costs only).
+* `chain_grad` is exact: each row's derivative of its regret with respect
+  to the model output (adapter, policy and cost derivatives chained, built
+  as arrays by the caller) is weighted by its agent's share of the loss
+  gradient, blended with the squared-error residual into one cotangent,
+  and backpropagated with one vjp.  It needs every factor to exist
+  (differentiable costs only).
 * `pg_batch_grad` is the score-function estimator: the summed log-density
   gradients of the sampled predictions times the scalar batch loss.  It only
   needs cost *values*, so it covers discrete actions.
@@ -73,58 +76,33 @@ def combined_loss(mean_regrets, mean_sq_errors, q: float, beta: float) -> BatchL
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ChainSample:
-    """Per-sample factors needed by the exact gradient.
-
-    `dcost_daction` and `daction_dyhat` are the downstream derivatives of the
-    taken action's cost and of the policy; `y_hat`/`y` are on the scale the
-    model emits (the residual drives the squared-error part of the gradient).
-    """
-
-    agent: int
-    x: np.ndarray
-    y_hat: np.ndarray
-    y: np.ndarray
-    regret: float
-    dcost_daction: float
-    daction_dyhat: np.ndarray
-
-
-def chain_grad(params: ParamVector, samples: list[ChainSample], q: float, beta: float) -> np.ndarray:
+def chain_grad(params: ParamVector, X, y_hat, y, regrets, slope, sizes, q: float, beta: float) -> np.ndarray:
     """Exact gradient of the blended objective along the differentiable path.
 
-    Per sample the regret part contributes
-        (1-beta) * (q+1) * rbar_m^q / N_m * dC/da * da/dyhat
-    and the accuracy part contributes beta * (2/N_m) * (y_hat - y), both
-    backpropagated through the network in one batched pass.
+    Rows come in agent order, `sizes[m]` rows of agent m; `y_hat` and `y`
+    are the model's outputs and targets on its own (normalized) scale,
+    `regrets` the per-row regrets and `slope` (R, O) their derivative with
+    respect to the model output.  Row i of agent m gets the cotangent
+        (1-beta) * (q+1) * rbar_m^q / b_m * slope_i + beta * (2/b_m) * (y_hat_i - y_i)
+    with rbar_m the agent's mean regret and b_m = sizes[m], and one vjp
+    backpropagates every row.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    if not samples:
-        raise ValueError("empty batch")
-    counts: dict[int, int] = {}
-    sums: dict[int, float] = {}
-    for s in samples:
-        counts[s.agent] = counts.get(s.agent, 0) + 1
-        sums[s.agent] = sums.get(s.agent, 0.0) + s.regret
-    rbar = {m: max(sums[m] / counts[m], 0.0) for m in counts}
-
-    X = np.stack([np.asarray(s.x, dtype=float) for s in samples])
-    cots = np.zeros((len(samples), params.n_outputs))
-    for i, s in enumerate(samples):
-        n_m = counts[s.agent]
-        if beta < 1.0:
-            weight = (q + 1.0) * rbar[s.agent] ** q / n_m
-            cots[i] += (1.0 - beta) * weight * s.dcost_daction * np.asarray(
-                s.daction_dyhat, dtype=float
-            )
-        if beta > 0.0:
-            cots[i] += beta * (2.0 / n_m) * (
-                np.asarray(s.y_hat, dtype=float) - np.asarray(s.y, dtype=float)
-            )
+    sizes = np.asarray(sizes)
+    if sizes.size == 0 or np.any(sizes < 1) or sizes.sum() != len(X):
+        raise ValueError(f"agent sizes {sizes.tolist()} do not partition {len(X)} rows")
+    y_hat = np.asarray(y_hat, dtype=float)
+    cots = np.zeros_like(y_hat)
+    if beta < 1.0:
+        starts = np.cumsum(sizes) - sizes
+        rbar = np.clip(np.add.reduceat(np.asarray(regrets, dtype=float), starts) / sizes, 0.0, None)
+        weight = (1.0 - beta) * ((q + 1.0) * rbar**q / sizes)
+        cots += np.repeat(weight, sizes)[:, None] * slope
+    if beta > 0.0:
+        cots += np.repeat(beta * (2.0 / sizes), sizes)[:, None] * (y_hat - y)
     return predictor.vjp_batch(params, X, cots)
 
 

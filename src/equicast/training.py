@@ -1,49 +1,47 @@
 """Training loops and evaluation for the shared forecaster.
 
-Three modes share one loop:
+One step, three cotangents.  Every step gathers each agent's batch from
+arrays stacked once per call (agents in order, b_m = min(batch_size, n_m)
+rows of agent m), runs one forward over the M*b rows, builds a cotangent on
+the model output and calls the vjp once.  The modes differ only in that
+cotangent:
 
-* plain: squared-error training only (the accuracy-first baseline);
-  exactly the beta = 1 slice of the chain gradient, built directly.
-* chain: exact gradient through loss -> regret -> action -> forecast;
-  valid only when every agent's decision is differentiable (data-center
-  family).
-* pg: score-function estimator: sample forecasts from the Gaussian head,
-  multiply the summed log-density gradients by the scalar batch loss.  Works
-  for discrete decisions (charging schedules).  A step is fused over the
-  pool: one forward over all agents' batches stacked (M*b rows), one batched
-  regret call per agent family for all D draws, and one vjp over the same
-  M*b rows.  A draw's log-density gradient is the vjp of eps_d / std and the
-  vjp is linear in its cotangent, so the draws, each weighted by its loss
-  minus its baseline, fold into one cotangent sum_d w_d * eps_d per row.
+* plain: (2/b_m) * (y_hat - y), the squared-error gradient alone (the
+  accuracy-first baseline; the beta = 1 slice of chain).
+* chain: exact gradient through loss -> regret -> action -> forecast.  One
+  batched data-center regret call also returns each row's d regret / d c_hat
+  in closed form; times d c_hat / d y_hat (the target scale on output 0 for
+  the `direct` adapter, target scale / O on every output for `window_mean`)
+  it is weighted by (1-beta) * (q+1) * rbar_m^q / b_m and blended with
+  beta * (2/b_m) * (y_hat - y) by `objective.chain_grad`.  Valid only when
+  every agent's decision is differentiable (data-center family).
+* pg: score-function estimator: sample forecasts from the Gaussian head and
+  weight the log-density gradients by the batch loss.  Works for discrete
+  decisions (charging schedules).  One batched regret call per agent family
+  scores all D draws.  A draw's log-density gradient is the vjp of
+  eps_d / std and the vjp is linear in its cotangent, so the draws, each
+  weighted by its loss minus its baseline, fold into one cotangent
+  sum_d w_d * eps_d per row.
 
-Updates are theta <- theta - lr_t * g with lr_t = lr * decay^floor(t/step);
-SGD (optionally with momentum) is the default, Adam is available for runs
-that mix very different loss scales.  Everything is deterministic given the
-config seed.
+A charging agent whose horizon differs from the model's output width is
+refused before step 0 in every mode.  Updates are theta <- theta - lr_t * g
+with lr_t = lr * decay^floor(t/step); SGD (optionally with momentum) is the
+default, Adam is available for runs that mix very different loss scales.
+Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics, objective, predictor
-from .agents import (
-    AgentSpec,
-    DataCenterContext,
-    dc_act,
-    dc_act_jacobian,
-    dc_cost_grad_action,
-    dc_regret_batch,
-    ev_regret_batch,
-    regret,
-    required_slots,
-)
+from .agents import AgentSpec, dc_regret_batch, ev_regret_batch, required_slots
+from .agents import dc_act, dc_act_jacobian, dc_cost_grad_action, regret  # noqa: F401  (bench/tracing.py wraps these bindings)
 from .data import WindowSplit
 from .errors import ConfigError, DivergenceError
-from .objective import ChainSample
 from .predictor import ParamVector
 
 MODES = ("plain", "chain", "pg")
@@ -135,34 +133,13 @@ def _check_family_support(config: TrainConfig, agents: list[AgentSpec]) -> None:
             )
 
 
-def _sample_context(agent: AgentSpec, ctx_value) -> DataCenterContext | None:
-    """Per-sample context override (data-center workload streams)."""
-    if ctx_value is None or agent.family != "datacenter":
-        return None
-    return replace(agent.context, workload=float(ctx_value))
-
-
-def _forecast_to_decision(agent: AgentSpec, split: WindowSplit, y_raw: np.ndarray):
-    """Map a raw forecast window to the scalar/vector the agent's policy consumes."""
-    if agent.family == "datacenter":
-        if split.predict_adapter == "window_mean":
-            return float(np.mean(y_raw))
-        return float(y_raw[0])
-    return y_raw
-
-
-def _outcome_to_decision(agent: AgentSpec, outcome_raw: np.ndarray):
-    if agent.family == "datacenter":
-        return float(outcome_raw[0])
-    return outcome_raw
-
-
 class _StackedRows:
     """One part ("train" or "test") of every agent's split, stacked in agent order.
 
     A batch holds `sizes[m]` rows of agent m, agents in order; `index` maps
     per-agent row numbers to rows of the stacked arrays, and `regrets` scores
-    a batch's forecasts with one batched call per agent family.
+    a batch's forecasts with one batched call per agent family
+    (`dc_regrets` also gives the data-center rows' derivatives).
     """
 
     def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, sizes, n_outputs: int):
@@ -208,7 +185,14 @@ class _StackedRows:
         self.ev_slots = np.array([required_slots(c) if ev else 0 for c, ev in zip(ctxs, charging)])[ev_owner]
         self.ev_rates = np.array([c.rate if ev else 0.0 for c, ev in zip(ctxs, charging)])[ev_owner]
         self.dc_lam = np.array([0.0 if ev else c.latency_weight for c, ev in zip(ctxs, charging)])[dc_owner]
-        self.dc_window_mean = np.array([s.predict_adapter == "window_mean" for s in splits])[dc_owner]
+        window_mean = np.array([s.predict_adapter == "window_mean" for s in splits])
+        self.dc_window_mean = window_mean[dc_owner]
+        # d c_hat / d model output: the target scale on output 0 for the
+        # direct adapter, spread evenly over the window for window_mean
+        adapter = np.zeros((len(splits), n_outputs))
+        adapter[:, 0] = [s.target_scale for s in splits]
+        adapter[window_mean] = adapter[window_mean, :1] / n_outputs
+        self.dc_chat_grad = adapter[dc_owner]
 
     def index(self, local: list[np.ndarray]) -> np.ndarray:
         """Stacked rows of a batch given each agent's own row numbers."""
@@ -227,56 +211,23 @@ class _StackedRows:
                 self.realized_e[idx[self.ev_rows]], self.ev_rates,
             ).reshape(n_draws, -1)
         if len(self.dc_lam):
-            sub, at = raws[:, self.dc_rows], idx[self.dc_rows]
-            c_hat = np.where(self.dc_window_mean, sub.mean(axis=2), sub[:, :, 0])
-            values[:, self.dc_rows] = dc_regret_batch(
-                np.tile(self.workload[at], n_draws), np.tile(self.dc_lam, n_draws), c_hat.ravel(),
-                np.tile(self.realized_c[at], n_draws),
-            ).reshape(n_draws, -1)
+            values[:, self.dc_rows] = self.dc_regrets(raws, idx)[0]
         return values
+
+    def dc_regrets(self, raws: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(D, R_dc) regrets of the data-center rows and their derivatives by the forecast c_hat."""
+        n_draws = len(raws)
+        sub, at = raws[:, self.dc_rows], idx[self.dc_rows]
+        c_hat = np.where(self.dc_window_mean, sub.mean(axis=2), sub[:, :, 0])
+        values, slopes = dc_regret_batch(
+            np.tile(self.workload[at], n_draws), np.tile(self.dc_lam, n_draws), c_hat.ravel(),
+            np.tile(self.realized_c[at], n_draws),
+        )
+        return values.reshape(n_draws, -1), slopes.reshape(n_draws, -1)
 
     def agent_means(self, values: np.ndarray) -> np.ndarray:
         """Per-agent means over the last (row) axis."""
         return np.add.reduceat(values, self.starts, axis=-1) / self.sizes
-
-
-def _chain_samples(
-    agent: AgentSpec,
-    split: WindowSplit,
-    X: np.ndarray,
-    Y: np.ndarray,
-    preds: np.ndarray,
-    outcomes: np.ndarray,
-    ctxs,
-) -> list[ChainSample]:
-    """Per-sample gradient factors for one agent's batch (data-center family)."""
-    n_out = preds.shape[1]
-    samples = []
-    for i in range(X.shape[0]):
-        ctx_value = None if ctxs is None else ctxs[i]
-        ctx = _sample_context(agent, ctx_value) or agent.context
-        y_raw = split.to_raw(preds[i])
-        c_hat = _forecast_to_decision(agent, split, y_raw)
-        c_true = _outcome_to_decision(agent, outcomes[i])
-        p_hat = dc_act(ctx, c_hat)
-        r = regret(agent, c_hat, c_true, context=ctx).value
-        dcost = dc_cost_grad_action(ctx, p_hat, c_true)
-        dact = dc_act_jacobian(ctx, c_hat)
-        # d(c_hat)/d(model output): target scale, spread over the window if
-        # the policy consumes the window mean
-        d_adapter = split.target_scale / (n_out if split.predict_adapter == "window_mean" else 1.0)
-        samples.append(
-            ChainSample(
-                agent=agent.agent_id,
-                x=X[i],
-                y_hat=preds[i],
-                y=Y[i],
-                regret=r,
-                dcost_daction=dcost,
-                daction_dyhat=np.full(n_out, dact * d_adapter),
-            )
-        )
-    return samples
 
 
 def default_std(config: TrainConfig, data: list[WindowSplit]) -> float:
@@ -309,55 +260,38 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     batch_sizes = [min(config.batch_size, n) for n in counts]
     steps_per_epoch = min(n // b for n, b in zip(counts, batch_sizes))
     baseline_ema: float | None = None  # tracks past batch losses only
-    if config.mode == "pg":
-        rows = _StackedRows(agents, data, "train", batch_sizes, params.n_outputs)
-        eps_splits = np.cumsum([config.pg_samples * b * params.n_outputs for b in batch_sizes])[:-1]
+    rows = _StackedRows(agents, data, "train", batch_sizes, params.n_outputs)
+    mse_scale = np.repeat(2.0 / rows.sizes, rows.sizes)[:, None]
+    eps_splits = np.cumsum([config.pg_samples * b * params.n_outputs for b in batch_sizes])[:-1]
 
     t = 0
     for _ in range(config.epochs):
         perms = [rng.permutation(n) for n in counts]
         for k in range(steps_per_epoch):
             current = params.with_values(theta)
-            grad = np.zeros_like(theta)
             eq_term = math.nan
-            mse_term = 0.0
+            idx = rows.index([perm[k * b : (k + 1) * b] for perm, b in zip(perms, batch_sizes)])
+            X, Y = rows.x[idx], rows.y[idx]
             # non-finite values are detected explicitly below; numpy's
             # overflow warnings on the way there are just noise
             with np.errstate(over="ignore", invalid="ignore"):
+                preds = predictor.forward_batch(current, X)
+                if config.mode != "pg":
+                    mse_term = float(rows.agent_means(np.sum((preds - Y) ** 2, axis=1)).sum())
                 if config.mode == "plain":
-                    # squared-error gradient only: the beta=1 slice of the chain
-                    # path, with the per-sample factors short-circuited
-                    X_blocks, cot_blocks = [], []
-                    for agent, split, perm, b in zip(agents, data, perms, batch_sizes):
-                        sel = perm[k * b : (k + 1) * b]
-                        X, Y = split.train_x[sel], split.train_y[sel]
-                        preds = predictor.forward_batch(current, X)
-                        mse_term += float(np.mean(np.sum((preds - Y) ** 2, axis=1)))
-                        X_blocks.append(X)
-                        cot_blocks.append((2.0 / b) * (preds - Y))
-                    grad = predictor.vjp_batch(current, np.concatenate(X_blocks), np.concatenate(cot_blocks))
+                    grad = predictor.vjp_batch(current, X, mse_scale * (preds - Y))
                     combined = mse_term
                 elif config.mode == "chain":
-                    all_samples: list[ChainSample] = []
-                    regrets = []
-                    for agent, split, perm, b in zip(agents, data, perms, batch_sizes):
-                        sel = perm[k * b : (k + 1) * b]
-                        X, Y = split.train_x[sel], split.train_y[sel]
-                        outcomes = split.train_outcome[sel]
-                        ctxs = None if split.train_ctx is None else split.train_ctx[sel]
-                        preds = predictor.forward_batch(current, X)
-                        mse_term += float(np.mean(np.sum((preds - Y) ** 2, axis=1)))
-                        samples = _chain_samples(agent, split, X, Y, preds, outcomes, ctxs)
-                        all_samples.extend(samples)
-                        regrets.append(np.mean([s.regret for s in samples]))
-                    grad = objective.chain_grad(current, all_samples, config.q, config.beta)
-                    eq_term = objective.equitable_loss(regrets, config.q)
+                    # every row is a data-center row (checked above)
+                    values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
+                    slope = dvalues[0][:, None] * rows.dc_chat_grad
+                    grad = objective.chain_grad(
+                        current, X, preds, Y, values[0], slope, rows.sizes, config.q, config.beta
+                    )
+                    eq_term = objective.equitable_loss(rows.agent_means(values[0]), config.q)
                     combined = (1.0 - config.beta) * eq_term + config.beta * mse_term
                 else:  # pg
                     n_draws = config.pg_samples
-                    idx = rows.index([perm[k * b : (k + 1) * b] for perm, b in zip(perms, batch_sizes)])
-                    X, Y = rows.x[idx], rows.y[idx]
-                    preds = predictor.forward_batch(current, X)
                     # the flat draw holds each agent's (D, b_m, O) block in agent
                     # order, which fixes the RNG stream; restack as (D, rows, O)
                     flat = rng.standard_normal(n_draws * preds.size)

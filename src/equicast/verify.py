@@ -16,7 +16,6 @@ import numpy as np
 from . import agents as agentmod
 from . import objective, predictor, training
 from .agents import AgentSpec, ChargingContext, DataCenterContext
-from .objective import ChainSample
 from .training import QuadraticToy
 
 
@@ -105,29 +104,19 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     Ys = [rng.uniform(0.9, 2.4, size=(n_samples, 1)) for _ in agents_list]
     ctxs = [rng.uniform(1.0, 4.0, size=n_samples) for _ in agents_list]
 
+    # the trainer's inputs to chain_grad, built the way it builds them
+    X, Y = np.concatenate(Xs), np.concatenate(Ys)
+    sizes = [n_samples] * len(agents_list)
+    lams = np.repeat([a.context.latency_weight for a in agents_list], n_samples)
+    preds = predictor.forward_batch(params, X)
+    values, dvalues = agentmod.dc_regret_batch(np.concatenate(ctxs), lams, t_mean + t_scale * preds[:, 0], Y[:, 0])
+    slope = np.zeros_like(preds)
+    slope[:, 0] = dvalues * t_scale
+
     worst = 0.0
     for q in qs:
         for beta in betas:
-            samples = []
-            for agent, X, Y, ws in zip(agents_list, Xs, Ys, ctxs):
-                preds = predictor.forward_batch(params, X)
-                for i in range(n_samples):
-                    ctx = replace(agent.context, workload=float(ws[i]))
-                    c_hat = t_mean + t_scale * float(preds[i, 0])
-                    c_true = float(Y[i, 0])
-                    p_hat = agentmod.dc_act(ctx, c_hat)
-                    samples.append(
-                        ChainSample(
-                            agent=agent.agent_id,
-                            x=X[i],
-                            y_hat=preds[i],
-                            y=(Y[i] - t_mean) / t_scale,
-                            regret=agentmod.regret(agent, c_hat, c_true, context=ctx).value,
-                            dcost_daction=agentmod.dc_cost_grad_action(ctx, p_hat, c_true),
-                            daction_dyhat=np.array([agentmod.dc_act_jacobian(ctx, c_hat) * t_scale]),
-                        )
-                    )
-            grad = objective.chain_grad(params, samples, q, beta)
+            grad = objective.chain_grad(params, X, preds, (Y - t_mean) / t_scale, values, slope, sizes, q, beta)
             h = 1e-5
             fd = np.zeros_like(grad)
             for j in range(params.values.size):

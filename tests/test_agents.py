@@ -83,7 +83,7 @@ def test_dc_act_stays_feasible_for_huge_forecasts():
         assert np.isfinite(dc_cost(ctx, p, 1.5))
     spec = AgentSpec(0, "datacenter", ctx)
     assert np.isfinite(regret(spec, 1e300, 1.5).value)
-    batch = dc_regret_batch([5.0], [2.0], [1e300], [1.5])
+    batch, _ = dc_regret_batch([5.0], [2.0], [1e300], [1.5])
     assert batch[0] == pytest.approx(regret(spec, 1e300, 1.5).value, rel=1e-12)
 
 
@@ -243,11 +243,16 @@ def test_regret_batch_helpers_match_scalar_path():
     w = rng.uniform(0.5, 5, size=100)
     lam = rng.uniform(0.5, 50, size=100)
     c_hat = rng.uniform(-0.5, 3, size=100)
+    c_hat[:2] = 1e-6, 1.5e-6  # at the forecast floor and just above it
     c = rng.uniform(0.3, 3, size=100)
-    batch = dc_regret_batch(w, lam, c_hat, c)
+    batch, slope = dc_regret_batch(w, lam, c_hat, c)
+    assert np.sum(slope == 0.0) > 5
     for i in range(100):
-        spec = AgentSpec(0, "datacenter", DataCenterContext(w[i], lam[i]))
+        ctx = DataCenterContext(w[i], lam[i])
+        spec = AgentSpec(0, "datacenter", ctx)
         assert batch[i] == pytest.approx(regret(spec, c_hat[i], c[i]).value, abs=1e-12)
+        expected = dc_cost_grad_action(ctx, dc_act(ctx, c_hat[i]), c[i]) * dc_act_jacobian(ctx, c_hat[i])
+        assert slope[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     ctx = ChargingContext(0.0, 4.3, 1.1, 8)
     spec = AgentSpec(1, "charging", ctx)

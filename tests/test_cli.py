@@ -196,7 +196,7 @@ def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_experiment", flaky)
     out = tmp_path / "sweep"
-    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     lines = (out / "sweep.csv").read_text().splitlines()[2:]
     statuses = [line.split(",")[7] for line in lines]
     assert statuses == ["ok", "failed"]

@@ -214,13 +214,6 @@ def test_target_transform_roundtrip():
     assert np.allclose(ws.to_raw(ws.train_y), ws.train_y_raw, atol=1e-12)
 
 
-def test_shared_target_stats_override():
-    signal = np.arange(50.0)
-    ws = window_split(signal, signal, lookback=4, split=SplitSpec(0.5, 0), target_stats=(10.0, 2.0))
-    assert ws.target_mean == 10.0 and ws.target_scale == 2.0
-    assert np.allclose(ws.to_raw(ws.test_y), ws.test_y_raw, atol=1e-12)
-
-
 def test_context_and_outcome_alignment():
     signal = np.arange(30.0)
     ctx = 100 + np.arange(30.0)

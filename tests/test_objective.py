@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from equicast import objective, predictor
-from equicast.agents import AgentSpec, DataCenterContext, dc_act, dc_act_jacobian, dc_cost_grad_action, regret
-from equicast.objective import ChainSample
+from equicast.agents import AgentSpec, DataCenterContext, dc_regret_batch, regret
 
 
 def test_equitable_loss_reference_values():
@@ -63,26 +62,17 @@ def test_combined_loss_rejects_bad_beta():
 
 
 def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
-    samples = []
-    for agent, X, Y in zip(specs, Xs, Ys):
-        preds = predictor.forward_batch(params, X)
-        for i in range(X.shape[0]):
-            ctx = agent.context
-            c_hat = t_mean + t_scale * float(preds[i, 0])
-            c_true = float(Y[i, 0])
-            p_hat = dc_act(ctx, c_hat)
-            samples.append(
-                ChainSample(
-                    agent=agent.agent_id,
-                    x=X[i],
-                    y_hat=preds[i],
-                    y=(Y[i] - t_mean) / t_scale,
-                    regret=regret(agent, c_hat, c_true).value,
-                    dcost_daction=dc_cost_grad_action(ctx, p_hat, c_true),
-                    daction_dyhat=np.array([dc_act_jacobian(ctx, c_hat) * t_scale]),
-                )
-            )
-    return samples
+    """chain_grad's inputs (all but q and beta) for a batch of direct-adapter data-center agents."""
+    X, Y = np.concatenate(Xs), np.concatenate(Ys)
+    sizes = [len(x) for x in Xs]
+    owner = np.repeat(np.arange(len(specs)), sizes)
+    w = np.array([s.context.workload for s in specs])[owner]
+    lam = np.array([s.context.latency_weight for s in specs])[owner]
+    preds = predictor.forward_batch(params, X)
+    values, dvalues = dc_regret_batch(w, lam, t_mean + t_scale * preds[:, 0], Y[:, 0])
+    slope = np.zeros_like(preds)
+    slope[:, 0] = dvalues * t_scale
+    return X, preds, (Y - t_mean) / t_scale, values, slope, sizes
 
 
 def pipeline_loss(params, specs, Xs, Ys, t_mean, t_scale, q, beta):
@@ -110,8 +100,8 @@ def test_chain_grad_matches_finite_differences():
     t_mean, t_scale = 1.5, 0.4
     h = 1e-5
     for q, beta in ((0.0, 0.0), (1.0, 0.5), (2.0, 1.0)):
-        samples = build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale)
-        grad = objective.chain_grad(params, samples, q, beta)
+        batch = build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale)
+        grad = objective.chain_grad(params, *batch, q, beta)
         fd = np.zeros_like(grad)
         for j in range(params.values.size):
             v = params.values.copy()
@@ -130,8 +120,8 @@ def test_chain_grad_beta_one_is_pure_mse_gradient():
     spec = AgentSpec(0, "datacenter", DataCenterContext(1.5, 2.0))
     X = rng.uniform(-1, 1, size=(6, 3))
     Y = rng.uniform(0.9, 2.2, size=(6, 1))
-    samples = build_dc_chain_batch(params, [spec], [X], [Y], 1.5, 0.4)
-    grad = objective.chain_grad(params, samples, q=2.0, beta=1.0)
+    batch = build_dc_chain_batch(params, [spec], [X], [Y], 1.5, 0.4)
+    grad = objective.chain_grad(params, *batch, q=2.0, beta=1.0)
     preds = predictor.forward_batch(params, X)
     y_norm = (Y - 1.5) / 0.4
     direct = predictor.vjp_batch(params, X, (2.0 / 6) * (preds - y_norm))
@@ -140,11 +130,9 @@ def test_chain_grad_beta_one_is_pure_mse_gradient():
 
 def test_chain_grad_zero_at_perfection():
     params = predictor.init_params([2, 1], seed=0)
-    samples = [
-        ChainSample(agent=0, x=np.zeros(2), y_hat=np.zeros(1), y=np.zeros(1),
-                    regret=0.0, dcost_daction=0.0, daction_dyhat=np.zeros(1))
-    ]
-    assert np.all(objective.chain_grad(params, samples, 1.0, 0.5) == 0.0)
+    grad = objective.chain_grad(params, np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)),
+                                [0.0], np.zeros((1, 1)), [1], 1.0, 0.5)
+    assert np.all(grad == 0.0)
 
 
 # --- policy-gradient batch estimator
@@ -218,8 +206,8 @@ def test_pg_matches_chain_on_differentiable_toy():
     Y = rng.uniform(1.0, 2.0, size=(4, 1))
     t_mean, t_scale = 1.5, 0.3
     q = 1.0
-    samples = build_dc_chain_batch(params, [spec], [X], [Y], t_mean, t_scale)
-    exact = objective.chain_grad(params, samples, q, 0.0)
+    batch = build_dc_chain_batch(params, [spec], [X], [Y], t_mean, t_scale)
+    exact = objective.chain_grad(params, *batch, q, 0.0)
 
     std = 0.05
     preds = predictor.forward_batch(params, X)

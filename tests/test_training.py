@@ -266,6 +266,57 @@ def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs):
     assert not np.allclose(res.params.values, p0.values, rtol=0.0, atol=1e-6)
 
 
+def test_chain_step_matches_finite_differences_of_batch_loss():
+    # one SGD step (lr=1) in chain mode on a two-output model: a data-center
+    # agent with a workload stream, a direct-adapter agent (c_hat reads output
+    # 0 only) and a window-mean agent whose train split (5 rows) is smaller
+    # than the batch, so batch sizes differ
+    rng = np.random.default_rng(5)
+    agents = [
+        AgentSpec(0, "datacenter", DataCenterContext(2.0, 3.0)),
+        AgentSpec(1, "datacenter", DataCenterContext(1.2, 0.8)),
+        AgentSpec(2, "datacenter", DataCenterContext(1.5, 8.0)),
+    ]
+    splits = [
+        make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2)),
+                   ctx=rng.uniform(1.0, 4.0, 12), t_mean=1.5, t_scale=0.5),
+        make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2)), t_mean=1.8, t_scale=0.7),
+        make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 2)), t_mean=2.0, t_scale=0.6),
+    ]
+    splits[2].predict_adapter = "window_mean"
+    p0 = predictor.init_params([2, 4, 2], seed=3)
+    cfg = TrainConfig(mode="chain", q=1.0, beta=0.5, lr=1.0, lr_step=10**6, epochs=1, batch_size=6,
+                      seed=11, optimizer="sgd")
+    res = train(cfg, p0, agents, splits)
+    assert len(res.step_log) == 1
+    grad = p0.values - res.params.values
+
+    perm_rng = np.random.default_rng(cfg.seed)
+    sels = [perm_rng.permutation(len(s.train_x))[: min(6, len(s.train_x))] for s in splits]
+    assert [len(sel) for sel in sels] == [6, 6, 5]
+
+    def batch_loss(values):
+        params = p0.with_values(values)
+        mean_regrets, mse = [], 0.0
+        for agent, split, sel in zip(agents, splits, sels):
+            preds = predictor.forward_batch(params, split.train_x[sel])
+            raws = split.to_raw(preds)
+            ctxs = [None] * len(sel) if split.train_ctx is None else split.train_ctx[sel]
+            mean_regrets.append(np.mean([
+                _sample_regret(agent, split, raws[i], split.train_outcome[sel][i], ctxs[i])
+                for i in range(len(sel))
+            ]))
+            mse += float(np.mean(np.sum((preds - split.train_y[sel]) ** 2, axis=1)))
+        return (1.0 - cfg.beta) * objective.equitable_loss(mean_regrets, cfg.q) + cfg.beta * mse
+
+    h = 1e-5
+    fd = np.array([
+        (batch_loss(p0.values + h * e) - batch_loss(p0.values - h * e)) / (2 * h)
+        for e in np.eye(p0.values.size)
+    ])
+    assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
+
+
 def test_charging_horizon_must_match_model_outputs():
     # a 3-slot agent served by a 2-output model must be refused, not trained
     agents, splits = _three_agent_pool()

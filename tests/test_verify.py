@@ -50,10 +50,7 @@ def test_injected_gradient_bug_detected(monkeypatch):
 
     real = objective.chain_grad
 
-    def skewed(params, samples, q, beta):
-        return real(params, samples, q, beta) * 1.05
-
-    monkeypatch.setattr(objective, "chain_grad", skewed)
+    monkeypatch.setattr(objective, "chain_grad", lambda *a: real(*a) * 1.05)
     result = verify.check_chain_gradient(qs=(1.0,), betas=(0.0,), seed=0)
     assert not result.passed
 
