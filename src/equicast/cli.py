@@ -102,8 +102,12 @@ def cmd_evaluate(args) -> int:
     config = _effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params, _meta = predictor.load_checkpoint(args.checkpoint)
+    params, meta = predictor.load_checkpoint(args.checkpoint)
+    if meta["lookback"] != config.lookback:
+        raise ConfigError(f"checkpoint lookback {meta['lookback']} does not match the config's {config.lookback}")
     pool = harness.build_pool(config, config.seed)
+    if params.layer_sizes != pool.arch:
+        raise ConfigError(f"checkpoint layer sizes {params.layer_sizes} do not match the config's {pool.arch}")
     summary = training.evaluate(
         params, pool.agents, pool.splits, q=config.train.q, beta=config.train.beta, seed=config.seed
     )

@@ -13,9 +13,15 @@ Two gradient paths are provided:
   gradient, blended with the squared-error residual into one cotangent,
   and backpropagated with one vjp.  It needs every factor to exist
   (differentiable costs only).
-* `pg_batch_grad` is the score-function estimator: the summed log-density
-  gradients of the sampled predictions times the scalar batch loss.  It only
-  needs cost *values*, so it covers discrete actions.
+* `pg_grad` is the score-function estimator the trainer applies: D draws
+  eps_d of the Gaussian head, each weighted by its loss minus its baseline,
+  fold into one cotangent sum_d w_d * eps_d per row (a draw's log-density
+  gradient is the vjp of eps_d / std, and the vjp is linear in its
+  cotangent), backpropagated with one vjp.  It only needs cost *values*, so
+  it covers discrete actions.
+* `pg_batch_grad` is the per-batch reference for one draw: the summed
+  log-density gradients of the sampled predictions times the scalar batch
+  loss.
 """
 
 from __future__ import annotations
@@ -104,6 +110,20 @@ def chain_grad(params: ParamVector, X, y_hat, y, regrets, slope, sizes, q: float
     if beta > 0.0:
         cots += np.repeat(beta * (2.0 / sizes), sizes)[:, None] * (y_hat - y)
     return predictor.vjp_batch(params, X, cots)
+
+
+def pg_grad(params: ParamVector, X, eps, losses, baseline, std: float) -> np.ndarray:
+    """Score-function gradient averaged over D draws of the Gaussian head.
+
+    `eps` (D, R, O) holds the standard-normal draws behind the sampled
+    outputs y_hat + std * eps of the R rows `X`, `losses` (D,) each draw's
+    batch loss and `baseline` a scalar or (D,) array subtracted from it; a
+    draw's baseline must not depend on that draw.  Returns
+        sum_d (losses_d - baseline_d) / (D * std) * vjp(eps_d),
+    the mean over draws of the per-draw estimates.
+    """
+    weights = (losses - baseline) / (len(losses) * std)
+    return predictor.vjp_batch(params, X, np.tensordot(weights, eps, axes=1))
 
 
 def pg_batch_grad(

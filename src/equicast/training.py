@@ -18,10 +18,10 @@ cotangent:
 * pg: score-function estimator: sample forecasts from the Gaussian head and
   weight the log-density gradients by the batch loss.  Works for discrete
   decisions (charging schedules).  One batched regret call per agent family
-  scores all D draws.  A draw's log-density gradient is the vjp of
-  eps_d / std and the vjp is linear in its cotangent, so the draws, each
-  weighted by its loss minus its baseline, fold into one cotangent
-  sum_d w_d * eps_d per row.
+  scores all D draws; the step picks each draw's baseline and
+  `objective.pg_grad` (the op `verify` checks) folds the draws, each
+  weighted by its loss minus its baseline, into one cotangent
+  sum_d w_d * eps_d per row for one vjp.
 
 A charging agent whose horizon differs from the model's output width is
 refused before step 0 in every mode.  Updates are theta <- theta - lr_t * g
@@ -276,8 +276,11 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
             # overflow warnings on the way there are just noise
             with np.errstate(over="ignore", invalid="ignore"):
                 preds = predictor.forward_batch(current, X)
+                # agent_terms holds the per-agent batch terms (per draw in pg);
+                # a divergence is blamed on the first agent with a non-finite one
                 if config.mode != "pg":
-                    mse_term = float(rows.agent_means(np.sum((preds - Y) ** 2, axis=1)).sum())
+                    agent_terms = rows.agent_means(np.sum((preds - Y) ** 2, axis=1))
+                    mse_term = float(agent_terms.sum())
                 if config.mode == "plain":
                     grad = predictor.vjp_batch(current, X, mse_scale * (preds - Y))
                     combined = mse_term
@@ -288,7 +291,8 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                     grad = objective.chain_grad(
                         current, X, preds, Y, values[0], slope, rows.sizes, config.q, config.beta
                     )
-                    eq_term = objective.equitable_loss(rows.agent_means(values[0]), config.q)
+                    agent_terms = rows.agent_means(values[0])
+                    eq_term = objective.equitable_loss(agent_terms, config.q)
                     combined = (1.0 - config.beta) * eq_term + config.beta * mse_term
                 else:  # pg
                     n_draws = config.pg_samples
@@ -300,9 +304,9 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                         axis=1,
                     )
                     sampled = preds + std * eps
-                    regret_means = rows.agent_means(rows.regrets(rows.to_raw(sampled), idx))
+                    agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled), idx))
                     mse_by_draw = rows.agent_means(np.sum((sampled - Y) ** 2, axis=2)).sum(axis=1)
-                    eq_by_draw = np.sum(np.clip(regret_means, 0.0, None) ** (config.q + 1.0), axis=1)
+                    eq_by_draw = np.sum(np.clip(agent_terms, 0.0, None) ** (config.q + 1.0), axis=1)
                     losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
                     # baseline: leave-one-out mean across draws when available,
                     # else an EMA of past batch losses; both are independent of
@@ -313,10 +317,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                         base = np.full(n_draws, baseline_ema)
                     else:
                         base = np.zeros(n_draws)
-                    # the vjp is linear in the cotangent, so the D draws' score
-                    # terms fold into one cotangent per row
-                    weights = (losses - base) / (n_draws * std)
-                    grad = predictor.vjp_batch(current, X, np.tensordot(weights, eps, axes=1))
+                    grad = objective.pg_grad(current, X, eps, losses, base, std)
                     eq_term = float(eq_by_draw.mean())
                     mse_term = float(mse_by_draw.mean())
                     combined = float(losses.mean())
@@ -326,10 +327,12 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                         )
 
             if not math.isfinite(combined) or not np.all(np.isfinite(grad)):
+                bad = np.flatnonzero(~np.isfinite(agent_terms).reshape(-1, len(agents)).all(axis=0))
                 raise DivergenceError(
                     f"non-finite loss or gradient at step {t}: loss={combined}, "
                     f"|grad|max={np.max(np.abs(grad)) if grad.size else math.nan}",
                     step=t,
+                    agent_id=agents[bad[0]].agent_id if bad.size else None,
                     values=(combined,),
                 )
 

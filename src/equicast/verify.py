@@ -134,12 +134,14 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
 
 
 def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: float = 0.3, seed: int = 0) -> SuiteResult:
-    """Score-function estimator vs the analytic gradient of E[(yhat-1)^2].
+    """The trainer's score-function op vs the analytic gradient of E[(yhat-1)^2].
 
     A one-parameter model (bias-only, zero input) makes the prediction equal
     the parameter, so d/dtheta E[C] = 2(theta-1) exactly.  The per-draw
-    score vector is spot-checked against score_grad, then the batch op is
-    applied to every draw.
+    score is spot-checked against score_grad, then `objective.pg_grad` takes
+    all draws in one call with no baseline: it must equal the mean of the
+    per-draw estimates loss * eps / std, and that mean must lie within five
+    standard errors of the analytic gradient.
     """
     layout = ((0, 1, 1, 1),)
     rng = np.random.default_rng(seed)
@@ -147,21 +149,23 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
     details = []
     for theta in thetas:
         params = predictor.ParamVector(values=np.array([0.0, theta]), layout=layout)
-        draws = theta + std * rng.standard_normal(n_draws)
-        scores = np.zeros((n_draws, 2))
-        scores[:, 1] = (draws - theta) / std**2
-        for i in range(50):  # exact agreement between the closed form and the op
+        eps = rng.standard_normal(n_draws)
+        draws = theta + std * eps
+        for i in range(50):  # exact agreement between the closed-form score and the op
             ps = predictor.PolicySample(sample=np.array([draws[i]]), mean=np.array([theta]), std=std)
             op_score = predictor.score_grad(params, x, ps)
-            if not np.allclose(op_score, scores[i], rtol=0, atol=1e-12):
+            if not np.allclose(op_score, [0.0, (draws[i] - theta) / std**2], rtol=0, atol=1e-12):
                 return SuiteResult("pg_estimator", False, f"score_grad mismatch at draw {i}")
-        grads = np.empty(n_draws)
-        for i in range(n_draws):
-            g = objective.pg_batch_grad(scores[i : i + 1], [[(draws[i] - 1.0) ** 2]], q=0.0)
-            grads[i] = g[1]
+        losses = (draws - 1.0) ** 2
+        terms = losses * eps / std
+        estimate = float(objective.pg_grad(params, x[None], eps.reshape(-1, 1, 1), losses, 0.0, std)[1])
+        if not np.isclose(estimate, terms.mean(), rtol=1e-12, atol=0.0):
+            return SuiteResult(
+                "pg_estimator", False, f"theta={theta}: pg_grad {estimate} vs mean of draws {terms.mean()}"
+            )
         target = 2.0 * (theta - 1.0)
-        se = float(grads.std() / np.sqrt(n_draws))
-        err = abs(float(grads.mean()) - target)
+        se = float(terms.std() / np.sqrt(n_draws))
+        err = abs(estimate - target)
         details.append(f"theta={theta}: |err|={err:.4f} vs 5se={5 * se:.4f}")
         if err > 5 * se:
             return SuiteResult("pg_estimator", False, "; ".join(details))

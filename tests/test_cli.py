@@ -158,6 +158,20 @@ def test_evaluate_uses_checkpoint(tmp_path):
     assert trained["per_agent_regret"] == pytest.approx(evaluated["per_agent_regret"], rel=1e-12)
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"hidden": 5}, "layer sizes [6, 4, 1]"),  # used to evaluate silently
+    ({"lookback": 8}, "lookback 6"),  # used to die with a raw ValueError
+])
+def test_evaluate_refuses_mismatched_checkpoint(tmp_path, capsys, override, message):
+    run = tmp_path / "run"
+    cli.main(["train", "--config", write_config(tmp_path, tiny_config()), "--out", str(run)])
+    cfg = write_config(tmp_path, tiny_config(**override), name="other.json")
+    rc = cli.main(["evaluate", "--config", cfg, "--checkpoint", str(run / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 def test_divergence_exits_2(tmp_path):
     doc = tiny_config(train={"mode": "plain", "lr": 1e12, "epochs": 10, "batch_size": 16})
     cfg = write_config(tmp_path, doc)

@@ -159,20 +159,28 @@ def test_pg_batch_grad_validation():
         objective.pg_batch_grad(np.zeros((1, 2)), [[0.1]], q=0.0, beta=0.5)
 
 
-def test_pg_batch_grad_monte_carlo_matches_analytic():
-    # quadratic toy: yhat ~ N(theta, std^2), C = (yhat-1)^2
-    # d/dtheta E[C] = 2(theta-1)
+def test_pg_grad_monte_carlo_matches_analytic():
+    # quadratic toy: yhat ~ N(theta, std^2), C = (yhat-1)^2, d/dtheta E[C] = 2(theta-1);
+    # a bias-only model on a zero input makes the prediction the parameter
     std = 0.3
     n = 200_000
+    x = np.zeros((1, 1))
     for theta in (0.0, 0.5, 2.0):
+        params = predictor.ParamVector(values=np.array([0.0, theta]), layout=((0, 1, 1, 1),))
         rng = np.random.default_rng(42 + int(10 * theta))
-        draws = theta + std * rng.standard_normal(n)
-        grads = np.empty(n)
-        for i in range(n):
-            score = np.array([[(draws[i] - theta) / std**2]])
-            grads[i] = objective.pg_batch_grad(score, [[(draws[i] - 1.0) ** 2]], q=0.0)[0]
-        se = grads.std() / np.sqrt(n)
-        assert abs(grads.mean() - 2 * (theta - 1.0)) < 5 * se
+        eps = rng.standard_normal(n)
+        losses = (theta + std * eps - 1.0) ** 2
+        # no baseline, then the trainer's leave-one-out baseline over the same draws
+        loo = (losses.sum() - losses) / (n - 1)
+        spreads = []
+        for baseline in (0.0, loo):
+            terms = (losses - baseline) * eps / std
+            grad = objective.pg_grad(params, x, eps.reshape(n, 1, 1), losses, baseline, std)
+            assert grad[1] == pytest.approx(terms.mean(), rel=1e-12)
+            se = terms.std() / np.sqrt(n)
+            assert abs(grad[1] - 2 * (theta - 1.0)) < 5 * se
+            spreads.append(terms.std())
+        assert spreads[1] < spreads[0]
 
 
 def test_pg_batch_grad_beta_one_drops_regret_term():

@@ -142,6 +142,7 @@ def test_divergence_guard_raises_with_step():
     with pytest.raises(DivergenceError) as err:
         train(cfg, predictor.init_params([1, 4, 1], seed=0), [DC_AGENT], [split])
     assert err.value.step is not None
+    assert err.value.agent_id == 0
 
 
 def test_pg_step_matches_batch_op():

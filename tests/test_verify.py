@@ -55,6 +55,16 @@ def test_injected_gradient_bug_detected(monkeypatch):
     assert not result.passed
 
 
+def test_injected_pg_bug_detected(monkeypatch):
+    from equicast import objective
+
+    real = objective.pg_grad
+
+    monkeypatch.setattr(objective, "pg_grad", lambda *a: real(*a) * 1.05)
+    result = verify.check_pg_estimator(thetas=(0.5,), n_draws=1_000, seed=0)
+    assert not result.passed
+
+
 def test_injected_enumeration_bug_detected(monkeypatch):
     from equicast import agents as agents_module
 
