@@ -11,7 +11,9 @@ Two agent families are supported.
 
 Regret of a sample is the cost of acting on the forecast minus the cost of
 acting on the realized values; it is nonnegative up to floating point noise
-and clamped at zero.
+and clamped at zero.  The batched charging ops split the two: the
+hindsight cost of realized rows (`ev_optimal_batch`) is computed once and
+handed to `ev_regret_batch`, which ranks the forecasts each time.
 """
 
 from __future__ import annotations
@@ -262,47 +264,78 @@ def dc_regret_batch(workloads, lams, c_hat, c) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cheapest_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Boolean mask of each row's `slots` smallest entries, earliest index first on ties.
+    """Boolean mask of each (N, T) row's `slots` smallest entries, earliest index first on ties.
 
     One sort gives each row's k-th smallest value, and the entries at or
-    below it are chosen.  Rows where that is not exactly k entries (ties at
-    the k-th value, NaN) are ranked again with the stable argsort of `ev_act`.
+    below it are chosen.  That is exactly k entries unless the threshold is
+    NaN or, for k < T, the (k+1)-th sorted value is not above it (a tie at
+    the threshold); only those rows are ranked again with the stable
+    argsort of `ev_act`.
     """
-    threshold = np.sort(values, axis=1)[np.arange(len(values)), slots - 1]
+    n_rows, horizon = values.shape
+    flat = np.sort(values, axis=1).ravel()
+    at = np.arange(0, n_rows * horizon, horizon) + slots
+    threshold = flat[at - 1]
+    following = flat[np.minimum(at, flat.size - 1)]
     chosen = values <= threshold[:, None]
-    odd = np.flatnonzero(chosen.sum(axis=1) != slots)
+    odd = np.flatnonzero(np.isnan(threshold) | ((slots < horizon) & ~(following > threshold)))
     if odd.size:
         order = np.argsort(values[odd], axis=1, kind="stable")
-        ranked = np.empty((odd.size, values.shape[1]), dtype=bool)
-        np.put_along_axis(ranked, order, np.arange(values.shape[1]) < slots[odd, None], axis=1)
+        ranked = np.empty((odd.size, horizon), dtype=bool)
+        np.put_along_axis(ranked, order, np.arange(horizon) < slots[odd, None], axis=1)
         chosen[odd] = ranked
     return chosen
 
 
-def ev_regret_batch(slots, e_hat, e, rates) -> np.ndarray:
+def _slots_and_rates(slots, rates, n_rows: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row slot counts and rates, refusing counts outside 1..horizon."""
+    k = np.broadcast_to(np.asarray(slots, dtype=np.int64), (n_rows,))
+    rate = np.broadcast_to(np.asarray(rates, dtype=float), (n_rows,))
+    if np.any(k < 1) or np.any(k > horizon):
+        raise InfeasibleActionError(f"need between 1 and {horizon} slots per row, got {k.min()}..{k.max()}")
+    return k, rate
+
+
+def ev_optimal_batch(slots, e, rates) -> np.ndarray:
+    """Vectorized hindsight-optimal charging cost of (B, T) realized rows.
+
+    Row i charges `slots[i]` slots at `rates[i]` (scalars broadcast over the
+    rows); this is `ev_optimal`'s cost row by row.  It does not depend on any
+    forecast, so callers compute it once per realized row and pass it to
+    `ev_regret_batch` as `best`.  The signal must be finite: chosen slots
+    are summed as `e * mask`.
+    """
+    ev = np.asarray(e, dtype=float)
+    if ev.ndim != 2:
+        raise ValueError(f"expected (B, T) realized rows, got shape {ev.shape}")
+    if not np.all(np.isfinite(ev)):
+        raise ValueError("realized charging signal must be finite")
+    k, rate = _slots_and_rates(slots, rates, *ev.shape)
+    return rate * np.sum(ev * _cheapest_slots(ev, k), axis=1)
+
+
+def ev_regret_batch(slots, e_hat, e, rates, best) -> np.ndarray:
     """Vectorized charging regret of (N, T) forecast rows against (B, T) realized rows.
 
     Realized row i charges `slots[i]` slots at `rates[i]` (scalars broadcast
     over the rows); this is what `ev_act` and `ev_cost` do for a context with
     k = required_slots(ctx).  N may be a multiple of B: the forecasts then
-    come in blocks of B rows (one block per draw), forecast row j is scored
-    against realized row j % B, and the hindsight cost is computed once per
-    realized row.  Matches `regret` sample by sample.
+    come in blocks of B rows (one block per draw) and forecast row j is
+    scored against realized row j % B.  `best` holds each realized row's
+    hindsight-optimal cost, `ev_optimal_batch(slots, e, rates)`, which
+    callers compute once since no forecast changes it; that op also checks
+    that `e` is finite, which the masked sum `e * chosen` relies on.
+    Matches `regret` sample by sample.
     """
     eh = np.asarray(e_hat, dtype=float)
     ev = np.asarray(e, dtype=float)
     if eh.ndim != 2 or ev.ndim != 2 or eh.shape[1] != ev.shape[1] or len(ev) == 0 or len(eh) % len(ev):
         raise ValueError(f"expected (D*B, T) forecasts for (B, T) realized rows, got {eh.shape} and {ev.shape}")
     n_rows, horizon = ev.shape
-    k = np.broadcast_to(np.asarray(slots, dtype=np.int64), (n_rows,))
-    rate = np.broadcast_to(np.asarray(rates, dtype=float), (n_rows,))
-    if np.any(k < 1) or np.any(k > horizon):
-        raise InfeasibleActionError(f"need between 1 and {horizon} slots per row, got {k.min()}..{k.max()}")
-    eh = eh.reshape(-1, n_rows, horizon)
-    chosen = _cheapest_slots(eh.reshape(-1, horizon), np.tile(k, len(eh))).reshape(eh.shape)
-    taken = rate * np.sum(np.where(chosen, ev, 0.0), axis=2)
-    best = rate * np.sum(np.where(_cheapest_slots(ev, k), ev, 0.0), axis=1)
-    values = (taken - best).reshape(-1)
+    k, rate = _slots_and_rates(slots, rates, n_rows, horizon)
+    n_draws = len(eh) // n_rows
+    chosen = _cheapest_slots(eh, np.tile(k, n_draws)).reshape(n_draws, n_rows, horizon)
+    values = (rate * np.sum(ev * chosen, axis=2) - best).reshape(-1)
     if np.any(values < -REGRET_TOLERANCE):
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")
     return np.clip(values, 0.0, None)

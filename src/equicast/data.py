@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .agents import AgentSpec, ChargingContext, DataCenterContext
 from .errors import ConfigError, SchemaError
@@ -456,6 +457,12 @@ class WindowSplit:
         return self.target_mean + self.target_scale * normalized
 
 
+def _windows(series: np.ndarray, first: int, width: int, count: int) -> np.ndarray:
+    """View of series[first + i : first + i + width] for i < count, stacked on a new axis 0."""
+    view = sliding_window_view(series[first : first + width + count - 1], width, axis=0)
+    return np.moveaxis(view, -1, 1)
+
+
 def window_split(
     features_series,
     target_series,
@@ -479,18 +486,17 @@ def window_split(
     if n_windows < 1:
         raise ValueError(f"series of length {n} is too short for lookback {lookback} + horizon {horizon}")
 
-    X = np.stack([x_series[i : i + lookback] for i in range(n_windows)])
-    Y = np.stack([y_series[i + lookback : i + lookback + target_steps] for i in range(n_windows)])
+    # read-only strided views of the series; the train/test arrays below are
+    # fancy-indexed copies, so nothing returned aliases the input
+    X = _windows(x_series, 0, lookback, n_windows)
+    Y = _windows(y_series, lookback, target_steps, n_windows)
     ctx = None
     if context_series is not None:
         ctx_series = np.asarray(context_series, dtype=float)
         ctx = ctx_series[lookback : lookback + n_windows]
     outcome = None
     if outcome_series is not None:
-        o_series = np.asarray(outcome_series, dtype=float)
-        outcome = np.stack(
-            [o_series[i + lookback : i + lookback + outcome_steps] for i in range(n_windows)]
-        )
+        outcome = _windows(np.asarray(outcome_series, dtype=float), lookback, outcome_steps, n_windows)
 
     n_train = int(round(split.train_fraction * n_windows))
     n_train = min(max(n_train, 1), n_windows - 1) if n_windows > 1 else 1

@@ -401,6 +401,6 @@ def write_sweep_files(rows: list[SweepRow], out_dir, config: ExperimentConfig) -
 def write_step_log(path, step_log: list[dict], config: ExperimentConfig, seed: int) -> None:
     with open(path, "w") as fh:
         fh.write(f"# config_hash={config_hash(config)} seed={seed}\n")
-        fh.write("step,lr,equitable,mse,combined\n")
+        fh.write("step,lr,equitable,mse_norm,combined\n")
         for row in step_log:
-            fh.write(f"{row['step']},{row['lr']!r},{row['equitable']!r},{row['mse']!r},{row['combined']!r}\n")
+            fh.write(f"{row['step']},{row['lr']!r},{row['equitable']!r},{row['mse_norm']!r},{row['combined']!r}\n")

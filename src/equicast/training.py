@@ -23,6 +23,13 @@ cotangent:
   weighted by its loss minus its baseline, into one cotangent
   sum_d w_d * eps_d per row for one vjp.
 
+What does not depend on the parameters stays out of the step.  Per call:
+the stacked rows, each charging row's hindsight-optimal cost
+(`agents.ev_optimal_batch`, passed to `ev_regret_batch` as `best`; also in
+`evaluate`) and, in pg, the gather index that turns the step's flat
+Gaussian draw into (D, rows, O).  Per epoch: the agents' permutations and,
+from them, every step's batch rows as one (steps, rows) array.
+
 A charging agent whose horizon differs from the model's output width is
 refused before step 0 in every mode.  Updates are theta <- theta - lr_t * g
 with lr_t = lr * decay^floor(t/step); SGD (optionally with momentum) is the
@@ -38,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, objective, predictor
-from .agents import AgentSpec, dc_regret_batch, ev_regret_batch, required_slots
+from .agents import AgentSpec, dc_regret_batch, ev_optimal_batch, ev_regret_batch, required_slots
 from .agents import dc_act, dc_act_jacobian, dc_cost_grad_action, regret  # noqa: F401  (bench/tracing.py wraps these bindings)
 from .data import WindowSplit
 from .errors import ConfigError, DivergenceError
@@ -136,10 +143,12 @@ def _check_family_support(config: TrainConfig, agents: list[AgentSpec]) -> None:
 class _StackedRows:
     """One part ("train" or "test") of every agent's split, stacked in agent order.
 
-    A batch holds `sizes[m]` rows of agent m, agents in order; `index` maps
-    per-agent row numbers to rows of the stacked arrays, and `regrets` scores
-    a batch's forecasts with one batched call per agent family
-    (`dc_regrets` also gives the data-center rows' derivatives).
+    A batch holds `sizes[m]` rows of agent m, agents in order; `epoch_index`
+    maps an epoch's per-agent permutations to the stacked rows of each of its
+    batches, and `regrets` scores a batch's forecasts with one batched call
+    per agent family (`dc_regrets` also gives the data-center rows'
+    derivatives) against the realized rows and their hindsight costs
+    (`ev_best`, computed here once).
     """
 
     def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, sizes, n_outputs: int):
@@ -169,21 +178,30 @@ class _StackedRows:
         self.realized_e = np.concatenate(realized_e)
         self.realized_c = np.concatenate(realized_c)
         self.workload = np.concatenate(workload)
+        ctxs = [a.context for a in agents]
+        charging = np.array([a.family == "charging" for a in agents])
+        k_agent = np.array([required_slots(c) if ev else 0 for c, ev in zip(ctxs, charging)])
+        rate_agent = np.array([c.rate if ev else 0.0 for c, ev in zip(ctxs, charging)])
+        # each charging row's hindsight-optimal cost, which no forecast changes
+        row_owner = np.repeat(np.arange(len(agents)), counts)
+        ev_row = charging[row_owner]
+        self.ev_best = np.zeros(len(self.x))
+        if ev_row.any():
+            own = row_owner[ev_row]
+            self.ev_best[ev_row] = ev_optimal_batch(k_agent[own], self.realized_e[ev_row], rate_agent[own])
 
         owner = np.repeat(np.arange(len(agents)), self.sizes)
         # full (R, O) operands: broadcasting an (R, 1) column over the short
         # output axis is many times slower
         self.t_mean = np.array([s.target_mean for s in splits])[owner, None].repeat(n_outputs, axis=1)
         self.t_scale = np.array([s.target_scale for s in splits])[owner, None].repeat(n_outputs, axis=1)
-        charging = np.array([a.family == "charging" for a in agents])
         # a family that owns every row is addressed by a slice, which keeps
         # the single-family pools free of gather copies
         self.ev_rows = slice(None) if charging.all() else np.flatnonzero(charging[owner])
         self.dc_rows = slice(None) if not charging.any() else np.flatnonzero(~charging[owner])
-        ctxs = [a.context for a in agents]
         ev_owner, dc_owner = owner[self.ev_rows], owner[self.dc_rows]
-        self.ev_slots = np.array([required_slots(c) if ev else 0 for c, ev in zip(ctxs, charging)])[ev_owner]
-        self.ev_rates = np.array([c.rate if ev else 0.0 for c, ev in zip(ctxs, charging)])[ev_owner]
+        self.ev_slots = k_agent[ev_owner]
+        self.ev_rates = rate_agent[ev_owner]
         self.dc_lam = np.array([0.0 if ev else c.latency_weight for c, ev in zip(ctxs, charging)])[dc_owner]
         window_mean = np.array([s.predict_adapter == "window_mean" for s in splits])
         self.dc_window_mean = window_mean[dc_owner]
@@ -194,9 +212,23 @@ class _StackedRows:
         adapter[window_mean] = adapter[window_mean, :1] / n_outputs
         self.dc_chat_grad = adapter[dc_owner]
 
-    def index(self, local: list[np.ndarray]) -> np.ndarray:
-        """Stacked rows of a batch given each agent's own row numbers."""
-        return np.concatenate(local) + self.offsets
+    def epoch_index(self, perms: list[np.ndarray], n_steps: int) -> np.ndarray:
+        """(steps, R) stacked rows of an epoch's batches: step k takes rows k*b_m .. (k+1)*b_m - 1 of perm m."""
+        return np.concatenate(
+            [perm[: n_steps * b].reshape(n_steps, b) for perm, b in zip(perms, self.sizes)], axis=1
+        ) + self.offsets
+
+    def draw_index(self, n_draws: int, n_outputs: int) -> np.ndarray:
+        """(D, R, O) positions in a flat draw that holds each agent's (D, b_m, O) block in agent order.
+
+        Agent m's block starts at D*O*start_m; in it, draw d of its row i,
+        output o, sits at (d*b_m + i)*O + o.
+        """
+        size = np.repeat(self.sizes, self.sizes)
+        start = np.repeat(self.starts, self.sizes)
+        first = (n_draws * start + np.arange(len(size)) - start) * n_outputs
+        step = np.arange(n_draws)[:, None] * size * n_outputs
+        return (first + step)[:, :, None] + np.arange(n_outputs)
 
     def to_raw(self, normalized: np.ndarray) -> np.ndarray:
         return self.t_mean + self.t_scale * normalized
@@ -206,9 +238,10 @@ class _StackedRows:
         n_draws, _, n_out = raws.shape
         values = np.empty(raws.shape[:2])
         if len(self.ev_slots):
+            at = idx[self.ev_rows]
             values[:, self.ev_rows] = ev_regret_batch(
                 self.ev_slots, raws[:, self.ev_rows].reshape(-1, n_out),
-                self.realized_e[idx[self.ev_rows]], self.ev_rates,
+                self.realized_e[at], self.ev_rates, self.ev_best[at],
             ).reshape(n_draws, -1)
         if len(self.dc_lam):
             values[:, self.dc_rows] = self.dc_regrets(raws, idx)[0]
@@ -262,15 +295,16 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     baseline_ema: float | None = None  # tracks past batch losses only
     rows = _StackedRows(agents, data, "train", batch_sizes, params.n_outputs)
     mse_scale = np.repeat(2.0 / rows.sizes, rows.sizes)[:, None]
-    eps_splits = np.cumsum([config.pg_samples * b * params.n_outputs for b in batch_sizes])[:-1]
+    if config.mode == "pg":
+        eps_index = rows.draw_index(config.pg_samples, params.n_outputs)
 
     t = 0
     for _ in range(config.epochs):
         perms = [rng.permutation(n) for n in counts]
-        for k in range(steps_per_epoch):
+        epoch = rows.epoch_index(perms, steps_per_epoch)
+        for idx in epoch:
             current = params.with_values(theta)
             eq_term = math.nan
-            idx = rows.index([perm[k * b : (k + 1) * b] for perm, b in zip(perms, batch_sizes)])
             X, Y = rows.x[idx], rows.y[idx]
             # non-finite values are detected explicitly below; numpy's
             # overflow warnings on the way there are just noise
@@ -298,11 +332,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                     n_draws = config.pg_samples
                     # the flat draw holds each agent's (D, b_m, O) block in agent
                     # order, which fixes the RNG stream; restack as (D, rows, O)
-                    flat = rng.standard_normal(n_draws * preds.size)
-                    eps = np.concatenate(
-                        [e.reshape(n_draws, b, -1) for e, b in zip(np.split(flat, eps_splits), batch_sizes)],
-                        axis=1,
-                    )
+                    eps = np.take(rng.standard_normal(n_draws * preds.size), eps_index)
                     sampled = preds + std * eps
                     agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled), idx))
                     mse_by_draw = rows.agent_means(np.sum((sampled - Y) ** 2, axis=2)).sum(axis=1)
@@ -353,7 +383,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                 theta = theta - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
 
             step_log.append(
-                {"step": t, "lr": lr_t, "equitable": eq_term, "mse": mse_term, "combined": combined}
+                {"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined}
             )
             t += 1
 

@@ -18,6 +18,7 @@ from equicast.agents import (
     ev_act,
     ev_cost,
     ev_optimal,
+    ev_optimal_batch,
     ev_regret_batch,
     regret,
     required_slots,
@@ -258,8 +259,10 @@ def test_regret_batch_helpers_match_scalar_path():
     spec = AgentSpec(1, "charging", ctx)
     eh = rng.uniform(0.1, 3, size=(50, 8))
     ee = rng.uniform(0.1, 3, size=(50, 8))
-    batch = ev_regret_batch(required_slots(ctx), eh, ee, ctx.rate)
+    best = ev_optimal_batch(required_slots(ctx), ee, ctx.rate)
+    batch = ev_regret_batch(required_slots(ctx), eh, ee, ctx.rate, best)
     for i in range(50):
+        assert best[i] == ev_optimal(ctx, ee[i])[1]
         assert batch[i] == pytest.approx(regret(spec, eh[i], ee[i]).value, abs=1e-12)
 
     # several agents' (k, rate) in one call, three draws of forecasts per
@@ -275,18 +278,39 @@ def test_regret_batch_helpers_match_scalar_path():
     realized[::3] += rng.uniform(0, 0.5, size=(len(owner[::3]), 8))
     draws = rng.integers(0, 4, size=(3, len(owner), 8)).astype(float)
     draws[0, 5, 2] = np.nan  # ranks last, as in ev_act's stable argsort
-    batch = ev_regret_batch(slots, draws.reshape(-1, 8), realized, rates).reshape(3, -1)
-    ties = 0
+    # rows 48.. have k = T = 8; rows 12.. k = 3, 24.. k = 4, 36.. k = 7
+    draws[1, 49, :3] = np.inf, -np.inf, np.nan  # k = T with +-inf and NaN
+    draws[2, 12:24] = np.arange(8.0)[::-1]  # no ties
+    draws[2, 12, :2] = -np.inf, np.inf
+    draws[2, 14, 0] = np.nan
+    draws[1, 24:36] = [0.0, 1.0, 2.0, 3.0, 4.0, 4.0, 4.0, 5.0]  # ties from the (k+1)-th value on, not at the k-th
+    draws[1, 36] = [1.0, 2.0, 3.0, 4.0, 5.0, np.nan, np.nan, 0.0]  # NaN at the k-th sorted position
+    draws[1, 37] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, np.nan, 0.0]  # NaN at the (k+1)-th
+    draws[1, 38] = np.nan
+    draws[2, 36] = [-np.inf, 0.0, -np.inf, 1.0, np.inf, -np.inf, 2.0, np.inf]  # k-th and (k+1)-th tie at +inf
+    draws[2, 37] = [np.inf, -np.inf, 0.0, -np.inf, 1.0, -np.inf, 2.0, 3.0]  # -inf ties below the k-th
+    best = ev_optimal_batch(slots, realized, rates)
+    batch = ev_regret_batch(slots, draws.reshape(-1, 8), realized, rates, best).reshape(3, -1)
+    for i, m in enumerate(owner):
+        assert best[i] == ev_optimal(specs[m].context, realized[i])[1]
+    ties = following_ties = nan_at_k = 0
     for d in range(3):
         for i, m in enumerate(owner):
             row = draws[d, i]
-            ties += np.sum(row == np.sort(row)[slots[i] - 1]) > 1
+            ordered = np.sort(row)
+            ties += np.sum(row == ordered[slots[i] - 1]) > 1
+            following_ties += slots[i] < 8 and ordered[slots[i]] == ordered[slots[i] - 1]
+            nan_at_k += np.isnan(ordered[slots[i] - 1])
             assert batch[d, i] == regret(specs[m], row, realized[i]).value
-    assert ties > 50
+    assert ties > 50 and following_ties > 50 and nan_at_k >= 3
     with pytest.raises(InfeasibleActionError):
-        ev_regret_batch(9, draws[0], realized, 1.0)
+        ev_regret_batch(9, draws[0], realized, 1.0, best)
+    with pytest.raises(InfeasibleActionError):
+        ev_optimal_batch(9, realized, 1.0)
     with pytest.raises(ValueError):
-        ev_regret_batch(2, draws.reshape(-1, 8)[:-1], realized, 1.0)
+        ev_regret_batch(2, draws.reshape(-1, 8)[:-1], realized, 1.0, best)
+    with pytest.raises(ValueError):
+        ev_optimal_batch(2, np.where(realized > 2, np.inf, realized), 1.0)
 
 
 # --- contexts and pool files

@@ -104,6 +104,8 @@ def test_train_emits_outputs_and_is_deterministic(tmp_path):
     assert summary["config_hash"] == harness.config_hash(cli.load_config(cfg))
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
     assert (out_a / "steps.csv").read_bytes() == (out_b / "steps.csv").read_bytes()
+    # the step log's squared error is in normalized units, unlike summary.json's mse
+    assert (out_a / "steps.csv").read_text().splitlines()[1] == "step,lr,equitable,mse_norm,combined"
     params, meta = predictor.load_checkpoint(out_a / "checkpoint.json")
     assert params.values.size > 0 and meta["lookback"] == 6
 

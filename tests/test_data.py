@@ -226,6 +226,35 @@ def test_context_and_outcome_alignment():
     assert np.allclose(ws.train_outcome[0], [2 * (i + 3), 2 * (i + 4)])
 
 
+@pytest.mark.parametrize("chronological", [False, True])
+@pytest.mark.parametrize("target_steps, outcome_steps", [(3, 1), (1, 4)])
+def test_windows_match_explicit_slices_and_copy_the_input(target_steps, outcome_steps, chronological):
+    rng = np.random.default_rng(12)
+    n, lookback = 40, 5
+    features = rng.uniform(1, 5, size=(n, 2))  # two feature columns
+    target, ctx, outcome = rng.uniform(1, 5, size=(3, n))
+    series = (features, target, ctx, outcome)
+    ws = window_split(features, target, lookback, SplitSpec(0.6, seed=3, chronological=chronological),
+                      target_steps=target_steps, context_series=ctx, outcome_series=outcome,
+                      outcome_steps=outcome_steps)
+    n_windows = n - lookback - max(target_steps, outcome_steps) + 1
+    assert len(ws.train_idx) + len(ws.test_idx) == n_windows
+    before = [np.copy(getattr(ws, f)) for f in vars(ws) if isinstance(getattr(ws, f), np.ndarray)]
+    for part in ("train", "test"):
+        for row, i in enumerate(getattr(ws, f"{part}_idx")):
+            x = getattr(ws, f"{part}_x")[row] * ws.feature_std + ws.feature_mean
+            assert np.allclose(x, features[i : i + lookback], rtol=0.0, atol=1e-12)
+            assert np.array_equal(getattr(ws, f"{part}_y_raw")[row], target[i + lookback : i + lookback + target_steps])
+            assert getattr(ws, f"{part}_ctx")[row] == ctx[i + lookback]
+            assert np.array_equal(
+                getattr(ws, f"{part}_outcome")[row], outcome[i + lookback : i + lookback + outcome_steps]
+            )
+    for s in series:
+        s *= -1.0
+    after = [getattr(ws, f) for f in vars(ws) if isinstance(getattr(ws, f), np.ndarray)]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 def test_window_split_batches_iterators():
     signal = np.sin(np.arange(80.0)) + 2.0
     ds = SeriesDataset(timestamps=np.arange(80), signal=signal)

@@ -252,16 +252,24 @@ def _reference_pg_sgd(cfg, params, agents, splits):
 
 
 @pytest.mark.parametrize(
-    "pg_samples, epochs",
-    [(4, 1), (1, 2)],  # leave-one-out baseline over draws; EMA baseline over steps
+    "pg_samples, epochs, batch_size, steps_per_epoch",
+    [
+        # leave-one-out baseline over draws; EMA baseline over steps; both
+        # with ragged batches (b = 6, 6, 5), hence one step per epoch
+        pytest.param(4, 1, 6, 1, id="4-1"),
+        pytest.param(1, 2, 6, 1, id="1-2"),
+        # b = 2 for every agent: two steps per epoch, the second one reading
+        # row 1 of the epoch's batch index
+        pytest.param(3, 2, 2, 2, id="3-2-b2"),
+    ],
 )
-def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs):
+def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs, batch_size, steps_per_epoch):
     agents, splits = _three_agent_pool()
     p0 = predictor.init_params([2, 4, 3], seed=4)
     cfg = TrainConfig(mode="pg", q=1.0, beta=0.5, lr=0.05, lr_step=10**6, std=0.3, epochs=epochs,
-                      batch_size=6, seed=17, optimizer="sgd", pg_baseline=True, pg_samples=pg_samples)
+                      batch_size=batch_size, seed=17, optimizer="sgd", pg_baseline=True, pg_samples=pg_samples)
     res = train(cfg, p0, agents, splits)
-    assert len(res.step_log) == epochs
+    assert len(res.step_log) == epochs * steps_per_epoch
     expected = _reference_pg_sgd(cfg, p0, agents, splits)
     assert np.allclose(res.params.values, expected.values, rtol=0.0, atol=1e-10)
     assert not np.allclose(res.params.values, p0.values, rtol=0.0, atol=1e-6)
