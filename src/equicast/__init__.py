@@ -38,15 +38,7 @@ from .predictor import (
     score_grad,
     vjp,
 )
-from .training import (
-    QuadraticToy,
-    RunSummary,
-    TrainConfig,
-    TrainResult,
-    evaluate,
-    theorem_check_entropy,
-    theorem_check_variance,
-    train,
-)
+from .training import RunSummary, TrainConfig, TrainResult, evaluate, train
+from .verify import QuadraticToy, theorem_check_entropy, theorem_check_variance
 
 __version__ = "0.1.0"

@@ -32,6 +32,11 @@ except ModuleNotFoundError:  # python < 3.11
     except ModuleNotFoundError:
         _toml = None
 
+# The pooled target transform (the same in every split of a pool), stored in
+# a checkpoint so that `evaluate` de-normalizes only with the stats it was
+# trained on.
+_TARGET_STATS = ("target_mean", "target_scale")
+
 
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
@@ -83,13 +88,14 @@ def cmd_train(args) -> int:
     config = _effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary, result, _ = harness.run_experiment(config)
+    summary, result, pool = harness.run_experiment(config)
+    stats = {key: getattr(pool.splits[0], key) for key in _TARGET_STATS}
     predictor.save_checkpoint(
         out / "checkpoint.json",
         result.params,
         std=result.std,
         lookback=config.lookback,
-        extra={"config_hash": config_hash(config), "seed": config.seed},
+        extra={"config_hash": config_hash(config), "seed": config.seed, **stats},
     )
     harness.write_step_log(out / "steps.csv", result.step_log, config, config.seed)
     path = _write_summary(out, config, config.seed, summary)
@@ -108,6 +114,10 @@ def cmd_evaluate(args) -> int:
     pool = harness.build_pool(config, config.seed)
     if params.layer_sizes != pool.arch:
         raise ConfigError(f"checkpoint layer sizes {params.layer_sizes} do not match the config's {pool.arch}")
+    for key in _TARGET_STATS:  # absent from older checkpoints: not checked
+        pooled = getattr(pool.splits[0], key)
+        if key in meta and meta[key] != pooled:
+            raise ConfigError(f"checkpoint {key} {meta[key]!r} does not match the rebuilt pool's {pooled!r}")
     summary = training.evaluate(
         params, pool.agents, pool.splits, q=config.train.q, beta=config.train.beta, seed=config.seed
     )

@@ -415,109 +415,3 @@ def evaluate(params: ParamVector, agents: list[AgentSpec], data: list[WindowSpli
         seed=seed,
     )
 
-
-# ---------------------------------------------------------------------------
-# Analytic two-agent toys for the equity theorems.  These bypass the network:
-# the statements are about the optimum of the objective itself.
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticToy:
-    """Per-agent costs (theta - t_m)^2 + c_m: strictly convex, minimum c_m > 0 off-target."""
-
-    targets: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
-        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float))
-        if self.targets.shape != self.offsets.shape or self.targets.size < 2:
-            raise ConfigError("toy needs matching target/offset vectors of length >= 2")
-        if np.any(self.offsets < 0):
-            raise ConfigError("offsets must be nonnegative")
-
-    def costs(self, theta: float) -> np.ndarray:
-        return (theta - self.targets) ** 2 + self.offsets
-
-    def loss(self, theta: float, q: float) -> float:
-        return float(np.sum(self.costs(theta) ** (q + 1.0)))
-
-    def loss_grad(self, theta: float, q: float) -> float:
-        c = self.costs(theta)
-        return float(np.sum((q + 1.0) * c**q * 2.0 * (theta - self.targets)))
-
-    def loss_hess(self, theta: float, q: float) -> float:
-        c = self.costs(theta)
-        dc = 2.0 * (theta - self.targets)
-        return float(np.sum((q + 1.0) * (q * np.where(c > 0, c, 1.0) ** (q - 1.0) * dc**2 + c**q * 2.0)))
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def minimize_toy(toy: QuadraticToy, q: float) -> float:
-    """Global minimizer of the toy's aggregate loss.
-
-    Golden-section brackets the optimum; a few Newton steps on the gradient
-    then push it to machine precision (golden alone stalls near sqrt(eps)
-    because it compares nearly-equal function values).
-    """
-    lo = float(toy.targets.min()) - 1.0
-    hi = float(toy.targets.max()) + 1.0
-    theta = _golden_min(lambda th: toy.loss(th, q), lo, hi)
-    for _ in range(50):
-        g = toy.loss_grad(theta, q)
-        h = toy.loss_hess(theta, q)
-        if h <= 0:
-            break
-        step = g / h
-        theta -= step
-        if abs(step) < 1e-14 * max(1.0, abs(theta)):
-            break
-    return theta
-
-
-def theorem_check_variance(toy: QuadraticToy) -> tuple[float, float]:
-    """Variance of per-agent costs at the q=0 and q=1 optima; q=1 must not be worse."""
-    var0 = metrics.variance(toy.costs(minimize_toy(toy, 0.0)))
-    var1 = metrics.variance(toy.costs(minimize_toy(toy, 1.0)))
-    if var1 > var0 + 1e-9:
-        raise AssertionError(f"equity-by-variance violated: var(q=1)={var1} > var(q=0)={var0}")
-    return var0, var1
-
-
-def theorem_check_entropy(toy: QuadraticToy, q_grid, h: float = 1e-3) -> list[float]:
-    """Central-difference d/dp of the normalized entropy of costs^(q+1) at theta*_p, p=q.
-
-    Each derivative must be >= -1e-6 (entropy of the outcome distribution
-    does not drop when the exponent is nudged up).
-    """
-    if np.any(toy.offsets <= 0):
-        raise ConfigError("entropy check needs strictly positive offsets (log of costs)")
-    derivs = []
-    for q in q_grid:
-        lo_p = q - h
-        if lo_p < -0.999:
-            raise ConfigError(f"q={q} too small for central step {h}")
-        h_hi = metrics.norm_entropy(toy.costs(minimize_toy(toy, q + h)), exponent=q + 1.0)
-        h_lo = metrics.norm_entropy(toy.costs(minimize_toy(toy, lo_p)), exponent=q + 1.0)
-        d = (h_hi - h_lo) / (2.0 * h)
-        if d < -1e-6:
-            raise AssertionError(f"entropy derivative {d} < -1e-6 at q={q}")
-        derivs.append(d)
-    return derivs

@@ -9,14 +9,15 @@ tolerance.  `run_all` is what the CLI's `verify` subcommand executes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import agents as agentmod
-from . import objective, predictor, training
+from . import metrics, objective, predictor
 from .agents import AgentSpec, ChargingContext, DataCenterContext
-from .training import QuadraticToy
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,12 @@ def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float =
     )
 
 
-def _dc_pipeline_loss(params, agents_list, Xs, Ys, ctxs, t_mean, t_scale, q, beta) -> float:
-    """Blended batch loss of a data-center pipeline, for finite differencing."""
+def _dc_pipeline_terms(params, agents_list, Xs, Ys, ctxs, t_mean, t_scale) -> tuple[list, float]:
+    """Per-agent mean regrets and MSE sum of a data-center pipeline, for finite differencing.
+
+    Regrets go through the scalar `agents.regret` path, independent of the
+    batched one the trainer uses.
+    """
     mean_regrets = []
     mse_sum = 0.0
     for agent, X, Y, ws in zip(agents_list, Xs, Ys, ctxs):
@@ -86,7 +91,7 @@ def _dc_pipeline_loss(params, agents_list, Xs, Ys, ctxs, t_mean, t_scale, q, bet
         mean_regrets.append(np.mean(values))
         y_norm = (Y - t_mean) / t_scale
         mse_sum += float(np.mean(np.sum((preds - y_norm) ** 2, axis=1)))
-    return (1.0 - beta) * objective.equitable_loss(mean_regrets, q) + beta * mse_sum
+    return mean_regrets, mse_sum
 
 
 def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 0, tol: float = 1e-3) -> SuiteResult:
@@ -113,19 +118,23 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
 
+    # the probed regrets and MSE do not depend on (q, beta): each +-h probe
+    # of each parameter runs once, and every (q, beta) blends its terms
+    h = 1e-5
+    terms = []
+    for j in range(params.values.size):
+        v = params.values.copy()
+        v[j] += h
+        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, ctxs, t_mean, t_scale))
+        v[j] -= 2 * h
+        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, ctxs, t_mean, t_scale))
+
     worst = 0.0
     for q in qs:
         for beta in betas:
             grad = objective.chain_grad(params, X, preds, (Y - t_mean) / t_scale, values, slope, sizes, q, beta)
-            h = 1e-5
-            fd = np.zeros_like(grad)
-            for j in range(params.values.size):
-                v = params.values.copy()
-                v[j] += h
-                up = _dc_pipeline_loss(params.with_values(v), agents_list, Xs, Ys, ctxs, t_mean, t_scale, q, beta)
-                v[j] -= 2 * h
-                dn = _dc_pipeline_loss(params.with_values(v), agents_list, Xs, Ys, ctxs, t_mean, t_scale, q, beta)
-                fd[j] = (up - dn) / (2 * h)
+            losses = np.array([(1.0 - beta) * objective.equitable_loss(r, q) + beta * mse for r, mse in terms])
+            fd = (losses[0::2] - losses[1::2]) / (2 * h)
             scale = max(float(np.max(np.abs(fd))), 1e-8)
             rel = float(np.max(np.abs(grad - fd))) / scale
             worst = max(worst, rel)
@@ -172,45 +181,166 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
     return SuiteResult("pg_estimator", True, "; ".join(details))
 
 
-def _random_toy(rng, n_agents: int = 2, min_offset: float = 0.0) -> QuadraticToy:
-    targets = rng.uniform(-1.0, 1.0, size=n_agents)
-    while abs(targets[0] - targets[1]) < 0.1:
-        targets = rng.uniform(-1.0, 1.0, size=n_agents)
-    offsets = rng.uniform(min_offset, 1.0, size=n_agents)
-    return QuadraticToy(targets=targets, offsets=offsets)
+# ---------------------------------------------------------------------------
+# Analytic toys for the equity theorems.  These bypass the network: the
+# statements are about the optimum of the objective itself.
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticToy:
+    """K toys of M agents: agent m of toy k costs (theta_k - t_km)^2 + c_km.
+
+    Strictly convex, minimum c_km >= 0 off-target.  Targets and offsets are
+    (K, M); one toy may be given as (M,) vectors.  The methods take one theta
+    per toy (or one for all) and return one value per toy, or (K, M) costs.
+    """
+
+    targets: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "targets", np.atleast_2d(np.asarray(self.targets, dtype=float)))
+        object.__setattr__(self, "offsets", np.atleast_2d(np.asarray(self.offsets, dtype=float)))
+        if self.targets.shape != self.offsets.shape or self.targets.ndim != 2 or self.targets.shape[1] < 2:
+            raise ConfigError("toy needs matching target/offset vectors of length >= 2")
+        if np.any(self.offsets < 0):
+            raise ConfigError("offsets must be nonnegative")
+
+    def costs(self, theta) -> np.ndarray:
+        return (np.reshape(theta, (-1, 1)) - self.targets) ** 2 + self.offsets
+
+    def loss(self, theta, q: float) -> np.ndarray:
+        return np.sum(self.costs(theta) ** (q + 1.0), axis=1)
+
+    def loss_grad(self, theta, q: float) -> np.ndarray:
+        c = self.costs(theta)
+        return np.sum((q + 1.0) * c**q * 2.0 * (np.reshape(theta, (-1, 1)) - self.targets), axis=1)
+
+    def loss_hess(self, theta, q: float) -> np.ndarray:
+        c = self.costs(theta)
+        dc = 2.0 * (np.reshape(theta, (-1, 1)) - self.targets)
+        return np.sum((q + 1.0) * (q * np.where(c > 0, c, 1.0) ** (q - 1.0) * dc**2 + c**q * 2.0), axis=1)
+
+
+def minimize_toy(toy: QuadraticToy, q: float) -> np.ndarray:
+    """Global minimizer of each toy's aggregate loss at one exponent q, (K,).
+
+    Golden-section brackets the optimum; a few Newton steps on the gradient
+    then push it to machine precision (golden alone stalls near sqrt(eps)
+    because it compares nearly-equal function values).  All toys run in
+    lockstep, each with its own bracket; a row's result is taken when its
+    own stopping test fires, so every row equals a one-toy scalar run bit
+    for bit.  q stays one scalar: numpy's `**` fast paths for the exponents 1
+    and 2 are exact, and a per-row exponent array would bypass them.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = toy.targets.min(axis=1) - 1.0
+    b = toy.targets.max(axis=1) + 1.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = toy.loss(c, q), toy.loss(d, q)
+    theta = np.full(a.shape, np.nan)
+    pending = np.ones(a.shape, dtype=bool)
+    while True:
+        done = pending & ~(b - a > 1e-10)
+        theta = np.where(done, 0.5 * (a + b), theta)
+        pending &= ~done
+        if not pending.any():
+            break
+        # rows already done keep narrowing, but their result is fixed
+        left = fc < fd  # keep [a, d], else [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        gap = invphi * (b - a)
+        c, d = np.where(left, b - gap, d), np.where(left, c, a + gap)
+        f_new = toy.loss(np.where(left, c, d), q)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    live = np.ones(theta.shape, dtype=bool)
+    for _ in range(50):
+        g, h = toy.loss_grad(theta, q), toy.loss_hess(theta, q)
+        live &= ~(h <= 0)  # negated tests: a NaN row runs on, as in a one-toy loop
+        step = np.divide(g, h, out=np.zeros_like(g), where=live)
+        theta = theta - step
+        live &= ~(np.abs(step) < 1e-14 * np.fmax(1.0, np.abs(theta)))
+        if not live.any():
+            break
+    return theta
+
+
+def theorem_check_variance(toy: QuadraticToy) -> tuple[np.ndarray, np.ndarray]:
+    """Variance of per-agent costs at each toy's q=0 and q=1 optima; q=1 must not be worse.
+
+    Raises on the first toy where it is.
+    """
+    var0 = [metrics.variance(c) for c in toy.costs(minimize_toy(toy, 0.0))]
+    var1 = [metrics.variance(c) for c in toy.costs(minimize_toy(toy, 1.0))]
+    for v0, v1 in zip(var0, var1):
+        if v1 > v0 + 1e-9:
+            raise AssertionError(f"equity-by-variance violated: var(q=1)={v1} > var(q=0)={v0}")
+    return np.array(var0), np.array(var1)
+
+
+def theorem_check_entropy(toy: QuadraticToy, q_grid, h: float = 1e-3) -> np.ndarray:
+    """Central-difference d/dp of the normalized entropy of costs^(q+1) at theta*_p, p=q.
+
+    Returns (K, len(q_grid)).  Each derivative must be >= -1e-6 (entropy of
+    the outcome distribution does not drop when the exponent is nudged up);
+    the first failing one, toy by toy and q by q, raises.
+    """
+    if np.any(toy.offsets <= 0):
+        raise ConfigError("entropy check needs strictly positive offsets (log of costs)")
+    derivs = []
+    for q in q_grid:
+        if q - h < -0.999:
+            raise ConfigError(f"q={q} too small for central step {h}")
+        hi = toy.costs(minimize_toy(toy, q + h))
+        lo = toy.costs(minimize_toy(toy, q - h))
+        derivs.append([
+            (metrics.norm_entropy(c_hi, exponent=q + 1.0) - metrics.norm_entropy(c_lo, exponent=q + 1.0)) / (2.0 * h)
+            for c_hi, c_lo in zip(hi, lo)
+        ])
+    derivs = list(zip(*derivs))
+    for row in derivs:
+        for q, d in zip(q_grid, row):
+            if d < -1e-6:
+                raise AssertionError(f"entropy derivative {d} < -1e-6 at q={q}")
+    return np.array(derivs)
+
+
+def _random_toys(rng, n_toys: int, min_offset: float = 0.0) -> QuadraticToy:
+    """Two-agent toys with targets at least 0.1 apart, drawn toy by toy."""
+    targets, offsets = [], []
+    for _ in range(n_toys):
+        t = rng.uniform(-1.0, 1.0, size=2)
+        while abs(t[0] - t[1]) < 0.1:
+            t = rng.uniform(-1.0, 1.0, size=2)
+        targets.append(t)
+        offsets.append(rng.uniform(min_offset, 1.0, size=2))
+    return QuadraticToy(targets=np.array(targets), offsets=np.array(offsets))
 
 
 def check_theorem_variance(n_toys: int = 50, seed: int = 0) -> SuiteResult:
     """Variance at the q=1 optimum never exceeds the q=0 one on random convex toys."""
-    rng = np.random.default_rng(seed)
-    worst_margin = -np.inf
-    for _ in range(n_toys):
-        toy = _random_toy(rng)
-        try:
-            var0, var1 = training.theorem_check_variance(toy)
-        except AssertionError as exc:
-            return SuiteResult("theorem_variance", False, str(exc))
-        worst_margin = max(worst_margin, var1 - var0)
+    toys = _random_toys(np.random.default_rng(seed), n_toys)
+    try:
+        var0, var1 = theorem_check_variance(toys)
+    except AssertionError as exc:
+        return SuiteResult("theorem_variance", False, str(exc))
     return SuiteResult(
         "theorem_variance", True,
-        f"{n_toys} toys, worst var(q=1)-var(q=0) = {worst_margin:.2e} (must be <= 1e-9)",
+        f"{n_toys} toys, worst var(q=1)-var(q=0) = {np.max(var1 - var0):.2e} (must be <= 1e-9)",
     )
 
 
 def check_theorem_entropy(n_toys: int = 20, qs=(0.0, 0.5, 1.0, 2.0), seed: int = 0) -> SuiteResult:
     """Entropy derivative of the reweighted outcome distribution stays >= -1e-6."""
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_toys):
-        toy = _random_toy(rng, min_offset=0.1)
-        try:
-            derivs = training.theorem_check_entropy(toy, qs)
-        except AssertionError as exc:
-            return SuiteResult("theorem_entropy", False, str(exc))
-        worst = min(worst, min(derivs))
+    toys = _random_toys(np.random.default_rng(seed), n_toys, min_offset=0.1)
+    try:
+        derivs = theorem_check_entropy(toys, qs)
+    except AssertionError as exc:
+        return SuiteResult("theorem_entropy", False, str(exc))
     return SuiteResult(
         "theorem_entropy", True,
-        f"{n_toys} toys x q in {list(qs)}, min derivative {worst:.2e} (must be >= -1e-6)",
+        f"{n_toys} toys x q in {list(qs)}, min derivative {np.min(derivs):.2e} (must be >= -1e-6)",
     )
 
 

@@ -174,6 +174,32 @@ def test_evaluate_refuses_mismatched_checkpoint(tmp_path, capsys, override, mess
     assert message in capsys.readouterr().err
 
 
+def test_evaluate_refuses_other_pools_target_stats(tmp_path, capsys):
+    cfg = write_config(tmp_path, tiny_config())
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
+    meta = json.loads((run / "checkpoint.json").read_text())["extra"]
+    assert {"target_mean", "target_scale"} <= set(meta)
+    # another seed synthesizes another pool; its stats used to de-normalize silently
+    rc = cli.main(["evaluate", "--config", cfg, "--seed", "1", "--checkpoint", str(run / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert "checkpoint target_mean" in capsys.readouterr().err
+
+
+def test_evaluate_accepts_checkpoint_without_target_stats(tmp_path):
+    cfg = write_config(tmp_path, tiny_config())
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
+    doc = json.loads((run / "checkpoint.json").read_text())
+    for key in ("target_mean", "target_scale"):
+        del doc["extra"][key]
+    (run / "checkpoint.json").write_text(json.dumps(doc))
+    rc = cli.main(["evaluate", "--config", cfg, "--checkpoint", str(run / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+    assert rc == 0
+
+
 def test_divergence_exits_2(tmp_path):
     doc = tiny_config(train={"mode": "plain", "lr": 1e12, "epochs": 10, "batch_size": 16})
     cfg = write_config(tmp_path, doc)

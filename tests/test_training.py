@@ -5,15 +5,8 @@ from equicast import objective, predictor
 from equicast.agents import AgentSpec, ChargingContext, DataCenterContext, regret
 from equicast.data import WindowSplit
 from equicast.errors import ConfigError, DivergenceError
-from equicast.training import (
-    QuadraticToy,
-    TrainConfig,
-    evaluate,
-    minimize_toy,
-    theorem_check_entropy,
-    theorem_check_variance,
-    train,
-)
+from equicast.training import TrainConfig, evaluate, train
+from equicast.verify import QuadraticToy, minimize_toy, theorem_check_entropy, theorem_check_variance
 
 
 def make_split(x, y, train_frac=0.67, ctx=None, t_mean=0.0, t_scale=1.0):
@@ -361,56 +354,60 @@ def test_evaluate_deterministic():
     assert a.as_dict() == b.as_dict()
 
 
-# --- theorem toys
+# --- theorem toys (the toy machinery lives in equicast.verify)
 
 
 def test_minimize_toy_high_precision():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.3, 0.3])
-    theta = minimize_toy(toy, 0.0)
+    (theta,) = minimize_toy(toy, 0.0)
     assert abs(theta - 0.5) < 1e-12  # symmetric: exact midpoint
-    assert abs(toy.loss_grad(theta, 0.0)) < 1e-10
+    assert abs(toy.loss_grad(theta, 0.0)[0]) < 1e-10
 
 
 def test_theorem_variance_symmetric_equality():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.0, 0.0])
-    var0, var1 = theorem_check_variance(toy)
+    (var0,), (var1,) = theorem_check_variance(toy)
     assert var1 <= var0 + 1e-9
     assert var0 == pytest.approx(var1, abs=1e-9)
 
 
 def test_theorem_variance_asymmetric_strict():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.0, 0.5])
-    var0, var1 = theorem_check_variance(toy)
+    (var0,), (var1,) = theorem_check_variance(toy)
     assert var1 < var0
 
 
 def test_theorem_variance_random_sweep():
     rng = np.random.default_rng(14)
+    targets, offsets = [], []
     for _ in range(50):
         t = rng.uniform(-1, 1, size=2)
         while abs(t[0] - t[1]) < 0.1:
             t = rng.uniform(-1, 1, size=2)
-        toy = QuadraticToy(targets=t, offsets=rng.uniform(0, 1, size=2))
-        var0, var1 = theorem_check_variance(toy)
-        assert var1 <= var0 + 1e-9
+        targets.append(t)
+        offsets.append(rng.uniform(0, 1, size=2))
+    var0, var1 = theorem_check_variance(QuadraticToy(targets=targets, offsets=offsets))
+    assert var0.shape == var1.shape == (50,)
+    assert np.all(var1 <= var0 + 1e-9)
 
 
 def test_theorem_entropy_symmetric_flat():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.4, 0.4])
     derivs = theorem_check_entropy(toy, [0.0, 1.0])
-    assert all(abs(d) < 1e-6 for d in derivs)
+    assert derivs.shape == (1, 2)
+    assert np.all(np.abs(derivs) < 1e-6)
 
 
 def test_theorem_entropy_asymmetric_nonnegative():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.2, 0.7])
     derivs = theorem_check_entropy(toy, [0.0, 0.5, 1.0, 2.0])
-    assert all(d >= -1e-6 for d in derivs)
+    assert np.all(derivs >= -1e-6)
 
 
 def test_theorem_entropy_secant_form():
     toy = QuadraticToy(targets=[-0.3, 0.8], offsets=[0.15, 0.6])
     from equicast.metrics import norm_entropy
     for q in (0.0, 1.0):
-        h_q = norm_entropy(toy.costs(minimize_toy(toy, q)), exponent=q + 1.0)
-        h_up = norm_entropy(toy.costs(minimize_toy(toy, q + 0.05)), exponent=q + 1.0)
+        h_q = norm_entropy(toy.costs(minimize_toy(toy, q))[0], exponent=q + 1.0)
+        h_up = norm_entropy(toy.costs(minimize_toy(toy, q + 0.05))[0], exponent=q + 1.0)
         assert h_up >= h_q - 1e-6
