@@ -11,9 +11,10 @@ Two agent families are supported.
 
 Regret of a sample is the cost of acting on the forecast minus the cost of
 acting on the realized values; it is nonnegative up to floating point noise
-and clamped at zero.  The batched charging ops split the two: the
-hindsight cost of realized rows (`ev_optimal_batch`) is computed once and
-handed to `ev_regret_batch`, which ranks the forecasts each time.
+and clamped at zero.  Both families' batched ops split the two: the
+hindsight cost of the realized rows (`dc_optimal_batch`, `ev_optimal_batch`)
+is computed once and handed to `dc_regret_batch` / `ev_regret_batch` as a
+precomputed `best`, and only the forecast side runs each time.
 """
 
 from __future__ import annotations
@@ -234,55 +235,71 @@ def regret(agent: AgentSpec, y_hat, y, context=None) -> RegretRecord:
     return RegretRecord(agent_id=agent.agent_id, value=max(value, 0.0))
 
 
-def dc_regret_batch(workloads, lams, c_hat, c) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized data-center regret and its derivative with respect to the forecast.
+def dc_optimal_batch(workloads, lams, c) -> np.ndarray:
+    """Vectorized hindsight-optimal data-center cost: `dc_optimal`'s cost row by row.
 
-    The regret matches `regret` sample by sample.  The derivative is
-    dC/dp * dp/dc_hat as `dc_cost_grad_action` and `dc_act_jacobian` give
-    them (zero in the clamped region); the hindsight cost does not depend on
-    the forecast.
+    It does not depend on any forecast, so callers compute it once per
+    realized row and pass it to `dc_regret_batch` as `best`.
     """
     w = np.asarray(workloads, dtype=float)
-    lam = np.asarray(lams, dtype=float)
-    raw = np.asarray(c_hat, dtype=float)
-    ch = np.maximum(raw, FORECAST_FLOOR)
     cv = np.asarray(c, dtype=float)
-    if np.any(cv <= 0):
-        raise ValueError("realized intensity must be positive")
-    lw = lam * w
+    if not np.all(cv > 0):
+        raise ValueError(f"realized intensity must be positive, got {cv.min()}")
+    return w * cv + 2.0 * np.sqrt(np.asarray(lams, dtype=float) * w * cv)
+
+
+def dc_regret_batch(workloads, lams, c_hat, c, best) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized data-center regret of (D*B,) forecasts against (B,) realized rows.
+
+    `workloads`, `lams`, the realized intensities `c` and their hindsight
+    costs `best = dc_optimal_batch(workloads, lams, c)` are per realized row
+    (scalars broadcast over the rows); the forecasts come in blocks of B,
+    one block per draw, and forecast j is scored against realized row
+    j % B.  Returns the (D*B,) regrets, which match `regret` sample by
+    sample, and their derivatives with respect to the forecast:
+    dC/dp * dp/dc_hat as `dc_cost_grad_action` and `dc_act_jacobian` give
+    them (zero in the clamped region).
+    """
+    cv = np.asarray(c, dtype=float)
+    raw = np.asarray(c_hat, dtype=float)
+    if cv.ndim != 1 or raw.ndim != 1 or len(cv) == 0 or len(raw) % len(cv):
+        raise ValueError(f"expected (D*B,) forecasts for (B,) realized rows, got {raw.shape} and {cv.shape}")
+    raw = raw.reshape(-1, len(cv))
+    w = np.asarray(workloads, dtype=float)
+    ch = np.maximum(raw, FORECAST_FLOOR)
+    lw = np.asarray(lams, dtype=float) * w
     root = np.sqrt(lw / ch)
     p_hat = w + np.maximum(root, ALLOCATION_MARGIN * w)
     headroom = p_hat - w
-    taken = p_hat * cv + lw / headroom
-    best = w * cv + 2.0 * np.sqrt(lw * cv)
-    values = taken - best
+    values = (p_hat * cv + lw / headroom - best).reshape(-1)
     if np.any(values < -REGRET_TOLERANCE):
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")
     # dp/dc_hat = -sqrt(lam*w) / 2 * c_hat^-1.5 = -root / (2 c_hat)
     dact = np.where(raw > FORECAST_FLOOR, -0.5 * root / ch, 0.0)
-    return np.clip(values, 0.0, None), (cv - lw / headroom**2) * dact
+    return np.clip(values, 0.0, None), ((cv - lw / headroom**2) * dact).reshape(-1)
 
 
 def _cheapest_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Boolean mask of each (N, T) row's `slots` smallest entries, earliest index first on ties.
+    """Boolean mask of each (N, T) row's k smallest entries, earliest index first on ties.
 
-    One sort gives each row's k-th smallest value, and the entries at or
-    below it are chosen.  That is exactly k entries unless the threshold is
-    NaN or, for k < T, the (k+1)-th sorted value is not above it (a tie at
-    the threshold); only those rows are ranked again with the stable
-    argsort of `ev_act`.
+    N is a multiple of B = len(slots): the rows come in blocks of B and row
+    j takes k = slots[j % B].  One sort gives each row's k-th smallest
+    value, and the entries at or below it are chosen.  That is exactly k
+    entries unless the threshold is NaN or, for k < T, the (k+1)-th sorted
+    value is not above it (a tie at the threshold); only those rows are
+    ranked again with the stable argsort of `ev_act`.
     """
     n_rows, horizon = values.shape
     flat = np.sort(values, axis=1).ravel()
-    at = np.arange(0, n_rows * horizon, horizon) + slots
+    at = np.arange(0, n_rows * horizon, horizon).reshape(-1, len(slots)) + slots
     threshold = flat[at - 1]
     following = flat[np.minimum(at, flat.size - 1)]
-    chosen = values <= threshold[:, None]
+    chosen = values <= threshold.reshape(-1, 1)
     odd = np.flatnonzero(np.isnan(threshold) | ((slots < horizon) & ~(following > threshold)))
     if odd.size:
         order = np.argsort(values[odd], axis=1, kind="stable")
         ranked = np.empty((odd.size, horizon), dtype=bool)
-        np.put_along_axis(ranked, order, np.arange(horizon) < slots[odd, None], axis=1)
+        np.put_along_axis(ranked, order, np.arange(horizon) < slots[odd % len(slots), None], axis=1)
         chosen[odd] = ranked
     return chosen
 
@@ -333,8 +350,7 @@ def ev_regret_batch(slots, e_hat, e, rates, best) -> np.ndarray:
         raise ValueError(f"expected (D*B, T) forecasts for (B, T) realized rows, got {eh.shape} and {ev.shape}")
     n_rows, horizon = ev.shape
     k, rate = _slots_and_rates(slots, rates, n_rows, horizon)
-    n_draws = len(eh) // n_rows
-    chosen = _cheapest_slots(eh, np.tile(k, n_draws)).reshape(n_draws, n_rows, horizon)
+    chosen = _cheapest_slots(eh, k).reshape(-1, n_rows, horizon)
     values = (rate * np.sum(ev * chosen, axis=2) - best).reshape(-1)
     if np.any(values < -REGRET_TOLERANCE):
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")

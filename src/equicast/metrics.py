@@ -58,26 +58,32 @@ def percentile_gap(values, lo: float = 0.05, hi: float = 0.95) -> float:
     return _percentile(v, hi) - _percentile(v, lo)
 
 
-def norm_entropy(values, exponent: float = 1.0) -> float:
+def norm_entropy(values, exponent: float = 1.0):
     """Entropy of the scores raised to `exponent` and normalized to a distribution.
 
-    Uses natural log and the 0*log(0) = 0 convention.  An all-zero vector maps
-    to log(M): zero regret everywhere counts as perfectly uniform.
+    Reduces over the last axis: a 1-D vector (or a scalar, a vector of one)
+    gives a float, an (..., M) array one entropy per row.  Uses natural log
+    and the 0*log(0) = 0 convention.  An all-zero row maps to log(M): zero
+    regret everywhere counts as perfectly uniform.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("entropy of an empty vector is undefined")
     if np.any(v < 0):
         raise ValueError("entropy requires nonnegative entries")
     if exponent <= 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
-    w = v**exponent
-    total = w.sum()
-    if total == 0.0:
-        return float(np.log(v.size))
-    p = w / total
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    w = (v**exponent).reshape(-1, v.shape[-1])
+    total = w.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = w / total
+        h = -np.sum(p * np.log(p), axis=1)
+    # a row with a share that is not positive sums its positive shares only,
+    # in order, so that it is summed as the 1-D form always summed it
+    for i in np.flatnonzero(~np.all(p > 0, axis=1)):
+        nz = p[i][p[i] > 0]
+        h[i] = np.log(v.shape[-1]) if total[i, 0] == 0.0 else -np.sum(nz * np.log(nz))
+    return float(h[0]) if v.ndim == 1 else h.reshape(v.shape[:-1])
 
 
 def mse(preds, targets) -> float:

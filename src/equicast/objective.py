@@ -82,7 +82,7 @@ def combined_loss(mean_regrets, mean_sq_errors, q: float, beta: float) -> BatchL
     )
 
 
-def chain_grad(params: ParamVector, X, y_hat, y, regrets, slope, sizes, q: float, beta: float) -> np.ndarray:
+def chain_grad(params: ParamVector, X, y_hat, y, regrets, slope, sizes, q: float, beta: float, acts) -> np.ndarray:
     """Exact gradient of the blended objective along the differentiable path.
 
     Rows come in agent order, `sizes[m]` rows of agent m; `y_hat` and `y`
@@ -91,7 +91,8 @@ def chain_grad(params: ParamVector, X, y_hat, y, regrets, slope, sizes, q: float
     respect to the model output.  Row i of agent m gets the cotangent
         (1-beta) * (q+1) * rbar_m^q / b_m * slope_i + beta * (2/b_m) * (y_hat_i - y_i)
     with rbar_m the agent's mean regret and b_m = sizes[m], and one vjp
-    backpropagates every row.
+    backpropagates every row through the forward pass whose activations
+    `acts` holds (`predictor.forward_batch(params, X, keep=True)`).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
@@ -109,10 +110,10 @@ def chain_grad(params: ParamVector, X, y_hat, y, regrets, slope, sizes, q: float
         cots += np.repeat(weight, sizes)[:, None] * slope
     if beta > 0.0:
         cots += np.repeat(beta * (2.0 / sizes), sizes)[:, None] * (y_hat - y)
-    return predictor.vjp_batch(params, X, cots)
+    return predictor.vjp_batch(params, X, cots, acts)
 
 
-def pg_grad(params: ParamVector, X, eps, losses, baseline, std: float) -> np.ndarray:
+def pg_grad(params: ParamVector, X, eps, losses, baseline, std: float, acts) -> np.ndarray:
     """Score-function gradient averaged over D draws of the Gaussian head.
 
     `eps` (D, R, O) holds the standard-normal draws behind the sampled
@@ -120,10 +121,11 @@ def pg_grad(params: ParamVector, X, eps, losses, baseline, std: float) -> np.nda
     batch loss and `baseline` a scalar or (D,) array subtracted from it; a
     draw's baseline must not depend on that draw.  Returns
         sum_d (losses_d - baseline_d) / (D * std) * vjp(eps_d),
-    the mean over draws of the per-draw estimates.
+    the mean over draws of the per-draw estimates, backpropagated through
+    the forward pass whose activations `acts` holds.
     """
     weights = (losses - baseline) / (len(losses) * std)
-    return predictor.vjp_batch(params, X, np.tensordot(weights, eps, axes=1))
+    return predictor.vjp_batch(params, X, np.tensordot(weights, eps, axes=1), acts)
 
 
 def pg_batch_grad(

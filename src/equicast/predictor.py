@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +117,13 @@ def _as_input(x) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+class Activations(NamedTuple):
+    """One forward pass's activations [X, h1, ..., output] and the parameter values it ran with."""
+
+    values: np.ndarray
+    layers: list[np.ndarray]
+
+
 def _forward_cached(params: ParamVector, X: np.ndarray) -> list[np.ndarray]:
     """Return activations [X, h1, ..., output] for a (B, n_in) batch."""
     layers = unpack(params)
@@ -126,12 +134,17 @@ def _forward_cached(params: ParamVector, X: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward_batch(params: ParamVector, X) -> np.ndarray:
-    """Deterministic forward pass over a (B, n_in) batch of windows."""
+def forward_batch(params: ParamVector, X, keep: bool = False):
+    """Deterministic forward pass over a (B, n_in) batch of windows.
+
+    With `keep` it returns (outputs, activations), the activations being
+    what `vjp_batch` needs to backpropagate through this pass.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.n_inputs:
         raise ValueError(f"expected batch of shape (B, {params.n_inputs}), got {X.shape}")
-    return _forward_cached(params, X)[-1]
+    acts = _forward_cached(params, X)
+    return (acts[-1], Activations(params.values, acts)) if keep else acts[-1]
 
 
 def forward(params: ParamVector, x) -> Prediction:
@@ -142,8 +155,13 @@ def forward(params: ParamVector, x) -> Prediction:
     return forward_batch(params, xv[None, :])[0]
 
 
-def vjp_batch(params: ParamVector, X, cotangents) -> np.ndarray:
-    """Sum over the batch of cotangent^T * d(output)/d(params), as a flat vector."""
+def vjp_batch(params: ParamVector, X, cotangents, acts: Activations) -> np.ndarray:
+    """Sum over the batch of cotangent^T * d(output)/d(params), as a flat vector.
+
+    `acts` are the activations `forward_batch(params, X, keep=True)`
+    returned; activations of other parameter values (another array object)
+    or of another batch are refused.
+    """
     X = np.asarray(X, dtype=float)
     cot = np.asarray(cotangents, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.n_inputs:
@@ -152,17 +170,21 @@ def vjp_batch(params: ParamVector, X, cotangents) -> np.ndarray:
         raise ValueError(
             f"expected cotangents of shape ({X.shape[0]}, {params.n_outputs}), got {cot.shape}"
         )
+    if acts.values is not params.values:
+        raise ValueError("activations were not computed with these parameter values")
     layers = unpack(params)
-    acts = _forward_cached(params, X)
+    kept = acts.layers
+    if len(kept) != len(layers) + 1 or not (kept[0] is X or np.array_equal(kept[0], X)):
+        raise ValueError("activations were not computed from this batch")
     grads = [None] * len(layers)
     delta = cot
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        gw = delta.T @ acts[i]
+        gw = delta.T @ kept[i]
         gb = delta.sum(axis=0)
         grads[i] = (gw, gb)
         if i > 0:
-            delta = (delta @ w) * (1.0 - acts[i] ** 2)
+            delta = (delta @ w) * (1.0 - kept[i] ** 2)
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
 
@@ -172,7 +194,9 @@ def vjp(params: ParamVector, x, cotangent) -> np.ndarray:
     cot = np.asarray(cotangent, dtype=float)
     if cot.shape != (params.n_outputs,):
         raise ValueError(f"expected cotangent of length {params.n_outputs}, got shape {cot.shape}")
-    return vjp_batch(params, xv[None, :], cot[None, :])
+    X = xv[None, :]
+    _, acts = forward_batch(params, X, keep=True)
+    return vjp_batch(params, X, cot[None, :], acts)
 
 
 def sample_prediction(params: ParamVector, x, std: float, rng: np.random.Generator) -> PolicySample:

@@ -3,8 +3,9 @@
 One step, three cotangents.  Every step gathers each agent's batch from
 arrays stacked once per call (agents in order, b_m = min(batch_size, n_m)
 rows of agent m), runs one forward over the M*b rows, builds a cotangent on
-the model output and calls the vjp once.  The modes differ only in that
-cotangent:
+the model output and calls the vjp once; the vjp reuses the forward's
+activations, so a step runs the network forward once.  The modes differ
+only in that cotangent:
 
 * plain: (2/b_m) * (y_hat - y), the squared-error gradient alone (the
   accuracy-first baseline; the beta = 1 slice of chain).
@@ -24,11 +25,14 @@ cotangent:
   sum_d w_d * eps_d per row for one vjp.
 
 What does not depend on the parameters stays out of the step.  Per call:
-the stacked rows, each charging row's hindsight-optimal cost
-(`agents.ev_optimal_batch`, passed to `ev_regret_batch` as `best`; also in
-`evaluate`) and, in pg, the gather index that turns the step's flat
-Gaussian draw into (D, rows, O).  Per epoch: the agents' permutations and,
-from them, every step's batch rows as one (steps, rows) array.
+the stacked rows; each row's hindsight-optimal cost
+(`agents.ev_optimal_batch` for charging rows, `agents.dc_optimal_batch`
+for data-center rows, passed to the regret ops as `best`; also in
+`evaluate`), which also checks the charging slot counts and rates and
+refuses a realized intensity that is not positive; and, in pg, the gather
+index that turns the step's flat Gaussian draw into (D, rows, O).  Per
+epoch: the agents' permutations and, from them, every step's batch rows as
+one (steps, rows) array.
 
 A charging agent whose horizon differs from the model's output width is
 refused before step 0 in every mode.  Updates are theta <- theta - lr_t * g
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, objective, predictor
-from .agents import AgentSpec, dc_regret_batch, ev_optimal_batch, ev_regret_batch, required_slots
+from .agents import AgentSpec, dc_optimal_batch, dc_regret_batch, ev_optimal_batch, ev_regret_batch, required_slots
 from .agents import dc_act, dc_act_jacobian, dc_cost_grad_action, regret  # noqa: F401  (bench/tracing.py wraps these bindings)
 from .data import WindowSplit
 from .errors import ConfigError, DivergenceError
@@ -148,10 +152,13 @@ class _StackedRows:
     batches, and `regrets` scores a batch's forecasts with one batched call
     per agent family (`dc_regrets` also gives the data-center rows'
     derivatives) against the realized rows and their hindsight costs
-    (`ev_best`, computed here once).
+    (`best`, computed here once).  A data-center agent with a realized intensity
+    that is not positive is refused here, before any step.  Rows that are
+    never `scored` (plain training) skip both.
     """
 
-    def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, sizes, n_outputs: int):
+    def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, sizes, n_outputs: int,
+                 scored: bool = True):
         for agent in agents:
             if agent.family == "charging" and agent.context.horizon != n_outputs:
                 raise ConfigError(
@@ -182,13 +189,22 @@ class _StackedRows:
         charging = np.array([a.family == "charging" for a in agents])
         k_agent = np.array([required_slots(c) if ev else 0 for c, ev in zip(ctxs, charging)])
         rate_agent = np.array([c.rate if ev else 0.0 for c, ev in zip(ctxs, charging)])
-        # each charging row's hindsight-optimal cost, which no forecast changes
+        lam_agent = np.array([0.0 if ev else c.latency_weight for c, ev in zip(ctxs, charging)])
+        # each row's hindsight-optimal cost, which no forecast changes
         row_owner = np.repeat(np.arange(len(agents)), counts)
         ev_row = charging[row_owner]
-        self.ev_best = np.zeros(len(self.x))
-        if ev_row.any():
+        self.best = np.zeros(len(self.x))
+        if scored and ev_row.any():
             own = row_owner[ev_row]
-            self.ev_best[ev_row] = ev_optimal_batch(k_agent[own], self.realized_e[ev_row], rate_agent[own])
+            self.best[ev_row] = ev_optimal_batch(k_agent[own], self.realized_e[ev_row], rate_agent[own])
+        if scored and not ev_row.all():
+            dc_row = ~ev_row
+            own = row_owner[dc_row]
+            try:
+                self.best[dc_row] = dc_optimal_batch(self.workload[dc_row], lam_agent[own], self.realized_c[dc_row])
+            except ValueError as exc:
+                bad = agents[own[np.argmin(self.realized_c[dc_row] > 0)]].agent_id
+                raise ConfigError(f"data-center agent {bad}, {part} split: {exc}") from exc
 
         owner = np.repeat(np.arange(len(agents)), self.sizes)
         # full (R, O) operands: broadcasting an (R, 1) column over the short
@@ -202,7 +218,7 @@ class _StackedRows:
         ev_owner, dc_owner = owner[self.ev_rows], owner[self.dc_rows]
         self.ev_slots = k_agent[ev_owner]
         self.ev_rates = rate_agent[ev_owner]
-        self.dc_lam = np.array([0.0 if ev else c.latency_weight for c, ev in zip(ctxs, charging)])[dc_owner]
+        self.dc_lam = lam_agent[dc_owner]
         window_mean = np.array([s.predict_adapter == "window_mean" for s in splits])
         self.dc_window_mean = window_mean[dc_owner]
         # d c_hat / d model output: the target scale on output 0 for the
@@ -231,7 +247,9 @@ class _StackedRows:
         return (first + step)[:, :, None] + np.arange(n_outputs)
 
     def to_raw(self, normalized: np.ndarray) -> np.ndarray:
-        return self.t_mean + self.t_scale * normalized
+        raw = self.t_scale * normalized
+        raw += self.t_mean
+        return raw
 
     def regrets(self, raws: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """(D, R) regrets of (D, R, O) raw forecasts for the batch at stacked rows `idx`."""
@@ -241,7 +259,7 @@ class _StackedRows:
             at = idx[self.ev_rows]
             values[:, self.ev_rows] = ev_regret_batch(
                 self.ev_slots, raws[:, self.ev_rows].reshape(-1, n_out),
-                self.realized_e[at], self.ev_rates, self.ev_best[at],
+                self.realized_e[at], self.ev_rates, self.best[at],
             ).reshape(n_draws, -1)
         if len(self.dc_lam):
             values[:, self.dc_rows] = self.dc_regrets(raws, idx)[0]
@@ -251,10 +269,11 @@ class _StackedRows:
         """(D, R_dc) regrets of the data-center rows and their derivatives by the forecast c_hat."""
         n_draws = len(raws)
         sub, at = raws[:, self.dc_rows], idx[self.dc_rows]
-        c_hat = np.where(self.dc_window_mean, sub.mean(axis=2), sub[:, :, 0])
+        c_hat = sub[:, :, 0]
+        if self.dc_window_mean.any():
+            c_hat = np.where(self.dc_window_mean, sub.mean(axis=2), c_hat)
         values, slopes = dc_regret_batch(
-            np.tile(self.workload[at], n_draws), np.tile(self.dc_lam, n_draws), c_hat.ravel(),
-            np.tile(self.realized_c[at], n_draws),
+            self.workload[at], self.dc_lam, c_hat.ravel(), self.realized_c[at], self.best[at]
         )
         return values.reshape(n_draws, -1), slopes.reshape(n_draws, -1)
 
@@ -293,7 +312,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     batch_sizes = [min(config.batch_size, n) for n in counts]
     steps_per_epoch = min(n // b for n, b in zip(counts, batch_sizes))
     baseline_ema: float | None = None  # tracks past batch losses only
-    rows = _StackedRows(agents, data, "train", batch_sizes, params.n_outputs)
+    rows = _StackedRows(agents, data, "train", batch_sizes, params.n_outputs, scored=config.mode != "plain")
     mse_scale = np.repeat(2.0 / rows.sizes, rows.sizes)[:, None]
     if config.mode == "pg":
         eps_index = rows.draw_index(config.pg_samples, params.n_outputs)
@@ -309,21 +328,21 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
             # non-finite values are detected explicitly below; numpy's
             # overflow warnings on the way there are just noise
             with np.errstate(over="ignore", invalid="ignore"):
-                preds = predictor.forward_batch(current, X)
+                preds, acts = predictor.forward_batch(current, X, keep=True)
                 # agent_terms holds the per-agent batch terms (per draw in pg);
                 # a divergence is blamed on the first agent with a non-finite one
                 if config.mode != "pg":
                     agent_terms = rows.agent_means(np.sum((preds - Y) ** 2, axis=1))
                     mse_term = float(agent_terms.sum())
                 if config.mode == "plain":
-                    grad = predictor.vjp_batch(current, X, mse_scale * (preds - Y))
+                    grad = predictor.vjp_batch(current, X, mse_scale * (preds - Y), acts)
                     combined = mse_term
                 elif config.mode == "chain":
                     # every row is a data-center row (checked above)
                     values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
                     slope = dvalues[0][:, None] * rows.dc_chat_grad
                     grad = objective.chain_grad(
-                        current, X, preds, Y, values[0], slope, rows.sizes, config.q, config.beta
+                        current, X, preds, Y, values[0], slope, rows.sizes, config.q, config.beta, acts
                     )
                     agent_terms = rows.agent_means(values[0])
                     eq_term = objective.equitable_loss(agent_terms, config.q)
@@ -333,9 +352,11 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                     # the flat draw holds each agent's (D, b_m, O) block in agent
                     # order, which fixes the RNG stream; restack as (D, rows, O)
                     eps = np.take(rng.standard_normal(n_draws * preds.size), eps_index)
-                    sampled = preds + std * eps
+                    sampled = std * eps
+                    sampled += preds
                     agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled), idx))
-                    mse_by_draw = rows.agent_means(np.sum((sampled - Y) ** 2, axis=2)).sum(axis=1)
+                    resid = np.subtract(sampled, Y, out=sampled)
+                    mse_by_draw = rows.agent_means(np.sum(np.square(resid, out=resid), axis=2)).sum(axis=1)
                     eq_by_draw = np.sum(np.clip(agent_terms, 0.0, None) ** (config.q + 1.0), axis=1)
                     losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
                     # baseline: leave-one-out mean across draws when available,
@@ -347,7 +368,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                         base = np.full(n_draws, baseline_ema)
                     else:
                         base = np.zeros(n_draws)
-                    grad = objective.pg_grad(current, X, eps, losses, base, std)
+                    grad = objective.pg_grad(current, X, eps, losses, base, std, acts)
                     eq_term = float(eq_by_draw.mean())
                     mse_term = float(mse_by_draw.mean())
                     combined = float(losses.mean())

@@ -113,8 +113,10 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
     sizes = [n_samples] * len(agents_list)
     lams = np.repeat([a.context.latency_weight for a in agents_list], n_samples)
-    preds = predictor.forward_batch(params, X)
-    values, dvalues = agentmod.dc_regret_batch(np.concatenate(ctxs), lams, t_mean + t_scale * preds[:, 0], Y[:, 0])
+    preds, acts = predictor.forward_batch(params, X, keep=True)
+    w = np.concatenate(ctxs)
+    best = agentmod.dc_optimal_batch(w, lams, Y[:, 0])
+    values, dvalues = agentmod.dc_regret_batch(w, lams, t_mean + t_scale * preds[:, 0], Y[:, 0], best)
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
 
@@ -132,7 +134,7 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     worst = 0.0
     for q in qs:
         for beta in betas:
-            grad = objective.chain_grad(params, X, preds, (Y - t_mean) / t_scale, values, slope, sizes, q, beta)
+            grad = objective.chain_grad(params, X, preds, (Y - t_mean) / t_scale, values, slope, sizes, q, beta, acts)
             losses = np.array([(1.0 - beta) * objective.equitable_loss(r, q) + beta * mse for r, mse in terms])
             fd = (losses[0::2] - losses[1::2]) / (2 * h)
             scale = max(float(np.max(np.abs(fd))), 1e-8)
@@ -155,6 +157,7 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
     layout = ((0, 1, 1, 1),)
     rng = np.random.default_rng(seed)
     x = np.zeros(1)
+    X = x[None]
     details = []
     for theta in thetas:
         params = predictor.ParamVector(values=np.array([0.0, theta]), layout=layout)
@@ -167,7 +170,8 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
                 return SuiteResult("pg_estimator", False, f"score_grad mismatch at draw {i}")
         losses = (draws - 1.0) ** 2
         terms = losses * eps / std
-        estimate = float(objective.pg_grad(params, x[None], eps.reshape(-1, 1, 1), losses, 0.0, std)[1])
+        _, acts = predictor.forward_batch(params, X, keep=True)
+        estimate = float(objective.pg_grad(params, X, eps.reshape(-1, 1, 1), losses, 0.0, std, acts)[1])
         if not np.isclose(estimate, terms.mean(), rtol=1e-12, atol=0.0):
             return SuiteResult(
                 "pg_estimator", False, f"theta={theta}: pg_grad {estimate} vs mean of draws {terms.mean()}"
@@ -294,16 +298,15 @@ def theorem_check_entropy(toy: QuadraticToy, q_grid, h: float = 1e-3) -> np.ndar
             raise ConfigError(f"q={q} too small for central step {h}")
         hi = toy.costs(minimize_toy(toy, q + h))
         lo = toy.costs(minimize_toy(toy, q - h))
-        derivs.append([
-            (metrics.norm_entropy(c_hi, exponent=q + 1.0) - metrics.norm_entropy(c_lo, exponent=q + 1.0)) / (2.0 * h)
-            for c_hi, c_lo in zip(hi, lo)
-        ])
-    derivs = list(zip(*derivs))
-    for row in derivs:
+        derivs.append(
+            (metrics.norm_entropy(hi, exponent=q + 1.0) - metrics.norm_entropy(lo, exponent=q + 1.0)) / (2.0 * h)
+        )
+    derivs = np.array(derivs).T
+    for row in derivs.tolist():
         for q, d in zip(q_grid, row):
             if d < -1e-6:
                 raise AssertionError(f"entropy derivative {d} < -1e-6 at q={q}")
-    return np.array(derivs)
+    return derivs
 
 
 def _random_toys(rng, n_toys: int, min_offset: float = 0.0) -> QuadraticToy:

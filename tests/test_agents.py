@@ -14,6 +14,7 @@ from equicast.agents import (
     dc_cost,
     dc_cost_grad_action,
     dc_optimal,
+    dc_optimal_batch,
     dc_regret_batch,
     ev_act,
     ev_cost,
@@ -84,7 +85,7 @@ def test_dc_act_stays_feasible_for_huge_forecasts():
         assert np.isfinite(dc_cost(ctx, p, 1.5))
     spec = AgentSpec(0, "datacenter", ctx)
     assert np.isfinite(regret(spec, 1e300, 1.5).value)
-    batch, _ = dc_regret_batch([5.0], [2.0], [1e300], [1.5])
+    batch, _ = dc_regret_batch([5.0], [2.0], [1e300], [1.5], dc_optimal_batch([5.0], [2.0], [1.5]))
     assert batch[0] == pytest.approx(regret(spec, 1e300, 1.5).value, rel=1e-12)
 
 
@@ -246,7 +247,7 @@ def test_regret_batch_helpers_match_scalar_path():
     c_hat = rng.uniform(-0.5, 3, size=100)
     c_hat[:2] = 1e-6, 1.5e-6  # at the forecast floor and just above it
     c = rng.uniform(0.3, 3, size=100)
-    batch, slope = dc_regret_batch(w, lam, c_hat, c)
+    batch, slope = dc_regret_batch(w, lam, c_hat, c, dc_optimal_batch(w, lam, c))
     assert np.sum(slope == 0.0) > 5
     for i in range(100):
         ctx = DataCenterContext(w[i], lam[i])
@@ -311,6 +312,52 @@ def test_regret_batch_helpers_match_scalar_path():
         ev_regret_batch(2, draws.reshape(-1, 8)[:-1], realized, 1.0, best)
     with pytest.raises(ValueError):
         ev_optimal_batch(2, np.where(realized > 2, np.inf, realized), 1.0)
+
+
+def test_dc_optimal_batch_matches_scalar_optimum():
+    rng = np.random.default_rng(8)
+    w = rng.uniform(0.5, 5, size=40)
+    lam = rng.uniform(0.5, 50, size=40)
+    c = rng.uniform(0.01, 4, size=40)
+    best = dc_optimal_batch(w, lam, c)
+    for i in range(40):
+        assert best[i] == dc_optimal(DataCenterContext(w[i], lam[i]), c[i])[1]
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            dc_optimal_batch(w[:3], lam[:3], [1.0, bad, 2.0])
+
+
+def test_dc_regret_batch_scores_stacked_draws_like_single_blocks():
+    # D blocks of B forecasts against B realized rows, as pg scores its draws
+    rng = np.random.default_rng(9)
+    n_rows, n_draws = 30, 4
+    w = rng.uniform(0.5, 5, size=n_rows)
+    lam = rng.uniform(0.5, 50, size=n_rows)
+    c = rng.uniform(0.3, 3, size=n_rows)
+    c_hat = rng.uniform(-0.5, 3, size=(n_draws, n_rows))
+    c_hat[1, :2] = 1e-6, 1e300  # the floor and an absurd forecast
+    best = dc_optimal_batch(w, lam, c)
+    values, slopes = dc_regret_batch(w, lam, c_hat.ravel(), c, best)
+    assert values.shape == slopes.shape == (n_draws * n_rows,)
+    for d in range(n_draws):
+        one_values, one_slopes = dc_regret_batch(w, lam, c_hat[d], c, best)
+        assert np.array_equal(values[d * n_rows:(d + 1) * n_rows], one_values)
+        assert np.array_equal(slopes[d * n_rows:(d + 1) * n_rows], one_slopes)
+        for i in range(n_rows):
+            spec = AgentSpec(0, "datacenter", DataCenterContext(w[i], lam[i]))
+            assert one_values[i] == pytest.approx(regret(spec, c_hat[d, i], c[i]).value, abs=1e-12)
+    with pytest.raises(ValueError, match="realized rows"):
+        dc_regret_batch(w, lam, c_hat.ravel()[:-1], c, best)
+
+
+def test_ev_regret_batch_refuses_slot_counts_outside_horizon():
+    rng = np.random.default_rng(10)
+    realized = rng.uniform(0.1, 3, size=(4, 6))
+    draws = rng.uniform(0.1, 3, size=(8, 6))
+    best = ev_optimal_batch(2, realized, 1.5)
+    for slots in (0, 7, [2, 2, 0, 2], [2, 7, 2, 2]):
+        with pytest.raises(InfeasibleActionError, match="between 1 and 6"):
+            ev_regret_batch(slots, draws, realized, 1.5, best)
 
 
 # --- contexts and pool files

@@ -128,6 +128,27 @@ def test_train_on_generated_files_roundtrip(tmp_path):
     assert mem["per_agent_regret"] == pytest.approx(files["per_agent_regret"], rel=1e-9)
 
 
+def test_train_refuses_non_positive_realized_intensity(tmp_path, capsys):
+    cfg_doc = tiny_config()
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, cfg_doc), "--out", str(data_dir)]) == 0
+    target = data_dir / "target_m001.csv"
+    lines = target.read_text().splitlines()
+    rows = [line.split(",")[0] + ",0.0" if line[:1].isdigit() else line for line in lines]
+    target.write_text("\n".join(rows) + "\n")
+    cfg_doc["data_dir"] = str(data_dir)
+    # chain and pg are refused before step 0; plain training scores no
+    # decision, so its run is refused by the evaluation that follows
+    for mode, part in (("chain", "train"), ("pg", "train"), ("plain", "test")):
+        cfg_doc["train"]["mode"] = mode
+        cfg = write_config(tmp_path, cfg_doc, f"{mode}.json")
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / mode)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: data-center agent 1, {part} split: realized intensity must be positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / mode / "checkpoint.json").exists()
+
+
 def test_train_charging_and_mixed(tmp_path):
     ev = write_config(
         tmp_path,

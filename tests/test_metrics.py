@@ -91,6 +91,24 @@ def test_norm_entropy_rejects_negative():
         metrics.norm_entropy([0.1, -0.2])
 
 
+def test_norm_entropy_reduces_over_the_last_axis():
+    rng = np.random.default_rng(4)
+    rows = rng.uniform(0, 1, size=(2, 5, 12))
+    rows[0, 1, 3] = rows[1, 2, 0] = 0.0  # a zero share, summed as the 1-D form sums it
+    rows[1, 4] = 0.0  # an all-zero row
+    for exponent in (1.0, 2.5):
+        h = metrics.norm_entropy(rows, exponent)
+        assert h.shape == (2, 5)
+        for i, j in np.ndindex(2, 5):
+            assert h[i, j] == metrics.norm_entropy(rows[i, j], exponent)
+    assert metrics.norm_entropy(rows[1, 4]) == pytest.approx(math.log(12), rel=1e-14)
+    assert isinstance(metrics.norm_entropy([1.0, 2.0]), float)
+    # a scalar is a vector of one: a single share has zero entropy
+    assert metrics.norm_entropy(3.0) == 0.0 and metrics.norm_entropy(0.0) == 0.0
+    with pytest.raises(ValueError):
+        metrics.norm_entropy(np.zeros((3, 0)))
+
+
 def test_mse_per_agent_sum():
     assert metrics.mse([[0.0, 0.0]], [[1.0, 1.0]]) == pytest.approx(1.0)
     # two agents, each with unit residual on every sample

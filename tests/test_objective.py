@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equicast import objective, predictor
-from equicast.agents import AgentSpec, DataCenterContext, dc_regret_batch, regret
+from equicast.agents import AgentSpec, DataCenterContext, dc_optimal_batch, dc_regret_batch, regret
 
 
 def test_equitable_loss_reference_values():
@@ -62,17 +62,18 @@ def test_combined_loss_rejects_bad_beta():
 
 
 def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
-    """chain_grad's inputs (all but q and beta) for a batch of direct-adapter data-center agents."""
+    """chain_grad's inputs before q and beta, and the forward's activations, for a batch of
+    direct-adapter data-center agents."""
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
     sizes = [len(x) for x in Xs]
     owner = np.repeat(np.arange(len(specs)), sizes)
     w = np.array([s.context.workload for s in specs])[owner]
     lam = np.array([s.context.latency_weight for s in specs])[owner]
-    preds = predictor.forward_batch(params, X)
-    values, dvalues = dc_regret_batch(w, lam, t_mean + t_scale * preds[:, 0], Y[:, 0])
+    preds, acts = predictor.forward_batch(params, X, keep=True)
+    values, dvalues = dc_regret_batch(w, lam, t_mean + t_scale * preds[:, 0], Y[:, 0], dc_optimal_batch(w, lam, Y[:, 0]))
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
-    return X, preds, (Y - t_mean) / t_scale, values, slope, sizes
+    return (X, preds, (Y - t_mean) / t_scale, values, slope, sizes), acts
 
 
 def pipeline_loss(params, specs, Xs, Ys, t_mean, t_scale, q, beta):
@@ -100,8 +101,8 @@ def test_chain_grad_matches_finite_differences():
     t_mean, t_scale = 1.5, 0.4
     h = 1e-5
     for q, beta in ((0.0, 0.0), (1.0, 0.5), (2.0, 1.0)):
-        batch = build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale)
-        grad = objective.chain_grad(params, *batch, q, beta)
+        batch, acts = build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale)
+        grad = objective.chain_grad(params, *batch, q, beta, acts)
         fd = np.zeros_like(grad)
         for j in range(params.values.size):
             v = params.values.copy()
@@ -120,22 +121,41 @@ def test_chain_grad_beta_one_is_pure_mse_gradient():
     spec = AgentSpec(0, "datacenter", DataCenterContext(1.5, 2.0))
     X = rng.uniform(-1, 1, size=(6, 3))
     Y = rng.uniform(0.9, 2.2, size=(6, 1))
-    batch = build_dc_chain_batch(params, [spec], [X], [Y], 1.5, 0.4)
-    grad = objective.chain_grad(params, *batch, q=2.0, beta=1.0)
+    batch, acts = build_dc_chain_batch(params, [spec], [X], [Y], 1.5, 0.4)
+    grad = objective.chain_grad(params, *batch, 2.0, 1.0, acts)
     preds = predictor.forward_batch(params, X)
     y_norm = (Y - 1.5) / 0.4
-    direct = predictor.vjp_batch(params, X, (2.0 / 6) * (preds - y_norm))
+    direct = predictor.vjp_batch(params, X, (2.0 / 6) * (preds - y_norm), acts)
     assert np.max(np.abs(grad - direct)) < 1e-6
 
 
 def test_chain_grad_zero_at_perfection():
     params = predictor.init_params([2, 1], seed=0)
-    grad = objective.chain_grad(params, np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)),
-                                [0.0], np.zeros((1, 1)), [1], 1.0, 0.5)
+    X = np.zeros((1, 2))
+    _, acts = predictor.forward_batch(params, X, keep=True)
+    grad = objective.chain_grad(params, X, np.zeros((1, 1)), np.zeros((1, 1)),
+                                [0.0], np.zeros((1, 1)), [1], 1.0, 0.5, acts)
     assert np.all(grad == 0.0)
 
 
 # --- policy-gradient batch estimator
+
+
+def test_chain_and_pg_grad_refuse_another_forward_pass():
+    rng = np.random.default_rng(4)
+    params = predictor.init_params([3, 4, 1], seed=4)
+    specs = [AgentSpec(0, "datacenter", DataCenterContext(1.5, 2.0)),
+             AgentSpec(1, "datacenter", DataCenterContext(3.0, 0.7))]
+    Xs = [rng.uniform(-1, 1, size=(5, 3)) for _ in specs]
+    Ys = [rng.uniform(0.9, 2.2, size=(5, 1)) for _ in specs]
+    batch, acts = build_dc_chain_batch(params, specs, Xs, Ys, 1.5, 0.4)
+    # the same numbers in another array are other parameter values to the check
+    _, stale = predictor.forward_batch(params.with_values(params.values.copy()), batch[0], keep=True)
+    with pytest.raises(ValueError, match="parameter values"):
+        objective.chain_grad(params, *batch, 1.0, 0.5, stale)
+    eps = rng.standard_normal((3, 10, 1))
+    with pytest.raises(ValueError, match="this batch"):
+        objective.pg_grad(params, batch[0][::-1], eps, rng.uniform(0, 2, size=3), 0.4, 0.3, acts)
 
 
 def test_pg_batch_grad_one_parameter_example():
@@ -167,6 +187,7 @@ def test_pg_grad_monte_carlo_matches_analytic():
     x = np.zeros((1, 1))
     for theta in (0.0, 0.5, 2.0):
         params = predictor.ParamVector(values=np.array([0.0, theta]), layout=((0, 1, 1, 1),))
+        _, acts = predictor.forward_batch(params, x, keep=True)
         rng = np.random.default_rng(42 + int(10 * theta))
         eps = rng.standard_normal(n)
         losses = (theta + std * eps - 1.0) ** 2
@@ -175,7 +196,7 @@ def test_pg_grad_monte_carlo_matches_analytic():
         spreads = []
         for baseline in (0.0, loo):
             terms = (losses - baseline) * eps / std
-            grad = objective.pg_grad(params, x, eps.reshape(n, 1, 1), losses, baseline, std)
+            grad = objective.pg_grad(params, x, eps.reshape(n, 1, 1), losses, baseline, std, acts)
             assert grad[1] == pytest.approx(terms.mean(), rel=1e-12)
             se = terms.std() / np.sqrt(n)
             assert abs(grad[1] - 2 * (theta - 1.0)) < 5 * se
@@ -214,17 +235,17 @@ def test_pg_matches_chain_on_differentiable_toy():
     Y = rng.uniform(1.0, 2.0, size=(4, 1))
     t_mean, t_scale = 1.5, 0.3
     q = 1.0
-    batch = build_dc_chain_batch(params, [spec], [X], [Y], t_mean, t_scale)
-    exact = objective.chain_grad(params, *batch, q, 0.0)
+    batch, acts = build_dc_chain_batch(params, [spec], [X], [Y], t_mean, t_scale)
+    exact = objective.chain_grad(params, *batch, q, 0.0, acts)
 
     std = 0.05
-    preds = predictor.forward_batch(params, X)
+    preds = batch[1]
     acc = np.zeros_like(exact)
     n_rounds = 10_000
     for _ in range(n_rounds):
         eps = rng.standard_normal(preds.shape)
         sampled = preds + std * eps
-        score_sum = predictor.vjp_batch(params, X, eps / std)
+        score_sum = predictor.vjp_batch(params, X, eps / std, acts)
         values = [
             regret(spec, t_mean + t_scale * float(sampled[i, 0]), float(Y[i, 0])).value
             for i in range(4)

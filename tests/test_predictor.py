@@ -113,9 +113,30 @@ def test_vjp_batch_is_sum_of_rows():
     p = predictor.init_params([4, 3, 2], seed=5)
     X = rng.uniform(-1, 1, size=(6, 4))
     cots = rng.uniform(-1, 1, size=(6, 2))
-    batch = predictor.vjp_batch(p, X, cots)
+    _, acts = predictor.forward_batch(p, X, keep=True)
+    batch = predictor.vjp_batch(p, X, cots, acts)
     rows = sum(predictor.vjp(p, X[i], cots[i]) for i in range(6))
     assert np.allclose(batch, rows, atol=1e-12)
+
+
+def test_vjp_batch_takes_only_its_own_forward_pass():
+    rng = np.random.default_rng(6)
+    p = predictor.init_params([4, 5, 3, 2], seed=6)
+    X = rng.uniform(-1, 1, size=(7, 4))
+    cots = rng.uniform(-1, 1, size=(7, 2))
+    out, acts = predictor.forward_batch(p, X, keep=True)
+    assert np.array_equal(out, predictor.forward_batch(p, X))
+    # a copy of the batch is the same batch
+    assert np.array_equal(predictor.vjp_batch(p, X.copy(), cots, acts), predictor.vjp_batch(p, X, cots, acts))
+    with pytest.raises(ValueError, match="this batch"):
+        predictor.vjp_batch(p, X + 1.0, cots, acts)
+    with pytest.raises(ValueError, match="this batch"):
+        predictor.vjp_batch(p, X, cots, acts._replace(layers=acts.layers[:-1]))
+    # activations of other parameters, e.g. of an earlier step, are refused
+    for other in (predictor.init_params([4, 5, 3, 2], seed=7), p.with_values(p.values - 0.1)):
+        _, theirs = predictor.forward_batch(other, X, keep=True)
+        with pytest.raises(ValueError, match="parameter values"):
+            predictor.vjp_batch(p, X, cots, theirs)
 
 
 def test_sample_prediction_reproducible_and_centered():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,38 @@ def test_chain_step_matches_finite_differences_of_batch_loss():
         for e in np.eye(p0.values.size)
     ])
     assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["plain", "chain", "pg"])
+def test_each_step_runs_one_forward_pass(mode, monkeypatch):
+    # the backward pass reuses the step's forward activations
+    agents, splits = _three_agent_pool()
+    if mode == "chain":  # chain needs data-center agents only
+        agents, splits = agents[1:], splits[1:]
+    calls = []
+    real = predictor._forward_cached
+    monkeypatch.setattr(predictor, "_forward_cached", lambda *a: calls.append(1) or real(*a))
+    cfg = TrainConfig(mode=mode, q=1.0, beta=0.5, std=0.3, epochs=3, batch_size=4, seed=3, pg_samples=3)
+    res = train(cfg, predictor.init_params([2, 4, 3], seed=5), agents, splits)
+    assert len(res.step_log) > 2
+    assert len(calls) == len(res.step_log)
+
+
+def test_non_positive_realized_intensity_is_refused_before_training():
+    agents, splits = _three_agent_pool()
+    p0 = predictor.init_params([2, 4, 3], seed=5)
+    for part in ("train", "test"):
+        outcome = getattr(splits[2], f"{part}_outcome").copy()
+        outcome[1, 0] = 0.0
+        broken = splits[:2] + [replace(splits[2], **{f"{part}_outcome": outcome})]
+        if part == "train":
+            with pytest.raises(ConfigError, match="data-center agent 2, train split"):
+                train(TrainConfig(mode="pg", std=0.3, epochs=1, batch_size=4), p0, agents, broken)
+            # plain training never scores a decision
+            train(TrainConfig(mode="plain", epochs=1, batch_size=4), p0, agents, broken)
+        else:
+            with pytest.raises(ConfigError, match="data-center agent 2, test split"):
+                evaluate(p0, agents, broken)
 
 
 def test_charging_horizon_must_match_model_outputs():
