@@ -18,26 +18,9 @@ from .agents import (
     ev_optimal,
     regret,
 )
-from .metrics import MetricReport, mse, norm_entropy, percentile_gap, variance
-from .objective import (
-    BatchLoss,
-    chain_grad,
-    combined_loss,
-    dual_norm_value,
-    equitable_loss,
-    holder_max_value,
-    pg_batch_grad,
-)
-from .predictor import (
-    FeatureWindow,
-    ParamVector,
-    PolicySample,
-    forward,
-    init_params,
-    sample_prediction,
-    score_grad,
-    vjp,
-)
+from .metrics import mse, norm_entropy, percentile_gap, variance
+from .objective import chain_grad, dual_norm_value, equitable_loss, holder_max_value
+from .predictor import ParamVector, init_params
 from .training import RunSummary, TrainConfig, TrainResult, evaluate, train
 from .verify import QuadraticToy, theorem_check_entropy, theorem_check_variance
 

@@ -13,7 +13,6 @@ CSV schemas (header row required, '#' comment lines allowed before it):
 * carbon:   timestamp,carbon_intensity
 * energy:   timestamp,E
 * workload: timestamp,agent_id,demand
-* charging: agent_id,initial,demand,rate,horizon[,water_weight,price_weight]
 """
 
 from __future__ import annotations
@@ -274,7 +273,6 @@ _SCHEMAS = {
     "carbon": ["timestamp", "carbon_intensity"],
     "energy": ["timestamp", "E"],
     "workload": ["timestamp", "agent_id", "demand"],
-    "charging": ["agent_id", "initial", "demand", "rate", "horizon"],
 }
 
 
@@ -306,11 +304,7 @@ def _parse_float(path, lineno, column, text) -> float:
 
 
 def load_csv(path, schema: str):
-    """Parse and validate a CSV file against one of the documented schemas.
-
-    Returns a SeriesDataset for the series schemas and a list of
-    (agent_id, ChargingContext) pairs for the charging table.
-    """
+    """Parse and validate a CSV file against one of the documented schemas into a SeriesDataset."""
     if schema not in _SCHEMAS:
         raise SchemaError(f"unknown schema '{schema}', expected one of {sorted(_SCHEMAS)}")
     required = _SCHEMAS[schema]
@@ -339,44 +333,24 @@ def load_csv(path, schema: str):
             raise SchemaError(f"{path}: timestamps must be strictly increasing (row {bad + 2})")
         return SeriesDataset(timestamps=ts, signal=np.asarray(vals))
 
-    if schema == "workload":
-        per_agent: dict[int, list[tuple[float, float]]] = {}
-        for lineno, cells in rows:
-            t = _parse_float(path, lineno, "timestamp", cell(cells, lineno, "timestamp"))
-            a = int(_parse_float(path, lineno, "agent_id", cell(cells, lineno, "agent_id")))
-            d = _parse_float(path, lineno, "demand", cell(cells, lineno, "demand"))
-            if d <= 0:
-                raise SchemaError(f"{path}:{lineno}: demand must be positive, got {d}")
-            per_agent.setdefault(a, []).append((t, d))
-        agent_ids = sorted(per_agent)
-        ts0 = [t for t, _ in per_agent[agent_ids[0]]]
-        if any(ts0[i] >= ts0[i + 1] for i in range(len(ts0) - 1)):
-            raise SchemaError(f"{path}: timestamps must be strictly increasing per agent")
-        for a in agent_ids:
-            if [t for t, _ in per_agent[a]] != ts0:
-                raise SchemaError(f"{path}: agent {a} does not cover the same timestamps as agent {agent_ids[0]}")
-        workloads = np.asarray([[d for _, d in per_agent[a]] for a in agent_ids])
-        return SeriesDataset(timestamps=np.asarray(ts0), workloads=workloads)
-
-    # charging table
-    out = []
+    # workload: one row per (timestamp, agent)
+    per_agent: dict[int, list[tuple[float, float]]] = {}
     for lineno, cells in rows:
+        t = _parse_float(path, lineno, "timestamp", cell(cells, lineno, "timestamp"))
         a = int(_parse_float(path, lineno, "agent_id", cell(cells, lineno, "agent_id")))
-        kwargs = {
-            "initial": _parse_float(path, lineno, "initial", cell(cells, lineno, "initial")),
-            "demand": _parse_float(path, lineno, "demand", cell(cells, lineno, "demand")),
-            "rate": _parse_float(path, lineno, "rate", cell(cells, lineno, "rate")),
-            "horizon": int(_parse_float(path, lineno, "horizon", cell(cells, lineno, "horizon"))),
-        }
-        for opt in ("water_weight", "price_weight"):
-            if opt in idx:
-                kwargs[opt] = _parse_float(path, lineno, opt, cell(cells, lineno, opt))
-        try:
-            ctx = ChargingContext(**kwargs)
-        except ConfigError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        out.append((a, ctx))
-    return out
+        d = _parse_float(path, lineno, "demand", cell(cells, lineno, "demand"))
+        if d <= 0:
+            raise SchemaError(f"{path}:{lineno}: demand must be positive, got {d}")
+        per_agent.setdefault(a, []).append((t, d))
+    agent_ids = sorted(per_agent)
+    ts0 = [t for t, _ in per_agent[agent_ids[0]]]
+    if any(ts0[i] >= ts0[i + 1] for i in range(len(ts0) - 1)):
+        raise SchemaError(f"{path}: timestamps must be strictly increasing per agent")
+    for a in agent_ids:
+        if [t for t, _ in per_agent[a]] != ts0:
+            raise SchemaError(f"{path}: agent {a} does not cover the same timestamps as agent {agent_ids[0]}")
+    workloads = np.asarray([[d for _, d in per_agent[a]] for a in agent_ids])
+    return SeriesDataset(timestamps=np.asarray(ts0), workloads=workloads)
 
 
 def write_series_csv(path, timestamps, values, value_column: str, comment: str | None = None) -> None:
@@ -398,20 +372,6 @@ def write_workload_csv(path, timestamps, workloads, comment: str | None = None) 
         for m in range(workloads.shape[0]):
             for t, v in zip(timestamps, workloads[m]):
                 writer.writerow([int(t), m, repr(float(v))])
-
-
-def write_charging_csv(path, agents: list[AgentSpec], comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["agent_id", "initial", "demand", "rate", "horizon", "water_weight", "price_weight"])
-        for a in agents:
-            c = a.context
-            writer.writerow(
-                [a.agent_id, repr(c.initial), repr(c.demand), repr(c.rate), c.horizon,
-                 repr(c.water_weight), repr(c.price_weight)]
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +412,6 @@ class WindowSplit:
             self.train_outcome = self.train_y_raw
         if self.test_outcome is None:
             self.test_outcome = self.test_y_raw
-
-    def to_raw(self, normalized: np.ndarray) -> np.ndarray:
-        return self.target_mean + self.target_scale * normalized
 
 
 def _windows(series: np.ndarray, first: int, width: int, count: int) -> np.ndarray:
@@ -538,27 +495,3 @@ def window_split(
         train_outcome=None if outcome is None else outcome[train_idx],
         test_outcome=None if outcome is None else outcome[test_idx],
     )
-
-
-def window_split_batches(dataset: SeriesDataset, lookback: int, split: SplitSpec, batch_size: int, agent: int | None = None, target_steps: int = 1):
-    """Spec-level convenience: batch iterators over a dataset's windows.
-
-    Uses the shared signal as features; targets come from the agent's
-    outcome stream when `agent` is given, else from the signal itself.
-    Returns (train_batches, test_batches) generator factories are not needed
-    by callers here, so plain generators are returned.
-    """
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    targets = dataset.signal if agent is None else dataset.agent_targets[agent]
-    ws = window_split(dataset.signal, targets, lookback, split, target_steps=target_steps)
-
-    def batches(X, Y, shuffle_seed=None):
-        order = np.arange(X.shape[0])
-        if shuffle_seed is not None:
-            order = np.random.default_rng(shuffle_seed).permutation(X.shape[0])
-        for start in range(0, X.shape[0], batch_size):
-            sel = order[start : start + batch_size]
-            yield X[sel], Y[sel]
-
-    return batches(ws.train_x, ws.train_y, shuffle_seed=split.seed), batches(ws.test_x, ws.test_y)

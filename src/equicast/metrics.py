@@ -6,27 +6,7 @@ nonnegative per-agent score) and are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    variance: float
-    mean: float
-    c95_minus_c5: float
-    mse: float
-    entropy: float
-
-    def as_dict(self) -> dict:
-        return {
-            "variance": self.variance,
-            "mean": self.mean,
-            "c95_minus_c5": self.c95_minus_c5,
-            "mse": self.mse,
-            "entropy": self.entropy,
-        }
 
 
 def variance(values) -> float:
@@ -106,15 +86,3 @@ def mse(preds, targets) -> float:
         resid = (p - t).reshape(p.shape[0], -1)
         total += float(np.mean(np.sum(resid**2, axis=1)))
     return total
-
-
-def report(per_agent_regrets, preds=None, targets=None, entropy_exponent: float = 1.0) -> MetricReport:
-    """Bundle the standard statistics for a vector of per-agent mean regrets."""
-    r = np.asarray(per_agent_regrets, dtype=float)
-    return MetricReport(
-        variance=variance(r),
-        mean=float(r.mean()),
-        c95_minus_c5=percentile_gap(r),
-        mse=mse(preds, targets) if preds is not None else float("nan"),
-        entropy=norm_entropy(r, entropy_exponent),
-    )

@@ -19,14 +19,9 @@ Two gradient paths are provided:
   gradient is the vjp of eps_d / std, and the vjp is linear in its
   cotangent), backpropagated with one vjp.  It only needs cost *values*, so
   it covers discrete actions.
-* `pg_batch_grad` is the per-batch reference for one draw: the summed
-  log-density gradients of the sampled predictions times the scalar batch
-  loss.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +29,6 @@ from . import predictor
 from .predictor import ParamVector
 
 NEG_REGRET_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class BatchLoss:
-    """Loss components for one batch: per-agent regrets and the blended total."""
-
-    per_agent_regret: np.ndarray
-    q: float
-    beta: float
-    equitable: float
-    mse: float
-    combined: float
 
 
 def _clean_regrets(mean_regrets) -> np.ndarray:
@@ -63,23 +46,6 @@ def equitable_loss(mean_regrets, q: float) -> float:
         raise ValueError(f"q must be nonnegative, got {q}")
     r = _clean_regrets(mean_regrets)
     return float(np.sum(r ** (q + 1.0)))
-
-
-def combined_loss(mean_regrets, mean_sq_errors, q: float, beta: float) -> BatchLoss:
-    """Blend the regret aggregate with the per-agent-mean squared error sum."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    r = _clean_regrets(mean_regrets)
-    eq = equitable_loss(r, q)
-    m = float(np.sum(np.asarray(mean_sq_errors, dtype=float)))
-    return BatchLoss(
-        per_agent_regret=r,
-        q=float(q),
-        beta=float(beta),
-        equitable=eq,
-        mse=m,
-        combined=(1.0 - beta) * eq + beta * m,
-    )
 
 
 def chain_grad(params: ParamVector, X, y_hat, y, regrets, slope, sizes, q: float, beta: float, acts) -> np.ndarray:
@@ -126,43 +92,6 @@ def pg_grad(params: ParamVector, X, eps, losses, baseline, std: float, acts) -> 
     """
     weights = (losses - baseline) / (len(losses) * std)
     return predictor.vjp_batch(params, X, np.tensordot(weights, eps, axes=1), acts)
-
-
-def pg_batch_grad(
-    score_grads,
-    regrets_by_agent,
-    q: float,
-    beta: float = 0.0,
-    sq_errors_by_agent=None,
-    baseline: float = 0.0,
-) -> np.ndarray:
-    """Score-function gradient for one batch.
-
-    `score_grads` holds one log-density gradient per sampled prediction (any
-    agent); `regrets_by_agent` / `sq_errors_by_agent` hold the per-sample
-    values grouped per agent.  The estimator is the summed scores times the
-    scalar batch loss; `baseline` is subtracted from the loss before the
-    multiplication and must not depend on the drawn samples.
-    """
-    scores = np.asarray(score_grads, dtype=float)
-    if scores.ndim != 2 or scores.shape[0] == 0:
-        raise ValueError("score_grads must be a nonempty (B_total, P) array")
-    if len(regrets_by_agent) == 0:
-        raise ValueError("empty batch")
-    mean_regrets = []
-    for group in regrets_by_agent:
-        g = np.asarray(group, dtype=float)
-        if g.size == 0:
-            raise ValueError("agent with empty batch")
-        mean_regrets.append(g.mean())
-    loss = (1.0 - beta) * equitable_loss(mean_regrets, q)
-    if beta > 0.0:
-        if sq_errors_by_agent is None:
-            raise ValueError("beta > 0 requires per-agent squared errors")
-        loss += beta * float(
-            np.sum([np.mean(np.asarray(g, dtype=float)) for g in sq_errors_by_agent])
-        )
-    return scores.sum(axis=0) * (loss - baseline)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The network maps a flattened lookback window to a prediction vector through
 tanh hidden layers and a linear output layer.  Parameters live in a single
 flat float64 vector (`ParamVector`) so optimizers, checkpoints, and gradient
-checks all see one array.  A Gaussian head with fixed standard deviation turns
-the deterministic forecaster into a sampling policy; its log-density gradient
-is what the score-function trainer consumes.
+checks all see one array.  The network runs on (B, n_in) batches only:
+`forward_batch` evaluates it and `vjp_batch` backpropagates a cotangent on
+its outputs, which is all the three gradient routes need (the score-function
+route's Gaussian head lives in `objective.pg_grad`).
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-
-# A prediction is a plain float64 vector of length O.
-Prediction = np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class ParamVector:
@@ -59,27 +56,6 @@ class ParamVector:
         return ParamVector(values=np.asarray(values, dtype=float), layout=self.layout)
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureWindow:
-    """A flattened lookback window tagged with the agent it belongs to."""
-
-    values: np.ndarray
-    agent_id: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class PolicySample:
-    """One draw from the Gaussian policy head, with the mean it was drawn around."""
-
-    sample: np.ndarray
-    mean: np.ndarray
-    std: float
-
-    def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError(f"std must be positive, got {self.std}")
-
-
 def init_params(arch, seed: int) -> ParamVector:
     """Fan-in uniform weights, zero biases; deterministic for a fixed seed."""
     arch = [int(n) for n in arch]
@@ -112,11 +88,6 @@ def unpack(params: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _as_input(x) -> np.ndarray:
-    values = getattr(x, "values", x)
-    return np.asarray(values, dtype=float)
-
-
 class Activations(NamedTuple):
     """One forward pass's activations [X, h1, ..., output] and the parameter values it ran with."""
 
@@ -145,14 +116,6 @@ def forward_batch(params: ParamVector, X, keep: bool = False):
         raise ValueError(f"expected batch of shape (B, {params.n_inputs}), got {X.shape}")
     acts = _forward_cached(params, X)
     return (acts[-1], Activations(params.values, acts)) if keep else acts[-1]
-
-
-def forward(params: ParamVector, x) -> Prediction:
-    """Deterministic forward pass for one window; pure in (params, x)."""
-    xv = _as_input(x)
-    if xv.shape != (params.n_inputs,):
-        raise ValueError(f"expected input of length {params.n_inputs}, got shape {xv.shape}")
-    return forward_batch(params, xv[None, :])[0]
 
 
 def vjp_batch(params: ParamVector, X, cotangents, acts: Activations) -> np.ndarray:
@@ -186,36 +149,6 @@ def vjp_batch(params: ParamVector, X, cotangents, acts: Activations) -> np.ndarr
         if i > 0:
             delta = (delta @ w) * (1.0 - kept[i] ** 2)
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-
-
-def vjp(params: ParamVector, x, cotangent) -> np.ndarray:
-    """cotangent^T * d(output)/d(params) for a single window."""
-    xv = _as_input(x)
-    cot = np.asarray(cotangent, dtype=float)
-    if cot.shape != (params.n_outputs,):
-        raise ValueError(f"expected cotangent of length {params.n_outputs}, got shape {cot.shape}")
-    X = xv[None, :]
-    _, acts = forward_batch(params, X, keep=True)
-    return vjp_batch(params, X, cot[None, :], acts)
-
-
-def sample_prediction(params: ParamVector, x, std: float, rng: np.random.Generator) -> PolicySample:
-    """Draw sample = forward(params, x) + std * eps with eps ~ N(0, I)."""
-    if std <= 0:
-        raise ValueError(f"std must be positive, got {std}")
-    mean = forward(params, x)
-    sample = mean + std * rng.standard_normal(mean.shape)
-    return PolicySample(sample=sample, mean=mean, std=float(std))
-
-
-def score_grad(params: ParamVector, x, sample: PolicySample) -> np.ndarray:
-    """Gradient of the Gaussian log-density of `sample` with respect to params.
-
-    For an isotropic Gaussian centered on the forward pass this is the
-    backpropagation of (sample - mean) / std^2.
-    """
-    cot = (sample.sample - sample.mean) / sample.std**2
-    return vjp(params, x, cot)
 
 
 # ---------------------------------------------------------------------------

@@ -148,40 +148,43 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
     """The trainer's score-function op vs the analytic gradient of E[(yhat-1)^2].
 
     A one-parameter model (bias-only, zero input) makes the prediction equal
-    the parameter, so d/dtheta E[C] = 2(theta-1) exactly.  The per-draw
-    score is spot-checked against score_grad, then `objective.pg_grad` takes
-    all draws in one call with no baseline: it must equal the mean of the
-    per-draw estimates loss * eps / std, and that mean must lie within five
-    standard errors of the analytic gradient.
+    the parameter, so d/dtheta E[C] = 2(theta-1) exactly.  `objective.pg_grad`
+    is first checked in closed form on one draw with loss 1 and baseline 0,
+    whose estimate is the draw's score [0, eps/std].  Then it takes all draws
+    in one call, once with no baseline and once with the trainer's
+    leave-one-out baseline: each result must equal the mean of the per-draw
+    estimates (loss - baseline) * eps / std, and lie within five standard
+    errors of the analytic gradient.
     """
     layout = ((0, 1, 1, 1),)
     rng = np.random.default_rng(seed)
-    x = np.zeros(1)
-    X = x[None]
+    X = np.zeros((1, 1))
     details = []
     for theta in thetas:
         params = predictor.ParamVector(values=np.array([0.0, theta]), layout=layout)
+        _, acts = predictor.forward_batch(params, X, keep=True)
         eps = rng.standard_normal(n_draws)
         draws = theta + std * eps
-        for i in range(50):  # exact agreement between the closed-form score and the op
-            ps = predictor.PolicySample(sample=np.array([draws[i]]), mean=np.array([theta]), std=std)
-            op_score = predictor.score_grad(params, x, ps)
-            if not np.allclose(op_score, [0.0, (draws[i] - theta) / std**2], rtol=0, atol=1e-12):
-                return SuiteResult("pg_estimator", False, f"score_grad mismatch at draw {i}")
+        score = objective.pg_grad(params, X, eps[:1].reshape(1, 1, 1), np.ones(1), 0.0, std, acts)
+        if not np.allclose(score, [0.0, eps[0] / std], rtol=0, atol=1e-12):
+            return SuiteResult("pg_estimator", False, f"theta={theta}: one-draw pg_grad {score} vs [0, {eps[0] / std}]")
         losses = (draws - 1.0) ** 2
-        terms = losses * eps / std
-        _, acts = predictor.forward_batch(params, X, keep=True)
-        estimate = float(objective.pg_grad(params, X, eps.reshape(-1, 1, 1), losses, 0.0, std, acts)[1])
-        if not np.isclose(estimate, terms.mean(), rtol=1e-12, atol=0.0):
-            return SuiteResult(
-                "pg_estimator", False, f"theta={theta}: pg_grad {estimate} vs mean of draws {terms.mean()}"
-            )
+        loo = (losses.sum() - losses) / (n_draws - 1)
         target = 2.0 * (theta - 1.0)
-        se = float(terms.std() / np.sqrt(n_draws))
-        err = abs(estimate - target)
-        details.append(f"theta={theta}: |err|={err:.4f} vs 5se={5 * se:.4f}")
-        if err > 5 * se:
-            return SuiteResult("pg_estimator", False, "; ".join(details))
+        for label, baseline in (("", 0.0), (", leave-one-out baseline", loo)):
+            terms = (losses - baseline) * eps / std
+            estimate = float(objective.pg_grad(params, X, eps.reshape(-1, 1, 1), losses, baseline, std, acts)[1])
+            if not np.isclose(estimate, terms.mean(), rtol=1e-12, atol=0.0):
+                return SuiteResult(
+                    "pg_estimator", False, f"theta={theta}{label}: pg_grad {estimate} vs mean of draws {terms.mean()}"
+                )
+            se = float(terms.std() / np.sqrt(n_draws))
+            err = abs(estimate - target)
+            check = f"theta={theta}{label}: |err|={err:.4f} vs 5se={5 * se:.4f}"
+            if err > 5 * se:
+                return SuiteResult("pg_estimator", False, "; ".join(details + [check]))
+            if not label:  # the pass detail reports the no-baseline estimate only
+                details.append(check)
     return SuiteResult("pg_estimator", True, "; ".join(details))
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from equicast import data
-from equicast.data import SeriesDataset, SplitSpec, load_csv, synth_agents, synth_carbon, synth_charging, window_split
-from equicast.agents import ChargingContext, required_slots
+from equicast.data import SplitSpec, load_csv, synth_agents, synth_carbon, synth_charging, window_split
+from equicast.agents import required_slots
 from equicast.errors import ConfigError, SchemaError
 
 
@@ -132,20 +132,10 @@ def test_load_workload_rejects_nonpositive_demand(tmp_path):
         load_csv(p, "workload")
 
 
-def test_load_charging_csv(tmp_path):
-    p = write(
-        tmp_path, "ch.csv",
-        "agent_id,initial,demand,rate,horizon,water_weight,price_weight\n"
-        "0,0.0,2.5,1.0,4,1.0,0.5\n1,0.5,3.0,2.0,3,0.0,0.0\n",
-    )
-    rows = load_csv(p, "charging")
-    assert rows[0][0] == 0 and isinstance(rows[0][1], ChargingContext)
-    assert rows[1][1].rate == 2.0
-
-
-def test_load_charging_csv_infeasible_context(tmp_path):
-    p = write(tmp_path, "ch.csv", "agent_id,initial,demand,rate,horizon\n0,0.0,9.0,1.0,3\n")
-    with pytest.raises(SchemaError):
+def test_load_csv_rejects_unknown_schema(tmp_path):
+    # pools carry their charging contexts in agents.json; there is no charging CSV
+    p = write(tmp_path, "ch.csv", "agent_id,initial,demand,rate,horizon\n0,0.0,2.5,1.0,4\n")
+    with pytest.raises(SchemaError, match="unknown schema"):
         load_csv(p, "charging")
 
 
@@ -211,7 +201,7 @@ def test_target_transform_roundtrip():
     rng = np.random.default_rng(9)
     signal = rng.uniform(1, 5, size=100)
     ws = window_split(signal, signal, lookback=4, split=SplitSpec(0.67, seed=2))
-    assert np.allclose(ws.to_raw(ws.train_y), ws.train_y_raw, atol=1e-12)
+    assert np.allclose(ws.target_mean + ws.target_scale * ws.train_y, ws.train_y_raw, atol=1e-12)
 
 
 def test_context_and_outcome_alignment():
@@ -253,13 +243,3 @@ def test_windows_match_explicit_slices_and_copy_the_input(target_steps, outcome_
         s *= -1.0
     after = [getattr(ws, f) for f in vars(ws) if isinstance(getattr(ws, f), np.ndarray)]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
-
-
-def test_window_split_batches_iterators():
-    signal = np.sin(np.arange(80.0)) + 2.0
-    ds = SeriesDataset(timestamps=np.arange(80), signal=signal)
-    train_it, test_it = data.window_split_batches(ds, lookback=6, split=SplitSpec(0.67, 3), batch_size=8)
-    train_batches = list(train_it)
-    test_batches = list(test_it)
-    assert sum(b[0].shape[0] for b in train_batches) + sum(b[0].shape[0] for b in test_batches) == 80 - 6
-    assert all(b[0].shape[1] == 6 for b in train_batches)

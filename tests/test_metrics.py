@@ -125,13 +125,3 @@ def test_mse_vector_targets():
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
         metrics.mse([[1.0, 2.0]], [[1.0]])
-
-
-def test_report_bundles_consistently():
-    r = [0.1, 0.2, 0.3]
-    rep = metrics.report(r, preds=[[1.0]], targets=[[0.0]])
-    assert rep.variance == pytest.approx(metrics.variance(r))
-    assert rep.mean == pytest.approx(0.2)
-    assert rep.c95_minus_c5 == pytest.approx(metrics.percentile_gap(r))
-    assert rep.mse == pytest.approx(1.0)
-    assert rep.entropy == pytest.approx(metrics.norm_entropy(r))

@@ -44,20 +44,6 @@ def test_equitable_loss_power_monotonicity_in_q():
     assert all(a <= b + 1e-12 for a, b in zip(large_vals, large_vals[1:]))
 
 
-def test_combined_loss_blend():
-    loss = objective.combined_loss([0.2, 0.4], [0.15, 0.25], q=0.0, beta=0.5)
-    assert loss.equitable == pytest.approx(0.6)
-    assert loss.mse == pytest.approx(0.4)
-    assert loss.combined == pytest.approx(0.5)
-    assert objective.combined_loss([0.2], [0.4], 0.0, 1.0).combined == pytest.approx(0.4)
-    assert objective.combined_loss([0.2], [0.4], 0.0, 0.0).combined == pytest.approx(0.2)
-
-
-def test_combined_loss_rejects_bad_beta():
-    with pytest.raises(ValueError):
-        objective.combined_loss([0.1], [0.1], 0.0, 1.2)
-
-
 # --- chain gradient
 
 
@@ -138,7 +124,7 @@ def test_chain_grad_zero_at_perfection():
     assert np.all(grad == 0.0)
 
 
-# --- policy-gradient batch estimator
+# --- policy-gradient estimator
 
 
 def test_chain_and_pg_grad_refuse_another_forward_pass():
@@ -156,27 +142,6 @@ def test_chain_and_pg_grad_refuse_another_forward_pass():
     eps = rng.standard_normal((3, 10, 1))
     with pytest.raises(ValueError, match="this batch"):
         objective.pg_grad(params, batch[0][::-1], eps, rng.uniform(0, 2, size=3), 0.4, 0.3, acts)
-
-
-def test_pg_batch_grad_one_parameter_example():
-    # score 0.5, batch loss 2, q=0 -> gradient 1.0
-    scores = np.array([[0.5]])
-    g = objective.pg_batch_grad(scores, [[2.0]], q=0.0)
-    assert g == pytest.approx([1.0])
-
-
-def test_pg_batch_grad_zero_loss():
-    scores = np.array([[0.3, -0.2]])
-    assert np.all(objective.pg_batch_grad(scores, [[0.0, 0.0]], q=1.0) == 0.0)
-
-
-def test_pg_batch_grad_validation():
-    with pytest.raises(ValueError):
-        objective.pg_batch_grad(np.zeros((0, 2)), [[0.1]], q=0.0)
-    with pytest.raises(ValueError):
-        objective.pg_batch_grad(np.zeros((1, 2)), [], q=0.0)
-    with pytest.raises(ValueError):
-        objective.pg_batch_grad(np.zeros((1, 2)), [[0.1]], q=0.0, beta=0.5)
 
 
 def test_pg_grad_monte_carlo_matches_analytic():
@@ -204,15 +169,7 @@ def test_pg_grad_monte_carlo_matches_analytic():
         assert spreads[1] < spreads[0]
 
 
-def test_pg_batch_grad_beta_one_drops_regret_term():
-    scores = np.array([[0.4, -1.0]])
-    a = objective.pg_batch_grad(scores, [[5.0]], q=2.0, beta=1.0, sq_errors_by_agent=[[0.3]])
-    b = objective.pg_batch_grad(scores, [[99.0]], q=2.0, beta=1.0, sq_errors_by_agent=[[0.3]])
-    assert np.array_equal(a, b)
-    assert a == pytest.approx([0.4 * 0.3, -1.0 * 0.3])
-
-
-def test_pg_batch_grad_baseline_keeps_mean():
+def test_score_function_baseline_keeps_mean():
     std, theta, n = 0.3, 0.5, 200_000
     rng = np.random.default_rng(11)
     draws = theta + std * rng.standard_normal(n)
@@ -251,7 +208,7 @@ def test_pg_matches_chain_on_differentiable_toy():
             for i in range(4)
         ]
         loss = objective.equitable_loss([np.mean(values)], q)
-        acc += objective.pg_batch_grad(score_sum[None, :], [values], q)
+        acc += score_sum * loss
     acc /= n_rounds
     cosine = float(acc @ exact / (np.linalg.norm(acc) * np.linalg.norm(exact)))
     assert cosine > 0.5

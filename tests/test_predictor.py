@@ -7,15 +7,27 @@ from equicast import predictor
 from equicast.errors import ConfigError
 
 
+def forward_row(params, x):
+    """The network's output for one window, as a one-row batch."""
+    return predictor.forward_batch(params, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def vjp_row(params, x, cotangent):
+    """cotangent . d(output)/d(params) for one window, as a one-row batch."""
+    X = np.asarray(x, dtype=float)[None, :]
+    _, acts = predictor.forward_batch(params, X, keep=True)
+    return predictor.vjp_batch(params, X, np.asarray(cotangent, dtype=float)[None, :], acts)
+
+
 def fd_gradient(params, x, cotangent, h=1e-5):
-    """Central finite differences of cotangent . forward(params, x) over params."""
+    """Central finite differences of cotangent . forward_row(params, x) over params."""
     grad = np.zeros(params.values.size)
     for i in range(params.values.size):
         v = params.values.copy()
         v[i] += h
-        up = float(cotangent @ predictor.forward(params.with_values(v), x))
+        up = float(cotangent @ forward_row(params.with_values(v), x))
         v[i] -= 2 * h
-        dn = float(cotangent @ predictor.forward(params.with_values(v), x))
+        dn = float(cotangent @ forward_row(params.with_values(v), x))
         grad[i] = (up - dn) / (2 * h)
     return grad
 
@@ -53,44 +65,38 @@ def test_forward_linear_layer():
     # single linear layer, weights [1, 1], bias 0: x=[2,3] -> [5]
     layout = ((0, 1, 2, 1),)
     p = predictor.ParamVector(values=np.array([1.0, 1.0, 0.0]), layout=layout)
-    assert predictor.forward(p, np.array([2.0, 3.0]))[0] == pytest.approx(5.0)
+    assert forward_row(p, np.array([2.0, 3.0]))[0] == pytest.approx(5.0)
 
 
 def test_forward_zero_params():
     p = predictor.init_params([3, 4, 2], seed=0).with_values(np.zeros(3 * 4 + 4 + 4 * 2 + 2))
-    assert np.all(predictor.forward(p, np.array([0.3, -2.0, 5.0])) == 0.0)
+    assert np.all(forward_row(p, np.array([0.3, -2.0, 5.0])) == 0.0)
 
 
 def test_forward_pure():
     p = predictor.init_params([4, 5, 2], seed=1)
     x = np.array([0.1, -0.2, 0.5, 1.0])
-    first = predictor.forward(p, x)
-    second = predictor.forward(p, x)
+    first = forward_row(p, x)
+    second = forward_row(p, x)
     assert np.array_equal(first, second)
 
 
 def test_forward_dimension_mismatch():
     p = predictor.init_params([4, 2], seed=0)
     with pytest.raises(ValueError):
-        predictor.forward(p, np.ones(3))
-
-
-def test_forward_accepts_feature_window():
-    p = predictor.init_params([2, 1], seed=0)
-    window = predictor.FeatureWindow(values=np.array([1.0, 2.0]), agent_id=3)
-    assert np.array_equal(predictor.forward(p, window), predictor.forward(p, window.values))
+        predictor.forward_batch(p, np.ones((1, 3)))
 
 
 def test_vjp_linear_model():
     layout = ((0, 1, 2, 1),)
     p = predictor.ParamVector(values=np.array([0.7, -0.3, 0.2]), layout=layout)
-    g = predictor.vjp(p, np.array([2.0, 3.0]), np.array([1.0]))
+    g = vjp_row(p, np.array([2.0, 3.0]), np.array([1.0]))
     assert g == pytest.approx([2.0, 3.0, 1.0])
 
 
 def test_vjp_zero_cotangent():
     p = predictor.init_params([3, 4, 2], seed=2)
-    g = predictor.vjp(p, np.ones(3), np.zeros(2))
+    g = vjp_row(p, np.ones(3), np.zeros(2))
     assert np.all(g == 0.0)
 
 
@@ -101,7 +107,7 @@ def test_vjp_matches_finite_differences_many_seeds():
         p = predictor.init_params([3, 5, 2], seed=seed)
         x = rng.uniform(-1, 1, size=3)
         cot = rng.uniform(-1, 1, size=2)
-        g = predictor.vjp(p, x, cot)
+        g = vjp_row(p, x, cot)
         fd = fd_gradient(p, x, cot)
         scale = max(np.max(np.abs(fd)), 1e-8)
         worst = max(worst, float(np.max(np.abs(g - fd))) / scale)
@@ -115,7 +121,7 @@ def test_vjp_batch_is_sum_of_rows():
     cots = rng.uniform(-1, 1, size=(6, 2))
     _, acts = predictor.forward_batch(p, X, keep=True)
     batch = predictor.vjp_batch(p, X, cots, acts)
-    rows = sum(predictor.vjp(p, X[i], cots[i]) for i in range(6))
+    rows = sum(vjp_row(p, X[i], cots[i]) for i in range(6))
     assert np.allclose(batch, rows, atol=1e-12)
 
 
@@ -137,70 +143,6 @@ def test_vjp_batch_takes_only_its_own_forward_pass():
         _, theirs = predictor.forward_batch(other, X, keep=True)
         with pytest.raises(ValueError, match="parameter values"):
             predictor.vjp_batch(p, X, cots, theirs)
-
-
-def test_sample_prediction_reproducible_and_centered():
-    p = predictor.init_params([2, 1], seed=0)
-    x = np.array([0.5, -0.5])
-    a = predictor.sample_prediction(p, x, std=0.3, rng=np.random.default_rng(9))
-    b = predictor.sample_prediction(p, x, std=0.3, rng=np.random.default_rng(9))
-    assert np.array_equal(a.sample, b.sample)
-    assert np.array_equal(a.mean, predictor.forward(p, x))
-
-
-def test_sample_prediction_tiny_std_collapses():
-    p = predictor.init_params([2, 1], seed=0)
-    x = np.array([0.5, -0.5])
-    ps = predictor.sample_prediction(p, x, std=1e-12, rng=np.random.default_rng(0))
-    assert ps.sample == pytest.approx(ps.mean, abs=1e-10)
-
-
-def test_sample_prediction_rejects_bad_std():
-    p = predictor.init_params([2, 1], seed=0)
-    with pytest.raises(ValueError):
-        predictor.sample_prediction(p, np.ones(2), std=0.0, rng=np.random.default_rng(0))
-
-
-def test_sample_prediction_monte_carlo_mean():
-    # zero model -> samples ~ N(0, 1); CLT bound 5 sigma / sqrt(N)
-    layout = ((0, 1, 1, 1),)
-    p = predictor.ParamVector(values=np.zeros(2), layout=layout)
-    rng = np.random.default_rng(123)
-    n = 100_000
-    samples = np.array([predictor.sample_prediction(p, np.zeros(1), 1.0, rng).sample[0] for _ in range(n)])
-    assert abs(samples.mean()) < 5.0 / np.sqrt(n)
-
-
-def test_score_grad_at_mode_is_zero():
-    p = predictor.init_params([2, 3, 1], seed=4)
-    x = np.array([0.2, 0.8])
-    mean = predictor.forward(p, x)
-    ps = predictor.PolicySample(sample=mean.copy(), mean=mean, std=0.5)
-    assert np.all(predictor.score_grad(p, x, ps) == 0.0)
-
-
-def test_score_grad_one_parameter_model():
-    # model output = bias; theta=0, sample=0.5, std=1 -> score d/db = 0.5
-    layout = ((0, 1, 1, 1),)
-    p = predictor.ParamVector(values=np.zeros(2), layout=layout)
-    ps = predictor.PolicySample(sample=np.array([0.5]), mean=np.array([0.0]), std=1.0)
-    g = predictor.score_grad(p, np.zeros(1), ps)
-    assert g == pytest.approx([0.0, 0.5])
-
-
-def test_score_grad_zero_mean_identity():
-    # E[grad log density] = 0 at the sampling distribution
-    layout = ((0, 1, 1, 1),)
-    p = predictor.ParamVector(values=np.array([0.0, 0.7]), layout=layout)
-    x = np.zeros(1)
-    rng = np.random.default_rng(7)
-    n = 100_000
-    scores = np.empty(n)
-    for i in range(n):
-        ps = predictor.sample_prediction(p, x, std=0.4, rng=rng)
-        scores[i] = predictor.score_grad(p, x, ps)[1]
-    se = scores.std() / np.sqrt(n)
-    assert abs(scores.mean()) < 5 * se
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

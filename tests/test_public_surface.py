@@ -1,0 +1,30 @@
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "equicast"
+
+
+def _referenced_names(node) -> set[str]:
+    """Names `node` uses: plain names, attribute names and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # `__init__` only re-exports: an export is not a use, so it is not scanned
+    modules = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    statements = [(stmt, _referenced_names(stmt)) for module in modules for stmt in module.body]
+    unused = []
+    for stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            continue
+        if not any(stmt.name in names for other, names in statements if other is not stmt):
+            unused.append(stmt.name)
+    assert unused == [], f"public names no code in src/equicast uses: {unused}"

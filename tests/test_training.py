@@ -39,6 +39,21 @@ def linear_data(n=150, seed=0):
 DC_AGENT = AgentSpec(0, "datacenter", DataCenterContext(1.0, 1.0))
 
 
+def to_raw(split, normalized):
+    """Model outputs on the raw target scale of `split`."""
+    return split.target_mean + split.target_scale * normalized
+
+
+def row_score(params, x, eps, std):
+    """Log-density gradient of the Gaussian head at one window's draw y_hat + std * eps.
+
+    For an isotropic Gaussian around the forward pass it is the vjp of eps / std.
+    """
+    X = x[None, :]
+    _, acts = predictor.forward_batch(params, X, keep=True)
+    return predictor.vjp_batch(params, X, (eps / std)[None, :], acts)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(mode="magic")
@@ -81,7 +96,7 @@ def test_chain_mode_converges_to_grid_minimizer():
     cfg = TrainConfig(mode="chain", q=0.0, beta=0.0, lr=0.1, lr_step=150, lr_decay=0.5,
                       epochs=400, batch_size=60, seed=2)
     res = train(cfg, predictor.init_params([1, 1], seed=5), [DC_AGENT], [split])
-    b_hat = t_mean + t_scale * predictor.forward(res.params, np.zeros(1))[0]
+    b_hat = t_mean + t_scale * predictor.forward_batch(res.params, np.zeros((1, 1)))[0, 0]
 
     train_c = split.train_y_raw[:, 0]
     grid = np.linspace(0.3, 3.5, 3201)
@@ -141,8 +156,8 @@ def test_divergence_guard_raises_with_step():
 
 
 def test_pg_step_matches_batch_op():
-    # one pg step (single draw), reconstructed draw-by-draw through the
-    # public sampling/score/batch-gradient operations
+    # one pg step (single draw), reconstructed row by row: the summed
+    # log-density gradients of the draws times the scalar batch loss
     xs, _ = linear_data(n=30, seed=11)
     ys = 2.0 * xs + 3.0
     split = make_split(xs, ys, train_frac=0.8, t_mean=3.0)
@@ -155,21 +170,14 @@ def test_pg_step_matches_batch_op():
     rng = np.random.default_rng(13)
     perm = rng.permutation(split.train_x.shape[0])
     sel = perm[:24]
-    X, Y = split.train_x[sel], split.train_y[sel]
+    X = split.train_x[sel]
     eps = rng.standard_normal((1, 24, 1))
-    scores = np.stack([
-        predictor.score_grad(
-            p0, X[i],
-            predictor.PolicySample(sample=predictor.forward(p0, X[i]) + std * eps[0, i],
-                                   mean=predictor.forward(p0, X[i]), std=std),
-        )
-        for i in range(24)
-    ])
-    raws = split.to_raw(predictor.forward_batch(p0, X) + std * eps[0])
+    scores = np.stack([row_score(p0, X[i], eps[0, i], std) for i in range(24)])
+    raws = to_raw(split, predictor.forward_batch(p0, X) + std * eps[0])
     regrets = [regret(DC_AGENT, float(raws[i, 0]), float(split.train_y_raw[sel][i, 0])).value
                for i in range(24)]
-    g = objective.pg_batch_grad(scores, [regrets], q=1.0)
-    expected = p0.values - lr * g
+    loss = objective.equitable_loss([np.mean(regrets)], q=1.0)
+    expected = p0.values - lr * scores.sum(axis=0) * loss
     assert np.allclose(res.params.values, expected, atol=1e-10)
 
 
@@ -198,7 +206,12 @@ def _sample_regret(agent, split, raw, outcome, ctx):
 
 
 def _reference_pg_sgd(cfg, params, agents, splits):
-    """SGD on the mean over draws of `pg_batch_grad`, drawing randomness in the trainer's order."""
+    """SGD on the per-sample score-function estimate averaged over draws, drawing
+    randomness in the trainer's order.
+
+    A draw's estimate is the summed log-density gradients of its sampled rows
+    times its batch loss minus its baseline.
+    """
     rng = np.random.default_rng(cfg.seed)
     counts = [s.train_x.shape[0] for s in splits]
     sizes = [min(cfg.batch_size, n) for n in counts]
@@ -216,7 +229,7 @@ def _reference_pg_sgd(cfg, params, agents, splits):
                 scores, regrets, sq_errors = [], [], []
                 for m, (agent, split, sel) in enumerate(zip(agents, splits, sels)):
                     sample = means[m] + std * eps[m][d]
-                    raws = split.to_raw(sample)
+                    raws = to_raw(split, sample)
                     ctxs = None if split.train_ctx is None else split.train_ctx[sel]
                     regrets.append([
                         _sample_regret(agent, split, raws[i], split.train_outcome[sel][i],
@@ -224,23 +237,16 @@ def _reference_pg_sgd(cfg, params, agents, splits):
                         for i in range(len(sel))
                     ])
                     sq_errors.append(np.sum((sample - split.train_y[sel]) ** 2, axis=1))
-                    scores.extend(
-                        predictor.score_grad(params, split.train_x[sel][i],
-                                             predictor.PolicySample(sample[i], means[m][i], std))
-                        for i in range(len(sel))
-                    )
+                    scores.extend(row_score(params, split.train_x[sel][i], eps[m][d][i], std) for i in range(len(sel)))
                 loss = (1.0 - cfg.beta) * objective.equitable_loss([np.mean(r) for r in regrets], cfg.q)
                 loss += cfg.beta * float(np.sum([np.mean(e) for e in sq_errors]))
-                draws.append((np.stack(scores), regrets, sq_errors, loss))
-            losses = np.array([loss for *_, loss in draws])
+                draws.append((np.stack(scores), loss))
+            losses = np.array([loss for _, loss in draws])
             if cfg.pg_baseline and n_draws > 1:
                 bases = (losses.sum() - losses) / (n_draws - 1)
             else:
                 bases = np.full(n_draws, 0.0 if ema is None or not cfg.pg_baseline else ema)
-            grad = np.mean([
-                objective.pg_batch_grad(scores, regrets, cfg.q, cfg.beta, sq_errors, baseline=base)
-                for (scores, regrets, sq_errors, _), base in zip(draws, bases)
-            ], axis=0)
+            grad = np.mean([scores.sum(axis=0) * (loss - base) for (scores, loss), base in zip(draws, bases)], axis=0)
             params = params.with_values(params.values - cfg.lr * grad)
             ema = losses.mean() if ema is None else 0.9 * ema + 0.1 * losses.mean()
     return params
@@ -304,7 +310,7 @@ def test_chain_step_matches_finite_differences_of_batch_loss():
         mean_regrets, mse = [], 0.0
         for agent, split, sel in zip(agents, splits, sels):
             preds = predictor.forward_batch(params, split.train_x[sel])
-            raws = split.to_raw(preds)
+            raws = to_raw(split, preds)
             ctxs = [None] * len(sel) if split.train_ctx is None else split.train_ctx[sel]
             mean_regrets.append(np.mean([
                 _sample_regret(agent, split, raws[i], split.train_outcome[sel][i], ctxs[i])

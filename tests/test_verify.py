@@ -61,6 +61,20 @@ def test_injected_pg_bug_detected(monkeypatch):
     assert not result.passed
 
 
+def test_injected_pg_baseline_sign_flip_detected(monkeypatch):
+    from equicast import objective
+
+    real = objective.pg_grad
+
+    def flipped(params, X, eps, losses, baseline, std, acts):
+        return real(params, X, eps, losses, -baseline, std, acts)
+
+    monkeypatch.setattr(objective, "pg_grad", flipped)
+    result = verify.check_pg_estimator(thetas=(0.5,), n_draws=1_000, seed=0)
+    assert not result.passed
+    assert "leave-one-out baseline" in result.detail
+
+
 def test_injected_enumeration_bug_detected(monkeypatch):
     from equicast import agents as agents_module
 
