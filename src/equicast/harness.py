@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -60,8 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.lookback < 1 or self.horizon < 1 or self.hidden < 1 or self.length < 1:
             raise ConfigError("lookback, horizon, hidden, and length must all be >= 1")
-        if any(qp1 < 1.0 for qp1 in self.sweep_q_plus_1):
-            raise ConfigError(f"q+1 values must be >= 1, got {self.sweep_q_plus_1}")
+        if any(not (math.isfinite(qp1) and qp1 >= 1.0) for qp1 in self.sweep_q_plus_1):
+            raise ConfigError(f"sweep_q_plus_1 values must be finite and >= 1, got {self.sweep_q_plus_1}")
         if any(not 0.0 <= b <= 1.0 for b in self.sweep_beta):
             raise ConfigError(f"beta values must lie in [0, 1], got {self.sweep_beta}")
 

@@ -11,8 +11,11 @@ Two gradient paths are provided:
   to the model output (adapter, policy and cost derivatives chained, built
   as arrays by the caller) is weighted by its agent's share of the loss
   gradient, blended with the squared-error residual into one cotangent,
-  and backpropagated with one vjp.  It needs every factor to exist
-  (differentiable costs only).
+  and backpropagated with one vjp.  The caller passes the agents' mean
+  regrets, which it already holds for the loss, and the row partition
+  (`sizes`, and the row -> agent index `owner`) that it builds once; the
+  op gathers each agent's weight to its rows.  It needs every factor to
+  exist (differentiable costs only).
 * `pg_grad` is the score-function estimator the trainer applies: D draws
   eps_d of the Gaussian head, each weighted by its loss minus its baseline,
   fold into one cotangent sum_d w_d * eps_d per row (a draw's log-density
@@ -48,34 +51,36 @@ def equitable_loss(mean_regrets, q: float) -> float:
     return float(np.sum(r ** (q + 1.0)))
 
 
-def chain_grad(params: ParamVector, X, y_hat, y, regrets, slope, sizes, q: float, beta: float, acts) -> np.ndarray:
+def chain_grad(params: ParamVector, X, y_hat, y, means, slope, sizes, owner, q: float, beta: float, acts) -> np.ndarray:
     """Exact gradient of the blended objective along the differentiable path.
 
-    Rows come in agent order, `sizes[m]` rows of agent m; `y_hat` and `y`
-    are the model's outputs and targets on its own (normalized) scale,
-    `regrets` the per-row regrets and `slope` (R, O) their derivative with
-    respect to the model output.  Row i of agent m gets the cotangent
+    Rows come in agent order, `sizes[m]` rows of agent m, and `owner` (R,)
+    names each row's agent; the caller builds both once and checks that they
+    partition the rows (every b_m >= 1, sum_m b_m = R).  `y_hat` and `y` are
+    the model's outputs and targets on its own (normalized) scale, `means`
+    (M,) the agents' mean regrets rbar_m over their rows and `slope` (R, O)
+    each row's derivative of its regret with respect to the model output.
+    Row i of agent m gets the cotangent
         (1-beta) * (q+1) * rbar_m^q / b_m * slope_i + beta * (2/b_m) * (y_hat_i - y_i)
-    with rbar_m the agent's mean regret and b_m = sizes[m], and one vjp
-    backpropagates every row through the forward pass whose activations
-    `acts` holds (`predictor.forward_batch(params, X, keep=True)`).
+    with b_m = sizes[m], and one vjp backpropagates every row through the
+    forward pass whose activations `acts` holds
+    (`predictor.forward_batch(params, X, keep=True)`).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    sizes = np.asarray(sizes)
-    if sizes.size == 0 or np.any(sizes < 1) or sizes.sum() != len(X):
-        raise ValueError(f"agent sizes {sizes.tolist()} do not partition {len(X)} rows")
-    y_hat = np.asarray(y_hat, dtype=float)
+    if len(owner) != len(X):
+        raise ValueError(f"{len(owner)} row owners for {len(X)} rows")
+    if len(means) != len(sizes):
+        raise ValueError(f"{len(means)} agent means for {len(sizes)} agents")
     cots = np.zeros_like(y_hat)
     if beta < 1.0:
-        starts = np.cumsum(sizes) - sizes
-        rbar = np.clip(np.add.reduceat(np.asarray(regrets, dtype=float), starts) / sizes, 0.0, None)
+        rbar = np.clip(means, 0.0, None)
         weight = (1.0 - beta) * ((q + 1.0) * rbar**q / sizes)
-        cots += np.repeat(weight, sizes)[:, None] * slope
+        cots += weight[owner][:, None] * slope
     if beta > 0.0:
-        cots += np.repeat(beta * (2.0 / sizes), sizes)[:, None] * (y_hat - y)
+        cots += (beta * (2.0 / sizes))[owner][:, None] * (y_hat - y)
     return predictor.vjp_batch(params, X, cots, acts)
 
 

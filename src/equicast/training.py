@@ -14,8 +14,11 @@ only in that cotangent:
   in closed form; times d c_hat / d y_hat (the target scale on output 0 for
   the `direct` adapter, target scale / O on every output for `window_mean`)
   it is weighted by (1-beta) * (q+1) * rbar_m^q / b_m and blended with
-  beta * (2/b_m) * (y_hat - y) by `objective.chain_grad`.  Valid only when
-  every agent's decision is differentiable (data-center family).
+  beta * (2/b_m) * (y_hat - y) by `objective.chain_grad`.  The step reduces
+  the regrets to the agent means rbar_m once, for both the loss and
+  `chain_grad`, which gathers the per-agent weights to the rows with the
+  call's row -> agent index.  Valid only when every agent's decision is
+  differentiable (data-center family).
 * pg: score-function estimator: sample forecasts from the Gaussian head and
   weight the log-density gradients by the batch loss.  Works for discrete
   decisions (charging schedules).  One batched regret call per agent family
@@ -25,14 +28,15 @@ only in that cotangent:
   sum_d w_d * eps_d per row for one vjp.
 
 What does not depend on the parameters stays out of the step.  Per call:
-the stacked rows; each row's hindsight-optimal cost
-(`agents.ev_optimal_batch` for charging rows, `agents.dc_optimal_batch`
-for data-center rows, passed to the regret ops as `best`; also in
-`evaluate`), which also checks the charging slot counts and rates and
-refuses a realized intensity that is not positive; and, in pg, the gather
-index that turns the step's flat Gaussian draw into (D, rows, O).  Per
-epoch: the agents' permutations and, from them, every step's batch rows as
-one (steps, rows) array.
+the stacked rows, with the batch partition (`sizes` and the row -> agent
+index `owner`) and whether any data-center row averages its window; each
+row's hindsight-optimal cost (`agents.ev_optimal_batch` for charging rows,
+`agents.dc_optimal_batch` for data-center rows, passed to the regret ops as
+`best`; also in `evaluate`), which also checks the charging slot counts and
+rates and refuses a realized intensity that is not positive; and, in pg,
+the gather index that turns the step's flat Gaussian draw into
+(D, rows, O).  Per epoch: the agents' permutations and, from them, every
+step's batch rows as one (steps, rows) array.
 
 A charging agent whose horizon differs from the model's output width is
 refused before step 0 in every mode.  Updates are theta <- theta - lr_t * g
@@ -82,12 +86,12 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got '{self.optimizer}'")
-        if self.q < 0:
-            raise ConfigError(f"q must be nonnegative, got {self.q}")
+        if not (math.isfinite(self.q) and self.q >= 0):
+            raise ConfigError(f"q must be finite and nonnegative, got {self.q}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be nonnegative, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and nonnegative, got {self.lr}")
         if self.lr_step < 1:
             raise ConfigError(f"lr_step must be >= 1, got {self.lr_step}")
         if not 0.0 < self.lr_decay <= 1.0:
@@ -96,8 +100,13 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.std is not None and self.std <= 0:
-            raise ConfigError(f"std must be positive, got {self.std}")
+        if self.std is not None and not (math.isfinite(self.std) and self.std > 0):
+            raise ConfigError(f"std must be finite and positive, got {self.std}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        # a negative clip would flip every step uphill
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ConfigError(f"grad_clip must be null or finite and positive, got {self.grad_clip}")
         if self.pg_samples < 1:
             raise ConfigError(f"pg_samples must be >= 1, got {self.pg_samples}")
 
@@ -147,7 +156,9 @@ def _check_family_support(config: TrainConfig, agents: list[AgentSpec]) -> None:
 class _StackedRows:
     """One part ("train" or "test") of every agent's split, stacked in agent order.
 
-    A batch holds `sizes[m]` rows of agent m, agents in order; `epoch_index`
+    A batch holds `sizes[m]` rows of agent m, agents in order, and `owner`
+    names each batch row's agent; both are built, and checked to partition
+    the batch (1 <= b_m <= the agent's rows), once here.  `epoch_index`
     maps an epoch's per-agent permutations to the stacked rows of each of its
     batches, and `regrets` scores a batch's forecasts with one batched call
     per agent family (`dc_regrets` also gives the data-center rows'
@@ -170,6 +181,8 @@ class _StackedRows:
         self.x = np.concatenate([getattr(s, f"{part}_x") for s in splits])
         self.y = np.concatenate([getattr(s, f"{part}_y") for s in splits])
         counts = np.array([len(getattr(s, f"{part}_x")) for s in splits])
+        if self.sizes.shape != counts.shape or np.any(self.sizes < 1) or np.any(self.sizes > counts):
+            raise ValueError(f"batch sizes {self.sizes.tolist()} do not fit the agents' {counts.tolist()} rows")
         self.offsets = np.repeat(np.cumsum(counts) - counts, self.sizes)
         # realized decision inputs per stacked row: the signal window of a
         # charging agent, the intensity and workload of a data-center agent
@@ -206,7 +219,9 @@ class _StackedRows:
                 bad = agents[own[np.argmin(self.realized_c[dc_row] > 0)]].agent_id
                 raise ConfigError(f"data-center agent {bad}, {part} split: {exc}") from exc
 
-        owner = np.repeat(np.arange(len(agents)), self.sizes)
+        # each batch row's agent: with every b_m >= 1 (checked above) the
+        # rows split into M nonempty runs, sum_m b_m rows in all
+        self.owner = owner = np.repeat(np.arange(len(agents)), self.sizes)
         # full (R, O) operands: broadcasting an (R, 1) column over the short
         # output axis is many times slower
         self.t_mean = np.array([s.target_mean for s in splits])[owner, None].repeat(n_outputs, axis=1)
@@ -221,6 +236,7 @@ class _StackedRows:
         self.dc_lam = lam_agent[dc_owner]
         window_mean = np.array([s.predict_adapter == "window_mean" for s in splits])
         self.dc_window_mean = window_mean[dc_owner]
+        self.dc_any_window_mean = bool(self.dc_window_mean.any())
         # d c_hat / d model output: the target scale on output 0 for the
         # direct adapter, spread evenly over the window for window_mean
         adapter = np.zeros((len(splits), n_outputs))
@@ -270,7 +286,7 @@ class _StackedRows:
         n_draws = len(raws)
         sub, at = raws[:, self.dc_rows], idx[self.dc_rows]
         c_hat = sub[:, :, 0]
-        if self.dc_window_mean.any():
+        if self.dc_any_window_mean:
             c_hat = np.where(self.dc_window_mean, sub.mean(axis=2), c_hat)
         values, slopes = dc_regret_batch(
             self.workload[at], self.dc_lam, c_hat.ravel(), self.realized_c[at], self.best[at]
@@ -341,10 +357,10 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                     # every row is a data-center row (checked above)
                     values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
                     slope = dvalues[0][:, None] * rows.dc_chat_grad
-                    grad = objective.chain_grad(
-                        current, X, preds, Y, values[0], slope, rows.sizes, config.q, config.beta, acts
-                    )
                     agent_terms = rows.agent_means(values[0])
+                    grad = objective.chain_grad(
+                        current, X, preds, Y, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta, acts
+                    )
                     eq_term = objective.equitable_loss(agent_terms, config.q)
                     combined = (1.0 - config.beta) * eq_term + config.beta * mse_term
                 else:  # pg

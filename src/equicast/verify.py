@@ -111,14 +111,16 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
 
     # the trainer's inputs to chain_grad, built the way it builds them
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
-    sizes = [n_samples] * len(agents_list)
-    lams = np.repeat([a.context.latency_weight for a in agents_list], n_samples)
+    sizes = np.full(len(agents_list), n_samples)
+    owner = np.repeat(np.arange(len(agents_list)), sizes)
+    lams = np.array([a.context.latency_weight for a in agents_list])[owner]
     preds, acts = predictor.forward_batch(params, X, keep=True)
     w = np.concatenate(ctxs)
     best = agentmod.dc_optimal_batch(w, lams, Y[:, 0])
     values, dvalues = agentmod.dc_regret_batch(w, lams, t_mean + t_scale * preds[:, 0], Y[:, 0], best)
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
+    means = np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes
 
     # the probed regrets and MSE do not depend on (q, beta): each +-h probe
     # of each parameter runs once, and every (q, beta) blends its terms
@@ -134,7 +136,9 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     worst = 0.0
     for q in qs:
         for beta in betas:
-            grad = objective.chain_grad(params, X, preds, (Y - t_mean) / t_scale, values, slope, sizes, q, beta, acts)
+            grad = objective.chain_grad(
+                params, X, preds, (Y - t_mean) / t_scale, means, slope, sizes, owner, q, beta, acts
+            )
             losses = np.array([(1.0 - beta) * objective.equitable_loss(r, q) + beta * mse for r, mse in terms])
             fd = (losses[0::2] - losses[1::2]) / (2 * h)
             scale = max(float(np.max(np.abs(fd))), 1e-8)

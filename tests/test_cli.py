@@ -221,6 +221,15 @@ def test_evaluate_accepts_checkpoint_without_target_stats(tmp_path):
     assert rc == 0
 
 
+def test_negative_grad_clip_is_a_usage_error(tmp_path, capsys):
+    # a negative clip used to train uphill without any error
+    doc = tiny_config(train={"mode": "plain", "lr": 0.05, "epochs": 2, "batch_size": 16, "grad_clip": -1})
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "grad_clip" in err and "Traceback" not in err
+
+
 def test_divergence_exits_2(tmp_path):
     doc = tiny_config(train={"mode": "plain", "lr": 1e12, "epochs": 10, "batch_size": 16})
     cfg = write_config(tmp_path, doc)

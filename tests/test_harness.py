@@ -75,6 +75,9 @@ def test_config_validation_errors():
         ExperimentConfig(sweep_beta=(1.5,))
     with pytest.raises(ConfigError):
         ExperimentConfig(sweep_q_plus_1=(0.5,))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="sweep_q_plus_1"):
+            ExperimentConfig(sweep_q_plus_1=(1.0, bad))
     with pytest.raises(ConfigError):
         config_from_dict({"n_agents": 0})
 

@@ -51,7 +51,7 @@ def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
     """chain_grad's inputs before q and beta, and the forward's activations, for a batch of
     direct-adapter data-center agents."""
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
-    sizes = [len(x) for x in Xs]
+    sizes = np.array([len(x) for x in Xs])
     owner = np.repeat(np.arange(len(specs)), sizes)
     w = np.array([s.context.workload for s in specs])[owner]
     lam = np.array([s.context.latency_weight for s in specs])[owner]
@@ -59,7 +59,8 @@ def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
     values, dvalues = dc_regret_batch(w, lam, t_mean + t_scale * preds[:, 0], Y[:, 0], dc_optimal_batch(w, lam, Y[:, 0]))
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
-    return (X, preds, (Y - t_mean) / t_scale, values, slope, sizes), acts
+    means = np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes
+    return (X, preds, (Y - t_mean) / t_scale, means, slope, sizes, owner), acts
 
 
 def pipeline_loss(params, specs, Xs, Ys, t_mean, t_scale, q, beta):
@@ -120,8 +121,25 @@ def test_chain_grad_zero_at_perfection():
     X = np.zeros((1, 2))
     _, acts = predictor.forward_batch(params, X, keep=True)
     grad = objective.chain_grad(params, X, np.zeros((1, 1)), np.zeros((1, 1)),
-                                [0.0], np.zeros((1, 1)), [1], 1.0, 0.5, acts)
+                                np.zeros(1), np.zeros((1, 1)), np.ones(1, dtype=int), np.zeros(1, dtype=int),
+                                1.0, 0.5, acts)
     assert np.all(grad == 0.0)
+
+
+def test_chain_grad_refuses_mismatched_partition():
+    rng = np.random.default_rng(6)
+    params = predictor.init_params([3, 4, 1], seed=6)
+    specs = [AgentSpec(0, "datacenter", DataCenterContext(1.5, 2.0)),
+             AgentSpec(1, "datacenter", DataCenterContext(3.0, 0.7))]
+    Xs = [rng.uniform(-1, 1, size=(n, 3)) for n in (4, 3)]
+    Ys = [rng.uniform(0.9, 2.2, size=(n, 1)) for n in (4, 3)]
+    (X, preds, y, means, slope, sizes, owner), acts = build_dc_chain_batch(params, specs, Xs, Ys, 1.5, 0.4)
+    with pytest.raises(ValueError, match="agent means for 2 agents"):
+        objective.chain_grad(params, X, preds, y, means[:1], slope, sizes, owner, 1.0, 0.5, acts)
+    with pytest.raises(ValueError, match="agent means for 2 agents"):
+        objective.chain_grad(params, X, preds, y, np.append(means, 0.1), slope, sizes, owner, 1.0, 0.5, acts)
+    with pytest.raises(ValueError, match="row owners for 7 rows"):
+        objective.chain_grad(params, X, preds, y, means, slope, sizes, owner[:-1], 1.0, 0.5, acts)
 
 
 # --- policy-gradient estimator

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equicast import objective, predictor
-from equicast.agents import AgentSpec, ChargingContext, DataCenterContext, regret
+from equicast.agents import AgentSpec, ChargingContext, DataCenterContext, dc_optimal_batch, dc_regret_batch, regret
 from equicast.data import WindowSplit
 from equicast.errors import ConfigError, DivergenceError
 from equicast.training import TrainConfig, evaluate, train
@@ -65,6 +65,16 @@ def test_config_validation():
         TrainConfig(std=-0.1)
     with pytest.raises(ConfigError):
         TrainConfig(pg_samples=0)
+    # a negative clip scales every step uphill; NaN and infinities slip
+    # through plain comparisons
+    for field_name, bad in (("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", float("nan")),
+                            ("grad_clip", float("inf")), ("momentum", -0.1), ("momentum", 1.0),
+                            ("momentum", float("nan")), ("lr", float("nan")), ("lr", float("inf")),
+                            ("q", float("nan")), ("q", float("inf")), ("std", float("nan")),
+                            ("std", float("inf"))):
+        with pytest.raises(ConfigError, match=field_name):
+            TrainConfig(**{field_name: bad})
+    TrainConfig(grad_clip=0.5, momentum=0.9)
 
 
 def test_plain_mode_fits_linear_map():
@@ -276,11 +286,14 @@ def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs, batch
     assert not np.allclose(res.params.values, p0.values, rtol=0.0, atol=1e-6)
 
 
-def test_chain_step_matches_finite_differences_of_batch_loss():
-    # one SGD step (lr=1) in chain mode on a two-output model: a data-center
-    # agent with a workload stream, a direct-adapter agent (c_hat reads output
-    # 0 only) and a window-mean agent whose train split (5 rows) is smaller
-    # than the batch, so batch sizes differ
+def _ragged_chain_step(q=1.0, beta=0.5):
+    """One SGD step (lr=1) in chain mode on a two-output model: a data-center
+    agent with a workload stream, a direct-adapter agent (c_hat reads output
+    0 only) and a window-mean agent whose train split (5 rows) is smaller
+    than the batch, so batch sizes differ.
+
+    Returns the pool, the initial params, the config, the trained result and
+    each agent's batch rows."""
     rng = np.random.default_rng(5)
     agents = [
         AgentSpec(0, "datacenter", DataCenterContext(2.0, 3.0)),
@@ -295,15 +308,19 @@ def test_chain_step_matches_finite_differences_of_batch_loss():
     ]
     splits[2].predict_adapter = "window_mean"
     p0 = predictor.init_params([2, 4, 2], seed=3)
-    cfg = TrainConfig(mode="chain", q=1.0, beta=0.5, lr=1.0, lr_step=10**6, epochs=1, batch_size=6,
+    cfg = TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, lr_step=10**6, epochs=1, batch_size=6,
                       seed=11, optimizer="sgd")
     res = train(cfg, p0, agents, splits)
     assert len(res.step_log) == 1
-    grad = p0.values - res.params.values
-
     perm_rng = np.random.default_rng(cfg.seed)
     sels = [perm_rng.permutation(len(s.train_x))[: min(6, len(s.train_x))] for s in splits]
     assert [len(sel) for sel in sels] == [6, 6, 5]
+    return agents, splits, p0, cfg, res, sels
+
+
+def test_chain_step_matches_finite_differences_of_batch_loss():
+    agents, splits, p0, cfg, res, sels = _ragged_chain_step()
+    grad = p0.values - res.params.values
 
     def batch_loss(values):
         params = p0.with_values(values)
@@ -325,6 +342,43 @@ def test_chain_step_matches_finite_differences_of_batch_loss():
         for e in np.eye(p0.values.size)
     ])
     assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
+
+
+# beta = 0 leaves the regret term alone in the cotangent; with beta > 0 an
+# ulp of one term can vanish in the sum, so several blends cover both terms
+@pytest.mark.parametrize("q, beta", [(1.0, 0.0), (2.0, 0.0), (0.5, 0.0), (1.0, 0.1), (2.0, 0.3),
+                                     (0.5, 0.6), (3.0, 0.1), (1.5, 0.6), (1.0, 0.9)])
+def test_chain_step_is_bitwise_the_per_row_repeat_cotangent(q, beta):
+    # at b_m in [6, 6, 5], a / b and a * (1 / b) often round differently (at
+    # the bench's b = 32 they never do), so this pins the float expression
+    # of the step's per-agent weights: the reference spreads them to the rows
+    # with np.repeat(weight, sizes) and reduces the agent means with reduceat
+    agents, splits, p0, cfg, res, sels = _ragged_chain_step(q, beta)
+    sizes = np.array([len(sel) for sel in sels])
+    X = np.concatenate([s.train_x[sel] for s, sel in zip(splits, sels)])
+    Y = np.concatenate([s.train_y[sel] for s, sel in zip(splits, sels)])
+    preds, acts = predictor.forward_batch(p0, X, keep=True)
+    c_hat, dchat, w, lam, c = [], [], [], [], []
+    for agent, split, sel, p in zip(agents, splits, sels, np.split(preds, np.cumsum(sizes)[:-1])):
+        raw = to_raw(split, p)
+        # d c_hat / d output: the window mean spreads the target scale over both outputs
+        window_mean = split.predict_adapter == "window_mean"
+        c_hat.append(raw.mean(axis=1) if window_mean else raw[:, 0])
+        dchat.append(np.tile([split.target_scale / 2] * 2 if window_mean else [split.target_scale, 0.0],
+                             (len(sel), 1)))
+        w.append(np.full(len(sel), agent.context.workload) if split.train_ctx is None else split.train_ctx[sel])
+        lam.append(np.full(len(sel), agent.context.latency_weight))
+        c.append(split.train_outcome[sel][:, 0])
+    w, lam, c = np.concatenate(w), np.concatenate(lam), np.concatenate(c)
+    values, dvalues = dc_regret_batch(w, lam, np.concatenate(c_hat), c, dc_optimal_batch(w, lam, c))
+    slope = dvalues[:, None] * np.concatenate(dchat)
+    rbar = np.clip(np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes, 0.0, None)
+    weight = (1.0 - cfg.beta) * ((cfg.q + 1.0) * rbar**cfg.q / sizes)
+    cots = np.zeros_like(preds)
+    cots += np.repeat(weight, sizes)[:, None] * slope
+    cots += np.repeat(cfg.beta * (2.0 / sizes), sizes)[:, None] * (preds - Y)
+    grad = predictor.vjp_batch(p0, X, cots, acts)
+    assert np.array_equal(res.params.values, p0.values - cfg.lr * grad)
 
 
 @pytest.mark.parametrize("mode", ["plain", "chain", "pg"])

@@ -51,6 +51,19 @@ def test_injected_gradient_bug_detected(monkeypatch):
     assert not result.passed
 
 
+def test_injected_row_owner_shift_detected(monkeypatch):
+    from equicast import objective
+
+    real = objective.chain_grad
+
+    def shifted(params, X, y_hat, y, means, slope, sizes, owner, *rest):
+        return real(params, X, y_hat, y, means, slope, sizes, np.roll(owner, 1), *rest)
+
+    monkeypatch.setattr(objective, "chain_grad", shifted)
+    result = verify.check_chain_gradient(qs=(1.0,), betas=(0.0,), seed=0)
+    assert not result.passed
+
+
 def test_injected_pg_bug_detected(monkeypatch):
     from equicast import objective
 
