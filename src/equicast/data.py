@@ -52,10 +52,8 @@ class SeriesDataset:
 
     def __post_init__(self):
         n = len(self.timestamps)
-        for name in ("signal",):
-            arr = getattr(self, name)
-            if arr is not None and len(arr) != n:
-                raise ValueError(f"{name} length {len(arr)} != timestamps length {n}")
+        if self.signal is not None and len(self.signal) != n:
+            raise ValueError(f"signal length {len(self.signal)} != timestamps length {n}")
         for name in ("agent_targets", "outcome_targets", "workloads"):
             arr = getattr(self, name)
             if arr is not None and arr.shape[1] != n:
@@ -84,6 +82,14 @@ def synth_carbon(
     series = base + daily_amplitude * np.sin(2.0 * np.pi * t / 24.0 + phase)
     series = series + noise_std * rng.standard_normal(length)
     return np.clip(series, 0.05 * base, None)
+
+
+def grid_components(length: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The carbon, water and price series of the synthetic grid (seeds seed, seed + 1, seed + 2)."""
+    carbon = synth_carbon(length, seed=seed, base=2.0, daily_amplitude=0.6, noise_std=0.10)
+    water = synth_carbon(length, seed=seed + 1, base=1.0, daily_amplitude=0.45, noise_std=0.08, phase=2.1)
+    price = synth_carbon(length, seed=seed + 2, base=1.5, daily_amplitude=0.7, noise_std=0.10, phase=4.2)
+    return carbon, water, price
 
 
 def synth_agents(
@@ -193,9 +199,7 @@ def synth_charging(
     if predict_target not in ("combined", "carbon"):
         raise ConfigError(f"unknown predict_target '{predict_target}'")
     rng = np.random.default_rng(seed)
-    carbon = synth_carbon(length, seed=seed, base=2.0, daily_amplitude=0.6, noise_std=0.10)
-    water = synth_carbon(length, seed=seed + 1, base=1.0, daily_amplitude=0.45, noise_std=0.08, phase=2.1)
-    price = synth_carbon(length, seed=seed + 2, base=1.5, daily_amplitude=0.7, noise_std=0.10, phase=4.2)
+    carbon, water, price = grid_components(length, seed)
 
     if heterogeneity == "similar":
         gammas = water_weight * rng.uniform(0.85, 1.15, size=n_agents)

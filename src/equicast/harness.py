@@ -6,6 +6,13 @@ synthetic datasets to disk), `train` (fit one model and evaluate it), and
 `sweep` (grid over fairness exponent / blend weight / repeat seeds).  Every
 run is deterministic given the config and seed, and all emitted files carry
 the config hash and seed.
+
+A data-center or charging pool is windowed by one function whether its
+series are synthesized in memory or read back from the files `generate`
+wrote (`data_dir`), so a pool trains bitwise the same from its files.  The
+files must hold the config's pool: a `data_dir` of another application or
+agent count is a config error, and a series file whose row count differs
+from `signal.csv` is a schema error.  Mixed pools are only synthesized.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ import numpy as np
 from . import data as datamod
 from . import predictor, training
 from .agents import AgentSpec, ChargingContext, DataCenterContext, load_agent_pool, save_agent_pool
-from .data import SplitSpec, WindowSplit, load_csv, synth_agents, synth_carbon, synth_charging, window_split
-from .errors import ConfigError
+from .data import SplitSpec, WindowSplit, grid_components, load_csv, synth_agents, synth_charging, window_split
+from .errors import ConfigError, SchemaError
 from .training import RunSummary, TrainConfig, TrainResult
 
 APPLICATIONS = ("datacenter", "charging", "mixed")
@@ -107,7 +114,10 @@ class Pool:
     agents: list[AgentSpec]
     splits: list[WindowSplit]
     arch: list[int]
-    dataset: datamod.SeriesDataset | None = None
+
+
+# the CSV schema and value column of each base application's series files
+_SERIES_SCHEMAS = {"datacenter": ("carbon", "carbon_intensity"), "charging": ("energy", "E")}
 
 
 def _pool_target_stats(splits: list[WindowSplit]) -> list[WindowSplit]:
@@ -127,45 +137,50 @@ def _pool_target_stats(splits: list[WindowSplit]) -> list[WindowSplit]:
     ]
 
 
-def build_pool(config: ExperimentConfig, seed: int) -> Pool:
-    """Synthesize (or load) the agent pool and window its data."""
-    if config.data_dir is not None:
-        return load_pool(config.data_dir, config, seed)
-    split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
+def _synthesize(config: ExperimentConfig, seed: int) -> tuple[list[AgentSpec], datamod.SeriesDataset]:
+    """The agents and series of a synthetic data-center or charging pool."""
     if config.application == "datacenter":
-        agents, ds = synth_agents(
+        return synth_agents(
             config.n_agents, config.heterogeneity, config.lambda_scheme, seed=seed, length=config.length
         )
+    return synth_charging(
+        config.n_agents, horizon=config.horizon, heterogeneity=config.heterogeneity,
+        seed=seed, length=config.length, water_weight=config.water_weight,
+        price_weight=config.price_weight, predict_target=config.predict_target,
+    )
 
-        splits = [
-            window_split(
-                ds.signal, ds.agent_targets[m], config.lookback, split_spec,
-                target_steps=1, context_series=ds.workloads[m],
-            )
-            for m in range(config.n_agents)
-        ]
-        return Pool(agents, _pool_target_stats(splits), [config.lookback, config.hidden, 1], ds)
-    if config.application == "charging":
-        agents, ds = synth_charging(
-            config.n_agents, horizon=config.horizon, heterogeneity=config.heterogeneity,
-            seed=seed, length=config.length, water_weight=config.water_weight,
-            price_weight=config.price_weight, predict_target=config.predict_target,
+
+def _window_pool(config: ExperimentConfig, seed: int, agents: list[AgentSpec], ds: datamod.SeriesDataset) -> Pool:
+    """Window a data-center or charging pool's series, synthesized or loaded alike.
+
+    Agent m forecasts the next value (data center) or the next `horizon`
+    values (charging) of its target series from a lookback window of the
+    shared signal; its workloads and outcome streams, where `ds` has them,
+    ride along.  The splits share the pooled target stats.
+    """
+    split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
+    steps = 1 if config.application == "datacenter" else config.horizon
+    splits = [
+        window_split(
+            ds.signal, ds.agent_targets[m], config.lookback, split_spec, target_steps=steps,
+            context_series=None if ds.workloads is None else ds.workloads[m],
+            outcome_series=None if ds.outcome_targets is None else ds.outcome_targets[m],
         )
-
-        splits = [
-            window_split(
-                ds.signal, ds.agent_targets[m], config.lookback, split_spec,
-                target_steps=config.horizon,
-                outcome_series=None if ds.outcome_targets is None else ds.outcome_targets[m],
-                outcome_steps=config.horizon,
-            )
-            for m in range(config.n_agents)
-        ]
-        return Pool(agents, _pool_target_stats(splits), [config.lookback, config.hidden, config.horizon], ds)
-    return _build_mixed_pool(config, seed, split_spec)
+        for m in range(len(agents))
+    ]
+    return Pool(agents, _pool_target_stats(splits), [config.lookback, config.hidden, steps])
 
 
-def _build_mixed_pool(config: ExperimentConfig, seed: int, split_spec: SplitSpec) -> Pool:
+def build_pool(config: ExperimentConfig, seed: int) -> Pool:
+    """Load, or synthesize, the agent pool and window its data."""
+    if config.data_dir is not None:
+        return load_pool(config.data_dir, config, seed)
+    if config.application == "mixed":
+        return _build_mixed_pool(config, seed)
+    return _window_pool(config, seed, *_synthesize(config, seed))
+
+
+def _build_mixed_pool(config: ExperimentConfig, seed: int) -> Pool:
     """Carbon-only forecaster serving data-center, vehicle, and device chargers.
 
     The model predicts the next `horizon` steps of the shared carbon signal.
@@ -173,15 +188,14 @@ def _build_mixed_pool(config: ExperimentConfig, seed: int, split_spec: SplitSpec
     charging agents schedule against the predicted window while their
     realized costs use their own component mixes (pure carbon for devices).
     """
+    split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
     rng = np.random.default_rng(seed)
     n = config.n_agents
     n_dc = max(1, n // 3)
     n_ev = max(1, (n - n_dc) // 2)
     n_dev = max(1, n - n_dc - n_ev)
 
-    carbon = synth_carbon(config.length, seed=seed, base=2.0, daily_amplitude=0.6, noise_std=0.10)
-    water = synth_carbon(config.length, seed=seed + 1, base=1.0, daily_amplitude=0.45, noise_std=0.08, phase=2.1)
-    price = synth_carbon(config.length, seed=seed + 2, base=1.5, daily_amplitude=0.7, noise_std=0.10, phase=4.2)
+    carbon, water, price = grid_components(config.length, seed)
 
     agents: list[AgentSpec] = []
     splits: list[WindowSplit] = []
@@ -223,7 +237,7 @@ def _build_mixed_pool(config: ExperimentConfig, seed: int, split_spec: SplitSpec
         )
         agent_id += 1
 
-    return Pool(agents, splits, [config.lookback, config.hidden, config.horizon], None)
+    return Pool(agents, splits, [config.lookback, config.hidden, config.horizon])
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +253,8 @@ def generate_files(config: ExperimentConfig, out_dir) -> dict:
     seed = config.seed
     tag = f"config_hash={config_hash(config)} seed={seed}"
 
-    if config.application == "datacenter":
-        agents, ds = synth_agents(
-            config.n_agents, config.heterogeneity, config.lambda_scheme, seed=seed, length=config.length
-        )
-        schema_col = "carbon_intensity"
-    else:
-        agents, ds = synth_charging(
-            config.n_agents, horizon=config.horizon, heterogeneity=config.heterogeneity,
-            seed=seed, length=config.length, water_weight=config.water_weight,
-            price_weight=config.price_weight, predict_target=config.predict_target,
-        )
-        schema_col = "E"
-
+    agents, ds = _synthesize(config, seed)
+    schema_col = _SERIES_SCHEMAS[config.application][1]
     datamod.write_series_csv(out / "signal.csv", ds.timestamps, ds.signal, schema_col, comment=tag)
     refs = []
     for m in range(config.n_agents):
@@ -284,36 +287,42 @@ def generate_files(config: ExperimentConfig, out_dir) -> dict:
 
 
 def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
-    """Rebuild a pool from files written by `generate_files`."""
+    """Rebuild a pool from files written by `generate_files`; the files must hold the config's pool."""
     root = Path(data_dir)
     meta = json.loads((root / "meta.json").read_text())
-    application = meta["application"]
-    schema = "carbon" if application == "datacenter" else "energy"
+    if meta.get("application") != config.application:
+        raise ConfigError(
+            f"{root / 'meta.json'} names application {meta.get('application')!r} "
+            f"but the config's application is {config.application!r}"
+        )
     agents = load_agent_pool(root / "agents.json")
-    signal = load_csv(root / "signal.csv", schema).signal
+    if len(agents) != config.n_agents:
+        raise ConfigError(f"{root / 'agents.json'} has {len(agents)} agents but the config's n_agents is {config.n_agents}")
+    schema = _SERIES_SCHEMAS[config.application][0]
+    signal = load_csv(root / "signal.csv", schema)
+    n = len(signal.timestamps)
+
+    def rows(path, found):
+        if found.shape[-1] != n:
+            raise SchemaError(f"{path} has {found.shape[-1]} timestamps but signal.csv has {n}")
+        return found
+
+    def series(names):
+        return np.stack([rows(root / name, load_csv(root / name, schema).signal) for name in names])
+
     workloads = None
     if (root / "workloads.csv").exists():
-        workloads = load_csv(root / "workloads.csv", "workload").workloads
-    split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
-
-    def make(i, agent):
-        targets = load_csv(root / agent.data_ref, schema).signal
-        outcome = None
-        if meta.get("outcome_refs"):
-            outcome = load_csv(root / meta["outcome_refs"][i], schema).signal
-        if application == "datacenter":
-            return window_split(
-                signal, targets, config.lookback, split_spec, target_steps=1,
-                context_series=None if workloads is None else workloads[i],
-            )
-        return window_split(
-            signal, targets, config.lookback, split_spec, target_steps=config.horizon,
-            outcome_series=outcome, outcome_steps=config.horizon,
-        )
-
-    splits = _pool_target_stats([make(i, a) for i, a in enumerate(agents)])
-    out_size = 1 if application == "datacenter" else config.horizon
-    return Pool(agents, splits, [config.lookback, config.hidden, out_size], None)
+        workloads = rows(root / "workloads.csv", load_csv(root / "workloads.csv", "workload").workloads)
+        if len(workloads) != len(agents):
+            raise SchemaError(f"{root / 'workloads.csv'} has {len(workloads)} agents but agents.json has {len(agents)}")
+    ds = datamod.SeriesDataset(
+        timestamps=signal.timestamps,
+        signal=signal.signal,
+        agent_targets=series([a.data_ref for a in agents]),
+        outcome_targets=series(meta["outcome_refs"]) if meta.get("outcome_refs") else None,
+        workloads=workloads,
+    )
+    return _window_pool(config, seed, agents, ds)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ A charging agent whose horizon differs from the model's output width is
 refused before step 0 in every mode.  Updates are theta <- theta - lr_t * g
 with lr_t = lr * decay^floor(t/step); SGD (optionally with momentum) is the
 default, Adam is available for runs that mix very different loss scales.
+A non-finite loss or gradient, or an update that leaves theta non-finite,
+raises `DivergenceError` with its step.
 Everything is deterministic given the config seed.
 """
 
@@ -409,15 +411,21 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                     grad = grad * (config.grad_clip / norm)
 
             lr_t = config.lr * config.lr_decay ** (t // config.lr_step)
-            if config.optimizer == "sgd":
-                velocity = config.momentum * velocity + grad
-                theta = theta - lr_t * velocity
-            else:
-                adam_m = 0.9 * adam_m + 0.1 * grad
-                adam_v = 0.999 * adam_v + 0.001 * grad**2
-                m_hat = adam_m / (1.0 - 0.9 ** (t + 1))
-                v_hat = adam_v / (1.0 - 0.999 ** (t + 1))
-                theta = theta - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+            # a finite gradient times a huge lr can still overflow theta
+            with np.errstate(over="ignore", invalid="ignore"):
+                if config.optimizer == "sgd":
+                    velocity = config.momentum * velocity + grad
+                    theta = theta - lr_t * velocity
+                else:
+                    adam_m = 0.9 * adam_m + 0.1 * grad
+                    adam_v = 0.999 * adam_v + 0.001 * grad**2
+                    m_hat = adam_m / (1.0 - 0.9 ** (t + 1))
+                    v_hat = adam_v / (1.0 - 0.999 ** (t + 1))
+                    theta = theta - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+            if not np.isfinite(theta).all():
+                raise DivergenceError(
+                    f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t, values=(combined,)
+                )
 
             step_log.append(
                 {"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined}

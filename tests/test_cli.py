@@ -128,6 +128,18 @@ def test_train_on_generated_files_roundtrip(tmp_path):
     assert mem["per_agent_regret"] == pytest.approx(files["per_agent_regret"], rel=1e-9)
 
 
+def test_train_refuses_data_dir_of_another_pool(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    # these trained the files' 3-agent data-center pool under another config
+    for override in ({"application": "charging"}, {"n_agents": 7}):
+        cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir), **override), "other.json")
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_train_refuses_non_positive_realized_intensity(tmp_path, capsys):
     cfg_doc = tiny_config()
     data_dir = tmp_path / "data"
@@ -234,6 +246,15 @@ def test_divergence_exits_2(tmp_path):
     doc = tiny_config(train={"mode": "plain", "lr": 1e12, "epochs": 10, "batch_size": 16})
     cfg = write_config(tmp_path, doc)
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+
+
+def test_non_finite_update_exits_2(tmp_path, capsys):
+    # lr=1e308 overflows the parameters in the first update; this used to
+    # end in a ValueError traceback with exit code 1
+    doc = tiny_config(train={"mode": "plain", "lr": 1e308, "epochs": 2, "batch_size": 16})
+    assert cli.main(["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite parameters after the update at step 0" in err and "Traceback" not in err
 
 
 def test_sweep_rows_and_regret_files(tmp_path):

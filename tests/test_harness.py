@@ -1,8 +1,12 @@
+import dataclasses
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from equicast import harness
-from equicast.errors import ConfigError
+from equicast.errors import ConfigError, SchemaError
 from equicast.harness import ExperimentConfig, build_pool, config_from_dict, config_hash, run_experiment
 from equicast.training import TrainConfig
 
@@ -92,13 +96,71 @@ def test_sweep_counts_and_order():
 
 
 def test_generate_then_load_pool_matches_memory(tmp_path):
-    cfg = small_config(n_agents=2)
+    # a pool trains the same from its files as from memory: bitwise equal
+    # splits, stats, adapters and arch ("carbon" also writes outcome files)
+    for name, cfg in (
+        ("datacenter", small_config(n_agents=2)),
+        ("charging", small_config(application="charging", n_agents=3, horizon=5, length=90)),
+        ("carbon", small_config(application="charging", n_agents=3, horizon=5, length=90, predict_target="carbon")),
+    ):
+        harness.generate_files(cfg, tmp_path / name)
+        loaded = harness.load_pool(tmp_path / name, cfg, seed=cfg.seed)
+        mem = build_pool(cfg, seed=cfg.seed)
+        assert loaded.arch == mem.arch
+        assert len(loaded.splits) == len(mem.splits) == cfg.n_agents
+        for a, b in zip(loaded.splits, mem.splits):
+            for field in dataclasses.fields(a):
+                va, vb = getattr(a, field.name), getattr(b, field.name)
+                assert (va is None and vb is None) or np.array_equal(va, vb), (name, field.name)
+        assert [a.context for a in loaded.agents] == [a.context for a in mem.agents]
+
+
+@pytest.fixture
+def datacenter_files(tmp_path):
+    cfg = small_config()
     harness.generate_files(cfg, tmp_path)
-    loaded = harness.load_pool(tmp_path, cfg, seed=cfg.seed)
-    mem = build_pool(cfg, seed=cfg.seed)
-    assert loaded.arch == mem.arch
-    for a, b in zip(loaded.splits, mem.splits):
-        assert np.allclose(a.train_x, b.train_x, atol=1e-12)
-        assert np.allclose(a.train_y_raw, b.train_y_raw, atol=1e-12)
-        assert np.allclose(a.train_ctx, b.train_ctx, atol=1e-12)
-    assert [a.context for a in loaded.agents] == [a.context for a in mem.agents]
+    return cfg, tmp_path
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"application": "charging"}, "names application 'datacenter'"),  # used to train the files' pool silently
+    ({"application": "mixed"}, "names application 'datacenter'"),
+    ({"n_agents": 7}, "has 3 agents"),
+])
+def test_load_pool_refuses_files_of_another_pool(datacenter_files, override, message):
+    cfg, data_dir = datacenter_files
+    with pytest.raises(ConfigError, match=message):
+        build_pool(replace(cfg, data_dir=str(data_dir), **override), seed=0)
+
+
+def test_load_pool_refuses_files_without_application(datacenter_files):
+    cfg, data_dir = datacenter_files
+    meta = json.loads((data_dir / "meta.json").read_text())
+    del meta["application"]
+    (data_dir / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="names application None"):
+        build_pool(replace(cfg, data_dir=str(data_dir)), seed=0)
+
+
+@pytest.mark.parametrize("application, name", [
+    ("datacenter", "target_m001.csv"),  # used to die with a raw ValueError
+    ("datacenter", "workloads.csv"),
+    ("charging", "outcome_m002.csv"),
+])
+def test_load_pool_refuses_files_shorter_than_the_signal(tmp_path, application, name):
+    cfg = small_config(application=application, horizon=5, predict_target="carbon", data_dir=str(tmp_path))
+    harness.generate_files(cfg, tmp_path)
+    path = tmp_path / name  # drop the last 5 of 80 timestamps (every agent's, in workloads.csv)
+    lines = [line for line in path.read_text().splitlines() if not (line[:1].isdigit() and int(line.split(",")[0]) >= 75)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=name):
+        build_pool(cfg, seed=0)
+
+
+def test_load_pool_refuses_workloads_of_another_pool(datacenter_files):
+    cfg, data_dir = datacenter_files
+    path = data_dir / "workloads.csv"
+    lines = [line for line in path.read_text().splitlines() if not (line[:1].isdigit() and line.split(",")[1] == "2")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="workloads.csv has 2 agents but agents.json has 3"):
+        build_pool(replace(cfg, data_dir=str(data_dir)), seed=0)
