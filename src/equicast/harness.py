@@ -10,9 +10,10 @@ the config hash and seed.
 A data-center or charging pool is windowed by one function whether its
 series are synthesized in memory or read back from the files `generate`
 wrote (`data_dir`), so a pool trains bitwise the same from its files.  The
-files must hold the config's pool: a `data_dir` of another application or
-agent count is a config error, and a series file whose row count differs
-from `signal.csv` is a schema error.  Mixed pools are only synthesized.
+files must hold the config's pool: another application, agent count or
+synthesis field than the files record is a config error, and a series file
+whose timestamps differ from `signal.csv`'s is a schema error.  Mixed pools
+are only synthesized.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ class Pool:
 
 # the CSV schema and value column of each base application's series files
 _SERIES_SCHEMAS = {"datacenter": ("carbon", "carbon_intensity"), "charging": ("energy", "E")}
+# the config fields a pool's series and contexts are synthesized from, which
+# `generate_files` records in meta.json
+_SYNTHESIS_FIELDS = ("length", "heterogeneity", "lambda_scheme", "water_weight", "price_weight", "predict_target")
 
 
 def _pool_target_stats(splits: list[WindowSplit]) -> list[WindowSplit]:
@@ -295,6 +299,12 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
             f"{root / 'meta.json'} names application {meta.get('application')!r} "
             f"but the config's application is {config.application!r}"
         )
+    for name in _SYNTHESIS_FIELDS:
+        recorded = meta.get("config", {}).get(name)
+        if recorded != getattr(config, name):
+            raise ConfigError(
+                f"{root / 'meta.json'} records {name} {recorded!r} but the config's {name} is {getattr(config, name)!r}"
+            )
     agents = load_agent_pool(root / "agents.json")
     if len(agents) != config.n_agents:
         raise ConfigError(f"{root / 'agents.json'} has {len(agents)} agents but the config's n_agents is {config.n_agents}")
@@ -303,16 +313,20 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
     n = len(signal.timestamps)
 
     def rows(path, found):
-        if found.shape[-1] != n:
-            raise SchemaError(f"{path} has {found.shape[-1]} timestamps but signal.csv has {n}")
+        ts = found.timestamps
+        if len(ts) != n:
+            raise SchemaError(f"{path} has {len(ts)} timestamps but signal.csv has {n}")
+        if np.any(ts != signal.timestamps):
+            i = int(np.argmax(ts != signal.timestamps))
+            raise SchemaError(f"{path} has timestamp {ts[i]:g} at data row {i + 1} where signal.csv has {signal.timestamps[i]:g}")
         return found
 
     def series(names):
-        return np.stack([rows(root / name, load_csv(root / name, schema).signal) for name in names])
+        return np.stack([rows(root / name, load_csv(root / name, schema)).signal for name in names])
 
     workloads = None
     if (root / "workloads.csv").exists():
-        workloads = rows(root / "workloads.csv", load_csv(root / "workloads.csv", "workload").workloads)
+        workloads = rows(root / "workloads.csv", load_csv(root / "workloads.csv", "workload")).workloads
         if len(workloads) != len(agents):
             raise SchemaError(f"{root / 'workloads.csv'} has {len(workloads)} agents but agents.json has {len(agents)}")
     ds = datamod.SeriesDataset(

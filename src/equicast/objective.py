@@ -59,8 +59,8 @@ def chain_grad(params: ParamVector, X, y_hat, y, means, slope, sizes, owner, q: 
     partition the rows (every b_m >= 1, sum_m b_m = R).  `y_hat` and `y` are
     the model's outputs and targets on its own (normalized) scale, `means`
     (M,) the agents' mean regrets rbar_m over their rows and `slope` (R, O)
-    each row's derivative of its regret with respect to the model output.
-    Row i of agent m gets the cotangent
+    each row's derivative of its regret with respect to the model output
+    (neither is read at beta = 1).  Row i of agent m gets the cotangent
         (1-beta) * (q+1) * rbar_m^q / b_m * slope_i + beta * (2/b_m) * (y_hat_i - y_i)
     with b_m = sizes[m], and one vjp backpropagates every row through the
     forward pass whose activations `acts` holds
@@ -72,13 +72,14 @@ def chain_grad(params: ParamVector, X, y_hat, y, means, slope, sizes, owner, q: 
         raise ValueError(f"q must be nonnegative, got {q}")
     if len(owner) != len(X):
         raise ValueError(f"{len(owner)} row owners for {len(X)} rows")
+    if beta == 1.0:  # assigned, not added to zeros, which would turn a -0.0 into +0.0
+        return predictor.vjp_batch(params, X, (2.0 / sizes)[owner][:, None] * (y_hat - y), acts)
     if len(means) != len(sizes):
         raise ValueError(f"{len(means)} agent means for {len(sizes)} agents")
+    rbar = np.clip(means, 0.0, None)
+    weight = (1.0 - beta) * ((q + 1.0) * rbar**q / sizes)
     cots = np.zeros_like(y_hat)
-    if beta < 1.0:
-        rbar = np.clip(means, 0.0, None)
-        weight = (1.0 - beta) * ((q + 1.0) * rbar**q / sizes)
-        cots += weight[owner][:, None] * slope
+    cots += weight[owner][:, None] * slope
     if beta > 0.0:
         cots += (beta * (2.0 / sizes))[owner][:, None] * (y_hat - y)
     return predictor.vjp_batch(params, X, cots, acts)

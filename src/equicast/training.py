@@ -2,49 +2,47 @@
 
 One step, three cotangents.  Every step gathers each agent's batch from
 arrays stacked once per call (agents in order, b_m = min(batch_size, n_m)
-rows of agent m), runs one forward over the M*b rows, builds a cotangent on
-the model output and calls the vjp once; the vjp reuses the forward's
-activations, so a step runs the network forward once.  The modes differ
-only in that cotangent:
+rows of agent m), runs one forward over the M*b rows and hands its outputs
+and activations to the mode's step function, then checks the loss and the
+gradient and applies the optimizer.  A mode is that function, built once per
+`train` call: it builds a cotangent on the model output, backpropagates it
+with one vjp that reuses the forward's activations (so a step runs the
+network forward once), and returns the gradient, the per-agent terms and the
+loss parts.  The modes differ only in that cotangent:
 
-* plain: (2/b_m) * (y_hat - y), the squared-error gradient alone (the
-  accuracy-first baseline; the beta = 1 slice of chain).
-* chain: exact gradient through loss -> regret -> action -> forecast.  One
-  batched data-center regret call also returns each row's d regret / d c_hat
-  in closed form; times d c_hat / d y_hat (the target scale on output 0 for
-  the `direct` adapter, target scale / O on every output for `window_mean`)
-  it is weighted by (1-beta) * (q+1) * rbar_m^q / b_m and blended with
-  beta * (2/b_m) * (y_hat - y) by `objective.chain_grad`.  The step reduces
-  the regrets to the agent means rbar_m once, for both the loss and
-  `chain_grad`, which gathers the per-agent weights to the rows with the
-  call's row -> agent index.  Valid only when every agent's decision is
-  differentiable (data-center family).
-* pg: score-function estimator: sample forecasts from the Gaussian head and
-  weight the log-density gradients by the batch loss.  Works for discrete
-  decisions (charging schedules).  One batched regret call per agent family
-  scores all D draws; the step picks each draw's baseline and
+* plain: `objective.chain_grad` at beta = 1, the squared-error cotangent
+  (2/b_m) * (y_hat - y) alone (the accuracy-first baseline).
+* chain: the exact gradient through loss -> regret -> action -> forecast.
+  One batched data-center regret call also returns each row's
+  d regret / d c_hat in closed form; times d c_hat / d y_hat (the target
+  scale on output 0 for the `direct` adapter, target scale / O on every
+  output for `window_mean`) it is the slope that `objective.chain_grad`
+  weights by its agent's mean regret and blends with the squared error.
+  Only data-center agents have a differentiable decision.
+* pg: the score-function estimator, which also covers discrete decisions
+  (charging schedules).  Forecasts are sampled from the Gaussian head, one
+  batched regret call per agent family scores all D draws, and
   `objective.pg_grad` (the op `verify` checks) folds the draws, each
   weighted by its loss minus its baseline, into one cotangent
-  sum_d w_d * eps_d per row for one vjp.
+  sum_d w_d * eps_d per row.  It holds the gather index of its flat draw,
+  the baseline choice (the leave-one-out mean across draws, or an EMA of
+  past batch losses) and the EMA.
 
-What does not depend on the parameters stays out of the step.  Per call:
-the stacked rows, with the batch partition (`sizes` and the row -> agent
-index `owner`) and whether any data-center row averages its window; each
-row's hindsight-optimal cost (`agents.ev_optimal_batch` for charging rows,
-`agents.dc_optimal_batch` for data-center rows, passed to the regret ops as
-`best`; also in `evaluate`), which also checks the charging slot counts and
-rates and refuses a realized intensity that is not positive; and, in pg,
-the gather index that turns the step's flat Gaussian draw into
-(D, rows, O).  Per epoch: the agents' permutations and, from them, every
-step's batch rows as one (steps, rows) array.
+What does not depend on the parameters stays out of the step.  Per call: the
+stacked rows, with the batch partition (`sizes` and the row -> agent index
+`owner`) and each row's hindsight-optimal cost (`agents.ev_optimal_batch`
+for charging rows, `agents.dc_optimal_batch` for data-center rows; also in
+`evaluate`), which also checks the charging slot counts and rates and
+refuses a realized intensity that is not positive.  Per epoch: every step's
+batch rows as one (steps, rows) array.
 
 A charging agent whose horizon differs from the model's output width is
-refused before step 0 in every mode.  Updates are theta <- theta - lr_t * g
-with lr_t = lr * decay^floor(t/step); SGD (optionally with momentum) is the
-default, Adam is available for runs that mix very different loss scales.
-A non-finite loss or gradient, or an update that leaves theta non-finite,
-raises `DivergenceError` with its step.
-Everything is deterministic given the config seed.
+refused before step 0 in every mode.  The optimizer helper clips the
+gradient and updates theta <- theta - lr_t * g with
+lr_t = lr * decay^floor(t/step), by SGD (optionally with momentum) or Adam;
+it holds the velocity or Adam's moments.  A non-finite loss or gradient, or
+an update that leaves theta non-finite, raises `DivergenceError` with its
+step.  Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -146,15 +144,6 @@ class TrainResult:
     std: float = 0.0
 
 
-def _check_family_support(config: TrainConfig, agents: list[AgentSpec]) -> None:
-    if config.mode == "chain":
-        bad = [a.agent_id for a in agents if a.family != "datacenter"]
-        if bad:
-            raise ConfigError(
-                f"chain mode needs differentiable costs; charging agents {bad} are discrete"
-            )
-
-
 class _StackedRows:
     """One part ("train" or "test") of every agent's split, stacked in agent order.
 
@@ -179,6 +168,7 @@ class _StackedRows:
                     f"but the model emits {n_outputs} values"
                 )
         self.sizes = np.asarray(sizes)
+        self.n_outputs = n_outputs
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.x = np.concatenate([getattr(s, f"{part}_x") for s in splits])
         self.y = np.concatenate([getattr(s, f"{part}_y") for s in splits])
@@ -252,7 +242,7 @@ class _StackedRows:
             [perm[: n_steps * b].reshape(n_steps, b) for perm, b in zip(perms, self.sizes)], axis=1
         ) + self.offsets
 
-    def draw_index(self, n_draws: int, n_outputs: int) -> np.ndarray:
+    def draw_index(self, n_draws: int) -> np.ndarray:
         """(D, R, O) positions in a flat draw that holds each agent's (D, b_m, O) block in agent order.
 
         Agent m's block starts at D*O*start_m; in it, draw d of its row i,
@@ -260,9 +250,9 @@ class _StackedRows:
         """
         size = np.repeat(self.sizes, self.sizes)
         start = np.repeat(self.starts, self.sizes)
-        first = (n_draws * start + np.arange(len(size)) - start) * n_outputs
-        step = np.arange(n_draws)[:, None] * size * n_outputs
-        return (first + step)[:, :, None] + np.arange(n_outputs)
+        first = (n_draws * start + np.arange(len(size)) - start) * self.n_outputs
+        step = np.arange(n_draws)[:, None] * size * self.n_outputs
+        return (first + step)[:, :, None] + np.arange(self.n_outputs)
 
     def to_raw(self, normalized: np.ndarray) -> np.ndarray:
         raw = self.t_scale * normalized
@@ -307,6 +297,86 @@ def default_std(config: TrainConfig, data: list[WindowSplit]) -> float:
     return 0.1 * max(float(pooled.std()), 1e-6)
 
 
+def _plain(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
+    """The squared-error step: `objective.chain_grad` at beta = 1."""
+    def step(current, idx, X, Y, preds, acts):
+        agent_terms = rows.agent_means(np.sum((preds - Y) ** 2, axis=1))
+        mse_term = float(agent_terms.sum())
+        grad = objective.chain_grad(current, X, preds, Y, None, None, rows.sizes, rows.owner, config.q, 1.0, acts)
+        return grad, agent_terms, math.nan, mse_term, mse_term
+    return step
+
+
+def _chain(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
+    """The exact step through loss -> regret -> action -> forecast; data-center agents only."""
+    bad = [a.agent_id for a in agents if a.family != "datacenter"]
+    if bad:
+        raise ConfigError(f"chain mode needs differentiable costs; charging agents {bad} are discrete")
+    def step(current, idx, X, Y, preds, acts):
+        mse_term = float(rows.agent_means(np.sum((preds - Y) ** 2, axis=1)).sum())
+        values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
+        slope = dvalues[0][:, None] * rows.dc_chat_grad
+        agent_terms = rows.agent_means(values[0])
+        grad = objective.chain_grad(
+            current, X, preds, Y, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta, acts
+        )
+        eq_term = objective.equitable_loss(agent_terms, config.q)
+        return grad, agent_terms, eq_term, mse_term, (1.0 - config.beta) * eq_term + config.beta * mse_term
+    return step
+
+
+def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
+    """The score-function step over `pg_samples` draws; the baseline of each draw does not depend on it."""
+    n_draws = config.pg_samples
+    eps_index = rows.draw_index(n_draws)
+    ema = None  # of past batch losses: the baseline of a pg_baseline run with one draw
+    def step(current, idx, X, Y, preds, acts):
+        nonlocal ema
+        # the flat draw holds each agent's (D, b_m, O) block in agent order,
+        # which fixes the RNG stream; restack as (D, rows, O)
+        eps = np.take(rng.standard_normal(n_draws * preds.size), eps_index)
+        sampled = std * eps
+        sampled += preds
+        agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled), idx))
+        resid = np.subtract(sampled, Y, out=sampled)
+        mse_by_draw = rows.agent_means(np.sum(np.square(resid, out=resid), axis=2)).sum(axis=1)
+        eq_by_draw = np.sum(np.clip(agent_terms, 0.0, None) ** (config.q + 1.0), axis=1)
+        losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
+        if config.pg_baseline and n_draws > 1:  # leave-one-out mean across draws
+            base = (losses.sum() - losses) / (n_draws - 1)
+        else:
+            base = np.full(n_draws, 0.0 if ema is None else ema)
+        grad = objective.pg_grad(current, X, eps, losses, base, std, acts)
+        combined = float(losses.mean())
+        if config.pg_baseline and math.isfinite(combined):
+            ema = combined if ema is None else 0.9 * ema + 0.1 * combined
+        return grad, agent_terms, float(eq_by_draw.mean()), float(mse_by_draw.mean()), combined
+    return step
+
+
+def _optimizer(config: TrainConfig, theta: np.ndarray):
+    """`update(theta, grad, t) -> (theta, lr_t)`: clip, lr schedule, then SGD (with momentum) or Adam."""
+    first, second = np.zeros_like(theta), np.zeros_like(theta)  # the velocity, or Adam's moments
+    def update(theta, grad, t):
+        nonlocal first, second
+        if config.grad_clip is not None:
+            norm = float(np.linalg.norm(grad))
+            if norm > config.grad_clip:
+                grad = grad * (config.grad_clip / norm)
+        lr_t = config.lr * config.lr_decay ** (t // config.lr_step)
+        # a finite gradient times a huge lr can still overflow theta
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.optimizer == "sgd":
+                first = config.momentum * first + grad
+                return theta - lr_t * first, lr_t
+            first = 0.9 * first + 0.1 * grad
+            second = 0.999 * second + 0.001 * grad**2
+            m_hat = first / (1.0 - 0.9 ** (t + 1))
+            v_hat = second / (1.0 - 0.999 ** (t + 1))
+            return theta - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8), lr_t
+    return update
+
+
 def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], data: list[WindowSplit]) -> TrainResult:
     """Run epochs of per-batch updates; returns final parameters and a step log."""
     if len(agents) != len(data):
@@ -316,86 +386,32 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     for a, d in zip(agents, data):
         if d.train_x.shape[0] == 0:
             raise ConfigError(f"agent {a.agent_id} has an empty training split")
-    _check_family_support(config, agents)
 
     rng = np.random.default_rng(config.seed)
     std = default_std(config, data)
-    theta = params.values.copy()
-    velocity = np.zeros_like(theta)
-    adam_m = np.zeros_like(theta)
-    adam_v = np.zeros_like(theta)
-    step_log: list[dict] = []
-
     counts = [d.train_x.shape[0] for d in data]
     batch_sizes = [min(config.batch_size, n) for n in counts]
     steps_per_epoch = min(n // b for n, b in zip(counts, batch_sizes))
-    baseline_ema: float | None = None  # tracks past batch losses only
     rows = _StackedRows(agents, data, "train", batch_sizes, params.n_outputs, scored=config.mode != "plain")
-    mse_scale = np.repeat(2.0 / rows.sizes, rows.sizes)[:, None]
-    if config.mode == "pg":
-        eps_index = rows.draw_index(config.pg_samples, params.n_outputs)
+    mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, agents, rng, std)
+    theta = params.values.copy()
+    update = _optimizer(config, theta)
+    step_log: list[dict] = []
 
-    t = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         perms = [rng.permutation(n) for n in counts]
-        epoch = rows.epoch_index(perms, steps_per_epoch)
-        for idx in epoch:
+        for k, idx in enumerate(rows.epoch_index(perms, steps_per_epoch)):
+            t = epoch * steps_per_epoch + k
             current = params.with_values(theta)
-            eq_term = math.nan
             X, Y = rows.x[idx], rows.y[idx]
             # non-finite values are detected explicitly below; numpy's
             # overflow warnings on the way there are just noise
             with np.errstate(over="ignore", invalid="ignore"):
                 preds, acts = predictor.forward_batch(current, X, keep=True)
-                # agent_terms holds the per-agent batch terms (per draw in pg);
-                # a divergence is blamed on the first agent with a non-finite one
-                if config.mode != "pg":
-                    agent_terms = rows.agent_means(np.sum((preds - Y) ** 2, axis=1))
-                    mse_term = float(agent_terms.sum())
-                if config.mode == "plain":
-                    grad = predictor.vjp_batch(current, X, mse_scale * (preds - Y), acts)
-                    combined = mse_term
-                elif config.mode == "chain":
-                    # every row is a data-center row (checked above)
-                    values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
-                    slope = dvalues[0][:, None] * rows.dc_chat_grad
-                    agent_terms = rows.agent_means(values[0])
-                    grad = objective.chain_grad(
-                        current, X, preds, Y, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta, acts
-                    )
-                    eq_term = objective.equitable_loss(agent_terms, config.q)
-                    combined = (1.0 - config.beta) * eq_term + config.beta * mse_term
-                else:  # pg
-                    n_draws = config.pg_samples
-                    # the flat draw holds each agent's (D, b_m, O) block in agent
-                    # order, which fixes the RNG stream; restack as (D, rows, O)
-                    eps = np.take(rng.standard_normal(n_draws * preds.size), eps_index)
-                    sampled = std * eps
-                    sampled += preds
-                    agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled), idx))
-                    resid = np.subtract(sampled, Y, out=sampled)
-                    mse_by_draw = rows.agent_means(np.sum(np.square(resid, out=resid), axis=2)).sum(axis=1)
-                    eq_by_draw = np.sum(np.clip(agent_terms, 0.0, None) ** (config.q + 1.0), axis=1)
-                    losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
-                    # baseline: leave-one-out mean across draws when available,
-                    # else an EMA of past batch losses; both are independent of
-                    # the draw they are subtracted from
-                    if config.pg_baseline and n_draws > 1:
-                        base = (losses.sum() - losses) / (n_draws - 1)
-                    elif config.pg_baseline and baseline_ema is not None:
-                        base = np.full(n_draws, baseline_ema)
-                    else:
-                        base = np.zeros(n_draws)
-                    grad = objective.pg_grad(current, X, eps, losses, base, std, acts)
-                    eq_term = float(eq_by_draw.mean())
-                    mse_term = float(mse_by_draw.mean())
-                    combined = float(losses.mean())
-                    if math.isfinite(combined):
-                        baseline_ema = (
-                            combined if baseline_ema is None else 0.9 * baseline_ema + 0.1 * combined
-                        )
+                grad, agent_terms, eq_term, mse_term, combined = mode_step(current, idx, X, Y, preds, acts)
 
             if not math.isfinite(combined) or not np.all(np.isfinite(grad)):
+                # blame the first agent with a non-finite batch term (in pg, in any draw)
                 bad = np.flatnonzero(~np.isfinite(agent_terms).reshape(-1, len(agents)).all(axis=0))
                 raise DivergenceError(
                     f"non-finite loss or gradient at step {t}: loss={combined}, "
@@ -404,24 +420,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                     agent_id=agents[bad[0]].agent_id if bad.size else None,
                     values=(combined,),
                 )
-
-            if config.grad_clip is not None:
-                norm = float(np.linalg.norm(grad))
-                if norm > config.grad_clip:
-                    grad = grad * (config.grad_clip / norm)
-
-            lr_t = config.lr * config.lr_decay ** (t // config.lr_step)
-            # a finite gradient times a huge lr can still overflow theta
-            with np.errstate(over="ignore", invalid="ignore"):
-                if config.optimizer == "sgd":
-                    velocity = config.momentum * velocity + grad
-                    theta = theta - lr_t * velocity
-                else:
-                    adam_m = 0.9 * adam_m + 0.1 * grad
-                    adam_v = 0.999 * adam_v + 0.001 * grad**2
-                    m_hat = adam_m / (1.0 - 0.9 ** (t + 1))
-                    v_hat = adam_v / (1.0 - 0.999 ** (t + 1))
-                    theta = theta - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+            theta, lr_t = update(theta, grad, t)
             if not np.isfinite(theta).all():
                 raise DivergenceError(
                     f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t, values=(combined,)
@@ -430,7 +429,6 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
             step_log.append(
                 {"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined}
             )
-            t += 1
 
     return TrainResult(params=params.with_values(theta), step_log=step_log, std=std)
 

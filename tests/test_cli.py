@@ -131,12 +131,13 @@ def test_train_on_generated_files_roundtrip(tmp_path):
 def test_train_refuses_data_dir_of_another_pool(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
-    # these trained the files' 3-agent data-center pool under another config
-    for override in ({"application": "charging"}, {"n_agents": 7}):
+    # these trained the files' 3-agent, 80-row data-center pool under another config
+    for override in ({"application": "charging"}, {"n_agents": 7}, {"length": 500}, {"predict_target": "carbon"}):
         cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir), **override), "other.json")
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert next(iter(override)) in err
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 

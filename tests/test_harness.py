@@ -126,6 +126,13 @@ def datacenter_files(tmp_path):
     ({"application": "charging"}, "names application 'datacenter'"),  # used to train the files' pool silently
     ({"application": "mixed"}, "names application 'datacenter'"),
     ({"n_agents": 7}, "has 3 agents"),
+    # the synthesis fields: these trained the files' pool silently
+    ({"length": 500}, "records length 80 but the config's length is 500"),
+    ({"heterogeneity": "similar"}, "records heterogeneity 'different'"),
+    ({"lambda_scheme": "same"}, "records lambda_scheme 'grid'"),
+    ({"water_weight": 2.0}, "records water_weight 1.0"),
+    ({"price_weight": 0.0}, "records price_weight 1.0"),
+    ({"predict_target": "carbon"}, "records predict_target 'combined'"),
 ])
 def test_load_pool_refuses_files_of_another_pool(datacenter_files, override, message):
     cfg, data_dir = datacenter_files
@@ -154,6 +161,22 @@ def test_load_pool_refuses_files_shorter_than_the_signal(tmp_path, application, 
     lines = [line for line in path.read_text().splitlines() if not (line[:1].isdigit() and int(line.split(",")[0]) >= 75)]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError, match=name):
+        build_pool(cfg, seed=0)
+
+
+@pytest.mark.parametrize("application, name", [
+    ("datacenter", "target_m001.csv"),  # used to train on the mislabelled rows
+    ("datacenter", "workloads.csv"),
+    ("charging", "outcome_m002.csv"),
+])
+def test_load_pool_refuses_files_with_other_timestamps(tmp_path, application, name):
+    cfg = small_config(application=application, horizon=5, predict_target="carbon", data_dir=str(tmp_path))
+    harness.generate_files(cfg, tmp_path)
+    path = tmp_path / name  # double every timestamp (every agent's, in workloads.csv)
+    lines = [f"{2 * int(line.split(',')[0])},{line.split(',', 1)[1]}" if line[:1].isdigit() else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=f"{name} has timestamp 2 at data row 2 where signal.csv has 1"):
         build_pool(cfg, seed=0)
 
 

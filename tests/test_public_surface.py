@@ -28,3 +28,23 @@ def test_every_public_name_has_a_caller_in_the_package():
         if not any(stmt.name in names for other, names in statements if other is not stmt):
             unused.append(stmt.name)
     assert unused == [], f"public names no code in src/equicast uses: {unused}"
+
+
+def test_every_import_is_used():
+    # an import that nothing uses is a leftover of deleted code; a line marked
+    # `# noqa: F401` keeps a binding for a caller outside the package
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text().splitlines()
+        module = ast.parse("\n".join(lines))
+        used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        for stmt in ast.walk(module):
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or getattr(stmt, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[stmt.lineno - 1 : stmt.end_lineno]):
+                continue
+            unused += [f"{path.name}: {alias.asname or alias.name}" for alias in stmt.names
+                       if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == [], f"imports nothing in src/equicast uses: {unused}"

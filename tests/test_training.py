@@ -130,7 +130,8 @@ def test_plain_equals_chain_at_beta_one():
     p0 = predictor.init_params([2, 3, 1], seed=6)
     plain = train(TrainConfig(mode="plain", lr=0.05, epochs=4, batch_size=20, seed=9), p0, [DC_AGENT], [split])
     chain = train(TrainConfig(mode="chain", beta=1.0, lr=0.05, epochs=4, batch_size=20, seed=9), p0, [DC_AGENT], [split])
-    assert np.max(np.abs(plain.params.values - chain.params.values)) < 1e-10
+    assert np.array_equal(plain.params.values, chain.params.values)
+    assert [row["combined"] for row in plain.step_log] == [row["combined"] for row in chain.step_log]
 
 
 def test_reproducibility_bitwise():
@@ -152,6 +153,53 @@ def test_lr_schedule_decays_by_step():
     lrs = [row["lr"] for row in res.step_log]
     expected = [0.08 * 0.5 ** (t // 3) for t in range(len(lrs))]
     assert lrs == pytest.approx(expected)
+
+
+def _reference_plain_updates(cfg, theta, split):
+    """The optimizer written out on y = w*x + b: squared-error gradients by hand,
+    the clip, the lr schedule, then SGD with momentum or Adam.  Returns the
+    final (w, b) and how many steps the clip scaled."""
+    rng = np.random.default_rng(cfg.seed)
+    n, b = len(split.train_x), cfg.batch_size
+    steps = n // b
+    velocity = adam_m = adam_v = np.zeros(2)
+    clipped = 0
+    for t in range(cfg.epochs * steps):
+        k = t % steps
+        if k == 0:
+            perm = rng.permutation(n)
+        sel = perm[k * b : (k + 1) * b]
+        x, y = split.train_x[sel, 0], split.train_y[sel, 0]
+        resid = theta[0] * x + theta[1] - y
+        grad = np.array([2.0 * np.mean(resid * x), 2.0 * np.mean(resid)])
+        if cfg.grad_clip is not None and np.linalg.norm(grad) > cfg.grad_clip:
+            grad *= cfg.grad_clip / np.linalg.norm(grad)
+            clipped += 1
+        lr = cfg.lr * cfg.lr_decay ** (t // cfg.lr_step)
+        if cfg.optimizer == "sgd":
+            velocity = cfg.momentum * velocity + grad
+            theta = theta - lr * velocity
+        else:
+            adam_m = 0.9 * adam_m + 0.1 * grad
+            adam_v = 0.999 * adam_v + 0.001 * grad**2
+            m_hat, v_hat = adam_m / (1.0 - 0.9 ** (t + 1)), adam_v / (1.0 - 0.999 ** (t + 1))
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return theta, clipped
+
+
+@pytest.mark.parametrize("optimizer, momentum, grad_clip", [("sgd", 0.9, 0.5), ("adam", 0.0, None)])
+def test_optimizer_matches_hand_written_updates(optimizer, momentum, grad_clip):
+    xs, ys = linear_data()
+    split = make_split(xs, ys + 1.0)
+    p0 = predictor.init_params([1, 1], seed=3)
+    cfg = TrainConfig(mode="plain", lr=0.05, lr_step=5, lr_decay=0.7, epochs=3, batch_size=25, seed=2,
+                      optimizer=optimizer, momentum=momentum, grad_clip=grad_clip)
+    res = train(cfg, p0, [DC_AGENT], [split])
+    expected, clipped = _reference_plain_updates(cfg, p0.values, split)
+    assert len(res.step_log) == 12
+    assert (clipped > 0) == (grad_clip is not None)
+    assert np.allclose(res.params.values, expected, rtol=1e-12, atol=1e-14)
+    assert not np.allclose(res.params.values, p0.values, rtol=0.0, atol=1e-3)
 
 
 def test_divergence_guard_raises_with_step():
