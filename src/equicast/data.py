@@ -6,7 +6,10 @@ each agent's outcome stream drifts from the shared signal (offset + noise
 scale), and the private decision contexts (workloads and latency weights, or
 charging demands and component mixes).  The "similar" setting keeps
 per-agent perturbations small; "different" spreads the noise scales over
-more than an order of magnitude.
+more than an order of magnitude.  Each application has one generator
+(`synth_agents`, `synth_charging`, `synth_mixed`) that returns the agent
+specs and a `SeriesDataset`; `window_split` turns one agent's series into a
+frozen `WindowSplit`.
 
 CSV schemas (header row required, '#' comment lines allowed before it):
 
@@ -257,6 +260,62 @@ def synth_charging(
     return specs, dataset
 
 
+def synth_mixed(
+    n_agents: int,
+    horizon: int = 12,
+    lambda_scheme: str = "grid",
+    seed: int = 0,
+    length: int = 600,
+    water_weight: float = 1.0,
+    price_weight: float = 1.0,
+):
+    """Mixed pool: one carbon forecaster serving data-center, vehicle and device chargers.
+
+    A third of the pool (at least one) are data-center agents, and the rest
+    split into vehicle chargers and device chargers (pure carbon, slow
+    rates).  Every agent's forecast target is the carbon signal; a data-center
+    agent's outcome stream is carbon too, and a charger's is its own mix.
+    """
+    if n_agents < 3:
+        raise ConfigError(f"a mixed pool needs at least 3 agents (data center, vehicle, device), got {n_agents}")
+    if lambda_scheme not in ("same", "grid"):
+        raise ConfigError(f"unknown lambda scheme '{lambda_scheme}'")
+    rng = np.random.default_rng(seed)
+    n_dc = max(1, n_agents // 3)
+    n_ev = max(1, (n_agents - n_dc) // 2)
+    n_dev = max(1, n_agents - n_dc - n_ev)
+    carbon, water, price = grid_components(length, seed)
+
+    specs = []
+    outcomes = []
+    lams = np.linspace(2.0, 100.0, n_dc) if lambda_scheme == "grid" else np.full(n_dc, 2.0)
+    for i in range(n_dc):
+        wl = float(rng.uniform(2.0, 8.0))
+        specs.append(AgentSpec(len(specs), "datacenter", DataCenterContext(workload=wl, latency_weight=float(lams[i]))))
+        outcomes.append(carbon)
+    for i in range(n_ev + n_dev):
+        is_device = i >= n_ev
+        gamma = 0.0 if is_device else float(rng.uniform(0.5, 1.5)) * water_weight
+        eta = 0.0 if is_device else float(rng.uniform(0.5, 1.5)) * price_weight
+        rate = float(rng.uniform(0.05, 0.2)) if is_device else float(rng.uniform(1.0, 3.0))
+        k = int(rng.integers(2, max(3, horizon - 1)))
+        initial = float(rng.uniform(0.0, 0.5)) * rate
+        demand = initial + (k - float(rng.uniform(0.2, 0.8))) * rate
+        ctx = ChargingContext(
+            initial=initial, demand=demand, rate=rate, horizon=horizon, water_weight=gamma, price_weight=eta,
+        )
+        specs.append(AgentSpec(len(specs), "charging", ctx))
+        outcomes.append(np.clip(carbon + gamma * water + eta * price, 0.01, None))
+
+    dataset = SeriesDataset(
+        timestamps=np.arange(length),
+        signal=carbon,
+        agent_targets=carbon[None, :].repeat(len(specs), axis=0),
+        outcome_targets=np.stack(outcomes),
+    )
+    return specs, dataset
+
+
 def heterogeneity_summary(dataset: SeriesDataset) -> dict:
     """Spread of per-agent streams, reported as 1-D Wasserstein distances to agent 0."""
     out = {}
@@ -382,7 +441,7 @@ def write_workload_csv(path, timestamps, workloads, comment: str | None = None) 
 # Windowing and splits
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WindowSplit:
     """Windowed, normalized train/test arrays for one agent.
 
@@ -391,6 +450,7 @@ class WindowSplit:
     the raw (unscaled) targets are kept alongside for regret evaluation.
     `outcome_*` carry the decision-relevant realized values when those differ
     from the forecaster's training target (they default to the raw targets).
+    A split is frozen: a changed split is a new one (`dataclasses.replace`).
     """
 
     train_x: np.ndarray
@@ -409,13 +469,12 @@ class WindowSplit:
     test_ctx: np.ndarray | None = None
     train_outcome: np.ndarray | None = None
     test_outcome: np.ndarray | None = None
-    predict_adapter: str = "direct"  # "direct" | "window_mean"
 
     def __post_init__(self):
         if self.train_outcome is None:
-            self.train_outcome = self.train_y_raw
+            object.__setattr__(self, "train_outcome", self.train_y_raw)
         if self.test_outcome is None:
-            self.test_outcome = self.test_y_raw
+            object.__setattr__(self, "test_outcome", self.test_y_raw)
 
 
 def _windows(series: np.ndarray, first: int, width: int, count: int) -> np.ndarray:

@@ -7,13 +7,13 @@ synthetic datasets to disk), `train` (fit one model and evaluate it), and
 run is deterministic given the config and seed, and all emitted files carry
 the config hash and seed.
 
-A data-center or charging pool is windowed by one function whether its
-series are synthesized in memory or read back from the files `generate`
-wrote (`data_dir`), so a pool trains bitwise the same from its files.  The
-files must hold the config's pool: another application, agent count or
-synthesis field than the files record is a config error, and a series file
-whose timestamps differ from `signal.csv`'s is a schema error.  Mixed pools
-are only synthesized.
+Every pool, data-center, charging or mixed, is an (agents, series) pair
+windowed by one function, whether its series are synthesized in memory or
+read back from the files `generate` wrote (`data_dir`), so a pool trains
+bitwise the same from its files.  The files must hold the config's pool:
+another application, agent count or synthesis field than the files record is
+a config error, and a series file whose timestamps differ from
+`signal.csv`'s is a schema error.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import data as datamod
 from . import predictor, training
-from .agents import AgentSpec, ChargingContext, DataCenterContext, load_agent_pool, save_agent_pool
-from .data import SplitSpec, WindowSplit, grid_components, load_csv, synth_agents, synth_charging, window_split
+from .agents import AgentSpec, load_agent_pool, save_agent_pool
+from .data import SplitSpec, WindowSplit, load_csv, synth_agents, synth_charging, synth_mixed, window_split
 from .errors import ConfigError, SchemaError
 from .training import RunSummary, TrainConfig, TrainResult
 
@@ -117,8 +117,10 @@ class Pool:
     arch: list[int]
 
 
-# the CSV schema and value column of each base application's series files
-_SERIES_SCHEMAS = {"datacenter": ("carbon", "carbon_intensity"), "charging": ("energy", "E")}
+# the CSV schema and value column of each application's series files
+_SERIES_SCHEMAS = {
+    "datacenter": ("carbon", "carbon_intensity"), "charging": ("energy", "E"), "mixed": ("carbon", "carbon_intensity"),
+}
 # the config fields a pool's series and contexts are synthesized from, which
 # `generate_files` records in meta.json
 _SYNTHESIS_FIELDS = ("length", "heterogeneity", "lambda_scheme", "water_weight", "price_weight", "predict_target")
@@ -142,10 +144,15 @@ def _pool_target_stats(splits: list[WindowSplit]) -> list[WindowSplit]:
 
 
 def _synthesize(config: ExperimentConfig, seed: int) -> tuple[list[AgentSpec], datamod.SeriesDataset]:
-    """The agents and series of a synthetic data-center or charging pool."""
+    """The agents and series of a synthetic pool."""
     if config.application == "datacenter":
         return synth_agents(
             config.n_agents, config.heterogeneity, config.lambda_scheme, seed=seed, length=config.length
+        )
+    if config.application == "mixed":
+        return synth_mixed(
+            config.n_agents, horizon=config.horizon, lambda_scheme=config.lambda_scheme, seed=seed,
+            length=config.length, water_weight=config.water_weight, price_weight=config.price_weight,
         )
     return synth_charging(
         config.n_agents, horizon=config.horizon, heterogeneity=config.heterogeneity,
@@ -155,12 +162,13 @@ def _synthesize(config: ExperimentConfig, seed: int) -> tuple[list[AgentSpec], d
 
 
 def _window_pool(config: ExperimentConfig, seed: int, agents: list[AgentSpec], ds: datamod.SeriesDataset) -> Pool:
-    """Window a data-center or charging pool's series, synthesized or loaded alike.
+    """Window a pool's series, synthesized or loaded alike.
 
-    Agent m forecasts the next value (data center) or the next `horizon`
-    values (charging) of its target series from a lookback window of the
-    shared signal; its workloads and outcome streams, where `ds` has them,
-    ride along.  The splits share the pooled target stats.
+    Agent m forecasts the next value (data-center pools) or the next
+    `horizon` values (charging and mixed pools) of its target series from a
+    lookback window of the shared signal; its workloads and outcome streams,
+    where `ds` has them, ride along.  A data-center agent's outcome is the
+    next value alone.  The splits share the pooled target stats.
     """
     split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
     steps = 1 if config.application == "datacenter" else config.horizon
@@ -169,8 +177,9 @@ def _window_pool(config: ExperimentConfig, seed: int, agents: list[AgentSpec], d
             ds.signal, ds.agent_targets[m], config.lookback, split_spec, target_steps=steps,
             context_series=None if ds.workloads is None else ds.workloads[m],
             outcome_series=None if ds.outcome_targets is None else ds.outcome_targets[m],
+            outcome_steps=1 if agent.family == "datacenter" else steps,
         )
-        for m in range(len(agents))
+        for m, agent in enumerate(agents)
     ]
     return Pool(agents, _pool_target_stats(splits), [config.lookback, config.hidden, steps])
 
@@ -179,69 +188,7 @@ def build_pool(config: ExperimentConfig, seed: int) -> Pool:
     """Load, or synthesize, the agent pool and window its data."""
     if config.data_dir is not None:
         return load_pool(config.data_dir, config, seed)
-    if config.application == "mixed":
-        return _build_mixed_pool(config, seed)
     return _window_pool(config, seed, *_synthesize(config, seed))
-
-
-def _build_mixed_pool(config: ExperimentConfig, seed: int) -> Pool:
-    """Carbon-only forecaster serving data-center, vehicle, and device chargers.
-
-    The model predicts the next `horizon` steps of the shared carbon signal.
-    Data-center agents consume the window mean as their intensity forecast;
-    charging agents schedule against the predicted window while their
-    realized costs use their own component mixes (pure carbon for devices).
-    """
-    split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
-    rng = np.random.default_rng(seed)
-    n = config.n_agents
-    n_dc = max(1, n // 3)
-    n_ev = max(1, (n - n_dc) // 2)
-    n_dev = max(1, n - n_dc - n_ev)
-
-    carbon, water, price = grid_components(config.length, seed)
-
-    agents: list[AgentSpec] = []
-    splits: list[WindowSplit] = []
-    agent_id = 0
-
-    lams = np.linspace(2.0, 100.0, n_dc) if config.lambda_scheme == "grid" else np.full(n_dc, 2.0)
-    for i in range(n_dc):
-        wl = float(rng.uniform(2.0, 8.0))
-        agents.append(
-            AgentSpec(agent_id, "datacenter", DataCenterContext(workload=wl, latency_weight=float(lams[i])))
-        )
-        ws = window_split(
-            carbon, carbon, config.lookback, split_spec,
-            target_steps=config.horizon, outcome_series=carbon, outcome_steps=1,
-        )
-        ws.predict_adapter = "window_mean"
-        splits.append(ws)
-        agent_id += 1
-
-    for i in range(n_ev + n_dev):
-        is_device = i >= n_ev
-        gamma = 0.0 if is_device else float(rng.uniform(0.5, 1.5)) * config.water_weight
-        eta = 0.0 if is_device else float(rng.uniform(0.5, 1.5)) * config.price_weight
-        rate = float(rng.uniform(0.05, 0.2)) if is_device else float(rng.uniform(1.0, 3.0))
-        k = int(rng.integers(2, max(3, config.horizon - 1)))
-        initial = float(rng.uniform(0.0, 0.5)) * rate
-        demand = initial + (k - float(rng.uniform(0.2, 0.8))) * rate
-        ctx = ChargingContext(
-            initial=initial, demand=demand, rate=rate, horizon=config.horizon,
-            water_weight=gamma, price_weight=eta,
-        )
-        agents.append(AgentSpec(agent_id, "charging", ctx))
-        outcome = np.clip(carbon + gamma * water + eta * price, 0.01, None)
-        splits.append(
-            window_split(
-                carbon, carbon, config.lookback, split_spec,
-                target_steps=config.horizon, outcome_series=outcome, outcome_steps=config.horizon,
-            )
-        )
-        agent_id += 1
-
-    return Pool(agents, splits, [config.lookback, config.hidden, config.horizon])
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +197,6 @@ def _build_mixed_pool(config: ExperimentConfig, seed: int) -> Pool:
 
 def generate_files(config: ExperimentConfig, out_dir) -> dict:
     """Write the synthetic pool to CSV + JSON files; returns the meta document."""
-    if config.application == "mixed":
-        raise ConfigError("mixed pools are synthesized in memory; file emission covers the two base applications")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = config.seed
@@ -293,7 +238,12 @@ def generate_files(config: ExperimentConfig, out_dir) -> dict:
 def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
     """Rebuild a pool from files written by `generate_files`; the files must hold the config's pool."""
     root = Path(data_dir)
-    meta = json.loads((root / "meta.json").read_text())
+    try:
+        meta = json.loads((root / "meta.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{root / 'meta.json'}: not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{root / 'meta.json'}: expected an object")
     if meta.get("application") != config.application:
         raise ConfigError(
             f"{root / 'meta.json'} names application {meta.get('application')!r} "
@@ -377,6 +327,8 @@ def _sweep_cell(args) -> SweepRow:
 
 def run_sweep(config: ExperimentConfig, q_plus_1=None, betas=None, jobs: int = 1) -> list[SweepRow]:
     """One run per (q+1, beta, seed) cell, merged in deterministic cell order."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     q_plus_1 = list(q_plus_1 if q_plus_1 is not None else config.sweep_q_plus_1)
     betas = list(betas if betas is not None else config.sweep_beta)
     if not q_plus_1 or not betas:

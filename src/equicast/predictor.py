@@ -169,7 +169,12 @@ def save_checkpoint(path, params: ParamVector, std: float, lookback: int, extra:
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a checkpoint object")
     for key in ("layer_sizes", "std", "lookback", "values"):
         if key not in doc:
             raise ConfigError(f"checkpoint missing field '{key}'")

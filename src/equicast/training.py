@@ -13,12 +13,13 @@ loss parts.  The modes differ only in that cotangent:
 * plain: `objective.chain_grad` at beta = 1, the squared-error cotangent
   (2/b_m) * (y_hat - y) alone (the accuracy-first baseline).
 * chain: the exact gradient through loss -> regret -> action -> forecast.
-  One batched data-center regret call also returns each row's
-  d regret / d c_hat in closed form; times d c_hat / d y_hat (the target
-  scale on output 0 for the `direct` adapter, target scale / O on every
-  output for `window_mean`) it is the slope that `objective.chain_grad`
-  weights by its agent's mean regret and blends with the squared error.
-  Only data-center agents have a differentiable decision.
+  A data-center agent's intensity forecast c_hat is the mean of the model's
+  O outputs (the output itself when O = 1).  One batched data-center regret
+  call also returns each row's d regret / d c_hat in closed form; times
+  d c_hat / d y_hat (the target scale / O on every output) it is the slope
+  that `objective.chain_grad` weights by its agent's mean regret and blends
+  with the squared error.  Only data-center agents have a differentiable
+  decision.
 * pg: the score-function estimator, which also covers discrete decisions
   (charging schedules).  Forecasts are sampled from the Gaussian head, one
   batched regret call per agent family scores all D draws, and
@@ -36,8 +37,10 @@ for charging rows, `agents.dc_optimal_batch` for data-center rows; also in
 refuses a realized intensity that is not positive.  Per epoch: every step's
 batch rows as one (steps, rows) array.
 
-A charging agent whose horizon differs from the model's output width is
-refused before step 0 in every mode.  The optimizer helper clips the
+Before step 0 in every mode, and in `evaluate`, the stacked rows refuse a
+pool that does not fit the model: another agent count than splits, an
+empty part, a charging agent whose horizon differs from the model's output
+width, or targets of another width.  The optimizer helper clips the
 gradient and updates theta <- theta - lr_t * g with
 lr_t = lr * decay^floor(t/step), by SGD (optionally with momentum) or Adam;
 it holds the velocity or Adam's moments.  A non-finite loss or gradient, or
@@ -147,34 +150,43 @@ class TrainResult:
 class _StackedRows:
     """One part ("train" or "test") of every agent's split, stacked in agent order.
 
-    A batch holds `sizes[m]` rows of agent m, agents in order, and `owner`
-    names each batch row's agent; both are built, and checked to partition
-    the batch (1 <= b_m <= the agent's rows), once here.  `epoch_index`
-    maps an epoch's per-agent permutations to the stacked rows of each of its
-    batches, and `regrets` scores a batch's forecasts with one batched call
-    per agent family (`dc_regrets` also gives the data-center rows'
-    derivatives) against the realized rows and their hindsight costs
-    (`best`, computed here once).  A data-center agent with a realized intensity
-    that is not positive is refused here, before any step.  Rows that are
-    never `scored` (plain training) skip both.
+    A batch holds `sizes[m]` = min(batch_size, n_m) rows of agent m (all n_m
+    when `batch_size` is None), agents in order, and `owner` names each batch
+    row's agent; both are built once here, after the pool is checked against
+    the model.  `epoch_index` maps an epoch's per-agent permutations to the
+    stacked rows of each of its batches, and `regrets` scores a batch's
+    forecasts with one batched call per agent family (`dc_regrets` also gives
+    the data-center rows' derivatives) against the realized rows and their
+    hindsight costs (`best`, computed here once).  A data-center agent with a
+    realized intensity that is not positive is refused here, before any step.
+    Rows that are never `scored` (plain training) skip both.
     """
 
-    def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, sizes, n_outputs: int,
-                 scored: bool = True):
-        for agent in agents:
+    def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, batch_size: int | None,
+                 n_outputs: int, scored: bool = True):
+        if len(agents) != len(splits):
+            raise ConfigError(f"{len(agents)} agents but {len(splits)} data splits")
+        if not agents:
+            raise ConfigError("empty agent pool")
+        for agent, split in zip(agents, splits):
+            if len(getattr(split, f"{part}_x")) == 0:
+                raise ConfigError(f"agent {agent.agent_id} has an empty {part.replace('train', 'training')} split")
             if agent.family == "charging" and agent.context.horizon != n_outputs:
                 raise ConfigError(
                     f"charging agent {agent.agent_id} has horizon {agent.context.horizon} "
                     f"but the model emits {n_outputs} values"
                 )
-        self.sizes = np.asarray(sizes)
+            width = getattr(split, f"{part}_y").shape[1]
+            if width != n_outputs:
+                raise ConfigError(
+                    f"agent {agent.agent_id} has {width} target values per row but the model emits {n_outputs}"
+                )
+        self.counts = counts = np.array([len(getattr(s, f"{part}_x")) for s in splits])
+        self.sizes = counts if batch_size is None else np.minimum(batch_size, counts)
         self.n_outputs = n_outputs
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.x = np.concatenate([getattr(s, f"{part}_x") for s in splits])
         self.y = np.concatenate([getattr(s, f"{part}_y") for s in splits])
-        counts = np.array([len(getattr(s, f"{part}_x")) for s in splits])
-        if self.sizes.shape != counts.shape or np.any(self.sizes < 1) or np.any(self.sizes > counts):
-            raise ValueError(f"batch sizes {self.sizes.tolist()} do not fit the agents' {counts.tolist()} rows")
         self.offsets = np.repeat(np.cumsum(counts) - counts, self.sizes)
         # realized decision inputs per stacked row: the signal window of a
         # charging agent, the intensity and workload of a data-center agent
@@ -211,7 +223,7 @@ class _StackedRows:
                 bad = agents[own[np.argmin(self.realized_c[dc_row] > 0)]].agent_id
                 raise ConfigError(f"data-center agent {bad}, {part} split: {exc}") from exc
 
-        # each batch row's agent: with every b_m >= 1 (checked above) the
+        # each batch row's agent: with every n_m >= 1 (checked above) the
         # rows split into M nonempty runs, sum_m b_m rows in all
         self.owner = owner = np.repeat(np.arange(len(agents)), self.sizes)
         # full (R, O) operands: broadcasting an (R, 1) column over the short
@@ -226,15 +238,8 @@ class _StackedRows:
         self.ev_slots = k_agent[ev_owner]
         self.ev_rates = rate_agent[ev_owner]
         self.dc_lam = lam_agent[dc_owner]
-        window_mean = np.array([s.predict_adapter == "window_mean" for s in splits])
-        self.dc_window_mean = window_mean[dc_owner]
-        self.dc_any_window_mean = bool(self.dc_window_mean.any())
-        # d c_hat / d model output: the target scale on output 0 for the
-        # direct adapter, spread evenly over the window for window_mean
-        adapter = np.zeros((len(splits), n_outputs))
-        adapter[:, 0] = [s.target_scale for s in splits]
-        adapter[window_mean] = adapter[window_mean, :1] / n_outputs
-        self.dc_chat_grad = adapter[dc_owner]
+        # d c_hat / d model output: c_hat is the mean of the raw outputs
+        self.dc_chat_grad = self.t_scale[self.dc_rows] / n_outputs
 
     def epoch_index(self, perms: list[np.ndarray], n_steps: int) -> np.ndarray:
         """(steps, R) stacked rows of an epoch's batches: step k takes rows k*b_m .. (k+1)*b_m - 1 of perm m."""
@@ -277,9 +282,7 @@ class _StackedRows:
         """(D, R_dc) regrets of the data-center rows and their derivatives by the forecast c_hat."""
         n_draws = len(raws)
         sub, at = raws[:, self.dc_rows], idx[self.dc_rows]
-        c_hat = sub[:, :, 0]
-        if self.dc_any_window_mean:
-            c_hat = np.where(self.dc_window_mean, sub.mean(axis=2), c_hat)
+        c_hat = sub[:, :, 0] if self.n_outputs == 1 else sub.mean(axis=2)
         values, slopes = dc_regret_batch(
             self.workload[at], self.dc_lam, c_hat.ravel(), self.realized_c[at], self.best[at]
         )
@@ -379,27 +382,17 @@ def _optimizer(config: TrainConfig, theta: np.ndarray):
 
 def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], data: list[WindowSplit]) -> TrainResult:
     """Run epochs of per-batch updates; returns final parameters and a step log."""
-    if len(agents) != len(data):
-        raise ConfigError(f"{len(agents)} agents but {len(data)} data splits")
-    if not agents:
-        raise ConfigError("empty agent pool")
-    for a, d in zip(agents, data):
-        if d.train_x.shape[0] == 0:
-            raise ConfigError(f"agent {a.agent_id} has an empty training split")
-
+    rows = _StackedRows(agents, data, "train", config.batch_size, params.n_outputs, scored=config.mode != "plain")
     rng = np.random.default_rng(config.seed)
     std = default_std(config, data)
-    counts = [d.train_x.shape[0] for d in data]
-    batch_sizes = [min(config.batch_size, n) for n in counts]
-    steps_per_epoch = min(n // b for n, b in zip(counts, batch_sizes))
-    rows = _StackedRows(agents, data, "train", batch_sizes, params.n_outputs, scored=config.mode != "plain")
+    steps_per_epoch = int(np.min(rows.counts // rows.sizes))
     mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, agents, rng, std)
     theta = params.values.copy()
     update = _optimizer(config, theta)
     step_log: list[dict] = []
 
     for epoch in range(config.epochs):
-        perms = [rng.permutation(n) for n in counts]
+        perms = [rng.permutation(n) for n in rows.counts]
         for k, idx in enumerate(rows.epoch_index(perms, steps_per_epoch)):
             t = epoch * steps_per_epoch + k
             current = params.with_values(theta)
@@ -435,12 +428,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
 
 def evaluate(params: ParamVector, agents: list[AgentSpec], data: list[WindowSplit], q: float = 0.0, beta: float = 0.0, seed: int = 0) -> RunSummary:
     """Deterministic (Gaussian-mean) inference on the test split, plus statistics."""
-    if len(agents) != len(data):
-        raise ConfigError(f"{len(agents)} agents but {len(data)} data splits")
-    for agent, split in zip(agents, data):
-        if split.test_x.shape[0] == 0:
-            raise ConfigError(f"agent {agent.agent_id} has an empty test split")
-    rows = _StackedRows(agents, data, "test", [d.test_x.shape[0] for d in data], params.n_outputs)
+    rows = _StackedRows(agents, data, "test", None, params.n_outputs)
     raws = rows.to_raw(predictor.forward_batch(params, rows.x))
     values = rows.regrets(raws[None], np.arange(len(rows.x)))
     r = rows.agent_means(values)[0]

@@ -95,7 +95,11 @@ def _dc_pipeline_terms(params, agents_list, Xs, Ys, ctxs, t_mean, t_scale) -> tu
 
 
 def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 0, tol: float = 1e-3) -> SuiteResult:
-    """chain_grad vs central finite differences on a two-layer net + data-center costs."""
+    """chain_grad vs central finite differences on a two-layer net + data-center costs.
+
+    The two agents have 5 and 7 rows: with unequal sizes a wrong per-agent
+    1/b_m or row -> agent index shows at every q.
+    """
     rng = np.random.default_rng(seed)
     n_in, n_hidden = 4, 5
     params = predictor.init_params([n_in, n_hidden, 1], seed=seed + 1)
@@ -103,15 +107,14 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
         AgentSpec(0, "datacenter", DataCenterContext(workload=1.5, latency_weight=2.0)),
         AgentSpec(1, "datacenter", DataCenterContext(workload=3.0, latency_weight=0.8)),
     ]
-    n_samples = 6
+    sizes = np.array([5, 7])
     t_mean, t_scale = 1.6, 0.5
-    Xs = [rng.uniform(-1, 1, size=(n_samples, n_in)) for _ in agents_list]
-    Ys = [rng.uniform(0.9, 2.4, size=(n_samples, 1)) for _ in agents_list]
-    ctxs = [rng.uniform(1.0, 4.0, size=n_samples) for _ in agents_list]
+    Xs = [rng.uniform(-1, 1, size=(n, n_in)) for n in sizes]
+    Ys = [rng.uniform(0.9, 2.4, size=(n, 1)) for n in sizes]
+    ctxs = [rng.uniform(1.0, 4.0, size=n) for n in sizes]
 
     # the trainer's inputs to chain_grad, built the way it builds them
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
-    sizes = np.full(len(agents_list), n_samples)
     owner = np.repeat(np.arange(len(agents_list)), sizes)
     lams = np.array([a.context.latency_weight for a in agents_list])[owner]
     preds, acts = predictor.forward_batch(params, X, keep=True)

@@ -181,6 +181,54 @@ def test_train_charging_and_mixed(tmp_path):
     assert cli.main(["train", "--config", mixed, "--out", str(tmp_path / "mx_run")]) == 0
 
 
+def test_train_mixed_pool_from_its_files(tmp_path):
+    # mixed pools used to be refused by generate, so no data_dir could hold one
+    doc = tiny_config(application="mixed", n_agents=6, horizon=6, length=90)
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, doc), "--out", str(data_dir)]) == 0
+    assert (data_dir / "outcome_m005.csv").exists() and not (data_dir / "workloads.csv").exists()
+    cfg = write_config(tmp_path, {**doc, "data_dir": str(data_dir)}, "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "from_files")]) == 0
+    assert cli.main(["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "memory")]) == 0
+    from_files = json.loads((tmp_path / "from_files" / "summary.json").read_text())["summary"]
+    memory = json.loads((tmp_path / "memory" / "summary.json").read_text())["summary"]
+    assert from_files == memory
+
+
+def test_corrupt_meta_json_is_a_schema_error(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    (data_dir / "meta.json").write_text('{"application": "datacenter",')  # used to end in a JSONDecodeError traceback
+    cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "meta.json: not valid JSON" in err and "Traceback" not in err
+
+
+def test_corrupt_checkpoint_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, tiny_config())
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
+    (run / "checkpoint.json").write_text("{")  # used to end in a JSONDecodeError traceback
+    rc = cli.main(["evaluate", "--config", cfg, "--checkpoint", str(run / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "checkpoint.json: not valid JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
+    # these used to exit 0 after quietly running one worker
+    pools = []
+    monkeypatch.setattr(harness, "build_pool", lambda *a: pools.append(a))
+    rc = cli.main(["sweep", "--config", write_config(tmp_path, tiny_config()), "--jobs", jobs,
+                   "--out", str(tmp_path / "sweep")])
+    assert rc == 1
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert pools == [] and not (tmp_path / "sweep").exists()
+
+
 def test_evaluate_uses_checkpoint(tmp_path):
     cfg = write_config(tmp_path, tiny_config())
     run = tmp_path / "run"

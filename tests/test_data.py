@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from equicast import data
-from equicast.data import SplitSpec, load_csv, synth_agents, synth_carbon, synth_charging, window_split
+from equicast.data import (
+    SplitSpec, grid_components, load_csv, synth_agents, synth_carbon, synth_charging, synth_mixed, window_split,
+)
 from equicast.agents import required_slots
 from equicast.errors import ConfigError, SchemaError
 
@@ -73,6 +77,29 @@ def test_synth_charging_carbon_target_mode():
     assert np.array_equal(ds.agent_targets[0], ds.agent_targets[3])
     assert ds.outcome_targets is not None
     assert not np.array_equal(ds.outcome_targets[0], ds.outcome_targets[3])
+
+
+def test_synth_mixed_targets_and_outcomes():
+    agents, ds = synth_mixed(7, horizon=5, seed=0, length=90)
+    carbon, water, price = grid_components(90, 0)
+    assert [a.agent_id for a in agents] == list(range(7))
+    assert [a.family for a in agents] == ["datacenter"] * 2 + ["charging"] * 5
+    # every agent forecasts carbon; a data center's outcome is carbon too,
+    # a charger's its own mix (pure carbon for a device charger)
+    assert np.array_equal(ds.signal, carbon)
+    assert all(np.array_equal(t, carbon) for t in ds.agent_targets)
+    for agent, outcome in zip(agents, ds.outcome_targets):
+        ctx = agent.context
+        mix = carbon if agent.family == "datacenter" else np.clip(
+            carbon + ctx.water_weight * water + ctx.price_weight * price, 0.01, None)
+        assert np.array_equal(outcome, mix)
+    assert ds.workloads is None
+
+
+def test_synth_mixed_needs_one_agent_of_each_kind():
+    # two agents used to give a pool of three
+    with pytest.raises(ConfigError, match="at least 3 agents"):
+        synth_mixed(2)
 
 
 # --- csv ingestion
@@ -155,6 +182,14 @@ def test_window_counting_minimal():
     signal = np.arange(13.0)
     ws = window_split(signal, signal, lookback=12, split=SplitSpec(0.67, 0), target_steps=1)
     assert ws.train_x.shape[0] + ws.test_x.shape[0] == 1
+
+
+def test_window_split_is_frozen():
+    signal = np.arange(30.0)
+    ws = window_split(signal, signal, lookback=3, split=SplitSpec(0.5, 0))
+    assert ws.train_outcome is ws.train_y_raw and ws.test_outcome is ws.test_y_raw
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ws.predict_adapter = "window_mean"  # a setting nothing reads must not be accepted
 
 
 def test_window_too_short_rejected():

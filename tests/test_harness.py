@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equicast import harness
+from equicast import harness, predictor
+from equicast.agents import regret
 from equicast.errors import ConfigError, SchemaError
 from equicast.harness import ExperimentConfig, build_pool, config_from_dict, config_hash, run_experiment
-from equicast.training import TrainConfig
+from equicast.training import TrainConfig, evaluate
 
 
 def small_config(**kw):
@@ -45,11 +46,20 @@ def test_mixed_pool_structure():
     charging = [a for a in pool.agents if a.family == "charging"]
     assert any(a.context.water_weight == 0.0 and a.context.price_weight == 0.0 for a in charging)
     assert any(a.context.water_weight > 0.0 for a in charging)
-    # data-center agents consume the mean of the forecast window
     dc_splits = [s for a, s in zip(pool.agents, pool.splits) if a.family == "datacenter"]
-    assert all(s.predict_adapter == "window_mean" for s in dc_splits)
     assert all(s.train_outcome.shape[1] == 1 for s in dc_splits)
     assert pool.arch[-1] == 5
+    # a data-center agent's regret is scored on the mean of its raw forecast window
+    params = predictor.init_params(pool.arch, 0)
+    summary = evaluate(params, pool.agents, pool.splits)
+    for m, (agent, split) in enumerate(zip(pool.agents, pool.splits)):
+        if agent.family != "datacenter":
+            continue
+        raws = split.target_mean + split.target_scale * predictor.forward_batch(params, split.test_x)
+        by_mean = np.mean([regret(agent, float(r.mean()), float(c[0])).value for r, c in zip(raws, split.test_outcome)])
+        by_first = np.mean([regret(agent, float(r[0]), float(c[0])).value for r, c in zip(raws, split.test_outcome)])
+        assert summary.per_agent_regret[m] == pytest.approx(by_mean, rel=1e-9)
+        assert summary.per_agent_regret[m] != pytest.approx(by_first, rel=1e-6)
 
 
 def test_run_experiment_deterministic():
@@ -97,11 +107,12 @@ def test_sweep_counts_and_order():
 
 def test_generate_then_load_pool_matches_memory(tmp_path):
     # a pool trains the same from its files as from memory: bitwise equal
-    # splits, stats, adapters and arch ("carbon" also writes outcome files)
+    # splits, stats and arch ("carbon" and "mixed" also write outcome files)
     for name, cfg in (
         ("datacenter", small_config(n_agents=2)),
         ("charging", small_config(application="charging", n_agents=3, horizon=5, length=90)),
         ("carbon", small_config(application="charging", n_agents=3, horizon=5, length=90, predict_target="carbon")),
+        ("mixed", small_config(application="mixed", n_agents=7, horizon=5, length=90)),
     ):
         harness.generate_files(cfg, tmp_path / name)
         loaded = harness.load_pool(tmp_path / name, cfg, seed=cfg.seed)
@@ -112,7 +123,7 @@ def test_generate_then_load_pool_matches_memory(tmp_path):
             for field in dataclasses.fields(a):
                 va, vb = getattr(a, field.name), getattr(b, field.name)
                 assert (va is None and vb is None) or np.array_equal(va, vb), (name, field.name)
-        assert [a.context for a in loaded.agents] == [a.context for a in mem.agents]
+        assert [(a.family, a.context) for a in loaded.agents] == [(a.family, a.context) for a in mem.agents]
 
 
 @pytest.fixture

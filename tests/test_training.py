@@ -249,9 +249,10 @@ def test_pg_step_matches_batch_op():
 
 
 def _three_agent_pool():
-    """A charging agent, a data-center agent with a workload stream and a
-    window-mean data-center agent; the last one's train split (5 rows) is
-    smaller than the batch size used below, so batch sizes differ."""
+    """A charging agent, a data-center agent with a workload stream and one
+    without; the last one's train split (5 rows) is smaller than the batch
+    size used below, so batch sizes differ.  Both data-center agents read the
+    mean of the three-output forecast window."""
     rng = np.random.default_rng(21)
     ev = AgentSpec(0, "charging", ChargingContext(0.2, 2.3, 1.0, 3))
     dc = AgentSpec(1, "datacenter", DataCenterContext(2.0, 3.0))
@@ -260,14 +261,13 @@ def _three_agent_pool():
     dc_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)),
                           ctx=rng.uniform(1.0, 4.0, 12), t_mean=1.5, t_scale=0.5)
     mean_split = make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 3)), t_mean=2.0, t_scale=0.6)
-    mean_split.predict_adapter = "window_mean"
     return [ev, dc, dc_mean], [ev_split, dc_split, mean_split]
 
 
 def _sample_regret(agent, split, raw, outcome, ctx):
     if agent.family == "charging":
         return regret(agent, raw, outcome).value
-    c_hat = raw.mean() if split.predict_adapter == "window_mean" else raw[0]
+    c_hat = raw.mean()  # a data-center agent reads the mean of the forecast window
     context = None if ctx is None else DataCenterContext(float(ctx), agent.context.latency_weight)
     return regret(agent, c_hat, outcome[0], context=context).value
 
@@ -344,10 +344,10 @@ def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs, batch
 
 
 def _ragged_chain_step(q=1.0, beta=0.5):
-    """One SGD step (lr=1) in chain mode on a two-output model: a data-center
-    agent with a workload stream, a direct-adapter agent (c_hat reads output
-    0 only) and a window-mean agent whose train split (5 rows) is smaller
-    than the batch, so batch sizes differ.
+    """One SGD step (lr=1) in chain mode on a two-output model, whose mean
+    is each agent's c_hat: a data-center agent with a workload stream and
+    two without, the last of which has a train split (5 rows) smaller than
+    the batch, so batch sizes differ.
 
     Returns the pool, the initial params, the config, the trained result and
     each agent's batch rows."""
@@ -363,7 +363,6 @@ def _ragged_chain_step(q=1.0, beta=0.5):
         make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2)), t_mean=1.8, t_scale=0.7),
         make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 2)), t_mean=2.0, t_scale=0.6),
     ]
-    splits[2].predict_adapter = "window_mean"
     p0 = predictor.init_params([2, 4, 2], seed=3)
     cfg = TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, lr_step=10**6, epochs=1, batch_size=6,
                       seed=11, optimizer="sgd")
@@ -419,10 +418,8 @@ def test_chain_step_is_bitwise_the_per_row_repeat_cotangent(q, beta):
     for agent, split, sel, p in zip(agents, splits, sels, np.split(preds, np.cumsum(sizes)[:-1])):
         raw = to_raw(split, p)
         # d c_hat / d output: the window mean spreads the target scale over both outputs
-        window_mean = split.predict_adapter == "window_mean"
-        c_hat.append(raw.mean(axis=1) if window_mean else raw[:, 0])
-        dchat.append(np.tile([split.target_scale / 2] * 2 if window_mean else [split.target_scale, 0.0],
-                             (len(sel), 1)))
+        c_hat.append(raw.mean(axis=1))
+        dchat.append(np.full((len(sel), 2), split.target_scale / 2))
         w.append(np.full(len(sel), agent.context.workload) if split.train_ctx is None else split.train_ctx[sel])
         lam.append(np.full(len(sel), agent.context.latency_weight))
         c.append(split.train_outcome[sel][:, 0])
@@ -479,6 +476,41 @@ def test_charging_horizon_must_match_model_outputs():
         train(cfg, p0, agents, splits)
     with pytest.raises(ConfigError, match="horizon 3"):
         evaluate(p0, agents, splits)
+
+
+@pytest.mark.parametrize("call", ["plain", "chain", "pg", "evaluate"])
+def test_target_width_must_match_model_outputs(call):
+    # one-value targets under a three-output model used to broadcast across
+    # the outputs and train; evaluate then died in metrics.mse
+    rng = np.random.default_rng(2)
+    agents = [AgentSpec(m, "datacenter", DataCenterContext(2.0, 1.0 + m)) for m in range(3)]
+    splits = [make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 1))) for _ in agents]
+    p0 = predictor.init_params([2, 4, 3], seed=1)
+    with pytest.raises(ConfigError, match="agent 0 has 1 target values per row but the model emits 3"):
+        if call == "evaluate":
+            evaluate(p0, agents, splits)
+        else:
+            train(TrainConfig(mode=call, std=0.3, epochs=1, batch_size=4), p0, agents, splits)
+
+
+@pytest.mark.parametrize("call", ["train", "evaluate"])
+def test_pool_that_does_not_fit_is_refused(call):
+    agents, splits = _three_agent_pool()
+    p0 = predictor.init_params([2, 4, 3], seed=5)
+    part, key = ("training", "train_x") if call == "train" else ("test", "test_x")
+    empty = replace(splits[1], **{key: splits[1].train_x[:0]})
+
+    def run(agents, splits):
+        if call == "train":
+            return train(TrainConfig(mode="plain", epochs=1, batch_size=4), p0, agents, splits)
+        return evaluate(p0, agents, splits)
+
+    with pytest.raises(ConfigError, match="3 agents but 2 data splits"):
+        run(agents, splits[:2])
+    with pytest.raises(ConfigError, match="empty agent pool"):
+        run([], [])
+    with pytest.raises(ConfigError, match=f"agent 1 has an empty {part} split"):
+        run(agents, [splits[0], empty, splits[2]])
 
 
 def test_evaluate_perfect_predictor():

@@ -52,7 +52,10 @@ def test_injected_gradient_bug_detected(monkeypatch):
     assert not result.passed
 
 
-def test_injected_row_owner_shift_detected(monkeypatch):
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+def test_injected_row_owner_shift_detected(monkeypatch, q, beta):
+    # with equal agent sizes a rolled owner was invisible at q=0 and at (q=2, beta=0.5)
     from equicast import objective
 
     real = objective.chain_grad
@@ -61,7 +64,7 @@ def test_injected_row_owner_shift_detected(monkeypatch):
         return real(params, X, y_hat, y, means, slope, sizes, np.roll(owner, 1), *rest)
 
     monkeypatch.setattr(objective, "chain_grad", shifted)
-    result = verify.check_chain_gradient(qs=(1.0,), betas=(0.0,), seed=0)
+    result = verify.check_chain_gradient(qs=(q,), betas=(beta,), seed=0)
     assert not result.passed
 
 
