@@ -32,8 +32,8 @@ except ModuleNotFoundError:  # python < 3.11
     except ModuleNotFoundError:
         _toml = None
 
-# The pooled target transform (the same in every split of a pool), stored in
-# a checkpoint so that `evaluate` de-normalizes only with the stats it was
+# The pool's one target transform (`training.target_stats`), stored in a
+# checkpoint so that `evaluate` de-normalizes only with the stats it was
 # trained on.
 _TARGET_STATS = ("target_mean", "target_scale")
 
@@ -89,7 +89,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary, result, pool = harness.run_experiment(config)
-    stats = {key: getattr(pool.splits[0], key) for key in _TARGET_STATS}
+    stats = dict(zip(_TARGET_STATS, training.target_stats(pool.splits)))
     predictor.save_checkpoint(
         out / "checkpoint.json",
         result.params,
@@ -114,8 +114,8 @@ def cmd_evaluate(args) -> int:
     pool = harness.build_pool(config, config.seed)
     if params.layer_sizes != pool.arch:
         raise ConfigError(f"checkpoint layer sizes {params.layer_sizes} do not match the config's {pool.arch}")
-    for key in _TARGET_STATS:  # absent from older checkpoints: not checked
-        pooled = getattr(pool.splits[0], key)
+    # absent from older checkpoints: not checked
+    for key, pooled in zip(_TARGET_STATS, training.target_stats(pool.splits)):
         if key in meta and meta[key] != pooled:
             raise ConfigError(f"checkpoint {key} {meta[key]!r} does not match the rebuilt pool's {pooled!r}")
     summary = training.evaluate(

@@ -9,7 +9,8 @@ per-agent perturbations small; "different" spreads the noise scales over
 more than an order of magnitude.  Each application has one generator
 (`synth_agents`, `synth_charging`, `synth_mixed`) that returns the agent
 specs and a `SeriesDataset`; `window_split` turns one agent's series into a
-frozen `WindowSplit`.
+frozen `WindowSplit` of z-scored feature windows and raw target windows (the
+target transform is one per pool, and the trainer fits it).
 
 CSV schemas (header row required, '#' comment lines allowed before it):
 
@@ -443,26 +444,22 @@ def write_workload_csv(path, timestamps, workloads, comment: str | None = None) 
 
 @dataclass(frozen=True, eq=False)
 class WindowSplit:
-    """Windowed, normalized train/test arrays for one agent.
+    """Windowed train/test arrays for one agent.
 
-    Features are z-scored per column with train statistics; targets are
-    scaled to zero mean / unit scale with a scalar train-fit transform, and
-    the raw (unscaled) targets are kept alongside for regret evaluation.
+    Features are z-scored per column with train statistics.  Targets stay in
+    raw units: a pool's model has one output calibration, which the trainer
+    fits on the pooled training targets (`training.target_stats`).
     `outcome_*` carry the decision-relevant realized values when those differ
     from the forecaster's training target (they default to the raw targets).
     A split is frozen: a changed split is a new one (`dataclasses.replace`).
     """
 
     train_x: np.ndarray
-    train_y: np.ndarray
     test_x: np.ndarray
-    test_y: np.ndarray
     train_y_raw: np.ndarray
     test_y_raw: np.ndarray
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    target_mean: float
-    target_scale: float
     train_idx: np.ndarray
     test_idx: np.ndarray
     train_ctx: np.ndarray | None = None
@@ -529,28 +526,14 @@ def window_split(
     f_mean = X[train_idx].mean(axis=0)
     f_std = X[train_idx].std(axis=0)
     f_std = np.where(f_std < 1e-9, 1.0, f_std)
-    t_mean = float(Y[train_idx].mean())
-    t_scale = float(Y[train_idx].std())
-    if t_scale < 1e-9:
-        t_scale = 1.0
-
-    def norm_x(a):
-        return (a - f_mean) / f_std
-
-    def norm_y(a):
-        return (a - t_mean) / t_scale
 
     return WindowSplit(
-        train_x=norm_x(X[train_idx]),
-        train_y=norm_y(Y[train_idx]),
-        test_x=norm_x(X[test_idx]),
-        test_y=norm_y(Y[test_idx]),
+        train_x=(X[train_idx] - f_mean) / f_std,
+        test_x=(X[test_idx] - f_mean) / f_std,
         train_y_raw=Y[train_idx],
         test_y_raw=Y[test_idx],
         feature_mean=f_mean,
         feature_std=f_std,
-        target_mean=t_mean,
-        target_scale=t_scale,
         train_idx=train_idx,
         test_idx=test_idx,
         train_ctx=None if ctx is None else ctx[train_idx],

@@ -10,10 +10,10 @@ the config hash and seed.
 Every pool, data-center, charging or mixed, is an (agents, series) pair
 windowed by one function, whether its series are synthesized in memory or
 read back from the files `generate` wrote (`data_dir`), so a pool trains
-bitwise the same from its files.  The files must hold the config's pool:
-another application, agent count or synthesis field than the files record is
-a config error, and a series file whose timestamps differ from
-`signal.csv`'s is a schema error.
+bitwise the same from its files.  The files must hold the config's pool: an
+application, agent count or synthesis field (one that the application's
+generator reads) other than the files record is a config error, and a series
+file whose timestamps differ from `signal.csv`'s is a schema error.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from .errors import ConfigError, SchemaError
 from .training import RunSummary, TrainConfig, TrainResult
 
 APPLICATIONS = ("datacenter", "charging", "mixed")
+# the values of the config's enumerated synthesis fields
+_CHOICES = {
+    "heterogeneity": ("similar", "different"), "lambda_scheme": ("same", "grid"), "predict_target": ("combined", "carbon"),
+}
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.application not in APPLICATIONS:
             raise ConfigError(f"application must be one of {APPLICATIONS}, got '{self.application}'")
+        # checked for every application, also where its generator does not read the field
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.n_agents < 1:
             raise ConfigError(f"n_agents must be >= 1, got {self.n_agents}")
         if self.repeats < 1:
@@ -121,26 +129,13 @@ class Pool:
 _SERIES_SCHEMAS = {
     "datacenter": ("carbon", "carbon_intensity"), "charging": ("energy", "E"), "mixed": ("carbon", "carbon_intensity"),
 }
-# the config fields a pool's series and contexts are synthesized from, which
-# `generate_files` records in meta.json
-_SYNTHESIS_FIELDS = ("length", "heterogeneity", "lambda_scheme", "water_weight", "price_weight", "predict_target")
-
-
-def _pool_target_stats(splits: list[WindowSplit]) -> list[WindowSplit]:
-    """Re-scale every split's targets with the stats of the pooled raw training targets.
-
-    One public model emits one raw-unit forecast, so agents must not get
-    individually calibrated output scalings.
-    """
-    pooled = np.concatenate([s.train_y_raw.ravel() for s in splits])
-    mean, scale = float(pooled.mean()), max(float(pooled.std()), 1e-9)
-    return [
-        replace(
-            s, target_mean=mean, target_scale=scale,
-            train_y=(s.train_y_raw - mean) / scale, test_y=(s.test_y_raw - mean) / scale,
-        )
-        for s in splits
-    ]
+# the config fields each application's generator reads (`_synthesize`), which
+# `load_pool` compares with the config that meta.json records
+_SYNTHESIS_FIELDS = {
+    "datacenter": ("length", "heterogeneity", "lambda_scheme"),
+    "charging": ("length", "horizon", "heterogeneity", "water_weight", "price_weight", "predict_target"),
+    "mixed": ("length", "horizon", "lambda_scheme", "water_weight", "price_weight"),
+}
 
 
 def _synthesize(config: ExperimentConfig, seed: int) -> tuple[list[AgentSpec], datamod.SeriesDataset]:
@@ -168,7 +163,7 @@ def _window_pool(config: ExperimentConfig, seed: int, agents: list[AgentSpec], d
     `horizon` values (charging and mixed pools) of its target series from a
     lookback window of the shared signal; its workloads and outcome streams,
     where `ds` has them, ride along.  A data-center agent's outcome is the
-    next value alone.  The splits share the pooled target stats.
+    next value alone.
     """
     split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
     steps = 1 if config.application == "datacenter" else config.horizon
@@ -181,7 +176,7 @@ def _window_pool(config: ExperimentConfig, seed: int, agents: list[AgentSpec], d
         )
         for m, agent in enumerate(agents)
     ]
-    return Pool(agents, _pool_target_stats(splits), [config.lookback, config.hidden, steps])
+    return Pool(agents, splits, [config.lookback, config.hidden, steps])
 
 
 def build_pool(config: ExperimentConfig, seed: int) -> Pool:
@@ -244,13 +239,16 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
         raise SchemaError(f"{root / 'meta.json'}: not valid JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise SchemaError(f"{root / 'meta.json'}: expected an object")
+    recorded_config, outcome_refs = meta.get("config", {}), meta.get("outcome_refs")
+    if not isinstance(recorded_config, dict):
+        raise SchemaError(f"{root / 'meta.json'}: 'config' must be an object")
     if meta.get("application") != config.application:
         raise ConfigError(
             f"{root / 'meta.json'} names application {meta.get('application')!r} "
             f"but the config's application is {config.application!r}"
         )
-    for name in _SYNTHESIS_FIELDS:
-        recorded = meta.get("config", {}).get(name)
+    for name in _SYNTHESIS_FIELDS[config.application]:
+        recorded = recorded_config.get(name)
         if recorded != getattr(config, name):
             raise ConfigError(
                 f"{root / 'meta.json'} records {name} {recorded!r} but the config's {name} is {getattr(config, name)!r}"
@@ -258,6 +256,10 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
     agents = load_agent_pool(root / "agents.json")
     if len(agents) != config.n_agents:
         raise ConfigError(f"{root / 'agents.json'} has {len(agents)} agents but the config's n_agents is {config.n_agents}")
+    if outcome_refs is not None and not (
+        isinstance(outcome_refs, list) and len(outcome_refs) == len(agents) and all(isinstance(r, str) for r in outcome_refs)
+    ):
+        raise SchemaError(f"{root / 'meta.json'}: 'outcome_refs' must be null or a list of {len(agents)} file names")
     schema = _SERIES_SCHEMAS[config.application][0]
     signal = load_csv(root / "signal.csv", schema)
     n = len(signal.timestamps)
@@ -283,7 +285,7 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
         timestamps=signal.timestamps,
         signal=signal.signal,
         agent_targets=series([a.data_ref for a in agents]),
-        outcome_targets=series(meta["outcome_refs"]) if meta.get("outcome_refs") else None,
+        outcome_targets=None if outcome_refs is None else series(outcome_refs),
         workloads=workloads,
     )
     return _window_pool(config, seed, agents, ds)
@@ -325,18 +327,16 @@ def _sweep_cell(args) -> SweepRow:
         return SweepRow(qp1, beta, seed, "failed", error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(config: ExperimentConfig, q_plus_1=None, betas=None, jobs: int = 1) -> list[SweepRow]:
-    """One run per (q+1, beta, seed) cell, merged in deterministic cell order."""
+def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
+    """One run per (q+1, beta, seed) cell of the config's grid, merged in deterministic cell order."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    q_plus_1 = list(q_plus_1 if q_plus_1 is not None else config.sweep_q_plus_1)
-    betas = list(betas if betas is not None else config.sweep_beta)
-    if not q_plus_1 or not betas:
+    if not config.sweep_q_plus_1 or not config.sweep_beta:
         raise ConfigError("sweep grids must be nonempty")
     cells = [
         (config, qp1, beta, config.seed + rep)
-        for qp1 in q_plus_1
-        for beta in betas
+        for qp1 in config.sweep_q_plus_1
+        for beta in config.sweep_beta
         for rep in range(config.repeats)
     ]
     if jobs > 1:

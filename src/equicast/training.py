@@ -29,6 +29,11 @@ loss parts.  The modes differ only in that cotangent:
   the baseline choice (the leave-one-out mean across draws, or an EMA of
   past batch losses) and the EMA.
 
+A pool has one output calibration, `target_stats`: the mean and scale of its
+raw training targets.  The stacked targets are normalized with it once per
+call, forecasts go back to raw units with it before any regret, and the
+default Gaussian std is 0.1 times the std of the normalized targets.
+
 What does not depend on the parameters stays out of the step.  Per call: the
 stacked rows, with the batch partition (`sizes` and the row -> agent index
 `owner`) and each row's hindsight-optimal cost (`agents.ev_optimal_batch`
@@ -76,7 +81,7 @@ class TrainConfig:
     lr_decay: float = 0.5
     epochs: int = 30
     batch_size: int = 128
-    std: float | None = None  # None -> 0.1 * std of the (scaled) training targets
+    std: float | None = None  # None -> 0.1 * std of the normalized training targets
     seed: int = 0
     optimizer: str = "sgd"
     momentum: float = 0.0
@@ -147,6 +152,12 @@ class TrainResult:
     std: float = 0.0
 
 
+def target_stats(splits: list[WindowSplit]) -> tuple[float, float]:
+    """The pool's one target transform: the mean and scale of all its splits' raw training targets."""
+    pooled = np.concatenate([s.train_y_raw.ravel() for s in splits])
+    return float(pooled.mean()), max(float(pooled.std()), 1e-9)
+
+
 class _StackedRows:
     """One part ("train" or "test") of every agent's split, stacked in agent order.
 
@@ -159,7 +170,8 @@ class _StackedRows:
     the data-center rows' derivatives) against the realized rows and their
     hindsight costs (`best`, computed here once).  A data-center agent with a
     realized intensity that is not positive is refused here, before any step.
-    Rows that are never `scored` (plain training) skip both.
+    Rows that are never `scored` (plain training) skip both.  `y` is normalized
+    with the pool's `target_stats`, and `to_raw` maps forecasts back with it.
     """
 
     def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, batch_size: int | None,
@@ -176,7 +188,7 @@ class _StackedRows:
                     f"charging agent {agent.agent_id} has horizon {agent.context.horizon} "
                     f"but the model emits {n_outputs} values"
                 )
-            width = getattr(split, f"{part}_y").shape[1]
+            width = getattr(split, f"{part}_y_raw").shape[1]
             if width != n_outputs:
                 raise ConfigError(
                     f"agent {agent.agent_id} has {width} target values per row but the model emits {n_outputs}"
@@ -186,7 +198,8 @@ class _StackedRows:
         self.n_outputs = n_outputs
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.x = np.concatenate([getattr(s, f"{part}_x") for s in splits])
-        self.y = np.concatenate([getattr(s, f"{part}_y") for s in splits])
+        self.mean, self.scale = target_stats(splits)
+        self.y = (np.concatenate([getattr(s, f"{part}_y_raw") for s in splits]) - self.mean) / self.scale
         self.offsets = np.repeat(np.cumsum(counts) - counts, self.sizes)
         # realized decision inputs per stacked row: the signal window of a
         # charging agent, the intensity and workload of a data-center agent
@@ -226,10 +239,6 @@ class _StackedRows:
         # each batch row's agent: with every n_m >= 1 (checked above) the
         # rows split into M nonempty runs, sum_m b_m rows in all
         self.owner = owner = np.repeat(np.arange(len(agents)), self.sizes)
-        # full (R, O) operands: broadcasting an (R, 1) column over the short
-        # output axis is many times slower
-        self.t_mean = np.array([s.target_mean for s in splits])[owner, None].repeat(n_outputs, axis=1)
-        self.t_scale = np.array([s.target_scale for s in splits])[owner, None].repeat(n_outputs, axis=1)
         # a family that owns every row is addressed by a slice, which keeps
         # the single-family pools free of gather copies
         self.ev_rows = slice(None) if charging.all() else np.flatnonzero(charging[owner])
@@ -239,7 +248,7 @@ class _StackedRows:
         self.ev_rates = rate_agent[ev_owner]
         self.dc_lam = lam_agent[dc_owner]
         # d c_hat / d model output: c_hat is the mean of the raw outputs
-        self.dc_chat_grad = self.t_scale[self.dc_rows] / n_outputs
+        self.dc_chat_grad = np.full(n_outputs, self.scale / n_outputs)
 
     def epoch_index(self, perms: list[np.ndarray], n_steps: int) -> np.ndarray:
         """(steps, R) stacked rows of an epoch's batches: step k takes rows k*b_m .. (k+1)*b_m - 1 of perm m."""
@@ -260,8 +269,8 @@ class _StackedRows:
         return (first + step)[:, :, None] + np.arange(self.n_outputs)
 
     def to_raw(self, normalized: np.ndarray) -> np.ndarray:
-        raw = self.t_scale * normalized
-        raw += self.t_mean
+        raw = self.scale * normalized
+        raw += self.mean
         return raw
 
     def regrets(self, raws: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -291,13 +300,6 @@ class _StackedRows:
     def agent_means(self, values: np.ndarray) -> np.ndarray:
         """Per-agent means over the last (row) axis."""
         return np.add.reduceat(values, self.starts, axis=-1) / self.sizes
-
-
-def default_std(config: TrainConfig, data: list[WindowSplit]) -> float:
-    if config.std is not None:
-        return config.std
-    pooled = np.concatenate([d.train_y.ravel() for d in data])
-    return 0.1 * max(float(pooled.std()), 1e-6)
 
 
 def _plain(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
@@ -384,7 +386,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     """Run epochs of per-batch updates; returns final parameters and a step log."""
     rows = _StackedRows(agents, data, "train", config.batch_size, params.n_outputs, scored=config.mode != "plain")
     rng = np.random.default_rng(config.seed)
-    std = default_std(config, data)
+    std = config.std if config.std is not None else 0.1 * max(float(rows.y.std()), 1e-6)
     steps_per_epoch = int(np.min(rows.counts // rows.sizes))
     mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, agents, rng, std)
     theta = params.values.copy()

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from equicast import cli, harness, predictor, verify
+from equicast import cli, harness, predictor, training, verify
 from equicast.errors import ConfigError
 from equicast.harness import config_from_dict
 
@@ -132,7 +133,7 @@ def test_train_refuses_data_dir_of_another_pool(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
     # these trained the files' 3-agent, 80-row data-center pool under another config
-    for override in ({"application": "charging"}, {"n_agents": 7}, {"length": 500}, {"predict_target": "carbon"}):
+    for override in ({"application": "charging"}, {"n_agents": 7}, {"length": 500}, {"lambda_scheme": "same"}):
         cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir), **override), "other.json")
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
@@ -205,6 +206,35 @@ def test_corrupt_meta_json_is_a_schema_error(tmp_path, capsys):
     assert "meta.json: not valid JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("config", [1, 2], "meta.json: 'config' must be an object"),  # used to end in an AttributeError traceback
+    ("outcome_refs", [1, 2, 3], "meta.json: 'outcome_refs' must be null or a list of 3 file names"),  # a TypeError
+])
+def test_malformed_meta_json_is_a_schema_error(tmp_path, capsys, key, value, message):
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    meta = json.loads((data_dir / "meta.json").read_text())
+    (data_dir / "meta.json").write_text(json.dumps({**meta, key: value}))
+    cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("application, override", [
+    ("charging", {"lambda_scheme": "bogus"}),
+    ("mixed", {"heterogeneity": "bogus"}),
+    ("mixed", {"predict_target": "nonsense"}),
+    ("datacenter", {"predict_target": "nonsense"}),
+])
+def test_enum_typo_is_a_usage_error(tmp_path, capsys, application, override):
+    # each trained with exit 0: the application's generator does not read the field
+    cfg = write_config(tmp_path, tiny_config(application=application, horizon=5, **override))
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"{next(iter(override))} must be one of" in err and "Traceback" not in err
+
+
 def test_corrupt_checkpoint_is_a_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, tiny_config())
     run = tmp_path / "run"
@@ -267,6 +297,21 @@ def test_evaluate_refuses_other_pools_target_stats(tmp_path, capsys):
                    "--out", str(tmp_path / "eval")])
     assert rc == 1
     assert "checkpoint target_mean" in capsys.readouterr().err
+
+
+def test_checkpoint_stores_the_pools_target_stats(tmp_path):
+    # one public model, one output calibration: the mean and std of every
+    # agent's raw training targets pooled, not any one agent's
+    cfg = write_config(tmp_path, tiny_config())
+    pool = harness.build_pool(cli.load_config(cfg), seed=0)
+    pooled = np.concatenate([s.train_y_raw.ravel() for s in pool.splits])
+    stats = training.target_stats(pool.splits)
+    assert stats == (float(pooled.mean()), float(pooled.std()))
+    assert stats[0] != float(pool.splits[0].train_y_raw.mean())
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
+    extra = json.loads((run / "checkpoint.json").read_text())["extra"]
+    assert (extra["target_mean"], extra["target_scale"]) == stats
 
 
 def test_evaluate_accepts_checkpoint_without_target_stats(tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from equicast import data
+from equicast import data, training
 from equicast.data import (
     SplitSpec, grid_components, load_csv, synth_agents, synth_carbon, synth_charging, synth_mixed, window_split,
 )
@@ -188,6 +188,8 @@ def test_window_split_is_frozen():
     signal = np.arange(30.0)
     ws = window_split(signal, signal, lookback=3, split=SplitSpec(0.5, 0))
     assert ws.train_outcome is ws.train_y_raw and ws.test_outcome is ws.test_y_raw
+    # targets stay raw: the one target transform is the pool's, not the split's
+    assert not any(hasattr(ws, name) for name in ("train_y", "test_y", "target_mean", "target_scale"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         ws.predict_adapter = "window_mean"  # a setting nothing reads must not be accepted
 
@@ -233,10 +235,16 @@ def test_train_features_are_zscored():
 
 
 def test_target_transform_roundtrip():
+    # splits keep raw targets; the trainer normalizes them once with the
+    # pool's stats and maps forecasts back with the same two scalars
     rng = np.random.default_rng(9)
     signal = rng.uniform(1, 5, size=100)
     ws = window_split(signal, signal, lookback=4, split=SplitSpec(0.67, seed=2))
-    assert np.allclose(ws.target_mean + ws.target_scale * ws.train_y, ws.train_y_raw, atol=1e-12)
+    agents, _ = synth_agents(1, seed=0, length=100)
+    rows = training._StackedRows(agents, [ws], "train", None, n_outputs=1, scored=False)
+    assert (rows.mean, rows.scale) == training.target_stats([ws])
+    assert abs(rows.y.mean()) < 1e-12 and abs(rows.y.std() - 1.0) < 1e-12
+    assert np.allclose(rows.to_raw(rows.y), ws.train_y_raw, atol=1e-12)
 
 
 def test_context_and_outcome_alignment():

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equicast import harness, predictor
+from equicast import harness, predictor, training
 from equicast.agents import regret
 from equicast.errors import ConfigError, SchemaError
 from equicast.harness import ExperimentConfig, build_pool, config_from_dict, config_hash, run_experiment
-from equicast.training import TrainConfig, evaluate
+from equicast.training import TrainConfig, evaluate, target_stats
 
 
 def small_config(**kw):
@@ -21,10 +21,14 @@ def small_config(**kw):
 
 
 def test_pool_shares_one_target_transform():
+    # train and test rows of every agent go through the pool's one transform
     pool = build_pool(small_config(n_agents=4), seed=0)
-    means = {s.target_mean for s in pool.splits}
-    scales = {s.target_scale for s in pool.splits}
-    assert len(means) == 1 and len(scales) == 1
+    stats = target_stats(pool.splits)
+    for part in ("train", "test"):
+        rows = training._StackedRows(pool.agents, pool.splits, part, None, pool.arch[-1], scored=False)
+        assert (rows.mean, rows.scale) == stats
+        raw = np.concatenate([getattr(s, f"{part}_y_raw") for s in pool.splits])
+        assert np.allclose(rows.to_raw(rows.y), raw, atol=1e-12)
 
 
 def test_pool_charging_shapes():
@@ -32,7 +36,7 @@ def test_pool_charging_shapes():
     pool = build_pool(cfg, seed=1)
     assert pool.arch == [6, 4, 5]
     for split in pool.splits:
-        assert split.train_y.shape[1] == 5
+        assert split.train_y_raw.shape[1] == 5
         assert split.train_outcome.shape[1] == 5
 
 
@@ -51,11 +55,12 @@ def test_mixed_pool_structure():
     assert pool.arch[-1] == 5
     # a data-center agent's regret is scored on the mean of its raw forecast window
     params = predictor.init_params(pool.arch, 0)
+    mean, scale = target_stats(pool.splits)
     summary = evaluate(params, pool.agents, pool.splits)
     for m, (agent, split) in enumerate(zip(pool.agents, pool.splits)):
         if agent.family != "datacenter":
             continue
-        raws = split.target_mean + split.target_scale * predictor.forward_batch(params, split.test_x)
+        raws = mean + scale * predictor.forward_batch(params, split.test_x)
         by_mean = np.mean([regret(agent, float(r.mean()), float(c[0])).value for r, c in zip(raws, split.test_outcome)])
         by_first = np.mean([regret(agent, float(r[0]), float(c[0])).value for r, c in zip(raws, split.test_outcome)])
         assert summary.per_agent_regret[m] == pytest.approx(by_mean, rel=1e-9)
@@ -116,14 +121,18 @@ def test_generate_then_load_pool_matches_memory(tmp_path):
     ):
         harness.generate_files(cfg, tmp_path / name)
         loaded = harness.load_pool(tmp_path / name, cfg, seed=cfg.seed)
-        mem = build_pool(cfg, seed=cfg.seed)
-        assert loaded.arch == mem.arch
-        assert len(loaded.splits) == len(mem.splits) == cfg.n_agents
-        for a, b in zip(loaded.splits, mem.splits):
-            for field in dataclasses.fields(a):
-                va, vb = getattr(a, field.name), getattr(b, field.name)
-                assert (va is None and vb is None) or np.array_equal(va, vb), (name, field.name)
-        assert [(a.family, a.context) for a in loaded.agents] == [(a.family, a.context) for a in mem.agents]
+        assert len(loaded.splits) == cfg.n_agents, name
+        assert_same_pool(loaded, build_pool(cfg, seed=cfg.seed))
+
+
+def assert_same_pool(loaded, mem):
+    assert loaded.arch == mem.arch
+    assert len(loaded.splits) == len(mem.splits)
+    for a, b in zip(loaded.splits, mem.splits):
+        for field in dataclasses.fields(a):
+            va, vb = getattr(a, field.name), getattr(b, field.name)
+            assert (va is None and vb is None) or np.array_equal(va, vb), field.name
+    assert [(a.family, a.context) for a in loaded.agents] == [(a.family, a.context) for a in mem.agents]
 
 
 @pytest.fixture
@@ -145,10 +154,31 @@ def datacenter_files(tmp_path):
     ({"price_weight": 0.0}, "records price_weight 1.0"),
     ({"predict_target": "carbon"}, "records predict_target 'combined'"),
 ])
-def test_load_pool_refuses_files_of_another_pool(datacenter_files, override, message):
-    cfg, data_dir = datacenter_files
+def test_load_pool_refuses_files_of_another_pool(tmp_path, override, message):
+    # a synthesis field is compared where the files' generator reads it: the
+    # mixing weights and predict_target only in a charging pool
+    charging_only = {"water_weight", "price_weight", "predict_target"} & set(override)
+    cfg = small_config(application="charging" if charging_only else "datacenter")
+    harness.generate_files(cfg, tmp_path)
     with pytest.raises(ConfigError, match=message):
-        build_pool(replace(cfg, data_dir=str(data_dir), **override), seed=0)
+        build_pool(replace(cfg, data_dir=str(tmp_path), **override), seed=0)
+
+
+@pytest.mark.parametrize("application, unread, read", [
+    ("datacenter", {"horizon": 4, "water_weight": 2.0, "price_weight": 0.0, "predict_target": "carbon"},
+     {"heterogeneity": "similar"}),
+    ("charging", {"lambda_scheme": "same"}, {"horizon": 4, "predict_target": "carbon"}),
+    # a mixed data_dir used to refuse a config that differed only here
+    ("mixed", {"heterogeneity": "similar", "predict_target": "carbon"}, {"horizon": 4, "lambda_scheme": "same"}),
+])
+def test_load_pool_compares_only_the_fields_its_generator_reads(tmp_path, application, unread, read):
+    cfg = small_config(application=application, horizon=5, length=90)
+    harness.generate_files(cfg, tmp_path)
+    other = replace(cfg, **unread)
+    assert_same_pool(build_pool(replace(other, data_dir=str(tmp_path)), seed=0), build_pool(other, seed=0))
+    for name, value in read.items():
+        with pytest.raises(ConfigError, match=f"records {name} {getattr(cfg, name)!r}"):
+            build_pool(replace(cfg, data_dir=str(tmp_path), **{name: value}), seed=0)
 
 
 def test_load_pool_refuses_files_without_application(datacenter_files):

@@ -7,21 +7,18 @@ from equicast import objective, predictor
 from equicast.agents import AgentSpec, ChargingContext, DataCenterContext, dc_optimal_batch, dc_regret_batch, regret
 from equicast.data import WindowSplit
 from equicast.errors import ConfigError, DivergenceError
-from equicast.training import TrainConfig, evaluate, train
+from equicast.training import TrainConfig, evaluate, target_stats, train
 
 
-def make_split(x, y, train_frac=0.67, ctx=None, t_mean=0.0, t_scale=1.0):
+def make_split(x, y, train_frac=0.67, ctx=None):
     """Hand-built WindowSplit over already-windowed arrays (chronological)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
     ntr = int(round(train_frac * n))
-    y_norm = (y - t_mean) / t_scale
     return WindowSplit(
-        train_x=x[:ntr], train_y=y_norm[:ntr], test_x=x[ntr:], test_y=y_norm[ntr:],
-        train_y_raw=y[:ntr], test_y_raw=y[ntr:],
+        train_x=x[:ntr], test_x=x[ntr:], train_y_raw=y[:ntr], test_y_raw=y[ntr:],
         feature_mean=np.zeros(x.shape[1]), feature_std=np.ones(x.shape[1]),
-        target_mean=t_mean, target_scale=t_scale,
         train_idx=np.arange(ntr), test_idx=np.arange(ntr, n),
         train_ctx=None if ctx is None else np.asarray(ctx)[:ntr],
         test_ctx=None if ctx is None else np.asarray(ctx)[ntr:],
@@ -38,9 +35,16 @@ def linear_data(n=150, seed=0):
 DC_AGENT = AgentSpec(0, "datacenter", DataCenterContext(1.0, 1.0))
 
 
-def to_raw(split, normalized):
-    """Model outputs on the raw target scale of `split`."""
-    return split.target_mean + split.target_scale * normalized
+def to_raw(splits, normalized):
+    """Model outputs on the raw target scale of the pool `splits`."""
+    mean, scale = target_stats(splits)
+    return mean + scale * normalized
+
+
+def to_normalized(splits, raw):
+    """Raw targets on the model's scale: the pool's one transform, as the trainer applies it."""
+    mean, scale = target_stats(splits)
+    return (raw - mean) / scale
 
 
 def row_score(params, x, eps, std):
@@ -83,7 +87,7 @@ def test_plain_mode_fits_linear_map():
     res = train(cfg, predictor.init_params([1, 1], seed=3), [DC_AGENT], [split])
     preds = predictor.forward_batch(res.params, split.train_x)
     # least-squares optimum is exactly y = 2x with zero residual
-    assert float(np.mean((preds - split.train_y) ** 2)) < 1e-3
+    assert float(np.mean((preds - to_normalized([split], split.train_y_raw)) ** 2)) < 1e-3
 
 
 def test_zero_learning_rate_freezes_parameters():
@@ -100,12 +104,11 @@ def test_chain_mode_converges_to_grid_minimizer():
     # minimizer over a constant forecast is found by grid search
     rng = np.random.default_rng(0)
     cs = rng.uniform(0.5, 3.0, size=90)
-    t_mean, t_scale = float(cs.mean()), float(cs.std())
-    split = make_split(np.zeros((90, 1)), cs[:, None], t_mean=t_mean, t_scale=t_scale)
+    split = make_split(np.zeros((90, 1)), cs[:, None])
     cfg = TrainConfig(mode="chain", q=0.0, beta=0.0, lr=0.1, lr_step=150, lr_decay=0.5,
                       epochs=400, batch_size=60, seed=2)
     res = train(cfg, predictor.init_params([1, 1], seed=5), [DC_AGENT], [split])
-    b_hat = t_mean + t_scale * predictor.forward_batch(res.params, np.zeros((1, 1)))[0, 0]
+    b_hat = to_raw([split], predictor.forward_batch(res.params, np.zeros((1, 1))))[0, 0]
 
     train_c = split.train_y_raw[:, 0]
     grid = np.linspace(0.3, 3.5, 3201)
@@ -126,7 +129,7 @@ def test_plain_equals_chain_at_beta_one():
     xs = rng.uniform(-1, 1, size=(60, 2))
     ys = (xs @ np.array([1.5, -0.5]))[:, None] + 2.0
     ctx = rng.uniform(1, 3, size=60)
-    split = make_split(xs, ys, ctx=ctx, t_mean=2.0, t_scale=1.0)
+    split = make_split(xs, ys, ctx=ctx)
     p0 = predictor.init_params([2, 3, 1], seed=6)
     plain = train(TrainConfig(mode="plain", lr=0.05, epochs=4, batch_size=20, seed=9), p0, [DC_AGENT], [split])
     chain = train(TrainConfig(mode="chain", beta=1.0, lr=0.05, epochs=4, batch_size=20, seed=9), p0, [DC_AGENT], [split])
@@ -140,8 +143,8 @@ def test_reproducibility_bitwise():
     cfg = TrainConfig(mode="pg", q=1.0, lr=0.01, epochs=5, batch_size=25, seed=7, std=0.2)
     p0 = predictor.init_params([1, 1], seed=1)
     # identical (config, data, seed) twice
-    a = train(cfg, p0, [DC_AGENT], [make_split(xs, ys, t_mean=3.0)])
-    b = train(cfg, p0, [DC_AGENT], [make_split(xs, ys, t_mean=3.0)])
+    a = train(cfg, p0, [DC_AGENT], [make_split(xs, ys)])
+    b = train(cfg, p0, [DC_AGENT], [make_split(xs, ys)])
     assert np.array_equal(a.params.values, b.params.values)
 
 
@@ -163,13 +166,14 @@ def _reference_plain_updates(cfg, theta, split):
     n, b = len(split.train_x), cfg.batch_size
     steps = n // b
     velocity = adam_m = adam_v = np.zeros(2)
+    ys = to_normalized([split], split.train_y_raw)
     clipped = 0
     for t in range(cfg.epochs * steps):
         k = t % steps
         if k == 0:
             perm = rng.permutation(n)
         sel = perm[k * b : (k + 1) * b]
-        x, y = split.train_x[sel, 0], split.train_y[sel, 0]
+        x, y = split.train_x[sel, 0], ys[sel, 0]
         resid = theta[0] * x + theta[1] - y
         grad = np.array([2.0 * np.mean(resid * x), 2.0 * np.mean(resid)])
         if cfg.grad_clip is not None and np.linalg.norm(grad) > cfg.grad_clip:
@@ -214,11 +218,12 @@ def test_divergence_guard_raises_with_step():
 
 def test_non_finite_update_raises_divergence_with_step():
     # a finite gradient times lr=1e308 overflows theta itself; this used to
-    # surface as a ValueError from the next step's parameter vector
+    # surface as a ValueError from the next step's parameter vector.  Targets
+    # are normalized, features are not: large features make a large gradient
     xs, ys = linear_data()
     cfg = TrainConfig(mode="plain", lr=1e308, epochs=2, batch_size=25, seed=0)
     with pytest.raises(DivergenceError, match="non-finite parameters") as err:
-        train(cfg, predictor.init_params([1, 4, 1], seed=0), [DC_AGENT], [make_split(xs, 100.0 * ys)])
+        train(cfg, predictor.init_params([1, 4, 1], seed=0), [DC_AGENT], [make_split(100.0 * xs, ys)])
     assert err.value.step == 0
 
 
@@ -227,7 +232,7 @@ def test_pg_step_matches_batch_op():
     # log-density gradients of the draws times the scalar batch loss
     xs, _ = linear_data(n=30, seed=11)
     ys = 2.0 * xs + 3.0
-    split = make_split(xs, ys, train_frac=0.8, t_mean=3.0)
+    split = make_split(xs, ys, train_frac=0.8)
     p0 = predictor.init_params([1, 1], seed=2)
     lr, std = 0.05, 0.3
     cfg = TrainConfig(mode="pg", q=1.0, lr=lr, std=std, epochs=1, batch_size=24, seed=13,
@@ -240,7 +245,7 @@ def test_pg_step_matches_batch_op():
     X = split.train_x[sel]
     eps = rng.standard_normal((1, 24, 1))
     scores = np.stack([row_score(p0, X[i], eps[0, i], std) for i in range(24)])
-    raws = to_raw(split, predictor.forward_batch(p0, X) + std * eps[0])
+    raws = to_raw([split], predictor.forward_batch(p0, X) + std * eps[0])
     regrets = [regret(DC_AGENT, float(raws[i, 0]), float(split.train_y_raw[sel][i, 0])).value
                for i in range(24)]
     loss = objective.equitable_loss([np.mean(regrets)], q=1.0)
@@ -257,10 +262,9 @@ def _three_agent_pool():
     ev = AgentSpec(0, "charging", ChargingContext(0.2, 2.3, 1.0, 3))
     dc = AgentSpec(1, "datacenter", DataCenterContext(2.0, 3.0))
     dc_mean = AgentSpec(2, "datacenter", DataCenterContext(1.5, 8.0))
-    ev_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)), t_mean=1.8, t_scale=0.7)
-    dc_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)),
-                          ctx=rng.uniform(1.0, 4.0, 12), t_mean=1.5, t_scale=0.5)
-    mean_split = make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 3)), t_mean=2.0, t_scale=0.6)
+    ev_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)))
+    dc_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)), ctx=rng.uniform(1.0, 4.0, 12))
+    mean_split = make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 3)))
     return [ev, dc, dc_mean], [ev_split, dc_split, mean_split]
 
 
@@ -296,14 +300,14 @@ def _reference_pg_sgd(cfg, params, agents, splits):
                 scores, regrets, sq_errors = [], [], []
                 for m, (agent, split, sel) in enumerate(zip(agents, splits, sels)):
                     sample = means[m] + std * eps[m][d]
-                    raws = to_raw(split, sample)
+                    raws = to_raw(splits, sample)
                     ctxs = None if split.train_ctx is None else split.train_ctx[sel]
                     regrets.append([
                         _sample_regret(agent, split, raws[i], split.train_outcome[sel][i],
                                        None if ctxs is None else ctxs[i])
                         for i in range(len(sel))
                     ])
-                    sq_errors.append(np.sum((sample - split.train_y[sel]) ** 2, axis=1))
+                    sq_errors.append(np.sum((sample - to_normalized(splits, split.train_y_raw[sel])) ** 2, axis=1))
                     scores.extend(row_score(params, split.train_x[sel][i], eps[m][d][i], std) for i in range(len(sel)))
                 loss = (1.0 - cfg.beta) * objective.equitable_loss([np.mean(r) for r in regrets], cfg.q)
                 loss += cfg.beta * float(np.sum([np.mean(e) for e in sq_errors]))
@@ -358,10 +362,9 @@ def _ragged_chain_step(q=1.0, beta=0.5):
         AgentSpec(2, "datacenter", DataCenterContext(1.5, 8.0)),
     ]
     splits = [
-        make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2)),
-                   ctx=rng.uniform(1.0, 4.0, 12), t_mean=1.5, t_scale=0.5),
-        make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2)), t_mean=1.8, t_scale=0.7),
-        make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 2)), t_mean=2.0, t_scale=0.6),
+        make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2)), ctx=rng.uniform(1.0, 4.0, 12)),
+        make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2))),
+        make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 2))),
     ]
     p0 = predictor.init_params([2, 4, 2], seed=3)
     cfg = TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, lr_step=10**6, epochs=1, batch_size=6,
@@ -383,13 +386,13 @@ def test_chain_step_matches_finite_differences_of_batch_loss():
         mean_regrets, mse = [], 0.0
         for agent, split, sel in zip(agents, splits, sels):
             preds = predictor.forward_batch(params, split.train_x[sel])
-            raws = to_raw(split, preds)
+            raws = to_raw(splits, preds)
             ctxs = [None] * len(sel) if split.train_ctx is None else split.train_ctx[sel]
             mean_regrets.append(np.mean([
                 _sample_regret(agent, split, raws[i], split.train_outcome[sel][i], ctxs[i])
                 for i in range(len(sel))
             ]))
-            mse += float(np.mean(np.sum((preds - split.train_y[sel]) ** 2, axis=1)))
+            mse += float(np.mean(np.sum((preds - to_normalized(splits, split.train_y_raw[sel])) ** 2, axis=1)))
         return (1.0 - cfg.beta) * objective.equitable_loss(mean_regrets, cfg.q) + cfg.beta * mse
 
     h = 1e-5
@@ -412,14 +415,14 @@ def test_chain_step_is_bitwise_the_per_row_repeat_cotangent(q, beta):
     agents, splits, p0, cfg, res, sels = _ragged_chain_step(q, beta)
     sizes = np.array([len(sel) for sel in sels])
     X = np.concatenate([s.train_x[sel] for s, sel in zip(splits, sels)])
-    Y = np.concatenate([s.train_y[sel] for s, sel in zip(splits, sels)])
+    Y = np.concatenate([to_normalized(splits, s.train_y_raw[sel]) for s, sel in zip(splits, sels)])
     preds, acts = predictor.forward_batch(p0, X, keep=True)
     c_hat, dchat, w, lam, c = [], [], [], [], []
     for agent, split, sel, p in zip(agents, splits, sels, np.split(preds, np.cumsum(sizes)[:-1])):
-        raw = to_raw(split, p)
+        raw = to_raw(splits, p)
         # d c_hat / d output: the window mean spreads the target scale over both outputs
         c_hat.append(raw.mean(axis=1))
-        dchat.append(np.full((len(sel), 2), split.target_scale / 2))
+        dchat.append(np.full((len(sel), 2), target_stats(splits)[1] / 2))
         w.append(np.full(len(sel), agent.context.workload) if split.train_ctx is None else split.train_ctx[sel])
         lam.append(np.full(len(sel), agent.context.latency_weight))
         c.append(split.train_outcome[sel][:, 0])
@@ -515,7 +518,7 @@ def test_pool_that_does_not_fit_is_refused(call):
 
 def test_evaluate_perfect_predictor():
     # targets equal a constant the model can represent exactly with zero weights
-    split = make_split(np.zeros((40, 1)), np.full((40, 1), 2.0), t_mean=2.0, t_scale=1.0)
+    split = make_split(np.zeros((40, 1)), np.full((40, 1), 2.0))
     params = predictor.init_params([1, 1], seed=0).with_values(np.zeros(2))
     summary = evaluate(params, [DC_AGENT], [split])
     assert summary.per_agent_regret[0] <= 1e-12
@@ -529,7 +532,7 @@ def test_evaluate_deterministic():
     rng = np.random.default_rng(3)
     xs = rng.uniform(-1, 1, size=(50, 2))
     ys = rng.uniform(1, 2, size=(50, 1))
-    split = make_split(xs, ys, t_mean=1.5, t_scale=0.3)
+    split = make_split(xs, ys)
     params = predictor.init_params([2, 3, 1], seed=8)
     a = evaluate(params, [DC_AGENT], [split])
     b = evaluate(params, [DC_AGENT], [split])
