@@ -14,7 +14,10 @@ acting on the realized values; it is nonnegative up to floating point noise
 and clamped at zero.  Both families' batched ops split the two: the
 hindsight cost of the realized rows (`dc_optimal_batch`, `ev_optimal_batch`)
 is computed once and handed to `dc_regret_batch` / `ev_regret_batch` as a
-precomputed `best`, and only the forecast side runs each time.
+precomputed `best`, and only the forecast side runs each time.  The charging
+ops take a `SlotRanking`, built once per call, that holds what the ranking
+needs besides the values: each row's checked slot count and rate, the
+positions of its k-th and (k+1)-th sorted values, and the work arrays.
 """
 
 from __future__ import annotations
@@ -279,79 +282,102 @@ def dc_regret_batch(workloads, lams, c_hat, c, best) -> tuple[np.ndarray, np.nda
     return np.clip(values, 0.0, None), ((cv - lw / headroom**2) * dact).reshape(-1)
 
 
-def _cheapest_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+class SlotRanking:
+    """The forecast-independent state of ranking D blocks of B charging rows by their cheapest slots.
+
+    Built once per call for B realized rows, row i charging `slots[i]` slots
+    at `rates[i]`, and D blocks of B forecast rows (one per draw), forecast
+    row j ranked with k = slots[j % B].  A count outside 1..horizon raises
+    `InfeasibleActionError` here.  It holds each forecast row's k, the flat
+    positions of its k-th and (k+1)-th sorted entries (the latter clipped
+    into the array), the k < T mask, and the work arrays that every
+    `ev_optimal_batch` or `ev_regret_batch` call refills: the sorted copy,
+    which then holds the masked product, and the chosen mask.  Neither op
+    returns a view of them.
+    """
+
+    def __init__(self, slots, rates, horizon: int, n_draws: int = 1):
+        k = np.asarray(slots, dtype=np.int64)
+        if np.any(k < 1) or np.any(k > horizon):
+            raise InfeasibleActionError(f"need between 1 and {horizon} slots per row, got {k.min()}..{k.max()}")
+        self.rate = np.broadcast_to(np.asarray(rates, dtype=float), k.shape)
+        self.slots = np.tile(k, n_draws)
+        size = self.slots.size * horizon
+        at = np.arange(0, size, horizon) + self.slots
+        self.last, self.following = at - 1, np.minimum(at, size - 1)
+        self.short = self.slots < horizon
+        self.blocks = (n_draws, k.size, horizon)
+        self.sorted = np.empty((self.slots.size, horizon))
+        self.chosen = np.empty(self.sorted.shape, dtype=bool)
+
+
+def _cheapest_slots(values: np.ndarray, ranking: SlotRanking) -> np.ndarray:
     """Boolean mask of each (N, T) row's k smallest entries, earliest index first on ties.
 
-    N is a multiple of B = len(slots): the rows come in blocks of B and row
-    j takes k = slots[j % B].  One sort gives each row's k-th smallest
-    value, and the entries at or below it are chosen.  That is exactly k
-    entries unless the threshold is NaN or, for k < T, the (k+1)-th sorted
-    value is not above it (a tie at the threshold); only those rows are
-    ranked again with the stable argsort of `ev_act`.
+    Row j takes k = ranking.slots[j].  One in-place sort of the ranking's
+    copy gives each row's k-th smallest value, and the entries at or below
+    it are chosen.  That is exactly k entries unless the threshold is NaN
+    or, for k < T, the (k+1)-th sorted value is not above it (a tie at the
+    threshold); only those rows are ranked again with the stable argsort of
+    `ev_act`.  The mask is the ranking's `chosen` array.
     """
-    n_rows, horizon = values.shape
-    flat = np.sort(values, axis=1).ravel()
-    at = np.arange(0, n_rows * horizon, horizon).reshape(-1, len(slots)) + slots
-    threshold = flat[at - 1]
-    following = flat[np.minimum(at, flat.size - 1)]
-    chosen = values <= threshold.reshape(-1, 1)
-    odd = np.flatnonzero(np.isnan(threshold) | ((slots < horizon) & ~(following > threshold)))
+    horizon = values.shape[1]
+    ordered = ranking.sorted
+    np.copyto(ordered, values)
+    ordered.sort(axis=1)
+    threshold = ordered.ravel()[ranking.last]
+    following = ordered.ravel()[ranking.following]
+    chosen = np.less_equal(values, threshold[:, None], out=ranking.chosen)
+    odd = np.flatnonzero(np.isnan(threshold) | (ranking.short & ~(following > threshold)))
     if odd.size:
         order = np.argsort(values[odd], axis=1, kind="stable")
         ranked = np.empty((odd.size, horizon), dtype=bool)
-        np.put_along_axis(ranked, order, np.arange(horizon) < slots[odd % len(slots), None], axis=1)
+        np.put_along_axis(ranked, order, np.arange(horizon) < ranking.slots[odd, None], axis=1)
         chosen[odd] = ranked
     return chosen
 
 
-def _slots_and_rates(slots, rates, n_rows: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row slot counts and rates, refusing counts outside 1..horizon."""
-    k = np.broadcast_to(np.asarray(slots, dtype=np.int64), (n_rows,))
-    rate = np.broadcast_to(np.asarray(rates, dtype=float), (n_rows,))
-    if np.any(k < 1) or np.any(k > horizon):
-        raise InfeasibleActionError(f"need between 1 and {horizon} slots per row, got {k.min()}..{k.max()}")
-    return k, rate
-
-
-def ev_optimal_batch(slots, e, rates) -> np.ndarray:
+def ev_optimal_batch(ranking: SlotRanking, e) -> np.ndarray:
     """Vectorized hindsight-optimal charging cost of (B, T) realized rows.
 
-    Row i charges `slots[i]` slots at `rates[i]` (scalars broadcast over the
-    rows); this is `ev_optimal`'s cost row by row.  It does not depend on any
-    forecast, so callers compute it once per realized row and pass it to
-    `ev_regret_batch` as `best`.  The signal must be finite: chosen slots
-    are summed as `e * mask`.
+    Row i charges the ranking's `slots[i]` slots at its `rates[i]`, with a
+    ranking built for one block (D = 1); this is `ev_optimal`'s cost row by
+    row.  It does not depend on any forecast, so callers compute it once per
+    realized row and pass it to `ev_regret_batch` as `best`.  The signal
+    must be finite: chosen slots are summed as `e * mask`.
     """
     ev = np.asarray(e, dtype=float)
-    if ev.ndim != 2:
-        raise ValueError(f"expected (B, T) realized rows, got shape {ev.shape}")
+    if ranking.blocks != (1,) + ev.shape:
+        raise ValueError(f"expected {ranking.blocks[1:]} realized rows for one block, got shape {ev.shape}")
     if not np.all(np.isfinite(ev)):
         raise ValueError("realized charging signal must be finite")
-    k, rate = _slots_and_rates(slots, rates, *ev.shape)
-    return rate * np.sum(ev * _cheapest_slots(ev, k), axis=1)
+    product = np.multiply(ev, _cheapest_slots(ev, ranking), out=ranking.sorted)
+    return ranking.rate * np.sum(product, axis=1)
 
 
-def ev_regret_batch(slots, e_hat, e, rates, best) -> np.ndarray:
-    """Vectorized charging regret of (N, T) forecast rows against (B, T) realized rows.
+def ev_regret_batch(ranking: SlotRanking, e_hat, e, best) -> np.ndarray:
+    """Vectorized charging regret of (D*B, T) forecast rows against (B, T) realized rows.
 
-    Realized row i charges `slots[i]` slots at `rates[i]` (scalars broadcast
-    over the rows); this is what `ev_act` and `ev_cost` do for a context with
-    k = required_slots(ctx).  N may be a multiple of B: the forecasts then
-    come in blocks of B rows (one block per draw) and forecast row j is
-    scored against realized row j % B.  `best` holds each realized row's
-    hindsight-optimal cost, `ev_optimal_batch(slots, e, rates)`, which
-    callers compute once since no forecast changes it; that op also checks
-    that `e` is finite, which the masked sum `e * chosen` relies on.
-    Matches `regret` sample by sample.
+    The forecasts come in the ranking's D blocks of B rows, and forecast row
+    j is scored against realized row j % B with its slot count and rate:
+    what `ev_act` and `ev_cost` do for a context with k = required_slots(ctx).
+    `best` holds each realized row's hindsight-optimal cost,
+    `ev_optimal_batch`, which callers compute once since no forecast
+    changes it; that op also checks that `e` is finite, which the masked
+    sum `e * chosen` relies on.  Every call checks that no regret falls
+    below -REGRET_TOLERANCE.  Returns a new (D*B,) array that matches
+    `regret` sample by sample.
     """
     eh = np.asarray(e_hat, dtype=float)
     ev = np.asarray(e, dtype=float)
-    if eh.ndim != 2 or ev.ndim != 2 or eh.shape[1] != ev.shape[1] or len(ev) == 0 or len(eh) % len(ev):
-        raise ValueError(f"expected (D*B, T) forecasts for (B, T) realized rows, got {eh.shape} and {ev.shape}")
-    n_rows, horizon = ev.shape
-    k, rate = _slots_and_rates(slots, rates, n_rows, horizon)
-    chosen = _cheapest_slots(eh, k).reshape(-1, n_rows, horizon)
-    values = (rate * np.sum(ev * chosen, axis=2) - best).reshape(-1)
+    if eh.shape != ranking.sorted.shape or ev.shape != ranking.blocks[1:]:
+        raise ValueError(
+            f"expected {ranking.sorted.shape} forecasts for {ranking.blocks[1:]} realized rows, "
+            f"got {eh.shape} and {ev.shape}"
+        )
+    chosen = _cheapest_slots(eh, ranking).reshape(ranking.blocks)
+    product = np.multiply(ev, chosen, out=ranking.sorted.reshape(ranking.blocks))
+    values = (ranking.rate * np.sum(product, axis=2) - best).reshape(-1)
     if np.any(values < -REGRET_TOLERANCE):
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")
     return np.clip(values, 0.0, None)

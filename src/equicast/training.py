@@ -38,19 +38,24 @@ What does not depend on the parameters stays out of the step.  Per call: the
 stacked rows, with the batch partition (`sizes` and the row -> agent index
 `owner`) and each row's hindsight-optimal cost (`agents.ev_optimal_batch`
 for charging rows, `agents.dc_optimal_batch` for data-center rows; also in
-`evaluate`), which also checks the charging slot counts and rates and
-refuses a realized intensity that is not positive.  Per epoch: every step's
-batch rows as one (steps, rows) array.
+`evaluate`), which refuses a realized intensity that is not positive; the
+charging ranking of a batch's D draws (`agents.SlotRanking`: each row's
+checked slot count and rate, its threshold positions and its work arrays);
+and pg's work arrays (the flat draw, its restack, the sampled forecasts and
+their raw-unit copy), which every step refills in place.  Per epoch: every
+step's batch rows as one (steps, rows) array.
 
 Before step 0 in every mode, and in `evaluate`, the stacked rows refuse a
 pool that does not fit the model: another agent count than splits, an
 empty part, a charging agent whose horizon differs from the model's output
 width, or targets of another width.  The optimizer helper clips the
 gradient and updates theta <- theta - lr_t * g with
-lr_t = lr * decay^floor(t/step), by SGD (optionally with momentum) or Adam;
-it holds the velocity or Adam's moments.  A non-finite loss or gradient, or
-an update that leaves theta non-finite, raises `DivergenceError` with its
-step.  Everything is deterministic given the config seed.
+lr_t = lr * decay^floor(t/step), by SGD (optionally with momentum) or Adam,
+in place on the one theta array of the call's parameters; it holds the
+velocity or Adam's moments.  A non-finite loss or gradient, or an update
+that leaves theta non-finite, raises `DivergenceError` with its step; theta
+is checked once per step, after the update.  Everything is deterministic
+given the config seed.
 """
 
 from __future__ import annotations
@@ -61,7 +66,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, objective, predictor
-from .agents import AgentSpec, dc_optimal_batch, dc_regret_batch, ev_optimal_batch, ev_regret_batch, required_slots
+from .agents import (
+    AgentSpec, SlotRanking, dc_optimal_batch, dc_regret_batch, ev_optimal_batch, ev_regret_batch, required_slots,
+)
 from .agents import dc_act, dc_act_jacobian, dc_cost_grad_action, regret  # noqa: F401  (bench/tracing.py wraps these bindings)
 from .data import WindowSplit
 from .errors import ConfigError, DivergenceError
@@ -168,14 +175,19 @@ class _StackedRows:
     stacked rows of each of its batches, and `regrets` scores a batch's
     forecasts with one batched call per agent family (`dc_regrets` also gives
     the data-center rows' derivatives) against the realized rows and their
-    hindsight costs (`best`, computed here once).  A data-center agent with a
-    realized intensity that is not positive is refused here, before any step.
-    Rows that are never `scored` (plain training) skip both.  `y` is normalized
-    with the pool's `target_stats`, and `to_raw` maps forecasts back with it.
+    hindsight costs (`best`, computed here once).  The charging rows of a
+    batch are ranked with `ev_ranking`, built here for `n_draws` blocks of
+    them: it checks each row's slot count once and holds the ranking's work
+    arrays, which every `regrets` call refills; `regrets` returns a new array.
+    A data-center agent with a realized intensity that is not positive, and a
+    charging agent whose slot count lies outside 1..T, are refused here,
+    before any step.  Rows that are never `scored` (plain training) skip all
+    of this.  `y` is normalized with the pool's `target_stats`, and `to_raw`
+    maps forecasts back with it (into `out` when given).
     """
 
     def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, batch_size: int | None,
-                 n_outputs: int, scored: bool = True):
+                 n_outputs: int, scored: bool = True, n_draws: int = 1):
         if len(agents) != len(splits):
             raise ConfigError(f"{len(agents)} agents but {len(splits)} data splits")
         if not agents:
@@ -226,7 +238,8 @@ class _StackedRows:
         self.best = np.zeros(len(self.x))
         if scored and ev_row.any():
             own = row_owner[ev_row]
-            self.best[ev_row] = ev_optimal_batch(k_agent[own], self.realized_e[ev_row], rate_agent[own])
+            ranking = SlotRanking(k_agent[own], rate_agent[own], n_outputs)
+            self.best[ev_row] = ev_optimal_batch(ranking, self.realized_e[ev_row])
         if scored and not ev_row.all():
             dc_row = ~ev_row
             own = row_owner[dc_row]
@@ -244,8 +257,10 @@ class _StackedRows:
         self.ev_rows = slice(None) if charging.all() else np.flatnonzero(charging[owner])
         self.dc_rows = slice(None) if not charging.any() else np.flatnonzero(~charging[owner])
         ev_owner, dc_owner = owner[self.ev_rows], owner[self.dc_rows]
-        self.ev_slots = k_agent[ev_owner]
-        self.ev_rates = rate_agent[ev_owner]
+        # the ranking of a batch's n_draws blocks of charging forecasts
+        self.ev_ranking = None
+        if scored and charging.any():
+            self.ev_ranking = SlotRanking(k_agent[ev_owner], rate_agent[ev_owner], n_outputs, n_draws)
         self.dc_lam = lam_agent[dc_owner]
         # d c_hat / d model output: c_hat is the mean of the raw outputs
         self.dc_chat_grad = np.full(n_outputs, self.scale / n_outputs)
@@ -257,31 +272,28 @@ class _StackedRows:
         ) + self.offsets
 
     def draw_index(self, n_draws: int) -> np.ndarray:
-        """(D, R, O) positions in a flat draw that holds each agent's (D, b_m, O) block in agent order.
+        """(D, R) rows of O values in a flat draw that holds each agent's (D, b_m, O) block in agent order.
 
-        Agent m's block starts at D*O*start_m; in it, draw d of its row i,
-        output o, sits at (d*b_m + i)*O + o.
+        Agent m's block starts at row D*start_m; in it, draw d of its row i
+        sits at row d*b_m + i.
         """
         size = np.repeat(self.sizes, self.sizes)
         start = np.repeat(self.starts, self.sizes)
-        first = (n_draws * start + np.arange(len(size)) - start) * self.n_outputs
-        step = np.arange(n_draws)[:, None] * size * self.n_outputs
-        return (first + step)[:, :, None] + np.arange(self.n_outputs)
+        return n_draws * start + np.arange(len(size)) - start + np.arange(n_draws)[:, None] * size
 
-    def to_raw(self, normalized: np.ndarray) -> np.ndarray:
-        raw = self.scale * normalized
+    def to_raw(self, normalized: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        raw = np.multiply(normalized, self.scale, out=out)
         raw += self.mean
         return raw
 
     def regrets(self, raws: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """(D, R) regrets of (D, R, O) raw forecasts for the batch at stacked rows `idx`."""
+        """(D, R) regrets, in a new array, of (D, R, O) raw forecasts for the batch at stacked rows `idx`."""
         n_draws, _, n_out = raws.shape
         values = np.empty(raws.shape[:2])
-        if len(self.ev_slots):
+        if self.ev_ranking is not None:
             at = idx[self.ev_rows]
             values[:, self.ev_rows] = ev_regret_batch(
-                self.ev_slots, raws[:, self.ev_rows].reshape(-1, n_out),
-                self.realized_e[at], self.ev_rates, self.best[at],
+                self.ev_ranking, raws[:, self.ev_rows].reshape(-1, n_out), self.realized_e[at], self.best[at],
             ).reshape(n_draws, -1)
         if len(self.dc_lam):
             values[:, self.dc_rows] = self.dc_regrets(raws, idx)[0]
@@ -334,15 +346,19 @@ def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
     """The score-function step over `pg_samples` draws; the baseline of each draw does not depend on it."""
     n_draws = config.pg_samples
     eps_index = rows.draw_index(n_draws)
+    # work arrays that every step refills: the flat draw, its restack, the
+    # sampled forecasts and their raw-unit copy
+    flat = np.empty((eps_index.size, rows.n_outputs))
+    eps, sampled, raws = (np.empty(eps_index.shape + (rows.n_outputs,)) for _ in range(3))
     ema = None  # of past batch losses: the baseline of a pg_baseline run with one draw
     def step(current, idx, X, Y, preds, acts):
         nonlocal ema
         # the flat draw holds each agent's (D, b_m, O) block in agent order,
         # which fixes the RNG stream; restack as (D, rows, O)
-        eps = np.take(rng.standard_normal(n_draws * preds.size), eps_index)
-        sampled = std * eps
-        sampled += preds
-        agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled), idx))
+        np.take(rng.standard_normal(out=flat), eps_index, axis=0, out=eps)
+        np.multiply(eps, std, out=sampled)
+        np.add(sampled, preds, out=sampled)
+        agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled, out=raws), idx))
         resid = np.subtract(sampled, Y, out=sampled)
         mse_by_draw = rows.agent_means(np.sum(np.square(resid, out=resid), axis=2)).sum(axis=1)
         eq_by_draw = np.sum(np.clip(agent_terms, 0.0, None) ** (config.q + 1.0), axis=1)
@@ -360,10 +376,10 @@ def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
 
 
 def _optimizer(config: TrainConfig, theta: np.ndarray):
-    """`update(theta, grad, t) -> (theta, lr_t)`: clip, lr schedule, then SGD (with momentum) or Adam."""
+    """`update(grad, t) -> lr_t`: clip, lr schedule, then SGD (with momentum) or Adam on theta in place."""
     first, second = np.zeros_like(theta), np.zeros_like(theta)  # the velocity, or Adam's moments
-    def update(theta, grad, t):
-        nonlocal first, second
+    def update(grad, t):
+        nonlocal first, second, theta
         if config.grad_clip is not None:
             norm = float(np.linalg.norm(grad))
             if norm > config.grad_clip:
@@ -373,23 +389,29 @@ def _optimizer(config: TrainConfig, theta: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             if config.optimizer == "sgd":
                 first = config.momentum * first + grad
-                return theta - lr_t * first, lr_t
+                theta -= lr_t * first
+                return lr_t
             first = 0.9 * first + 0.1 * grad
             second = 0.999 * second + 0.001 * grad**2
             m_hat = first / (1.0 - 0.9 ** (t + 1))
             v_hat = second / (1.0 - 0.999 ** (t + 1))
-            return theta - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8), lr_t
+            theta -= lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+            return lr_t
     return update
 
 
 def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], data: list[WindowSplit]) -> TrainResult:
     """Run epochs of per-batch updates; returns final parameters and a step log."""
-    rows = _StackedRows(agents, data, "train", config.batch_size, params.n_outputs, scored=config.mode != "plain")
+    rows = _StackedRows(agents, data, "train", config.batch_size, params.n_outputs, scored=config.mode != "plain",
+                        n_draws=config.pg_samples)
     rng = np.random.default_rng(config.seed)
     std = config.std if config.std is not None else 0.1 * max(float(rows.y.std()), 1e-6)
     steps_per_epoch = int(np.min(rows.counts // rows.sizes))
     mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, agents, rng, std)
-    theta = params.values.copy()
+    # the step's parameters, one copy per call: the optimizer updates their
+    # values theta in place, so theta's finiteness is checked once per step
+    current = params.with_values(params.values.copy())
+    theta = current.values
     update = _optimizer(config, theta)
     step_log: list[dict] = []
 
@@ -397,7 +419,6 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
         perms = [rng.permutation(n) for n in rows.counts]
         for k, idx in enumerate(rows.epoch_index(perms, steps_per_epoch)):
             t = epoch * steps_per_epoch + k
-            current = params.with_values(theta)
             X, Y = rows.x[idx], rows.y[idx]
             # non-finite values are detected explicitly below; numpy's
             # overflow warnings on the way there are just noise
@@ -415,7 +436,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                     agent_id=agents[bad[0]].agent_id if bad.size else None,
                     values=(combined,),
                 )
-            theta, lr_t = update(theta, grad, t)
+            lr_t = update(grad, t)
             if not np.isfinite(theta).all():
                 raise DivergenceError(
                     f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t, values=(combined,)
@@ -425,7 +446,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
                 {"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined}
             )
 
-    return TrainResult(params=params.with_values(theta), step_log=step_log, std=std)
+    return TrainResult(params=current, step_log=step_log, std=std)
 
 
 def evaluate(params: ParamVector, agents: list[AgentSpec], data: list[WindowSplit], q: float = 0.0, beta: float = 0.0, seed: int = 0) -> RunSummary:

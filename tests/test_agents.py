@@ -9,6 +9,7 @@ from equicast.agents import (
     AgentSpec,
     ChargingContext,
     DataCenterContext,
+    SlotRanking,
     dc_act,
     dc_act_jacobian,
     dc_cost,
@@ -260,8 +261,9 @@ def test_regret_batch_helpers_match_scalar_path():
     spec = AgentSpec(1, "charging", ctx)
     eh = rng.uniform(0.1, 3, size=(50, 8))
     ee = rng.uniform(0.1, 3, size=(50, 8))
-    best = ev_optimal_batch(required_slots(ctx), ee, ctx.rate)
-    batch = ev_regret_batch(required_slots(ctx), eh, ee, ctx.rate, best)
+    ranking = SlotRanking(np.full(50, required_slots(ctx)), ctx.rate, 8)
+    best = ev_optimal_batch(ranking, ee)
+    batch = ev_regret_batch(ranking, eh, ee, best)
     for i in range(50):
         assert best[i] == ev_optimal(ctx, ee[i])[1]
         assert batch[i] == pytest.approx(regret(spec, eh[i], ee[i]).value, abs=1e-12)
@@ -290,8 +292,9 @@ def test_regret_batch_helpers_match_scalar_path():
     draws[1, 38] = np.nan
     draws[2, 36] = [-np.inf, 0.0, -np.inf, 1.0, np.inf, -np.inf, 2.0, np.inf]  # k-th and (k+1)-th tie at +inf
     draws[2, 37] = [np.inf, -np.inf, 0.0, -np.inf, 1.0, -np.inf, 2.0, 3.0]  # -inf ties below the k-th
-    best = ev_optimal_batch(slots, realized, rates)
-    batch = ev_regret_batch(slots, draws.reshape(-1, 8), realized, rates, best).reshape(3, -1)
+    best = ev_optimal_batch(SlotRanking(slots, rates, 8), realized)
+    ranking = SlotRanking(slots, rates, 8, n_draws=3)
+    batch = ev_regret_batch(ranking, draws.reshape(-1, 8), realized, best).reshape(3, -1)
     for i, m in enumerate(owner):
         assert best[i] == ev_optimal(specs[m].context, realized[i])[1]
     ties = following_ties = nan_at_k = 0
@@ -305,13 +308,13 @@ def test_regret_batch_helpers_match_scalar_path():
             assert batch[d, i] == regret(specs[m], row, realized[i]).value
     assert ties > 50 and following_ties > 50 and nan_at_k >= 3
     with pytest.raises(InfeasibleActionError):
-        ev_regret_batch(9, draws[0], realized, 1.0, best)
-    with pytest.raises(InfeasibleActionError):
-        ev_optimal_batch(9, realized, 1.0)
+        SlotRanking(np.full(len(owner), 9), 1.0, 8, n_draws=3)
     with pytest.raises(ValueError):
-        ev_regret_batch(2, draws.reshape(-1, 8)[:-1], realized, 1.0, best)
+        ev_regret_batch(ranking, draws.reshape(-1, 8)[:-1], realized, best)
     with pytest.raises(ValueError):
-        ev_optimal_batch(2, np.where(realized > 2, np.inf, realized), 1.0)
+        ev_optimal_batch(ranking, realized)  # a ranking of three blocks
+    with pytest.raises(ValueError):
+        ev_optimal_batch(SlotRanking(np.full(len(owner), 2), 1.0, 8), np.where(realized > 2, np.inf, realized))
 
 
 def test_dc_optimal_batch_matches_scalar_optimum():
@@ -351,13 +354,11 @@ def test_dc_regret_batch_scores_stacked_draws_like_single_blocks():
 
 
 def test_ev_regret_batch_refuses_slot_counts_outside_horizon():
-    rng = np.random.default_rng(10)
-    realized = rng.uniform(0.1, 3, size=(4, 6))
-    draws = rng.uniform(0.1, 3, size=(8, 6))
-    best = ev_optimal_batch(2, realized, 1.5)
-    for slots in (0, 7, [2, 2, 0, 2], [2, 7, 2, 2]):
+    # the counts are checked once, when the ranking that both batched ops
+    # take is built
+    for slots in ([0, 0, 0, 0], [7, 7, 7, 7], [2, 2, 0, 2], [2, 7, 2, 2]):
         with pytest.raises(InfeasibleActionError, match="between 1 and 6"):
-            ev_regret_batch(slots, draws, realized, 1.5, best)
+            SlotRanking(slots, 1.5, 6, n_draws=2)
 
 
 # --- contexts and pool files

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equicast import objective, predictor
-from equicast.agents import AgentSpec, ChargingContext, DataCenterContext, dc_optimal_batch, dc_regret_batch, regret
+from equicast import objective, predictor, training
+from equicast.agents import (
+    AgentSpec, ChargingContext, DataCenterContext, dc_optimal_batch, dc_regret_batch, regret, required_slots,
+)
 from equicast.data import WindowSplit
-from equicast.errors import ConfigError, DivergenceError
-from equicast.training import TrainConfig, evaluate, target_stats, train
+from equicast.errors import ConfigError, DivergenceError, InfeasibleActionError
+from equicast.training import TrainConfig, _StackedRows, evaluate, target_stats, train
 
 
 def make_split(x, y, train_frac=0.67, ctx=None):
@@ -451,6 +453,68 @@ def test_each_step_runs_one_forward_pass(mode, monkeypatch):
     res = train(cfg, predictor.init_params([2, 4, 3], seed=5), agents, splits)
     assert len(res.step_log) > 2
     assert len(calls) == len(res.step_log)
+
+
+def _charging_pool():
+    """Charging agents only, with 1 to 4 of 4 slots and integer signals that tie; 6 training rows each."""
+    rng = np.random.default_rng(31)
+    agents = [AgentSpec(m, "charging", ChargingContext(0.0, 0.8 * (k - 0.5), 0.8, 4)) for m, k in enumerate(range(1, 5))]
+    splits = [make_split(rng.uniform(-1, 1, (9, 2)), rng.integers(1, 4, (9, 4)).astype(float)) for _ in agents]
+    return agents, splits
+
+
+def test_charging_regrets_match_per_sample_regret_across_calls():
+    # two steps' draws scored by one pool's rows: the ranking and its work
+    # arrays are reused, and neither call's result may change with the other
+    agents, splits = _charging_pool()
+    assert [required_slots(a.context) for a in agents] == [1, 2, 3, 4]
+    n_draws, batch = 3, 3
+    rows = _StackedRows(agents, splits, "train", batch, 4, n_draws=n_draws)
+    assert rows.ev_rows == slice(None)
+    rng = np.random.default_rng(32)
+    perms = [rng.permutation(6) for _ in agents]
+    steps = rows.epoch_index(perms, 2)
+    raws = rng.integers(0, 3, size=(2, n_draws, steps.shape[1], 4)).astype(float)
+    raws[rng.uniform(size=raws.shape) < 0.15] = np.nan
+    raws[0, 0, :, :2] = np.inf, -np.inf
+    assert np.isnan(raws).sum() > 10
+    first = rows.regrets(raws[0], steps[0])
+    kept = first.copy()
+    second = rows.regrets(raws[1], steps[1])
+    assert np.array_equal(first, kept)
+    for k, values in enumerate((first, second)):
+        for d in range(n_draws):
+            for r, m in enumerate(rows.owner):
+                realized = splits[m].train_outcome[perms[m][k * batch + r % batch]]
+                assert values[d, r] == regret(agents[m], raws[k, d, r], realized).value
+
+    # a slot count outside 1..T is refused when the rows are built
+    bad = AgentSpec(9, "charging", ChargingContext(0.0, 1e-14, 1.0, 4))
+    assert required_slots(bad.context) == 0
+    p0 = predictor.init_params([2, 3, 4], seed=0)
+    with pytest.raises(InfeasibleActionError, match="between 1 and 4"):
+        _StackedRows(agents + [bad], splits + splits[:1], "train", batch, 4, n_draws=n_draws)
+    with pytest.raises(InfeasibleActionError, match="between 1 and 4"):
+        train(TrainConfig(mode="pg", std=0.3, epochs=1, batch_size=batch), p0, agents + [bad], splits + splits[:1])
+    with pytest.raises(InfeasibleActionError, match="between 1 and 4"):
+        evaluate(p0, agents + [bad], splits + splits[:1])
+
+
+def test_pg_scores_each_step_with_one_charging_regret_call(monkeypatch):
+    # the benchmark's per-layer counts read this binding: one call per step
+    # over the D * R_ev forecast rows (positional argument 1), one in evaluate
+    agents, splits = _charging_pool()
+    calls = []
+    real = training.ev_regret_batch
+    monkeypatch.setattr(training, "ev_regret_batch", lambda *a: calls.append(len(a[1])) or real(*a))
+    p0 = predictor.init_params([2, 3, 4], seed=1)
+    cfg = TrainConfig(mode="pg", q=1.0, beta=0.5, std=0.3, epochs=1, batch_size=2, seed=4, pg_samples=5)
+    res = train(cfg, p0, agents, splits)
+    assert len(res.step_log) == 3
+    assert calls == [5 * 2 * len(agents)] * 3
+    calls.clear()
+    evaluate(res.params, agents, splits)
+    assert calls == [3 * len(agents)]
 
 
 def test_non_positive_realized_intensity_is_refused_before_training():
