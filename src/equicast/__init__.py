@@ -19,7 +19,7 @@ from .agents import (
     regret,
 )
 from .metrics import mse, norm_entropy, percentile_gap, variance
-from .objective import chain_grad, dual_norm_value, equitable_loss, holder_max_value
+from .objective import chain_grad, equitable_loss, holder_max_value
 from .predictor import ParamVector, init_params
 from .training import RunSummary, TrainConfig, TrainResult, evaluate, train
 from .verify import QuadraticToy, theorem_check_entropy, theorem_check_variance

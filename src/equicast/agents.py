@@ -409,15 +409,25 @@ def load_agent_pool(path) -> list[AgentSpec]:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "agents" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("agents"), list):
         raise SchemaError(f"{path}: expected an object with an 'agents' list")
-    agents = []
+    agents, ids = [], set()
     for i, entry in enumerate(doc["agents"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: agent entry {i} is not an object")
         for key in ("agent_id", "family", "context"):
             if key not in entry:
                 raise SchemaError(f"{path}: agent entry {i} missing '{key}'")
-        family = entry["family"]
-        ctx_fields = dict(entry["context"])
+        family, ctx_fields = entry["family"], entry["context"]
+        if not isinstance(ctx_fields, dict):
+            raise SchemaError(f"{path}: agent entry {i}: 'context' is not an object")
+        non_numeric = sorted(k for k, v in ctx_fields.items() if type(v) not in (int, float))
+        if non_numeric:
+            raise SchemaError(f"{path}: agent entry {i}: context fields {non_numeric} are not numbers")
+        agent_id = int(entry["agent_id"])
+        if agent_id in ids:
+            raise SchemaError(f"{path}: agent entry {i} repeats agent_id {agent_id}")
+        ids.add(agent_id)
         try:
             if family == "datacenter":
                 unknown = set(ctx_fields) - _DC_FIELDS
@@ -435,7 +445,7 @@ def load_agent_pool(path) -> list[AgentSpec]:
             raise SchemaError(f"{path}: agent entry {i}: {exc}") from exc
         agents.append(
             AgentSpec(
-                agent_id=int(entry["agent_id"]),
+                agent_id=agent_id,
                 family=family,
                 context=ctx,
                 data_ref=entry.get("data_ref"),

@@ -112,8 +112,8 @@ def cmd_evaluate(args) -> int:
     if meta["lookback"] != config.lookback:
         raise ConfigError(f"checkpoint lookback {meta['lookback']} does not match the config's {config.lookback}")
     pool = harness.build_pool(config, config.seed)
-    if params.layer_sizes != pool.arch:
-        raise ConfigError(f"checkpoint layer sizes {params.layer_sizes} do not match the config's {pool.arch}")
+    if list(params.layer_sizes) != pool.arch:
+        raise ConfigError(f"checkpoint layer sizes {list(params.layer_sizes)} do not match the config's {pool.arch}")
     # absent from older checkpoints: not checked
     for key, pooled in zip(_TARGET_STATS, training.target_stats(pool.splits)):
         if key in meta and meta[key] != pooled:

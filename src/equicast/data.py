@@ -53,6 +53,7 @@ class SeriesDataset:
     agent_targets: np.ndarray | None = None  # (M, N) per-agent forecast targets
     outcome_targets: np.ndarray | None = None  # (M, N) decision streams, if distinct
     workloads: np.ndarray | None = None  # (M, N) per-agent demand series
+    agent_ids: tuple | None = None  # the workload rows' agent ids, sorted
 
     def __post_init__(self):
         n = len(self.timestamps)
@@ -414,7 +415,7 @@ def load_csv(path, schema: str):
         if [t for t, _ in per_agent[a]] != ts0:
             raise SchemaError(f"{path}: agent {a} does not cover the same timestamps as agent {agent_ids[0]}")
     workloads = np.asarray([[d for _, d in per_agent[a]] for a in agent_ids])
-    return SeriesDataset(timestamps=np.asarray(ts0), workloads=workloads)
+    return SeriesDataset(timestamps=np.asarray(ts0), workloads=workloads, agent_ids=tuple(agent_ids))
 
 
 def write_series_csv(path, timestamps, values, value_column: str, comment: str | None = None) -> None:

@@ -13,7 +13,8 @@ read back from the files `generate` wrote (`data_dir`), so a pool trains
 bitwise the same from its files.  The files must hold the config's pool: an
 application, agent count or synthesis field (one that the application's
 generator reads) other than the files record is a config error, and a series
-file whose timestamps differ from `signal.csv`'s is a schema error.
+file whose timestamps differ from `signal.csv`'s, or a `workloads.csv` of
+other agent ids than `agents.json`'s, is a schema error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -89,17 +91,26 @@ class ExperimentConfig:
         return d
 
 
+def _check_fields(cls, doc: dict, what: str) -> None:
+    """Refuse unknown keys, and a bool, int or float field of `cls` given another type (an int is a float; null fits `X | None`)."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in doc.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        want = kinds[0]
+        if want not in (bool, int, float) or (value is None and type(None) in kinds):
+            continue
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise ConfigError(f"{what} field '{name}' must be {want.__name__}, got {value!r}")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     doc = dict(doc)
     train_doc = doc.pop("train", {})
-    known_train = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(train_doc) - known_train
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"train"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_fields(TrainConfig, train_doc, "train config")
+    _check_fields(ExperimentConfig, doc, "config")
     for key in ("sweep_q_plus_1", "sweep_beta"):
         if key in doc:
             doc[key] = tuple(doc[key])
@@ -278,9 +289,12 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
 
     workloads = None
     if (root / "workloads.csv").exists():
-        workloads = rows(root / "workloads.csv", load_csv(root / "workloads.csv", "workload")).workloads
+        found = rows(root / "workloads.csv", load_csv(root / "workloads.csv", "workload"))
+        workloads, ids = found.workloads, tuple(a.agent_id for a in agents)
         if len(workloads) != len(agents):
             raise SchemaError(f"{root / 'workloads.csv'} has {len(workloads)} agents but agents.json has {len(agents)}")
+        if found.agent_ids != ids:  # row m of the workloads is agent m's
+            raise SchemaError(f"{root / 'workloads.csv'} has agent ids {list(found.agent_ids)} but agents.json has {list(ids)}")
     ds = datamod.SeriesDataset(
         timestamps=signal.timestamps,
         signal=signal.signal,

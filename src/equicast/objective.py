@@ -124,14 +124,3 @@ def holder_max_value(mean_regrets, q: float) -> float:
     v = w / np.sum(w**p) ** (1.0 / p)
     return float(np.sum(v * r))
 
-
-def dual_norm_value(mean_regrets, q: float) -> float:
-    """(sum_m r_m^(q+1))^(1/(q+1)), cross-checked against the explicit maximizer."""
-    r = _clean_regrets(mean_regrets)
-    closed = equitable_loss(r, q) ** (1.0 / (q + 1.0))
-    witness = holder_max_value(r, q)
-    if abs(closed - witness) > 1e-9 * max(1.0, closed):
-        raise AssertionError(
-            f"dual-norm identity violated: closed form {closed} vs maximizer {witness}"
-        )
-    return closed

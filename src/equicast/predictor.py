@@ -1,9 +1,12 @@
 """Windowed feedforward forecaster with hand-rolled reverse-mode derivatives.
 
 The network maps a flattened lookback window to a prediction vector through
-tanh hidden layers and a linear output layer.  Parameters live in a single
-flat float64 vector (`ParamVector`) so optimizers, checkpoints, and gradient
-checks all see one array.  The network runs on (B, n_in) batches only:
+tanh hidden layers and a linear output layer.  A model is one flat float64
+vector, each layer's weight matrix row by row then its biases, and the layer
+sizes [n_in, h_1, ..., n_out] (`ParamVector`), so optimizers, checkpoints
+and gradient checks all see one array.  Construction checks both and builds
+each layer's (weight, bias) pair once as views into the vector, which an
+in-place update keeps current.  The network runs on (B, n_in) batches only:
 `forward_batch` evaluates it and `vjp_batch` backpropagates a cotangent on
 its outputs, which is all the three gradient routes need (the score-function
 route's Gaussian head lives in `objective.pg_grad`).
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -21,71 +25,67 @@ import numpy as np
 
 from .errors import ConfigError
 
+
+def _checked_sizes(layer_sizes) -> tuple[int, ...]:
+    """The layer sizes as a tuple of ints: at least two, each >= 1."""
+    try:
+        sizes = tuple(operator.index(n) for n in layer_sizes)
+    except TypeError as exc:
+        raise ConfigError(f"layer sizes must be a list of integers, got {layer_sizes!r}") from exc
+    if len(sizes) < 2:
+        raise ConfigError(f"architecture needs an input and an output size, got {list(sizes)}")
+    if any(n < 1 for n in sizes):
+        raise ConfigError(f"layer sizes must be >= 1, got {list(sizes)}")
+    return sizes
+
+
 @dataclass(frozen=True, eq=False)
 class ParamVector:
-    """Flat parameter vector plus the (layer, rows, cols, bias) layout that shapes it."""
+    """Flat parameter vector plus the layer sizes that shape it; `layers` holds its (weight, bias) views."""
 
     values: np.ndarray
-    layout: tuple[tuple[int, int, int, int], ...]
+    layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        expected = sum(r * c + b for (_, r, c, b) in self.layout)
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"parameter vector has length {self.values.size}, layout needs {expected}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("parameter vector contains non-finite entries")
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        sizes = [self.layout[0][2]]
-        sizes.extend(shape[1] for shape in self.layout)
-        return sizes
+        sizes = _checked_sizes(self.layer_sizes)
+        values = np.asarray(self.values, dtype=float)
+        shapes = list(zip(sizes[1:], sizes[:-1]))
+        expected = sum(rows * (cols + 1) for rows, cols in shapes)
+        if values.shape != (expected,):
+            raise ConfigError(f"parameter vector has shape {values.shape}, layer sizes {list(sizes)} need ({expected},)")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("parameter vector contains non-finite entries")
+        layers, offset = [], 0
+        for rows, cols in shapes:
+            w = values[offset : offset + rows * cols].reshape(rows, cols)
+            offset += rows * cols
+            layers.append((w, values[offset : offset + rows]))
+            offset += rows
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "layer_sizes", sizes)
+        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def n_inputs(self) -> int:
-        return self.layout[0][2]
+        return self.layer_sizes[0]
 
     @property
     def n_outputs(self) -> int:
-        return self.layout[-1][1]
+        return self.layer_sizes[-1]
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values=np.asarray(values, dtype=float), layout=self.layout)
+        return ParamVector(values=values, layer_sizes=self.layer_sizes)
 
 
 def init_params(arch, seed: int) -> ParamVector:
     """Fan-in uniform weights, zero biases; deterministic for a fixed seed."""
-    arch = [int(n) for n in arch]
-    if len(arch) < 2:
-        raise ConfigError(f"architecture needs an input and an output size, got {arch}")
-    if any(n < 1 for n in arch):
-        raise ConfigError(f"layer sizes must be >= 1, got {arch}")
+    sizes = _checked_sizes(arch)
     rng = np.random.default_rng(seed)
     chunks = []
-    layout = []
-    for i, (fan_in, fan_out) in enumerate(zip(arch[:-1], arch[1:])):
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / math.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        chunks.append(w.ravel())
-        chunks.append(np.zeros(fan_out))
-        layout.append((i, fan_out, fan_in, fan_out))
-    return ParamVector(values=np.concatenate(chunks), layout=tuple(layout))
-
-
-def unpack(params: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into (weight matrix, bias vector) pairs."""
-    out = []
-    offset = 0
-    for (_, rows, cols, blen) in params.layout:
-        w = params.values[offset : offset + rows * cols].reshape(rows, cols)
-        offset += rows * cols
-        b = params.values[offset : offset + blen]
-        offset += blen
-        out.append((w, b))
-    return out
+        chunks += [rng.uniform(-bound, bound, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    return ParamVector(values=np.concatenate(chunks), layer_sizes=sizes)
 
 
 class Activations(NamedTuple):
@@ -93,16 +93,6 @@ class Activations(NamedTuple):
 
     values: np.ndarray
     layers: list[np.ndarray]
-
-
-def _forward_cached(params: ParamVector, X: np.ndarray) -> list[np.ndarray]:
-    """Return activations [X, h1, ..., output] for a (B, n_in) batch."""
-    layers = unpack(params)
-    acts = [X]
-    for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == len(layers) - 1 else np.tanh(z))
-    return acts
 
 
 def forward_batch(params: ParamVector, X, keep: bool = False):
@@ -114,7 +104,11 @@ def forward_batch(params: ParamVector, X, keep: bool = False):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.n_inputs:
         raise ValueError(f"expected batch of shape (B, {params.n_inputs}), got {X.shape}")
-    acts = _forward_cached(params, X)
+    acts = [X]
+    last = len(params.layers) - 1
+    for i, (w, b) in enumerate(params.layers):
+        z = acts[-1] @ w.T + b
+        acts.append(z if i == last else np.tanh(z))
     return (acts[-1], Activations(params.values, acts)) if keep else acts[-1]
 
 
@@ -135,8 +129,7 @@ def vjp_batch(params: ParamVector, X, cotangents, acts: Activations) -> np.ndarr
         )
     if acts.values is not params.values:
         raise ValueError("activations were not computed with these parameter values")
-    layers = unpack(params)
-    kept = acts.layers
+    layers, kept = params.layers, acts.layers
     if len(kept) != len(layers) + 1 or not (kept[0] is X or np.array_equal(kept[0], X)):
         raise ValueError("activations were not computed from this batch")
     grads = [None] * len(layers)
@@ -177,12 +170,13 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
         raise ConfigError(f"{path}: expected a checkpoint object")
     for key in ("layer_sizes", "std", "lookback", "values"):
         if key not in doc:
-            raise ConfigError(f"checkpoint missing field '{key}'")
-    sizes = [int(n) for n in doc["layer_sizes"]]
-    layout = tuple(
-        (i, sizes[i + 1], sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)
-    )
-    params = ParamVector(values=np.asarray(doc["values"], dtype=float), layout=layout)
+            raise ConfigError(f"{path}: checkpoint missing field '{key}'")
+    if not (isinstance(doc["values"], list) and all(type(v) in (int, float) for v in doc["values"])):
+        raise ConfigError(f"{path}: 'values' must be a list of numbers")
+    try:
+        params = ParamVector(values=doc["values"], layer_sizes=doc["layer_sizes"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     meta = {"std": float(doc["std"]), "lookback": int(doc["lookback"])}
     meta.update(doc.get("extra", {}))
     return params, meta

@@ -221,6 +221,41 @@ def test_malformed_meta_json_is_a_schema_error(tmp_path, capsys, key, value, mes
     assert message in err and "Traceback" not in err
 
 
+def test_workloads_of_other_agent_ids_are_a_schema_error(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    path = data_dir / "workloads.csv"  # agent 2's rows relabelled as agent 7 used to train
+    path.write_text("\n".join(
+        line.replace(",2,", ",7,") if line[:1].isdigit() else line for line in path.read_text().splitlines()
+    ) + "\n")
+    cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "workloads.csv has agent ids [0, 1, 7] but agents.json has [0, 1, 2]" in err and "Traceback" not in err
+
+
+# the object was iterated by its keys and the repeated id trained; the
+# others ended in TypeError tracebacks
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: {"agents": {str(a["agent_id"]): a for a in doc["agents"]}}, "expected an object with an 'agents' list"),
+    (lambda doc: {"agents": [doc["agents"][0], 7, doc["agents"][2]]}, "agent entry 1 is not an object"),
+    (lambda doc: {"agents": [{**a, "context": [1, 2]} for a in doc["agents"]]}, "agent entry 0: 'context' is not an object"),
+    (lambda doc: {"agents": [{**a, "context": {**a["context"], "workload": "5"}} for a in doc["agents"]]},
+     "agent entry 0: context fields ['workload'] are not numbers"),
+    (lambda doc: {"agents": [a if a["agent_id"] < 2 else {**a, "agent_id": 1} for a in doc["agents"]]},
+     "agent entry 2 repeats agent_id 1"),
+])
+def test_malformed_agents_json_is_a_schema_error(tmp_path, capsys, edit, message):
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    path = data_dir / "agents.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("application, override", [
     ("charging", {"lambda_scheme": "bogus"}),
     ("mixed", {"heterogeneity": "bogus"}),
@@ -245,6 +280,67 @@ def test_corrupt_checkpoint_is_a_usage_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "checkpoint.json: not valid JSON" in err and "Traceback" not in err
+
+
+# each used to end in a traceback, or (the numeric string) to evaluate
+@pytest.mark.parametrize("key, edit, message", [
+    ("values", lambda v: v[:-1], "layer sizes [6, 4, 1] need (33,)"),
+    ("values", lambda v: [repr(v[0])] + v[1:], "'values' must be a list of numbers"),
+    ("values", lambda v: [float("nan")] + v[1:], "non-finite"),
+    ("layer_sizes", lambda s: [6], "architecture needs an input and an output size, got [6]"),
+    ("layer_sizes", lambda s: 6, "layer sizes must be a list of integers, got 6"),
+])
+def test_malformed_checkpoint_is_a_usage_error(tmp_path, capsys, key, edit, message):
+    cfg = write_config(tmp_path, tiny_config())
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
+    doc = json.loads((run / "checkpoint.json").read_text())
+    (run / "checkpoint.json").write_text(json.dumps({**doc, key: edit(doc[key])}))
+    rc = cli.main(["evaluate", "--config", cfg, "--checkpoint", str(run / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / 'checkpoint.json'}: ") and message in err and "Traceback" not in err
+
+
+# the strings trained as true, the other floats were accepted or ended in a
+# TypeError traceback
+@pytest.mark.parametrize("train, field, value, wanted", [
+    (False, "chronological", "false", "bool"),
+    (True, "pg_baseline", "no", "bool"),
+    (False, "repeats", 1.5, "int"),
+    (True, "lr_step", 1.5, "int"),
+    (False, "n_agents", 2.5, "int"),
+    (False, "lookback", 3.5, "int"),
+    (False, "seed", 1.5, "int"),
+    (True, "epochs", 1.5, "int"),
+    (True, "batch_size", 4.5, "int"),
+    (True, "pg_samples", 2.5, "int"),
+    (False, "hidden", True, "int"),
+    (False, "train_fraction", True, "float"),
+    (True, "lr", "0.05", "float"),
+])
+def test_config_field_of_another_type_is_a_usage_error(tmp_path, capsys, train, field, value, wanted):
+    doc = tiny_config()
+    (doc["train"] if train else doc)[field] = value
+    assert cli.main(["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"field '{field}' must be {wanted}, got {value!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_config_types_hold_for_toml_too(tmp_path, capsys):
+    path = tmp_path / "config.toml"
+    path.write_text('n_agents = 3\nlength = 80\nlookback = 6.0\n[train]\nepochs = 2\n')
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "config field 'lookback' must be int, got 6.0" in capsys.readouterr().err
+
+
+def test_config_takes_ints_for_floats_and_null_where_none_is_the_default():
+    doc = tiny_config(water_weight=2, train={"lr": 1, "std": None, "grad_clip": None, "q": 0})
+    config = config_from_dict(doc)
+    assert config.water_weight == 2 and config.train.lr == 1 and config.train.std is None
+    assert config_from_dict(tiny_config(data_dir=None)).data_dir is None
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])

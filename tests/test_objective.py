@@ -169,7 +169,7 @@ def test_pg_grad_monte_carlo_matches_analytic():
     n = 200_000
     x = np.zeros((1, 1))
     for theta in (0.0, 0.5, 2.0):
-        params = predictor.ParamVector(values=np.array([0.0, theta]), layout=((0, 1, 1, 1),))
+        params = predictor.ParamVector(values=np.array([0.0, theta]), layer_sizes=(1, 1))
         _, acts = predictor.forward_batch(params, x, keep=True)
         rng = np.random.default_rng(42 + int(10 * theta))
         eps = rng.standard_normal(n)
@@ -236,9 +236,10 @@ def test_pg_matches_chain_on_differentiable_toy():
 
 
 def test_dual_norm_reference_values():
-    assert objective.dual_norm_value([3.0, 4.0], 1.0) == pytest.approx(5.0)
-    assert objective.dual_norm_value([3.0, 4.0], 0.0) == pytest.approx(7.0)
-    assert objective.dual_norm_value([0.0, 0.0], 2.0) == 0.0
+    # the maximizer's value and the closed form (sum r^(q+1))^(1/(q+1)) agree
+    for r, q, expected in (([3.0, 4.0], 1.0, 5.0), ([3.0, 4.0], 0.0, 7.0), ([0.0, 0.0], 2.0, 0.0)):
+        assert objective.holder_max_value(r, q) == pytest.approx(expected, abs=1e-12)
+        assert objective.equitable_loss(r, q) ** (1 / (q + 1)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_dual_norm_matches_holder_maximizer():
@@ -256,7 +257,7 @@ def test_dual_norm_power_identity():
     rng = np.random.default_rng(12)
     r = rng.uniform(0, 1, size=7)
     for q in (0.0, 0.5, 2.0):
-        assert objective.dual_norm_value(r, q) ** (q + 1) == pytest.approx(
+        assert objective.holder_max_value(r, q) ** (q + 1) == pytest.approx(
             objective.equitable_loss(r, q), rel=1e-12
         )
 

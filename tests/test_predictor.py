@@ -42,7 +42,7 @@ def test_init_deterministic():
 def test_init_layout_arithmetic():
     p = predictor.init_params([2, 3, 1], seed=0)
     assert p.values.size == 2 * 3 + 3 + 3 * 1 + 1
-    assert p.layer_sizes == [2, 3, 1]
+    assert p.layer_sizes == (2, 3, 1)
 
 
 def test_init_rejects_bad_arch():
@@ -56,15 +56,44 @@ def test_init_rejects_bad_arch():
 
 def test_init_bounds_and_zero_bias():
     p = predictor.init_params([9, 4, 2], seed=3)
-    (w1, b1), (w2, b2) = predictor.unpack(p)
+    (w1, b1), (w2, b2) = p.layers
     assert np.all(np.abs(w1) <= 1 / 3) and np.all(np.abs(w2) <= 1 / 2)
     assert np.all(b1 == 0) and np.all(b2 == 0)
 
 
+def test_layers_are_views_that_see_in_place_updates():
+    # train's optimizer updates the values in place between steps
+    p = predictor.init_params([3, 4, 2], seed=4)
+    assert [(w.shape, b.shape) for w, b in p.layers] == [((4, 3), (4,)), ((2, 4), (2,))]
+    assert all(np.shares_memory(part, p.values) for layer in p.layers for part in layer)
+    X = np.array([[0.5, -1.0, 2.0]])
+    before = predictor.forward_batch(p, X)
+    p.values[-1] += 1.0  # the last output's bias
+    after = predictor.forward_batch(p, X)
+    assert after[0, 1] == pytest.approx(before[0, 1] + 1.0) and after[0, 0] == before[0, 0]
+    p.values[:] = 0.0
+    assert np.all(predictor.forward_batch(p, X) == 0.0)
+
+
+@pytest.mark.parametrize("sizes", [[], [3], [3, 0, 1], [2, -1], (0, 1)])
+def test_construction_refuses_bad_layer_sizes(sizes):
+    with pytest.raises(ConfigError, match="architecture needs|must be >= 1"):
+        predictor.ParamVector(values=np.zeros(3), layer_sizes=sizes)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(2), r"shape \(2,\), layer sizes \[2, 1\] need \(3,\)"),
+    (np.zeros((1, 3)), "shape"),
+    (np.array([0.0, np.nan, 1.0]), "non-finite"),
+])
+def test_construction_refuses_bad_values(values, message):
+    with pytest.raises(ConfigError, match=message):
+        predictor.ParamVector(values=values, layer_sizes=(2, 1))
+
+
 def test_forward_linear_layer():
     # single linear layer, weights [1, 1], bias 0: x=[2,3] -> [5]
-    layout = ((0, 1, 2, 1),)
-    p = predictor.ParamVector(values=np.array([1.0, 1.0, 0.0]), layout=layout)
+    p = predictor.ParamVector(values=np.array([1.0, 1.0, 0.0]), layer_sizes=(2, 1))
     assert forward_row(p, np.array([2.0, 3.0]))[0] == pytest.approx(5.0)
 
 
@@ -88,8 +117,7 @@ def test_forward_dimension_mismatch():
 
 
 def test_vjp_linear_model():
-    layout = ((0, 1, 2, 1),)
-    p = predictor.ParamVector(values=np.array([0.7, -0.3, 0.2]), layout=layout)
+    p = predictor.ParamVector(values=np.array([0.7, -0.3, 0.2]), layer_sizes=(2, 1))
     g = vjp_row(p, np.array([2.0, 3.0]), np.array([1.0]))
     assert g == pytest.approx([2.0, 3.0, 1.0])
 
@@ -151,7 +179,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     predictor.save_checkpoint(path, p, std=0.123456789012345, lookback=5, extra={"note": "x"})
     loaded, meta = predictor.load_checkpoint(path)
     assert np.array_equal(loaded.values, p.values)
-    assert loaded.layout == p.layout
+    assert loaded.layer_sizes == p.layer_sizes == (5, 7, 3)
     assert meta["std"] == 0.123456789012345
     assert meta["lookback"] == 5
     assert meta["note"] == "x"
@@ -161,4 +189,12 @@ def test_checkpoint_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"layer_sizes": [2, 1], "values": [0, 0, 0]}))
     with pytest.raises(ConfigError):
+        predictor.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_layer_sizes_that_cannot_run(tmp_path):
+    # a zero-width layer and one value used to load as a model
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"layer_sizes": [12, 0, 1], "std": 0.1, "lookback": 12, "values": [0.0]}))
+    with pytest.raises(ConfigError, match=r"zero.json: layer sizes must be >= 1, got \[12, 0, 1\]"):
         predictor.load_checkpoint(path)

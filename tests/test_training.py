@@ -447,8 +447,8 @@ def test_each_step_runs_one_forward_pass(mode, monkeypatch):
     if mode == "chain":  # chain needs data-center agents only
         agents, splits = agents[1:], splits[1:]
     calls = []
-    real = predictor._forward_cached
-    monkeypatch.setattr(predictor, "_forward_cached", lambda *a: calls.append(1) or real(*a))
+    real = predictor.forward_batch
+    monkeypatch.setattr(predictor, "forward_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
     cfg = TrainConfig(mode=mode, q=1.0, beta=0.5, std=0.3, epochs=3, batch_size=4, seed=3, pg_samples=3)
     res = train(cfg, predictor.init_params([2, 4, 3], seed=5), agents, splits)
     assert len(res.step_log) > 2
