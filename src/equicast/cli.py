@@ -6,7 +6,7 @@ Subcommands:
 * train   : fit one model per the config, emit checkpoint/steps/summary
 * evaluate: re-evaluate a checkpoint on the config's test split
 * sweep   : grid over (q+1, beta, seed), emit sweep.csv and regret files
-* verify  : run the oracle/gradient/theorem suites, nonzero exit on failure
+* verify  : run the oracle/gradient/theorem suites at the config's seed, nonzero exit on failure
 
 Exit codes: 0 success, 1 usage or config error, 2 divergence, verification
 failure or a failed sweep cell (the sweep still writes its table).
@@ -139,7 +139,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(seed=args.seed if args.seed is not None else 0)
+    results = verify.run_all(seed=_effective_config(args).seed)
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -92,7 +92,12 @@ class ExperimentConfig:
 
 
 def _check_fields(cls, doc: dict, what: str) -> None:
-    """Refuse unknown keys, and a bool, int or float field of `cls` given another type (an int is a float; null fits `X | None`)."""
+    """Refuse unknown keys, and a field of `cls` given a value of another type.
+
+    A bool, int, float or str field takes that JSON type (an int is a float;
+    null fits `X | None`), a dataclass field an object, and a tuple field a
+    list of numbers (not bools).
+    """
     hints = typing.get_type_hints(cls)
     unknown = set(doc) - set(hints)
     if unknown:
@@ -100,17 +105,25 @@ def _check_fields(cls, doc: dict, what: str) -> None:
     for name, value in doc.items():
         kinds = typing.get_args(hints[name]) or (hints[name],)
         want = kinds[0]
-        if want not in (bool, int, float) or (value is None and type(None) in kinds):
+        if value is None and type(None) in kinds:
             continue
-        if not (type(value) is want or (want is float and type(value) is int)):
-            raise ConfigError(f"{what} field '{name}' must be {want.__name__}, got {value!r}")
+        if dataclasses.is_dataclass(want):
+            ok, wanted = isinstance(value, dict), "an object"
+        elif want is tuple:
+            ok, wanted = isinstance(value, list) and all(type(v) in (int, float) for v in value), "a list of numbers"
+        elif want in (bool, int, float, str):
+            ok, wanted = type(value) is want or (want is float and type(value) is int), want.__name__
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{what} field '{name}' must be {wanted}, got {value!r}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    _check_fields(ExperimentConfig, doc, "config")
     doc = dict(doc)
     train_doc = doc.pop("train", {})
     _check_fields(TrainConfig, train_doc, "train config")
-    _check_fields(ExperimentConfig, doc, "config")
     for key in ("sweep_q_plus_1", "sweep_beta"):
         if key in doc:
             doc[key] = tuple(doc[key])

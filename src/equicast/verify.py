@@ -8,7 +8,6 @@ tolerance.  `run_all` is what the CLI's `verify` subcommand executes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -27,65 +26,115 @@ class SuiteResult:
     detail: str
 
 
+_DC_STRIDE = 100
+
+
+def _dc_grid_min(w: float, lam: float, c: float, step: float) -> float:
+    """Least data-center cost p*c + lam*w/(p - w) over np.arange(w + step, w + 10, step).
+
+    The cost is convex in p: every `_DC_STRIDE`-th point is scored, then
+    every point within one stride of the best of those, and that window's
+    minimum is the grid's.
+    """
+    ps = np.arange(w + step, w + 10.0, step)
+
+    def cost(p):
+        return p * c + lam * w / (p - w)
+
+    best = int(np.argmin(cost(ps[::_DC_STRIDE]))) * _DC_STRIDE
+    return float(cost(ps[max(best - _DC_STRIDE, 0):best + _DC_STRIDE + 1]).min())
+
+
+def _subset_masks(horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonempty subset of `horizon` slots as a 0/1 row, and where each size's rows start.
+
+    Rows are ordered by size, and within a size as `itertools.combinations`
+    yields them: that order is the subsets' bit patterns, slot 0 the most
+    significant bit, from high to low.
+    """
+    codes = np.arange(2**horizon - 1, 0, -1)
+    masks = (codes[:, None] >> np.arange(horizon - 1, -1, -1)) & 1
+    sizes = masks.sum(axis=1)
+    masks = masks[np.argsort(sizes, kind="stable")].astype(float)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(sizes)[1:])))
+    return masks, starts
+
+
 def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float = 1e-4) -> SuiteResult:
-    """Closed-form optima vs grid search (data center) and enumeration (charging)."""
+    """Closed-form optima vs grid search (data center) and enumeration (charging).
+
+    The batched ops the trainer applies, `dc_optimal_batch` and
+    `ev_optimal_batch`, must equal the scalar optima the oracles accepted
+    exactly: each is one call over all cases.
+    """
     rng = np.random.default_rng(seed)
     worst_dc = 0.0
-    for _ in range(n_cases):
+    dc_cases, dc_costs = np.empty((n_cases, 3)), np.empty(n_cases)
+    for i in range(n_cases):
         w = float(rng.uniform(0.5, 4.0))
         lam = float(rng.uniform(0.5, 4.0))
         c = float(rng.uniform(0.5, 4.0))
         ctx = DataCenterContext(workload=w, latency_weight=lam)
-        ps = np.arange(w + grid_step, w + 10.0, grid_step)
-        costs = ps * c + lam * w / (ps - w)
         _, cost_star = agentmod.dc_optimal(ctx, c)
-        gap = float(costs.min() - cost_star)
+        gap = _dc_grid_min(w, lam, c, grid_step) - cost_star
         if gap < -grid_step:
             return SuiteResult("decision_oracles", False, f"grid found cost {gap} below closed form")
         worst_dc = max(worst_dc, abs(gap))
+        dc_cases[i], dc_costs[i] = (w, lam, c), cost_star
     if worst_dc > grid_step:
         return SuiteResult("decision_oracles", False, f"dc cost error {worst_dc} > {grid_step}")
+    # the grid's 1e-4 tolerance cannot see a small error, so the batched op
+    # must match the grid-checked closed form bit for bit
+    batch = agentmod.dc_optimal_batch(*dc_cases.T)
+    misses = np.count_nonzero(batch != dc_costs)
+    if misses:
+        return SuiteResult("decision_oracles", False, f"dc_optimal_batch differs from dc_optimal on {misses} cases")
 
     horizon = 12
-    masks = {
-        k: np.array([[1 if i in combo else 0 for i in range(horizon)]
-                     for combo in itertools.combinations(range(horizon), k)], dtype=float)
-        for k in range(1, horizon + 1)
-    }
+    masks, starts = _subset_masks(horizon)
     mismatches = 0
-    for _ in range(n_cases):
+    signals, rates, enum_best = np.empty((n_cases, horizon)), np.empty(n_cases), np.empty((n_cases, horizon))
+    for i in range(n_cases):
         e = rng.uniform(0.2, 3.0, size=horizon)
         rate = float(rng.uniform(0.5, 3.0))
+        enum_costs = rate * (masks * e).sum(axis=1)
         for k in range(1, horizon + 1):
             ctx = ChargingContext(initial=0.0, demand=(k - 0.5) * rate, rate=rate, horizon=horizon)
             _, cost = agentmod.ev_optimal(ctx, e)
-            enum_costs = rate * (masks[k] * e).sum(axis=1)
-            best_row = masks[k][int(np.argmin(enum_costs))]
+            lo, hi = starts[k - 1], starts[k]
+            best_row = masks[lo + int(np.argmin(enum_costs[lo:hi]))]
             # re-evaluate the enumerated argmin through ev_cost so both sides
             # share one float recipe; equality must then be exact
-            if cost != agentmod.ev_cost(ctx, best_row, e):
+            enum_best[i, k - 1] = agentmod.ev_cost(ctx, best_row, e)
+            if cost != enum_best[i, k - 1]:
                 mismatches += 1
+        signals[i], rates[i] = e, rate
     if mismatches:
         return SuiteResult("decision_oracles", False, f"{mismatches} enumeration mismatches")
+    ranking = agentmod.SlotRanking(np.tile(np.arange(1, horizon + 1), n_cases), np.repeat(rates, horizon), horizon)
+    batch = agentmod.ev_optimal_batch(ranking, np.repeat(signals, horizon, axis=0))
+    misses = np.count_nonzero(batch != enum_best.ravel())
+    if misses:
+        return SuiteResult("decision_oracles", False, f"ev_optimal_batch: {misses} enumeration mismatches")
     return SuiteResult(
         "decision_oracles", True,
         f"dc cost error {worst_dc:.2e} <= {grid_step}; ev exact on {n_cases}x{horizon} cases",
     )
 
 
-def _dc_pipeline_terms(params, agents_list, Xs, Ys, ctxs, t_mean, t_scale) -> tuple[list, float]:
+def _dc_pipeline_terms(params, agents_list, Xs, Ys, row_ctxs, t_mean, t_scale) -> tuple[list, float]:
     """Per-agent mean regrets and MSE sum of a data-center pipeline, for finite differencing.
 
     Regrets go through the scalar `agents.regret` path, independent of the
-    batched one the trainer uses.
+    batched one the trainer uses; `row_ctxs` holds each agent's per-row
+    contexts.
     """
     mean_regrets = []
     mse_sum = 0.0
-    for agent, X, Y, ws in zip(agents_list, Xs, Ys, ctxs):
+    for agent, X, Y, contexts in zip(agents_list, Xs, Ys, row_ctxs):
         preds = predictor.forward_batch(params, X)
         values = []
-        for i in range(X.shape[0]):
-            ctx = replace(agent.context, workload=float(ws[i]))
+        for i, ctx in enumerate(contexts):
             c_hat = t_mean + t_scale * float(preds[i, 0])
             values.append(agentmod.regret(agent, c_hat, float(Y[i, 0]), context=ctx).value)
         mean_regrets.append(np.mean(values))
@@ -128,13 +177,14 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     # the probed regrets and MSE do not depend on (q, beta): each +-h probe
     # of each parameter runs once, and every (q, beta) blends its terms
     h = 1e-5
+    row_ctxs = [[replace(a.context, workload=float(wi)) for wi in ws] for a, ws in zip(agents_list, ctxs)]
     terms = []
     for j in range(params.values.size):
         v = params.values.copy()
         v[j] += h
-        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, ctxs, t_mean, t_scale))
+        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, t_mean, t_scale))
         v[j] -= 2 * h
-        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, ctxs, t_mean, t_scale))
+        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, t_mean, t_scale))
 
     worst = 0.0
     for q in qs:
@@ -166,19 +216,28 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
     rng = np.random.default_rng(seed)
     X = np.zeros((1, 1))
     details = []
+    # the draws' losses, baselines and terms are formed in place, in these buffers
+    losses, loo, terms = np.empty(n_draws), np.empty(n_draws), np.empty(n_draws)
     for theta in thetas:
         params = predictor.ParamVector(values=np.array([0.0, theta]), layer_sizes=(1, 1))
         _, acts = predictor.forward_batch(params, X, keep=True)
         eps = rng.standard_normal(n_draws)
-        draws = theta + std * eps
         score = objective.pg_grad(params, X, eps[:1].reshape(1, 1, 1), np.ones(1), 0.0, std, acts)
         if not np.allclose(score, [0.0, eps[0] / std], rtol=0, atol=1e-12):
             return SuiteResult("pg_estimator", False, f"theta={theta}: one-draw pg_grad {score} vs [0, {eps[0] / std}]")
-        losses = (draws - 1.0) ** 2
-        loo = (losses.sum() - losses) / (n_draws - 1)
+        # losses = (theta + std * eps - 1)^2, loo = (sum - losses) / (n - 1)
+        np.multiply(eps, std, out=losses)
+        losses += theta
+        losses -= 1.0
+        np.square(losses, out=losses)
+        np.subtract(losses.sum(), losses, out=loo)
+        loo /= n_draws - 1
         target = 2.0 * (theta - 1.0)
         for label, baseline in (("", 0.0), (", leave-one-out baseline", loo)):
-            terms = (losses - baseline) * eps / std
+            # terms = (losses - baseline) * eps / std
+            np.subtract(losses, baseline, out=terms)
+            terms *= eps
+            terms /= std
             estimate = float(objective.pg_grad(params, X, eps.reshape(-1, 1, 1), losses, baseline, std, acts)[1])
             if not np.isclose(estimate, terms.mean(), rtol=1e-12, atol=0.0):
                 return SuiteResult(

@@ -319,6 +319,13 @@ def test_malformed_checkpoint_is_a_usage_error(tmp_path, capsys, key, edit, mess
     (False, "hidden", True, "int"),
     (False, "train_fraction", True, "float"),
     (True, "lr", "0.05", "float"),
+    (False, "data_dir", 5, "str"),  # a TypeError traceback
+    (False, "train", 5, "an object"),  # a TypeError traceback
+    (False, "train", [1], "an object"),
+    (False, "sweep_q_plus_1", 2.0, "a list of numbers"),  # a TypeError traceback
+    (False, "sweep_q_plus_1", ["2"], "a list of numbers"),
+    (False, "sweep_beta", [True], "a list of numbers"),  # trained as 1
+    (False, "sweep_beta", 0.5, "a list of numbers"),  # a TypeError traceback
 ])
 def test_config_field_of_another_type_is_a_usage_error(tmp_path, capsys, train, field, value, wanted):
     doc = tiny_config()
@@ -497,6 +504,21 @@ def test_verify_exit_codes(monkeypatch, capsys):
     assert cli.main(["verify"]) == 2
     out = capsys.readouterr().out
     assert "[FAIL] beta" in out
+
+
+def test_verify_runs_at_the_config_seed(tmp_path, monkeypatch, capsys):
+    # --config used to be ignored: a missing file ran every suite at seed 0 and exited 0
+    seeds = []
+    monkeypatch.setattr(verify, "run_all", lambda seed=0: seeds.append(seed) or [verify.SuiteResult("a", True, "ok")])
+    cfg = write_config(tmp_path, tiny_config(seed=5))
+    assert cli.main(["verify"]) == 0
+    assert cli.main(["verify", "--config", cfg]) == 0
+    assert cli.main(["verify", "--config", cfg, "--seed", "3"]) == 0
+    assert seeds == [0, 5, 3]
+    assert cli.main(["verify", "--config", str(tmp_path / "nonexistent.json")]) == 1
+    assert cli.main(["verify", "--config", write_config(tmp_path, {"sead": 1}, name="bad.json")]) == 1
+    assert seeds == [0, 5, 3]
+    assert "unknown config keys: ['sead']" in capsys.readouterr().err
 
 
 def test_verify_negative_control(monkeypatch):

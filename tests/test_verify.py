@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from equicast import agents as agentmod
 from equicast import verify
+from equicast.agents import ChargingContext, DataCenterContext
 from equicast.metrics import norm_entropy
 from equicast.verify import QuadraticToy, minimize_toy, theorem_check_entropy, theorem_check_variance
 
@@ -104,6 +107,77 @@ def test_injected_enumeration_bug_detected(monkeypatch):
     monkeypatch.setattr(agents_module, "ev_optimal", off_by_one)
     result = verify.check_decision_oracles(n_cases=2, seed=0)
     assert not result.passed
+
+
+@pytest.mark.parametrize("op", ["dc_optimal_batch", "ev_optimal_batch"])
+def test_injected_batched_decision_bug_detected(monkeypatch, op):
+    real = getattr(agentmod, op)
+    monkeypatch.setattr(agentmod, op, lambda *a: real(*a) + 1e-6)
+    result = verify.check_decision_oracles(n_cases=2, seed=0)
+    assert not result.passed
+    assert result.detail.startswith(op)
+
+
+def _brute_force_decision_oracles(n_cases, seed, grid_step=1e-4):
+    """The decision suite as a dense loop: every grid point, and each slot count's masks built apart."""
+    rng = np.random.default_rng(seed)
+    worst_dc = 0.0
+    for _ in range(n_cases):
+        w = float(rng.uniform(0.5, 4.0))
+        lam = float(rng.uniform(0.5, 4.0))
+        c = float(rng.uniform(0.5, 4.0))
+        ctx = DataCenterContext(workload=w, latency_weight=lam)
+        ps = np.arange(w + grid_step, w + 10.0, grid_step)
+        costs = ps * c + lam * w / (ps - w)
+        _, cost_star = agentmod.dc_optimal(ctx, c)
+        gap = float(costs.min() - cost_star)
+        if gap < -grid_step:
+            return verify.SuiteResult("decision_oracles", False, f"grid found cost {gap} below closed form")
+        worst_dc = max(worst_dc, abs(gap))
+    if worst_dc > grid_step:
+        return verify.SuiteResult("decision_oracles", False, f"dc cost error {worst_dc} > {grid_step}")
+    horizon = 12
+    masks = {
+        k: np.array([[1 if i in combo else 0 for i in range(horizon)]
+                     for combo in itertools.combinations(range(horizon), k)], dtype=float)
+        for k in range(1, horizon + 1)
+    }
+    mismatches = 0
+    for _ in range(n_cases):
+        e = rng.uniform(0.2, 3.0, size=horizon)
+        rate = float(rng.uniform(0.5, 3.0))
+        for k in range(1, horizon + 1):
+            ctx = ChargingContext(initial=0.0, demand=(k - 0.5) * rate, rate=rate, horizon=horizon)
+            _, cost = agentmod.ev_optimal(ctx, e)
+            best_row = masks[k][int(np.argmin(rate * (masks[k] * e).sum(axis=1)))]
+            if cost != agentmod.ev_cost(ctx, best_row, e):
+                mismatches += 1
+    if mismatches:
+        return verify.SuiteResult("decision_oracles", False, f"{mismatches} enumeration mismatches")
+    return verify.SuiteResult(
+        "decision_oracles", True,
+        f"dc cost error {worst_dc:.2e} <= {grid_step}; ev exact on {n_cases}x{horizon} cases",
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 9001])
+def test_decision_oracles_match_the_brute_force_suite(seed):
+    assert verify.check_decision_oracles(n_cases=100, seed=seed) == _brute_force_decision_oracles(100, seed)
+
+
+def test_decision_grid_window_holds_the_full_grid_minimum():
+    rng = np.random.default_rng(3)
+    for w, lam, c in rng.uniform(0.5, 4.0, size=(2000, 3)).tolist():
+        ps = np.arange(w + 1e-4, w + 10.0, 1e-4)
+        assert verify._dc_grid_min(w, lam, c, 1e-4) == (ps * c + lam * w / (ps - w)).min()
+
+
+def test_subset_masks_follow_the_combinations_order():
+    masks, starts = verify._subset_masks(12)
+    for k in range(1, 13):
+        combos = [[1.0 if i in combo else 0.0 for i in range(12)] for combo in itertools.combinations(range(12), k)]
+        assert np.array_equal(masks[starts[k - 1]:starts[k]], combos)
+    assert starts[-1] == len(masks) == 4095
 
 
 def test_injected_theorem_variance_bug_detected(monkeypatch):
