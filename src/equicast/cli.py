@@ -32,11 +32,6 @@ except ModuleNotFoundError:  # python < 3.11
     except ModuleNotFoundError:
         _toml = None
 
-# The pool's one target transform (`training.target_stats`), stored in a
-# checkpoint so that `evaluate` de-normalizes only with the stats it was
-# trained on.
-_TARGET_STATS = ("target_mean", "target_scale")
-
 
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
@@ -89,13 +84,14 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary, result, pool = harness.run_experiment(config)
-    stats = dict(zip(_TARGET_STATS, training.target_stats(pool.splits)))
     predictor.save_checkpoint(
         out / "checkpoint.json",
         result.params,
         std=result.std,
         lookback=config.lookback,
-        extra={"config_hash": config_hash(config), "seed": config.seed, **stats},
+        # the pool's one target transform, so that `evaluate` de-normalizes with the same
+        extra={"config_hash": config_hash(config), "seed": config.seed,
+               "target_mean": pool.splits.mean, "target_scale": pool.splits.scale},
     )
     harness.write_step_log(out / "steps.csv", result.step_log, config, config.seed)
     path = _write_summary(out, config, config.seed, summary)
@@ -115,9 +111,9 @@ def cmd_evaluate(args) -> int:
     if list(params.layer_sizes) != pool.arch:
         raise ConfigError(f"checkpoint layer sizes {list(params.layer_sizes)} do not match the config's {pool.arch}")
     # absent from older checkpoints: not checked
-    for key, pooled in zip(_TARGET_STATS, training.target_stats(pool.splits)):
-        if key in meta and meta[key] != pooled:
-            raise ConfigError(f"checkpoint {key} {meta[key]!r} does not match the rebuilt pool's {pooled!r}")
+    for key, pooled in (("target_mean", pool.splits.mean), ("target_scale", pool.splits.scale)):
+        if key in meta["extra"] and meta["extra"][key] != pooled:
+            raise ConfigError(f"checkpoint {key} {meta['extra'][key]!r} does not match the rebuilt pool's {pooled!r}")
     summary = training.evaluate(
         params, pool.agents, pool.splits, q=config.train.q, beta=config.train.beta, seed=config.seed
     )

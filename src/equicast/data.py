@@ -8,9 +8,11 @@ charging demands and component mixes).  The "similar" setting keeps
 per-agent perturbations small; "different" spreads the noise scales over
 more than an order of magnitude.  Each application has one generator
 (`synth_agents`, `synth_charging`, `synth_mixed`) that returns the agent
-specs and a `SeriesDataset`; `window_split` turns one agent's series into a
-frozen `WindowSplit` of z-scored feature windows and raw target windows (the
-target transform is one per pool, and the trainer fits it).
+specs and a `SeriesDataset`.  `window_split` windows a whole pool once: one
+train/test split of the windows of the shared signal, and a frozen
+`PoolWindows` whose two `Part`s hold every agent's rows stacked in agent
+order (z-scored features; raw targets, outcomes and workloads; the target
+transform is one per pool, fitted by `training.PoolData`).
 
 CSV schemas (header row required, '#' comment lines allowed before it):
 
@@ -444,77 +446,58 @@ def write_workload_csv(path, timestamps, workloads, comment: str | None = None) 
 
 
 @dataclass(frozen=True, eq=False)
-class WindowSplit:
-    """Windowed train/test arrays for one agent.
+class Part:
+    """One part ("train" or "test") of a pool's windows: every agent's rows, stacked in agent order.
 
-    Features are z-scored per column with train statistics.  Targets stay in
-    raw units: a pool's model has one output calibration, which the trainer
-    fits on the pooled training targets (`training.target_stats`).
-    `outcome_*` carry the decision-relevant realized values when those differ
-    from the forecaster's training target (they default to the raw targets).
-    A split is frozen: a changed split is a new one (`dataclasses.replace`).
+    Agent m owns `counts[m]` consecutive rows.  Features are z-scored per
+    column with the train windows' statistics; targets, outcomes and workloads
+    stay raw (the one target transform is the pool's, `training.PoolData`).
     """
 
-    train_x: np.ndarray
-    test_x: np.ndarray
-    train_y_raw: np.ndarray
-    test_y_raw: np.ndarray
-    feature_mean: np.ndarray
-    feature_std: np.ndarray
-    train_idx: np.ndarray
-    test_idx: np.ndarray
-    train_ctx: np.ndarray | None = None
-    test_ctx: np.ndarray | None = None
-    train_outcome: np.ndarray | None = None
-    test_outcome: np.ndarray | None = None
+    x: np.ndarray  # (R, lookback) feature windows
+    y_raw: np.ndarray  # (R, steps) forecast targets
+    outcome: np.ndarray  # (R, steps) realized decision inputs over the same steps (`y_raw` itself by default)
+    workload: np.ndarray  # (R,) realized workload at the first step
+    counts: np.ndarray  # (M,) rows per agent
 
-    def __post_init__(self):
-        if self.train_outcome is None:
-            object.__setattr__(self, "train_outcome", self.train_y_raw)
-        if self.test_outcome is None:
-            object.__setattr__(self, "test_outcome", self.test_y_raw)
+
+@dataclass(frozen=True, eq=False)
+class PoolWindows:
+    """A pool's windows, drawn once for all its agents."""
+
+    train: Part
+    test: Part
 
 
 def _windows(series: np.ndarray, first: int, width: int, count: int) -> np.ndarray:
-    """View of series[first + i : first + i + width] for i < count, stacked on a new axis 0."""
-    view = sliding_window_view(series[first : first + width + count - 1], width, axis=0)
-    return np.moveaxis(view, -1, 1)
+    """View of series[..., first + i : first + i + width] for i < count, shaped (..., count, width)."""
+    return sliding_window_view(series[..., first : first + width + count - 1], width, axis=-1)
 
 
-def window_split(
-    features_series,
-    target_series,
-    lookback: int,
-    split: SplitSpec,
-    target_steps: int = 1,
-    context_series=None,
-    outcome_series=None,
-    outcome_steps: int | None = None,
-) -> WindowSplit:
-    """Slide a lookback window over `features_series`; predict the next value(s) of `target_series`."""
-    x_series = np.asarray(features_series, dtype=float)
-    y_series = np.asarray(target_series, dtype=float)
-    n = x_series.shape[0]
-    if y_series.shape[0] != n:
-        raise ValueError("feature and target series must have equal length")
-    if outcome_steps is None:
-        outcome_steps = target_steps
-    horizon = max(target_steps, outcome_steps)
-    n_windows = n - lookback - horizon + 1
+def window_split(signal, targets, outcomes, workloads, lookback: int, split: SplitSpec, steps: int = 1) -> PoolWindows:
+    """Window a pool's series once: lookback windows of the shared `signal`, each agent's next `steps` values.
+
+    `targets`, `outcomes` (None: the targets) and `workloads` are (M, N)
+    series, one row per agent.  Window i's features are
+    signal[i : i + lookback]; agent m's row of it predicts
+    targets[m, i + lookback :][:steps], scores its decision against the same
+    steps of outcomes[m] and reads workloads[m, i + lookback].
+    One permutation of the windows (the time order when `split` is
+    chronological) makes the train and test parts, the same for every agent.
+    Every array returned is a copy: nothing aliases the input.
+    """
+    signal = np.asarray(signal, dtype=float)
+    targets, workloads = np.asarray(targets, dtype=float), np.asarray(workloads, dtype=float)
+    outcomes = targets if outcomes is None else np.asarray(outcomes, dtype=float)
+    n = signal.shape[0]
+    if signal.ndim != 1 or targets.shape[1:] != (n,) or not targets.shape == outcomes.shape == workloads.shape:
+        raise ValueError(
+            f"need a 1-D signal and (agents, {n}) target, outcome and workload series, "
+            f"got {signal.shape}, {targets.shape}, {outcomes.shape} and {workloads.shape}"
+        )
+    n_windows = n - lookback - steps + 1
     if n_windows < 1:
-        raise ValueError(f"series of length {n} is too short for lookback {lookback} + horizon {horizon}")
-
-    # read-only strided views of the series; the train/test arrays below are
-    # fancy-indexed copies, so nothing returned aliases the input
-    X = _windows(x_series, 0, lookback, n_windows)
-    Y = _windows(y_series, lookback, target_steps, n_windows)
-    ctx = None
-    if context_series is not None:
-        ctx_series = np.asarray(context_series, dtype=float)
-        ctx = ctx_series[lookback : lookback + n_windows]
-    outcome = None
-    if outcome_series is not None:
-        outcome = _windows(np.asarray(outcome_series, dtype=float), lookback, outcome_steps, n_windows)
+        raise ValueError(f"series of length {n} is too short for lookback {lookback} + horizon {steps}")
 
     n_train = int(round(split.train_fraction * n_windows))
     n_train = min(max(n_train, 1), n_windows - 1) if n_windows > 1 else 1
@@ -524,21 +507,23 @@ def window_split(
         order = np.random.default_rng(split.seed).permutation(n_windows)
     train_idx, test_idx = np.sort(order[:n_train]), np.sort(order[n_train:])
 
+    # read-only strided views of the series; the parts below are
+    # fancy-indexed copies of them
+    X = _windows(signal, 0, lookback, n_windows)
+    Y = _windows(targets, lookback, steps, n_windows)
+    outcome = _windows(outcomes, lookback, steps, n_windows)
     f_mean = X[train_idx].mean(axis=0)
     f_std = X[train_idx].std(axis=0)
     f_std = np.where(f_std < 1e-9, 1.0, f_std)
 
-    return WindowSplit(
-        train_x=(X[train_idx] - f_mean) / f_std,
-        test_x=(X[test_idx] - f_mean) / f_std,
-        train_y_raw=Y[train_idx],
-        test_y_raw=Y[test_idx],
-        feature_mean=f_mean,
-        feature_std=f_std,
-        train_idx=train_idx,
-        test_idx=test_idx,
-        train_ctx=None if ctx is None else ctx[train_idx],
-        test_ctx=None if ctx is None else ctx[test_idx],
-        train_outcome=None if outcome is None else outcome[train_idx],
-        test_outcome=None if outcome is None else outcome[test_idx],
-    )
+    def part(idx):
+        y_raw = Y[:, idx].reshape(-1, steps)
+        return Part(
+            x=np.tile((X[idx] - f_mean) / f_std, (len(targets), 1)),
+            y_raw=y_raw,
+            outcome=y_raw if outcomes is targets else outcome[:, idx].reshape(-1, steps),
+            workload=workloads[:, lookback + idx].ravel(),
+            counts=np.full(len(targets), len(idx)),
+        )
+
+    return PoolWindows(part(train_idx), part(test_idx))

@@ -8,13 +8,15 @@ run is deterministic given the config and seed, and all emitted files carry
 the config hash and seed.
 
 Every pool, data-center, charging or mixed, is an (agents, series) pair
-windowed by one function, whether its series are synthesized in memory or
-read back from the files `generate` wrote (`data_dir`), so a pool trains
-bitwise the same from its files.  The files must hold the config's pool: an
-application, agent count or synthesis field (one that the application's
-generator reads) other than the files record is a config error, and a series
-file whose timestamps differ from `signal.csv`'s, or a `workloads.csv` of
-other agent ids than `agents.json`'s, is a schema error.
+windowed by one call for all its agents, whether its series are synthesized
+in memory or read back from the files `generate` wrote (`data_dir`), so a
+pool trains bitwise the same from its files; it is stacked and fitted to
+its agents once (`training.PoolData`), and every run on it reuses that.
+The files must hold the config's pool: an application, agent count or
+synthesis field (one that the application's generator reads) other than the
+files record is a config error, and a series file whose timestamps differ
+from `signal.csv`'s, or a `workloads.csv` of other agent ids than
+`agents.json`'s, is a schema error.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ import numpy as np
 from . import data as datamod
 from . import predictor, training
 from .agents import AgentSpec, load_agent_pool, save_agent_pool
-from .data import SplitSpec, WindowSplit, load_csv, synth_agents, synth_charging, synth_mixed, window_split
+from .data import SplitSpec, load_csv, synth_agents, synth_charging, synth_mixed, window_split
 from .errors import ConfigError, SchemaError
-from .training import RunSummary, TrainConfig, TrainResult
+from .training import PoolData, RunSummary, TrainConfig, TrainResult
 
 APPLICATIONS = ("datacenter", "charging", "mixed")
 # the values of the config's enumerated synthesis fields
@@ -145,7 +147,7 @@ def config_hash(config: ExperimentConfig) -> str:
 @dataclass(eq=False)
 class Pool:
     agents: list[AgentSpec]
-    splits: list[WindowSplit]
+    splits: PoolData
     arch: list[int]
 
 
@@ -181,26 +183,21 @@ def _synthesize(config: ExperimentConfig, seed: int) -> tuple[list[AgentSpec], d
 
 
 def _window_pool(config: ExperimentConfig, seed: int, agents: list[AgentSpec], ds: datamod.SeriesDataset) -> Pool:
-    """Window a pool's series, synthesized or loaded alike.
+    """Window a pool's series once, synthesized or loaded alike, and fit them to its agents.
 
-    Agent m forecasts the next value (data-center pools) or the next
+    Each agent forecasts the next value (data-center pools) or the next
     `horizon` values (charging and mixed pools) of its target series from a
-    lookback window of the shared signal; its workloads and outcome streams,
-    where `ds` has them, ride along.  A data-center agent's outcome is the
-    next value alone.
+    lookback window of the shared signal.  Its outcome stream defaults to its
+    targets, and its workload series to its own workload (0 for a charger).
     """
-    split_spec = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
     steps = 1 if config.application == "datacenter" else config.horizon
-    splits = [
-        window_split(
-            ds.signal, ds.agent_targets[m], config.lookback, split_spec, target_steps=steps,
-            context_series=None if ds.workloads is None else ds.workloads[m],
-            outcome_series=None if ds.outcome_targets is None else ds.outcome_targets[m],
-            outcome_steps=1 if agent.family == "datacenter" else steps,
-        )
-        for m, agent in enumerate(agents)
-    ]
-    return Pool(agents, splits, [config.lookback, config.hidden, steps])
+    workloads = ds.workloads
+    if workloads is None:
+        own = [a.context.workload if a.family == "datacenter" else 0.0 for a in agents]
+        workloads = np.repeat(np.array(own)[:, None], len(ds.signal), axis=1)
+    split = SplitSpec(config.train_fraction, seed=seed, chronological=config.chronological)
+    windows = window_split(ds.signal, ds.agent_targets, ds.outcome_targets, workloads, config.lookback, split, steps)
+    return Pool(agents, PoolData(agents, windows), [config.lookback, config.hidden, steps])
 
 
 def build_pool(config: ExperimentConfig, seed: int) -> Pool:

@@ -162,6 +162,7 @@ def save_checkpoint(path, params: ParamVector, std: float, lookback: int, extra:
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
+    """The parameters and the header {"std", "lookback", "extra"} of a checkpoint; a malformed one is refused."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -177,6 +178,12 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
         params = ParamVector(values=doc["values"], layer_sizes=doc["layer_sizes"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    meta = {"std": float(doc["std"]), "lookback": int(doc["lookback"])}
-    meta.update(doc.get("extra", {}))
-    return params, meta
+    std, lookback, extra = doc["std"], doc["lookback"], doc.get("extra", {})
+    if type(std) not in (int, float) or not (math.isfinite(std) and std > 0):
+        raise ConfigError(f"{path}: 'std' must be a finite number > 0, got {std!r}")
+    if type(lookback) is not int or lookback < 1:
+        raise ConfigError(f"{path}: 'lookback' must be an integer >= 1, got {lookback!r}")
+    if not isinstance(extra, dict):
+        raise ConfigError(f"{path}: 'extra' must be an object, got {extra!r}")
+    # `extra` keeps its own key, so it can never stand in for a header field
+    return params, {"std": float(std), "lookback": lookback, "extra": extra}

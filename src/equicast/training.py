@@ -1,14 +1,15 @@
 """Training loops and evaluation for the shared forecaster.
 
 One step, three cotangents.  Every step gathers each agent's batch from
-arrays stacked once per call (agents in order, b_m = min(batch_size, n_m)
-rows of agent m), runs one forward over the M*b rows and hands its outputs
-and activations to the mode's step function, then checks the loss and the
-gradient and applies the optimizer.  A mode is that function, built once per
-`train` call: it builds a cotangent on the model output, backpropagates it
-with one vjp that reuses the forward's activations (so a step runs the
-network forward once), and returns the gradient, the per-agent terms and the
-loss parts.  The modes differ only in that cotangent:
+the pool's rows, stacked once when the pool is built (agents in order,
+b_m = min(batch_size, n_m) rows of agent m), runs one forward over the M*b
+rows and hands its outputs and activations to the mode's step function,
+then checks the loss and the gradient and applies the optimizer.  A mode is
+that function, built once per `train` call: it builds a cotangent on the
+model output, backpropagates it with one vjp that reuses the forward's
+activations (so a step runs the network forward once), and returns the
+gradient, the per-agent terms and the loss parts.  The modes differ only in
+that cotangent:
 
 * plain: `objective.chain_grad` at beta = 1, the squared-error cotangent
   (2/b_m) * (y_hat - y) alone (the accuracy-first baseline).
@@ -29,26 +30,25 @@ loss parts.  The modes differ only in that cotangent:
   the baseline choice (the leave-one-out mean across draws, or an EMA of
   past batch losses) and the EMA.
 
-A pool has one output calibration, `target_stats`: the mean and scale of its
-raw training targets.  The stacked targets are normalized with it once per
-call, forecasts go back to raw units with it before any regret, and the
-default Gaussian std is 0.1 times the std of the normalized targets.
+What does not depend on the call is fitted once per pool (`PoolData`): its
+one output calibration (the mean and scale of its raw training targets,
+with which each batch's targets are normalized as they are gathered and
+forecasts go back to raw units before any regret) and each row's
+hindsight-optimal cost.  The default Gaussian std is 0.1 times the std of
+the normalized training targets.
 
-What does not depend on the parameters stays out of the step.  Per call: the
-stacked rows, with the batch partition (`sizes` and the row -> agent index
-`owner`) and each row's hindsight-optimal cost (`agents.ev_optimal_batch`
-for charging rows, `agents.dc_optimal_batch` for data-center rows; also in
-`evaluate`), which refuses a realized intensity that is not positive; the
+What does not depend on the parameters stays out of the step.  Per call:
+the batch partition (`sizes` and the row -> agent index `owner`), the
 charging ranking of a batch's D draws (`agents.SlotRanking`: each row's
-checked slot count and rate, its threshold positions and its work arrays);
-and pg's work arrays (the flat draw, its restack, the sampled forecasts and
+slot count and rate, its threshold positions and its work arrays), and
+pg's work arrays (the flat draw, its restack, the sampled forecasts and
 their raw-unit copy), which every step refills in place.  Per epoch: every
 step's batch rows as one (steps, rows) array.
 
-Before step 0 in every mode, and in `evaluate`, the stacked rows refuse a
-pool that does not fit the model: another agent count than splits, an
-empty part, a charging agent whose horizon differs from the model's output
-width, or targets of another width.  The optimizer helper clips the
+Before step 0 in every mode, and in `evaluate`, the call refuses agents
+other than the pool's (its hindsight costs are theirs) and a pool that does
+not fit the model: a charging agent whose horizon differs from the model's
+output width, or targets of another width.  The optimizer helper clips the
 gradient and updates theta <- theta - lr_t * g with
 lr_t = lr * decay^floor(t/step), by SGD (optionally with momentum) or Adam,
 in place on the one theta array of the call's parameters; it holds the
@@ -70,7 +70,7 @@ from .agents import (
     AgentSpec, SlotRanking, dc_optimal_batch, dc_regret_batch, ev_optimal_batch, ev_regret_batch, required_slots,
 )
 from .agents import dc_act, dc_act_jacobian, dc_cost_grad_action, regret  # noqa: F401  (bench/tracing.py wraps these bindings)
-from .data import WindowSplit
+from .data import Part, PoolWindows
 from .errors import ConfigError, DivergenceError
 from .predictor import ParamVector
 
@@ -159,109 +159,118 @@ class TrainResult:
     std: float = 0.0
 
 
-def target_stats(splits: list[WindowSplit]) -> tuple[float, float]:
-    """The pool's one target transform: the mean and scale of all its splits' raw training targets."""
-    pooled = np.concatenate([s.train_y_raw.ravel() for s in splits])
-    return float(pooled.mean()), max(float(pooled.std()), 1e-9)
+@dataclass(frozen=True, eq=False)
+class ScoredPart:
+    """One part of a pool's windows and each of its rows' hindsight-optimal cost, which no forecast changes."""
+
+    rows: Part
+    best: np.ndarray
+
+
+class PoolData:
+    """A pool's windows (`data.window_split`) fitted once to its agents.
+
+    It holds the agents and their decision parameters, the target transform
+    (`mean`, `scale`: of all raw training targets), and each part's rows with
+    their hindsight-optimal costs (`ev_optimal_batch` for charging rows,
+    `dc_optimal_batch` on the first outcome step for data-center rows).  A
+    pool that cannot be scored (an agent count other than the windows', an
+    empty part, a realized intensity that is not positive, a slot count
+    outside 1..T) is refused here, in every mode.
+    """
+
+    def __init__(self, agents: list[AgentSpec], windows: PoolWindows):
+        if len(agents) != len(windows.train.counts):
+            raise ConfigError(f"{len(agents)} agents but {len(windows.train.counts)} data splits")
+        if not agents:
+            raise ConfigError("empty agent pool")
+        for name, part in (("training", windows.train), ("test", windows.test)):
+            empty = np.flatnonzero(part.counts == 0)
+            if empty.size:
+                raise ConfigError(f"agent {agents[empty[0]].agent_id} has an empty {name} split")
+        self.agents = tuple(agents)
+        pooled = windows.train.y_raw.ravel()
+        self.mean, self.scale = float(pooled.mean()), max(float(pooled.std()), 1e-9)
+        ctxs = [a.context for a in agents]
+        self.charging = charging = np.array([a.family == "charging" for a in agents])
+        self.slots = np.array([required_slots(c) if ev else 0 for c, ev in zip(ctxs, charging)])
+        self.rate = np.array([c.rate if ev else 0.0 for c, ev in zip(ctxs, charging)])
+        self.lam = np.array([0.0 if ev else c.latency_weight for c, ev in zip(ctxs, charging)])
+        self.train, self.test = self._scored(windows.train, "train"), self._scored(windows.test, "test")
+
+    def _scored(self, rows: Part, name: str) -> ScoredPart:
+        owner = np.repeat(np.arange(len(self.agents)), rows.counts)
+        ev, dc = self.charging[owner], ~self.charging[owner]
+        best = np.zeros(len(rows.x))
+        if ev.any():
+            own = owner[ev]
+            ranking = SlotRanking(self.slots[own], self.rate[own], rows.outcome.shape[1])
+            best[ev] = ev_optimal_batch(ranking, rows.outcome[ev])
+        if dc.any():
+            own, realized = owner[dc], rows.outcome[dc, 0]
+            try:
+                best[dc] = dc_optimal_batch(rows.workload[dc], self.lam[own], realized)
+            except ValueError as exc:
+                bad = self.agents[own[np.argmin(realized > 0)]].agent_id
+                raise ConfigError(f"data-center agent {bad}, {name} split: {exc}") from exc
+        return ScoredPart(rows, best)
 
 
 class _StackedRows:
-    """One part ("train" or "test") of every agent's split, stacked in agent order.
+    """What one `train` or `evaluate` call reads of one part of the pool.
 
-    A batch holds `sizes[m]` = min(batch_size, n_m) rows of agent m (all n_m
-    when `batch_size` is None), agents in order, and `owner` names each batch
-    row's agent; both are built once here, after the pool is checked against
-    the model.  `epoch_index` maps an epoch's per-agent permutations to the
-    stacked rows of each of its batches, and `regrets` scores a batch's
-    forecasts with one batched call per agent family (`dc_regrets` also gives
-    the data-center rows' derivatives) against the realized rows and their
-    hindsight costs (`best`, computed here once).  The charging rows of a
-    batch are ranked with `ev_ranking`, built here for `n_draws` blocks of
-    them: it checks each row's slot count once and holds the ranking's work
-    arrays, which every `regrets` call refills; `regrets` returns a new array.
-    A data-center agent with a realized intensity that is not positive, and a
-    charging agent whose slot count lies outside 1..T, are refused here,
-    before any step.  Rows that are never `scored` (plain training) skip all
-    of this.  `y` is normalized with the pool's `target_stats`, and `to_raw`
-    maps forecasts back with it (into `out` when given).
+    `agents` must be the pool's own, and a charging agent's horizon and the
+    targets' width must equal the model's output width.  A batch holds
+    `sizes[m]` = min(batch_size, n_m) rows of agent m (all n_m when
+    `batch_size` is None), agents in order, and `owner` names each batch
+    row's agent.  `epoch_index` maps an epoch's per-agent permutations to the
+    stacked rows of its batches, and `regrets` scores a batch's forecasts,
+    in a new array, with one batched call per agent family (`dc_regrets`
+    also gives the data-center rows' derivatives).  Its charging rows are
+    ranked with `ev_ranking`, built here for `n_draws` blocks of them, whose
+    work arrays every call refills.  `normalized` gives rows' targets on the
+    model's scale, and `to_raw` maps forecasts back to raw units (into `out`
+    when given), both with the pool's target transform.
     """
 
-    def __init__(self, agents: list[AgentSpec], splits: list[WindowSplit], part: str, batch_size: int | None,
-                 n_outputs: int, scored: bool = True, n_draws: int = 1):
-        if len(agents) != len(splits):
-            raise ConfigError(f"{len(agents)} agents but {len(splits)} data splits")
-        if not agents:
-            raise ConfigError("empty agent pool")
-        for agent, split in zip(agents, splits):
-            if len(getattr(split, f"{part}_x")) == 0:
-                raise ConfigError(f"agent {agent.agent_id} has an empty {part.replace('train', 'training')} split")
+    def __init__(self, agents: list[AgentSpec], data: PoolData, part: ScoredPart, batch_size: int | None,
+                 n_outputs: int, n_draws: int = 1):
+        if len(agents) != len(data.agents):
+            raise ConfigError(f"{len(agents)} agents but {len(data.agents)} data splits")
+        for agent, own in zip(agents, data.agents):
+            if agent != own:  # the pool's hindsight costs are its own agents'
+                raise ConfigError(f"agent {agent.agent_id} differs from the pool's agent {own.agent_id}")
             if agent.family == "charging" and agent.context.horizon != n_outputs:
                 raise ConfigError(
                     f"charging agent {agent.agent_id} has horizon {agent.context.horizon} "
                     f"but the model emits {n_outputs} values"
                 )
-            width = getattr(split, f"{part}_y_raw").shape[1]
-            if width != n_outputs:
-                raise ConfigError(
-                    f"agent {agent.agent_id} has {width} target values per row but the model emits {n_outputs}"
-                )
-        self.counts = counts = np.array([len(getattr(s, f"{part}_x")) for s in splits])
-        self.sizes = counts if batch_size is None else np.minimum(batch_size, counts)
+        width = part.rows.y_raw.shape[1]
+        if width != n_outputs:
+            raise ConfigError(
+                f"agent {agents[0].agent_id} has {width} target values per row but the model emits {n_outputs}"
+            )
+        self.part, self.mean, self.scale = part, data.mean, data.scale
+        self.x, self.y_raw, self.counts = part.rows.x, part.rows.y_raw, part.rows.counts
+        self.realized_c = part.rows.outcome[:, 0]  # a data-center row's realized intensity (a view)
+        self.sizes = self.counts if batch_size is None else np.minimum(batch_size, self.counts)
         self.n_outputs = n_outputs
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.x = np.concatenate([getattr(s, f"{part}_x") for s in splits])
-        self.mean, self.scale = target_stats(splits)
-        self.y = (np.concatenate([getattr(s, f"{part}_y_raw") for s in splits]) - self.mean) / self.scale
-        self.offsets = np.repeat(np.cumsum(counts) - counts, self.sizes)
-        # realized decision inputs per stacked row: the signal window of a
-        # charging agent, the intensity and workload of a data-center agent
-        realized_e, realized_c, workload = [], [], []
-        for agent, split, n in zip(agents, splits, counts):
-            outcome, ctx = getattr(split, f"{part}_outcome"), getattr(split, f"{part}_ctx")
-            charging = agent.family == "charging"
-            realized_e.append(outcome if charging else np.zeros((n, n_outputs)))
-            realized_c.append(outcome[:, 0])
-            if charging or ctx is None:
-                ctx = np.full(n, 0.0 if charging else agent.context.workload)
-            workload.append(np.asarray(ctx, dtype=float))
-        self.realized_e = np.concatenate(realized_e)
-        self.realized_c = np.concatenate(realized_c)
-        self.workload = np.concatenate(workload)
-        ctxs = [a.context for a in agents]
-        charging = np.array([a.family == "charging" for a in agents])
-        k_agent = np.array([required_slots(c) if ev else 0 for c, ev in zip(ctxs, charging)])
-        rate_agent = np.array([c.rate if ev else 0.0 for c, ev in zip(ctxs, charging)])
-        lam_agent = np.array([0.0 if ev else c.latency_weight for c, ev in zip(ctxs, charging)])
-        # each row's hindsight-optimal cost, which no forecast changes
-        row_owner = np.repeat(np.arange(len(agents)), counts)
-        ev_row = charging[row_owner]
-        self.best = np.zeros(len(self.x))
-        if scored and ev_row.any():
-            own = row_owner[ev_row]
-            ranking = SlotRanking(k_agent[own], rate_agent[own], n_outputs)
-            self.best[ev_row] = ev_optimal_batch(ranking, self.realized_e[ev_row])
-        if scored and not ev_row.all():
-            dc_row = ~ev_row
-            own = row_owner[dc_row]
-            try:
-                self.best[dc_row] = dc_optimal_batch(self.workload[dc_row], lam_agent[own], self.realized_c[dc_row])
-            except ValueError as exc:
-                bad = agents[own[np.argmin(self.realized_c[dc_row] > 0)]].agent_id
-                raise ConfigError(f"data-center agent {bad}, {part} split: {exc}") from exc
-
-        # each batch row's agent: with every n_m >= 1 (checked above) the
-        # rows split into M nonempty runs, sum_m b_m rows in all
+        self.offsets = np.repeat(np.cumsum(self.counts) - self.counts, self.sizes)
+        # each batch row's agent: with every n_m >= 1 (checked by the pool)
+        # the rows split into M nonempty runs, sum_m b_m rows in all
         self.owner = owner = np.repeat(np.arange(len(agents)), self.sizes)
         # a family that owns every row is addressed by a slice, which keeps
         # the single-family pools free of gather copies
+        charging = data.charging
         self.ev_rows = slice(None) if charging.all() else np.flatnonzero(charging[owner])
         self.dc_rows = slice(None) if not charging.any() else np.flatnonzero(~charging[owner])
         ev_owner, dc_owner = owner[self.ev_rows], owner[self.dc_rows]
         # the ranking of a batch's n_draws blocks of charging forecasts
         self.ev_ranking = None
-        if scored and charging.any():
-            self.ev_ranking = SlotRanking(k_agent[ev_owner], rate_agent[ev_owner], n_outputs, n_draws)
-        self.dc_lam = lam_agent[dc_owner]
+        if charging.any():
+            self.ev_ranking = SlotRanking(data.slots[ev_owner], data.rate[ev_owner], n_outputs, n_draws)
+        self.dc_lam = data.lam[dc_owner]
         # d c_hat / d model output: c_hat is the mean of the raw outputs
         self.dc_chat_grad = np.full(n_outputs, self.scale / n_outputs)
 
@@ -281,6 +290,12 @@ class _StackedRows:
         start = np.repeat(self.starts, self.sizes)
         return n_draws * start + np.arange(len(size)) - start + np.arange(n_draws)[:, None] * size
 
+    def normalized(self, idx) -> np.ndarray:
+        """The targets of stacked rows `idx`, in a new array, on the model's scale."""
+        y = self.y_raw[idx] - self.mean
+        y /= self.scale
+        return y
+
     def to_raw(self, normalized: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raw = np.multiply(normalized, self.scale, out=out)
         raw += self.mean
@@ -293,7 +308,8 @@ class _StackedRows:
         if self.ev_ranking is not None:
             at = idx[self.ev_rows]
             values[:, self.ev_rows] = ev_regret_batch(
-                self.ev_ranking, raws[:, self.ev_rows].reshape(-1, n_out), self.realized_e[at], self.best[at],
+                self.ev_ranking, raws[:, self.ev_rows].reshape(-1, n_out), self.part.rows.outcome[at],
+                self.part.best[at],
             ).reshape(n_draws, -1)
         if len(self.dc_lam):
             values[:, self.dc_rows] = self.dc_regrets(raws, idx)[0]
@@ -305,7 +321,7 @@ class _StackedRows:
         sub, at = raws[:, self.dc_rows], idx[self.dc_rows]
         c_hat = sub[:, :, 0] if self.n_outputs == 1 else sub.mean(axis=2)
         values, slopes = dc_regret_batch(
-            self.workload[at], self.dc_lam, c_hat.ravel(), self.realized_c[at], self.best[at]
+            self.part.rows.workload[at], self.dc_lam, c_hat.ravel(), self.realized_c[at], self.part.best[at]
         )
         return values.reshape(n_draws, -1), slopes.reshape(n_draws, -1)
 
@@ -400,12 +416,11 @@ def _optimizer(config: TrainConfig, theta: np.ndarray):
     return update
 
 
-def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], data: list[WindowSplit]) -> TrainResult:
-    """Run epochs of per-batch updates; returns final parameters and a step log."""
-    rows = _StackedRows(agents, data, "train", config.batch_size, params.n_outputs, scored=config.mode != "plain",
-                        n_draws=config.pg_samples)
+def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], data: PoolData) -> TrainResult:
+    """Run epochs of per-batch updates on the pool's train part; returns final parameters and a step log."""
+    rows = _StackedRows(agents, data, data.train, config.batch_size, params.n_outputs, n_draws=config.pg_samples)
     rng = np.random.default_rng(config.seed)
-    std = config.std if config.std is not None else 0.1 * max(float(rows.y.std()), 1e-6)
+    std = config.std if config.std is not None else 0.1 * max(float(rows.normalized(slice(None)).std()), 1e-6)
     steps_per_epoch = int(np.min(rows.counts // rows.sizes))
     mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, agents, rng, std)
     # the step's parameters, one copy per call: the optimizer updates their
@@ -419,7 +434,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
         perms = [rng.permutation(n) for n in rows.counts]
         for k, idx in enumerate(rows.epoch_index(perms, steps_per_epoch)):
             t = epoch * steps_per_epoch + k
-            X, Y = rows.x[idx], rows.y[idx]
+            X, Y = rows.x[idx], rows.normalized(idx)
             # non-finite values are detected explicitly below; numpy's
             # overflow warnings on the way there are just noise
             with np.errstate(over="ignore", invalid="ignore"):
@@ -449,20 +464,18 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     return TrainResult(params=current, step_log=step_log, std=std)
 
 
-def evaluate(params: ParamVector, agents: list[AgentSpec], data: list[WindowSplit], q: float = 0.0, beta: float = 0.0, seed: int = 0) -> RunSummary:
-    """Deterministic (Gaussian-mean) inference on the test split, plus statistics."""
-    rows = _StackedRows(agents, data, "test", None, params.n_outputs)
+def evaluate(params: ParamVector, agents: list[AgentSpec], data: PoolData, q: float = 0.0, beta: float = 0.0, seed: int = 0) -> RunSummary:
+    """Deterministic (Gaussian-mean) inference on the pool's test part, plus statistics."""
+    rows = _StackedRows(agents, data, data.test, None, params.n_outputs)
     raws = rows.to_raw(predictor.forward_batch(params, rows.x))
     values = rows.regrets(raws[None], np.arange(len(rows.x)))
     r = rows.agent_means(values)[0]
-    preds_raw = np.split(raws, rows.starts[1:])
-    targets_raw = [d.test_y_raw for d in data]
     return RunSummary(
         per_agent_regret=r,
         variance=metrics.variance(r),
         mean=float(r.mean()),
         c95_minus_c5=metrics.percentile_gap(r),
-        mse=metrics.mse(preds_raw, targets_raw),
+        mse=metrics.mse(np.split(raws, rows.starts[1:]), np.split(data.test.rows.y_raw, rows.starts[1:])),
         entropy=metrics.norm_entropy(r),
         q=q,
         beta=beta,

@@ -1,9 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
-from equicast import cli, harness, predictor, training, verify
+from equicast import cli, harness, predictor, verify
 from equicast.errors import ConfigError
 from equicast.harness import config_from_dict
 
@@ -151,16 +150,35 @@ def test_train_refuses_non_positive_realized_intensity(tmp_path, capsys):
     rows = [line.split(",")[0] + ",0.0" if line[:1].isdigit() else line for line in lines]
     target.write_text("\n".join(rows) + "\n")
     cfg_doc["data_dir"] = str(data_dir)
-    # chain and pg are refused before step 0; plain training scores no
-    # decision, so its run is refused by the evaluation that follows
-    for mode, part in (("chain", "train"), ("pg", "train"), ("plain", "test")):
+    # the pool scores every row's hindsight when it is built: every mode is
+    # refused before step 0, at the first part it scores
+    for mode in ("chain", "pg", "plain"):
         cfg_doc["train"]["mode"] = mode
         cfg = write_config(tmp_path, cfg_doc, f"{mode}.json")
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / mode)]) == 1
         err = capsys.readouterr().err
-        assert f"error: data-center agent 1, {part} split: realized intensity must be positive" in err
+        assert "error: data-center agent 1, train split: realized intensity must be positive" in err
         assert "Traceback" not in err
         assert not (tmp_path / mode / "checkpoint.json").exists()
+
+
+def test_plain_train_refuses_a_zero_intensity_in_one_training_row(tmp_path, capsys):
+    # plain training used to accept it: it never scored a training row, and
+    # the evaluation that followed scored the test rows only
+    cfg_doc = tiny_config(chronological=True)
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, cfg_doc), "--out", str(data_dir)]) == 0
+    target = data_dir / "target_m001.csv"
+    lines = target.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    at = first + cfg_doc["lookback"]  # the realized intensity of window 0, a training row
+    lines[at] = lines[at].split(",")[0] + ",0.0"
+    target.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, dict(cfg_doc, data_dir=str(data_dir)), "files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "error: data-center agent 1, train split: realized intensity must be positive, got 0.0" in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
 def test_train_charging_and_mixed(tmp_path):
@@ -407,10 +425,10 @@ def test_checkpoint_stores_the_pools_target_stats(tmp_path):
     # agent's raw training targets pooled, not any one agent's
     cfg = write_config(tmp_path, tiny_config())
     pool = harness.build_pool(cli.load_config(cfg), seed=0)
-    pooled = np.concatenate([s.train_y_raw.ravel() for s in pool.splits])
-    stats = training.target_stats(pool.splits)
-    assert stats == (float(pooled.mean()), float(pooled.std()))
-    assert stats[0] != float(pool.splits[0].train_y_raw.mean())
+    train = pool.splits.train.rows
+    stats = (pool.splits.mean, pool.splits.scale)
+    assert stats == (float(train.y_raw.ravel().mean()), float(train.y_raw.ravel().std()))
+    assert stats[0] != float(train.y_raw[: train.counts[0]].mean())
     run = tmp_path / "run"
     assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
     extra = json.loads((run / "checkpoint.json").read_text())["extra"]
@@ -428,6 +446,31 @@ def test_evaluate_accepts_checkpoint_without_target_stats(tmp_path):
     rc = cli.main(["evaluate", "--config", cfg, "--checkpoint", str(run / "checkpoint.json"),
                    "--out", str(tmp_path / "eval")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"std": "abc"}, "'std' must be a finite number > 0, got 'abc'"),  # used to end in a ValueError
+    ({"std": -1.0}, "'std' must be a finite number > 0, got -1.0"),  # used to load
+    ({"std": float("nan")}, "'std' must be a finite number > 0, got nan"),  # used to load
+    ({"lookback": "x"}, "'lookback' must be an integer >= 1, got 'x'"),  # used to end in a ValueError
+    ({"lookback": True}, "'lookback' must be an integer >= 1, got True"),  # used to load as 1
+    ({"extra": [1]}, "'extra' must be an object, got [1]"),  # used to end in a TypeError
+    # `extra` used to override the header: its lookback 6 hid the header's 7
+    ({"lookback": 7, "extra": {"lookback": 6}}, "checkpoint lookback 7 does not match the config's 6"),
+], ids=["std-text", "std-negative", "std-nan", "lookback-text", "lookback-bool", "extra-list", "extra-override"])
+def test_evaluate_refuses_a_malformed_checkpoint_header(tmp_path, capsys, header, message):
+    cfg = write_config(tmp_path, tiny_config())
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
+    doc = json.loads((run / "checkpoint.json").read_text())
+    doc.update(header)
+    (run / "checkpoint.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--config", cfg, "--checkpoint", str(run / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_negative_grad_clip_is_a_usage_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from equicast import data, training
+from equicast import data, harness, training
 from equicast.data import (
     SplitSpec, grid_components, load_csv, synth_agents, synth_carbon, synth_charging, synth_mixed, window_split,
 )
@@ -178,111 +178,212 @@ def test_csv_roundtrip_series(tmp_path):
 # --- windowing
 
 
+def window_pool(signal, targets, lookback, split, steps=1, outcomes=None, workloads=None):
+    """`window_split` of a shared signal; outcomes default to the targets and workloads to zeros."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    outcomes = targets if outcomes is None else np.atleast_2d(outcomes)
+    workloads = np.zeros(targets.shape) if workloads is None else np.atleast_2d(workloads)
+    return window_split(signal, targets, outcomes, workloads, lookback, split, steps=steps)
+
+
+def window_ids(part, lookback, offsets):
+    """Each row's window index, read off targets whose agent-m series is t + offsets[m]."""
+    return (part.y_raw[:, 0] - lookback - np.repeat(offsets, part.counts)).astype(int)
+
+
 def test_window_counting_minimal():
     signal = np.arange(13.0)
-    ws = window_split(signal, signal, lookback=12, split=SplitSpec(0.67, 0), target_steps=1)
-    assert ws.train_x.shape[0] + ws.test_x.shape[0] == 1
+    ws = window_pool(signal, signal, lookback=12, split=SplitSpec(0.67, 0))
+    assert len(ws.train.x) + len(ws.test.x) == 1
 
 
 def test_window_split_is_frozen():
     signal = np.arange(30.0)
-    ws = window_split(signal, signal, lookback=3, split=SplitSpec(0.5, 0))
-    assert ws.train_outcome is ws.train_y_raw and ws.test_outcome is ws.test_y_raw
-    # targets stay raw: the one target transform is the pool's, not the split's
-    assert not any(hasattr(ws, name) for name in ("train_y", "test_y", "target_mean", "target_scale"))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ws.predict_adapter = "window_mean"  # a setting nothing reads must not be accepted
+    ws = window_pool(signal, signal, lookback=3, split=SplitSpec(0.5, 0))
+    # targets stay raw: the one target transform is the pool's, fitted to its agents
+    assert not any(hasattr(ws.train, name) for name in ("y", "target_mean", "target_scale"))
+    for value in (ws, ws.train, ws.test):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.predict_adapter = "window_mean"  # a setting nothing reads must not be accepted
 
 
 def test_window_too_short_rejected():
     signal = np.arange(12.0)
     with pytest.raises(ValueError):
-        window_split(signal, signal, lookback=12, split=SplitSpec(0.67, 0))
+        window_pool(signal, signal, lookback=12, split=SplitSpec(0.67, 0))
+    with pytest.raises(ValueError, match="1-D signal"):
+        window_pool(signal, signal[:-1], lookback=3, split=SplitSpec(0.67, 0))
 
 
 def test_window_contents_and_targets():
     signal = np.arange(20.0)
-    ws = window_split(signal, signal * 10, lookback=3, split=SplitSpec(0.5, 0, chronological=True), target_steps=2)
-    # first window: features [0,1,2], targets [30, 40]
-    raw_x = ws.train_x[0] * ws.feature_std + ws.feature_mean
-    assert np.allclose(raw_x, [0, 1, 2])
-    assert np.allclose(ws.train_y_raw[0], [30.0, 40.0])
+    ws = window_pool(signal, signal * 10, lookback=3, split=SplitSpec(0.5, 0, chronological=True), steps=2)
+    # first window: features [0,1,2] z-scored by the 8 train windows, targets [30, 40]
+    train_windows = np.array([signal[i : i + 3] for i in range(8)])
+    assert len(ws.train.x) == 8
+    assert np.allclose(ws.train.x[0], ([0, 1, 2] - train_windows.mean(axis=0)) / train_windows.std(axis=0))
+    assert np.allclose(ws.train.y_raw[0], [30.0, 40.0])
 
 
 def test_split_disjoint_and_covering():
     signal = np.sin(np.arange(60.0))
-    ws = window_split(signal, signal, lookback=5, split=SplitSpec(0.67, seed=4))
-    n = ws.train_x.shape[0] + ws.test_x.shape[0]
-    assert n == 60 - 5
-    combined = np.sort(np.concatenate([ws.train_idx, ws.test_idx]))
-    assert np.array_equal(combined, np.arange(n))
+    ws = window_pool(signal, np.arange(60.0), lookback=5, split=SplitSpec(0.67, seed=4))
+    train_ids, test_ids = (window_ids(p, 5, [0]) for p in (ws.train, ws.test))
+    assert len(train_ids) + len(test_ids) == 60 - 5
+    assert np.array_equal(np.sort(np.concatenate([train_ids, test_ids])), np.arange(55))
+    # one permutation, not the time order
+    assert not np.array_equal(train_ids, np.arange(len(train_ids)))
 
 
 def test_chronological_split_keeps_test_after_train():
     signal = np.arange(40.0)
-    ws = window_split(signal, signal, lookback=4, split=SplitSpec(0.5, 0, chronological=True))
-    assert ws.train_idx.max() < ws.test_idx.min()
+    ws = window_pool(signal, signal, lookback=4, split=SplitSpec(0.5, 0, chronological=True))
+    assert np.all(np.diff(window_ids(ws.train, 4, [0])) == 1)
     # test targets all later than every train target
-    assert ws.test_y_raw.min() > ws.train_y_raw.max()
+    assert ws.test.y_raw.min() > ws.train.y_raw.max()
 
 
 def test_train_features_are_zscored():
     rng = np.random.default_rng(8)
     signal = rng.uniform(1, 5, size=300)
-    ws = window_split(signal, signal, lookback=6, split=SplitSpec(0.67, seed=1))
-    assert np.max(np.abs(ws.train_x.mean(axis=0))) < 1e-6
-    assert np.max(np.abs(ws.train_x.std(axis=0) - 1.0)) < 1e-6
+    ws = window_pool(signal, np.stack([signal, 2 * signal]), lookback=6, split=SplitSpec(0.67, seed=1))
+    # every agent's rows are the same feature windows
+    first, second = np.split(ws.train.x, 2)
+    assert np.array_equal(first, second)
+    assert np.max(np.abs(first.mean(axis=0))) < 1e-6
+    assert np.max(np.abs(first.std(axis=0) - 1.0)) < 1e-6
 
 
 def test_target_transform_roundtrip():
-    # splits keep raw targets; the trainer normalizes them once with the
-    # pool's stats and maps forecasts back with the same two scalars
+    # parts keep raw targets; the pool normalizes them once with its stats
+    # and maps forecasts back with the same two scalars
     rng = np.random.default_rng(9)
     signal = rng.uniform(1, 5, size=100)
-    ws = window_split(signal, signal, lookback=4, split=SplitSpec(0.67, seed=2))
+    ws = window_pool(signal, signal, lookback=4, split=SplitSpec(0.67, seed=2))
     agents, _ = synth_agents(1, seed=0, length=100)
-    rows = training._StackedRows(agents, [ws], "train", None, n_outputs=1, scored=False)
-    assert (rows.mean, rows.scale) == training.target_stats([ws])
-    assert abs(rows.y.mean()) < 1e-12 and abs(rows.y.std() - 1.0) < 1e-12
-    assert np.allclose(rows.to_raw(rows.y), ws.train_y_raw, atol=1e-12)
+    pool = training.PoolData(agents, ws)
+    assert (pool.mean, pool.scale) == (float(ws.train.y_raw.mean()), float(ws.train.y_raw.std()))
+    rows = training._StackedRows(agents, pool, pool.train, None, n_outputs=1)
+    y = rows.normalized(slice(None))
+    assert abs(y.mean()) < 1e-12 and abs(y.std() - 1.0) < 1e-12
+    assert np.allclose(rows.to_raw(y), ws.train.y_raw, atol=1e-12)
 
 
 def test_context_and_outcome_alignment():
     signal = np.arange(30.0)
     ctx = 100 + np.arange(30.0)
     outcome = np.arange(30.0) * 2
-    ws = window_split(signal, signal, lookback=3, split=SplitSpec(0.5, 0, chronological=True),
-                      target_steps=1, context_series=ctx, outcome_series=outcome, outcome_steps=2)
-    # window i targets time i+3; its context must be ctx[i+3], outcome [2(i+3), 2(i+4)]
-    i = ws.train_idx[0]
-    assert ws.train_ctx[0] == ctx[i + 3]
-    assert np.allclose(ws.train_outcome[0], [2 * (i + 3), 2 * (i + 4)])
+    ws = window_pool(signal, signal, lookback=3, split=SplitSpec(0.5, 0, chronological=True), steps=2,
+                     outcomes=outcome, workloads=ctx)
+    # window i targets times i+3 and i+4; its workload must be ctx[i+3], its outcome [2(i+3), 2(i+4)]
+    i = window_ids(ws.train, 3, [0])[0]
+    assert ws.train.workload[0] == ctx[i + 3]
+    assert np.array_equal(ws.train.outcome[0], [2 * (i + 3), 2 * (i + 4)])
 
 
 @pytest.mark.parametrize("chronological", [False, True])
-@pytest.mark.parametrize("target_steps, outcome_steps", [(3, 1), (1, 4)])
-def test_windows_match_explicit_slices_and_copy_the_input(target_steps, outcome_steps, chronological):
+@pytest.mark.parametrize("steps, n_agents", [(3, 1), (1, 4)])
+def test_windows_match_explicit_slices_and_copy_the_input(steps, n_agents, chronological):
     rng = np.random.default_rng(12)
     n, lookback = 40, 5
-    features = rng.uniform(1, 5, size=(n, 2))  # two feature columns
-    target, ctx, outcome = rng.uniform(1, 5, size=(3, n))
-    series = (features, target, ctx, outcome)
-    ws = window_split(features, target, lookback, SplitSpec(0.6, seed=3, chronological=chronological),
-                      target_steps=target_steps, context_series=ctx, outcome_series=outcome,
-                      outcome_steps=outcome_steps)
-    n_windows = n - lookback - max(target_steps, outcome_steps) + 1
-    assert len(ws.train_idx) + len(ws.test_idx) == n_windows
-    before = [np.copy(getattr(ws, f)) for f in vars(ws) if isinstance(getattr(ws, f), np.ndarray)]
-    for part in ("train", "test"):
-        for row, i in enumerate(getattr(ws, f"{part}_idx")):
-            x = getattr(ws, f"{part}_x")[row] * ws.feature_std + ws.feature_mean
-            assert np.allclose(x, features[i : i + lookback], rtol=0.0, atol=1e-12)
-            assert np.array_equal(getattr(ws, f"{part}_y_raw")[row], target[i + lookback : i + lookback + target_steps])
-            assert getattr(ws, f"{part}_ctx")[row] == ctx[i + lookback]
-            assert np.array_equal(
-                getattr(ws, f"{part}_outcome")[row], outcome[i + lookback : i + lookback + outcome_steps]
-            )
+    signal = rng.uniform(1, 5, size=n)
+    offsets = 1000.0 * np.arange(n_agents)
+    targets = np.arange(n) + offsets[:, None]  # agent m's target at time t is t + 1000 m
+    outcomes, workloads = rng.uniform(1, 5, size=(2, n_agents, n))
+    series = (signal, targets, outcomes, workloads)
+    ws = window_split(*series, lookback, SplitSpec(0.6, seed=3, chronological=chronological), steps=steps)
+    n_windows = n - lookback - steps + 1
+    train_ids = window_ids(ws.train, lookback, offsets)[: ws.train.counts[0]]
+    windows = np.array([signal[i : i + lookback] for i in range(n_windows)])
+    mean, std = windows[train_ids].mean(axis=0), windows[train_ids].std(axis=0)
+    before = [np.copy(getattr(p, f.name)) for p in (ws.train, ws.test) for f in dataclasses.fields(p)]
+    for part in (ws.train, ws.test):
+        assert np.array_equal(part.counts, [part.counts[0]] * n_agents)
+        owners = np.repeat(np.arange(n_agents), part.counts)
+        for row, (m, i) in enumerate(zip(owners, window_ids(part, lookback, offsets))):
+            at = slice(i + lookback, i + lookback + steps)
+            assert np.allclose(part.x[row], (windows[i] - mean) / std, rtol=0.0, atol=1e-12)
+            assert np.array_equal(part.y_raw[row], targets[m, at])
+            assert np.array_equal(part.outcome[row], outcomes[m, at])
+            assert part.workload[row] == workloads[m, i + lookback]
+    assert sum(p.counts[0] for p in (ws.train, ws.test)) == n_windows
     for s in series:
         s *= -1.0
-    after = [getattr(ws, f) for f in vars(ws) if isinstance(getattr(ws, f), np.ndarray)]
+    after = [getattr(p, f.name) for p in (ws.train, ws.test) for f in dataclasses.fields(p)]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def _reference_window_split(features_series, target_series, lookback, split, target_steps=1, context_series=None,
+                            outcome_series=None, outcome_steps=None):
+    """One agent's windows, as the pool was once windowed agent by agent: a dict of its train_*/test_* arrays."""
+    x_series = np.asarray(features_series, dtype=float)
+    y_series = np.asarray(target_series, dtype=float)
+    outcome_steps = target_steps if outcome_steps is None else outcome_steps
+    n_windows = x_series.shape[0] - lookback - max(target_steps, outcome_steps) + 1
+
+    def windows(series, first, width):
+        return np.stack([series[first + i : first + i + width] for i in range(n_windows)])
+
+    X, Y = windows(x_series, 0, lookback), windows(y_series, lookback, target_steps)
+    outcome = Y if outcome_series is None else windows(np.asarray(outcome_series, dtype=float), lookback, outcome_steps)
+    n_train = int(round(split.train_fraction * n_windows))
+    n_train = min(max(n_train, 1), n_windows - 1) if n_windows > 1 else 1
+    order = np.arange(n_windows) if split.chronological else np.random.default_rng(split.seed).permutation(n_windows)
+    idx = {"train": np.sort(order[:n_train]), "test": np.sort(order[n_train:])}
+    f_mean = X[idx["train"]].mean(axis=0)
+    f_std = X[idx["train"]].std(axis=0)
+    f_std = np.where(f_std < 1e-9, 1.0, f_std)
+    out = {}
+    for part, at in idx.items():
+        out[f"{part}_x"] = (X[at] - f_mean) / f_std
+        out[f"{part}_y_raw"] = Y[at]
+        out[f"{part}_outcome"] = outcome[at]
+        out[f"{part}_ctx"] = None if context_series is None else np.asarray(context_series, dtype=float)[lookback + at]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9001])
+@pytest.mark.parametrize("chronological", [False, True])
+@pytest.mark.parametrize("pool", [
+    dict(application="datacenter", n_agents=6),
+    dict(application="charging", n_agents=8, predict_target="combined"),
+    dict(application="charging", n_agents=8, predict_target="carbon"),
+    dict(application="mixed", n_agents=9),
+], ids=["datacenter", "charging", "carbon", "mixed"])
+def test_pool_windows_equal_the_per_agent_reference_stacked(pool, chronological, seed):
+    # the pool is windowed once for all its agents; agent by agent, then
+    # stacked in agent order, gives bitwise the same rows and target stats
+    config = harness.ExperimentConfig(**pool, heterogeneity="different", chronological=chronological, seed=seed)
+    agents, ds = harness._synthesize(config, seed)
+    steps = 1 if config.application == "datacenter" else config.horizon
+    split = SplitSpec(config.train_fraction, seed=seed, chronological=chronological)
+    refs = [
+        _reference_window_split(
+            ds.signal, ds.agent_targets[m], config.lookback, split, target_steps=steps,
+            context_series=None if ds.workloads is None else ds.workloads[m],
+            outcome_series=None if ds.outcome_targets is None else ds.outcome_targets[m],
+            outcome_steps=1 if agent.family == "datacenter" else steps,
+        )
+        for m, agent in enumerate(agents)
+    ]
+    built = harness.build_pool(config, seed).splits
+    for name, part in (("train", built.train.rows), ("test", built.test.rows)):
+        def stacked(field):
+            return np.concatenate([ref[f"{name}_{field}"] for ref in refs])
+        assert np.array_equal(part.counts, [len(ref[f"{name}_x"]) for ref in refs])
+        assert np.array_equal(part.x, stacked("x"))
+        assert np.array_equal(part.y_raw, stacked("y_raw"))
+        charging = np.repeat([a.family == "charging" for a in agents], part.counts)
+        # a data-center row reads the first step of its outcome window
+        assert np.array_equal(part.outcome[:, 0], np.concatenate([ref[f"{name}_outcome"][:, 0] for ref in refs]))
+        if charging.any():
+            assert np.array_equal(part.outcome[charging], np.concatenate(
+                [ref[f"{name}_outcome"] for ref, a in zip(refs, agents) if a.family == "charging"]))
+        workloads = [
+            ref[f"{name}_ctx"] if ref[f"{name}_ctx"] is not None and a.family == "datacenter"
+            else np.full(len(ref[f"{name}_x"]), a.context.workload if a.family == "datacenter" else 0.0)
+            for ref, a in zip(refs, agents)
+        ]
+        assert np.array_equal(part.workload[~charging], np.concatenate(workloads)[~charging])
+    pooled = np.concatenate([ref["train_y_raw"].ravel() for ref in refs])
+    assert (built.mean, built.scale) == (float(pooled.mean()), max(float(pooled.std()), 1e-9))

@@ -9,7 +9,7 @@ from equicast import harness, predictor, training
 from equicast.agents import regret
 from equicast.errors import ConfigError, SchemaError
 from equicast.harness import ExperimentConfig, build_pool, config_from_dict, config_hash, run_experiment
-from equicast.training import TrainConfig, evaluate, target_stats
+from equicast.training import TrainConfig, evaluate
 
 
 def small_config(**kw):
@@ -23,21 +23,22 @@ def small_config(**kw):
 def test_pool_shares_one_target_transform():
     # train and test rows of every agent go through the pool's one transform
     pool = build_pool(small_config(n_agents=4), seed=0)
-    stats = target_stats(pool.splits)
-    for part in ("train", "test"):
-        rows = training._StackedRows(pool.agents, pool.splits, part, None, pool.arch[-1], scored=False)
-        assert (rows.mean, rows.scale) == stats
-        raw = np.concatenate([getattr(s, f"{part}_y_raw") for s in pool.splits])
-        assert np.allclose(rows.to_raw(rows.y), raw, atol=1e-12)
+    train_raw = pool.splits.train.rows.y_raw
+    assert (pool.splits.mean, pool.splits.scale) == (float(train_raw.mean()), float(train_raw.std()))
+    for part in (pool.splits.train, pool.splits.test):
+        rows = training._StackedRows(pool.agents, pool.splits, part, None, pool.arch[-1])
+        assert (rows.mean, rows.scale) == (pool.splits.mean, pool.splits.scale)
+        assert np.allclose(rows.to_raw(rows.normalized(slice(None))), part.rows.y_raw, atol=1e-12)
 
 
 def test_pool_charging_shapes():
     cfg = small_config(application="charging", n_agents=3, horizon=5, length=90)
     pool = build_pool(cfg, seed=1)
     assert pool.arch == [6, 4, 5]
-    for split in pool.splits:
-        assert split.train_y_raw.shape[1] == 5
-        assert split.train_outcome.shape[1] == 5
+    for part in (pool.splits.train, pool.splits.test):
+        assert len(part.rows.counts) == 3
+        assert part.rows.y_raw.shape[1] == 5
+        assert part.rows.outcome.shape[1] == 5
 
 
 def test_mixed_pool_structure():
@@ -50,19 +51,30 @@ def test_mixed_pool_structure():
     charging = [a for a in pool.agents if a.family == "charging"]
     assert any(a.context.water_weight == 0.0 and a.context.price_weight == 0.0 for a in charging)
     assert any(a.context.water_weight > 0.0 for a in charging)
-    dc_splits = [s for a, s in zip(pool.agents, pool.splits) if a.family == "datacenter"]
-    assert all(s.train_outcome.shape[1] == 1 for s in dc_splits)
     assert pool.arch[-1] == 5
+    # a data-center row's realized intensity is the next value of its outcome
+    # series: with a chronological split, the test part's row j is window
+    # n_train + j, whose first target step is lookback + n_train + j
+    chrono = replace(cfg, chronological=True)
+    _, ds = harness._synthesize(chrono, 0)
+    chrono_pool = build_pool(chrono, seed=0).splits
+    test, n_train = chrono_pool.test.rows, chrono_pool.train.rows.counts[0]
+    for m, outcome in enumerate(np.split(test.outcome, np.cumsum(test.counts)[:-1])):
+        if pool.agents[m].family == "datacenter":
+            first = chrono.lookback + n_train
+            assert np.array_equal(outcome[:, 0], ds.outcome_targets[m][first : first + len(outcome)])
     # a data-center agent's regret is scored on the mean of its raw forecast window
     params = predictor.init_params(pool.arch, 0)
-    mean, scale = target_stats(pool.splits)
-    summary = evaluate(params, pool.agents, pool.splits)
-    for m, (agent, split) in enumerate(zip(pool.agents, pool.splits)):
+    data = pool.splits
+    summary = evaluate(params, pool.agents, data)
+    bounds = np.cumsum(data.test.rows.counts)[:-1]
+    test_x, test_outcome = (np.split(a, bounds) for a in (data.test.rows.x, data.test.rows.outcome))
+    for m, agent in enumerate(pool.agents):
         if agent.family != "datacenter":
             continue
-        raws = mean + scale * predictor.forward_batch(params, split.test_x)
-        by_mean = np.mean([regret(agent, float(r.mean()), float(c[0])).value for r, c in zip(raws, split.test_outcome)])
-        by_first = np.mean([regret(agent, float(r[0]), float(c[0])).value for r, c in zip(raws, split.test_outcome)])
+        raws = data.mean + data.scale * predictor.forward_batch(params, test_x[m])
+        by_mean = np.mean([regret(agent, float(r.mean()), float(c[0])).value for r, c in zip(raws, test_outcome[m])])
+        by_first = np.mean([regret(agent, float(r[0]), float(c[0])).value for r, c in zip(raws, test_outcome[m])])
         assert summary.per_agent_regret[m] == pytest.approx(by_mean, rel=1e-9)
         assert summary.per_agent_regret[m] != pytest.approx(by_first, rel=1e-6)
 
@@ -121,17 +133,17 @@ def test_generate_then_load_pool_matches_memory(tmp_path):
     ):
         harness.generate_files(cfg, tmp_path / name)
         loaded = harness.load_pool(tmp_path / name, cfg, seed=cfg.seed)
-        assert len(loaded.splits) == cfg.n_agents, name
+        assert len(loaded.splits.agents) == cfg.n_agents, name
         assert_same_pool(loaded, build_pool(cfg, seed=cfg.seed))
 
 
 def assert_same_pool(loaded, mem):
     assert loaded.arch == mem.arch
-    assert len(loaded.splits) == len(mem.splits)
-    for a, b in zip(loaded.splits, mem.splits):
-        for field in dataclasses.fields(a):
-            va, vb = getattr(a, field.name), getattr(b, field.name)
-            assert (va is None and vb is None) or np.array_equal(va, vb), field.name
+    assert (loaded.splits.mean, loaded.splits.scale) == (mem.splits.mean, mem.splits.scale)
+    for a, b in ((loaded.splits.train, mem.splits.train), (loaded.splits.test, mem.splits.test)):
+        assert np.array_equal(a.best, b.best)
+        for field in dataclasses.fields(a.rows):
+            assert np.array_equal(getattr(a.rows, field.name), getattr(b.rows, field.name)), field.name
     assert [(a.family, a.context) for a in loaded.agents] == [(a.family, a.context) for a in mem.agents]
 
 

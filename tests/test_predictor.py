@@ -182,7 +182,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.layer_sizes == p.layer_sizes == (5, 7, 3)
     assert meta["std"] == 0.123456789012345
     assert meta["lookback"] == 5
-    assert meta["note"] == "x"
+    assert meta["extra"] == {"note": "x"}
 
 
 def test_checkpoint_missing_field(tmp_path):

@@ -48,3 +48,23 @@ def test_every_import_is_used():
             unused += [f"{path.name}: {alias.asname or alias.name}" for alias in stmt.names
                        if (alias.asname or alias.name).split(".")[0] not in used]
     assert unused == [], f"imports nothing in src/equicast uses: {unused}"
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is state kept for no one; a read is an
+    # attribute load anywhere in src/equicast
+    modules = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    read = {node.attr for module in modules for node in ast.walk(module)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module in modules:
+        for cls in ast.walk(module):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in cls.decorator_list
+            ):
+                continue
+            unread += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in read]
+    assert unread == [], f"dataclass fields no code in src/equicast reads: {unread}"

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,30 +8,68 @@ from equicast import objective, predictor, training
 from equicast.agents import (
     AgentSpec, ChargingContext, DataCenterContext, dc_optimal_batch, dc_regret_batch, regret, required_slots,
 )
-from equicast.data import WindowSplit
+from equicast.data import Part, PoolWindows
 from equicast.errors import ConfigError, DivergenceError, InfeasibleActionError
-from equicast.training import TrainConfig, _StackedRows, evaluate, target_stats, train
+from equicast.training import PoolData, TrainConfig, _StackedRows, evaluate, train
+
+
+class Split(NamedTuple):
+    """One agent's hand-windowed rows, split chronologically; its outcome rows are its targets."""
+
+    train_x: np.ndarray
+    test_x: np.ndarray
+    train_y_raw: np.ndarray
+    test_y_raw: np.ndarray
+    train_ctx: np.ndarray | None
+    test_ctx: np.ndarray | None
+    train_outcome: np.ndarray
+    test_outcome: np.ndarray
 
 
 def make_split(x, y, train_frac=0.67, ctx=None):
-    """Hand-built WindowSplit over already-windowed arrays (chronological)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    ntr = int(round(train_frac * n))
-    return WindowSplit(
-        train_x=x[:ntr], test_x=x[ntr:], train_y_raw=y[:ntr], test_y_raw=y[ntr:],
-        feature_mean=np.zeros(x.shape[1]), feature_std=np.ones(x.shape[1]),
-        train_idx=np.arange(ntr), test_idx=np.arange(ntr, n),
-        train_ctx=None if ctx is None else np.asarray(ctx)[:ntr],
-        test_ctx=None if ctx is None else np.asarray(ctx)[ntr:],
-    )
+    ntr = int(round(train_frac * x.shape[0]))
+    ctx = None if ctx is None else np.asarray(ctx, dtype=float)
+    return Split(x[:ntr], x[ntr:], y[:ntr], y[ntr:], None if ctx is None else ctx[:ntr],
+                 None if ctx is None else ctx[ntr:], y[:ntr], y[ntr:])
+
+
+def stack(agents, splits):
+    """The agents' splits as a pool's windows, stacked in agent order.
+
+    An agent without a workload series reads its own workload (0 for a charger).
+    """
+    def part(name):
+        def column(field):
+            return [getattr(s, f"{name}_{field}") for s in splits]
+        workloads = [
+            np.full(len(x), a.context.workload if a.family == "datacenter" else 0.0) if ctx is None else ctx
+            for a, x, ctx in zip(agents, column("x"), column("ctx"))
+        ]
+        return Part(np.concatenate(column("x")), np.concatenate(column("y_raw")), np.concatenate(column("outcome")),
+                    np.concatenate(workloads), np.array([len(x) for x in column("x")]))
+    return PoolWindows(part("train"), part("test"))
+
+
+def make_pool(agents, splits):
+    """The pool of `agents` over their splits, fitted to them as `harness` fits a pool."""
+    return PoolData(agents, stack(agents, splits))
+
+
+def target_stats(splits):
+    """The pool's one target transform, written out: the mean and std of every agent's raw training targets."""
+    pooled = np.concatenate([s.train_y_raw.ravel() for s in splits])
+    return float(pooled.mean()), max(float(pooled.std()), 1e-9)
 
 
 def linear_data(n=150, seed=0):
+    # the offset keeps the targets valid realized intensities, which every
+    # pool scores when it is built; the model's normalized targets do not
+    # depend on it
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1, 1, size=(n, 1))
-    ys = 2.0 * xs
+    ys = 2.0 * xs + 3.0
     return xs, ys
 
 
@@ -86,9 +125,9 @@ def test_plain_mode_fits_linear_map():
     xs, ys = linear_data()
     split = make_split(xs, ys)
     cfg = TrainConfig(mode="plain", lr=0.05, epochs=40, batch_size=25, seed=1, lr_step=10**6)
-    res = train(cfg, predictor.init_params([1, 1], seed=3), [DC_AGENT], [split])
+    res = train(cfg, predictor.init_params([1, 1], seed=3), [DC_AGENT], make_pool([DC_AGENT], [split]))
     preds = predictor.forward_batch(res.params, split.train_x)
-    # least-squares optimum is exactly y = 2x with zero residual
+    # least-squares optimum is exactly y = 2x + 3 with zero residual
     assert float(np.mean((preds - to_normalized([split], split.train_y_raw)) ** 2)) < 1e-3
 
 
@@ -97,7 +136,7 @@ def test_zero_learning_rate_freezes_parameters():
     split = make_split(xs, ys)
     p0 = predictor.init_params([1, 1], seed=3)
     cfg = TrainConfig(mode="plain", lr=0.0, epochs=3, batch_size=25, seed=1)
-    res = train(cfg, p0, [DC_AGENT], [split])
+    res = train(cfg, p0, [DC_AGENT], make_pool([DC_AGENT], [split]))
     assert np.array_equal(res.params.values, p0.values)
 
 
@@ -109,7 +148,7 @@ def test_chain_mode_converges_to_grid_minimizer():
     split = make_split(np.zeros((90, 1)), cs[:, None])
     cfg = TrainConfig(mode="chain", q=0.0, beta=0.0, lr=0.1, lr_step=150, lr_decay=0.5,
                       epochs=400, batch_size=60, seed=2)
-    res = train(cfg, predictor.init_params([1, 1], seed=5), [DC_AGENT], [split])
+    res = train(cfg, predictor.init_params([1, 1], seed=5), [DC_AGENT], make_pool([DC_AGENT], [split]))
     b_hat = to_raw([split], predictor.forward_batch(res.params, np.zeros((1, 1))))[0, 0]
 
     train_c = split.train_y_raw[:, 0]
@@ -123,7 +162,7 @@ def test_chain_mode_rejects_charging_agents():
     split = make_split(np.zeros((20, 1)), np.ones((20, 1)))
     ev = AgentSpec(1, "charging", ChargingContext(0.0, 0.5, 1.0, 1))
     with pytest.raises(ConfigError):
-        train(TrainConfig(mode="chain"), predictor.init_params([1, 1], seed=0), [ev], [split])
+        train(TrainConfig(mode="chain"), predictor.init_params([1, 1], seed=0), [ev], make_pool([ev], [split]))
 
 
 def test_plain_equals_chain_at_beta_one():
@@ -133,20 +172,20 @@ def test_plain_equals_chain_at_beta_one():
     ctx = rng.uniform(1, 3, size=60)
     split = make_split(xs, ys, ctx=ctx)
     p0 = predictor.init_params([2, 3, 1], seed=6)
-    plain = train(TrainConfig(mode="plain", lr=0.05, epochs=4, batch_size=20, seed=9), p0, [DC_AGENT], [split])
-    chain = train(TrainConfig(mode="chain", beta=1.0, lr=0.05, epochs=4, batch_size=20, seed=9), p0, [DC_AGENT], [split])
+    pool = make_pool([DC_AGENT], [split])
+    plain = train(TrainConfig(mode="plain", lr=0.05, epochs=4, batch_size=20, seed=9), p0, [DC_AGENT], pool)
+    chain = train(TrainConfig(mode="chain", beta=1.0, lr=0.05, epochs=4, batch_size=20, seed=9), p0, [DC_AGENT], pool)
     assert np.array_equal(plain.params.values, chain.params.values)
     assert [row["combined"] for row in plain.step_log] == [row["combined"] for row in chain.step_log]
 
 
 def test_reproducibility_bitwise():
-    xs, _ = linear_data(seed=5)
-    ys = 2.0 * xs + 3.0  # keep realized intensities positive for the regret oracle
+    xs, ys = linear_data(seed=5)
     cfg = TrainConfig(mode="pg", q=1.0, lr=0.01, epochs=5, batch_size=25, seed=7, std=0.2)
     p0 = predictor.init_params([1, 1], seed=1)
     # identical (config, data, seed) twice
-    a = train(cfg, p0, [DC_AGENT], [make_split(xs, ys)])
-    b = train(cfg, p0, [DC_AGENT], [make_split(xs, ys)])
+    a = train(cfg, p0, [DC_AGENT], make_pool([DC_AGENT], [make_split(xs, ys)]))
+    b = train(cfg, p0, [DC_AGENT], make_pool([DC_AGENT], [make_split(xs, ys)]))
     assert np.array_equal(a.params.values, b.params.values)
 
 
@@ -154,7 +193,7 @@ def test_lr_schedule_decays_by_step():
     xs, ys = linear_data()
     split = make_split(xs, ys)
     cfg = TrainConfig(mode="plain", lr=0.08, lr_step=3, lr_decay=0.5, epochs=3, batch_size=33, seed=0)
-    res = train(cfg, predictor.init_params([1, 1], seed=0), [DC_AGENT], [split])
+    res = train(cfg, predictor.init_params([1, 1], seed=0), [DC_AGENT], make_pool([DC_AGENT], [split]))
     lrs = [row["lr"] for row in res.step_log]
     expected = [0.08 * 0.5 ** (t // 3) for t in range(len(lrs))]
     assert lrs == pytest.approx(expected)
@@ -200,7 +239,7 @@ def test_optimizer_matches_hand_written_updates(optimizer, momentum, grad_clip):
     p0 = predictor.init_params([1, 1], seed=3)
     cfg = TrainConfig(mode="plain", lr=0.05, lr_step=5, lr_decay=0.7, epochs=3, batch_size=25, seed=2,
                       optimizer=optimizer, momentum=momentum, grad_clip=grad_clip)
-    res = train(cfg, p0, [DC_AGENT], [split])
+    res = train(cfg, p0, [DC_AGENT], make_pool([DC_AGENT], [split]))
     expected, clipped = _reference_plain_updates(cfg, p0.values, split)
     assert len(res.step_log) == 12
     assert (clipped > 0) == (grad_clip is not None)
@@ -213,7 +252,7 @@ def test_divergence_guard_raises_with_step():
     split = make_split(xs, ys)
     cfg = TrainConfig(mode="plain", lr=1e12, epochs=30, batch_size=25, seed=0)
     with pytest.raises(DivergenceError) as err:
-        train(cfg, predictor.init_params([1, 4, 1], seed=0), [DC_AGENT], [split])
+        train(cfg, predictor.init_params([1, 4, 1], seed=0), [DC_AGENT], make_pool([DC_AGENT], [split]))
     assert err.value.step is not None
     assert err.value.agent_id == 0
 
@@ -224,22 +263,22 @@ def test_non_finite_update_raises_divergence_with_step():
     # are normalized, features are not: large features make a large gradient
     xs, ys = linear_data()
     cfg = TrainConfig(mode="plain", lr=1e308, epochs=2, batch_size=25, seed=0)
+    pool = make_pool([DC_AGENT], [make_split(100.0 * xs, ys)])
     with pytest.raises(DivergenceError, match="non-finite parameters") as err:
-        train(cfg, predictor.init_params([1, 4, 1], seed=0), [DC_AGENT], [make_split(100.0 * xs, ys)])
+        train(cfg, predictor.init_params([1, 4, 1], seed=0), [DC_AGENT], pool)
     assert err.value.step == 0
 
 
 def test_pg_step_matches_batch_op():
     # one pg step (single draw), reconstructed row by row: the summed
     # log-density gradients of the draws times the scalar batch loss
-    xs, _ = linear_data(n=30, seed=11)
-    ys = 2.0 * xs + 3.0
+    xs, ys = linear_data(n=30, seed=11)
     split = make_split(xs, ys, train_frac=0.8)
     p0 = predictor.init_params([1, 1], seed=2)
     lr, std = 0.05, 0.3
     cfg = TrainConfig(mode="pg", q=1.0, lr=lr, std=std, epochs=1, batch_size=24, seed=13,
                       optimizer="sgd", pg_samples=1)
-    res = train(cfg, p0, [DC_AGENT], [split])
+    res = train(cfg, p0, [DC_AGENT], make_pool([DC_AGENT], [split]))
 
     rng = np.random.default_rng(13)
     perm = rng.permutation(split.train_x.shape[0])
@@ -342,7 +381,7 @@ def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs, batch
     p0 = predictor.init_params([2, 4, 3], seed=4)
     cfg = TrainConfig(mode="pg", q=1.0, beta=0.5, lr=0.05, lr_step=10**6, std=0.3, epochs=epochs,
                       batch_size=batch_size, seed=17, optimizer="sgd", pg_baseline=True, pg_samples=pg_samples)
-    res = train(cfg, p0, agents, splits)
+    res = train(cfg, p0, agents, make_pool(agents, splits))
     assert len(res.step_log) == epochs * steps_per_epoch
     expected = _reference_pg_sgd(cfg, p0, agents, splits)
     assert np.allclose(res.params.values, expected.values, rtol=0.0, atol=1e-10)
@@ -371,7 +410,7 @@ def _ragged_chain_step(q=1.0, beta=0.5):
     p0 = predictor.init_params([2, 4, 2], seed=3)
     cfg = TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, lr_step=10**6, epochs=1, batch_size=6,
                       seed=11, optimizer="sgd")
-    res = train(cfg, p0, agents, splits)
+    res = train(cfg, p0, agents, make_pool(agents, splits))
     assert len(res.step_log) == 1
     perm_rng = np.random.default_rng(cfg.seed)
     sels = [perm_rng.permutation(len(s.train_x))[: min(6, len(s.train_x))] for s in splits]
@@ -450,7 +489,7 @@ def test_each_step_runs_one_forward_pass(mode, monkeypatch):
     real = predictor.forward_batch
     monkeypatch.setattr(predictor, "forward_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
     cfg = TrainConfig(mode=mode, q=1.0, beta=0.5, std=0.3, epochs=3, batch_size=4, seed=3, pg_samples=3)
-    res = train(cfg, predictor.init_params([2, 4, 3], seed=5), agents, splits)
+    res = train(cfg, predictor.init_params([2, 4, 3], seed=5), agents, make_pool(agents, splits))
     assert len(res.step_log) > 2
     assert len(calls) == len(res.step_log)
 
@@ -469,7 +508,8 @@ def test_charging_regrets_match_per_sample_regret_across_calls():
     agents, splits = _charging_pool()
     assert [required_slots(a.context) for a in agents] == [1, 2, 3, 4]
     n_draws, batch = 3, 3
-    rows = _StackedRows(agents, splits, "train", batch, 4, n_draws=n_draws)
+    pool = make_pool(agents, splits)
+    rows = _StackedRows(agents, pool, pool.train, batch, 4, n_draws=n_draws)
     assert rows.ev_rows == slice(None)
     rng = np.random.default_rng(32)
     perms = [rng.permutation(6) for _ in agents]
@@ -488,16 +528,11 @@ def test_charging_regrets_match_per_sample_regret_across_calls():
                 realized = splits[m].train_outcome[perms[m][k * batch + r % batch]]
                 assert values[d, r] == regret(agents[m], raws[k, d, r], realized).value
 
-    # a slot count outside 1..T is refused when the rows are built
+    # a slot count outside 1..T is refused when the pool is built
     bad = AgentSpec(9, "charging", ChargingContext(0.0, 1e-14, 1.0, 4))
     assert required_slots(bad.context) == 0
-    p0 = predictor.init_params([2, 3, 4], seed=0)
     with pytest.raises(InfeasibleActionError, match="between 1 and 4"):
-        _StackedRows(agents + [bad], splits + splits[:1], "train", batch, 4, n_draws=n_draws)
-    with pytest.raises(InfeasibleActionError, match="between 1 and 4"):
-        train(TrainConfig(mode="pg", std=0.3, epochs=1, batch_size=batch), p0, agents + [bad], splits + splits[:1])
-    with pytest.raises(InfeasibleActionError, match="between 1 and 4"):
-        evaluate(p0, agents + [bad], splits + splits[:1])
+        make_pool(agents + [bad], splits + splits[:1])
 
 
 def test_pg_scores_each_step_with_one_charging_regret_call(monkeypatch):
@@ -509,29 +544,41 @@ def test_pg_scores_each_step_with_one_charging_regret_call(monkeypatch):
     monkeypatch.setattr(training, "ev_regret_batch", lambda *a: calls.append(len(a[1])) or real(*a))
     p0 = predictor.init_params([2, 3, 4], seed=1)
     cfg = TrainConfig(mode="pg", q=1.0, beta=0.5, std=0.3, epochs=1, batch_size=2, seed=4, pg_samples=5)
-    res = train(cfg, p0, agents, splits)
+    res = train(cfg, p0, agents, make_pool(agents, splits))
     assert len(res.step_log) == 3
     assert calls == [5 * 2 * len(agents)] * 3
     calls.clear()
-    evaluate(res.params, agents, splits)
+    evaluate(res.params, agents, make_pool(agents, splits))
     assert calls == [3 * len(agents)]
 
 
 def test_non_positive_realized_intensity_is_refused_before_training():
+    # the pool scores every row's hindsight once, when it is built, so a plain
+    # run that never scores a decision is refused too
     agents, splits = _three_agent_pool()
-    p0 = predictor.init_params([2, 4, 3], seed=5)
     for part in ("train", "test"):
         outcome = getattr(splits[2], f"{part}_outcome").copy()
         outcome[1, 0] = 0.0
-        broken = splits[:2] + [replace(splits[2], **{f"{part}_outcome": outcome})]
-        if part == "train":
-            with pytest.raises(ConfigError, match="data-center agent 2, train split"):
-                train(TrainConfig(mode="pg", std=0.3, epochs=1, batch_size=4), p0, agents, broken)
-            # plain training never scores a decision
-            train(TrainConfig(mode="plain", epochs=1, batch_size=4), p0, agents, broken)
-        else:
-            with pytest.raises(ConfigError, match="data-center agent 2, test split"):
-                evaluate(p0, agents, broken)
+        broken = splits[:2] + [splits[2]._replace(**{f"{part}_outcome": outcome})]
+        with pytest.raises(ConfigError, match=f"data-center agent 2, {part} split"):
+            make_pool(agents, broken)
+
+
+@pytest.mark.parametrize("call", ["plain", "pg", "evaluate"])
+def test_agents_other_than_the_pools_are_refused(call):
+    # the pool's hindsight costs are its own agents'; another agent's
+    # decisions would be scored against them
+    agents, splits = _three_agent_pool()
+    pool = make_pool(agents, splits)
+    other = replace(agents[1], context=DataCenterContext(2.0, 30.0))
+    p0 = predictor.init_params([2, 4, 3], seed=5)
+    for changed, message in (([agents[0], other, agents[2]], "agent 1 differs from the pool's agent 1"),
+                             (agents[:2], "2 agents but 3 data splits")):
+        with pytest.raises(ConfigError, match=message):
+            if call == "evaluate":
+                evaluate(p0, changed, pool)
+            else:
+                train(TrainConfig(mode=call, std=0.3, epochs=1, batch_size=4), p0, changed, pool)
 
 
 def test_charging_horizon_must_match_model_outputs():
@@ -540,9 +587,9 @@ def test_charging_horizon_must_match_model_outputs():
     p0 = predictor.init_params([2, 4, 2], seed=4)
     cfg = TrainConfig(mode="pg", std=0.3, epochs=1, batch_size=6, seed=17)
     with pytest.raises(ConfigError, match="horizon 3"):
-        train(cfg, p0, agents, splits)
+        train(cfg, p0, agents, make_pool(agents, splits))
     with pytest.raises(ConfigError, match="horizon 3"):
-        evaluate(p0, agents, splits)
+        evaluate(p0, agents, make_pool(agents, splits))
 
 
 @pytest.mark.parametrize("call", ["plain", "chain", "pg", "evaluate"])
@@ -555,36 +602,33 @@ def test_target_width_must_match_model_outputs(call):
     p0 = predictor.init_params([2, 4, 3], seed=1)
     with pytest.raises(ConfigError, match="agent 0 has 1 target values per row but the model emits 3"):
         if call == "evaluate":
-            evaluate(p0, agents, splits)
+            evaluate(p0, agents, make_pool(agents, splits))
         else:
-            train(TrainConfig(mode=call, std=0.3, epochs=1, batch_size=4), p0, agents, splits)
+            train(TrainConfig(mode=call, std=0.3, epochs=1, batch_size=4), p0, agents, make_pool(agents, splits))
 
 
 @pytest.mark.parametrize("call", ["train", "evaluate"])
 def test_pool_that_does_not_fit_is_refused(call):
+    # the part a call reads is refused when the pool is built
     agents, splits = _three_agent_pool()
-    p0 = predictor.init_params([2, 4, 3], seed=5)
-    part, key = ("training", "train_x") if call == "train" else ("test", "test_x")
-    empty = replace(splits[1], **{key: splits[1].train_x[:0]})
-
-    def run(agents, splits):
-        if call == "train":
-            return train(TrainConfig(mode="plain", epochs=1, batch_size=4), p0, agents, splits)
-        return evaluate(p0, agents, splits)
+    part, prefix = ("training", "train") if call == "train" else ("test", "test")
+    empty = splits[1]._replace(**{f"{prefix}_{f}": getattr(splits[1], f"{prefix}_{f}")[:0]
+                                  for f in ("x", "y_raw", "outcome")})
 
     with pytest.raises(ConfigError, match="3 agents but 2 data splits"):
-        run(agents, splits[:2])
+        PoolData(agents, stack(agents[:2], splits[:2]))
+    no_rows = Part(np.empty((0, 2)), np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.zeros(0, dtype=int))
     with pytest.raises(ConfigError, match="empty agent pool"):
-        run([], [])
+        PoolData([], PoolWindows(no_rows, no_rows))
     with pytest.raises(ConfigError, match=f"agent 1 has an empty {part} split"):
-        run(agents, [splits[0], empty, splits[2]])
+        make_pool(agents, [splits[0], empty, splits[2]])
 
 
 def test_evaluate_perfect_predictor():
     # targets equal a constant the model can represent exactly with zero weights
     split = make_split(np.zeros((40, 1)), np.full((40, 1), 2.0))
     params = predictor.init_params([1, 1], seed=0).with_values(np.zeros(2))
-    summary = evaluate(params, [DC_AGENT], [split])
+    summary = evaluate(params, [DC_AGENT], make_pool([DC_AGENT], [split]))
     assert summary.per_agent_regret[0] <= 1e-12
     assert summary.variance == 0.0
     assert summary.c95_minus_c5 == 0.0
@@ -598,7 +642,7 @@ def test_evaluate_deterministic():
     ys = rng.uniform(1, 2, size=(50, 1))
     split = make_split(xs, ys)
     params = predictor.init_params([2, 3, 1], seed=8)
-    a = evaluate(params, [DC_AGENT], [split])
-    b = evaluate(params, [DC_AGENT], [split])
+    a = evaluate(params, [DC_AGENT], make_pool([DC_AGENT], [split]))
+    b = evaluate(params, [DC_AGENT], make_pool([DC_AGENT], [split]))
     assert np.array_equal(a.per_agent_regret, b.per_agent_regret)
     assert a.as_dict() == b.as_dict()
