@@ -18,6 +18,9 @@ precomputed `best`, and only the forecast side runs each time.  The charging
 ops take a `SlotRanking`, built once per call, that holds what the ranking
 needs besides the values: each row's checked slot count and rate, the
 positions of its k-th and (k+1)-th sorted values, and the work arrays.
+Both sum each row's chosen slots with `row_sums`: column adds over all
+rows in numpy's pairwise order, bitwise what `np.sum(..., axis=-1)` gives
+by running its pairwise sum once per row.
 """
 
 from __future__ import annotations
@@ -209,6 +212,57 @@ def ev_optimal(ctx: ChargingContext, energy) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
+# Row sums
+
+
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """`np.sum(a, axis=-1)` of a float array with rows of at least one value, bit for bit, by column adds.
+
+    numpy sums each row with `pairwise_sum` and adds the result to the
+    identity 0.0: under 8 values left to right; 8 to 128 values in eight
+    accumulators stepped by 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the leftover values one by one; more than 128 split at n//2 rounded
+    down to a multiple of 8.  Doing those adds a column at a time over all
+    rows skips numpy's per-row call.  That is numpy's order when each row
+    lies in memory in order (the callers' arrays; numpy adds the columns of
+    a Fortran-ordered array one by one).  It is numpy 2.4.6's order
+    (`tests/test_agents.py` checks it bitwise); a numpy that sums in another
+    order fails that test rather than changing results silently.
+    """
+    total = _pairwise(a)
+    total += 0.0  # the identity: an all -0.0 row sums to +0.0
+    return total
+
+
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    n = a.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise(a[..., :half])
+        total += _pairwise(a[..., half:])
+        return total
+    if n < 8:
+        total = a[..., 0].copy()
+        for j in range(1, n):
+            total += a[..., j]
+        return total
+    blocks = n - n % 8
+    acc = a[..., :8]
+    if blocks > 8:
+        acc = acc + a[..., 8:16]
+        for i in range(16, blocks, 8):
+            acc += a[..., i:i + 8]
+    total = acc[..., 0] + acc[..., 1]
+    total += acc[..., 2] + acc[..., 3]
+    right = acc[..., 4] + acc[..., 5]
+    right += acc[..., 6] + acc[..., 7]
+    total += right
+    for j in range(blocks, n):
+        total += a[..., j]
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Regret
 
 
@@ -351,8 +405,9 @@ def ev_optimal_batch(ranking: SlotRanking, e) -> np.ndarray:
         raise ValueError(f"expected {ranking.blocks[1:]} realized rows for one block, got shape {ev.shape}")
     if not np.all(np.isfinite(ev)):
         raise ValueError("realized charging signal must be finite")
-    product = np.multiply(ev, _cheapest_slots(ev, ranking), out=ranking.sorted)
-    return ranking.rate * np.sum(product, axis=1)
+    total = row_sums(np.multiply(ev, _cheapest_slots(ev, ranking), out=ranking.sorted))
+    total *= ranking.rate
+    return total
 
 
 def ev_regret_batch(ranking: SlotRanking, e_hat, e, best) -> np.ndarray:
@@ -376,11 +431,13 @@ def ev_regret_batch(ranking: SlotRanking, e_hat, e, best) -> np.ndarray:
             f"got {eh.shape} and {ev.shape}"
         )
     chosen = _cheapest_slots(eh, ranking).reshape(ranking.blocks)
-    product = np.multiply(ev, chosen, out=ranking.sorted.reshape(ranking.blocks))
-    values = (ranking.rate * np.sum(product, axis=2) - best).reshape(-1)
+    values = row_sums(np.multiply(ev, chosen, out=ranking.sorted.reshape(ranking.blocks)))
+    values *= ranking.rate
+    values -= best
+    values = values.reshape(-1)
     if np.any(values < -REGRET_TOLERANCE):
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")
-    return np.clip(values, 0.0, None)
+    return np.clip(values, 0.0, None, out=values)
 
 
 # ---------------------------------------------------------------------------

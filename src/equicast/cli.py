@@ -114,6 +114,11 @@ def cmd_evaluate(args) -> int:
     for key, pooled in (("target_mean", pool.splits.mean), ("target_scale", pool.splits.scale)):
         if key in meta["extra"] and meta["extra"][key] != pooled:
             raise ConfigError(f"checkpoint {key} {meta['extra'][key]!r} does not match the rebuilt pool's {pooled!r}")
+    # the hash covers the seed; the summary would record this config as the model's
+    if "config_hash" in meta["extra"] and meta["extra"]["config_hash"] != config_hash(config):
+        raise ConfigError(
+            f"checkpoint was trained under config {meta['extra']['config_hash']!r}, not this config {config_hash(config)!r}"
+        )
     summary = training.evaluate(
         params, pool.agents, pool.splits, q=config.train.q, beta=config.train.beta, seed=config.seed
     )

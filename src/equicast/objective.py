@@ -94,10 +94,14 @@ def pg_grad(params: ParamVector, X, eps, losses, baseline, std: float, acts) -> 
     draw's baseline must not depend on that draw.  Returns
         sum_d (losses_d - baseline_d) / (D * std) * vjp(eps_d),
     the mean over draws of the per-draw estimates, backpropagated through
-    the forward pass whose activations `acts` holds.
+    the forward pass whose activations `acts` holds.  The fold is the one
+    `np.dot` that `np.tensordot(weights, eps, axes=1)` runs, without its
+    wrapper.
     """
-    weights = (losses - baseline) / (len(losses) * std)
-    return predictor.vjp_batch(params, X, np.tensordot(weights, eps, axes=1), acts)
+    n_draws, rows, n_out = eps.shape
+    weights = (losses - baseline) / (n_draws * std)
+    cot = np.dot(weights.reshape(1, -1), eps.reshape(n_draws, -1)).reshape(rows, n_out)
+    return predictor.vjp_batch(params, X, cot, acts)
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,12 @@ What does not depend on the parameters stays out of the step.  Per call:
 the batch partition (`sizes` and the row -> agent index `owner`), the
 charging ranking of a batch's D draws (`agents.SlotRanking`: each row's
 slot count and rate, its threshold positions and its work arrays), and
-pg's work arrays (the flat draw, its restack, the sampled forecasts and
-their raw-unit copy), which every step refills in place.  Per epoch: every
-step's batch rows as one (steps, rows) array.
+pg's work arrays (the flat draw, its restack and the sampled forecasts;
+the raw-unit forecasts reuse the flat draw's buffer), which every step
+refills in place.  Per epoch: every step's batch rows as one (steps, rows)
+array.  A row's squared errors are summed over its outputs with
+`agents.row_sums`: column adds over all rows in numpy's pairwise order,
+bitwise what `np.sum` gives by running its pairwise sum once per row.
 
 Before step 0 in every mode, and in `evaluate`, the call refuses agents
 other than the pool's (its hindsight costs are theirs) and a pool that does
@@ -52,9 +55,11 @@ output width, or targets of another width.  The optimizer helper clips the
 gradient and updates theta <- theta - lr_t * g with
 lr_t = lr * decay^floor(t/step), by SGD (optionally with momentum) or Adam,
 in place on the one theta array of the call's parameters; it holds the
-velocity or Adam's moments.  A non-finite loss or gradient, or an update
-that leaves theta non-finite, raises `DivergenceError` with its step; theta
-is checked once per step, after the update.  Everything is deterministic
+velocity or Adam's moments and two work arrays, and updates them in place
+with the out-of-place formulas' operations, in their order.  A non-finite
+loss or gradient, or an update that leaves theta non-finite, raises
+`DivergenceError` with its step; theta is checked once per step, after the
+update.  Everything is deterministic
 given the config seed.
 """
 
@@ -68,6 +73,7 @@ import numpy as np
 from . import metrics, objective, predictor
 from .agents import (
     AgentSpec, SlotRanking, dc_optimal_batch, dc_regret_batch, ev_optimal_batch, ev_regret_batch, required_slots,
+    row_sums,
 )
 from .agents import dc_act, dc_act_jacobian, dc_cost_grad_action, regret  # noqa: F401  (bench/tracing.py wraps these bindings)
 from .data import Part, PoolWindows
@@ -304,15 +310,16 @@ class _StackedRows:
     def regrets(self, raws: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """(D, R) regrets, in a new array, of (D, R, O) raw forecasts for the batch at stacked rows `idx`."""
         n_draws, _, n_out = raws.shape
+        if self.ev_ranking is None:
+            return self.dc_regrets(raws, idx)[0]
+        at = idx[self.ev_rows]
+        ev_values = ev_regret_batch(
+            self.ev_ranking, raws[:, self.ev_rows].reshape(-1, n_out), self.part.rows.outcome[at], self.part.best[at],
+        ).reshape(n_draws, -1)
+        if not len(self.dc_lam):  # one family owns every row: its op's array is the result
+            return ev_values
         values = np.empty(raws.shape[:2])
-        if self.ev_ranking is not None:
-            at = idx[self.ev_rows]
-            values[:, self.ev_rows] = ev_regret_batch(
-                self.ev_ranking, raws[:, self.ev_rows].reshape(-1, n_out), self.part.rows.outcome[at],
-                self.part.best[at],
-            ).reshape(n_draws, -1)
-        if len(self.dc_lam):
-            values[:, self.dc_rows] = self.dc_regrets(raws, idx)[0]
+        values[:, self.ev_rows], values[:, self.dc_rows] = ev_values, self.dc_regrets(raws, idx)[0]
         return values
 
     def dc_regrets(self, raws: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +340,7 @@ class _StackedRows:
 def _plain(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
     """The squared-error step: `objective.chain_grad` at beta = 1."""
     def step(current, idx, X, Y, preds, acts):
-        agent_terms = rows.agent_means(np.sum((preds - Y) ** 2, axis=1))
+        agent_terms = rows.agent_means(row_sums((preds - Y) ** 2))
         mse_term = float(agent_terms.sum())
         grad = objective.chain_grad(current, X, preds, Y, None, None, rows.sizes, rows.owner, config.q, 1.0, acts)
         return grad, agent_terms, math.nan, mse_term, mse_term
@@ -346,7 +353,7 @@ def _chain(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
     if bad:
         raise ConfigError(f"chain mode needs differentiable costs; charging agents {bad} are discrete")
     def step(current, idx, X, Y, preds, acts):
-        mse_term = float(rows.agent_means(np.sum((preds - Y) ** 2, axis=1)).sum())
+        mse_term = float(rows.agent_means(row_sums((preds - Y) ** 2)).sum())
         values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
         slope = dvalues[0][:, None] * rows.dc_chat_grad
         agent_terms = rows.agent_means(values[0])
@@ -362,10 +369,12 @@ def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
     """The score-function step over `pg_samples` draws; the baseline of each draw does not depend on it."""
     n_draws = config.pg_samples
     eps_index = rows.draw_index(n_draws)
-    # work arrays that every step refills: the flat draw, its restack, the
-    # sampled forecasts and their raw-unit copy
+    # work arrays that every step refills: the flat draw, its restack and
+    # the sampled forecasts; the raw-unit forecasts go into the flat draw's
+    # buffer, which is dead once restacked
     flat = np.empty((eps_index.size, rows.n_outputs))
-    eps, sampled, raws = (np.empty(eps_index.shape + (rows.n_outputs,)) for _ in range(3))
+    eps, sampled = (np.empty(eps_index.shape + (rows.n_outputs,)) for _ in range(2))
+    raws = flat.reshape(eps.shape)
     ema = None  # of past batch losses: the baseline of a pg_baseline run with one draw
     def step(current, idx, X, Y, preds, acts):
         nonlocal ema
@@ -376,7 +385,7 @@ def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
         np.add(sampled, preds, out=sampled)
         agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled, out=raws), idx))
         resid = np.subtract(sampled, Y, out=sampled)
-        mse_by_draw = rows.agent_means(np.sum(np.square(resid, out=resid), axis=2)).sum(axis=1)
+        mse_by_draw = rows.agent_means(row_sums(np.square(resid, out=resid))).sum(axis=1)
         eq_by_draw = np.sum(np.clip(agent_terms, 0.0, None) ** (config.q + 1.0), axis=1)
         losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
         if config.pg_baseline and n_draws > 1:  # leave-one-out mean across draws
@@ -393,25 +402,33 @@ def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
 
 def _optimizer(config: TrainConfig, theta: np.ndarray):
     """`update(grad, t) -> lr_t`: clip, lr schedule, then SGD (with momentum) or Adam on theta in place."""
-    first, second = np.zeros_like(theta), np.zeros_like(theta)  # the velocity, or Adam's moments
+    # the velocity or Adam's moments, updated in place by the out-of-place
+    # formulas' operations in their order; `step` holds the clipped gradient,
+    # then the update, and `work` a scaled gradient, then sqrt(v_hat) + 1e-8
+    first, second, step, work = (np.zeros_like(theta) for _ in range(4))
     def update(grad, t):
-        nonlocal first, second, theta
+        nonlocal first, second, step, work, theta  # `x op= y` rebinds x, to the same array
         if config.grad_clip is not None:
             norm = float(np.linalg.norm(grad))
             if norm > config.grad_clip:
-                grad = grad * (config.grad_clip / norm)
+                grad = np.multiply(grad, config.grad_clip / norm, out=step)
         lr_t = config.lr * config.lr_decay ** (t // config.lr_step)
         # a finite gradient times a huge lr can still overflow theta
         with np.errstate(over="ignore", invalid="ignore"):
             if config.optimizer == "sgd":
-                first = config.momentum * first + grad
-                theta -= lr_t * first
+                first *= config.momentum
+                first += grad
+                theta -= np.multiply(first, lr_t, out=step)
                 return lr_t
-            first = 0.9 * first + 0.1 * grad
-            second = 0.999 * second + 0.001 * grad**2
-            m_hat = first / (1.0 - 0.9 ** (t + 1))
-            v_hat = second / (1.0 - 0.999 ** (t + 1))
-            theta -= lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+            first *= 0.9
+            first += np.multiply(grad, 0.1, out=work)
+            second *= 0.999
+            second += np.multiply(np.square(grad, out=work), 0.001, out=work)
+            np.sqrt(np.divide(second, 1.0 - 0.999 ** (t + 1), out=work), out=work)
+            work += 1e-8
+            np.divide(first, 1.0 - 0.9 ** (t + 1), out=step)
+            step *= lr_t
+            theta -= np.divide(step, work, out=step)
             return lr_t
     return update
 

@@ -24,6 +24,7 @@ from equicast.agents import (
     ev_regret_batch,
     regret,
     required_slots,
+    row_sums,
 )
 from equicast.errors import ConfigError, InfeasibleActionError, SchemaError
 
@@ -351,6 +352,71 @@ def test_dc_regret_batch_scores_stacked_draws_like_single_blocks():
             assert one_values[i] == pytest.approx(regret(spec, c_hat[d, i], c[i]).value, abs=1e-12)
     with pytest.raises(ValueError, match="realized rows"):
         dc_regret_batch(w, lam, c_hat.ravel()[:-1], c, best)
+
+
+def _rows_to_sum(rng, n_rows, width):
+    """Rows whose entries span 16 orders of magnitude, one all -0.0, some with +-inf or NaN."""
+    a = rng.standard_normal((n_rows, width)) * 10.0 ** rng.integers(-8, 8, size=(n_rows, width))
+    a[1] = -0.0
+    a[2, rng.integers(width)] = np.inf
+    a[3, rng.integers(width)] = -np.inf
+    a[4, rng.integers(width)] = np.nan
+    a[5, rng.integers(width, size=2)] = np.inf, -np.inf
+    return a
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_row_sums_is_numpys_sum_bit_for_bit():
+    # row_sums copies numpy 2.4.6's pairwise summation order; a numpy that
+    # sums in another order must fail here, not change results silently.
+    # Widths 1..300 cross the 8-accumulator, 16 and 128 (split) boundaries.
+    rng = np.random.default_rng(12)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        _check_row_sums(rng)
+    assert _bits(row_sums(np.full((2, 12), -0.0))).tolist() == [0, 0]  # +0.0, as numpy's
+
+
+def _check_row_sums(rng):
+    for width in range(1, 301):
+        a = _rows_to_sum(rng, 12, width)
+        for shaped in (a, a.reshape(3, 4, width)):
+            assert np.array_equal(_bits(row_sums(shaped)), _bits(np.sum(shaped, axis=-1))), (width, shaped.shape)
+        for row in a[:6]:
+            assert _bits(row_sums(row)) == _bits(np.sum(row)), width
+
+
+def _ev_optimal_np_sum(ranking, slots, e):
+    """The hindsight cost the numpy way: ev_act's stable-argsort mask, then np.sum over the slots."""
+    chosen = np.arange(e.shape[1]) < np.asarray(slots)[:, None]
+    mask = np.empty(e.shape, dtype=bool)
+    np.put_along_axis(mask, np.argsort(e, axis=1, kind="stable"), chosen, axis=1)
+    return ranking.rate * np.sum(np.multiply(e, mask), axis=1)
+
+
+@pytest.mark.parametrize("horizon", [5, 12, 20])
+def test_charging_batch_ops_equal_the_np_sum_recipe_bit_for_bit(horizon):
+    rng = np.random.default_rng(horizon)
+    n_rows, n_draws = 40, 3
+    slots = rng.integers(1, horizon + 1, size=n_rows)
+    rates = rng.uniform(0.2, 3.0, size=n_rows)
+    realized = rng.integers(1, 4, size=(n_rows, horizon)) * rng.uniform(0.1, 1e3, size=(n_rows, 1))
+    forecasts = rng.integers(0, 4, size=(n_draws * n_rows, horizon)).astype(float)  # ties at the threshold
+    forecasts[n_rows:] *= rng.uniform(1e-3, 1e3, size=(2 * n_rows, horizon))
+    forecasts[::7, ::2] = np.nan  # NaN thresholds
+    ranking = SlotRanking(slots, rates, horizon)
+    best = ev_optimal_batch(ranking, realized)
+    assert np.array_equal(_bits(best), _bits(_ev_optimal_np_sum(ranking, slots, realized)))
+    drawn = SlotRanking(slots, rates, horizon, n_draws)
+    # the cost of acting on each forecast, charged on its realized row
+    mask = np.empty(forecasts.shape, dtype=bool)
+    np.put_along_axis(mask, np.argsort(forecasts, axis=1, kind="stable"),
+                      np.arange(horizon) < drawn.slots[:, None], axis=1)
+    product = np.multiply(realized, mask.reshape(n_draws, n_rows, horizon))
+    expected = np.clip((drawn.rate * np.sum(product, axis=2) - best).reshape(-1), 0.0, None)
+    assert np.array_equal(_bits(ev_regret_batch(drawn, forecasts, realized, best)), _bits(expected))
 
 
 def test_ev_regret_batch_refuses_slot_counts_outside_horizon():

@@ -420,6 +420,21 @@ def test_evaluate_refuses_other_pools_target_stats(tmp_path, capsys):
     assert "checkpoint target_mean" in capsys.readouterr().err
 
 
+def test_evaluate_refuses_another_configs_checkpoint(tmp_path, capsys):
+    # same pool, same layer sizes: the q=0 summary used to describe a q=4 model
+    trained = tiny_config(train={**tiny_config()["train"], "q": 4.0})
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", write_config(tmp_path, trained), "--out", str(run)]) == 0
+    cfg = write_config(tmp_path, tiny_config(), name="other.json")
+    rc = cli.main(["evaluate", "--config", cfg, "--checkpoint", str(run / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    hashes = (harness.config_hash(cli.load_config(cfg)), json.loads((run / "checkpoint.json").read_text())["extra"]["config_hash"])
+    assert all(h in err for h in hashes) and "Traceback" not in err
+    assert not (tmp_path / "eval" / "summary.json").exists()
+
+
 def test_checkpoint_stores_the_pools_target_stats(tmp_path):
     # one public model, one output calibration: the mean and std of every
     # agent's raw training targets pooled, not any one agent's

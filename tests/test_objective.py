@@ -162,6 +162,24 @@ def test_chain_and_pg_grad_refuse_another_forward_pass():
         objective.pg_grad(params, batch[0][::-1], eps, rng.uniform(0, 2, size=3), 0.4, 0.3, acts)
 
 
+@pytest.mark.parametrize("n_draws, rows, n_out", [
+    (1, 7, 12), (8, 13, 12), (8, 33, 1), (8, 320, 12), (200_000, 1, 1), (200_000, 3, 2),
+])
+def test_pg_grad_fold_is_bitwise_the_tensordot_fold(n_draws, rows, n_out):
+    rng = np.random.default_rng(rows)
+    params = predictor.init_params([5, 6, n_out], seed=rows)
+    X = rng.standard_normal((rows, 5))
+    _, acts = predictor.forward_batch(params, X, keep=True)
+    eps = rng.standard_normal((n_draws, rows, n_out))
+    losses = rng.uniform(0, 3, size=n_draws)
+    baseline = (losses.sum() - losses) / max(n_draws - 1, 1)
+    std = 0.3
+    weights = (losses - baseline) / (n_draws * std)
+    expected = predictor.vjp_batch(params, X, np.tensordot(weights, eps, axes=1), acts)
+    got = objective.pg_grad(params, X, eps, losses, baseline, std, acts)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_pg_grad_monte_carlo_matches_analytic():
     # quadratic toy: yhat ~ N(theta, std^2), C = (yhat-1)^2, d/dtheta E[C] = 2(theta-1);
     # a bias-only model on a zero input makes the prediction the parameter

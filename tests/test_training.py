@@ -247,6 +247,48 @@ def test_optimizer_matches_hand_written_updates(optimizer, momentum, grad_clip):
     assert not np.allclose(res.params.values, p0.values, rtol=0.0, atol=1e-3)
 
 
+def _out_of_place_optimizer(config, theta):
+    """The optimizer as new arrays each step: the formulas `training._optimizer` updates in place."""
+    first = second = np.zeros_like(theta)
+    def update(grad, t):
+        nonlocal first, second, theta
+        if config.grad_clip is not None:
+            norm = float(np.linalg.norm(grad))
+            if norm > config.grad_clip:
+                grad = grad * (config.grad_clip / norm)
+        lr_t = config.lr * config.lr_decay ** (t // config.lr_step)
+        if config.optimizer == "sgd":
+            first = config.momentum * first + grad
+            theta = theta - lr_t * first
+        else:
+            first = 0.9 * first + 0.1 * grad
+            second = 0.999 * second + 0.001 * grad**2
+            m_hat = first / (1.0 - 0.9 ** (t + 1))
+            v_hat = second / (1.0 - 0.999 ** (t + 1))
+            theta = theta - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+        return theta
+    return update
+
+
+@pytest.mark.parametrize("grad_clip", [None, 1.5])
+@pytest.mark.parametrize("optimizer, momentum", [("adam", 0.0), ("sgd", 0.0), ("sgd", 0.9)])
+def test_in_place_optimizer_is_bitwise_the_out_of_place_formulas(optimizer, momentum, grad_clip):
+    rng = np.random.default_rng(5)
+    config = TrainConfig(lr=0.03, lr_step=7, lr_decay=0.6, optimizer=optimizer, momentum=momentum,
+                         grad_clip=grad_clip)
+    theta = rng.standard_normal(41)
+    reference = _out_of_place_optimizer(config, theta.copy())
+    update = training._optimizer(config, theta)
+    clipped = 0
+    for t in range(50):
+        grad = rng.standard_normal(41) * 10.0 ** rng.uniform(-3, 1)
+        clipped += grad_clip is not None and np.linalg.norm(grad) > grad_clip
+        expected = reference(grad.copy(), t)
+        update(grad, t)
+        assert np.array_equal(theta.view(np.uint64), expected.view(np.uint64)), t
+    assert (clipped > 0) == (grad_clip is not None)
+
+
 def test_divergence_guard_raises_with_step():
     xs, ys = linear_data()
     split = make_split(xs, ys)
