@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleActionError, SchemaError
+from .errors import ConfigError, InfeasibleActionError, SchemaError, check_fields
 
 # Forecast values at or below this floor are clamped before the allocation
 # policy inverts them, keeping the policy total under bad predictions.
@@ -96,6 +96,9 @@ class ChargingContext:
             )
 
 
+_CONTEXTS = {"datacenter": DataCenterContext, "charging": ChargingContext}
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """One downstream agent: family tag, decision context, optional data reference."""
@@ -106,9 +109,9 @@ class AgentSpec:
     data_ref: str | None = None
 
     def __post_init__(self):
-        if self.family not in ("datacenter", "charging"):
+        if self.family not in _CONTEXTS:
             raise ConfigError(f"unknown agent family '{self.family}'")
-        wanted = DataCenterContext if self.family == "datacenter" else ChargingContext
+        wanted = _CONTEXTS[self.family]
         if not isinstance(self.context, wanted):
             raise ConfigError(f"{self.family} agent needs a {wanted.__name__}")
 
@@ -443,10 +446,6 @@ def ev_regret_batch(ranking: SlotRanking, e_hat, e, best) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Agent pool files (JSON)
 
-_DC_FIELDS = {"workload", "latency_weight"}
-_EV_FIELDS = {"initial", "demand", "rate", "horizon", "water_weight", "price_weight"}
-
-
 def save_agent_pool(path, agents: list[AgentSpec]) -> None:
     entries = []
     for a in agents:
@@ -472,40 +471,17 @@ def load_agent_pool(path) -> list[AgentSpec]:
     for i, entry in enumerate(doc["agents"]):
         if not isinstance(entry, dict):
             raise SchemaError(f"{path}: agent entry {i} is not an object")
-        for key in ("agent_id", "family", "context"):
-            if key not in entry:
-                raise SchemaError(f"{path}: agent entry {i} missing '{key}'")
-        family, ctx_fields = entry["family"], entry["context"]
-        if not isinstance(ctx_fields, dict):
-            raise SchemaError(f"{path}: agent entry {i}: 'context' is not an object")
-        non_numeric = sorted(k for k, v in ctx_fields.items() if type(v) not in (int, float))
-        if non_numeric:
-            raise SchemaError(f"{path}: agent entry {i}: context fields {non_numeric} are not numbers")
-        agent_id = int(entry["agent_id"])
-        if agent_id in ids:
-            raise SchemaError(f"{path}: agent entry {i} repeats agent_id {agent_id}")
-        ids.add(agent_id)
         try:
-            if family == "datacenter":
-                unknown = set(ctx_fields) - _DC_FIELDS
-                if unknown:
-                    raise SchemaError(f"unknown datacenter context fields {sorted(unknown)}")
-                ctx = DataCenterContext(**ctx_fields)
-            elif family == "charging":
-                unknown = set(ctx_fields) - _EV_FIELDS
-                if unknown:
-                    raise SchemaError(f"unknown charging context fields {sorted(unknown)}")
-                ctx = ChargingContext(**ctx_fields)
-            else:
-                raise SchemaError(f"unknown family '{family}'")
-        except ConfigError as exc:
+            check_fields(AgentSpec, entry, "agent")
+            kind, context = _CONTEXTS.get(entry.get("family")), entry.get("context")
+            if kind is not None and context is not None:
+                check_fields(kind, context, f"{entry['family']} context")
+                entry = {**entry, "context": kind(**context)}
+            agent = AgentSpec(**entry)  # a missing field is a TypeError
+        except (ConfigError, TypeError) as exc:
             raise SchemaError(f"{path}: agent entry {i}: {exc}") from exc
-        agents.append(
-            AgentSpec(
-                agent_id=agent_id,
-                family=family,
-                context=ctx,
-                data_ref=entry.get("data_ref"),
-            )
-        )
+        if agent.agent_id in ids:
+            raise SchemaError(f"{path}: agent entry {i} repeats agent_id {agent.agent_id}")
+        ids.add(agent.agent_id)
+        agents.append(agent)
     return agents

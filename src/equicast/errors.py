@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `check_fields`: the type check of a
+JSON object (a config, an `agents.json` entry) against the dataclass it builds."""
+
+import dataclasses
+import sys
+import typing
 
 
 class ConfigError(ValueError):
@@ -24,3 +29,34 @@ class DivergenceError(RuntimeError):
         self.step = step
         self.agent_id = agent_id
         self.values = values
+
+
+def check_fields(cls, doc: dict, what: str) -> None:
+    """Refuse unknown keys, and a field of `cls` given a value of another type.
+
+    A bool, int, float or str field takes that JSON type (an int is a float,
+    and a float must be finite; null fits `X | None`), a dataclass field an
+    object, and a tuple field a list of numbers (not bools).  Raises
+    `ConfigError`; a file's reader words it as its own error.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in doc.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        want = kinds[0]
+        if value is None and type(None) in kinds:
+            continue
+        if dataclasses.is_dataclass(want):
+            ok, wanted = isinstance(value, dict), "an object"
+        elif want is tuple:
+            ok, wanted = isinstance(value, list) and all(type(v) in (int, float) for v in value), "a list of numbers"
+        elif want in (bool, int, float, str):
+            ok, wanted = type(value) is want or (want is float and type(value) is int), want.__name__
+            if ok and want is float and not abs(value) <= sys.float_info.max:  # NaN, inf, an int past float
+                ok, wanted = False, "finite"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{what} field '{name}' must be {wanted}, got {value!r}")

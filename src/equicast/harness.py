@@ -25,7 +25,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,7 +35,7 @@ from . import data as datamod
 from . import predictor, training
 from .agents import AgentSpec, load_agent_pool, save_agent_pool
 from .data import SplitSpec, load_csv, synth_agents, synth_charging, synth_mixed, window_split
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, check_fields
 from .training import PoolData, RunSummary, TrainConfig, TrainResult
 
 APPLICATIONS = ("datacenter", "charging", "mixed")
@@ -93,39 +92,11 @@ class ExperimentConfig:
         return d
 
 
-def _check_fields(cls, doc: dict, what: str) -> None:
-    """Refuse unknown keys, and a field of `cls` given a value of another type.
-
-    A bool, int, float or str field takes that JSON type (an int is a float;
-    null fits `X | None`), a dataclass field an object, and a tuple field a
-    list of numbers (not bools).
-    """
-    hints = typing.get_type_hints(cls)
-    unknown = set(doc) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    for name, value in doc.items():
-        kinds = typing.get_args(hints[name]) or (hints[name],)
-        want = kinds[0]
-        if value is None and type(None) in kinds:
-            continue
-        if dataclasses.is_dataclass(want):
-            ok, wanted = isinstance(value, dict), "an object"
-        elif want is tuple:
-            ok, wanted = isinstance(value, list) and all(type(v) in (int, float) for v in value), "a list of numbers"
-        elif want in (bool, int, float, str):
-            ok, wanted = type(value) is want or (want is float and type(value) is int), want.__name__
-        else:
-            continue
-        if not ok:
-            raise ConfigError(f"{what} field '{name}' must be {wanted}, got {value!r}")
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    _check_fields(ExperimentConfig, doc, "config")
+    check_fields(ExperimentConfig, doc, "config")
     doc = dict(doc)
     train_doc = doc.pop("train", {})
-    _check_fields(TrainConfig, train_doc, "train config")
+    check_fields(TrainConfig, train_doc, "train config")
     for key in ("sweep_q_plus_1", "sweep_beta"):
         if key in doc:
             doc[key] = tuple(doc[key])
@@ -277,6 +248,9 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
     agents = load_agent_pool(root / "agents.json")
     if len(agents) != config.n_agents:
         raise ConfigError(f"{root / 'agents.json'} has {len(agents)} agents but the config's n_agents is {config.n_agents}")
+    for a in agents:
+        if a.data_ref is None:
+            raise SchemaError(f"{root / 'agents.json'}: agent {a.agent_id} has no 'data_ref' file name")
     if outcome_refs is not None and not (
         isinstance(outcome_refs, list) and len(outcome_refs) == len(agents) and all(isinstance(r, str) for r in outcome_refs)
     ):

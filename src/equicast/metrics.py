@@ -28,14 +28,12 @@ def _percentile(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac)
 
 
-def percentile_gap(values, lo: float = 0.05, hi: float = 0.95) -> float:
-    """Difference between the hi and lo percentiles (linear interpolation)."""
+def percentile_gap(values) -> float:
+    """Difference between the 95th and 5th percentiles (linear interpolation)."""
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("percentile gap of an empty vector is undefined")
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ValueError(f"percentile bounds must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
-    return _percentile(v, hi) - _percentile(v, lo)
+    return _percentile(v, 0.95) - _percentile(v, 0.05)
 
 
 def norm_entropy(values, exponent: float = 1.0):

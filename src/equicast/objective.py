@@ -29,17 +29,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import predictor
+from .agents import REGRET_TOLERANCE
 from .predictor import ParamVector
-
-NEG_REGRET_TOL = 1e-9
 
 
 def _clean_regrets(mean_regrets) -> np.ndarray:
     r = np.asarray(mean_regrets, dtype=float)
     if r.size == 0:
         raise ValueError("need at least one agent")
-    if np.any(r < -NEG_REGRET_TOL):
-        raise ValueError(f"mean regret below -{NEG_REGRET_TOL}: {r.min()}")
+    if np.any(r < -REGRET_TOLERANCE):
+        raise ValueError(f"mean regret below -{REGRET_TOLERANCE}: {r.min()}")
     return np.clip(r, 0.0, None)
 
 

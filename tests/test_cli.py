@@ -252,16 +252,48 @@ def test_workloads_of_other_agent_ids_are_a_schema_error(tmp_path, capsys):
     assert "workloads.csv has agent ids [0, 1, 7] but agents.json has [0, 1, 2]" in err and "Traceback" not in err
 
 
-# the object was iterated by its keys and the repeated id trained; the
-# others ended in TypeError tracebacks
+def _replaced(d, fields):
+    """`d` with `fields` replaced; a value of `...` drops the field."""
+    return {k: v for k, v in {**d, **fields}.items() if v is not ...}
+
+
+def _entry(doc, i, **fields):
+    agents = list(doc["agents"])
+    agents[i] = _replaced(agents[i], fields)
+    return {"agents": agents}
+
+
+def _context(doc, **fields):
+    return _entry(doc, 0, context=_replaced(doc["agents"][0]["context"], fields))
+
+
+# the object was iterated by its keys, the repeated id, a float or bool id,
+# an unknown key and a non-finite number trained; the others ended in
+# ValueError or TypeError tracebacks
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: {"agents": {str(a["agent_id"]): a for a in doc["agents"]}}, "expected an object with an 'agents' list"),
     (lambda doc: {"agents": [doc["agents"][0], 7, doc["agents"][2]]}, "agent entry 1 is not an object"),
-    (lambda doc: {"agents": [{**a, "context": [1, 2]} for a in doc["agents"]]}, "agent entry 0: 'context' is not an object"),
+    (lambda doc: {"agents": [{**a, "context": [1, 2]} for a in doc["agents"]]},
+     "agent entry 0: agent field 'context' must be an object, got [1, 2]"),
     (lambda doc: {"agents": [{**a, "context": {**a["context"], "workload": "5"}} for a in doc["agents"]]},
-     "agent entry 0: context fields ['workload'] are not numbers"),
+     "agent entry 0: datacenter context field 'workload' must be float, got '5'"),
     (lambda doc: {"agents": [a if a["agent_id"] < 2 else {**a, "agent_id": 1} for a in doc["agents"]]},
      "agent entry 2 repeats agent_id 1"),
+    (lambda doc: _entry(doc, 0, agent_id="x"), "agent entry 0: agent field 'agent_id' must be int, got 'x'"),
+    (lambda doc: _entry(doc, 2, agent_id=2.5), "agent entry 2: agent field 'agent_id' must be int, got 2.5"),
+    (lambda doc: _entry(doc, 2, agent_id=True), "agent entry 2: agent field 'agent_id' must be int, got True"),
+    (lambda doc: _entry(doc, 0, colour="red"), "agent entry 0: unknown agent keys: ['colour']"),
+    (lambda doc: _context(doc, latency_weight=...),
+     "agent entry 0: DataCenterContext.__init__() missing 1 required positional argument: 'latency_weight'"),
+    (lambda doc: _entry(doc, 0, data_ref=None), "agent 0 has no 'data_ref' file name"),
+    (lambda doc: _entry(doc, 0, data_ref=...), "agent 0 has no 'data_ref' file name"),
+    (lambda doc: _entry(doc, 0, data_ref=5), "agent entry 0: agent field 'data_ref' must be str, got 5"),
+    (lambda doc: _context(doc, workload=float("nan")),
+     "agent entry 0: datacenter context field 'workload' must be finite, got nan"),
+    (lambda doc: _context(doc, workload=float("inf")),
+     "agent entry 0: datacenter context field 'workload' must be finite, got inf"),
+    (lambda doc: _context(doc, latency_weight=float("inf")),
+     "agent entry 0: datacenter context field 'latency_weight' must be finite, got inf"),
 ])
 def test_malformed_agents_json_is_a_schema_error(tmp_path, capsys, edit, message):
     data_dir = tmp_path / "data"
@@ -352,6 +384,21 @@ def test_config_field_of_another_type_is_a_usage_error(tmp_path, capsys, train, 
     err = capsys.readouterr().err
     assert f"field '{field}' must be {wanted}, got {value!r}" in err and "Traceback" not in err
     assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+# NaN ended in a ValueError traceback (the charging signal mixes in the
+# weight), an int too large for a float in an OverflowError
+@pytest.mark.parametrize("name, text, shown", [
+    ("config.json", json.dumps(tiny_config(application="charging", horizon=5, water_weight=float("nan"))), "nan"),
+    ("config.toml", 'application = "charging"\nn_agents = 3\nhorizon = 5\nlength = 80\nlookback = 6\n'
+                    'water_weight = nan\n[train]\nepochs = 2\n', "nan"),
+    ("config.json", json.dumps(tiny_config(application="charging", horizon=5, water_weight=10**400)), repr(10**400)),
+], ids=["json", "toml", "int-past-float"])
+def test_nonfinite_config_float_is_a_usage_error(tmp_path, capsys, name, text, shown):
+    (tmp_path / name).write_text(text)
+    assert cli.main(["train", "--config", str(tmp_path / name), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field 'water_weight' must be finite, got {shown}\n") and "Traceback" not in err
 
 
 def test_config_types_hold_for_toml_too(tmp_path, capsys):

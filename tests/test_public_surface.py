@@ -68,3 +68,31 @@ def test_every_dataclass_field_is_read():
                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                        and stmt.target.id not in read]
     assert unread == [], f"dataclass fields no code in src/equicast reads: {unread}"
+
+
+def test_no_module_keeps_a_dataclass_field_list():
+    # a hand-kept copy of a dataclass's field names goes stale when a field
+    # is added; `errors.check_fields` reads them from the type hints
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    dataclass_fields = {}
+    for module in modules.values():
+        for cls in ast.walk(module):
+            if isinstance(cls, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in cls.decorator_list
+            ):
+                dataclass_fields[cls.name] = {stmt.target.id for stmt in cls.body
+                                              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    copies = []
+    for name, module in modules.items():
+        for stmt in module.body:
+            value = stmt.value if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else None
+            if not isinstance(value, (ast.Set, ast.List, ast.Tuple)) or not all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts
+            ):
+                continue
+            strings = {e.value for e in value.elts}
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            copies += [f"{name}: {ast.unparse(t)} = {cls}'s fields" for t in targets
+                       for cls, fields in dataclass_fields.items() if strings == fields]
+    assert copies == [], f"module-level copies of a dataclass's field names: {copies}"
