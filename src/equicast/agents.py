@@ -447,17 +447,7 @@ def ev_regret_batch(ranking: SlotRanking, e_hat, e, best) -> np.ndarray:
 # Agent pool files (JSON)
 
 def save_agent_pool(path, agents: list[AgentSpec]) -> None:
-    entries = []
-    for a in agents:
-        entries.append(
-            {
-                "agent_id": a.agent_id,
-                "family": a.family,
-                "context": asdict(a.context),
-                "data_ref": a.data_ref,
-            }
-        )
-    Path(path).write_text(json.dumps({"agents": entries}, indent=2))
+    Path(path).write_text(json.dumps({"agents": [asdict(a) for a in agents]}, indent=2))
 
 
 def load_agent_pool(path) -> list[AgentSpec]:

@@ -497,7 +497,7 @@ def window_split(signal, targets, outcomes, workloads, lookback: int, split: Spl
         )
     n_windows = n - lookback - steps + 1
     if n_windows < 1:
-        raise ValueError(f"series of length {n} is too short for lookback {lookback} + horizon {steps}")
+        raise ConfigError(f"series of length {n} is too short for lookback {lookback} + horizon {steps}")
 
     n_train = int(round(split.train_fraction * n_windows))
     n_train = min(max(n_train, 1), n_windows - 1) if n_windows > 1 else 1

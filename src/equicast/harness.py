@@ -13,21 +13,24 @@ in memory or read back from the files `generate` wrote (`data_dir`), so a
 pool trains bitwise the same from its files; it is stacked and fitted to
 its agents once (`training.PoolData`), and every run on it reuses that.
 The files must hold the config's pool: an application, agent count or
-synthesis field (one that the application's generator reads) other than the
-files record is a config error, and a series file whose timestamps differ
-from `signal.csv`'s, or a `workloads.csv` of other agent ids than
-`agents.json`'s, is a schema error.
+synthesis field (a parameter of the application's generator that names a
+config field) other than the files record is a config error, and a series
+file whose timestamps differ from `signal.csv`'s, a `workloads.csv` of other
+agent ids than `agents.json`'s, or a data-center agent whose context workload
+is not the median of its `workloads.csv` row, is a schema error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from .data import SplitSpec, load_csv, synth_agents, synth_charging, synth_mixed
 from .errors import ConfigError, SchemaError, check_fields
 from .training import PoolData, RunSummary, TrainConfig, TrainResult
 
-APPLICATIONS = ("datacenter", "charging", "mixed")
 # the values of the config's enumerated synthesis fields
 _CHOICES = {
     "heterogeneity": ("similar", "different"), "lambda_scheme": ("same", "grid"), "predict_target": ("combined", "carbon"),
@@ -100,10 +102,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for key in ("sweep_q_plus_1", "sweep_beta"):
         if key in doc:
             doc[key] = tuple(doc[key])
-    try:
-        return ExperimentConfig(train=TrainConfig(**train_doc), **doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(train=TrainConfig(**train_doc), **doc)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -122,35 +121,36 @@ class Pool:
     arch: list[int]
 
 
-# the CSV schema and value column of each application's series files
-_SERIES_SCHEMAS = {
-    "datacenter": ("carbon", "carbon_intensity"), "charging": ("energy", "E"), "mixed": ("carbon", "carbon_intensity"),
+class _Application(NamedTuple):
+    """An application's generator, the CSV schema and value column of its
+    series files, and the config fields the generator reads (`fields`)."""
+
+    generate: Callable
+    schema: str
+    column: str
+    fields: tuple[str, ...]
+
+
+def _application(generate: Callable, schema: str, column: str) -> _Application:
+    """`fields` are `generate`'s parameters that name a config field, but
+    `n_agents` (passed first) and `seed` (the run's seed)."""
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"n_agents", "seed"}
+    return _Application(generate, schema, column, tuple(p for p in inspect.signature(generate).parameters if p in names))
+
+
+# read once, here: `build_pool` runs for every run of a sweep
+_APPLICATIONS = {
+    "datacenter": _application(synth_agents, "carbon", "carbon_intensity"),
+    "charging": _application(synth_charging, "energy", "E"),
+    "mixed": _application(synth_mixed, "carbon", "carbon_intensity"),
 }
-# the config fields each application's generator reads (`_synthesize`), which
-# `load_pool` compares with the config that meta.json records
-_SYNTHESIS_FIELDS = {
-    "datacenter": ("length", "heterogeneity", "lambda_scheme"),
-    "charging": ("length", "horizon", "heterogeneity", "water_weight", "price_weight", "predict_target"),
-    "mixed": ("length", "horizon", "lambda_scheme", "water_weight", "price_weight"),
-}
+APPLICATIONS = tuple(_APPLICATIONS)
 
 
 def _synthesize(config: ExperimentConfig, seed: int) -> tuple[list[AgentSpec], datamod.SeriesDataset]:
     """The agents and series of a synthetic pool."""
-    if config.application == "datacenter":
-        return synth_agents(
-            config.n_agents, config.heterogeneity, config.lambda_scheme, seed=seed, length=config.length
-        )
-    if config.application == "mixed":
-        return synth_mixed(
-            config.n_agents, horizon=config.horizon, lambda_scheme=config.lambda_scheme, seed=seed,
-            length=config.length, water_weight=config.water_weight, price_weight=config.price_weight,
-        )
-    return synth_charging(
-        config.n_agents, horizon=config.horizon, heterogeneity=config.heterogeneity,
-        seed=seed, length=config.length, water_weight=config.water_weight,
-        price_weight=config.price_weight, predict_target=config.predict_target,
-    )
+    app = _APPLICATIONS[config.application]
+    return app.generate(config.n_agents, seed=seed, **{name: getattr(config, name) for name in app.fields})
 
 
 def _window_pool(config: ExperimentConfig, seed: int, agents: list[AgentSpec], ds: datamod.SeriesDataset) -> Pool:
@@ -190,7 +190,7 @@ def generate_files(config: ExperimentConfig, out_dir) -> dict:
     tag = f"config_hash={config_hash(config)} seed={seed}"
 
     agents, ds = _synthesize(config, seed)
-    schema_col = _SERIES_SCHEMAS[config.application][1]
+    schema_col = _APPLICATIONS[config.application].column
     datamod.write_series_csv(out / "signal.csv", ds.timestamps, ds.signal, schema_col, comment=tag)
     refs = []
     for m in range(config.n_agents):
@@ -239,7 +239,7 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
             f"{root / 'meta.json'} names application {meta.get('application')!r} "
             f"but the config's application is {config.application!r}"
         )
-    for name in _SYNTHESIS_FIELDS[config.application]:
+    for name in _APPLICATIONS[config.application].fields:
         recorded = recorded_config.get(name)
         if recorded != getattr(config, name):
             raise ConfigError(
@@ -255,7 +255,7 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
         isinstance(outcome_refs, list) and len(outcome_refs) == len(agents) and all(isinstance(r, str) for r in outcome_refs)
     ):
         raise SchemaError(f"{root / 'meta.json'}: 'outcome_refs' must be null or a list of {len(agents)} file names")
-    schema = _SERIES_SCHEMAS[config.application][0]
+    schema = _APPLICATIONS[config.application].schema
     signal = load_csv(root / "signal.csv", schema)
     n = len(signal.timestamps)
 
@@ -279,6 +279,13 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
             raise SchemaError(f"{root / 'workloads.csv'} has {len(workloads)} agents but agents.json has {len(agents)}")
         if found.agent_ids != ids:  # row m of the workloads is agent m's
             raise SchemaError(f"{root / 'workloads.csv'} has agent ids {list(found.agent_ids)} but agents.json has {list(ids)}")
+        for a, row in zip(agents, workloads):  # `generate` records each agent's median workload
+            median = float(np.median(row))
+            if a.family == "datacenter" and a.context.workload != median:
+                raise SchemaError(
+                    f"{root / 'agents.json'}: agent {a.agent_id} has context workload {a.context.workload!r} "
+                    f"but the median of its row in workloads.csv is {median!r}"
+                )
     ds = datamod.SeriesDataset(
         timestamps=signal.timestamps,
         signal=signal.signal,

@@ -252,6 +252,31 @@ def test_workloads_of_other_agent_ids_are_a_schema_error(tmp_path, capsys):
     assert "workloads.csv has agent ids [0, 1, 7] but agents.json has [0, 1, 2]" in err and "Traceback" not in err
 
 
+def test_context_workload_other_than_its_workload_row_is_a_schema_error(tmp_path, capsys):
+    # a data-center pool takes each row's workload from workloads.csv, so an
+    # edited context workload used to train silently
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    path = data_dir / "agents.json"
+    doc = json.loads(path.read_text())
+    median = doc["agents"][1]["context"]["workload"]
+    path.write_text(json.dumps(_entry(doc, 1, context={**doc["agents"][1]["context"], "workload": 12345.0})))
+    cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: agent 1 has context workload 12345.0 "
+                   f"but the median of its row in workloads.csv is {median!r}\n")
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_series_too_short_for_one_window_is_a_usage_error(tmp_path, capsys):
+    # used to end in a ValueError traceback: 12 values hold no window of
+    # lookback 12 and one step ahead
+    cfg = write_config(tmp_path, tiny_config(length=12, lookback=12))
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: series of length 12 is too short for lookback 12 + horizon 1\n"
+
+
 def _replaced(d, fields):
     """`d` with `fields` replaced; a value of `...` drops the field."""
     return {k: v for k, v in {**d, **fields}.items() if v is not ...}

@@ -176,6 +176,20 @@ def test_load_pool_refuses_files_of_another_pool(tmp_path, override, message):
         build_pool(replace(cfg, data_dir=str(tmp_path), **override), seed=0)
 
 
+# the rows above build data-center or charging files; these compare horizon,
+# and the fields of a mixed pool's files
+@pytest.mark.parametrize("application, override, message", [
+    ("charging", {"horizon": 4}, "records horizon 12 but the config's horizon is 4"),
+    ("mixed", {"lambda_scheme": "same"}, "records lambda_scheme 'grid'"),
+    ("mixed", {"water_weight": 2.0}, "records water_weight 1.0"),
+])
+def test_load_pool_refuses_charging_and_mixed_files_of_another_pool(tmp_path, application, override, message):
+    cfg = small_config(application=application)
+    harness.generate_files(cfg, tmp_path)
+    with pytest.raises(ConfigError, match=message):
+        build_pool(replace(cfg, data_dir=str(tmp_path), **override), seed=0)
+
+
 @pytest.mark.parametrize("application, unread, read", [
     ("datacenter", {"horizon": 4, "water_weight": 2.0, "price_weight": 0.0, "predict_target": "carbon"},
      {"heterogeneity": "similar"}),
@@ -231,6 +245,16 @@ def test_load_pool_refuses_files_with_other_timestamps(tmp_path, application, na
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError, match=f"{name} has timestamp 2 at data row 2 where signal.csv has 1"):
         build_pool(cfg, seed=0)
+
+
+@pytest.mark.parametrize("heterogeneity", ["similar", "different"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_generated_context_workloads_are_their_rows_medians(tmp_path, seed, heterogeneity):
+    # `load_pool` refuses a data-center agent whose context workload differs
+    # from the median of its workloads.csv row, so `generate` must write it
+    cfg = small_config(heterogeneity=heterogeneity, seed=seed)
+    harness.generate_files(cfg, tmp_path)
+    build_pool(replace(cfg, data_dir=str(tmp_path)), seed=seed)
 
 
 def test_load_pool_refuses_workloads_of_another_pool(datacenter_files):

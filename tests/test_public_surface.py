@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+from equicast import harness
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "equicast"
 
 
@@ -52,10 +54,12 @@ def test_every_import_is_used():
 
 def test_every_dataclass_field_is_read():
     # a field that nothing reads is state kept for no one; a read is an
-    # attribute load anywhere in src/equicast
+    # attribute load anywhere in src/equicast, or a config field that
+    # `harness` hands a generator as the parameter of the same name
     modules = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
     read = {node.attr for module in modules for node in ast.walk(module)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read |= {name for app in harness._APPLICATIONS.values() for name in app.fields}
     unread = []
     for module in modules:
         for cls in ast.walk(module):
@@ -70,9 +74,19 @@ def test_every_dataclass_field_is_read():
     assert unread == [], f"dataclass fields no code in src/equicast reads: {unread}"
 
 
+def _string_set(node) -> set[str]:
+    """The strings of a set, list or tuple display whose every element is a string; else empty."""
+    if isinstance(node, (ast.Set, ast.List, ast.Tuple)) and all(
+        isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts
+    ):
+        return {e.value for e in node.elts}
+    return set()
+
+
 def test_no_module_keeps_a_dataclass_field_list():
-    # a hand-kept copy of a dataclass's field names goes stale when a field
-    # is added; `errors.check_fields` reads them from the type hints
+    # a hand-kept copy of a dataclass's field names, or of some of them, goes
+    # stale when a field is added or renamed: `errors.check_fields` reads them
+    # from the type hints, and `harness` reads a generator's from its signature
     modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     dataclass_fields = {}
     for module in modules.values():
@@ -86,13 +100,17 @@ def test_no_module_keeps_a_dataclass_field_list():
     copies = []
     for name, module in modules.items():
         for stmt in module.body:
-            value = stmt.value if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else None
-            if not isinstance(value, (ast.Set, ast.List, ast.Tuple)) or not all(
-                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts
-            ):
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
                 continue
-            strings = {e.value for e in value.elts}
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            copies += [f"{name}: {ast.unparse(t)} = {cls}'s fields" for t in targets
-                       for cls, fields in dataclass_fields.items() if strings == fields]
+            for target in map(ast.unparse, targets):
+                # the value itself, and each value of a dict display
+                found = [(target, stmt.value)]
+                if isinstance(stmt.value, ast.Dict):
+                    found += [(f"{target}[{ast.unparse(k)}]", v) for k, v in zip(stmt.value.keys, stmt.value.values)
+                              if k is not None]
+                for where, node in found:
+                    strings = _string_set(node)
+                    copies += [f"{name}: {where} = {sorted(strings)}, {cls}'s fields" for cls, fields in dataclass_fields.items()
+                               if len(strings) >= 2 and strings <= fields]
     assert copies == [], f"module-level copies of a dataclass's field names: {copies}"
