@@ -34,10 +34,10 @@ class DivergenceError(RuntimeError):
 def check_fields(cls, doc: dict, what: str) -> None:
     """Refuse unknown keys, and a field of `cls` given a value of another type.
 
-    A bool, int, float or str field takes that JSON type (an int is a float,
-    and a float must be finite; null fits `X | None`), a dataclass field an
-    object, and a tuple field a list of numbers (not bools).  Raises
-    `ConfigError`; a file's reader words it as its own error.
+    A bool, int, float or str field takes that JSON type (an int is a float;
+    null fits `X | None`), a dataclass field an object, and a tuple field a
+    list of numbers (not bools); a float and each number of a tuple must be
+    finite.  Raises `ConfigError`; a file's reader words it as its own error.
     """
     hints = typing.get_type_hints(cls)
     unknown = set(doc) - set(hints)
@@ -54,9 +54,10 @@ def check_fields(cls, doc: dict, what: str) -> None:
             ok, wanted = isinstance(value, list) and all(type(v) in (int, float) for v in value), "a list of numbers"
         elif want in (bool, int, float, str):
             ok, wanted = type(value) is want or (want is float and type(value) is int), want.__name__
-            if ok and want is float and not abs(value) <= sys.float_info.max:  # NaN, inf, an int past float
-                ok, wanted = False, "finite"
         else:
             continue
+        numbers = value if want is tuple else [value] if want is float else []
+        if ok and not all(abs(v) <= sys.float_info.max for v in numbers):  # NaN, inf, an int past float
+            ok, wanted = False, "finite"
         if not ok:
             raise ConfigError(f"{what} field '{name}' must be {wanted}, got {value!r}")

@@ -5,32 +5,30 @@ q shifts weight onto the worst-off agents; q = 0 recovers the plain sum.  A
 mixing weight beta in [0, 1] blends in the forecaster's own squared error,
 trading fairness against accuracy.
 
-Two gradient paths are provided:
+Both gradient routes are pure functions of the model outputs: each returns
+the (R, O) cotangent dL/dy_hat, and the trainer backpropagates it with the
+network's one vjp.
 
 * `chain_grad` is exact: each row's derivative of its regret with respect
   to the model output (adapter, policy and cost derivatives chained, built
   as arrays by the caller) is weighted by its agent's share of the loss
-  gradient, blended with the squared-error residual into one cotangent,
-  and backpropagated with one vjp.  The caller passes the agents' mean
-  regrets, which it already holds for the loss, and the row partition
-  (`sizes`, and the row -> agent index `owner`) that it builds once; the
-  op gathers each agent's weight to its rows.  It needs every factor to
-  exist (differentiable costs only).
+  gradient and blended with the squared-error residual.  The caller passes
+  the agents' mean regrets, which it already holds for the loss, and the
+  row partition (`sizes`, and the row -> agent index `owner`) that it builds
+  once; the op gathers each agent's weight to its rows.  It needs every
+  factor to exist (differentiable costs only).
 * `pg_grad` is the score-function estimator the trainer applies: D draws
   eps_d of the Gaussian head, each weighted by its loss minus its baseline,
   fold into one cotangent sum_d w_d * eps_d per row (a draw's log-density
   gradient is the vjp of eps_d / std, and the vjp is linear in its
-  cotangent), backpropagated with one vjp.  It only needs cost *values*, so
-  it covers discrete actions.
+  cotangent).  It only needs cost *values*, so it covers discrete actions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import predictor
 from .agents import REGRET_TOLERANCE
-from .predictor import ParamVector
 
 
 def _clean_regrets(mean_regrets) -> np.ndarray:
@@ -50,8 +48,8 @@ def equitable_loss(mean_regrets, q: float) -> float:
     return float(np.sum(r ** (q + 1.0)))
 
 
-def chain_grad(params: ParamVector, X, y_hat, y, means, slope, sizes, owner, q: float, beta: float, acts) -> np.ndarray:
-    """Exact gradient of the blended objective along the differentiable path.
+def chain_grad(y_hat, y, means, slope, sizes, owner, q: float, beta: float) -> np.ndarray:
+    """The cotangent dL/dy_hat of the blended objective along the differentiable path.
 
     Rows come in agent order, `sizes[m]` rows of agent m, and `owner` (R,)
     names each row's agent; the caller builds both once and checks that they
@@ -61,18 +59,16 @@ def chain_grad(params: ParamVector, X, y_hat, y, means, slope, sizes, owner, q: 
     each row's derivative of its regret with respect to the model output
     (neither is read at beta = 1).  Row i of agent m gets the cotangent
         (1-beta) * (q+1) * rbar_m^q / b_m * slope_i + beta * (2/b_m) * (y_hat_i - y_i)
-    with b_m = sizes[m], and one vjp backpropagates every row through the
-    forward pass whose activations `acts` holds
-    (`predictor.forward_batch(params, X, keep=True)`).
+    with b_m = sizes[m].
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    if len(owner) != len(X):
-        raise ValueError(f"{len(owner)} row owners for {len(X)} rows")
+    if len(owner) != len(y_hat):
+        raise ValueError(f"{len(owner)} row owners for {len(y_hat)} rows")
     if beta == 1.0:  # assigned, not added to zeros, which would turn a -0.0 into +0.0
-        return predictor.vjp_batch(params, X, (2.0 / sizes)[owner][:, None] * (y_hat - y), acts)
+        return (2.0 / sizes)[owner][:, None] * (y_hat - y)
     if len(means) != len(sizes):
         raise ValueError(f"{len(means)} agent means for {len(sizes)} agents")
     rbar = np.clip(means, 0.0, None)
@@ -81,26 +77,23 @@ def chain_grad(params: ParamVector, X, y_hat, y, means, slope, sizes, owner, q: 
     cots += weight[owner][:, None] * slope
     if beta > 0.0:
         cots += (beta * (2.0 / sizes))[owner][:, None] * (y_hat - y)
-    return predictor.vjp_batch(params, X, cots, acts)
+    return cots
 
 
-def pg_grad(params: ParamVector, X, eps, losses, baseline, std: float, acts) -> np.ndarray:
-    """Score-function gradient averaged over D draws of the Gaussian head.
+def pg_grad(eps, losses, baseline, std: float) -> np.ndarray:
+    """The score-function cotangent on the outputs, averaged over D draws of the Gaussian head.
 
     `eps` (D, R, O) holds the standard-normal draws behind the sampled
-    outputs y_hat + std * eps of the R rows `X`, `losses` (D,) each draw's
-    batch loss and `baseline` a scalar or (D,) array subtracted from it; a
-    draw's baseline must not depend on that draw.  Returns
-        sum_d (losses_d - baseline_d) / (D * std) * vjp(eps_d),
-    the mean over draws of the per-draw estimates, backpropagated through
-    the forward pass whose activations `acts` holds.  The fold is the one
-    `np.dot` that `np.tensordot(weights, eps, axes=1)` runs, without its
-    wrapper.
+    outputs y_hat + std * eps of R rows, `losses` (D,) each draw's batch loss
+    and `baseline` a scalar or (D,) array subtracted from it; a draw's
+    baseline must not depend on that draw.  Returns the (R, O) cotangent
+        sum_d (losses_d - baseline_d) / (D * std) * eps_d,
+    whose vjp is the mean over draws of the per-draw estimates.  It is folded
+    by the one `np.dot` that `np.tensordot(weights, eps, axes=1)` runs.
     """
     n_draws, rows, n_out = eps.shape
     weights = (losses - baseline) / (n_draws * std)
-    cot = np.dot(weights.reshape(1, -1), eps.reshape(n_draws, -1)).reshape(rows, n_out)
-    return predictor.vjp_batch(params, X, cot, acts)
+    return np.dot(weights.reshape(1, -1), eps.reshape(n_draws, -1)).reshape(rows, n_out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,16 @@
 One step, three cotangents.  Every step gathers each agent's batch from
 the pool's rows, stacked once when the pool is built (agents in order,
 b_m = min(batch_size, n_m) rows of agent m), runs one forward over the M*b
-rows and hands its outputs and activations to the mode's step function,
-then checks the loss and the gradient and applies the optimizer.  A mode is
-that function, built once per `train` call: it builds a cotangent on the
-model output, backpropagates it with one vjp that reuses the forward's
-activations (so a step runs the network forward once), and returns the
-gradient, the per-agent terms and the loss parts.  The modes differ only in
-that cotangent:
+rows and hands its outputs to the mode's step function, which returns the
+cotangent dL/dy_hat, the per-agent terms and the loss parts.  `train`
+backpropagates the cotangent with the step's one vjp, which reuses the
+forward's activations, then checks the loss and the gradient and applies
+the optimizer.  A mode is that function, built once per `train` call; the
+modes differ only in the cotangent:
 
 * plain: `objective.chain_grad` at beta = 1, the squared-error cotangent
   (2/b_m) * (y_hat - y) alone (the accuracy-first baseline).
-* chain: the exact gradient through loss -> regret -> action -> forecast.
+* chain: the exact cotangent through loss -> regret -> action -> forecast.
   A data-center agent's intensity forecast c_hat is the mean of the model's
   O outputs (the output itself when O = 1).  One batched data-center regret
   call also returns each row's d regret / d c_hat in closed form; times
@@ -26,9 +25,9 @@ that cotangent:
   batched regret call per agent family scores all D draws, and
   `objective.pg_grad` (the op `verify` checks) folds the draws, each
   weighted by its loss minus its baseline, into one cotangent
-  sum_d w_d * eps_d per row.  It holds the gather index of its flat draw,
-  the baseline choice (the leave-one-out mean across draws, or an EMA of
-  past batch losses) and the EMA.
+  sum_d w_d * eps_d per row.  It holds the gather index of its flat draw
+  and the baseline, picked once per call: the leave-one-out mean across
+  draws, or with one draw an EMA of past batch losses, or none.
 
 What does not depend on the call is fitted once per pool (`PoolData`): its
 one output calibration (the mean and scale of its raw training targets,
@@ -256,7 +255,7 @@ class _StackedRows:
             raise ConfigError(
                 f"agent {agents[0].agent_id} has {width} target values per row but the model emits {n_outputs}"
             )
-        self.part, self.mean, self.scale = part, data.mean, data.scale
+        self.agents, self.part, self.mean, self.scale = data.agents, part, data.mean, data.scale
         self.x, self.y_raw, self.counts = part.rows.x, part.rows.y_raw, part.rows.counts
         self.realized_c = part.rows.outcome[:, 0]  # a data-center row's realized intensity (a view)
         self.sizes = self.counts if batch_size is None else np.minimum(batch_size, self.counts)
@@ -337,35 +336,33 @@ class _StackedRows:
         return np.add.reduceat(values, self.starts, axis=-1) / self.sizes
 
 
-def _plain(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
+def _plain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     """The squared-error step: `objective.chain_grad` at beta = 1."""
-    def step(current, idx, X, Y, preds, acts):
+    def step(idx, Y, preds):
         agent_terms = rows.agent_means(row_sums((preds - Y) ** 2))
         mse_term = float(agent_terms.sum())
-        grad = objective.chain_grad(current, X, preds, Y, None, None, rows.sizes, rows.owner, config.q, 1.0, acts)
-        return grad, agent_terms, math.nan, mse_term, mse_term
+        cot = objective.chain_grad(preds, Y, None, None, rows.sizes, rows.owner, config.q, 1.0)
+        return cot, agent_terms, math.nan, mse_term, mse_term
     return step
 
 
-def _chain(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
+def _chain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     """The exact step through loss -> regret -> action -> forecast; data-center agents only."""
-    bad = [a.agent_id for a in agents if a.family != "datacenter"]
+    bad = [a.agent_id for a in rows.agents if a.family != "datacenter"]
     if bad:
         raise ConfigError(f"chain mode needs differentiable costs; charging agents {bad} are discrete")
-    def step(current, idx, X, Y, preds, acts):
+    def step(idx, Y, preds):
         mse_term = float(rows.agent_means(row_sums((preds - Y) ** 2)).sum())
         values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
         slope = dvalues[0][:, None] * rows.dc_chat_grad
         agent_terms = rows.agent_means(values[0])
-        grad = objective.chain_grad(
-            current, X, preds, Y, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta, acts
-        )
+        cot = objective.chain_grad(preds, Y, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta)
         eq_term = objective.equitable_loss(agent_terms, config.q)
-        return grad, agent_terms, eq_term, mse_term, (1.0 - config.beta) * eq_term + config.beta * mse_term
+        return cot, agent_terms, eq_term, mse_term, (1.0 - config.beta) * eq_term + config.beta * mse_term
     return step
 
 
-def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
+def _pg(config: TrainConfig, rows: _StackedRows, rng, std: float):
     """The score-function step over `pg_samples` draws; the baseline of each draw does not depend on it."""
     n_draws = config.pg_samples
     eps_index = rows.draw_index(n_draws)
@@ -375,8 +372,11 @@ def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
     flat = np.empty((eps_index.size, rows.n_outputs))
     eps, sampled = (np.empty(eps_index.shape + (rows.n_outputs,)) for _ in range(2))
     raws = flat.reshape(eps.shape)
-    ema = None  # of past batch losses: the baseline of a pg_baseline run with one draw
-    def step(current, idx, X, Y, preds, acts):
+    # the baseline, picked once per call (pg_baseline: the leave-one-out mean,
+    # or with one draw an EMA of past batch losses; else 0)
+    leave_one_out, tracks_ema = config.pg_baseline and n_draws > 1, config.pg_baseline and n_draws == 1
+    ema = None
+    def step(idx, Y, preds):
         nonlocal ema
         # the flat draw holds each agent's (D, b_m, O) block in agent order,
         # which fixes the RNG stream; restack as (D, rows, O)
@@ -388,15 +388,15 @@ def _pg(config: TrainConfig, rows: _StackedRows, agents, rng, std: float):
         mse_by_draw = rows.agent_means(row_sums(np.square(resid, out=resid))).sum(axis=1)
         eq_by_draw = np.sum(np.clip(agent_terms, 0.0, None) ** (config.q + 1.0), axis=1)
         losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
-        if config.pg_baseline and n_draws > 1:  # leave-one-out mean across draws
+        if leave_one_out:
             base = (losses.sum() - losses) / (n_draws - 1)
         else:
-            base = np.full(n_draws, 0.0 if ema is None else ema)
-        grad = objective.pg_grad(current, X, eps, losses, base, std, acts)
+            base = 0.0 if ema is None else ema
+        cot = objective.pg_grad(eps, losses, base, std)
         combined = float(losses.mean())
-        if config.pg_baseline and math.isfinite(combined):
+        if tracks_ema:  # a non-finite loss ends the run before the EMA is read again
             ema = combined if ema is None else 0.9 * ema + 0.1 * combined
-        return grad, agent_terms, float(eq_by_draw.mean()), float(mse_by_draw.mean()), combined
+        return cot, agent_terms, float(eq_by_draw.mean()), float(mse_by_draw.mean()), combined
     return step
 
 
@@ -439,7 +439,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     rng = np.random.default_rng(config.seed)
     std = config.std if config.std is not None else 0.1 * max(float(rows.normalized(slice(None)).std()), 1e-6)
     steps_per_epoch = int(np.min(rows.counts // rows.sizes))
-    mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, agents, rng, std)
+    mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, rng, std)
     # the step's parameters, one copy per call: the optimizer updates their
     # values theta in place, so theta's finiteness is checked once per step
     current = params.with_values(params.values.copy())
@@ -456,7 +456,8 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
             # overflow warnings on the way there are just noise
             with np.errstate(over="ignore", invalid="ignore"):
                 preds, acts = predictor.forward_batch(current, X, keep=True)
-                grad, agent_terms, eq_term, mse_term, combined = mode_step(current, idx, X, Y, preds, acts)
+                cot, agent_terms, eq_term, mse_term, combined = mode_step(idx, Y, preds)
+                grad = predictor.vjp_batch(current, X, cot, acts)
 
             if not math.isfinite(combined) or not np.all(np.isfinite(grad)):
                 # blame the first agent with a non-finite batch term (in pg, in any draw)

@@ -189,9 +189,8 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     worst = 0.0
     for q in qs:
         for beta in betas:
-            grad = objective.chain_grad(
-                params, X, preds, (Y - t_mean) / t_scale, means, slope, sizes, owner, q, beta, acts
-            )
+            cot = objective.chain_grad(preds, (Y - t_mean) / t_scale, means, slope, sizes, owner, q, beta)
+            grad = predictor.vjp_batch(params, X, cot, acts)
             losses = np.array([(1.0 - beta) * objective.equitable_loss(r, q) + beta * mse for r, mse in terms])
             fd = (losses[0::2] - losses[1::2]) / (2 * h)
             scale = max(float(np.max(np.abs(fd))), 1e-8)
@@ -205,8 +204,9 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
     """The trainer's score-function op vs the analytic gradient of E[(yhat-1)^2].
 
     A one-parameter model (bias-only, zero input) makes the prediction equal
-    the parameter, so d/dtheta E[C] = 2(theta-1) exactly.  `objective.pg_grad`
-    is first checked in closed form on one draw with loss 1 and baseline 0,
+    the parameter, so d/dtheta E[C] = 2(theta-1) exactly.  `objective.pg_grad`,
+    its cotangent backpropagated by the trainer's one `vjp_batch` call, is
+    first checked in closed form on one draw with loss 1 and baseline 0,
     whose estimate is the draw's score [0, eps/std].  Then it takes all draws
     in one call, once with no baseline and once with the trainer's
     leave-one-out baseline: each result must equal the mean of the per-draw
@@ -222,7 +222,8 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
         params = predictor.ParamVector(values=np.array([0.0, theta]), layer_sizes=(1, 1))
         _, acts = predictor.forward_batch(params, X, keep=True)
         eps = rng.standard_normal(n_draws)
-        score = objective.pg_grad(params, X, eps[:1].reshape(1, 1, 1), np.ones(1), 0.0, std, acts)
+        cot = objective.pg_grad(eps[:1].reshape(1, 1, 1), np.ones(1), 0.0, std)
+        score = predictor.vjp_batch(params, X, cot, acts)
         if not np.allclose(score, [0.0, eps[0] / std], rtol=0, atol=1e-12):
             return SuiteResult("pg_estimator", False, f"theta={theta}: one-draw pg_grad {score} vs [0, {eps[0] / std}]")
         # losses = (theta + std * eps - 1)^2, loo = (sum - losses) / (n - 1)
@@ -238,7 +239,8 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
             np.subtract(losses, baseline, out=terms)
             terms *= eps
             terms /= std
-            estimate = float(objective.pg_grad(params, X, eps.reshape(-1, 1, 1), losses, baseline, std, acts)[1])
+            cot = objective.pg_grad(eps.reshape(-1, 1, 1), losses, baseline, std)
+            estimate = float(predictor.vjp_batch(params, X, cot, acts)[1])
             if not np.isclose(estimate, terms.mean(), rtol=1e-12, atol=0.0):
                 return SuiteResult(
                     "pg_estimator", False, f"theta={theta}{label}: pg_grad {estimate} vs mean of draws {terms.mean()}"

@@ -401,6 +401,7 @@ def test_malformed_checkpoint_is_a_usage_error(tmp_path, capsys, key, edit, mess
     (False, "sweep_q_plus_1", ["2"], "a list of numbers"),
     (False, "sweep_beta", [True], "a list of numbers"),  # trained as 1
     (False, "sweep_beta", 0.5, "a list of numbers"),  # a TypeError traceback
+    (False, "sweep_q_plus_1", [10**400], "finite"),  # an OverflowError traceback
 ])
 def test_config_field_of_another_type_is_a_usage_error(tmp_path, capsys, train, field, value, wanted):
     doc = tiny_config()
@@ -620,6 +621,24 @@ def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
     lines = (out / "sweep.csv").read_text().splitlines()[2:]
     statuses = [line.split(",")[7] for line in lines]
     assert statuses == ["ok", "failed"]
+
+
+# a user error in a cell ends the sweep with exit 1, as it ends `train`; it
+# used to be recorded as a failed cell with exit 2
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("override, message", [
+    ({"train_fraction": 1.0}, "train fraction must lie in (0, 1), got 1.0"),
+    ({"application": "mixed", "n_agents": 6, "horizon": 6, "length": 90,
+      "train": {"mode": "chain", "epochs": 2, "batch_size": 16}}, "chain mode needs differentiable costs"),
+], ids=["train-fraction", "chain-on-mixed"])
+def test_sweep_user_error_is_a_usage_error(tmp_path, capsys, jobs, override, message):
+    doc = tiny_config(repeats=1, sweep_q_plus_1=[1, 2], sweep_beta=[0.0], **override)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert cli.main(["sweep", "--config", cfg, "--jobs", jobs, "--out", str(tmp_path / "sweep")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(message) == 2 and "Traceback" not in err
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 def test_verify_exit_codes(monkeypatch, capsys):

@@ -48,8 +48,8 @@ def test_equitable_loss_power_monotonicity_in_q():
 
 
 def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
-    """chain_grad's inputs before q and beta, and the forward's activations, for a batch of
-    direct-adapter data-center agents."""
+    """chain_grad's inputs before q and beta, the stacked rows and the forward's activations,
+    for a batch of direct-adapter data-center agents."""
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
     sizes = np.array([len(x) for x in Xs])
     owner = np.repeat(np.arange(len(specs)), sizes)
@@ -60,7 +60,7 @@ def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
     means = np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes
-    return (X, preds, (Y - t_mean) / t_scale, means, slope, sizes, owner), acts
+    return (preds, (Y - t_mean) / t_scale, means, slope, sizes, owner), X, acts
 
 
 def pipeline_loss(params, specs, Xs, Ys, t_mean, t_scale, q, beta):
@@ -88,8 +88,8 @@ def test_chain_grad_matches_finite_differences():
     t_mean, t_scale = 1.5, 0.4
     h = 1e-5
     for q, beta in ((0.0, 0.0), (1.0, 0.5), (2.0, 1.0)):
-        batch, acts = build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale)
-        grad = objective.chain_grad(params, *batch, q, beta, acts)
+        batch, X, acts = build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale)
+        grad = predictor.vjp_batch(params, X, objective.chain_grad(*batch, q, beta), acts)
         fd = np.zeros_like(grad)
         for j in range(params.values.size):
             v = params.values.copy()
@@ -108,22 +108,17 @@ def test_chain_grad_beta_one_is_pure_mse_gradient():
     spec = AgentSpec(0, "datacenter", DataCenterContext(1.5, 2.0))
     X = rng.uniform(-1, 1, size=(6, 3))
     Y = rng.uniform(0.9, 2.2, size=(6, 1))
-    batch, acts = build_dc_chain_batch(params, [spec], [X], [Y], 1.5, 0.4)
-    grad = objective.chain_grad(params, *batch, 2.0, 1.0, acts)
+    batch, _, _ = build_dc_chain_batch(params, [spec], [X], [Y], 1.5, 0.4)
+    cot = objective.chain_grad(*batch, 2.0, 1.0)
     preds = predictor.forward_batch(params, X)
     y_norm = (Y - 1.5) / 0.4
-    direct = predictor.vjp_batch(params, X, (2.0 / 6) * (preds - y_norm), acts)
-    assert np.max(np.abs(grad - direct)) < 1e-6
+    assert np.array_equal(cot, (2.0 / 6) * (preds - y_norm))
 
 
 def test_chain_grad_zero_at_perfection():
-    params = predictor.init_params([2, 1], seed=0)
-    X = np.zeros((1, 2))
-    _, acts = predictor.forward_batch(params, X, keep=True)
-    grad = objective.chain_grad(params, X, np.zeros((1, 1)), np.zeros((1, 1)),
-                                np.zeros(1), np.zeros((1, 1)), np.ones(1, dtype=int), np.zeros(1, dtype=int),
-                                1.0, 0.5, acts)
-    assert np.all(grad == 0.0)
+    cot = objective.chain_grad(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)),
+                               np.ones(1, dtype=int), np.zeros(1, dtype=int), 1.0, 0.5)
+    assert np.all(cot == 0.0)
 
 
 def test_chain_grad_refuses_mismatched_partition():
@@ -133,33 +128,16 @@ def test_chain_grad_refuses_mismatched_partition():
              AgentSpec(1, "datacenter", DataCenterContext(3.0, 0.7))]
     Xs = [rng.uniform(-1, 1, size=(n, 3)) for n in (4, 3)]
     Ys = [rng.uniform(0.9, 2.2, size=(n, 1)) for n in (4, 3)]
-    (X, preds, y, means, slope, sizes, owner), acts = build_dc_chain_batch(params, specs, Xs, Ys, 1.5, 0.4)
+    (preds, y, means, slope, sizes, owner), _, _ = build_dc_chain_batch(params, specs, Xs, Ys, 1.5, 0.4)
     with pytest.raises(ValueError, match="agent means for 2 agents"):
-        objective.chain_grad(params, X, preds, y, means[:1], slope, sizes, owner, 1.0, 0.5, acts)
+        objective.chain_grad(preds, y, means[:1], slope, sizes, owner, 1.0, 0.5)
     with pytest.raises(ValueError, match="agent means for 2 agents"):
-        objective.chain_grad(params, X, preds, y, np.append(means, 0.1), slope, sizes, owner, 1.0, 0.5, acts)
+        objective.chain_grad(preds, y, np.append(means, 0.1), slope, sizes, owner, 1.0, 0.5)
     with pytest.raises(ValueError, match="row owners for 7 rows"):
-        objective.chain_grad(params, X, preds, y, means, slope, sizes, owner[:-1], 1.0, 0.5, acts)
+        objective.chain_grad(preds, y, means, slope, sizes, owner[:-1], 1.0, 0.5)
 
 
 # --- policy-gradient estimator
-
-
-def test_chain_and_pg_grad_refuse_another_forward_pass():
-    rng = np.random.default_rng(4)
-    params = predictor.init_params([3, 4, 1], seed=4)
-    specs = [AgentSpec(0, "datacenter", DataCenterContext(1.5, 2.0)),
-             AgentSpec(1, "datacenter", DataCenterContext(3.0, 0.7))]
-    Xs = [rng.uniform(-1, 1, size=(5, 3)) for _ in specs]
-    Ys = [rng.uniform(0.9, 2.2, size=(5, 1)) for _ in specs]
-    batch, acts = build_dc_chain_batch(params, specs, Xs, Ys, 1.5, 0.4)
-    # the same numbers in another array are other parameter values to the check
-    _, stale = predictor.forward_batch(params.with_values(params.values.copy()), batch[0], keep=True)
-    with pytest.raises(ValueError, match="parameter values"):
-        objective.chain_grad(params, *batch, 1.0, 0.5, stale)
-    eps = rng.standard_normal((3, 10, 1))
-    with pytest.raises(ValueError, match="this batch"):
-        objective.pg_grad(params, batch[0][::-1], eps, rng.uniform(0, 2, size=3), 0.4, 0.3, acts)
 
 
 @pytest.mark.parametrize("n_draws, rows, n_out", [
@@ -167,16 +145,14 @@ def test_chain_and_pg_grad_refuse_another_forward_pass():
 ])
 def test_pg_grad_fold_is_bitwise_the_tensordot_fold(n_draws, rows, n_out):
     rng = np.random.default_rng(rows)
-    params = predictor.init_params([5, 6, n_out], seed=rows)
-    X = rng.standard_normal((rows, 5))
-    _, acts = predictor.forward_batch(params, X, keep=True)
     eps = rng.standard_normal((n_draws, rows, n_out))
     losses = rng.uniform(0, 3, size=n_draws)
     baseline = (losses.sum() - losses) / max(n_draws - 1, 1)
     std = 0.3
     weights = (losses - baseline) / (n_draws * std)
-    expected = predictor.vjp_batch(params, X, np.tensordot(weights, eps, axes=1), acts)
-    got = objective.pg_grad(params, X, eps, losses, baseline, std, acts)
+    expected = np.tensordot(weights, eps, axes=1)
+    got = objective.pg_grad(eps, losses, baseline, std)
+    assert got.shape == (rows, n_out)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -197,7 +173,7 @@ def test_pg_grad_monte_carlo_matches_analytic():
         spreads = []
         for baseline in (0.0, loo):
             terms = (losses - baseline) * eps / std
-            grad = objective.pg_grad(params, x, eps.reshape(n, 1, 1), losses, baseline, std, acts)
+            grad = predictor.vjp_batch(params, x, objective.pg_grad(eps.reshape(n, 1, 1), losses, baseline, std), acts)
             assert grad[1] == pytest.approx(terms.mean(), rel=1e-12)
             se = terms.std() / np.sqrt(n)
             assert abs(grad[1] - 2 * (theta - 1.0)) < 5 * se
@@ -228,11 +204,11 @@ def test_pg_matches_chain_on_differentiable_toy():
     Y = rng.uniform(1.0, 2.0, size=(4, 1))
     t_mean, t_scale = 1.5, 0.3
     q = 1.0
-    batch, acts = build_dc_chain_batch(params, [spec], [X], [Y], t_mean, t_scale)
-    exact = objective.chain_grad(params, *batch, q, 0.0, acts)
+    batch, _, acts = build_dc_chain_batch(params, [spec], [X], [Y], t_mean, t_scale)
+    exact = predictor.vjp_batch(params, X, objective.chain_grad(*batch, q, 0.0), acts)
 
     std = 0.05
-    preds = batch[1]
+    preds = batch[0]
     acc = np.zeros_like(exact)
     n_rounds = 10_000
     for _ in range(n_rounds):

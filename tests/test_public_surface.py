@@ -114,3 +114,15 @@ def test_no_module_keeps_a_dataclass_field_list():
                     copies += [f"{name}: {where} = {sorted(strings)}, {cls}'s fields" for cls, fields in dataclass_fields.items()
                                if len(strings) >= 2 and strings <= fields]
     assert copies == [], f"module-level copies of a dataclass's field names: {copies}"
+
+
+def test_objective_is_a_function_of_the_model_outputs():
+    # the objective's ops return a cotangent on the outputs; the one vjp of a
+    # step runs in `training.train`, so `objective` never reaches the network
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "objective.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any(name == "predictor" or name.endswith(".predictor") for name in imported), sorted(imported)

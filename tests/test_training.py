@@ -523,17 +523,19 @@ def test_chain_step_is_bitwise_the_per_row_repeat_cotangent(q, beta):
 
 @pytest.mark.parametrize("mode", ["plain", "chain", "pg"])
 def test_each_step_runs_one_forward_pass(mode, monkeypatch):
-    # the backward pass reuses the step's forward activations
+    # the backward pass reuses the step's forward activations, and the mode's
+    # cotangent goes through the step's one vjp
     agents, splits = _three_agent_pool()
     if mode == "chain":  # chain needs data-center agents only
         agents, splits = agents[1:], splits[1:]
-    calls = []
-    real = predictor.forward_batch
-    monkeypatch.setattr(predictor, "forward_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
+    calls = {"forward_batch": [], "vjp_batch": []}
+    for name, log in calls.items():
+        real = getattr(predictor, name)
+        monkeypatch.setattr(predictor, name, lambda *a, log=log, real=real, **k: log.append(1) or real(*a, **k))
     cfg = TrainConfig(mode=mode, q=1.0, beta=0.5, std=0.3, epochs=3, batch_size=4, seed=3, pg_samples=3)
     res = train(cfg, predictor.init_params([2, 4, 3], seed=5), agents, make_pool(agents, splits))
     assert len(res.step_log) > 2
-    assert len(calls) == len(res.step_log)
+    assert len(calls["forward_batch"]) == len(calls["vjp_batch"]) == len(res.step_log)
 
 
 def _charging_pool():

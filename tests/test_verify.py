@@ -63,8 +63,8 @@ def test_injected_row_owner_shift_detected(monkeypatch, q, beta):
 
     real = objective.chain_grad
 
-    def shifted(params, X, y_hat, y, means, slope, sizes, owner, *rest):
-        return real(params, X, y_hat, y, means, slope, sizes, np.roll(owner, 1), *rest)
+    def shifted(y_hat, y, means, slope, sizes, owner, *rest):
+        return real(y_hat, y, means, slope, sizes, np.roll(owner, 1), *rest)
 
     monkeypatch.setattr(objective, "chain_grad", shifted)
     result = verify.check_chain_gradient(qs=(q,), betas=(beta,), seed=0)
@@ -86,8 +86,8 @@ def test_injected_pg_baseline_sign_flip_detected(monkeypatch):
 
     real = objective.pg_grad
 
-    def flipped(params, X, eps, losses, baseline, std, acts):
-        return real(params, X, eps, losses, -baseline, std, acts)
+    def flipped(eps, losses, baseline, std):
+        return real(eps, losses, -baseline, std)
 
     monkeypatch.setattr(objective, "pg_grad", flipped)
     result = verify.check_pg_estimator(thetas=(0.5,), n_draws=1_000, seed=0)
