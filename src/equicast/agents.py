@@ -332,11 +332,11 @@ def dc_regret_batch(workloads, lams, c_hat, c, best) -> tuple[np.ndarray, np.nda
     p_hat = w + np.maximum(root, ALLOCATION_MARGIN * w)
     headroom = p_hat - w
     values = (p_hat * cv + lw / headroom - best).reshape(-1)
-    if np.any(values < -REGRET_TOLERANCE):
+    if (values < -REGRET_TOLERANCE).any():
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")
     # dp/dc_hat = -sqrt(lam*w) / 2 * c_hat^-1.5 = -root / (2 c_hat)
     dact = np.where(raw > FORECAST_FLOOR, -0.5 * root / ch, 0.0)
-    return np.clip(values, 0.0, None), ((cv - lw / headroom**2) * dact).reshape(-1)
+    return values.clip(0.0, None), ((cv - lw / headroom**2) * dact).reshape(-1)
 
 
 class SlotRanking:

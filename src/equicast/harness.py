@@ -328,7 +328,7 @@ def _sweep_cell(args) -> SweepRow:
     try:
         summary, _, _ = run_experiment(config, seed=seed, train_config=tc)
         return SweepRow(qp1, beta, seed, "ok", summary=summary)
-    except (ConfigError, SchemaError):  # a user error ends the sweep, as it ends `train`
+    except (ConfigError, SchemaError, FileNotFoundError):  # a user error ends the sweep, as it ends `train`
         raise
     except Exception as exc:  # sweep keeps going; the row records the failure
         return SweepRow(qp1, beta, seed, "failed", error=f"{type(exc).__name__}: {exc}")

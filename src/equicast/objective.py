@@ -13,10 +13,11 @@ network's one vjp.
   to the model output (adapter, policy and cost derivatives chained, built
   as arrays by the caller) is weighted by its agent's share of the loss
   gradient and blended with the squared-error residual.  The caller passes
-  the agents' mean regrets, which it already holds for the loss, and the
-  row partition (`sizes`, and the row -> agent index `owner`) that it builds
-  once; the op gathers each agent's weight to its rows.  It needs every
-  factor to exist (differentiable costs only).
+  the agents' mean regrets, which it already holds for the loss, the row
+  partition (`sizes`, and the row -> agent index `owner`) and the squared
+  error's per-row weight (`mse_row_weight`), which it builds once; the op
+  gathers each agent's regret weight to its rows.  It needs every factor to
+  exist (differentiable costs only).
 * `pg_grad` is the score-function estimator the trainer applies: D draws
   eps_d of the Gaussian head, each weighted by its loss minus its baseline,
   fold into one cotangent sum_d w_d * eps_d per row (a draw's log-density
@@ -35,9 +36,9 @@ def _clean_regrets(mean_regrets) -> np.ndarray:
     r = np.asarray(mean_regrets, dtype=float)
     if r.size == 0:
         raise ValueError("need at least one agent")
-    if np.any(r < -REGRET_TOLERANCE):
+    if (r < -REGRET_TOLERANCE).any():
         raise ValueError(f"mean regret below -{REGRET_TOLERANCE}: {r.min()}")
-    return np.clip(r, 0.0, None)
+    return r.clip(0.0, None)
 
 
 def equitable_loss(mean_regrets, q: float) -> float:
@@ -45,19 +46,26 @@ def equitable_loss(mean_regrets, q: float) -> float:
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     r = _clean_regrets(mean_regrets)
-    return float(np.sum(r ** (q + 1.0)))
+    return float((r ** (q + 1.0)).sum())
 
 
-def chain_grad(y_hat, y, means, slope, sizes, owner, q: float, beta: float) -> np.ndarray:
+def mse_row_weight(sizes, owner, beta: float) -> np.ndarray:
+    """(R, 1) weight beta * 2/b_m of each row's squared-error residual, the `row_weight` of `chain_grad`."""
+    return (beta * (2.0 / sizes))[owner][:, None]
+
+
+def chain_grad(y_hat, y, row_weight, means, slope, sizes, owner, q: float, beta: float) -> np.ndarray:
     """The cotangent dL/dy_hat of the blended objective along the differentiable path.
 
     Rows come in agent order, `sizes[m]` rows of agent m, and `owner` (R,)
     names each row's agent; the caller builds both once and checks that they
     partition the rows (every b_m >= 1, sum_m b_m = R).  `y_hat` and `y` are
-    the model's outputs and targets on its own (normalized) scale, `means`
-    (M,) the agents' mean regrets rbar_m over their rows and `slope` (R, O)
-    each row's derivative of its regret with respect to the model output
-    (neither is read at beta = 1).  Row i of agent m gets the cotangent
+    the model's outputs and targets on its own (normalized) scale, and
+    `row_weight` (R, 1) is `mse_row_weight(sizes, owner, beta)`, which does
+    not depend on the parameters, so the caller builds it once too.  `means`
+    (M,) are the agents' mean regrets rbar_m over their rows and `slope`
+    (R, O) each row's derivative of its regret with respect to the model
+    output (neither is read at beta = 1).  Row i of agent m gets the cotangent
         (1-beta) * (q+1) * rbar_m^q / b_m * slope_i + beta * (2/b_m) * (y_hat_i - y_i)
     with b_m = sizes[m].
     """
@@ -67,8 +75,10 @@ def chain_grad(y_hat, y, means, slope, sizes, owner, q: float, beta: float) -> n
         raise ValueError(f"q must be nonnegative, got {q}")
     if len(owner) != len(y_hat):
         raise ValueError(f"{len(owner)} row owners for {len(y_hat)} rows")
+    if len(row_weight) != len(y_hat):
+        raise ValueError(f"{len(row_weight)} row weights for {len(y_hat)} rows")
     if beta == 1.0:  # assigned, not added to zeros, which would turn a -0.0 into +0.0
-        return (2.0 / sizes)[owner][:, None] * (y_hat - y)
+        return row_weight * (y_hat - y)
     if len(means) != len(sizes):
         raise ValueError(f"{len(means)} agent means for {len(sizes)} agents")
     rbar = np.clip(means, 0.0, None)
@@ -76,7 +86,7 @@ def chain_grad(y_hat, y, means, slope, sizes, owner, q: float, beta: float) -> n
     cots = np.zeros_like(y_hat)
     cots += weight[owner][:, None] * slope
     if beta > 0.0:
-        cots += (beta * (2.0 / sizes))[owner][:, None] * (y_hat - y)
+        cots += row_weight * (y_hat - y)
     return cots
 
 

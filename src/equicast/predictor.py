@@ -107,8 +107,9 @@ def forward_batch(params: ParamVector, X, keep: bool = False):
     acts = [X]
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == last else np.tanh(z))
+        z = acts[-1] @ w.T
+        z += b
+        acts.append(z if i == last else np.tanh(z, out=z))
     return (acts[-1], Activations(params.values, acts)) if keep else acts[-1]
 
 
@@ -117,7 +118,9 @@ def vjp_batch(params: ParamVector, X, cotangents, acts: Activations) -> np.ndarr
 
     `acts` are the activations `forward_batch(params, X, keep=True)`
     returned; activations of other parameter values (another array object)
-    or of another batch are refused.
+    or of another batch are refused.  Each layer's weight and bias gradients
+    are written into their views of one new flat vector, laid out as the
+    parameters are.
     """
     X = np.asarray(X, dtype=float)
     cot = np.asarray(cotangents, dtype=float)
@@ -132,16 +135,20 @@ def vjp_batch(params: ParamVector, X, cotangents, acts: Activations) -> np.ndarr
     layers, kept = params.layers, acts.layers
     if len(kept) != len(layers) + 1 or not (kept[0] is X or np.array_equal(kept[0], X)):
         raise ValueError("activations were not computed from this batch")
-    grads = [None] * len(layers)
-    delta = cot
+    grad = np.empty(params.values.size)
+    end, delta = grad.size, cot
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = delta.T @ kept[i]
-        gb = delta.sum(axis=0)
-        grads[i] = (gw, gb)
+        w, b = layers[i]
+        start = end - w.size - b.size  # layer i's weights, row by row, then its biases
+        np.matmul(delta.T, kept[i], out=grad[start : start + w.size].reshape(w.shape))
+        delta.sum(axis=0, out=grad[start + w.size : end])
+        end = start
         if i > 0:
-            delta = (delta @ w) * (1.0 - kept[i] ** 2)
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+            dtanh = np.square(kept[i])  # tanh' = 1 - h^2, in one work array
+            np.subtract(1.0, dtanh, out=dtanh)
+            delta = delta @ w
+            delta *= dtanh
+    return grad
 
 
 # ---------------------------------------------------------------------------

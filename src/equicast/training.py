@@ -37,13 +37,19 @@ hindsight-optimal cost.  The default Gaussian std is 0.1 times the std of
 the normalized training targets.
 
 What does not depend on the parameters stays out of the step.  Per call:
-the batch partition (`sizes` and the row -> agent index `owner`), the
-charging ranking of a batch's D draws (`agents.SlotRanking`: each row's
-slot count and rate, its threshold positions and its work arrays), and
-pg's work arrays (the flat draw, its restack and the sampled forecasts;
-the raw-unit forecasts reuse the flat draw's buffer), which every step
-refills in place.  Per epoch: every step's batch rows as one (steps, rows)
-array.  A row's squared errors are summed over its outputs with
+the normalized training targets, the batch partition (`sizes` and the
+row -> agent index `owner`), the squared error's row weight
+(`objective.mse_row_weight`, which plain and chain pass to
+`objective.chain_grad`), the charging ranking of a batch's D draws
+(`agents.SlotRanking`: each row's slot count and rate, its threshold
+positions and its work arrays), and pg's work arrays (the flat draw, its
+restack and the sampled forecasts; the raw-unit forecasts reuse the flat
+draw's buffer), which every step refills in place, and the buffers of an
+epoch's X and Y batches.  Per epoch: every step's batch rows as one
+(steps, rows) array, and the X and Y batches gathered with it into their
+buffers, of which each step reads its views.  One `np.errstate`
+around the epoch loop silences numpy's overflow warnings for every step.
+A row's squared errors are summed over its outputs with
 `agents.row_sums`: column adds over all rows in numpy's pairwise order,
 bitwise what `np.sum` gives by running its pairwise sum once per row.
 
@@ -338,10 +344,11 @@ class _StackedRows:
 
 def _plain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     """The squared-error step: `objective.chain_grad` at beta = 1."""
+    row_weight = objective.mse_row_weight(rows.sizes, rows.owner, 1.0)
     def step(idx, Y, preds):
         agent_terms = rows.agent_means(row_sums((preds - Y) ** 2))
         mse_term = float(agent_terms.sum())
-        cot = objective.chain_grad(preds, Y, None, None, rows.sizes, rows.owner, config.q, 1.0)
+        cot = objective.chain_grad(preds, Y, row_weight, None, None, rows.sizes, rows.owner, config.q, 1.0)
         return cot, agent_terms, math.nan, mse_term, mse_term
     return step
 
@@ -351,12 +358,13 @@ def _chain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     bad = [a.agent_id for a in rows.agents if a.family != "datacenter"]
     if bad:
         raise ConfigError(f"chain mode needs differentiable costs; charging agents {bad} are discrete")
+    row_weight = objective.mse_row_weight(rows.sizes, rows.owner, config.beta)
     def step(idx, Y, preds):
         mse_term = float(rows.agent_means(row_sums((preds - Y) ** 2)).sum())
         values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
         slope = dvalues[0][:, None] * rows.dc_chat_grad
         agent_terms = rows.agent_means(values[0])
-        cot = objective.chain_grad(preds, Y, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta)
+        cot = objective.chain_grad(preds, Y, row_weight, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta)
         eq_term = objective.equitable_loss(agent_terms, config.q)
         return cot, agent_terms, eq_term, mse_term, (1.0 - config.beta) * eq_term + config.beta * mse_term
     return step
@@ -400,6 +408,11 @@ def _pg(config: TrainConfig, rows: _StackedRows, rng, std: float):
     return step
 
 
+def _norm(x: np.ndarray) -> float:
+    """Bitwise `np.linalg.norm` of a 1-D float array, which is sqrt(x.dot(x)), without its wrapper."""
+    return math.sqrt(float(x.dot(x)))
+
+
 def _optimizer(config: TrainConfig, theta: np.ndarray):
     """`update(grad, t) -> lr_t`: clip, lr schedule, then SGD (with momentum) or Adam on theta in place."""
     # the velocity or Adam's moments, updated in place by the out-of-place
@@ -409,27 +422,25 @@ def _optimizer(config: TrainConfig, theta: np.ndarray):
     def update(grad, t):
         nonlocal first, second, step, work, theta  # `x op= y` rebinds x, to the same array
         if config.grad_clip is not None:
-            norm = float(np.linalg.norm(grad))
+            norm = _norm(grad)
             if norm > config.grad_clip:
                 grad = np.multiply(grad, config.grad_clip / norm, out=step)
         lr_t = config.lr * config.lr_decay ** (t // config.lr_step)
-        # a finite gradient times a huge lr can still overflow theta
-        with np.errstate(over="ignore", invalid="ignore"):
-            if config.optimizer == "sgd":
-                first *= config.momentum
-                first += grad
-                theta -= np.multiply(first, lr_t, out=step)
-                return lr_t
-            first *= 0.9
-            first += np.multiply(grad, 0.1, out=work)
-            second *= 0.999
-            second += np.multiply(np.square(grad, out=work), 0.001, out=work)
-            np.sqrt(np.divide(second, 1.0 - 0.999 ** (t + 1), out=work), out=work)
-            work += 1e-8
-            np.divide(first, 1.0 - 0.9 ** (t + 1), out=step)
-            step *= lr_t
-            theta -= np.divide(step, work, out=step)
+        if config.optimizer == "sgd":
+            first *= config.momentum
+            first += grad
+            theta -= np.multiply(first, lr_t, out=step)
             return lr_t
+        first *= 0.9
+        first += np.multiply(grad, 0.1, out=work)
+        second *= 0.999
+        second += np.multiply(np.square(grad, out=work), 0.001, out=work)
+        np.sqrt(np.divide(second, 1.0 - 0.999 ** (t + 1), out=work), out=work)
+        work += 1e-8
+        np.divide(first, 1.0 - 0.9 ** (t + 1), out=step)
+        step *= lr_t
+        theta -= np.divide(step, work, out=step)
+        return lr_t
     return update
 
 
@@ -437,8 +448,13 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     """Run epochs of per-batch updates on the pool's train part; returns final parameters and a step log."""
     rows = _StackedRows(agents, data, data.train, config.batch_size, params.n_outputs, n_draws=config.pg_samples)
     rng = np.random.default_rng(config.seed)
-    std = config.std if config.std is not None else 0.1 * max(float(rows.normalized(slice(None)).std()), 1e-6)
+    targets = rows.normalized(slice(None))
+    std = config.std if config.std is not None else 0.1 * max(float(targets.std()), 1e-6)
     steps_per_epoch = int(np.min(rows.counts // rows.sizes))
+    # an epoch's X and Y batches, refilled every epoch: new arrays each epoch
+    # would page-fault on every gather
+    batch_shape = (steps_per_epoch, len(rows.owner))
+    batches_x, batches_y = np.empty(batch_shape + rows.x.shape[1:]), np.empty(batch_shape + targets.shape[1:])
     mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, rng, std)
     # the step's parameters, one copy per call: the optimizer updates their
     # values theta in place, so theta's finiteness is checked once per step
@@ -447,37 +463,42 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     update = _optimizer(config, theta)
     step_log: list[dict] = []
 
-    for epoch in range(config.epochs):
-        perms = [rng.permutation(n) for n in rows.counts]
-        for k, idx in enumerate(rows.epoch_index(perms, steps_per_epoch)):
-            t = epoch * steps_per_epoch + k
-            X, Y = rows.x[idx], rows.normalized(idx)
-            # non-finite values are detected explicitly below; numpy's
-            # overflow warnings on the way there are just noise
-            with np.errstate(over="ignore", invalid="ignore"):
+    # non-finite values are detected explicitly below; numpy's overflow
+    # warnings on the way there (a finite gradient times a huge lr can still
+    # overflow theta in the optimizer) are just noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            perms = [rng.permutation(n) for n in rows.counts]
+            index = rows.epoch_index(perms, steps_per_epoch)
+            # mode="clip" lets `take` write into `out` unbuffered; every index is in range
+            np.take(rows.x, index, axis=0, out=batches_x, mode="clip")
+            np.take(targets, index, axis=0, out=batches_y, mode="clip")
+            for k, idx in enumerate(index):
+                t = epoch * steps_per_epoch + k
+                X = batches_x[k]
                 preds, acts = predictor.forward_batch(current, X, keep=True)
-                cot, agent_terms, eq_term, mse_term, combined = mode_step(idx, Y, preds)
+                cot, agent_terms, eq_term, mse_term, combined = mode_step(idx, batches_y[k], preds)
                 grad = predictor.vjp_batch(current, X, cot, acts)
 
-            if not math.isfinite(combined) or not np.all(np.isfinite(grad)):
-                # blame the first agent with a non-finite batch term (in pg, in any draw)
-                bad = np.flatnonzero(~np.isfinite(agent_terms).reshape(-1, len(agents)).all(axis=0))
-                raise DivergenceError(
-                    f"non-finite loss or gradient at step {t}: loss={combined}, "
-                    f"|grad|max={np.max(np.abs(grad)) if grad.size else math.nan}",
-                    step=t,
-                    agent_id=agents[bad[0]].agent_id if bad.size else None,
-                    values=(combined,),
-                )
-            lr_t = update(grad, t)
-            if not np.isfinite(theta).all():
-                raise DivergenceError(
-                    f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t, values=(combined,)
-                )
+                if not math.isfinite(combined) or not np.isfinite(grad).all():
+                    # blame the first agent with a non-finite batch term (in pg, in any draw)
+                    bad = np.flatnonzero(~np.isfinite(agent_terms).reshape(-1, len(agents)).all(axis=0))
+                    raise DivergenceError(
+                        f"non-finite loss or gradient at step {t}: loss={combined}, "
+                        f"|grad|max={np.max(np.abs(grad)) if grad.size else math.nan}",
+                        step=t,
+                        agent_id=agents[bad[0]].agent_id if bad.size else None,
+                        values=(combined,),
+                    )
+                lr_t = update(grad, t)
+                if not np.isfinite(theta).all():
+                    raise DivergenceError(
+                        f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t, values=(combined,)
+                    )
 
-            step_log.append(
-                {"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined}
-            )
+                step_log.append(
+                    {"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined}
+                )
 
     return TrainResult(params=current, step_log=step_log, std=std)
 

@@ -173,6 +173,7 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
     means = np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes
+    row_weights = [objective.mse_row_weight(sizes, owner, beta) for beta in betas]
 
     # the probed regrets and MSE do not depend on (q, beta): each +-h probe
     # of each parameter runs once, and every (q, beta) blends its terms
@@ -188,8 +189,8 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
 
     worst = 0.0
     for q in qs:
-        for beta in betas:
-            cot = objective.chain_grad(preds, (Y - t_mean) / t_scale, means, slope, sizes, owner, q, beta)
+        for beta, row_weight in zip(betas, row_weights):
+            cot = objective.chain_grad(preds, (Y - t_mean) / t_scale, row_weight, means, slope, sizes, owner, q, beta)
             grad = predictor.vjp_batch(params, X, cot, acts)
             losses = np.array([(1.0 - beta) * objective.equitable_loss(r, q) + beta * mse for r, mse in terms])
             fd = (losses[0::2] - losses[1::2]) / (2 * h)

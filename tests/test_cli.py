@@ -641,6 +641,18 @@ def test_sweep_user_error_is_a_usage_error(tmp_path, capsys, jobs, override, mes
     assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_missing_data_dir_is_a_usage_error(tmp_path, capsys, jobs):
+    # a missing data_dir used to be a failed cell in a sweep (exit 2) while `train` exits 1
+    missing = tmp_path / "no_such_data"
+    cfg = write_config(tmp_path, tiny_config(repeats=1, sweep_q_plus_1=[1, 2], sweep_beta=[0.0], data_dir=str(missing)))
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert cli.main(["sweep", "--config", cfg, "--jobs", jobs, "--out", str(tmp_path / "sweep")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(str(missing / "meta.json")) == 2 and "Traceback" not in err
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+
 def test_verify_exit_codes(monkeypatch, capsys):
     ok = [verify.SuiteResult("alpha", True, "fine")]
     monkeypatch.setattr(verify, "run_all", lambda seed=0: ok)

@@ -48,8 +48,8 @@ def test_equitable_loss_power_monotonicity_in_q():
 
 
 def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
-    """chain_grad's inputs before q and beta, the stacked rows and the forward's activations,
-    for a batch of direct-adapter data-center agents."""
+    """chain_grad's inputs other than the row weight, q and beta, the stacked rows and the
+    forward's activations, for a batch of direct-adapter data-center agents."""
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
     sizes = np.array([len(x) for x in Xs])
     owner = np.repeat(np.arange(len(specs)), sizes)
@@ -61,6 +61,13 @@ def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
     slope[:, 0] = dvalues * t_scale
     means = np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes
     return (preds, (Y - t_mean) / t_scale, means, slope, sizes, owner), X, acts
+
+
+def chain_cot(batch, q, beta):
+    """chain_grad on a `build_dc_chain_batch` batch, with the row weight its callers build once."""
+    preds, y, means, slope, sizes, owner = batch
+    weight = objective.mse_row_weight(sizes, owner, beta)
+    return objective.chain_grad(preds, y, weight, means, slope, sizes, owner, q, beta)
 
 
 def pipeline_loss(params, specs, Xs, Ys, t_mean, t_scale, q, beta):
@@ -89,7 +96,7 @@ def test_chain_grad_matches_finite_differences():
     h = 1e-5
     for q, beta in ((0.0, 0.0), (1.0, 0.5), (2.0, 1.0)):
         batch, X, acts = build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale)
-        grad = predictor.vjp_batch(params, X, objective.chain_grad(*batch, q, beta), acts)
+        grad = predictor.vjp_batch(params, X, chain_cot(batch, q, beta), acts)
         fd = np.zeros_like(grad)
         for j in range(params.values.size):
             v = params.values.copy()
@@ -109,15 +116,16 @@ def test_chain_grad_beta_one_is_pure_mse_gradient():
     X = rng.uniform(-1, 1, size=(6, 3))
     Y = rng.uniform(0.9, 2.2, size=(6, 1))
     batch, _, _ = build_dc_chain_batch(params, [spec], [X], [Y], 1.5, 0.4)
-    cot = objective.chain_grad(*batch, 2.0, 1.0)
+    cot = chain_cot(batch, 2.0, 1.0)
     preds = predictor.forward_batch(params, X)
     y_norm = (Y - 1.5) / 0.4
     assert np.array_equal(cot, (2.0 / 6) * (preds - y_norm))
 
 
 def test_chain_grad_zero_at_perfection():
-    cot = objective.chain_grad(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)),
-                               np.ones(1, dtype=int), np.zeros(1, dtype=int), 1.0, 0.5)
+    sizes, owner = np.ones(1, dtype=int), np.zeros(1, dtype=int)
+    cot = objective.chain_grad(np.zeros((1, 1)), np.zeros((1, 1)), objective.mse_row_weight(sizes, owner, 0.5),
+                               np.zeros(1), np.zeros((1, 1)), sizes, owner, 1.0, 0.5)
     assert np.all(cot == 0.0)
 
 
@@ -129,12 +137,25 @@ def test_chain_grad_refuses_mismatched_partition():
     Xs = [rng.uniform(-1, 1, size=(n, 3)) for n in (4, 3)]
     Ys = [rng.uniform(0.9, 2.2, size=(n, 1)) for n in (4, 3)]
     (preds, y, means, slope, sizes, owner), _, _ = build_dc_chain_batch(params, specs, Xs, Ys, 1.5, 0.4)
+    weight = objective.mse_row_weight(sizes, owner, 0.5)
     with pytest.raises(ValueError, match="agent means for 2 agents"):
-        objective.chain_grad(preds, y, means[:1], slope, sizes, owner, 1.0, 0.5)
+        objective.chain_grad(preds, y, weight, means[:1], slope, sizes, owner, 1.0, 0.5)
     with pytest.raises(ValueError, match="agent means for 2 agents"):
-        objective.chain_grad(preds, y, np.append(means, 0.1), slope, sizes, owner, 1.0, 0.5)
+        objective.chain_grad(preds, y, weight, np.append(means, 0.1), slope, sizes, owner, 1.0, 0.5)
     with pytest.raises(ValueError, match="row owners for 7 rows"):
-        objective.chain_grad(preds, y, means, slope, sizes, owner[:-1], 1.0, 0.5)
+        objective.chain_grad(preds, y, weight, means, slope, sizes, owner[:-1], 1.0, 0.5)
+    for beta in (0.5, 1.0):  # a one-row weight would broadcast over every row
+        with pytest.raises(ValueError, match="1 row weights for 7 rows"):
+            objective.chain_grad(preds, y, weight[:1], means, slope, sizes, owner, 1.0, beta)
+
+
+def test_mse_row_weight_is_beta_times_two_over_each_rows_agent_size():
+    sizes, owner = np.array([2, 3]), np.array([0, 0, 1, 1, 1])
+    weight = objective.mse_row_weight(sizes, owner, 0.5)
+    assert weight.shape == (5, 1)
+    assert np.array_equal(weight[:, 0], [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
+    # at beta = 1 the weight is 2/b_m itself, so the plain step keeps its bits
+    assert np.array_equal(objective.mse_row_weight(sizes, owner, 1.0), (2.0 / sizes)[owner][:, None])
 
 
 # --- policy-gradient estimator
@@ -205,7 +226,7 @@ def test_pg_matches_chain_on_differentiable_toy():
     t_mean, t_scale = 1.5, 0.3
     q = 1.0
     batch, _, acts = build_dc_chain_batch(params, [spec], [X], [Y], t_mean, t_scale)
-    exact = predictor.vjp_batch(params, X, objective.chain_grad(*batch, q, 0.0), acts)
+    exact = predictor.vjp_batch(params, X, chain_cot(batch, q, 0.0), acts)
 
     std = 0.05
     preds = batch[0]

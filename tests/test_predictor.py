@@ -173,6 +173,54 @@ def test_vjp_batch_takes_only_its_own_forward_pass():
             predictor.vjp_batch(p, X, cots, theirs)
 
 
+def _reference_forward(params, X):
+    """The activations [X, h1, ..., output], each layer a new array: `forward_batch` without its in-place ops."""
+    acts = [X]
+    last = len(params.layers) - 1
+    for i, (w, b) in enumerate(params.layers):
+        z = acts[-1] @ w.T + b
+        acts.append(z if i == last else np.tanh(z))
+    return acts
+
+
+def _reference_vjp(params, acts, cot):
+    """`vjp_batch` as per-layer gradients joined by `np.concatenate`."""
+    grads, delta = [None] * len(params.layers), cot
+    for i in range(len(params.layers) - 1, -1, -1):
+        w, _ = params.layers[i]
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ w) * (1.0 - acts[i] ** 2)
+    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9001])
+@pytest.mark.parametrize("n_rows", [1, 7, 320])
+@pytest.mark.parametrize("arch", [[12, 16, 1], [12, 16, 12], [6, 5, 4, 3]])
+def test_network_ops_are_bitwise_their_out_of_place_forms(arch, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    p = predictor.init_params(arch, seed=seed)
+    p = p.with_values(p.values + rng.uniform(-0.5, 0.5, p.values.size))  # nonzero biases
+    X = rng.standard_normal((n_rows, arch[0]))
+    cots = rng.standard_normal((n_rows, arch[-1]))
+    out, acts = predictor.forward_batch(p, X, keep=True)
+    reference = _reference_forward(p, X)
+    assert len(acts.layers) == len(reference)
+    assert all(_same_bits(a, r) for a, r in zip(acts.layers, reference))
+    assert _same_bits(out, reference[-1])
+    grad = predictor.vjp_batch(p, X, cots, acts)
+    assert _same_bits(grad, _reference_vjp(p, reference, cots))
+    # every call returns a new array: a second one leaves the first intact
+    first = grad.copy()
+    again = predictor.vjp_batch(p, X, 2.0 * cots, acts)
+    assert again is not grad and not np.shares_memory(again, grad)
+    assert _same_bits(grad, first)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     p = predictor.init_params([5, 7, 3], seed=11)
     path = tmp_path / "model.json"

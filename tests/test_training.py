@@ -247,6 +247,18 @@ def test_optimizer_matches_hand_written_updates(optimizer, momentum, grad_clip):
     assert not np.allclose(res.params.values, p0.values, rtol=0.0, atol=1e-3)
 
 
+def test_clip_norm_is_bitwise_np_linalg_norm():
+    rng = np.random.default_rng(8)
+    grads = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) for n in (1, 2, 41, 337, 4097) for _ in range(4)]
+    grads += [g * scale for g in grads[:8] for scale in (1e150, 3e151, 1e-160, 7e-161)]  # near overflow, subnormal squares
+    with_zeros = rng.standard_normal(300)
+    with_zeros[rng.uniform(size=300) < 0.5] = 0.0
+    grads += [with_zeros, np.zeros(5), np.zeros(1), -np.zeros(3)]
+    with np.errstate(over="ignore"):  # some squares overflow: both read inf
+        for g in grads:
+            assert training._norm(g).hex() == float(np.linalg.norm(g)).hex(), g
+
+
 def _out_of_place_optimizer(config, theta):
     """The optimizer as new arrays each step: the formulas `training._optimizer` updates in place."""
     first = second = np.zeros_like(theta)
@@ -524,18 +536,25 @@ def test_chain_step_is_bitwise_the_per_row_repeat_cotangent(q, beta):
 @pytest.mark.parametrize("mode", ["plain", "chain", "pg"])
 def test_each_step_runs_one_forward_pass(mode, monkeypatch):
     # the backward pass reuses the step's forward activations, and the mode's
-    # cotangent goes through the step's one vjp
+    # cotangent goes through the step's one vjp.  Each op is reached through
+    # its module, where the benchmark's tracer wraps it: an op inlined into
+    # the step would read 0 calls here, and 0 ms in a traced run
     agents, splits = _three_agent_pool()
     if mode == "chain":  # chain needs data-center agents only
         agents, splits = agents[1:], splits[1:]
-    calls = {"forward_batch": [], "vjp_batch": []}
-    for name, log in calls.items():
-        real = getattr(predictor, name)
-        monkeypatch.setattr(predictor, name, lambda *a, log=log, real=real, **k: log.append(1) or real(*a, **k))
+    ops = [(predictor, "forward_batch"), (predictor, "vjp_batch"),
+           (objective, "chain_grad"), (objective, "equitable_loss"), (objective, "pg_grad")]
+    calls = {name: [] for _, name in ops}
+    for module, name in ops:
+        real, log = getattr(module, name), calls[name]
+        monkeypatch.setattr(module, name, lambda *a, log=log, real=real, **k: log.append(1) or real(*a, **k))
     cfg = TrainConfig(mode=mode, q=1.0, beta=0.5, std=0.3, epochs=3, batch_size=4, seed=3, pg_samples=3)
     res = train(cfg, predictor.init_params([2, 4, 3], seed=5), agents, make_pool(agents, splits))
-    assert len(res.step_log) > 2
-    assert len(calls["forward_batch"]) == len(calls["vjp_batch"]) == len(res.step_log)
+    steps = len(res.step_log)
+    assert steps > 2
+    per_step = {"forward_batch", "vjp_batch"} | {
+        "plain": {"chain_grad"}, "chain": {"chain_grad", "equitable_loss"}, "pg": {"pg_grad"}}[mode]
+    assert {name: len(log) for name, log in calls.items()} == {name: steps * (name in per_step) for name in calls}
 
 
 def _charging_pool():

@@ -63,8 +63,8 @@ def test_injected_row_owner_shift_detected(monkeypatch, q, beta):
 
     real = objective.chain_grad
 
-    def shifted(y_hat, y, means, slope, sizes, owner, *rest):
-        return real(y_hat, y, means, slope, sizes, np.roll(owner, 1), *rest)
+    def shifted(y_hat, y, row_weight, means, slope, sizes, owner, *rest):
+        return real(y_hat, y, np.roll(row_weight, 1, axis=0), means, slope, sizes, np.roll(owner, 1), *rest)
 
     monkeypatch.setattr(objective, "chain_grad", shifted)
     result = verify.check_chain_gradient(qs=(q,), betas=(beta,), seed=0)
