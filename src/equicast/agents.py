@@ -385,7 +385,7 @@ def _cheapest_slots(values: np.ndarray, ranking: SlotRanking) -> np.ndarray:
     threshold = ordered.ravel()[ranking.last]
     following = ordered.ravel()[ranking.following]
     chosen = np.less_equal(values, threshold[:, None], out=ranking.chosen)
-    odd = np.flatnonzero(np.isnan(threshold) | (ranking.short & ~(following > threshold)))
+    odd = (np.isnan(threshold) | (ranking.short & ~(following > threshold))).nonzero()[0]
     if odd.size:
         order = np.argsort(values[odd], axis=1, kind="stable")
         ranked = np.empty((odd.size, horizon), dtype=bool)
@@ -438,9 +438,9 @@ def ev_regret_batch(ranking: SlotRanking, e_hat, e, best) -> np.ndarray:
     values *= ranking.rate
     values -= best
     values = values.reshape(-1)
-    if np.any(values < -REGRET_TOLERANCE):
+    if (values < -REGRET_TOLERANCE).any():
         raise ValueError(f"regret {values.min()} below -{REGRET_TOLERANCE}")
-    return np.clip(values, 0.0, None, out=values)
+    return values.clip(0.0, None, out=values)
 
 
 # ---------------------------------------------------------------------------

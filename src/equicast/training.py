@@ -38,17 +38,21 @@ the normalized training targets.
 
 What does not depend on the parameters stays out of the step.  Per call:
 the normalized training targets, the batch partition (`sizes` and the
-row -> agent index `owner`), the squared error's row weight
-(`objective.mse_row_weight`, which plain and chain pass to
-`objective.chain_grad`), the charging ranking of a batch's D draws
-(`agents.SlotRanking`: each row's slot count and rate, its threshold
+row -> agent index `owner`), how each agent family's batch rows are
+addressed (a slice when they form one run, else an index array), the
+squared error's row weight (`objective.mse_row_weight`, which plain and
+chain pass to `objective.chain_grad`), the charging ranking of a batch's D
+draws (`agents.SlotRanking`: each row's slot count and rate, its threshold
 positions and its work arrays), and pg's work arrays (the flat draw, its
 restack and the sampled forecasts; the raw-unit forecasts reuse the flat
 draw's buffer), which every step refills in place, and the buffers of an
-epoch's X and Y batches.  Per epoch: every step's batch rows as one
-(steps, rows) array, and the X and Y batches gathered with it into their
-buffers, of which each step reads its views.  One `np.errstate`
-around the epoch loop silences numpy's overflow warnings for every step.
+epoch's X and Y batches and of its regret ops' row inputs.  Per epoch:
+every step's batch rows as one (steps, rows) array, and the X and Y
+batches and, in chain and pg, the regret ops' row inputs (a charging row's
+outcome and hindsight cost, a data-center row's workload, realized
+intensity and hindsight cost) gathered with it into their buffers, of
+which each step reads its views.  One `np.errstate` around the epoch loop
+silences numpy's overflow warnings for every step.
 A row's squared errors are summed over its outputs with
 `agents.row_sums`: column adds over all rows in numpy's pairwise order,
 bitwise what `np.sum` gives by running its pairwise sum once per row.
@@ -227,6 +231,21 @@ class PoolData:
         return ScoredPart(rows, best)
 
 
+def _family_rows(mask: np.ndarray) -> slice | np.ndarray:
+    """How to index the batch rows of one agent family, the rows where `mask` holds.
+
+    slice(None) when the family owns every row, slice(a, b) when its rows
+    form one run, else their index array: a slice reads views of the step's
+    arrays where an index array copies them.
+    """
+    at = mask.nonzero()[0]
+    if at.size == mask.size:
+        return slice(None)
+    if at.size and at[-1] - at[0] == at.size - 1:
+        return slice(int(at[0]), int(at[-1]) + 1)
+    return at
+
+
 class _StackedRows:
     """What one `train` or `evaluate` call reads of one part of the pool.
 
@@ -234,12 +253,18 @@ class _StackedRows:
     targets' width must equal the model's output width.  A batch holds
     `sizes[m]` = min(batch_size, n_m) rows of agent m (all n_m when
     `batch_size` is None), agents in order, and `owner` names each batch
-    row's agent.  `epoch_index` maps an epoch's per-agent permutations to the
-    stacked rows of its batches, and `regrets` scores a batch's forecasts,
-    in a new array, with one batched call per agent family (`dc_regrets`
-    also gives the data-center rows' derivatives).  Its charging rows are
-    ranked with `ev_ranking`, built here for `n_draws` blocks of them, whose
-    work arrays every call refills.  `normalized` gives rows' targets on the
+    row's agent.  `ev_rows` and `dc_rows` address each agent family's batch
+    rows: slice(None) when one family owns every row, slice(a, b) when its
+    rows form one run (as in every built mixed pool, which lists its
+    data-center agents first), else their index array; the same indexing
+    code reads all three.  `epoch_index` maps an epoch's per-agent
+    permutations to the stacked rows of its batches, and `regret_inputs`
+    gathers those rows' inputs to the regret ops.  `regrets` scores a
+    batch's forecasts against its regret inputs, in a new array, with one
+    batched call per agent family (`dc_regrets` also gives the data-center
+    rows' derivatives).  Its charging rows are ranked with `ev_ranking`,
+    built here for `n_draws` blocks of them, whose work arrays every call
+    refills.  `normalized` gives rows' targets on the
     model's scale, and `to_raw` maps forecasts back to raw units (into `out`
     when given), both with the pool's target transform.
     """
@@ -271,11 +296,8 @@ class _StackedRows:
         # each batch row's agent: with every n_m >= 1 (checked by the pool)
         # the rows split into M nonempty runs, sum_m b_m rows in all
         self.owner = owner = np.repeat(np.arange(len(agents)), self.sizes)
-        # a family that owns every row is addressed by a slice, which keeps
-        # the single-family pools free of gather copies
         charging = data.charging
-        self.ev_rows = slice(None) if charging.all() else np.flatnonzero(charging[owner])
-        self.dc_rows = slice(None) if not charging.any() else np.flatnonzero(~charging[owner])
+        self.ev_rows, self.dc_rows = _family_rows(charging[owner]), _family_rows(~charging[owner])
         ev_owner, dc_owner = owner[self.ev_rows], owner[self.dc_rows]
         # the ranking of a batch's n_draws blocks of charging forecasts
         self.ev_ranking = None
@@ -312,29 +334,49 @@ class _StackedRows:
         raw += self.mean
         return raw
 
-    def regrets(self, raws: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """(D, R) regrets, in a new array, of (D, R, O) raw forecasts for the batch at stacked rows `idx`."""
+    def regret_inputs(self, index: np.ndarray, out: tuple = ()) -> tuple:
+        """The regret ops' row inputs of stacked rows `index` (..., R), in new arrays or into `out`.
+
+        In order: the charging rows' outcomes and hindsight costs, then the
+        data-center rows' workloads, realized intensities and hindsight
+        costs, each shaped like its family's part of `index` (plus the
+        outcome width).  `out`, when given, is an earlier result for an
+        index of the same shape.
+        """
+        ev, dc = index[..., self.ev_rows], index[..., self.dc_rows]
+        sources = ((self.part.rows.outcome, ev), (self.part.best, ev),
+                   (self.part.rows.workload, dc), (self.realized_c, dc), (self.part.best, dc))
+        out = out or tuple(np.empty(at.shape + source.shape[1:]) for source, at in sources)
+        for (source, at), buf in zip(sources, out):
+            # mode="clip" lets `take` write into `out` unbuffered; every index is in range
+            np.take(source, at, axis=0, out=buf, mode="clip")
+        return out
+
+    def regrets(self, raws: np.ndarray, batch) -> np.ndarray:
+        """(D, R) regrets, in a new array, of (D, R, O) raw forecasts for a batch with regret inputs `batch`."""
         n_draws, _, n_out = raws.shape
         if self.ev_ranking is None:
-            return self.dc_regrets(raws, idx)[0]
-        at = idx[self.ev_rows]
-        ev_values = ev_regret_batch(
-            self.ev_ranking, raws[:, self.ev_rows].reshape(-1, n_out), self.part.rows.outcome[at], self.part.best[at],
-        ).reshape(n_draws, -1)
+            return self.dc_regrets(raws, batch)[0]
+        outcome, best = batch[:2]
+        ev_values = ev_regret_batch(self.ev_ranking, raws[:, self.ev_rows].reshape(-1, n_out), outcome, best)
+        ev_values = ev_values.reshape(n_draws, -1)
         if not len(self.dc_lam):  # one family owns every row: its op's array is the result
             return ev_values
         values = np.empty(raws.shape[:2])
-        values[:, self.ev_rows], values[:, self.dc_rows] = ev_values, self.dc_regrets(raws, idx)[0]
+        values[:, self.ev_rows], values[:, self.dc_rows] = ev_values, self.dc_regrets(raws, batch)[0]
         return values
 
-    def dc_regrets(self, raws: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def dc_regrets(self, raws: np.ndarray, batch) -> tuple[np.ndarray, np.ndarray]:
         """(D, R_dc) regrets of the data-center rows and their derivatives by the forecast c_hat."""
         n_draws = len(raws)
-        sub, at = raws[:, self.dc_rows], idx[self.dc_rows]
-        c_hat = sub[:, :, 0] if self.n_outputs == 1 else sub.mean(axis=2)
-        values, slopes = dc_regret_batch(
-            self.part.rows.workload[at], self.dc_lam, c_hat.ravel(), self.realized_c[at], self.part.best[at]
-        )
+        workload, realized, best = batch[2:]
+        sub = raws[:, self.dc_rows]
+        if self.n_outputs == 1:
+            c_hat = sub[:, :, 0]
+        else:  # bitwise sub.mean(axis=2): one add.reduce, then one divide by the count
+            c_hat = np.add.reduce(sub, axis=2)
+            c_hat /= self.n_outputs
+        values, slopes = dc_regret_batch(workload, self.dc_lam, c_hat.ravel(), realized, best)
         return values.reshape(n_draws, -1), slopes.reshape(n_draws, -1)
 
     def agent_means(self, values: np.ndarray) -> np.ndarray:
@@ -345,7 +387,7 @@ class _StackedRows:
 def _plain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     """The squared-error step: `objective.chain_grad` at beta = 1."""
     row_weight = objective.mse_row_weight(rows.sizes, rows.owner, 1.0)
-    def step(idx, Y, preds):
+    def step(batch, Y, preds):
         agent_terms = rows.agent_means(row_sums((preds - Y) ** 2))
         mse_term = float(agent_terms.sum())
         cot = objective.chain_grad(preds, Y, row_weight, None, None, rows.sizes, rows.owner, config.q, 1.0)
@@ -359,9 +401,9 @@ def _chain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     if bad:
         raise ConfigError(f"chain mode needs differentiable costs; charging agents {bad} are discrete")
     row_weight = objective.mse_row_weight(rows.sizes, rows.owner, config.beta)
-    def step(idx, Y, preds):
+    def step(batch, Y, preds):
         mse_term = float(rows.agent_means(row_sums((preds - Y) ** 2)).sum())
-        values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], idx)
+        values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], batch)
         slope = dvalues[0][:, None] * rows.dc_chat_grad
         agent_terms = rows.agent_means(values[0])
         cot = objective.chain_grad(preds, Y, row_weight, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta)
@@ -384,27 +426,28 @@ def _pg(config: TrainConfig, rows: _StackedRows, rng, std: float):
     # or with one draw an EMA of past batch losses; else 0)
     leave_one_out, tracks_ema = config.pg_baseline and n_draws > 1, config.pg_baseline and n_draws == 1
     ema = None
-    def step(idx, Y, preds):
+    def step(batch, Y, preds):
         nonlocal ema
         # the flat draw holds each agent's (D, b_m, O) block in agent order,
-        # which fixes the RNG stream; restack as (D, rows, O)
-        np.take(rng.standard_normal(out=flat), eps_index, axis=0, out=eps)
+        # which fixes the RNG stream; restack as (D, rows, O), unbuffered
+        np.take(rng.standard_normal(out=flat), eps_index, axis=0, out=eps, mode="clip")
         np.multiply(eps, std, out=sampled)
         np.add(sampled, preds, out=sampled)
-        agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled, out=raws), idx))
+        agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled, out=raws), batch))
         resid = np.subtract(sampled, Y, out=sampled)
         mse_by_draw = rows.agent_means(row_sums(np.square(resid, out=resid))).sum(axis=1)
-        eq_by_draw = np.sum(np.clip(agent_terms, 0.0, None) ** (config.q + 1.0), axis=1)
+        eq_by_draw = (agent_terms.clip(0.0, None) ** (config.q + 1.0)).sum(axis=1)
         losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
         if leave_one_out:
             base = (losses.sum() - losses) / (n_draws - 1)
         else:
             base = 0.0 if ema is None else ema
         cot = objective.pg_grad(eps, losses, base, std)
-        combined = float(losses.mean())
+        # the draws' means as x.mean() forms them: one add.reduce, then one divide by the count
+        combined = float(losses.sum()) / n_draws
         if tracks_ema:  # a non-finite loss ends the run before the EMA is read again
             ema = combined if ema is None else 0.9 * ema + 0.1 * combined
-        return cot, agent_terms, float(eq_by_draw.mean()), float(mse_by_draw.mean()), combined
+        return cot, agent_terms, float(eq_by_draw.sum()) / n_draws, float(mse_by_draw.sum()) / n_draws, combined
     return step
 
 
@@ -455,6 +498,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     # would page-fault on every gather
     batch_shape = (steps_per_epoch, len(rows.owner))
     batches_x, batches_y = np.empty(batch_shape + rows.x.shape[1:]), np.empty(batch_shape + targets.shape[1:])
+    inputs = ()  # the regret ops' row inputs, in buffers the first epoch allocates; plain scores no decision
     mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, rng, std)
     # the step's parameters, one copy per call: the optimizer updates their
     # values theta in place, so theta's finiteness is checked once per step
@@ -473,11 +517,12 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
             # mode="clip" lets `take` write into `out` unbuffered; every index is in range
             np.take(rows.x, index, axis=0, out=batches_x, mode="clip")
             np.take(targets, index, axis=0, out=batches_y, mode="clip")
-            for k, idx in enumerate(index):
+            if config.mode != "plain":
+                inputs = rows.regret_inputs(index, out=inputs)
+            for k, (X, Y, *batch) in enumerate(zip(batches_x, batches_y, *inputs)):
                 t = epoch * steps_per_epoch + k
-                X = batches_x[k]
                 preds, acts = predictor.forward_batch(current, X, keep=True)
-                cot, agent_terms, eq_term, mse_term, combined = mode_step(idx, batches_y[k], preds)
+                cot, agent_terms, eq_term, mse_term, combined = mode_step(batch, Y, preds)
                 grad = predictor.vjp_batch(current, X, cot, acts)
 
                 if not math.isfinite(combined) or not np.isfinite(grad).all():
@@ -507,7 +552,7 @@ def evaluate(params: ParamVector, agents: list[AgentSpec], data: PoolData, q: fl
     """Deterministic (Gaussian-mean) inference on the pool's test part, plus statistics."""
     rows = _StackedRows(agents, data, data.test, None, params.n_outputs)
     raws = rows.to_raw(predictor.forward_batch(params, rows.x))
-    values = rows.regrets(raws[None], np.arange(len(rows.x)))
+    values = rows.regrets(raws[None], rows.regret_inputs(np.arange(len(rows.x))))
     r = rows.agent_means(values)[0]
     return RunSummary(
         per_agent_regret=r,

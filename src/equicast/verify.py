@@ -147,7 +147,11 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     """chain_grad vs central finite differences on a two-layer net + data-center costs.
 
     The two agents have 5 and 7 rows: with unequal sizes a wrong per-agent
-    1/b_m or row -> agent index shows at every q.
+    1/b_m or row -> agent index shows at every q.  The error is relative to
+    the smaller of the two weighted parts' finite-difference scales,
+    (1 - beta) * max|d eq| and beta * max|d mse| (a part of weight 0 is
+    skipped), so where the squared error dominates the gradient an error in
+    the regret part is not hidden by the squared error's scale.
     """
     rng = np.random.default_rng(seed)
     n_in, n_hidden = 4, 5
@@ -187,14 +191,19 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
         v[j] -= 2 * h
         terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, t_mean, t_scale))
 
+    mse = np.array([m for _, m in terms])
+    mse_fd = (mse[0::2] - mse[1::2]) / (2 * h)
     worst = 0.0
     for q in qs:
+        eq = np.array([objective.equitable_loss(r, q) for r, _ in terms])
+        eq_fd = (eq[0::2] - eq[1::2]) / (2 * h)
         for beta, row_weight in zip(betas, row_weights):
             cot = objective.chain_grad(preds, (Y - t_mean) / t_scale, row_weight, means, slope, sizes, owner, q, beta)
             grad = predictor.vjp_batch(params, X, cot, acts)
-            losses = np.array([(1.0 - beta) * objective.equitable_loss(r, q) + beta * mse for r, mse in terms])
+            losses = (1.0 - beta) * eq + beta * mse
             fd = (losses[0::2] - losses[1::2]) / (2 * h)
-            scale = max(float(np.max(np.abs(fd))), 1e-8)
+            parts = ((1.0 - beta, eq_fd), (beta, mse_fd))
+            scale = max(min(w * float(np.max(np.abs(part))) for w, part in parts if w > 0), 1e-8)
             rel = float(np.max(np.abs(grad - fd))) / scale
             worst = max(worst, rel)
     passed = worst < tol

@@ -565,6 +565,20 @@ def _charging_pool():
     return agents, splits
 
 
+def _two_steps_of_regrets(rows, raws, steps):
+    """Two steps' regrets, each scored from its views of one epoch's regret inputs.
+
+    The ranking and its work arrays are reused, so the second call must
+    leave the first call's result as it was.
+    """
+    inputs = rows.regret_inputs(steps)
+    first = rows.regrets(raws[0], [a[0] for a in inputs])
+    kept = first.copy()
+    second = rows.regrets(raws[1], [a[1] for a in inputs])
+    assert np.array_equal(first, kept)
+    return first, second
+
+
 def test_charging_regrets_match_per_sample_regret_across_calls():
     # two steps' draws scored by one pool's rows: the ranking and its work
     # arrays are reused, and neither call's result may change with the other
@@ -581,11 +595,7 @@ def test_charging_regrets_match_per_sample_regret_across_calls():
     raws[rng.uniform(size=raws.shape) < 0.15] = np.nan
     raws[0, 0, :, :2] = np.inf, -np.inf
     assert np.isnan(raws).sum() > 10
-    first = rows.regrets(raws[0], steps[0])
-    kept = first.copy()
-    second = rows.regrets(raws[1], steps[1])
-    assert np.array_equal(first, kept)
-    for k, values in enumerate((first, second)):
+    for k, values in enumerate(_two_steps_of_regrets(rows, raws, steps)):
         for d in range(n_draws):
             for r, m in enumerate(rows.owner):
                 realized = splits[m].train_outcome[perms[m][k * batch + r % batch]]
@@ -596,6 +606,53 @@ def test_charging_regrets_match_per_sample_regret_across_calls():
     assert required_slots(bad.context) == 0
     with pytest.raises(InfeasibleActionError, match="between 1 and 4"):
         make_pool(agents + [bad], splits + splits[:1])
+
+
+def _mixed_pool(order):
+    """`_charging_pool`'s chargers (agents 0-3) and two data-center agents (4, with a workload stream, and 5),
+    listed in `order`; every agent has 6 training and 3 test rows, and every forecast has 4 values."""
+    agents, splits = _charging_pool()
+    rng = np.random.default_rng(33)
+    agents += [AgentSpec(4, "datacenter", DataCenterContext(2.0, 3.0)),
+               AgentSpec(5, "datacenter", DataCenterContext(1.5, 8.0))]
+    splits += [make_split(rng.uniform(-1, 1, (9, 2)), rng.uniform(0.5, 3.0, (9, 4)), ctx=rng.uniform(1.0, 4.0, 9)),
+               make_split(rng.uniform(-1, 1, (9, 2)), rng.uniform(0.5, 3.0, (9, 4)))]
+    return [agents[m] for m in order], [splits[m] for m in order]
+
+
+CONTIGUOUS, INTERLEAVED = (4, 5, 0, 1, 2, 3), (0, 4, 1, 2, 5, 3)
+
+
+@pytest.mark.parametrize("order", [CONTIGUOUS, INTERLEAVED])
+def test_mixed_regrets_match_per_sample_regret_across_calls(order):
+    # each family's rows are addressed by a slice when they form one run (the
+    # data-center agents listed first, as every built mixed pool lists them),
+    # and by their index array otherwise; both score every sample exactly
+    agents, splits = _mixed_pool(order)
+    n_draws, batch = 3, 3
+    pool = make_pool(agents, splits)
+    rows = _StackedRows(agents, pool, pool.train, batch, 4, n_draws=n_draws)
+    charging = np.array([a.family == "charging" for a in agents])[rows.owner]
+    if order == CONTIGUOUS:
+        assert (rows.ev_rows, rows.dc_rows) == (slice(6, 18), slice(0, 6))
+    else:
+        assert np.array_equal(rows.ev_rows, charging.nonzero()[0])
+        assert np.array_equal(rows.dc_rows, (~charging).nonzero()[0])
+    rng = np.random.default_rng(34)
+    perms = [rng.permutation(6) for _ in agents]
+    steps = rows.epoch_index(perms, 2)
+    raws = rng.integers(0, 3, size=(2, n_draws, steps.shape[1], 4)).astype(float)
+    raws[:, :, ~charging] = rng.uniform(-0.5, 3.0, size=raws[:, :, ~charging].shape)
+    raws[(rng.uniform(size=raws.shape) < 0.15) & charging[:, None]] = np.nan
+    raws[0, 0, charging, :2] = np.inf, -np.inf
+    raws[1, 0, (~charging).nonzero()[0][:2]] = [[-1.0], [1e300]]  # the forecast floor and an absurd forecast
+    assert np.isnan(raws).sum() > 10
+    for k, values in enumerate(_two_steps_of_regrets(rows, raws, steps)):
+        for d in range(n_draws):
+            for r, m in enumerate(rows.owner):
+                i, split = perms[m][k * batch + r % batch], splits[m]
+                ctx = None if split.train_ctx is None else split.train_ctx[i]
+                assert values[d, r] == _sample_regret(agents[m], split, raws[k, d, r], split.train_outcome[i], ctx)
 
 
 def test_pg_scores_each_step_with_one_charging_regret_call(monkeypatch):
@@ -613,6 +670,28 @@ def test_pg_scores_each_step_with_one_charging_regret_call(monkeypatch):
     calls.clear()
     evaluate(res.params, agents, make_pool(agents, splits))
     assert calls == [3 * len(agents)]
+
+
+@pytest.mark.parametrize("order", [CONTIGUOUS, INTERLEAVED])
+def test_pg_scores_each_step_of_a_mixed_pool_with_one_call_per_family(monkeypatch, order):
+    # the benchmark's per-layer counts on its mixed pool read these bindings:
+    # per step one charging call over the D * R_ev forecast rows (positional
+    # argument 1) and one data-center call over the D * R_dc forecasts
+    # (positional argument 2), and one of each in evaluate
+    agents, splits = _mixed_pool(order)
+    calls = {"ev_regret_batch": [], "dc_regret_batch": []}
+    for name, at in (("ev_regret_batch", 1), ("dc_regret_batch", 2)):
+        real, log = getattr(training, name), calls[name]
+        monkeypatch.setattr(training, name, lambda *a, real=real, log=log, at=at: log.append(len(a[at])) or real(*a))
+    p0 = predictor.init_params([2, 3, 4], seed=1)
+    cfg = TrainConfig(mode="pg", q=1.0, beta=0.5, std=0.3, epochs=1, batch_size=2, seed=4, pg_samples=5)
+    res = train(cfg, p0, agents, make_pool(agents, splits))
+    assert len(res.step_log) == 3
+    assert calls == {"ev_regret_batch": [5 * 2 * 4] * 3, "dc_regret_batch": [5 * 2 * 2] * 3}
+    for log in calls.values():
+        log.clear()
+    evaluate(res.params, agents, make_pool(agents, splits))
+    assert calls == {"ev_regret_batch": [3 * 4], "dc_regret_batch": [3 * 2]}
 
 
 def test_non_positive_realized_intensity_is_refused_before_training():

@@ -71,6 +71,25 @@ def test_injected_row_owner_shift_detected(monkeypatch, q, beta):
     assert not result.passed
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 9001])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+def test_injected_regret_owner_shift_detected(monkeypatch, q, beta, seed):
+    # the row weight stays right and only the regret weight's row -> agent
+    # index is off; at (q=2, beta=0.5) the squared error dominates the
+    # gradient, and the whole gradient's scale hid the error
+    from equicast import objective
+
+    real = objective.chain_grad
+
+    def shifted(y_hat, y, row_weight, means, slope, sizes, owner, *rest):
+        return real(y_hat, y, row_weight, means, slope, sizes, np.roll(owner, 1), *rest)
+
+    monkeypatch.setattr(objective, "chain_grad", shifted)
+    result = verify.check_chain_gradient(qs=(q,), betas=(beta,), seed=seed)
+    assert not result.passed
+
+
 def test_injected_pg_bug_detected(monkeypatch):
     from equicast import objective
 
