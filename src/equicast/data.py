@@ -9,10 +9,11 @@ per-agent perturbations small; "different" spreads the noise scales over
 more than an order of magnitude.  Each application has one generator
 (`synth_agents`, `synth_charging`, `synth_mixed`) that returns the agent
 specs and a `SeriesDataset`.  `window_split` windows a whole pool once: one
-train/test split of the windows of the shared signal, and a frozen
-`PoolWindows` whose two `Part`s hold every agent's rows stacked in agent
-order (z-scored features; raw targets, outcomes and workloads; the target
-transform is one per pool, fitted by `training.PoolData`).
+train/test split of the windows of the shared signal, the same for every
+agent, and a frozen `PoolWindows` whose two `Part`s hold M agents x n rows
+stacked in agent order (z-scored features; raw targets, outcomes and
+workloads; the target transform is one per pool, fitted by
+`training.PoolData`).
 
 CSV schemas (header row required, '#' comment lines allowed before it):
 
@@ -404,11 +405,14 @@ def load_csv(path, schema: str):
     per_agent: dict[int, list[tuple[float, float]]] = {}
     for lineno, cells in rows:
         t = _parse_float(path, lineno, "timestamp", cell(cells, lineno, "timestamp"))
-        a = int(_parse_float(path, lineno, "agent_id", cell(cells, lineno, "agent_id")))
+        text = cell(cells, lineno, "agent_id")
+        a = _parse_float(path, lineno, "agent_id", text)
+        if not a.is_integer():  # int() would read 1.5 as agent 1
+            raise SchemaError(f"{path}:{lineno}: column 'agent_id' is not an integer: {text!r}")
         d = _parse_float(path, lineno, "demand", cell(cells, lineno, "demand"))
         if d <= 0:
             raise SchemaError(f"{path}:{lineno}: demand must be positive, got {d}")
-        per_agent.setdefault(a, []).append((t, d))
+        per_agent.setdefault(int(a), []).append((t, d))
     agent_ids = sorted(per_agent)
     ts0 = [t for t, _ in per_agent[agent_ids[0]]]
     if any(ts0[i] >= ts0[i + 1] for i in range(len(ts0) - 1)):
@@ -447,18 +451,19 @@ def write_workload_csv(path, timestamps, workloads, comment: str | None = None) 
 
 @dataclass(frozen=True, eq=False)
 class Part:
-    """One part ("train" or "test") of a pool's windows: every agent's rows, stacked in agent order.
+    """One part ("train" or "test") of a pool's windows: M agents x n rows, stacked in agent order.
 
-    Agent m owns `counts[m]` consecutive rows.  Features are z-scored per
-    column with the train windows' statistics; targets, outcomes and workloads
-    stay raw (the one target transform is the pool's, `training.PoolData`).
+    Agent m owns rows m*n .. (m+1)*n - 1 of every array, n = len(x) // M.
+    Features are z-scored per column with the train windows' statistics;
+    targets, outcomes and workloads stay raw (the one target transform is the
+    pool's, `training.PoolData`).
     """
 
     x: np.ndarray  # (R, lookback) feature windows
     y_raw: np.ndarray  # (R, steps) forecast targets
     outcome: np.ndarray  # (R, steps) realized decision inputs over the same steps (`y_raw` itself by default)
     workload: np.ndarray  # (R,) realized workload at the first step
-    counts: np.ndarray  # (M,) rows per agent
+    n_agents: int  # M
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,7 +528,7 @@ def window_split(signal, targets, outcomes, workloads, lookback: int, split: Spl
             y_raw=y_raw,
             outcome=y_raw if outcomes is targets else outcome[:, idx].reshape(-1, steps),
             workload=workloads[:, lookback + idx].ravel(),
-            counts=np.full(len(targets), len(idx)),
+            n_agents=len(targets),
         )
 
     return PoolWindows(part(train_idx), part(test_idx))

@@ -17,7 +17,8 @@ synthesis field (a parameter of the application's generator that names a
 config field) other than the files record is a config error, and a series
 file whose timestamps differ from `signal.csv`'s, a `workloads.csv` of other
 agent ids than `agents.json`'s, or a data-center agent whose context workload
-is not the median of its `workloads.csv` row, is a schema error.
+is not the median of its `workloads.csv` row, is a schema error.  A
+data-center pool's files must hold `workloads.csv`.
 """
 
 from __future__ import annotations
@@ -271,8 +272,8 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
     def series(names):
         return np.stack([rows(root / name, load_csv(root / name, schema)).signal for name in names])
 
-    workloads = None
-    if (root / "workloads.csv").exists():
+    workloads = None  # `generate` writes workloads.csv for data-center pools only
+    if config.application == "datacenter" or (root / "workloads.csv").exists():
         found = rows(root / "workloads.csv", load_csv(root / "workloads.csv", "workload"))
         workloads, ids = found.workloads, tuple(a.agent_id for a in agents)
         if len(workloads) != len(agents):

@@ -13,10 +13,9 @@ network's one vjp.
   to the model output (adapter, policy and cost derivatives chained, built
   as arrays by the caller) is weighted by its agent's share of the loss
   gradient and blended with the squared-error residual.  The caller passes
-  the agents' mean regrets, which it already holds for the loss, the row
-  partition (`sizes`, and the row -> agent index `owner`) and the squared
-  error's per-row weight (`mse_row_weight`), which it builds once; the op
-  gathers each agent's regret weight to its rows.  It needs every factor to
+  the agents' mean regrets, which it already holds for the loss, and the
+  batch size b: the rows are M agents' blocks of b rows, and the op repeats
+  each agent's regret weight over its block.  It needs every factor to
   exist (differentiable costs only).
 * `pg_grad` is the score-function estimator the trainer applies: D draws
   eps_d of the Gaussian head, each weighted by its loss minus its baseline,
@@ -49,44 +48,31 @@ def equitable_loss(mean_regrets, q: float) -> float:
     return float((r ** (q + 1.0)).sum())
 
 
-def mse_row_weight(sizes, owner, beta: float) -> np.ndarray:
-    """(R, 1) weight beta * 2/b_m of each row's squared-error residual, the `row_weight` of `chain_grad`."""
-    return (beta * (2.0 / sizes))[owner][:, None]
-
-
-def chain_grad(y_hat, y, row_weight, means, slope, sizes, owner, q: float, beta: float) -> np.ndarray:
+def chain_grad(y_hat, y, means, slope, b: int, q: float, beta: float) -> np.ndarray:
     """The cotangent dL/dy_hat of the blended objective along the differentiable path.
 
-    Rows come in agent order, `sizes[m]` rows of agent m, and `owner` (R,)
-    names each row's agent; the caller builds both once and checks that they
-    partition the rows (every b_m >= 1, sum_m b_m = R).  `y_hat` and `y` are
-    the model's outputs and targets on its own (normalized) scale, and
-    `row_weight` (R, 1) is `mse_row_weight(sizes, owner, beta)`, which does
-    not depend on the parameters, so the caller builds it once too.  `means`
-    (M,) are the agents' mean regrets rbar_m over their rows and `slope`
-    (R, O) each row's derivative of its regret with respect to the model
-    output (neither is read at beta = 1).  Row i of agent m gets the cotangent
-        (1-beta) * (q+1) * rbar_m^q / b_m * slope_i + beta * (2/b_m) * (y_hat_i - y_i)
-    with b_m = sizes[m].
+    The R = M*b rows come in agent order, b rows of each of the M agents.
+    `y_hat` and `y` are the model's outputs and targets on its own
+    (normalized) scale, `means` (M,) the agents' mean regrets rbar_m over
+    their rows and `slope` (R, O) each row's derivative of its regret with
+    respect to the model output (`means` sets M; neither its values nor
+    `slope` are read at beta = 1).  Row i of agent m gets the cotangent
+        (1-beta) * (q+1) * rbar_m^q / b * slope_i + beta * (2/b) * (y_hat_i - y_i).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    if len(owner) != len(y_hat):
-        raise ValueError(f"{len(owner)} row owners for {len(y_hat)} rows")
-    if len(row_weight) != len(y_hat):
-        raise ValueError(f"{len(row_weight)} row weights for {len(y_hat)} rows")
+    if len(means) * b != len(y_hat):
+        raise ValueError(f"{len(means)} agents of {b} rows for {len(y_hat)} rows")
     if beta == 1.0:  # assigned, not added to zeros, which would turn a -0.0 into +0.0
-        return row_weight * (y_hat - y)
-    if len(means) != len(sizes):
-        raise ValueError(f"{len(means)} agent means for {len(sizes)} agents")
+        return beta * (2.0 / b) * (y_hat - y)
     rbar = np.clip(means, 0.0, None)
-    weight = (1.0 - beta) * ((q + 1.0) * rbar**q / sizes)
+    weight = (1.0 - beta) * ((q + 1.0) * rbar**q / b)
     cots = np.zeros_like(y_hat)
-    cots += weight[owner][:, None] * slope
+    cots += np.repeat(weight, b)[:, None] * slope
     if beta > 0.0:
-        cots += row_weight * (y_hat - y)
+        cots += beta * (2.0 / b) * (y_hat - y)
     return cots
 
 

@@ -1,8 +1,8 @@
 """Training loops and evaluation for the shared forecaster.
 
-One step, three cotangents.  Every step gathers each agent's batch from
-the pool's rows, stacked once when the pool is built (agents in order,
-b_m = min(batch_size, n_m) rows of agent m), runs one forward over the M*b
+One step, three cotangents.  A pool part holds M agents x n rows, stacked
+once when the pool is built, agents in order.  Every step gathers each
+agent's batch of b = min(batch_size, n) rows, runs one forward over the M*b
 rows and hands its outputs to the mode's step function, which returns the
 cotangent dL/dy_hat, the per-agent terms and the loss parts.  `train`
 backpropagates the cotangent with the step's one vjp, which reuses the
@@ -11,7 +11,7 @@ the optimizer.  A mode is that function, built once per `train` call; the
 modes differ only in the cotangent:
 
 * plain: `objective.chain_grad` at beta = 1, the squared-error cotangent
-  (2/b_m) * (y_hat - y) alone (the accuracy-first baseline).
+  (2/b) * (y_hat - y) alone (the accuracy-first baseline).
 * chain: the exact cotangent through loss -> regret -> action -> forecast.
   A data-center agent's intensity forecast c_hat is the mean of the model's
   O outputs (the output itself when O = 1).  One batched data-center regret
@@ -25,9 +25,9 @@ modes differ only in the cotangent:
   batched regret call per agent family scores all D draws, and
   `objective.pg_grad` (the op `verify` checks) folds the draws, each
   weighted by its loss minus its baseline, into one cotangent
-  sum_d w_d * eps_d per row.  It holds the gather index of its flat draw
-  and the baseline, picked once per call: the leave-one-out mean across
-  draws, or with one draw an EMA of past batch losses, or none.
+  sum_d w_d * eps_d per row.  It holds its draw buffers and the baseline,
+  picked once per call: the leave-one-out mean across draws, or with one
+  draw an EMA of past batch losses, or none.
 
 What does not depend on the call is fitted once per pool (`PoolData`): its
 one output calibration (the mean and scale of its raw training targets,
@@ -37,16 +37,14 @@ hindsight-optimal cost.  The default Gaussian std is 0.1 times the std of
 the normalized training targets.
 
 What does not depend on the parameters stays out of the step.  Per call:
-the normalized training targets, the batch partition (`sizes` and the
-row -> agent index `owner`), how each agent family's batch rows are
+the normalized training targets, how each agent family's batch rows are
 addressed (a slice when they form one run, else an index array), the
-squared error's row weight (`objective.mse_row_weight`, which plain and
-chain pass to `objective.chain_grad`), the charging ranking of a batch's D
-draws (`agents.SlotRanking`: each row's slot count and rate, its threshold
-positions and its work arrays), and pg's work arrays (the flat draw, its
-restack and the sampled forecasts; the raw-unit forecasts reuse the flat
-draw's buffer), which every step refills in place, and the buffers of an
-epoch's X and Y batches and of its regret ops' row inputs.  Per epoch:
+charging ranking of a batch's D draws (`agents.SlotRanking`: each row's
+slot count and rate, its threshold positions and its work arrays), and
+pg's work arrays (the draw, agent by agent, its restack and the sampled
+forecasts; the raw-unit forecasts reuse the draw's buffer), which every
+step refills in place, and the buffers of an epoch's X and Y batches and
+of its regret ops' row inputs.  Per epoch:
 every step's batch rows as one (steps, rows) array, and the X and Y
 batches and, in chain and pg, the regret ops' row inputs (a charging row's
 outcome and hindsight cost, a data-center row's workload, realized
@@ -189,20 +187,25 @@ class PoolData:
     (`mean`, `scale`: of all raw training targets), and each part's rows with
     their hindsight-optimal costs (`ev_optimal_batch` for charging rows,
     `dc_optimal_batch` on the first outcome step for data-center rows).  A
-    pool that cannot be scored (an agent count other than the windows', an
+    pool that cannot be scored (an agent count other than the windows', a
+    part whose arrays do not share one row count that is a multiple of M, an
     empty part, a realized intensity that is not positive, a slot count
     outside 1..T) is refused here, in every mode.
     """
 
     def __init__(self, agents: list[AgentSpec], windows: PoolWindows):
-        if len(agents) != len(windows.train.counts):
-            raise ConfigError(f"{len(agents)} agents but {len(windows.train.counts)} data splits")
         if not agents:
             raise ConfigError("empty agent pool")
         for name, part in (("training", windows.train), ("test", windows.test)):
-            empty = np.flatnonzero(part.counts == 0)
-            if empty.size:
-                raise ConfigError(f"agent {agents[empty[0]].agent_id} has an empty {name} split")
+            if part.n_agents != len(agents):
+                raise ConfigError(f"{len(agents)} agents but {part.n_agents} data splits")
+            rows = {len(a) for a in (part.x, part.y_raw, part.outcome, part.workload)}
+            if len(rows) != 1 or rows.pop() % len(agents):
+                raise ConfigError(
+                    f"the {name} split's arrays must share one row count, n rows for each of {len(agents)} agents"
+                )
+            if not len(part.x):
+                raise ConfigError(f"every agent has an empty {name} split")
         self.agents = tuple(agents)
         pooled = windows.train.y_raw.ravel()
         self.mean, self.scale = float(pooled.mean()), max(float(pooled.std()), 1e-9)
@@ -214,7 +217,7 @@ class PoolData:
         self.train, self.test = self._scored(windows.train, "train"), self._scored(windows.test, "test")
 
     def _scored(self, rows: Part, name: str) -> ScoredPart:
-        owner = np.repeat(np.arange(len(self.agents)), rows.counts)
+        owner = np.repeat(np.arange(len(self.agents)), len(rows.x) // len(self.agents))
         ev, dc = self.charging[owner], ~self.charging[owner]
         best = np.zeros(len(rows.x))
         if ev.any():
@@ -250,23 +253,23 @@ class _StackedRows:
     """What one `train` or `evaluate` call reads of one part of the pool.
 
     `agents` must be the pool's own, and a charging agent's horizon and the
-    targets' width must equal the model's output width.  A batch holds
-    `sizes[m]` = min(batch_size, n_m) rows of agent m (all n_m when
-    `batch_size` is None), agents in order, and `owner` names each batch
-    row's agent.  `ev_rows` and `dc_rows` address each agent family's batch
-    rows: slice(None) when one family owns every row, slice(a, b) when its
-    rows form one run (as in every built mixed pool, which lists its
-    data-center agents first), else their index array; the same indexing
-    code reads all three.  `epoch_index` maps an epoch's per-agent
-    permutations to the stacked rows of its batches, and `regret_inputs`
+    targets' width must equal the model's output width.  The part holds `n`
+    rows of each agent, and a batch b = min(batch_size, n) rows of each (all
+    n when `batch_size` is None), agents in order: batch rows m*b ..
+    (m+1)*b - 1 are agent m's.  `ev_rows` and `dc_rows` address each agent
+    family's batch rows: slice(None) when one family owns every row,
+    slice(a, b) when its rows form one run (as in every built mixed pool,
+    which lists its data-center agents first), else their index array; the
+    same indexing code reads all three.  `epoch_index` maps an epoch's M permutations of
+    range(n) to the stacked rows of its batches, and `regret_inputs`
     gathers those rows' inputs to the regret ops.  `regrets` scores a
     batch's forecasts against its regret inputs, in a new array, with one
     batched call per agent family (`dc_regrets` also gives the data-center
     rows' derivatives).  Its charging rows are ranked with `ev_ranking`,
     built here for `n_draws` blocks of them, whose work arrays every call
-    refills.  `normalized` gives rows' targets on the
-    model's scale, and `to_raw` maps forecasts back to raw units (into `out`
-    when given), both with the pool's target transform.
+    refills.  `normalized` gives the part's targets on the model's scale,
+    and `to_raw` maps forecasts back to raw units (into `out` when given),
+    both with the pool's target transform.
     """
 
     def __init__(self, agents: list[AgentSpec], data: PoolData, part: ScoredPart, batch_size: int | None,
@@ -287,15 +290,13 @@ class _StackedRows:
                 f"agent {agents[0].agent_id} has {width} target values per row but the model emits {n_outputs}"
             )
         self.agents, self.part, self.mean, self.scale = data.agents, part, data.mean, data.scale
-        self.x, self.y_raw, self.counts = part.rows.x, part.rows.y_raw, part.rows.counts
+        self.x, self.y_raw = part.rows.x, part.rows.y_raw
         self.realized_c = part.rows.outcome[:, 0]  # a data-center row's realized intensity (a view)
-        self.sizes = self.counts if batch_size is None else np.minimum(batch_size, self.counts)
+        self.n = len(self.x) // len(agents)  # >= 1, checked by the pool
+        self.b = self.n if batch_size is None else min(batch_size, self.n)
         self.n_outputs = n_outputs
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.offsets = np.repeat(np.cumsum(self.counts) - self.counts, self.sizes)
-        # each batch row's agent: with every n_m >= 1 (checked by the pool)
-        # the rows split into M nonempty runs, sum_m b_m rows in all
-        self.owner = owner = np.repeat(np.arange(len(agents)), self.sizes)
+        self.starts = np.arange(len(agents)) * self.b  # each agent's first batch row
+        owner = np.repeat(np.arange(len(agents)), self.b)
         charging = data.charging
         self.ev_rows, self.dc_rows = _family_rows(charging[owner]), _family_rows(~charging[owner])
         ev_owner, dc_owner = owner[self.ev_rows], owner[self.dc_rows]
@@ -308,24 +309,13 @@ class _StackedRows:
         self.dc_chat_grad = np.full(n_outputs, self.scale / n_outputs)
 
     def epoch_index(self, perms: list[np.ndarray], n_steps: int) -> np.ndarray:
-        """(steps, R) stacked rows of an epoch's batches: step k takes rows k*b_m .. (k+1)*b_m - 1 of perm m."""
-        return np.concatenate(
-            [perm[: n_steps * b].reshape(n_steps, b) for perm, b in zip(perms, self.sizes)], axis=1
-        ) + self.offsets
+        """(steps, M*b) stacked rows of an epoch's batches: step k takes rows k*b .. (k+1)*b - 1 of perm m."""
+        index = np.stack(perms)[:, : n_steps * self.b] + self.n * np.arange(len(perms))[:, None]
+        return index.reshape(len(perms), n_steps, self.b).swapaxes(0, 1).reshape(n_steps, -1)
 
-    def draw_index(self, n_draws: int) -> np.ndarray:
-        """(D, R) rows of O values in a flat draw that holds each agent's (D, b_m, O) block in agent order.
-
-        Agent m's block starts at row D*start_m; in it, draw d of its row i
-        sits at row d*b_m + i.
-        """
-        size = np.repeat(self.sizes, self.sizes)
-        start = np.repeat(self.starts, self.sizes)
-        return n_draws * start + np.arange(len(size)) - start + np.arange(n_draws)[:, None] * size
-
-    def normalized(self, idx) -> np.ndarray:
-        """The targets of stacked rows `idx`, in a new array, on the model's scale."""
-        y = self.y_raw[idx] - self.mean
+    def normalized(self) -> np.ndarray:
+        """The part's targets, in a new array, on the model's scale."""
+        y = self.y_raw - self.mean
         y /= self.scale
         return y
 
@@ -381,16 +371,15 @@ class _StackedRows:
 
     def agent_means(self, values: np.ndarray) -> np.ndarray:
         """Per-agent means over the last (row) axis."""
-        return np.add.reduceat(values, self.starts, axis=-1) / self.sizes
+        return np.add.reduceat(values, self.starts, axis=-1) / self.b
 
 
 def _plain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     """The squared-error step: `objective.chain_grad` at beta = 1."""
-    row_weight = objective.mse_row_weight(rows.sizes, rows.owner, 1.0)
     def step(batch, Y, preds):
         agent_terms = rows.agent_means(row_sums((preds - Y) ** 2))
         mse_term = float(agent_terms.sum())
-        cot = objective.chain_grad(preds, Y, row_weight, None, None, rows.sizes, rows.owner, config.q, 1.0)
+        cot = objective.chain_grad(preds, Y, agent_terms, None, rows.b, config.q, 1.0)
         return cot, agent_terms, math.nan, mse_term, mse_term
     return step
 
@@ -400,13 +389,12 @@ def _chain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     bad = [a.agent_id for a in rows.agents if a.family != "datacenter"]
     if bad:
         raise ConfigError(f"chain mode needs differentiable costs; charging agents {bad} are discrete")
-    row_weight = objective.mse_row_weight(rows.sizes, rows.owner, config.beta)
     def step(batch, Y, preds):
         mse_term = float(rows.agent_means(row_sums((preds - Y) ** 2)).sum())
         values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], batch)
         slope = dvalues[0][:, None] * rows.dc_chat_grad
         agent_terms = rows.agent_means(values[0])
-        cot = objective.chain_grad(preds, Y, row_weight, agent_terms, slope, rows.sizes, rows.owner, config.q, config.beta)
+        cot = objective.chain_grad(preds, Y, agent_terms, slope, rows.b, config.q, config.beta)
         eq_term = objective.equitable_loss(agent_terms, config.q)
         return cot, agent_terms, eq_term, mse_term, (1.0 - config.beta) * eq_term + config.beta * mse_term
     return step
@@ -414,23 +402,22 @@ def _chain(config: TrainConfig, rows: _StackedRows, rng, std: float):
 
 def _pg(config: TrainConfig, rows: _StackedRows, rng, std: float):
     """The score-function step over `pg_samples` draws; the baseline of each draw does not depend on it."""
-    n_draws = config.pg_samples
-    eps_index = rows.draw_index(n_draws)
-    # work arrays that every step refills: the flat draw, its restack and
-    # the sampled forecasts; the raw-unit forecasts go into the flat draw's
-    # buffer, which is dead once restacked
-    flat = np.empty((eps_index.size, rows.n_outputs))
-    eps, sampled = (np.empty(eps_index.shape + (rows.n_outputs,)) for _ in range(2))
-    raws = flat.reshape(eps.shape)
+    n_draws, n_agents, b, n_out = config.pg_samples, len(rows.agents), rows.b, rows.n_outputs
+    # work arrays that every step refills: the draw, its restack and the
+    # sampled forecasts; the raw-unit forecasts go into the draw's buffer,
+    # which is dead once restacked
+    draw = np.empty((n_agents, n_draws, b, n_out))
+    eps, sampled = (np.empty((n_draws, n_agents * b, n_out)) for _ in range(2))
+    raws = draw.reshape(eps.shape)
     # the baseline, picked once per call (pg_baseline: the leave-one-out mean,
     # or with one draw an EMA of past batch losses; else 0)
     leave_one_out, tracks_ema = config.pg_baseline and n_draws > 1, config.pg_baseline and n_draws == 1
     ema = None
     def step(batch, Y, preds):
         nonlocal ema
-        # the flat draw holds each agent's (D, b_m, O) block in agent order,
-        # which fixes the RNG stream; restack as (D, rows, O), unbuffered
-        np.take(rng.standard_normal(out=flat), eps_index, axis=0, out=eps, mode="clip")
+        # the draw holds each agent's (D, b, O) block in agent order, which
+        # fixes the RNG stream; restack as (D, rows, O)
+        np.copyto(eps.reshape(n_draws, n_agents, b, n_out), rng.standard_normal(out=draw).swapaxes(0, 1))
         np.multiply(eps, std, out=sampled)
         np.add(sampled, preds, out=sampled)
         agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled, out=raws), batch))
@@ -491,12 +478,12 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     """Run epochs of per-batch updates on the pool's train part; returns final parameters and a step log."""
     rows = _StackedRows(agents, data, data.train, config.batch_size, params.n_outputs, n_draws=config.pg_samples)
     rng = np.random.default_rng(config.seed)
-    targets = rows.normalized(slice(None))
+    targets = rows.normalized()
     std = config.std if config.std is not None else 0.1 * max(float(targets.std()), 1e-6)
-    steps_per_epoch = int(np.min(rows.counts // rows.sizes))
+    steps_per_epoch = rows.n // rows.b
     # an epoch's X and Y batches, refilled every epoch: new arrays each epoch
     # would page-fault on every gather
-    batch_shape = (steps_per_epoch, len(rows.owner))
+    batch_shape = (steps_per_epoch, len(agents) * rows.b)
     batches_x, batches_y = np.empty(batch_shape + rows.x.shape[1:]), np.empty(batch_shape + targets.shape[1:])
     inputs = ()  # the regret ops' row inputs, in buffers the first epoch allocates; plain scores no decision
     mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, rng, std)
@@ -512,7 +499,7 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
     # overflow theta in the optimizer) are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            perms = [rng.permutation(n) for n in rows.counts]
+            perms = [rng.permutation(rows.n) for _ in agents]
             index = rows.epoch_index(perms, steps_per_epoch)
             # mode="clip" lets `take` write into `out` unbuffered; every index is in range
             np.take(rows.x, index, axis=0, out=batches_x, mode="clip")
@@ -559,7 +546,7 @@ def evaluate(params: ParamVector, agents: list[AgentSpec], data: PoolData, q: fl
         variance=metrics.variance(r),
         mean=float(r.mean()),
         c95_minus_c5=metrics.percentile_gap(r),
-        mse=metrics.mse(np.split(raws, rows.starts[1:]), np.split(data.test.rows.y_raw, rows.starts[1:])),
+        mse=metrics.mse(np.split(raws, len(agents)), np.split(data.test.rows.y_raw, len(agents))),
         entropy=metrics.norm_entropy(r),
         q=q,
         beta=beta,

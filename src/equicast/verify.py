@@ -146,8 +146,9 @@ def _dc_pipeline_terms(params, agents_list, Xs, Ys, row_ctxs, t_mean, t_scale) -
 def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 0, tol: float = 1e-3) -> SuiteResult:
     """chain_grad vs central finite differences on a two-layer net + data-center costs.
 
-    The two agents have 5 and 7 rows: with unequal sizes a wrong per-agent
-    1/b_m or row -> agent index shows at every q.  The error is relative to
+    The two agents have 6 rows each, as a trainer's batch has b rows of each
+    agent: a row given another agent's regret weight shows at every q > 0
+    (at q = 0 every agent's weight is the same).  The error is relative to
     the smaller of the two weighted parts' finite-difference scales,
     (1 - beta) * max|d eq| and beta * max|d mse| (a part of weight 0 is
     skipped), so where the squared error dominates the gradient an error in
@@ -160,24 +161,22 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
         AgentSpec(0, "datacenter", DataCenterContext(workload=1.5, latency_weight=2.0)),
         AgentSpec(1, "datacenter", DataCenterContext(workload=3.0, latency_weight=0.8)),
     ]
-    sizes = np.array([5, 7])
+    b = 6
+    rows = b * len(agents_list)
     t_mean, t_scale = 1.6, 0.5
-    Xs = [rng.uniform(-1, 1, size=(n, n_in)) for n in sizes]
-    Ys = [rng.uniform(0.9, 2.4, size=(n, 1)) for n in sizes]
-    ctxs = [rng.uniform(1.0, 4.0, size=n) for n in sizes]
+    X = rng.uniform(-1, 1, size=(rows, n_in))
+    Y = rng.uniform(0.9, 2.4, size=(rows, 1))
+    w = rng.uniform(1.0, 4.0, size=rows)
+    Xs, Ys, ctxs = (np.split(a, len(agents_list)) for a in (X, Y, w))
 
     # the trainer's inputs to chain_grad, built the way it builds them
-    X, Y = np.concatenate(Xs), np.concatenate(Ys)
-    owner = np.repeat(np.arange(len(agents_list)), sizes)
-    lams = np.array([a.context.latency_weight for a in agents_list])[owner]
+    lams = np.repeat([a.context.latency_weight for a in agents_list], b)
     preds, acts = predictor.forward_batch(params, X, keep=True)
-    w = np.concatenate(ctxs)
     best = agentmod.dc_optimal_batch(w, lams, Y[:, 0])
     values, dvalues = agentmod.dc_regret_batch(w, lams, t_mean + t_scale * preds[:, 0], Y[:, 0], best)
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
-    means = np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes
-    row_weights = [objective.mse_row_weight(sizes, owner, beta) for beta in betas]
+    means = np.add.reduceat(values, np.arange(0, rows, b)) / b
 
     # the probed regrets and MSE do not depend on (q, beta): each +-h probe
     # of each parameter runs once, and every (q, beta) blends its terms
@@ -197,8 +196,8 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     for q in qs:
         eq = np.array([objective.equitable_loss(r, q) for r, _ in terms])
         eq_fd = (eq[0::2] - eq[1::2]) / (2 * h)
-        for beta, row_weight in zip(betas, row_weights):
-            cot = objective.chain_grad(preds, (Y - t_mean) / t_scale, row_weight, means, slope, sizes, owner, q, beta)
+        for beta in betas:
+            cot = objective.chain_grad(preds, (Y - t_mean) / t_scale, means, slope, b, q, beta)
             grad = predictor.vjp_batch(params, X, cot, acts)
             losses = (1.0 - beta) * eq + beta * mse
             fd = (losses[0::2] - losses[1::2]) / (2 * h)

@@ -252,6 +252,32 @@ def test_workloads_of_other_agent_ids_are_a_schema_error(tmp_path, capsys):
     assert "workloads.csv has agent ids [0, 1, 7] but agents.json has [0, 1, 2]" in err and "Traceback" not in err
 
 
+def test_non_integer_workload_agent_id_is_a_schema_error(tmp_path, capsys):
+    # int() read agent 1.5 as agent 1, and the pool trained
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    path = data_dir / "workloads.csv"
+    lines = [line.replace(",1,", ",1.5,") if line[:1].isdigit() else line for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    first = next(n for n, line in enumerate(lines, start=1) if ",1.5," in line)
+    cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{first}: column 'agent_id' is not an integer: '1.5'\n"
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_datacenter_data_dir_without_workloads_is_refused(tmp_path, capsys):
+    # each agent used to train on its constant median workload
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    (data_dir / "workloads.csv").unlink()
+    cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(data_dir / "workloads.csv") in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_context_workload_other_than_its_workload_row_is_a_schema_error(tmp_path, capsys):
     # a data-center pool takes each row's workload from workloads.csv, so an
     # edited context workload used to train silently
@@ -516,7 +542,7 @@ def test_checkpoint_stores_the_pools_target_stats(tmp_path):
     train = pool.splits.train.rows
     stats = (pool.splits.mean, pool.splits.scale)
     assert stats == (float(train.y_raw.ravel().mean()), float(train.y_raw.ravel().std()))
-    assert stats[0] != float(train.y_raw[: train.counts[0]].mean())
+    assert stats[0] != float(train.y_raw[: len(train.y_raw) // train.n_agents].mean())
     run = tmp_path / "run"
     assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
     extra = json.loads((run / "checkpoint.json").read_text())["extra"]

@@ -188,7 +188,7 @@ def window_pool(signal, targets, lookback, split, steps=1, outcomes=None, worklo
 
 def window_ids(part, lookback, offsets):
     """Each row's window index, read off targets whose agent-m series is t + offsets[m]."""
-    return (part.y_raw[:, 0] - lookback - np.repeat(offsets, part.counts)).astype(int)
+    return (part.y_raw[:, 0] - lookback - np.repeat(offsets, len(part.x) // part.n_agents)).astype(int)
 
 
 def test_window_counting_minimal():
@@ -264,7 +264,7 @@ def test_target_transform_roundtrip():
     pool = training.PoolData(agents, ws)
     assert (pool.mean, pool.scale) == (float(ws.train.y_raw.mean()), float(ws.train.y_raw.std()))
     rows = training._StackedRows(agents, pool, pool.train, None, n_outputs=1)
-    y = rows.normalized(slice(None))
+    y = rows.normalized()
     assert abs(y.mean()) < 1e-12 and abs(y.std() - 1.0) < 1e-12
     assert np.allclose(rows.to_raw(y), ws.train.y_raw, atol=1e-12)
 
@@ -293,20 +293,20 @@ def test_windows_match_explicit_slices_and_copy_the_input(steps, n_agents, chron
     series = (signal, targets, outcomes, workloads)
     ws = window_split(*series, lookback, SplitSpec(0.6, seed=3, chronological=chronological), steps=steps)
     n_windows = n - lookback - steps + 1
-    train_ids = window_ids(ws.train, lookback, offsets)[: ws.train.counts[0]]
+    train_ids = window_ids(ws.train, lookback, offsets)[: len(ws.train.x) // n_agents]
     windows = np.array([signal[i : i + lookback] for i in range(n_windows)])
     mean, std = windows[train_ids].mean(axis=0), windows[train_ids].std(axis=0)
     before = [np.copy(getattr(p, f.name)) for p in (ws.train, ws.test) for f in dataclasses.fields(p)]
     for part in (ws.train, ws.test):
-        assert np.array_equal(part.counts, [part.counts[0]] * n_agents)
-        owners = np.repeat(np.arange(n_agents), part.counts)
+        assert part.n_agents == n_agents
+        owners = np.repeat(np.arange(n_agents), len(part.x) // n_agents)
         for row, (m, i) in enumerate(zip(owners, window_ids(part, lookback, offsets))):
             at = slice(i + lookback, i + lookback + steps)
             assert np.allclose(part.x[row], (windows[i] - mean) / std, rtol=0.0, atol=1e-12)
             assert np.array_equal(part.y_raw[row], targets[m, at])
             assert np.array_equal(part.outcome[row], outcomes[m, at])
             assert part.workload[row] == workloads[m, i + lookback]
-    assert sum(p.counts[0] for p in (ws.train, ws.test)) == n_windows
+    assert sum(len(p.x) for p in (ws.train, ws.test)) == n_agents * n_windows
     for s in series:
         s *= -1.0
     after = [getattr(p, f.name) for p in (ws.train, ws.test) for f in dataclasses.fields(p)]
@@ -370,10 +370,11 @@ def test_pool_windows_equal_the_per_agent_reference_stacked(pool, chronological,
     for name, part in (("train", built.train.rows), ("test", built.test.rows)):
         def stacked(field):
             return np.concatenate([ref[f"{name}_{field}"] for ref in refs])
-        assert np.array_equal(part.counts, [len(ref[f"{name}_x"]) for ref in refs])
+        n = len(part.x) // part.n_agents
+        assert [len(ref[f"{name}_x"]) for ref in refs] == [n] * part.n_agents
         assert np.array_equal(part.x, stacked("x"))
         assert np.array_equal(part.y_raw, stacked("y_raw"))
-        charging = np.repeat([a.family == "charging" for a in agents], part.counts)
+        charging = np.repeat([a.family == "charging" for a in agents], n)
         # a data-center row reads the first step of its outcome window
         assert np.array_equal(part.outcome[:, 0], np.concatenate([ref[f"{name}_outcome"][:, 0] for ref in refs]))
         if charging.any():

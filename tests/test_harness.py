@@ -28,7 +28,7 @@ def test_pool_shares_one_target_transform():
     for part in (pool.splits.train, pool.splits.test):
         rows = training._StackedRows(pool.agents, pool.splits, part, None, pool.arch[-1])
         assert (rows.mean, rows.scale) == (pool.splits.mean, pool.splits.scale)
-        assert np.allclose(rows.to_raw(rows.normalized(slice(None))), part.rows.y_raw, atol=1e-12)
+        assert np.allclose(rows.to_raw(rows.normalized()), part.rows.y_raw, atol=1e-12)
 
 
 def test_pool_charging_shapes():
@@ -36,7 +36,7 @@ def test_pool_charging_shapes():
     pool = build_pool(cfg, seed=1)
     assert pool.arch == [6, 4, 5]
     for part in (pool.splits.train, pool.splits.test):
-        assert len(part.rows.counts) == 3
+        assert part.rows.n_agents == 3
         assert part.rows.y_raw.shape[1] == 5
         assert part.rows.outcome.shape[1] == 5
 
@@ -58,8 +58,8 @@ def test_mixed_pool_structure():
     chrono = replace(cfg, chronological=True)
     _, ds = harness._synthesize(chrono, 0)
     chrono_pool = build_pool(chrono, seed=0).splits
-    test, n_train = chrono_pool.test.rows, chrono_pool.train.rows.counts[0]
-    for m, outcome in enumerate(np.split(test.outcome, np.cumsum(test.counts)[:-1])):
+    test, n_train = chrono_pool.test.rows, len(chrono_pool.train.rows.x) // len(pool.agents)
+    for m, outcome in enumerate(np.split(test.outcome, len(pool.agents))):
         if pool.agents[m].family == "datacenter":
             first = chrono.lookback + n_train
             assert np.array_equal(outcome[:, 0], ds.outcome_targets[m][first : first + len(outcome)])
@@ -67,8 +67,7 @@ def test_mixed_pool_structure():
     params = predictor.init_params(pool.arch, 0)
     data = pool.splits
     summary = evaluate(params, pool.agents, data)
-    bounds = np.cumsum(data.test.rows.counts)[:-1]
-    test_x, test_outcome = (np.split(a, bounds) for a in (data.test.rows.x, data.test.rows.outcome))
+    test_x, test_outcome = (np.split(a, len(pool.agents)) for a in (data.test.rows.x, data.test.rows.outcome))
     for m, agent in enumerate(pool.agents):
         if agent.family != "datacenter":
             continue

@@ -48,26 +48,23 @@ def test_equitable_loss_power_monotonicity_in_q():
 
 
 def build_dc_chain_batch(params, specs, Xs, Ys, t_mean, t_scale):
-    """chain_grad's inputs other than the row weight, q and beta, the stacked rows and the
-    forward's activations, for a batch of direct-adapter data-center agents."""
+    """chain_grad's inputs other than q and beta, the stacked rows and the forward's
+    activations, for a batch of direct-adapter data-center agents with b rows each."""
     X, Y = np.concatenate(Xs), np.concatenate(Ys)
-    sizes = np.array([len(x) for x in Xs])
-    owner = np.repeat(np.arange(len(specs)), sizes)
-    w = np.array([s.context.workload for s in specs])[owner]
-    lam = np.array([s.context.latency_weight for s in specs])[owner]
+    b = len(Xs[0])
+    w = np.repeat([s.context.workload for s in specs], b)
+    lam = np.repeat([s.context.latency_weight for s in specs], b)
     preds, acts = predictor.forward_batch(params, X, keep=True)
     values, dvalues = dc_regret_batch(w, lam, t_mean + t_scale * preds[:, 0], Y[:, 0], dc_optimal_batch(w, lam, Y[:, 0]))
     slope = np.zeros_like(preds)
     slope[:, 0] = dvalues * t_scale
-    means = np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes
-    return (preds, (Y - t_mean) / t_scale, means, slope, sizes, owner), X, acts
+    means = np.add.reduceat(values, np.arange(0, len(values), b)) / b
+    return (preds, (Y - t_mean) / t_scale, means, slope, b), X, acts
 
 
 def chain_cot(batch, q, beta):
-    """chain_grad on a `build_dc_chain_batch` batch, with the row weight its callers build once."""
-    preds, y, means, slope, sizes, owner = batch
-    weight = objective.mse_row_weight(sizes, owner, beta)
-    return objective.chain_grad(preds, y, weight, means, slope, sizes, owner, q, beta)
+    """chain_grad on a `build_dc_chain_batch` batch."""
+    return objective.chain_grad(*batch, q, beta)
 
 
 def pipeline_loss(params, specs, Xs, Ys, t_mean, t_scale, q, beta):
@@ -123,9 +120,7 @@ def test_chain_grad_beta_one_is_pure_mse_gradient():
 
 
 def test_chain_grad_zero_at_perfection():
-    sizes, owner = np.ones(1, dtype=int), np.zeros(1, dtype=int)
-    cot = objective.chain_grad(np.zeros((1, 1)), np.zeros((1, 1)), objective.mse_row_weight(sizes, owner, 0.5),
-                               np.zeros(1), np.zeros((1, 1)), sizes, owner, 1.0, 0.5)
+    cot = objective.chain_grad(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), 1, 1.0, 0.5)
     assert np.all(cot == 0.0)
 
 
@@ -134,28 +129,25 @@ def test_chain_grad_refuses_mismatched_partition():
     params = predictor.init_params([3, 4, 1], seed=6)
     specs = [AgentSpec(0, "datacenter", DataCenterContext(1.5, 2.0)),
              AgentSpec(1, "datacenter", DataCenterContext(3.0, 0.7))]
-    Xs = [rng.uniform(-1, 1, size=(n, 3)) for n in (4, 3)]
-    Ys = [rng.uniform(0.9, 2.2, size=(n, 1)) for n in (4, 3)]
-    (preds, y, means, slope, sizes, owner), _, _ = build_dc_chain_batch(params, specs, Xs, Ys, 1.5, 0.4)
-    weight = objective.mse_row_weight(sizes, owner, 0.5)
-    with pytest.raises(ValueError, match="agent means for 2 agents"):
-        objective.chain_grad(preds, y, weight, means[:1], slope, sizes, owner, 1.0, 0.5)
-    with pytest.raises(ValueError, match="agent means for 2 agents"):
-        objective.chain_grad(preds, y, weight, np.append(means, 0.1), slope, sizes, owner, 1.0, 0.5)
-    with pytest.raises(ValueError, match="row owners for 7 rows"):
-        objective.chain_grad(preds, y, weight, means, slope, sizes, owner[:-1], 1.0, 0.5)
-    for beta in (0.5, 1.0):  # a one-row weight would broadcast over every row
-        with pytest.raises(ValueError, match="1 row weights for 7 rows"):
-            objective.chain_grad(preds, y, weight[:1], means, slope, sizes, owner, 1.0, beta)
+    Xs = [rng.uniform(-1, 1, size=(4, 3)) for _ in specs]
+    Ys = [rng.uniform(0.9, 2.2, size=(4, 1)) for _ in specs]
+    (preds, y, means, slope, b), _, _ = build_dc_chain_batch(params, specs, Xs, Ys, 1.5, 0.4)
+    for beta in (0.5, 1.0):  # beta = 1 reads neither the means' values nor the slope, but checks their count
+        with pytest.raises(ValueError, match="1 agents of 4 rows for 8 rows"):
+            objective.chain_grad(preds, y, means[:1], slope, b, 1.0, beta)
+        with pytest.raises(ValueError, match="3 agents of 4 rows for 8 rows"):
+            objective.chain_grad(preds, y, np.append(means, 0.1), slope, b, 1.0, beta)
+        with pytest.raises(ValueError, match="2 agents of 3 rows for 8 rows"):
+            objective.chain_grad(preds, y, means, slope, 3, 1.0, beta)
 
 
-def test_mse_row_weight_is_beta_times_two_over_each_rows_agent_size():
-    sizes, owner = np.array([2, 3]), np.array([0, 0, 1, 1, 1])
-    weight = objective.mse_row_weight(sizes, owner, 0.5)
-    assert weight.shape == (5, 1)
-    assert np.array_equal(weight[:, 0], [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
-    # at beta = 1 the weight is 2/b_m itself, so the plain step keeps its bits
-    assert np.array_equal(objective.mse_row_weight(sizes, owner, 1.0), (2.0 / sizes)[owner][:, None])
+def test_chain_grad_mse_weight_is_beta_times_two_over_b():
+    rng = np.random.default_rng(7)
+    y_hat, y = rng.standard_normal((2, 9, 2))
+    cot = objective.chain_grad(y_hat, y, np.full(3, 0.4), np.zeros((9, 2)), 3, 1.0, 0.5)
+    assert np.array_equal(cot, 0.5 * (2.0 / 3) * (y_hat - y))
+    # at beta = 1 the weight is 2/b itself, so the plain step keeps its bits
+    assert np.array_equal(objective.chain_grad(y_hat, y, np.full(3, 0.4), None, 3, 1.0, 1.0), (2.0 / 3) * (y_hat - y))
 
 
 # --- policy-gradient estimator

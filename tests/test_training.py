@@ -38,7 +38,8 @@ def make_split(x, y, train_frac=0.67, ctx=None):
 def stack(agents, splits):
     """The agents' splits as a pool's windows, stacked in agent order.
 
-    An agent without a workload series reads its own workload (0 for a charger).
+    Every agent's split has the same length, as every built pool's has.  An
+    agent without a workload series reads its own workload (0 for a charger).
     """
     def part(name):
         def column(field):
@@ -48,7 +49,7 @@ def stack(agents, splits):
             for a, x, ctx in zip(agents, column("x"), column("ctx"))
         ]
         return Part(np.concatenate(column("x")), np.concatenate(column("y_raw")), np.concatenate(column("outcome")),
-                    np.concatenate(workloads), np.array([len(x) for x in column("x")]))
+                    np.concatenate(workloads), len(splits))
     return PoolWindows(part("train"), part("test"))
 
 
@@ -350,16 +351,15 @@ def test_pg_step_matches_batch_op():
 
 def _three_agent_pool():
     """A charging agent, a data-center agent with a workload stream and one
-    without; the last one's train split (5 rows) is smaller than the batch
-    size used below, so batch sizes differ.  Both data-center agents read the
-    mean of the three-output forecast window."""
+    without, 8 training and 4 test rows each.  Both data-center agents read
+    the mean of the three-output forecast window."""
     rng = np.random.default_rng(21)
     ev = AgentSpec(0, "charging", ChargingContext(0.2, 2.3, 1.0, 3))
     dc = AgentSpec(1, "datacenter", DataCenterContext(2.0, 3.0))
     dc_mean = AgentSpec(2, "datacenter", DataCenterContext(1.5, 8.0))
     ev_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)))
     dc_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)), ctx=rng.uniform(1.0, 4.0, 12))
-    mean_split = make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 3)))
+    mean_split = make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 3)))
     return [ev, dc, dc_mean], [ev_split, dc_split, mean_split]
 
 
@@ -422,12 +422,12 @@ def _reference_pg_sgd(cfg, params, agents, splits):
     "pg_samples, epochs, batch_size, steps_per_epoch",
     [
         # leave-one-out baseline over draws; EMA baseline over steps; both
-        # with ragged batches (b = 6, 6, 5), hence one step per epoch
+        # with b = 6 of 8 rows, hence one step per epoch
         pytest.param(4, 1, 6, 1, id="4-1"),
         pytest.param(1, 2, 6, 1, id="1-2"),
-        # b = 2 for every agent: two steps per epoch, the second one reading
-        # row 1 of the epoch's batch index
-        pytest.param(3, 2, 2, 2, id="3-2-b2"),
+        # b = 2: four steps per epoch, each reading its own row of the
+        # epoch's batch index
+        pytest.param(3, 2, 2, 4, id="3-2-b2"),
     ],
 )
 def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs, batch_size, steps_per_epoch):
@@ -442,11 +442,10 @@ def test_pg_step_at_acceptance_config_matches_batch_op(pg_samples, epochs, batch
     assert not np.allclose(res.params.values, p0.values, rtol=0.0, atol=1e-6)
 
 
-def _ragged_chain_step(q=1.0, beta=0.5):
+def _chain_step(q=1.0, beta=0.5):
     """One SGD step (lr=1) in chain mode on a two-output model, whose mean
     is each agent's c_hat: a data-center agent with a workload stream and
-    two without, the last of which has a train split (5 rows) smaller than
-    the batch, so batch sizes differ.
+    two without, 8 training rows each and a batch of 6.
 
     Returns the pool, the initial params, the config, the trained result and
     each agent's batch rows."""
@@ -459,7 +458,7 @@ def _ragged_chain_step(q=1.0, beta=0.5):
     splits = [
         make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2)), ctx=rng.uniform(1.0, 4.0, 12)),
         make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2))),
-        make_split(rng.uniform(-1, 1, (8, 2)), rng.uniform(0.5, 3.0, (8, 2))),
+        make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 2))),
     ]
     p0 = predictor.init_params([2, 4, 2], seed=3)
     cfg = TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, lr_step=10**6, epochs=1, batch_size=6,
@@ -467,13 +466,12 @@ def _ragged_chain_step(q=1.0, beta=0.5):
     res = train(cfg, p0, agents, make_pool(agents, splits))
     assert len(res.step_log) == 1
     perm_rng = np.random.default_rng(cfg.seed)
-    sels = [perm_rng.permutation(len(s.train_x))[: min(6, len(s.train_x))] for s in splits]
-    assert [len(sel) for sel in sels] == [6, 6, 5]
+    sels = [perm_rng.permutation(len(s.train_x))[:6] for s in splits]
     return agents, splits, p0, cfg, res, sels
 
 
 def test_chain_step_matches_finite_differences_of_batch_loss():
-    agents, splits, p0, cfg, res, sels = _ragged_chain_step()
+    agents, splits, p0, cfg, res, sels = _chain_step()
     grad = p0.values - res.params.values
 
     def batch_loss(values):
@@ -503,17 +501,17 @@ def test_chain_step_matches_finite_differences_of_batch_loss():
 @pytest.mark.parametrize("q, beta", [(1.0, 0.0), (2.0, 0.0), (0.5, 0.0), (1.0, 0.1), (2.0, 0.3),
                                      (0.5, 0.6), (3.0, 0.1), (1.5, 0.6), (1.0, 0.9)])
 def test_chain_step_is_bitwise_the_per_row_repeat_cotangent(q, beta):
-    # at b_m in [6, 6, 5], a / b and a * (1 / b) often round differently (at
-    # the bench's b = 32 they never do), so this pins the float expression
-    # of the step's per-agent weights: the reference spreads them to the rows
-    # with np.repeat(weight, sizes) and reduces the agent means with reduceat
-    agents, splits, p0, cfg, res, sels = _ragged_chain_step(q, beta)
-    sizes = np.array([len(sel) for sel in sels])
+    # at b = 6, a / b and a * (1 / b) often round differently (at the
+    # bench's b = 32 they never do), so this pins the float expression of
+    # the step's per-agent weights: the reference spreads them to the rows
+    # with np.repeat(weight, b) and reduces the agent means with reduceat
+    agents, splits, p0, cfg, res, sels = _chain_step(q, beta)
+    b = len(sels[0])
     X = np.concatenate([s.train_x[sel] for s, sel in zip(splits, sels)])
     Y = np.concatenate([to_normalized(splits, s.train_y_raw[sel]) for s, sel in zip(splits, sels)])
     preds, acts = predictor.forward_batch(p0, X, keep=True)
     c_hat, dchat, w, lam, c = [], [], [], [], []
-    for agent, split, sel, p in zip(agents, splits, sels, np.split(preds, np.cumsum(sizes)[:-1])):
+    for agent, split, sel, p in zip(agents, splits, sels, np.split(preds, len(agents))):
         raw = to_raw(splits, p)
         # d c_hat / d output: the window mean spreads the target scale over both outputs
         c_hat.append(raw.mean(axis=1))
@@ -524,11 +522,11 @@ def test_chain_step_is_bitwise_the_per_row_repeat_cotangent(q, beta):
     w, lam, c = np.concatenate(w), np.concatenate(lam), np.concatenate(c)
     values, dvalues = dc_regret_batch(w, lam, np.concatenate(c_hat), c, dc_optimal_batch(w, lam, c))
     slope = dvalues[:, None] * np.concatenate(dchat)
-    rbar = np.clip(np.add.reduceat(values, np.cumsum(sizes) - sizes) / sizes, 0.0, None)
-    weight = (1.0 - cfg.beta) * ((cfg.q + 1.0) * rbar**cfg.q / sizes)
+    rbar = np.clip(np.add.reduceat(values, np.arange(0, len(values), b)) / b, 0.0, None)
+    weight = (1.0 - cfg.beta) * ((cfg.q + 1.0) * rbar**cfg.q / b)
     cots = np.zeros_like(preds)
-    cots += np.repeat(weight, sizes)[:, None] * slope
-    cots += np.repeat(cfg.beta * (2.0 / sizes), sizes)[:, None] * (preds - Y)
+    cots += np.repeat(weight, b)[:, None] * slope
+    cots += cfg.beta * (2.0 / b) * (preds - Y)
     grad = predictor.vjp_batch(p0, X, cots, acts)
     assert np.array_equal(res.params.values, p0.values - cfg.lr * grad)
 
@@ -538,23 +536,34 @@ def test_each_step_runs_one_forward_pass(mode, monkeypatch):
     # the backward pass reuses the step's forward activations, and the mode's
     # cotangent goes through the step's one vjp.  Each op is reached through
     # its module, where the benchmark's tracer wraps it: an op inlined into
-    # the step would read 0 calls here, and 0 ms in a traced run
+    # the step would read 0 calls here, and 0 ms in a traced run.  The tracer
+    # counts rows from positional arguments (1 of chain_grad and
+    # ev_regret_batch, 2 of dc_regret_batch), which must hold the step's R,
+    # D * R_ev and D * R_dc rows
     agents, splits = _three_agent_pool()
     if mode == "chain":  # chain needs data-center agents only
         agents, splits = agents[1:], splits[1:]
-    ops = [(predictor, "forward_batch"), (predictor, "vjp_batch"),
-           (objective, "chain_grad"), (objective, "equitable_loss"), (objective, "pg_grad")]
-    calls = {name: [] for _, name in ops}
-    for module, name in ops:
+    ops = [(predictor, "forward_batch", None), (predictor, "vjp_batch", None), (objective, "chain_grad", 1),
+           (objective, "equitable_loss", None), (objective, "pg_grad", None),
+           (training, "ev_regret_batch", 1), (training, "dc_regret_batch", 2)]
+    calls = {name: [] for _, name, _ in ops}
+    for module, name, at in ops:
         real, log = getattr(module, name), calls[name]
-        monkeypatch.setattr(module, name, lambda *a, log=log, real=real, **k: log.append(1) or real(*a, **k))
+        monkeypatch.setattr(module, name, lambda *a, log=log, real=real, at=at, **k:
+                            log.append(at is not None and len(a[at])) or real(*a, **k))
     cfg = TrainConfig(mode=mode, q=1.0, beta=0.5, std=0.3, epochs=3, batch_size=4, seed=3, pg_samples=3)
     res = train(cfg, predictor.init_params([2, 4, 3], seed=5), agents, make_pool(agents, splits))
     steps = len(res.step_log)
     assert steps > 2
     per_step = {"forward_batch", "vjp_batch"} | {
-        "plain": {"chain_grad"}, "chain": {"chain_grad", "equitable_loss"}, "pg": {"pg_grad"}}[mode]
+        "plain": {"chain_grad"}, "chain": {"chain_grad", "equitable_loss", "dc_regret_batch"},
+        "pg": {"pg_grad", "ev_regret_batch", "dc_regret_batch"}}[mode]
     assert {name: len(log) for name, log in calls.items()} == {name: steps * (name in per_step) for name in calls}
+    n_ev = 4 * sum(a.family == "charging" for a in agents)  # b = 4 rows of each agent
+    n_draws = 3 if mode == "pg" else 1
+    rows = {"chain_grad": 4 * len(agents), "ev_regret_batch": n_draws * n_ev,
+            "dc_regret_batch": n_draws * (4 * len(agents) - n_ev)}
+    assert {name: set(calls[name]) for name in rows} == {name: {n} if calls[name] else set() for name, n in rows.items()}
 
 
 def _charging_pool():
@@ -597,7 +606,7 @@ def test_charging_regrets_match_per_sample_regret_across_calls():
     assert np.isnan(raws).sum() > 10
     for k, values in enumerate(_two_steps_of_regrets(rows, raws, steps)):
         for d in range(n_draws):
-            for r, m in enumerate(rows.owner):
+            for r, m in enumerate(np.repeat(np.arange(len(agents)), batch)):
                 realized = splits[m].train_outcome[perms[m][k * batch + r % batch]]
                 assert values[d, r] == regret(agents[m], raws[k, d, r], realized).value
 
@@ -632,7 +641,8 @@ def test_mixed_regrets_match_per_sample_regret_across_calls(order):
     n_draws, batch = 3, 3
     pool = make_pool(agents, splits)
     rows = _StackedRows(agents, pool, pool.train, batch, 4, n_draws=n_draws)
-    charging = np.array([a.family == "charging" for a in agents])[rows.owner]
+    owner = np.repeat(np.arange(len(agents)), batch)
+    charging = np.array([a.family == "charging" for a in agents])[owner]
     if order == CONTIGUOUS:
         assert (rows.ev_rows, rows.dc_rows) == (slice(6, 18), slice(0, 6))
     else:
@@ -649,7 +659,7 @@ def test_mixed_regrets_match_per_sample_regret_across_calls(order):
     assert np.isnan(raws).sum() > 10
     for k, values in enumerate(_two_steps_of_regrets(rows, raws, steps)):
         for d in range(n_draws):
-            for r, m in enumerate(rows.owner):
+            for r, m in enumerate(owner):
                 i, split = perms[m][k * batch + r % batch], splits[m]
                 ctx = None if split.train_ctx is None else split.train_ctx[i]
                 assert values[d, r] == _sample_regret(agents[m], split, raws[k, d, r], split.train_outcome[i], ctx)
@@ -749,21 +759,43 @@ def test_target_width_must_match_model_outputs(call):
             train(TrainConfig(mode=call, std=0.3, epochs=1, batch_size=4), p0, agents, make_pool(agents, splits))
 
 
+def _first_rows(split, part, n):
+    """`split` with only the first `n` rows of its `part` ("train" or "test")."""
+    fields = (f"{part}_{f}" for f in ("x", "y_raw", "outcome", "ctx"))
+    return split._replace(**{f: getattr(split, f)[:n] for f in fields if getattr(split, f) is not None})
+
+
 @pytest.mark.parametrize("call", ["train", "evaluate"])
 def test_pool_that_does_not_fit_is_refused(call):
     # the part a call reads is refused when the pool is built
     agents, splits = _three_agent_pool()
     part, prefix = ("training", "train") if call == "train" else ("test", "test")
-    empty = splits[1]._replace(**{f"{prefix}_{f}": getattr(splits[1], f"{prefix}_{f}")[:0]
-                                  for f in ("x", "y_raw", "outcome")})
+    empty = [_first_rows(s, prefix, 0) for s in splits]
 
     with pytest.raises(ConfigError, match="3 agents but 2 data splits"):
         PoolData(agents, stack(agents[:2], splits[:2]))
-    no_rows = Part(np.empty((0, 2)), np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.zeros(0, dtype=int))
+    no_rows = Part(np.empty((0, 2)), np.empty((0, 3)), np.empty((0, 3)), np.empty(0), 0)
     with pytest.raises(ConfigError, match="empty agent pool"):
         PoolData([], PoolWindows(no_rows, no_rows))
-    with pytest.raises(ConfigError, match=f"agent 1 has an empty {part} split"):
-        make_pool(agents, [splits[0], empty, splits[2]])
+    with pytest.raises(ConfigError, match=f"every agent has an empty {part} split"):
+        make_pool(agents, empty)
+
+
+@pytest.mark.parametrize("part", ["train", "test"])
+def test_pool_whose_part_is_not_n_rows_per_agent_is_refused(part):
+    # agent m owns rows m*n .. (m+1)*n - 1 of every array of a part; a part
+    # of another shape would hand rows to the wrong agent
+    agents, splits = _three_agent_pool()
+    windows = stack(agents, splits)
+    name = "training" if part == "train" else "test"
+    got = getattr(windows, part)
+    message = f"the {name} split's arrays must share one row count, n rows for each of 3 agents"
+    for bad in (stack(agents, splits[:2] + [_first_rows(splits[2], part, -1)]),  # one agent a row short
+                replace(windows, **{part: replace(got, workload=got.workload[:-3])})):  # one array an agent short
+        with pytest.raises(ConfigError, match=message):
+            PoolData(agents, bad)
+    with pytest.raises(ConfigError, match="3 agents but 2 data splits"):
+        PoolData(agents, replace(windows, **{part: replace(got, n_agents=2)}))
 
 
 def test_evaluate_perfect_predictor():
