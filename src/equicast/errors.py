@@ -19,9 +19,10 @@ class SchemaError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient.
+    """Training produced a non-finite loss, gradient or parameters, or evaluation a non-finite summary.
 
-    Carries enough context (step, agent, offending values) to locate the blow-up.
+    Carries enough context (step, agent, offending values) to locate the blow-up;
+    an evaluation's message names its non-finite summary fields.
     """
 
     def __init__(self, message, step=None, agent_id=None, values=None):

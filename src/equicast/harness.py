@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_agents must be >= 1, got {self.n_agents}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lookback < 1 or self.horizon < 1 or self.hidden < 1 or self.length < 1:
             raise ConfigError("lookback, horizon, hidden, and length must all be >= 1")
         if any(not (math.isfinite(qp1) and qp1 >= 1.0) for qp1 in self.sweep_q_plus_1):

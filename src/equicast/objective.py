@@ -40,12 +40,17 @@ def _clean_regrets(mean_regrets) -> np.ndarray:
     return r.clip(0.0, None)
 
 
-def equitable_loss(mean_regrets, q: float) -> float:
-    """sum_m r_m^(q+1) over per-agent mean regrets."""
+def equitable_loss(mean_regrets, q: float) -> float | np.ndarray:
+    """sum_m r_m^(q+1) over per-agent mean regrets, the last axis.
+
+    A float for an (M,) vector, and one loss per row, (D,), for (D, M): the
+    pg step scores its D draws in one call.
+    """
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     r = _clean_regrets(mean_regrets)
-    return float((r ** (q + 1.0)).sum())
+    loss = (r ** (q + 1.0)).sum(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def chain_grad(y_hat, y, means, slope, b: int, q: float, beta: float) -> np.ndarray:

@@ -137,6 +137,8 @@ class TrainConfig:
             raise ConfigError(f"grad_clip must be null or finite and positive, got {self.grad_clip}")
         if self.pg_samples < 1:
             raise ConfigError(f"pg_samples must be >= 1, got {self.pg_samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,7 +425,7 @@ def _pg(config: TrainConfig, rows: _StackedRows, rng, std: float):
         agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled, out=raws), batch))
         resid = np.subtract(sampled, Y, out=sampled)
         mse_by_draw = rows.agent_means(row_sums(np.square(resid, out=resid))).sum(axis=1)
-        eq_by_draw = (agent_terms.clip(0.0, None) ** (config.q + 1.0)).sum(axis=1)
+        eq_by_draw = objective.equitable_loss(agent_terms, config.q)
         losses = (1.0 - config.beta) * eq_by_draw + config.beta * mse_by_draw
         if leave_one_out:
             base = (losses.sum() - losses) / (n_draws - 1)
@@ -536,12 +538,17 @@ def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], dat
 
 
 def evaluate(params: ParamVector, agents: list[AgentSpec], data: PoolData, q: float = 0.0, beta: float = 0.0, seed: int = 0) -> RunSummary:
-    """Deterministic (Gaussian-mean) inference on the pool's test part, plus statistics."""
+    """Deterministic (Gaussian-mean) inference on the pool's test part, plus statistics.
+
+    A summary field that is not finite (a diverged model's regrets or
+    squared error) raises `DivergenceError` naming each such field: the
+    summary would not be valid JSON.
+    """
     rows = _StackedRows(agents, data, data.test, None, params.n_outputs)
     raws = rows.to_raw(predictor.forward_batch(params, rows.x))
     values = rows.regrets(raws[None], rows.regret_inputs(np.arange(len(rows.x))))
     r = rows.agent_means(values)[0]
-    return RunSummary(
+    summary = RunSummary(
         per_agent_regret=r,
         variance=metrics.variance(r),
         mean=float(r.mean()),
@@ -552,4 +559,7 @@ def evaluate(params: ParamVector, agents: list[AgentSpec], data: PoolData, q: fl
         beta=beta,
         seed=seed,
     )
-
+    bad = [name for name, value in summary.as_dict().items() if not np.isfinite(value).all()]
+    if bad:
+        raise DivergenceError(f"non-finite evaluation summary fields: {', '.join(bad)}")
+    return summary

@@ -3,7 +3,8 @@
 Each suite pits an implementation against an independent oracle (grid
 search, exhaustive enumeration, finite differences, Monte Carlo, or a
 closed-form identity) and reports the measured worst case next to its
-tolerance.  `run_all` is what the CLI's `verify` subcommand executes.
+tolerance; the chain suite checks the update `training.train` applies.
+`run_all` is what the CLI's `verify` subcommand executes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import agents as agentmod
-from . import metrics, objective, predictor
+from . import metrics, objective, predictor, training
 from .agents import AgentSpec, ChargingContext, DataCenterContext
+from .data import Part, PoolWindows
 from .errors import ConfigError
 
 
@@ -144,15 +146,16 @@ def _dc_pipeline_terms(params, agents_list, Xs, Ys, row_ctxs, t_mean, t_scale) -
 
 
 def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 0, tol: float = 1e-3) -> SuiteResult:
-    """chain_grad vs central finite differences on a two-layer net + data-center costs.
+    """The chain update `train` applies vs central finite differences on a two-layer net + data-center costs.
 
-    The two agents have 6 rows each, as a trainer's batch has b rows of each
-    agent: a row given another agent's regret weight shows at every q > 0
-    (at q = 0 every agent's weight is the same).  The error is relative to
-    the smaller of the two weighted parts' finite-difference scales,
-    (1 - beta) * max|d eq| and beta * max|d mse| (a part of weight 0 is
-    skipped), so where the squared error dominates the gradient an error in
-    the regret part is not hidden by the squared error's scale.
+    Two agents' 6 rows each form a pool.  One chain `train` call at batch
+    size n, lr 1 and plain SGD moves the parameters by minus its gradient,
+    so the trainer's whole step is checked against the scalar
+    `agents.regret` path.  A row given another agent's regret weight shows
+    at every q > 0.  The error is relative to the smaller of the two weighted
+    parts' finite-difference scales, (1 - beta) * max|d eq| and
+    beta * max|d mse| (a part of weight 0 is skipped), so where the squared
+    error dominates the gradient an error in the regret part is not hidden.
     """
     rng = np.random.default_rng(seed)
     n_in, n_hidden = 4, 5
@@ -163,20 +166,12 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     ]
     b = 6
     rows = b * len(agents_list)
-    t_mean, t_scale = 1.6, 0.5
     X = rng.uniform(-1, 1, size=(rows, n_in))
     Y = rng.uniform(0.9, 2.4, size=(rows, 1))
     w = rng.uniform(1.0, 4.0, size=rows)
+    part = Part(X, Y, Y, w, len(agents_list))
+    pool = training.PoolData(agents_list, PoolWindows(part, part))
     Xs, Ys, ctxs = (np.split(a, len(agents_list)) for a in (X, Y, w))
-
-    # the trainer's inputs to chain_grad, built the way it builds them
-    lams = np.repeat([a.context.latency_weight for a in agents_list], b)
-    preds, acts = predictor.forward_batch(params, X, keep=True)
-    best = agentmod.dc_optimal_batch(w, lams, Y[:, 0])
-    values, dvalues = agentmod.dc_regret_batch(w, lams, t_mean + t_scale * preds[:, 0], Y[:, 0], best)
-    slope = np.zeros_like(preds)
-    slope[:, 0] = dvalues * t_scale
-    means = np.add.reduceat(values, np.arange(0, rows, b)) / b
 
     # the probed regrets and MSE do not depend on (q, beta): each +-h probe
     # of each parameter runs once, and every (q, beta) blends its terms
@@ -186,9 +181,9 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     for j in range(params.values.size):
         v = params.values.copy()
         v[j] += h
-        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, t_mean, t_scale))
+        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale))
         v[j] -= 2 * h
-        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, t_mean, t_scale))
+        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale))
 
     mse = np.array([m for _, m in terms])
     mse_fd = (mse[0::2] - mse[1::2]) / (2 * h)
@@ -197,8 +192,8 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
         eq = np.array([objective.equitable_loss(r, q) for r, _ in terms])
         eq_fd = (eq[0::2] - eq[1::2]) / (2 * h)
         for beta in betas:
-            cot = objective.chain_grad(preds, (Y - t_mean) / t_scale, means, slope, b, q, beta)
-            grad = predictor.vjp_batch(params, X, cot, acts)
+            config = training.TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, epochs=1, batch_size=b, seed=seed)
+            grad = params.values - training.train(config, params, agents_list, pool).params.values
             losses = (1.0 - beta) * eq + beta * mse
             fd = (losses[0::2] - losses[1::2]) / (2 * h)
             parts = ((1.0 - beta, eq_fd), (beta, mse_fd))

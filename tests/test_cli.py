@@ -611,6 +611,45 @@ def test_non_finite_update_exits_2(tmp_path, capsys):
     assert "non-finite parameters after the update at step 0" in err and "Traceback" not in err
 
 
+def test_non_finite_evaluation_exits_2(tmp_path, capsys):
+    # one step at lr=1e300 leaves finite parameters whose test squared error
+    # overflows: summary.json used to record "mse": Infinity, not valid JSON,
+    # and the run exited 0
+    doc = {"application": "datacenter", "n_agents": 3, "length": 60, "hidden": 4, "train": {"epochs": 1, "lr": 1e300}}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite evaluation summary fields: mse" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "summary.json").exists()
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 2
+    assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[-1].endswith(",failed")
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "sweep", "verify"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # --seed -1 used to end in numpy's ValueError traceback (generate, train,
+    # evaluate), or in a failed suite or sweep cell with exit 2 (verify, sweep)
+    cfg = write_config(tmp_path, tiny_config())
+    args = [command, "--config", cfg, "--seed", "-1"]
+    if command == "evaluate":
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        args += ["--checkpoint", str(tmp_path / "run" / "checkpoint.json")]
+    if command != "verify":
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", [{"seed": -5}, {"train": {"mode": "plain", "seed": -5}}], ids=["top", "train"])
+def test_negative_config_seed_is_a_usage_error(tmp_path, capsys, override):
+    # a top-level "seed": -5 used to end in a traceback; a train seed of -5 was accepted
+    cfg = write_config(tmp_path, tiny_config(**override))
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -5" in err and "Traceback" not in err
+
+
 def test_sweep_rows_and_regret_files(tmp_path):
     doc = tiny_config(repeats=3, sweep_q_plus_1=[1, 2, 5], sweep_beta=[0.0])
     doc["train"].update({"mode": "pg", "pg_samples": 2, "std": 0.3, "lr": 0.01,

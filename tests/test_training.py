@@ -557,7 +557,7 @@ def test_each_step_runs_one_forward_pass(mode, monkeypatch):
     assert steps > 2
     per_step = {"forward_batch", "vjp_batch"} | {
         "plain": {"chain_grad"}, "chain": {"chain_grad", "equitable_loss", "dc_regret_batch"},
-        "pg": {"pg_grad", "ev_regret_batch", "dc_regret_batch"}}[mode]
+        "pg": {"pg_grad", "equitable_loss", "ev_regret_batch", "dc_regret_batch"}}[mode]
     assert {name: len(log) for name, log in calls.items()} == {name: steps * (name in per_step) for name in calls}
     n_ev = 4 * sum(a.family == "charging" for a in agents)  # b = 4 rows of each agent
     n_draws = 3 if mode == "pg" else 1

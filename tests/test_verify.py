@@ -95,6 +95,33 @@ def test_injected_regret_owner_shift_detected(monkeypatch, q, beta, seed):
     assert not result.passed
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 9001])
+def test_injected_trainer_slope_bug_detected(monkeypatch, seed):
+    # the suite checks the step `train` makes: slopes 5% too steep in the
+    # trainer's own regret call passed a hand-built copy of the chain step
+    from equicast import training
+
+    real = training.dc_regret_batch
+
+    def steeper(*args):
+        values, slopes = real(*args)
+        return values, slopes * 1.05
+
+    monkeypatch.setattr(training, "dc_regret_batch", steeper)
+    result = verify.check_chain_gradient(seed=seed)
+    assert not result.passed
+
+
+def test_injected_trainer_target_transform_shift_detected(monkeypatch):
+    # forecasts taken back to raw units 0.01 too high score other regrets
+    from equicast import training
+
+    real = training._StackedRows.to_raw
+    monkeypatch.setattr(training._StackedRows, "to_raw", lambda self, *a, **k: real(self, *a, **k) + 0.01)
+    result = verify.check_chain_gradient(seed=0)
+    assert not result.passed
+
+
 def test_injected_pg_bug_detected(monkeypatch):
     from equicast import objective
 
