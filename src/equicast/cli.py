@@ -185,7 +185,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+        print(f"{exc.phase} diverged: {exc}", file=sys.stderr)
         return 2
 
 

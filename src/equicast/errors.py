@@ -21,12 +21,13 @@ class SchemaError(ValueError):
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss, gradient or parameters, or evaluation a non-finite summary.
 
-    Carries enough context (step, agent, offending values) to locate the blow-up;
-    an evaluation's message names its non-finite summary fields.
+    Carries enough context (phase, step, agent, offending values) to locate the
+    blow-up; an evaluation's message names its non-finite summary fields.
     """
 
-    def __init__(self, message, step=None, agent_id=None, values=None):
+    def __init__(self, message, step=None, agent_id=None, values=None, phase="training"):
         super().__init__(message)
+        self.phase = phase  # "training" or "evaluation"
         self.step = step
         self.agent_id = agent_id
         self.values = values

@@ -303,16 +303,38 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
 # Runs and sweeps
 
 
-def run_experiment(config: ExperimentConfig, seed: int | None = None, train_config: TrainConfig | None = None) -> tuple[RunSummary, TrainResult, Pool]:
-    """Build the pool, train one model, evaluate on the test split."""
+def run_experiment(
+    config: ExperimentConfig, seed: int | None = None, cells: list[tuple[float, float]] | None = None
+) -> tuple[RunSummary, TrainResult, Pool] | list[tuple[RunSummary, TrainResult] | Exception]:
+    """Build the pool and initial params at `seed`, train, and evaluate on the test split.
+
+    Without `cells`, one model trains at config.train's q and beta: returns
+    (summary, train result, pool), or raises what stopped the run.  With
+    `cells`, (q+1, beta) pairs, one model per cell trains in one
+    `training.train` call from that pool and those params, each bitwise its
+    solo run: returns per cell, in order, its (summary, train result) or the
+    exception that stopped it.
+    """
     seed = config.seed if seed is None else seed
-    tc = train_config if train_config is not None else config.train
-    tc = replace(tc, seed=seed)
+    base = replace(config.train, seed=seed)
+    trainers = [base] if cells is None else [replace(base, q=qp1 - 1.0, beta=beta) for qp1, beta in cells]
     pool = build_pool(config, seed)
     params = predictor.init_params(pool.arch, seed)
-    result = training.train(tc, params, pool.agents, pool.splits)
-    summary = training.evaluate(result.params, pool.agents, pool.splits, q=tc.q, beta=tc.beta, seed=seed)
-    return summary, result, pool
+    outcomes = []
+    for tc, result in zip(trainers, training.train(trainers, params, pool.agents, pool.splits).outcomes):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            summary = training.evaluate(result.params, pool.agents, pool.splits, q=tc.q, beta=tc.beta, seed=seed)
+        except Exception as exc:
+            if cells is None:
+                raise
+            outcomes.append(exc)
+        else:
+            outcomes.append((summary, result))
+    if cells is None:
+        return (*outcomes[0], pool)
+    return outcomes
 
 
 @dataclass(eq=False)
@@ -325,34 +347,54 @@ class SweepRow:
     error: str = ""
 
 
-def _sweep_cell(args) -> SweepRow:
-    config, qp1, beta, seed = args
-    tc = replace(config.train, q=qp1 - 1.0, beta=beta)
+# a user error ends the sweep, as it ends `train`; any other error fails its cell
+_USER_ERRORS = (ConfigError, SchemaError, FileNotFoundError)
+
+
+def _sweep_task(args) -> list[SweepRow]:
+    """The rows of some (q+1, beta) cells at one seed, in their order, from one `run_experiment` call."""
+    config, seed, cells = args
     try:
-        summary, _, _ = run_experiment(config, seed=seed, train_config=tc)
-        return SweepRow(qp1, beta, seed, "ok", summary=summary)
-    except (ConfigError, SchemaError, FileNotFoundError):  # a user error ends the sweep, as it ends `train`
+        outcomes = run_experiment(config, seed=seed, cells=cells)
+    except _USER_ERRORS:
         raise
-    except Exception as exc:  # sweep keeps going; the row records the failure
-        return SweepRow(qp1, beta, seed, "failed", error=f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # no cell could train; each fails as its own run would
+        outcomes = [exc] * len(cells)
+    rows = []
+    for (qp1, beta), outcome in zip(cells, outcomes):
+        if isinstance(outcome, _USER_ERRORS):
+            raise outcome
+        if isinstance(outcome, Exception):  # the sweep keeps going; the row records the failure
+            rows.append(SweepRow(qp1, beta, seed, "failed", error=f"{type(outcome).__name__}: {outcome}"))
+        else:
+            rows.append(SweepRow(qp1, beta, seed, "ok", summary=outcome[0]))
+    return rows
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
-    """One run per (q+1, beta, seed) cell of the config's grid, merged in deterministic cell order."""
+    """One run per (q+1, beta, seed) cell of the config's grid, in (q+1, beta, seed) order.
+
+    Each task trains up to ceil(cells / jobs) cells of one seed together
+    (`_sweep_task`); `min(jobs, tasks)` worker processes run the tasks, or
+    this process when that is one.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if not config.sweep_q_plus_1 or not config.sweep_beta:
         raise ConfigError("sweep grids must be nonempty")
-    cells = [
-        (config, qp1, beta, config.seed + rep)
-        for qp1 in config.sweep_q_plus_1
-        for beta in config.sweep_beta
-        for rep in range(config.repeats)
+    grid = [(qp1, beta) for qp1 in config.sweep_q_plus_1 for beta in config.sweep_beta]
+    size = -(-len(grid) * config.repeats // jobs)
+    tasks = [
+        (config, config.seed + rep, grid[i : i + size]) for rep in range(config.repeats) for i in range(0, len(grid), size)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_sweep_cell(c) for c in cells]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            done = list(executor.map(_sweep_task, tasks))
+    else:
+        done = [_sweep_task(task) for task in tasks]
+    rows = [row for task_rows in done for row in task_rows]  # seed by seed
+    return [rows[rep * len(grid) + g] for g in range(len(grid)) for rep in range(config.repeats)]
 
 
 def write_sweep_files(rows: list[SweepRow], out_dir, config: ExperimentConfig) -> Path:

@@ -4,11 +4,11 @@ One step, three cotangents.  A pool part holds M agents x n rows, stacked
 once when the pool is built, agents in order.  Every step gathers each
 agent's batch of b = min(batch_size, n) rows, runs one forward over the M*b
 rows and hands its outputs to the mode's step function, which returns the
-cotangent dL/dy_hat, the per-agent terms and the loss parts.  `train`
+cotangent dL/dy_hat, the per-agent terms and the loss parts.  The trainer
 backpropagates the cotangent with the step's one vjp, which reuses the
 forward's activations, then checks the loss and the gradient and applies
-the optimizer.  A mode is that function, built once per `train` call; the
-modes differ only in the cotangent:
+the optimizer.  A mode is that function, built once per run; the modes
+differ only in the cotangent:
 
 * plain: `objective.chain_grad` at beta = 1, the squared-error cotangent
   (2/b) * (y_hat - y) alone (the accuracy-first baseline).
@@ -25,9 +25,22 @@ modes differ only in the cotangent:
   batched regret call per agent family scores all D draws, and
   `objective.pg_grad` (the op `verify` checks) folds the draws, each
   weighted by its loss minus its baseline, into one cotangent
-  sum_d w_d * eps_d per row.  It holds its draw buffers and the baseline,
-  picked once per call: the leave-one-out mean across draws, or with one
-  draw an EMA of past batch losses, or none.
+  sum_d w_d * eps_d per row.  It reads the step's draw, which the loop
+  makes, and holds its sampled forecasts' buffer and the baseline, picked
+  once per run: the leave-one-out mean across draws, or with one draw an
+  EMA of past batch losses, or none.
+
+A `train` call given a list of K configs, which may differ only in q and
+beta, trains K runs in lockstep; given one config, it trains the K = 1
+case of the same loop.  Shared per call, because none of it
+depends on q, beta or the parameters: the pool's stacked rows, the RNG,
+every epoch's permutations and gathered batches, and in pg each step's one
+draw and its restack.  Kept per run: a copy of the parameters, the
+optimizer and its state, the mode step (so pg's EMA baseline), the step log
+and the error that stopped the run.  A run's step only reads what is shared,
+so each run is bitwise the run that `train` gives its config alone; a run
+whose step raises (a `DivergenceError`, or any other error) stops alone,
+and the others go on with the same stream.
 
 What does not depend on the call is fitted once per pool (`PoolData`): its
 one output calibration (the mean and scale of its raw training targets,
@@ -41,10 +54,10 @@ the normalized training targets, how each agent family's batch rows are
 addressed (a slice when they form one run, else an index array), the
 charging ranking of a batch's D draws (`agents.SlotRanking`: each row's
 slot count and rate, its threshold positions and its work arrays), and
-pg's work arrays (the draw, agent by agent, its restack and the sampled
-forecasts; the raw-unit forecasts reuse the draw's buffer), which every
-step refills in place, and the buffers of an epoch's X and Y batches and
-of its regret ops' row inputs.  Per epoch:
+pg's work arrays (the draw, agent by agent, and its restack; per run, the
+sampled forecasts; each run's raw-unit forecasts reuse the draw's buffer),
+which every step refills in place, and the buffers of an epoch's X and Y
+batches and of its regret ops' row inputs.  Per epoch:
 every step's batch rows as one (steps, rows) array, and the X and Y
 batches and, in chain and pg, the regret ops' row inputs (a charging row's
 outcome and hindsight cost, a data-center row's workload, realized
@@ -61,7 +74,7 @@ not fit the model: a charging agent whose horizon differs from the model's
 output width, or targets of another width.  The optimizer helper clips the
 gradient and updates theta <- theta - lr_t * g with
 lr_t = lr * decay^floor(t/step), by SGD (optionally with momentum) or Adam,
-in place on the one theta array of the call's parameters; it holds the
+in place on the one theta array of the run's parameters; it holds the
 velocity or Adam's moments and two work arrays, and updates them in place
 with the out-of-place formulas' operations, in their order.  A non-finite
 loss or gradient, or an update that leaves theta non-finite, raises
@@ -73,7 +86,7 @@ given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,6 +185,17 @@ class TrainResult:
     params: ParamVector
     step_log: list[dict] = field(default_factory=list)
     std: float = 0.0
+
+
+@dataclass(eq=False)
+class TrainRuns:
+    """What `train` returns for a list of configs: per config, in order, its
+    run's TrainResult or the exception that stopped the run."""
+
+    outcomes: list[TrainResult | Exception]
+    # every step the call took, run by run, a stopped run's too: the call's
+    # work, as a TrainResult's step log is (bench/tracing.py counts it)
+    step_log: list[dict] = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +400,7 @@ class _StackedRows:
         return np.add.reduceat(values, self.starts, axis=-1) / self.b
 
 
-def _plain(config: TrainConfig, rows: _StackedRows, rng, std: float):
+def _plain(config: TrainConfig, rows: _StackedRows, std: float, eps, raws):
     """The squared-error step: `objective.chain_grad` at beta = 1."""
     def step(batch, Y, preds):
         agent_terms = rows.agent_means(row_sums((preds - Y) ** 2))
@@ -386,7 +410,7 @@ def _plain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     return step
 
 
-def _chain(config: TrainConfig, rows: _StackedRows, rng, std: float):
+def _chain(config: TrainConfig, rows: _StackedRows, std: float, eps, raws):
     """The exact step through loss -> regret -> action -> forecast; data-center agents only."""
     bad = [a.agent_id for a in rows.agents if a.family != "datacenter"]
     if bad:
@@ -402,24 +426,20 @@ def _chain(config: TrainConfig, rows: _StackedRows, rng, std: float):
     return step
 
 
-def _pg(config: TrainConfig, rows: _StackedRows, rng, std: float):
-    """The score-function step over `pg_samples` draws; the baseline of each draw does not depend on it."""
-    n_draws, n_agents, b, n_out = config.pg_samples, len(rows.agents), rows.b, rows.n_outputs
-    # work arrays that every step refills: the draw, its restack and the
-    # sampled forecasts; the raw-unit forecasts go into the draw's buffer,
-    # which is dead once restacked
-    draw = np.empty((n_agents, n_draws, b, n_out))
-    eps, sampled = (np.empty((n_draws, n_agents * b, n_out)) for _ in range(2))
-    raws = draw.reshape(eps.shape)
-    # the baseline, picked once per call (pg_baseline: the leave-one-out mean,
+def _pg(config: TrainConfig, rows: _StackedRows, std: float, eps: np.ndarray, raws: np.ndarray):
+    """The score-function step over the step's draws `eps` (D, rows, O), which the loop refills.
+
+    The baseline of each draw does not depend on it.  `raws` is a work array
+    shaped like `eps` that the step may overwrite (the draw's buffer).
+    """
+    n_draws = config.pg_samples
+    sampled = np.empty_like(eps)  # the sampled forecasts, refilled every step
+    # the baseline, picked once per run (pg_baseline: the leave-one-out mean,
     # or with one draw an EMA of past batch losses; else 0)
     leave_one_out, tracks_ema = config.pg_baseline and n_draws > 1, config.pg_baseline and n_draws == 1
     ema = None
     def step(batch, Y, preds):
         nonlocal ema
-        # the draw holds each agent's (D, b, O) block in agent order, which
-        # fixes the RNG stream; restack as (D, rows, O)
-        np.copyto(eps.reshape(n_draws, n_agents, b, n_out), rng.standard_normal(out=draw).swapaxes(0, 1))
         np.multiply(eps, std, out=sampled)
         np.add(sampled, preds, out=sampled)
         agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled, out=raws), batch))
@@ -476,65 +496,125 @@ def _optimizer(config: TrainConfig, theta: np.ndarray):
     return update
 
 
-def train(config: TrainConfig, params: ParamVector, agents: list[AgentSpec], data: PoolData) -> TrainResult:
-    """Run epochs of per-batch updates on the pool's train part; returns final parameters and a step log."""
-    rows = _StackedRows(agents, data, data.train, config.batch_size, params.n_outputs, n_draws=config.pg_samples)
-    rng = np.random.default_rng(config.seed)
-    targets = rows.normalized()
-    std = config.std if config.std is not None else 0.1 * max(float(targets.std()), 1e-6)
+class _Run:
+    """One run of a `train` call: its own copy of the parameters, its
+    optimizer, its mode step (so its own pg baseline), its step log, and the
+    error that stopped it, if one did."""
+
+    def __init__(self, config: TrainConfig, params: ParamVector, rows: _StackedRows, std: float, eps, raws):
+        self.mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, std, eps, raws)
+        # the optimizer updates the values theta in place, so theta's
+        # finiteness is checked once per step
+        self.current = params.with_values(params.values.copy())
+        self.theta = self.current.values
+        self.update = _optimizer(config, self.theta)
+        self.step_log: list[dict] = []
+        self.agents = rows.agents
+        self.error: Exception | None = None
+
+    def step(self, t: int, X: np.ndarray, Y: np.ndarray, batch) -> None:
+        preds, acts = predictor.forward_batch(self.current, X, keep=True)
+        cot, agent_terms, eq_term, mse_term, combined = self.mode_step(batch, Y, preds)
+        grad = predictor.vjp_batch(self.current, X, cot, acts)
+
+        if not math.isfinite(combined) or not np.isfinite(grad).all():
+            # blame the first agent with a non-finite batch term (in pg, in any draw)
+            bad = np.flatnonzero(~np.isfinite(agent_terms).reshape(-1, len(self.agents)).all(axis=0))
+            raise DivergenceError(
+                f"non-finite loss or gradient at step {t}: loss={combined}, "
+                f"|grad|max={np.max(np.abs(grad)) if grad.size else math.nan}",
+                step=t,
+                agent_id=self.agents[bad[0]].agent_id if bad.size else None,
+                values=(combined,),
+            )
+        lr_t = self.update(grad, t)
+        if not np.isfinite(self.theta).all():
+            raise DivergenceError(
+                f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t, values=(combined,)
+            )
+
+        self.step_log.append({"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined})
+
+
+def _batches(config: TrainConfig, rows: _StackedRows, targets: np.ndarray, rng):
+    """Every step's (t, X, Y, regret inputs), epoch by epoch, gathered into buffers refilled each epoch."""
     steps_per_epoch = rows.n // rows.b
-    # an epoch's X and Y batches, refilled every epoch: new arrays each epoch
-    # would page-fault on every gather
-    batch_shape = (steps_per_epoch, len(agents) * rows.b)
+    # new arrays each epoch would page-fault on every gather
+    batch_shape = (steps_per_epoch, len(rows.agents) * rows.b)
     batches_x, batches_y = np.empty(batch_shape + rows.x.shape[1:]), np.empty(batch_shape + targets.shape[1:])
     inputs = ()  # the regret ops' row inputs, in buffers the first epoch allocates; plain scores no decision
-    mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, rng, std)
-    # the step's parameters, one copy per call: the optimizer updates their
-    # values theta in place, so theta's finiteness is checked once per step
-    current = params.with_values(params.values.copy())
-    theta = current.values
-    update = _optimizer(config, theta)
-    step_log: list[dict] = []
+    for epoch in range(config.epochs):
+        perms = [rng.permutation(rows.n) for _ in rows.agents]
+        index = rows.epoch_index(perms, steps_per_epoch)
+        # mode="clip" lets `take` write into `out` unbuffered; every index is in range
+        np.take(rows.x, index, axis=0, out=batches_x, mode="clip")
+        np.take(targets, index, axis=0, out=batches_y, mode="clip")
+        if config.mode != "plain":
+            inputs = rows.regret_inputs(index, out=inputs)
+        for k, (X, Y, *batch) in enumerate(zip(batches_x, batches_y, *inputs)):
+            yield epoch * steps_per_epoch + k, X, Y, batch
 
-    # non-finite values are detected explicitly below; numpy's overflow
-    # warnings on the way there (a finite gradient times a huge lr can still
-    # overflow theta in the optimizer) are just noise
+
+def train(config: TrainConfig | list[TrainConfig], params: ParamVector, agents: list[AgentSpec],
+          data: PoolData) -> TrainResult | TrainRuns:
+    """Run epochs of per-batch updates on the pool's train part; returns final parameters and a step log.
+
+    Given a list of configs, trains one run per config in lockstep, all from
+    `params`, and returns a `TrainRuns`.  The configs may differ only in `q`
+    and `beta` (else ValueError), so the runs share everything that depends
+    on neither: the pool's stacked rows, the RNG, every epoch's permutations
+    and gathered batches, and in pg each step's one draw.  Each run's outcome
+    is what `train` returns for its config alone, bit for bit, or the
+    exception that stopped it (a `DivergenceError`, or any other error of its
+    step): a run that fails stops alone, and the others go on.
+    """
+    configs = [config] if isinstance(config, TrainConfig) else list(config)
+    if not configs:
+        raise ValueError("train needs at least one config")
+    first = configs[0]
+    for other in configs[1:]:
+        if replace(other, q=first.q, beta=first.beta) != first:
+            raise ValueError(f"runs trained together may differ only in q and beta: {other} vs {first}")
+    rows = _StackedRows(agents, data, data.train, first.batch_size, params.n_outputs, n_draws=first.pg_samples)
+    rng = np.random.default_rng(first.seed)
+    targets = rows.normalized()
+    std = first.std if first.std is not None else 0.1 * max(float(targets.std()), 1e-6)
+    # pg's draw, made once per step for every run: each agent's (D, b, O)
+    # block in agent order, which fixes the RNG stream, restacked as (D,
+    # rows, O) into eps; the draw's buffer is dead once restacked, so each
+    # run's step writes its raw-unit forecasts into it
+    n_draws, n_agents, b, n_out = first.pg_samples, len(agents), rows.b, rows.n_outputs
+    draw = eps = raws = None
+    if first.mode == "pg":
+        draw, eps = np.empty((n_agents, n_draws, b, n_out)), np.empty((n_draws, n_agents * b, n_out))
+        raws = draw.reshape(eps.shape)
+        eps_blocks = eps.reshape(n_draws, n_agents, b, n_out)
+    runs = [_Run(c, params, rows, std, eps, raws) for c in configs]
+
+    # non-finite values are detected explicitly in each run's step; numpy's
+    # overflow warnings on the way there (a finite gradient times a huge lr
+    # can still overflow theta in the optimizer) are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            perms = [rng.permutation(rows.n) for _ in agents]
-            index = rows.epoch_index(perms, steps_per_epoch)
-            # mode="clip" lets `take` write into `out` unbuffered; every index is in range
-            np.take(rows.x, index, axis=0, out=batches_x, mode="clip")
-            np.take(targets, index, axis=0, out=batches_y, mode="clip")
-            if config.mode != "plain":
-                inputs = rows.regret_inputs(index, out=inputs)
-            for k, (X, Y, *batch) in enumerate(zip(batches_x, batches_y, *inputs)):
-                t = epoch * steps_per_epoch + k
-                preds, acts = predictor.forward_batch(current, X, keep=True)
-                cot, agent_terms, eq_term, mse_term, combined = mode_step(batch, Y, preds)
-                grad = predictor.vjp_batch(current, X, cot, acts)
+        live = runs
+        for t, X, Y, batch in _batches(first, rows, targets, rng):
+            if draw is not None:
+                np.copyto(eps_blocks, rng.standard_normal(out=draw).swapaxes(0, 1))
+            for run in live:
+                try:
+                    run.step(t, X, Y, batch)
+                except Exception as exc:  # this run stops; the shared stream goes on for the others
+                    run.error = exc
+                    live = [other for other in live if other is not run]  # the loop goes on over the old list
+            if not live:
+                break
 
-                if not math.isfinite(combined) or not np.isfinite(grad).all():
-                    # blame the first agent with a non-finite batch term (in pg, in any draw)
-                    bad = np.flatnonzero(~np.isfinite(agent_terms).reshape(-1, len(agents)).all(axis=0))
-                    raise DivergenceError(
-                        f"non-finite loss or gradient at step {t}: loss={combined}, "
-                        f"|grad|max={np.max(np.abs(grad)) if grad.size else math.nan}",
-                        step=t,
-                        agent_id=agents[bad[0]].agent_id if bad.size else None,
-                        values=(combined,),
-                    )
-                lr_t = update(grad, t)
-                if not np.isfinite(theta).all():
-                    raise DivergenceError(
-                        f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t, values=(combined,)
-                    )
-
-                step_log.append(
-                    {"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined}
-                )
-
-    return TrainResult(params=current, step_log=step_log, std=std)
+    outcomes = [run.error or TrainResult(params=run.current, step_log=run.step_log, std=std) for run in runs]
+    if isinstance(config, TrainConfig):
+        (outcome,) = outcomes
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    return TrainRuns(outcomes, [entry for run in runs for entry in run.step_log])
 
 
 def evaluate(params: ParamVector, agents: list[AgentSpec], data: PoolData, q: float = 0.0, beta: float = 0.0, seed: int = 0) -> RunSummary:
@@ -545,21 +625,23 @@ def evaluate(params: ParamVector, agents: list[AgentSpec], data: PoolData, q: fl
     summary would not be valid JSON.
     """
     rows = _StackedRows(agents, data, data.test, None, params.n_outputs)
-    raws = rows.to_raw(predictor.forward_batch(params, rows.x))
-    values = rows.regrets(raws[None], rows.regret_inputs(np.arange(len(rows.x))))
-    r = rows.agent_means(values)[0]
-    summary = RunSummary(
-        per_agent_regret=r,
-        variance=metrics.variance(r),
-        mean=float(r.mean()),
-        c95_minus_c5=metrics.percentile_gap(r),
-        mse=metrics.mse(np.split(raws, len(agents)), np.split(data.test.rows.y_raw, len(agents))),
-        entropy=metrics.norm_entropy(r),
-        q=q,
-        beta=beta,
-        seed=seed,
-    )
+    # a non-finite field is refused below; numpy's overflow warnings on the way are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        raws = rows.to_raw(predictor.forward_batch(params, rows.x))
+        values = rows.regrets(raws[None], rows.regret_inputs(np.arange(len(rows.x))))
+        r = rows.agent_means(values)[0]
+        summary = RunSummary(
+            per_agent_regret=r,
+            variance=metrics.variance(r),
+            mean=float(r.mean()),
+            c95_minus_c5=metrics.percentile_gap(r),
+            mse=metrics.mse(np.split(raws, len(agents)), np.split(data.test.rows.y_raw, len(agents))),
+            entropy=metrics.norm_entropy(r),
+            q=q,
+            beta=beta,
+            seed=seed,
+        )
     bad = [name for name, value in summary.as_dict().items() if not np.isfinite(value).all()]
     if bad:
-        raise DivergenceError(f"non-finite evaluation summary fields: {', '.join(bad)}")
+        raise DivergenceError(f"non-finite evaluation summary fields: {', '.join(bad)}", phase="evaluation")
     return summary

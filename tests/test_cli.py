@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import pytest
 
-from equicast import cli, harness, predictor, verify
+from equicast import cli, harness, predictor, training, verify
 from equicast.errors import ConfigError
 from equicast.harness import config_from_dict
 
@@ -614,15 +615,20 @@ def test_non_finite_update_exits_2(tmp_path, capsys):
 def test_non_finite_evaluation_exits_2(tmp_path, capsys):
     # one step at lr=1e300 leaves finite parameters whose test squared error
     # overflows: summary.json used to record "mse": Infinity, not valid JSON,
-    # and the run exited 0
+    # and the run exited 0; later numpy warned "overflow encountered in
+    # square" on the way, and the message read "training diverged"
     doc = {"application": "datacenter", "n_agents": 3, "length": 60, "hidden": 4, "train": {"epochs": 1, "lr": 1e300}}
     cfg = write_config(tmp_path, doc)
-    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert "non-finite evaluation summary fields: mse" in err and "Traceback" not in err
-    assert not (tmp_path / "run" / "summary.json").exists()
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 2
-    assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[-1].endswith(",failed")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "evaluation diverged: non-finite evaluation summary fields: mse" in err
+        assert "training diverged" not in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "summary.json").exists()
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 2
+        assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[-1].endswith(",failed")
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "sweep", "verify"])
@@ -673,14 +679,14 @@ def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
     doc = tiny_config(repeats=1, sweep_q_plus_1=[1, 2], sweep_beta=[0.0])
     cfg = write_config(tmp_path, doc)
 
-    real = harness.run_experiment
+    real = training.evaluate
 
-    def flaky(config, seed=None, train_config=None):
-        if train_config is not None and train_config.q == 1.0:
+    def flaky(params, agents, data, q=0.0, beta=0.0, seed=0):
+        if q == 1.0:
             raise RuntimeError("injected failure")
-        return real(config, seed=seed, train_config=train_config)
+        return real(params, agents, data, q=q, beta=beta, seed=seed)
 
-    monkeypatch.setattr(harness, "run_experiment", flaky)
+    monkeypatch.setattr(training, "evaluate", flaky)
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     lines = (out / "sweep.csv").read_text().splitlines()[2:]

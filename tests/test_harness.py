@@ -7,7 +7,7 @@ import pytest
 
 from equicast import harness, predictor, training
 from equicast.agents import regret
-from equicast.errors import ConfigError, SchemaError
+from equicast.errors import ConfigError, DivergenceError, SchemaError
 from equicast.harness import ExperimentConfig, build_pool, config_from_dict, config_hash, run_experiment
 from equicast.training import TrainConfig, evaluate
 
@@ -119,6 +119,33 @@ def test_sweep_counts_and_order():
     keys = [(r.q_plus_1, r.beta, r.seed) for r in rows]
     assert keys == [(1.0, 0.0, 0), (1.0, 0.0, 1), (2.0, 0.0, 0), (2.0, 0.0, 1)]
     assert all(r.status == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_rows_are_bitwise_their_solo_runs(jobs):
+    # a seed's cells train in one pass, sharing the pool, the RNG stream and
+    # each pg step's draw; q+1 = 1e300 overflows the equitable loss at step
+    # 0 (water_weight 50 makes a charger's regret exceed 1), and that run
+    # fails alone
+    cfg = small_config(application="mixed", n_agents=4, horizon=4, length=70, lookback=4, water_weight=50.0,
+                       repeats=2, sweep_q_plus_1=(1.0, 2.0, 1e300), sweep_beta=(0.0, 0.5),
+                       train=TrainConfig(mode="pg", lr=0.01, epochs=2, batch_size=8, optimizer="adam",
+                                         pg_baseline=True, pg_samples=2))
+    rows = harness.run_sweep(cfg, jobs=jobs)
+    assert [(r.q_plus_1, r.beta, r.seed) for r in rows] == [
+        (qp1, beta, seed) for qp1 in (1.0, 2.0, 1e300) for beta in (0.0, 0.5) for seed in (0, 1)
+    ]
+    for row in rows:
+        solo = replace(cfg, train=replace(cfg.train, q=row.q_plus_1 - 1.0, beta=row.beta))
+        assert row.status == ("failed" if row.q_plus_1 == 1e300 else "ok")
+        if row.status == "failed":
+            with pytest.raises(DivergenceError, match="at step 0") as exc:
+                run_experiment(solo, seed=row.seed)
+            assert row.error == f"DivergenceError: {exc.value}"
+            continue
+        summary, _, _ = run_experiment(solo, seed=row.seed)
+        assert row.summary.per_agent_regret.tobytes() == summary.per_agent_regret.tobytes()
+        assert json.dumps(row.summary.as_dict()) == json.dumps(summary.as_dict())
 
 
 def test_generate_then_load_pool_matches_memory(tmp_path):

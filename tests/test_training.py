@@ -10,7 +10,7 @@ from equicast.agents import (
 )
 from equicast.data import Part, PoolWindows
 from equicast.errors import ConfigError, DivergenceError, InfeasibleActionError
-from equicast.training import PoolData, TrainConfig, _StackedRows, evaluate, train
+from equicast.training import PoolData, TrainConfig, TrainRuns, _StackedRows, evaluate, train
 
 
 class Split(NamedTuple):
@@ -820,3 +820,53 @@ def test_evaluate_deterministic():
     b = evaluate(params, [DC_AGENT], make_pool([DC_AGENT], [split]))
     assert np.array_equal(a.per_agent_regret, b.per_agent_regret)
     assert a.as_dict() == b.as_dict()
+
+
+def _lockstep_inputs(mode, pg_samples=1):
+    """A pool, initial parameters and four configs that differ only in q and beta; q = 1e300 overflows in pg."""
+    agents, splits = _mixed_pool(INTERLEAVED)
+    if mode == "chain":
+        agents, splits = zip(*[(a, s) for a, s in zip(agents, splits) if a.family == "datacenter"])
+    base = TrainConfig(mode=mode, lr=0.05, epochs=3, batch_size=2, optimizer="adam", grad_clip=2.0,
+                       pg_samples=pg_samples, pg_baseline=True, seed=5)
+    configs = [replace(base, q=q, beta=beta) for q, beta in ((0.0, 0.0), (1e300, 0.0), (1.0, 0.5), (2.0, 1.0))]
+    return list(agents), make_pool(list(agents), list(splits)), predictor.init_params([2, 5, 4], seed=3), configs
+
+
+@pytest.mark.parametrize("mode, pg_samples", [("plain", 1), ("chain", 1), ("pg", 1), ("pg", 3)])
+def test_runs_trained_together_are_bitwise_their_solo_runs(mode, pg_samples):
+    # the runs share the rows, the RNG, every epoch's batches and each pg
+    # step's draw, and keep their own parameters, optimizer, baseline (the
+    # EMA at one draw) and step log; a run that diverges stops alone
+    agents, pool, params, configs = _lockstep_inputs(mode, pg_samples)
+    runs = train(configs, params, agents, pool)
+    assert isinstance(runs, TrainRuns)
+    results = runs.outcomes
+    assert len(results) == len(configs)
+    # the call's step log is every run's, a stopped run's too
+    assert len(runs.step_log) == sum(9 if not isinstance(r, Exception) else r.step for r in results)
+    for config, result in zip(configs, results):
+        try:
+            solo = train(config, params, agents, pool)
+        except DivergenceError as exc:
+            assert isinstance(result, DivergenceError)
+            assert (str(result), result.step, result.agent_id) == (str(exc), exc.step, exc.agent_id)
+            continue
+        assert result.params.values.tobytes() == solo.params.values.tobytes()
+        assert result.step_log == solo.step_log and len(solo.step_log) == 9
+        assert repr(result.std) == repr(solo.std)
+    if mode == "pg":  # the overflowing run stopped early, and its siblings trained on
+        assert isinstance(results[1], DivergenceError) and results[1].step < 8
+        assert sum(isinstance(r, DivergenceError) for r in results) == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"epochs": 4}, {"batch_size": 3}, {"pg_samples": 2}, {"std": 0.5}, {"seed": 6}, {"mode": "plain"},
+    {"lr": 0.01}, {"optimizer": "sgd"},
+], ids=lambda change: next(iter(change)))
+def test_runs_trained_together_may_differ_only_in_q_and_beta(change):
+    agents, pool, params, configs = _lockstep_inputs("pg")
+    with pytest.raises(ValueError, match="may differ only in q and beta"):
+        train([configs[0], replace(configs[2], **change)], params, agents, pool)
+    with pytest.raises(ValueError, match="at least one config"):
+        train([], params, agents, pool)

@@ -1,13 +1,18 @@
-"""sha256 digests of training runs and `verify` results at fixed seeds.
+"""sha256 digests of training runs, sweeps and `verify` results at fixed seeds.
 
-    python3 tools/digests.py > digests.txt
+    python3 tools/digests.py > tests/digests.txt
 
 Run it in two checkouts and `diff` the outputs: equal lines mean bitwise
-equal results.  Each (config, seed) line covers the trained parameters'
-bytes, the step log as JSON, `repr` of the Gaussian std and the `evaluate`
-summary (`as_dict`, as JSON).  Each seed's `verify` line gives one short
-digest per suite of `verify.run_all`'s results, so a diff names the suite
-whose detail changed.
+equal results.  `tests/test_digests.py` compares this checkout's output
+with the checked-in `tests/digests.txt`.  The first line names numpy's
+version and its BLAS, which may round differently.  Each (config, seed)
+line covers the trained parameters' bytes, the step log as JSON, `repr` of
+the Gaussian std and the `evaluate` summary (`as_dict`, as JSON).  Each
+seed's `sweep` line hashes the rows of `harness.run_sweep` on the
+benchmark's mixed sweep from that seed, once at `jobs` 1 and once at 2:
+each row's cell, status, error and summary.  Each seed's `verify` line
+gives one short digest per suite of `verify.run_all`'s results, so a diff
+names the suite whose detail changed.
 
 The pools and trainers are the benchmark's (`bench/run.py`), and the
 variants below each change one thing about them.  A run builds its inputs
@@ -24,7 +29,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import run as bench  # noqa: E402  (puts src/ on the path and pins BLAS to one thread)
-from equicast import training, verify  # noqa: E402
+import numpy as np  # noqa: E402
+from equicast import harness, training, verify  # noqa: E402
 
 SEEDS = (0, 1, 9001)
 MIXED_PG = bench.MIXED.train
@@ -64,10 +70,26 @@ def run_digest(config, trainer, seed: int) -> str:
     )
 
 
+def header() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = " ".join(blas.get("openblas configuration", "").split())
+    return f"# numpy={np.__version__} blas={blas['name']} {blas['version']} ({config})"
+
+
+def sweep_digest(seed: int, jobs: int) -> str:
+    rows = harness.run_sweep(replace(bench.MIXED, seed=seed), jobs=jobs)
+    return sha(json.dumps([
+        [r.q_plus_1, r.beta, r.seed, r.status, r.error, r.summary and r.summary.as_dict()] for r in rows
+    ]).encode())
+
+
 def main() -> int:
+    print(header(), flush=True)
     for name, (config, trainer) in CONFIGS.items():
         for seed in SEEDS:
             print(f"{name} seed={seed} {run_digest(config, trainer, seed)}", flush=True)
+    for seed in SEEDS:
+        print(f"sweep seed={seed} jobs1={sweep_digest(seed, 1)} jobs2={sweep_digest(seed, 2)}", flush=True)
     for seed in SEEDS:
         suites = " ".join(
             f"{r.name}={sha(json.dumps([r.passed, r.detail]).encode(), short=True)}" for r in verify.run_all(seed)
