@@ -200,8 +200,6 @@ def ev_act(ctx: ChargingContext, e_hat) -> np.ndarray:
     if e.shape != (ctx.horizon,):
         raise ValueError(f"forecast must have length {ctx.horizon}, got shape {e.shape}")
     k = required_slots(ctx)
-    if k > ctx.horizon:
-        raise InfeasibleActionError(f"need {k} slots but horizon is {ctx.horizon}")
     order = np.argsort(e, kind="stable")
     schedule = np.zeros(ctx.horizon, dtype=int)
     schedule[order[:k]] = 1

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, predictor, training, verify
-from .errors import ConfigError, DivergenceError, SchemaError
+from .errors import USER_ERRORS, ConfigError, DivergenceError
 from .harness import ExperimentConfig, config_from_dict, config_hash
 
 try:
@@ -130,6 +130,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _effective_config(args)
+    if args.jobs < 1:  # before --out is made; `run_sweep` refuses it for its other callers
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep trains
     rows = harness.run_sweep(config, jobs=args.jobs)
     path = harness.write_sweep_files(rows, args.out, config)
     failed = [r for r in rows if r.status != "ok"]
@@ -181,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SchemaError, FileNotFoundError) as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

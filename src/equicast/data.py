@@ -49,7 +49,11 @@ class SplitSpec:
 
 @dataclass(eq=False)
 class SeriesDataset:
-    """A shared input signal plus optional per-agent outcome/context streams."""
+    """A shared input signal plus optional per-agent outcome/context streams.
+
+    Every array spans the timestamps, as its builders make it: the generators
+    and `load_csv`, and `harness.load_pool`, which refuses other timestamps.
+    """
 
     timestamps: np.ndarray
     signal: np.ndarray | None = None
@@ -57,15 +61,6 @@ class SeriesDataset:
     outcome_targets: np.ndarray | None = None  # (M, N) decision streams, if distinct
     workloads: np.ndarray | None = None  # (M, N) per-agent demand series
     agent_ids: tuple | None = None  # the workload rows' agent ids, sorted
-
-    def __post_init__(self):
-        n = len(self.timestamps)
-        if self.signal is not None and len(self.signal) != n:
-            raise ValueError(f"signal length {len(self.signal)} != timestamps length {n}")
-        for name in ("agent_targets", "outcome_targets", "workloads"):
-            arr = getattr(self, name)
-            if arr is not None and arr.shape[1] != n:
-                raise ValueError(f"{name} has {arr.shape[1]} steps, timestamps have {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +75,9 @@ def synth_carbon(
     noise_std: float = 0.15,
     phase: float = 0.0,
 ) -> np.ndarray:
-    """Daily sinusoid around `base` with Gaussian noise, floored at 0.05*base."""
+    """Daily sinusoid around `base` with Gaussian noise, floored at 0.05*base; `ExperimentConfig` checks `length`."""
     if base <= 0:
         raise ConfigError(f"base intensity must be positive, got {base}")
-    if length < 1:
-        raise ConfigError(f"length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
     t = np.arange(length)
     series = base + daily_amplitude * np.sin(2.0 * np.pi * t / 24.0 + phase)
@@ -115,13 +108,8 @@ def synth_agents(
     offsets and splits the workload profiles into a tight cluster plus a
     scattered tail, so pairwise workload-distribution distances spread over
     at least an order of magnitude.
+    The config fields arrive checked by `harness.ExperimentConfig`.
     """
-    if n_agents < 1:
-        raise ConfigError(f"need at least one agent, got {n_agents}")
-    if heterogeneity not in ("similar", "different"):
-        raise ConfigError(f"unknown heterogeneity '{heterogeneity}'")
-    if lambda_scheme not in ("same", "grid"):
-        raise ConfigError(f"unknown lambda scheme '{lambda_scheme}'")
     rng = np.random.default_rng(seed)
     signal = synth_carbon(length, seed=seed, base=base)
 
@@ -197,15 +185,8 @@ def synth_charging(
     shared forecaster is trained on: the nominal combined signal windows
     ("combined") or the carbon component only ("carbon"); agent outcome
     streams always use the agent's own mix.
+    The config fields arrive checked by `harness.ExperimentConfig`.
     """
-    if n_agents < 1:
-        raise ConfigError(f"need at least one agent, got {n_agents}")
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if heterogeneity not in ("similar", "different"):
-        raise ConfigError(f"unknown heterogeneity '{heterogeneity}'")
-    if predict_target not in ("combined", "carbon"):
-        raise ConfigError(f"unknown predict_target '{predict_target}'")
     rng = np.random.default_rng(seed)
     carbon, water, price = grid_components(length, seed)
 
@@ -280,11 +261,10 @@ def synth_mixed(
     split into vehicle chargers and device chargers (pure carbon, slow
     rates).  Every agent's forecast target is the carbon signal; a data-center
     agent's outcome stream is carbon too, and a charger's is its own mix.
+    The config fields arrive checked by `harness.ExperimentConfig`; this checks the 3 agents a mixed pool needs.
     """
     if n_agents < 3:
         raise ConfigError(f"a mixed pool needs at least 3 agents (data center, vehicle, device), got {n_agents}")
-    if lambda_scheme not in ("same", "grid"):
-        raise ConfigError(f"unknown lambda scheme '{lambda_scheme}'")
     rng = np.random.default_rng(seed)
     n_dc = max(1, n_agents // 3)
     n_ev = max(1, (n_agents - n_dc) // 2)

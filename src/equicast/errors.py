@@ -33,6 +33,11 @@ class DivergenceError(RuntimeError):
         self.values = values
 
 
+# the errors a command reports as a usage error (exit 1): a bad config or
+# input file, or a path that cannot be read or written
+USER_ERRORS = (ConfigError, SchemaError, OSError)
+
+
 def check_fields(cls, doc: dict, what: str) -> None:
     """Refuse unknown keys, and a field of `cls` given a value of another type.
 

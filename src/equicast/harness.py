@@ -39,7 +39,7 @@ from . import data as datamod
 from . import predictor, training
 from .agents import AgentSpec, load_agent_pool, save_agent_pool
 from .data import SplitSpec, load_csv, synth_agents, synth_charging, synth_mixed, window_split
-from .errors import ConfigError, SchemaError, check_fields
+from .errors import USER_ERRORS, ConfigError, SchemaError, check_fields
 from .training import PoolData, RunSummary, TrainConfig, TrainResult
 
 # the values of the config's enumerated synthesis fields
@@ -89,6 +89,7 @@ class ExperimentConfig:
             raise ConfigError(f"sweep_q_plus_1 values must be finite and >= 1, got {self.sweep_q_plus_1}")
         if any(not 0.0 <= b <= 1.0 for b in self.sweep_beta):
             raise ConfigError(f"beta values must lie in [0, 1], got {self.sweep_beta}")
+        SplitSpec(self.train_fraction)  # refuses a fraction outside (0, 1)
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -347,22 +348,21 @@ class SweepRow:
     error: str = ""
 
 
-# a user error ends the sweep, as it ends `train`; any other error fails its cell
-_USER_ERRORS = (ConfigError, SchemaError, FileNotFoundError)
-
-
 def _sweep_task(args) -> list[SweepRow]:
-    """The rows of some (q+1, beta) cells at one seed, in their order, from one `run_experiment` call."""
+    """The rows of some (q+1, beta) cells at one seed, in their order, from one `run_experiment` call.
+
+    A user error (`USER_ERRORS`) ends the sweep, as it ends `train`; any other error fails its cell.
+    """
     config, seed, cells = args
     try:
         outcomes = run_experiment(config, seed=seed, cells=cells)
-    except _USER_ERRORS:
+    except USER_ERRORS:
         raise
     except Exception as exc:  # no cell could train; each fails as its own run would
         outcomes = [exc] * len(cells)
     rows = []
     for (qp1, beta), outcome in zip(cells, outcomes):
-        if isinstance(outcome, _USER_ERRORS):
+        if isinstance(outcome, USER_ERRORS):
             raise outcome
         if isinstance(outcome, Exception):  # the sweep keeps going; the row records the failure
             rows.append(SweepRow(qp1, beta, seed, "failed", error=f"{type(outcome).__name__}: {outcome}"))

@@ -656,6 +656,61 @@ def test_negative_config_seed_is_a_usage_error(tmp_path, capsys, override):
     assert "seed must be >= 0, got -5" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "sweep", "verify"])
+def test_train_fraction_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # generate wrote a pool and verify passed, both with exit 0, while train refused the same file
+    monkeypatch.setattr(verify, "run_all", lambda seed=0: [])
+    cfg = write_config(tmp_path, tiny_config(train_fraction=1.5))
+    args = [command, "--config", cfg]
+    if command == "evaluate":
+        args += ["--checkpoint", str(tmp_path / "checkpoint.json")]
+    if command != "verify":
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "train fraction must lie in (0, 1), got 1.5" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "meta.json").exists()
+
+
+# each used to end in an OSError traceback: FileExistsError, IsADirectoryError, NotADirectoryError
+@pytest.mark.parametrize("case", [
+    "generate-out-is-a-file", "train-out-is-a-file", "evaluate-out-is-a-file",
+    "config-is-a-directory", "checkpoint-is-a-directory", "data-dir-is-a-file",
+])
+def test_path_error_is_a_usage_error(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, tiny_config())
+    a_file, a_dir, run = tmp_path / "a_file", tmp_path / "a_dir", str(tmp_path / "run")
+    a_file.write_text("")
+    a_dir.mkdir()
+    args = {
+        "generate-out-is-a-file": ["generate", "--config", cfg, "--out", str(a_file)],
+        "train-out-is-a-file": ["train", "--config", cfg, "--out", str(a_file)],
+        "evaluate-out-is-a-file": ["evaluate", "--config", cfg, "--checkpoint", str(a_dir), "--out", str(a_file)],
+        "config-is-a-directory": ["train", "--config", str(a_dir), "--out", run],
+        "checkpoint-is-a-directory": ["evaluate", "--config", cfg, "--checkpoint", str(a_dir), "--out", run],
+        "data-dir-is-a-file": ["train", "--config", write_config(tmp_path, tiny_config(data_dir=str(a_file)), "files.json"),
+                               "--out", run],
+    }[case]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    named = a_file if "file" in case else a_dir
+    assert err.startswith("error: ") and str(named) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_refuses_an_out_it_cannot_make_before_it_trains(tmp_path, capsys, monkeypatch, jobs):
+    # a file at --out used to end in a FileExistsError traceback after the whole sweep had trained
+    sweeps, run_sweep = [], harness.run_sweep
+    monkeypatch.setattr(harness, "run_sweep", lambda *a, **k: sweeps.append(a) or run_sweep(*a, **k))
+    out = tmp_path / "sweep"
+    out.write_text("")
+    cfg = write_config(tmp_path, tiny_config(repeats=1, sweep_q_plus_1=[1, 2], sweep_beta=[0.0]))
+    assert cli.main(["sweep", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert sweeps == []
+
+
 def test_sweep_rows_and_regret_files(tmp_path):
     doc = tiny_config(repeats=3, sweep_q_plus_1=[1, 2, 5], sweep_beta=[0.0])
     doc["train"].update({"mode": "pg", "pg_samples": 2, "std": 0.3, "lr": 0.01,

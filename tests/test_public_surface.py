@@ -116,6 +116,21 @@ def test_no_module_keeps_a_dataclass_field_list():
     assert copies == [], f"module-level copies of a dataclass's field names: {copies}"
 
 
+def test_config_choices_live_in_one_place():
+    # `ExperimentConfig` refuses a value outside `harness._CHOICES` before any
+    # generator runs; a copy of some of the choices elsewhere re-checks them
+    choices = [set(values) for values in harness._CHOICES.values()]
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "harness.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            strings = _string_set(node)
+            if len(strings) >= 2 and any(strings <= values for values in choices):
+                copies.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert copies == [], f"copies of a config field's choices outside harness: {copies}"
+
+
 def test_objective_is_a_function_of_the_model_outputs():
     # the objective's ops return a cotangent on the outputs; the one vjp of a
     # step runs in `training.train`, so `objective` never reaches the network
