@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleActionError, SchemaError, check_fields
+from .errors import ConfigError, InfeasibleActionError, SchemaError, check_fields, read_object
 
 # Forecast values at or below this floor are clamped before the allocation
 # policy inverts them, keeping the policy total under bad predictions.
@@ -449,11 +449,8 @@ def save_agent_pool(path, agents: list[AgentSpec]) -> None:
 
 
 def load_agent_pool(path) -> list[AgentSpec]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("agents"), list):
+    doc = read_object(path, SchemaError)
+    if not isinstance(doc.get("agents"), list):
         raise SchemaError(f"{path}: expected an object with an 'agents' list")
     agents, ids = [], set()
     for i, entry in enumerate(doc["agents"]):

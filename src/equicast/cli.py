@@ -21,34 +21,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, predictor, training, verify
-from .errors import USER_ERRORS, ConfigError, DivergenceError
+from .errors import USER_ERRORS, ConfigError, DivergenceError, read_object
 from .harness import ExperimentConfig, config_from_dict, config_hash
-
-try:
-    import tomllib as _toml
-except ModuleNotFoundError:  # python < 3.11
-    try:
-        import tomli as _toml
-    except ModuleNotFoundError:
-        _toml = None
 
 
 def load_config(path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    if p.suffix.lower() == ".toml":
-        if _toml is None:
-            raise ConfigError("TOML support needs tomllib (py>=3.11) or the tomli package")
-        doc = _toml.loads(p.read_text())
-    else:
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{p}: config must be a table/object")
-    return config_from_dict(doc)
+    return config_from_dict(read_object(path, ConfigError))
 
 
 def _effective_config(args) -> ExperimentConfig:

@@ -27,13 +27,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .agents import AgentSpec, ChargingContext, DataCenterContext
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, read_text
 
 
 @dataclass(frozen=True)
@@ -325,7 +324,7 @@ _SCHEMAS = {
 
 
 def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, SchemaError).splitlines()
     rows = []
     header = None
     for lineno, line in enumerate(lines, start=1):

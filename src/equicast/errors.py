@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and `check_fields`: the type check of a
-JSON object (a config, an `agents.json` entry) against the dataclass it builds."""
+"""Exception types shared across the package; `read_text` and `read_object`, the
+one reader of input files; and `check_fields`: the type check of a JSON object
+(a config, an `agents.json` entry) against the dataclass it builds."""
 
 import dataclasses
+import json
 import sys
 import typing
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -36,6 +39,34 @@ class DivergenceError(RuntimeError):
 # the errors a command reports as a usage error (exit 1): a bad config or
 # input file, or a path that cannot be read or written
 USER_ERRORS = (ConfigError, SchemaError, OSError)
+
+
+def read_text(path, error) -> str:
+    """The text of a UTF-8 file; other bytes raise `error` naming the file (a missing one is an `OSError`)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def read_object(path, error) -> dict:
+    """The object a `.toml` file, or any other file as JSON, holds; else raises `error` naming the file."""
+    text = read_text(path, error)
+    if Path(path).suffix.lower() == ".toml":
+        try:  # imported here: a command that reads no TOML file does not pay for the import
+            import tomllib as toml
+        except ModuleNotFoundError:  # python < 3.11
+            import tomli as toml
+        kind, parse = "TOML", toml.loads
+    else:
+        kind, parse = "JSON", json.loads
+    try:
+        doc = parse(text)
+    except (ValueError, RecursionError) as exc:  # a syntax error, too deep a nesting, or too long an integer
+        raise error(f"{path}: not valid {kind} ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected an object, got {type(doc).__name__}")
+    return doc
 
 
 def check_fields(cls, doc: dict, what: str) -> None:

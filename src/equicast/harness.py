@@ -39,7 +39,7 @@ from . import data as datamod
 from . import predictor, training
 from .agents import AgentSpec, load_agent_pool, save_agent_pool
 from .data import SplitSpec, load_csv, synth_agents, synth_charging, synth_mixed, window_split
-from .errors import USER_ERRORS, ConfigError, SchemaError, check_fields
+from .errors import USER_ERRORS, ConfigError, SchemaError, check_fields, read_object
 from .training import PoolData, RunSummary, TrainConfig, TrainResult
 
 # the values of the config's enumerated synthesis fields
@@ -83,6 +83,9 @@ class ExperimentConfig:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.train.seed != 0:  # `run_experiment` trains at the run's seed
+            raise ConfigError(f"train.seed must be 0, got {self.train.seed}: a run's seed is the top-level 'seed' "
+                              "(a sweep repeat runs at seed + rep)")
         if self.lookback < 1 or self.horizon < 1 or self.hidden < 1 or self.length < 1:
             raise ConfigError("lookback, horizon, hidden, and length must all be >= 1")
         if any(not (math.isfinite(qp1) and qp1 >= 1.0) for qp1 in self.sweep_q_plus_1):
@@ -229,12 +232,7 @@ def generate_files(config: ExperimentConfig, out_dir) -> dict:
 def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
     """Rebuild a pool from files written by `generate_files`; the files must hold the config's pool."""
     root = Path(data_dir)
-    try:
-        meta = json.loads((root / "meta.json").read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{root / 'meta.json'}: not valid JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise SchemaError(f"{root / 'meta.json'}: expected an object")
+    meta = read_object(root / "meta.json", SchemaError)
     recorded_config, outcome_refs = meta.get("config", {}), meta.get("outcome_refs")
     if not isinstance(recorded_config, dict):
         raise SchemaError(f"{root / 'meta.json'}: 'config' must be an object")

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_object
 
 
 def _checked_sizes(layer_sizes) -> tuple[int, ...]:
@@ -170,12 +170,7 @@ def save_checkpoint(path, params: ParamVector, std: float, lookback: int, extra:
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
     """The parameters and the header {"std", "lookback", "extra"} of a checkpoint; a malformed one is refused."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a checkpoint object")
+    doc = read_object(path, ConfigError)
     for key in ("layer_sizes", "std", "lookback", "values"):
         if key not in doc:
             raise ConfigError(f"{path}: checkpoint missing field '{key}'")

@@ -115,7 +115,7 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 128
     std: float | None = None  # None -> 0.1 * std of the normalized training targets
-    seed: int = 0
+    seed: int = 0  # set by `train`'s callers; an ExperimentConfig's is 0, and its runs train at its `seed`
     optimizer: str = "sgd"
     momentum: float = 0.0
     grad_clip: float | None = None

@@ -384,6 +384,35 @@ def test_corrupt_checkpoint_is_a_usage_error(tmp_path, capsys):
     assert "checkpoint.json: not valid JSON" in err and "Traceback" not in err
 
 
+# each used to end in a traceback: UnicodeDecodeError (a byte that is not
+# UTF-8), TOMLDecodeError (invalid TOML), ValueError (json's limit on an
+# integer's digits) or RecursionError (nesting deeper than json recurses)
+@pytest.mark.parametrize("name, edit, message", [
+    ("config.json", lambda b: b + b"\xff", "not UTF-8 text"),
+    ("config.json", lambda b: b'{"seed": ' + b"1" * 5000 + b"}", "not valid JSON"),
+    ("config.json", lambda b: b"[" * 100000, "not valid JSON"),
+    ("config.toml", lambda b: b"seed = 0  # \xff\n", "not UTF-8 text"),
+    ("config.toml", lambda b: b"seed = \n", "not valid TOML"),
+    ("checkpoint.json", lambda b: b + b"\xff", "not UTF-8 text"),
+    ("meta.json", lambda b: b + b"\xff", "not UTF-8 text"),
+    ("agents.json", lambda b: b + b"\xff", "not UTF-8 text"),
+    ("target_m001.csv", lambda b: b + b"\xff", "not UTF-8 text"),
+], ids=["json-bytes", "json-digits", "json-depth", "toml-bytes", "toml-syntax", "checkpoint", "meta", "agents", "series-csv"])
+def test_undecodable_input_file_is_a_usage_error(tmp_path, capsys, name, edit, message):
+    data_dir, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
+    cfg = write_config(tmp_path, tiny_config(data_dir=str(data_dir)))
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
+    path = (tmp_path if name.startswith("config") else run if name == "checkpoint.json" else data_dir) / name
+    path.write_bytes(edit(path.read_bytes() if path.exists() else b""))
+    args = ["evaluate", "--checkpoint", str(path)] if name == "checkpoint.json" else ["train"]
+    args += ["--config", str(path) if name.startswith("config") else cfg, "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
+
+
 # each used to end in a traceback, or (the numeric string) to evaluate
 @pytest.mark.parametrize("key, edit, message", [
     ("values", lambda v: v[:-1], "layer sizes [6, 4, 1] need (33,)"),
@@ -654,6 +683,14 @@ def test_negative_config_seed_is_a_usage_error(tmp_path, capsys, override):
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert "seed must be >= 0, got -5" in err and "Traceback" not in err
+
+
+def test_train_seed_is_a_usage_error(tmp_path, capsys):
+    # trained at the top-level seed 0 and exited 0
+    cfg = write_config(tmp_path, tiny_config(train={"mode": "plain", "seed": 3}))
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "train.seed must be 0, got 3" in err and "'seed'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "sweep", "verify"])

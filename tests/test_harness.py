@@ -110,6 +110,9 @@ def test_config_validation_errors():
             ExperimentConfig(sweep_q_plus_1=(1.0, bad))
     with pytest.raises(ConfigError):
         config_from_dict({"n_agents": 0})
+    for name in ("lookback", "horizon", "hidden", "length"):
+        with pytest.raises(ConfigError, match="must all be >= 1"):
+            ExperimentConfig(**{name: 0})
 
 
 def test_sweep_counts_and_order():

@@ -131,6 +131,25 @@ def test_config_choices_live_in_one_place():
     assert copies == [], f"copies of a config field's choices outside harness: {copies}"
 
 
+def test_only_errors_decodes_an_input_file():
+    # `errors.read_text` and `read_object` refuse undecodable text, invalid
+    # syntax and a document that is not an object as a usage error naming the
+    # file; a module that decodes a file itself skips those checks.  A call
+    # is a decoder when it names a parser (`json.loads`, a TOML `loads`, or
+    # the bare name imported) or reads a file's contents (`Path.read_text`)
+    decoders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr in ("load", "loads", "read_text", "read_bytes")
+                or isinstance(node.func, ast.Name) and node.func.id in ("load", "loads")
+            ):
+                decoders.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert decoders == [], f"input files decoded outside errors.py: {decoders}"
+
+
 def test_objective_is_a_function_of_the_model_outputs():
     # the objective's ops return a cotangent on the outputs; the one vjp of a
     # step runs in `training.train`, so `objective` never reaches the network
