@@ -191,7 +191,7 @@ def ev_cost(ctx: ChargingContext, schedule, energy) -> float:
         raise ValueError(
             f"schedule/energy must have length {ctx.horizon}, got {x.shape} and {e.shape}"
         )
-    return float(ctx.rate * np.sum(x * e))
+    return float(ctx.rate * (x * e).sum())
 
 
 def ev_act(ctx: ChargingContext, e_hat) -> np.ndarray:
@@ -200,7 +200,7 @@ def ev_act(ctx: ChargingContext, e_hat) -> np.ndarray:
     if e.shape != (ctx.horizon,):
         raise ValueError(f"forecast must have length {ctx.horizon}, got shape {e.shape}")
     k = required_slots(ctx)
-    order = np.argsort(e, kind="stable")
+    order = e.argsort(kind="stable")
     schedule = np.zeros(ctx.horizon, dtype=int)
     schedule[order[:k]] = 1
     return schedule

@@ -101,23 +101,27 @@ def pg_grad(eps, losses, baseline, std: float) -> np.ndarray:
 # Dual-norm identity
 
 
-def holder_max_value(mean_regrets, q: float) -> float:
-    """max over ||v||_p <= 1 of sum_m v_m r_m with 1/p + 1/(q+1) = 1.
+def holder_max_value(mean_regrets, q: float) -> float | np.ndarray:
+    """max over ||v||_p <= 1 of sum_m v_m r_m with 1/p + 1/(q+1) = 1, over the last axis.
 
     Computed through the explicit maximizer v_m proportional to r_m^q
-    (v = all-ones when q = 0, where p is infinite).
+    (v = all-ones when q = 0, where p is infinite).  A float for an (M,)
+    vector, and one value per row, (K,), for (K, M); an all-zero row's value
+    is 0.
     """
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     r = _clean_regrets(mean_regrets)
-    if np.all(r == 0.0):
-        return 0.0
     if q == 0:
-        return float(np.sum(r))
-    p = (q + 1.0) / q
-    # the maximizer is invariant to scaling r, so normalize before the q-th
-    # power to keep tiny regrets from underflowing
-    w = (r / r.max()) ** q
-    v = w / np.sum(w**p) ** (1.0 / p)
-    return float(np.sum(v * r))
-
+        value = r.sum(axis=-1)
+    else:
+        p = (q + 1.0) / q
+        # the maximizer is invariant to scaling r, so normalize before the q-th
+        # power to keep tiny regrets from underflowing; an all-zero row's w
+        # and norm are 0, and its v stays 0
+        top = r.max(axis=-1, keepdims=True)
+        w = (r / np.where(top > 0.0, top, 1.0)) ** q
+        # each row's root is a scalar power: numpy's array `**` may round it otherwise
+        norm = np.array([s ** (1.0 / p) for s in np.ravel(np.sum(w**p, axis=-1)).tolist()]).reshape(top.shape)
+        value = np.sum(w / np.where(norm > 0.0, norm, 1.0) * r, axis=-1)
+    return float(value) if value.ndim == 0 else value

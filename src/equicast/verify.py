@@ -31,20 +31,37 @@ class SuiteResult:
 _DC_STRIDE = 100
 
 
+def _arange_len(start: float, stop: float, step: float) -> int:
+    """len(np.arange(start, stop, step)) for positive float arguments: numpy's ceil((stop - start) / step)."""
+    return math.ceil((stop - start) / step)
+
+
+def _arange_points(start: float, step: float, index: np.ndarray) -> np.ndarray:
+    """np.arange(start, stop, step)[index] for float arguments, without building the array.
+
+    numpy fills point i as start + i * delta, with delta = (start + step) -
+    start, the difference of its first two points, not `step` itself.
+    """
+    return start + index * ((start + step) - start)
+
+
 def _dc_grid_min(w: float, lam: float, c: float, step: float) -> float:
     """Least data-center cost p*c + lam*w/(p - w) over np.arange(w + step, w + 10, step).
 
     The cost is convex in p: every `_DC_STRIDE`-th point is scored, then
     every point within one stride of the best of those, and that window's
-    minimum is the grid's.
+    minimum is the grid's.  Only those points are computed, each as
+    `np.arange` computes it (`_arange_points`; a test pins them to numpy's).
     """
-    ps = np.arange(w + step, w + 10.0, step)
+    start = w + step
+    n = _arange_len(start, w + 10.0, step)
 
-    def cost(p):
+    def cost(index):
+        p = _arange_points(start, step, index)
         return p * c + lam * w / (p - w)
 
-    best = int(np.argmin(cost(ps[::_DC_STRIDE]))) * _DC_STRIDE
-    return float(cost(ps[max(best - _DC_STRIDE, 0):best + _DC_STRIDE + 1]).min())
+    best = int(np.argmin(cost(np.arange(0, n, _DC_STRIDE)))) * _DC_STRIDE
+    return float(cost(np.arange(max(best - _DC_STRIDE, 0), min(best + _DC_STRIDE + 1, n))).min())
 
 
 def _subset_masks(horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,20 +111,24 @@ def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float =
 
     horizon = 12
     masks, starts = _subset_masks(horizon)
+    # slot-major masks: `row_sums` adds a column at a time, and each column
+    # is one contiguous run; the products go into one buffer for every case
+    masks_f = np.asfortranarray(masks)
+    work = np.empty_like(masks_f)
     mismatches = 0
     signals, rates, enum_best = np.empty((n_cases, horizon)), np.empty(n_cases), np.empty((n_cases, horizon))
     for i in range(n_cases):
         e = rng.uniform(0.2, 3.0, size=horizon)
         rate = float(rng.uniform(0.5, 3.0))
-        enum_costs = rate * (masks * e).sum(axis=1)
+        # every subset's cost as ev_cost takes it, rate times numpy's sum of
+        # the schedule times the signal (`row_sums` is that sum bit for bit),
+        # so each size's least cost is what ev_cost gives its best schedule,
+        # and equality must be exact
+        enum_costs = rate * agentmod.row_sums(np.multiply(masks_f, e, out=work))
+        enum_best[i] = np.minimum.reduceat(enum_costs, starts[:-1])
         for k in range(1, horizon + 1):
             ctx = ChargingContext(initial=0.0, demand=(k - 0.5) * rate, rate=rate, horizon=horizon)
             _, cost = agentmod.ev_optimal(ctx, e)
-            lo, hi = starts[k - 1], starts[k]
-            best_row = masks[lo + int(np.argmin(enum_costs[lo:hi]))]
-            # re-evaluate the enumerated argmin through ev_cost so both sides
-            # share one float recipe; equality must then be exact
-            enum_best[i, k - 1] = agentmod.ev_cost(ctx, best_row, e)
             if cost != enum_best[i, k - 1]:
                 mismatches += 1
         signals[i], rates[i] = e, rate
@@ -422,17 +443,27 @@ def check_theorem_entropy(n_toys: int = 20, qs=(0.0, 0.5, 1.0, 2.0), seed: int =
 
 
 def check_dual_norm(n_cases: int = 100, qs=(0.0, 0.5, 2.0, 9.0), seed: int = 0, tol: float = 1e-10) -> SuiteResult:
-    """Closed-form (sum r^(q+1))^(1/(q+1)) equals the explicit maximizer value."""
+    """Closed-form (sum r^(q+1))^(1/(q+1)) equals the explicit maximizer value.
+
+    Every case is drawn first, its agent count m then its m regrets; the
+    cases of one m are scored together, one `equitable_loss` and one
+    `holder_max_value` call per (m, q).  Each case's closed-form root is a
+    Python float power, as a one-case call takes it: numpy's array `**`
+    may round it otherwise.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    cases = []
     for _ in range(n_cases):
         m = int(rng.integers(2, 13))
-        r = rng.uniform(0.0, 1.0, size=m)
+        cases.append(rng.uniform(0.0, 1.0, size=m))
+    worst = 0.0
+    for m in sorted({len(r) for r in cases}):
+        rs = np.array([r for r in cases if len(r) == m])
         for q in qs:
-            closed = objective.equitable_loss(r, q) ** (1.0 / (q + 1.0))
-            witness = objective.holder_max_value(r, q)
-            rel = abs(closed - witness) / max(closed, 1e-300)
-            worst = max(worst, rel)
+            closed = np.array([loss ** (1.0 / (q + 1.0)) for loss in objective.equitable_loss(rs, q).tolist()])
+            witness = objective.holder_max_value(rs, q)
+            # np.max keeps a NaN, which then fails the gate
+            worst = float(np.max(np.abs(closed - witness) / np.maximum(closed, 1e-300), initial=worst))
     passed = worst < tol
     return SuiteResult("dual_norm", passed, f"max relative error {worst:.2e} vs tolerance {tol}")
 

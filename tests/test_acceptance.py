@@ -86,19 +86,30 @@ def test_criterion_6_dual_norm_identity():
 # 7-9: end-to-end trend reproduction
 
 
-def _seed_averaged(config, trainer, seeds=SEEDS, pools=None):
-    rows = []
+def _seed_averaged(config, trainers, seeds=SEEDS, pools=None):
+    """Each trainer's test metrics averaged over the seeds, in trainer order.
+
+    The trainers may differ only in q and beta: at each seed, one `train`
+    call trains them all, each run bitwise its solo run.
+    """
+    rows = [[] for _ in trainers]
     for s in seeds:
         pool = pools[s] if pools else build_pool(config, s)
         params = predictor.init_params(pool.arch, s)
-        result = train(replace(trainer, seed=s), params, pool.agents, pool.splits)
-        rows.append(evaluate(result.params, pool.agents, pool.splits))
-    return {
-        "variance": float(np.mean([r.variance for r in rows])),
-        "gap": float(np.mean([r.c95_minus_c5 for r in rows])),
-        "mean": float(np.mean([r.mean for r in rows])),
-        "mse": float(np.mean([r.mse for r in rows])),
-    }
+        runs = train([replace(trainer, seed=s) for trainer in trainers], params, pool.agents, pool.splits)
+        for out, result in zip(rows, runs.outcomes):
+            if isinstance(result, Exception):
+                raise result
+            out.append(evaluate(result.params, pool.agents, pool.splits))
+    return [
+        {
+            "variance": float(np.mean([r.variance for r in summaries])),
+            "gap": float(np.mean([r.c95_minus_c5 for r in summaries])),
+            "mean": float(np.mean([r.mean for r in summaries])),
+            "mse": float(np.mean([r.mse for r in summaries])),
+        }
+        for summaries in rows
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -128,11 +139,9 @@ def test_criterion_7_datacenter_trend(datacenter_setup):
         mode="pg", lr=0.01, lr_step=500, lr_decay=0.5, epochs=160, batch_size=32,
         optimizer="adam", pg_baseline=True, grad_clip=5.0, pg_samples=8,
     )
-    plain = _seed_averaged(config, replace(pg, mode="plain"), pools=pools)
-    by_q = {
-        qp1: _seed_averaged(config, replace(pg, q=qp1 - 1.0), pools=pools)
-        for qp1 in (1.0, 2.0, 5.0)
-    }
+    (plain,) = _seed_averaged(config, [replace(pg, mode="plain")], pools=pools)
+    qp1s = (1.0, 2.0, 5.0)
+    by_q = dict(zip(qp1s, _seed_averaged(config, [replace(pg, q=qp1 - 1.0) for qp1 in qp1s], pools=pools)))
     elapsed = time.time() - t0
 
     assert by_q[5.0]["variance"] < plain["variance"]
@@ -161,9 +170,8 @@ CHARGING_PG = TrainConfig(
 def test_criterion_8_charging_trend(charging_setup):
     t0 = time.time()
     config, pools = charging_setup
-    plain = _seed_averaged(config, replace(CHARGING_PG, mode="plain"), pools=pools)
-    low = _seed_averaged(config, replace(CHARGING_PG, q=0.0), pools=pools)
-    high = _seed_averaged(config, replace(CHARGING_PG, q=4.0), pools=pools)
+    (plain,) = _seed_averaged(config, [replace(CHARGING_PG, mode="plain")], pools=pools)
+    low, high = _seed_averaged(config, [replace(CHARGING_PG, q=0.0), replace(CHARGING_PG, q=4.0)], pools=pools)
     elapsed = time.time() - t0
 
     assert high["variance"] < plain["variance"]
@@ -180,10 +188,8 @@ def test_criterion_8_charging_trend(charging_setup):
 def test_criterion_9_beta_tradeoff(charging_setup):
     t0 = time.time()
     config, pools = charging_setup
-    rows = {
-        beta: _seed_averaged(config, replace(CHARGING_PG, q=1.0, beta=beta), pools=pools)
-        for beta in (0.0, 0.5, 1.0)
-    }
+    betas = (0.0, 0.5, 1.0)
+    rows = dict(zip(betas, _seed_averaged(config, [replace(CHARGING_PG, q=1.0, beta=beta) for beta in betas], pools=pools)))
     elapsed = time.time() - t0
 
     assert rows[0.0]["mse"] >= rows[0.5]["mse"] >= rows[1.0]["mse"]

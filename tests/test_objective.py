@@ -276,3 +276,20 @@ def test_holder_maximizer_is_feasible():
     for q in (0.5, 2.0, 9.0):
         closed = objective.equitable_loss(r, q) ** (1 / (q + 1))
         assert objective.holder_max_value(r, q) <= closed + 1e-12
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0, 9.0])
+def test_rows_of_a_stack_are_their_one_row_calls_bitwise(q):
+    # the dual-norm suite scores each agent count's cases in one call of each
+    rng = np.random.default_rng(int(10 * q))
+    for m in range(2, 13):
+        r = rng.uniform(0.0, 1.0, size=(30, m))
+        r[0] = 0.0  # an all-zero row
+        r[1, 0] = 0.0
+        r[2] *= 1e-300  # underflows at the q-th power unless normalized first
+        for fn in (objective.equitable_loss, objective.holder_max_value):
+            stacked = fn(r, q)
+            assert stacked.shape == (30,)
+            one_row = [fn(row, q) for row in r]
+            assert all(type(value) is float for value in one_row)
+            assert stacked.tobytes() == np.array(one_row).tobytes()

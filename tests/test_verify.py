@@ -169,6 +169,17 @@ def test_injected_batched_decision_bug_detected(monkeypatch, op):
     assert result.detail.startswith(op)
 
 
+@pytest.mark.parametrize("factor", [1.0 + 1e-9, np.nan])
+def test_injected_dual_norm_bug_detected(monkeypatch, factor):
+    # a NaN witness must fail the gate, not drop out of the worst case
+    from equicast import objective
+
+    real = objective.holder_max_value
+    monkeypatch.setattr(objective, "holder_max_value", lambda r, q: real(r, q) * factor)
+    result = verify.check_dual_norm(n_cases=5, seed=0)
+    assert not result.passed
+
+
 def _brute_force_decision_oracles(n_cases, seed, grid_step=1e-4):
     """The decision suite as a dense loop: every grid point, and each slot count's masks built apart."""
     rng = np.random.default_rng(seed)
@@ -221,6 +232,16 @@ def test_decision_grid_window_holds_the_full_grid_minimum():
     for w, lam, c in rng.uniform(0.5, 4.0, size=(2000, 3)).tolist():
         ps = np.arange(w + 1e-4, w + 10.0, 1e-4)
         assert verify._dc_grid_min(w, lam, c, 1e-4) == (ps * c + lam * w / (ps - w)).min()
+
+
+def test_decision_grid_points_are_numpys():
+    # the grid search computes only the points it scores, each by np.arange's own rule
+    rng = np.random.default_rng(4)
+    for w in rng.uniform(0.5, 4.0, size=2000).tolist():
+        ps = np.arange(w + 1e-4, w + 10.0, 1e-4)
+        n = verify._arange_len(w + 1e-4, w + 10.0, 1e-4)
+        assert n == len(ps)
+        assert np.array_equal(verify._arange_points(w + 1e-4, 1e-4, np.arange(n)), ps)
 
 
 def test_subset_masks_follow_the_combinations_order():
