@@ -22,6 +22,6 @@ from .metrics import mse, norm_entropy, percentile_gap, variance
 from .objective import chain_grad, equitable_loss, holder_max_value
 from .predictor import ParamVector, init_params
 from .training import RunSummary, TrainConfig, TrainResult, evaluate, train
-from .verify import QuadraticToy, theorem_check_entropy, theorem_check_variance
+from .verify import QuadraticToy
 
 __version__ = "0.1.0"

@@ -61,7 +61,10 @@ def cmd_train(args) -> int:
     config = _effective_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary, result, pool = harness.run_experiment(config)
+    pool, (outcome,) = harness.run_experiment(config, config.seed, [(config.train.q, config.train.beta)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    summary, result = outcome
     predictor.save_checkpoint(
         out / "checkpoint.json",
         result.params,

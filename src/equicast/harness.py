@@ -303,37 +303,28 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
 
 
 def run_experiment(
-    config: ExperimentConfig, seed: int | None = None, cells: list[tuple[float, float]] | None = None
-) -> tuple[RunSummary, TrainResult, Pool] | list[tuple[RunSummary, TrainResult] | Exception]:
-    """Build the pool and initial params at `seed`, train, and evaluate on the test split.
+    config: ExperimentConfig, seed: int, cells: list[tuple[float, float]]
+) -> tuple[Pool, list[tuple[RunSummary, TrainResult] | Exception]]:
+    """Build the pool and initial params at `seed`, then train and evaluate one model per (q, beta) cell.
 
-    Without `cells`, one model trains at config.train's q and beta: returns
-    (summary, train result, pool), or raises what stopped the run.  With
-    `cells`, (q+1, beta) pairs, one model per cell trains in one
-    `training.train` call from that pool and those params, each bitwise its
-    solo run: returns per cell, in order, its (summary, train result) or the
-    exception that stopped it.
+    The cells' models train in one `training.train` call from that pool and
+    those params, each bitwise its solo run.  Returns the pool and, per
+    cell, in order, its (summary, train result) or the exception that
+    stopped it.
     """
-    seed = config.seed if seed is None else seed
-    base = replace(config.train, seed=seed)
-    trainers = [base] if cells is None else [replace(base, q=qp1 - 1.0, beta=beta) for qp1, beta in cells]
+    trainers = [replace(config.train, q=q, beta=beta, seed=seed) for q, beta in cells]
     pool = build_pool(config, seed)
     params = predictor.init_params(pool.arch, seed)
     outcomes = []
     for tc, result in zip(trainers, training.train(trainers, params, pool.agents, pool.splits).outcomes):
-        try:
-            if isinstance(result, Exception):
-                raise result
-            summary = training.evaluate(result.params, pool.agents, pool.splits, q=tc.q, beta=tc.beta, seed=seed)
-        except Exception as exc:
-            if cells is None:
-                raise
-            outcomes.append(exc)
-        else:
-            outcomes.append((summary, result))
-    if cells is None:
-        return (*outcomes[0], pool)
-    return outcomes
+        if not isinstance(result, Exception):
+            try:
+                summary = training.evaluate(result.params, pool.agents, pool.splits, q=tc.q, beta=tc.beta, seed=seed)
+                result = (summary, result)
+            except Exception as exc:
+                result = exc
+        outcomes.append(result)
+    return pool, outcomes
 
 
 @dataclass(eq=False)
@@ -353,7 +344,7 @@ def _sweep_task(args) -> list[SweepRow]:
     """
     config, seed, cells = args
     try:
-        outcomes = run_experiment(config, seed=seed, cells=cells)
+        _, outcomes = run_experiment(config, seed, [(qp1 - 1.0, beta) for qp1, beta in cells])
     except USER_ERRORS:
         raise
     except Exception as exc:  # no cell could train; each fails as its own run would

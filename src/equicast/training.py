@@ -86,7 +86,7 @@ given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -167,17 +167,7 @@ class RunSummary:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "per_agent_regret": [float(v) for v in self.per_agent_regret],
-            "variance": self.variance,
-            "mean": self.mean,
-            "c95_minus_c5": self.c95_minus_c5,
-            "mse": self.mse,
-            "entropy": self.entropy,
-            "q": self.q,
-            "beta": self.beta,
-            "seed": self.seed,
-        }
+        return asdict(self) | {"per_agent_regret": [float(v) for v in self.per_agent_regret]}
 
 
 @dataclass(eq=False)

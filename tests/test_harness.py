@@ -80,8 +80,8 @@ def test_mixed_pool_structure():
 
 def test_run_experiment_deterministic():
     cfg = small_config()
-    a, _, _ = run_experiment(cfg)
-    b, _, _ = run_experiment(cfg)
+    _, [(a, _)] = run_experiment(cfg, cfg.seed, [(cfg.train.q, cfg.train.beta)])
+    _, [(b, _)] = run_experiment(cfg, cfg.seed, [(cfg.train.q, cfg.train.beta)])
     assert np.array_equal(a.per_agent_regret, b.per_agent_regret)
     assert a.as_dict() == b.as_dict()
 
@@ -139,14 +139,13 @@ def test_sweep_rows_are_bitwise_their_solo_runs(jobs):
         (qp1, beta, seed) for qp1 in (1.0, 2.0, 1e300) for beta in (0.0, 0.5) for seed in (0, 1)
     ]
     for row in rows:
-        solo = replace(cfg, train=replace(cfg.train, q=row.q_plus_1 - 1.0, beta=row.beta))
+        _, [solo] = run_experiment(cfg, row.seed, [(row.q_plus_1 - 1.0, row.beta)])
         assert row.status == ("failed" if row.q_plus_1 == 1e300 else "ok")
         if row.status == "failed":
-            with pytest.raises(DivergenceError, match="at step 0") as exc:
-                run_experiment(solo, seed=row.seed)
-            assert row.error == f"DivergenceError: {exc.value}"
+            assert isinstance(solo, DivergenceError) and "at step 0" in str(solo)
+            assert row.error == f"DivergenceError: {solo}"
             continue
-        summary, _, _ = run_experiment(solo, seed=row.seed)
+        summary, _ = solo
         assert row.summary.per_agent_regret.tobytes() == summary.per_agent_regret.tobytes()
         assert json.dumps(row.summary.as_dict()) == json.dumps(summary.as_dict())
 

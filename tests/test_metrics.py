@@ -70,6 +70,17 @@ def test_norm_entropy_all_zero_convention():
     assert metrics.norm_entropy([0.0, 0.0, 0.0]) == pytest.approx(math.log(3), rel=1e-14)
 
 
+def test_norm_entropy_of_a_nan_row_is_nan():
+    # a NaN is not a zero share: it must not drop out of the sum
+    assert math.isnan(metrics.norm_entropy([np.nan, 1.0]))
+    assert math.isnan(metrics.norm_entropy([np.nan, 0.0]))
+    rows = [[np.nan, 1.0], [0.0, 0.0], [1.0, 0.0], [1.0, 3.0], [0.0, np.nan]]
+    h = metrics.norm_entropy(rows, exponent=2.0)
+    assert np.isnan(h).tolist() == [True, False, False, False, True]
+    assert h[1:4].tolist() == [metrics.norm_entropy(r, exponent=2.0) for r in rows[1:4]]
+    assert h[1] == pytest.approx(math.log(2), rel=1e-14)
+
+
 def test_norm_entropy_scale_invariance_and_bounds():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -7,8 +7,8 @@ import pytest
 from equicast import agents as agentmod
 from equicast import verify
 from equicast.agents import ChargingContext, DataCenterContext
-from equicast.metrics import norm_entropy
-from equicast.verify import QuadraticToy, minimize_toy, theorem_check_entropy, theorem_check_variance
+from equicast.metrics import norm_entropy, variance
+from equicast.verify import QuadraticToy, minimize_toy
 
 
 def test_decision_oracles_pass_small():
@@ -269,6 +269,27 @@ def test_injected_theorem_entropy_bug_detected(monkeypatch):
     assert result.detail.startswith("entropy derivative")
 
 
+# each suite's oracle, a stand-in that returns NaN, and the suite's sizes for a short run
+_NAN_ORACLES = {
+    "decision_oracles": ("_dc_grid_min", lambda *a: np.nan, {"n_cases": 5}),
+    "chain_gradient": (
+        "_dc_pipeline_terms", lambda *a: ([np.nan, np.nan], np.nan), {"qs": (0.0, 2.0), "betas": (0.0, 1.0)}
+    ),
+    "theorem_variance": ("minimize_toy", lambda toy, q: np.full(len(toy.targets), np.nan), {"n_toys": 10}),
+    "theorem_entropy": ("minimize_toy", lambda toy, q: np.full(len(toy.targets), np.nan), {"n_toys": 5}),
+}
+
+
+@pytest.mark.parametrize("suite", list(_NAN_ORACLES))
+def test_a_nan_oracle_fails_its_suite(monkeypatch, suite):
+    # a NaN must fail the gate, not drop out of the worst case
+    name, nan, sizes = _NAN_ORACLES[suite]
+    monkeypatch.setattr(verify, name, nan)
+    result = getattr(verify, f"check_{suite}")(seed=0, **sizes)
+    assert result.name == suite and not result.passed
+    assert "nan" in result.detail
+
+
 def test_run_all_calls_the_suites_through_module_globals(monkeypatch):
     # bench/tracing.py wraps each check_* by its module attribute; run_all must reach the wrapper
     names = [
@@ -354,6 +375,20 @@ def test_minimize_toy_matches_scalar_loop_when_newton_meets_negative_curvature()
 # --- theorem toys
 
 
+def _variances(toy, q):
+    """Each toy's variance of per-agent costs at its q optimum, as `check_theorem_variance` takes it."""
+    return np.array([variance(c) for c in toy.costs(minimize_toy(toy, q))])
+
+
+def _entropy_derivatives(toy, qs, h=1e-3):
+    """(K, len(qs)) central differences of the entropy at the optima, as `check_theorem_entropy` takes them."""
+    return np.array([
+        (norm_entropy(toy.costs(minimize_toy(toy, q + h)), q + 1.0)
+         - norm_entropy(toy.costs(minimize_toy(toy, q - h)), q + 1.0)) / (2.0 * h)
+        for q in qs
+    ]).T
+
+
 def test_minimize_toy_high_precision():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.3, 0.3])
     (theta,) = minimize_toy(toy, 0.0)
@@ -363,14 +398,14 @@ def test_minimize_toy_high_precision():
 
 def test_theorem_variance_symmetric_equality():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.0, 0.0])
-    (var0,), (var1,) = theorem_check_variance(toy)
+    (var0,), (var1,) = _variances(toy, 0.0), _variances(toy, 1.0)
     assert var1 <= var0 + 1e-9
     assert var0 == pytest.approx(var1, abs=1e-9)
 
 
 def test_theorem_variance_asymmetric_strict():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.0, 0.5])
-    (var0,), (var1,) = theorem_check_variance(toy)
+    (var0,), (var1,) = _variances(toy, 0.0), _variances(toy, 1.0)
     assert var1 < var0
 
 
@@ -383,21 +418,22 @@ def test_theorem_variance_random_sweep():
             t = rng.uniform(-1, 1, size=2)
         targets.append(t)
         offsets.append(rng.uniform(0, 1, size=2))
-    var0, var1 = theorem_check_variance(QuadraticToy(targets=targets, offsets=offsets))
+    toy = QuadraticToy(targets=targets, offsets=offsets)
+    var0, var1 = _variances(toy, 0.0), _variances(toy, 1.0)
     assert var0.shape == var1.shape == (50,)
     assert np.all(var1 <= var0 + 1e-9)
 
 
 def test_theorem_entropy_symmetric_flat():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.4, 0.4])
-    derivs = theorem_check_entropy(toy, [0.0, 1.0])
+    derivs = _entropy_derivatives(toy, [0.0, 1.0])
     assert derivs.shape == (1, 2)
     assert np.all(np.abs(derivs) < 1e-6)
 
 
 def test_theorem_entropy_asymmetric_nonnegative():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.2, 0.7])
-    derivs = theorem_check_entropy(toy, [0.0, 0.5, 1.0, 2.0])
+    derivs = _entropy_derivatives(toy, [0.0, 0.5, 1.0, 2.0])
     assert np.all(derivs >= -1e-6)
 
 
