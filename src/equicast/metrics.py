@@ -42,8 +42,8 @@ def norm_entropy(values, exponent: float = 1.0):
     Reduces over the last axis: a 1-D vector (or a scalar, a vector of one)
     gives a float, an (..., M) array one entropy per row.  Uses natural log
     and the 0*log(0) = 0 convention.  An all-zero row maps to log(M): zero
-    regret everywhere counts as perfectly uniform.  A row holding a NaN maps
-    to NaN.
+    regret everywhere counts as perfectly uniform.  A row holding a NaN or an
+    infinity (also one that raising to `exponent` overflows to) maps to NaN.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.size == 0:
@@ -59,8 +59,8 @@ def norm_entropy(values, exponent: float = 1.0):
         h = -np.sum(p * np.log(p), axis=1)
     # a row with a share that is not positive sums its positive shares only,
     # in order, so that it is summed as the 1-D form always summed it; a row
-    # with a NaN value keeps the NaN entropy computed above
-    for i in np.flatnonzero(~np.all(p > 0, axis=1) & ~np.any(np.isnan(w), axis=1)):
+    # with a NaN or infinite value keeps the NaN entropy computed above
+    for i in np.flatnonzero(~np.all(p > 0, axis=1) & np.all(np.isfinite(w), axis=1)):
         nz = p[i][p[i] > 0]
         h[i] = np.log(v.shape[-1]) if total[i, 0] == 0.0 else -np.sum(nz * np.log(nz))
     return float(h[0]) if v.ndim == 1 else h.reshape(v.shape[:-1])

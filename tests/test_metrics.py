@@ -81,6 +81,18 @@ def test_norm_entropy_of_a_nan_row_is_nan():
     assert h[1] == pytest.approx(math.log(2), rel=1e-14)
 
 
+def test_norm_entropy_of_an_infinite_row_is_nan():
+    # an infinite value makes its share inf/inf = NaN, which must not drop out of the sum either
+    assert math.isnan(metrics.norm_entropy([np.inf, 1.0]))
+    assert math.isnan(metrics.norm_entropy([np.inf, np.inf]))
+    with np.errstate(over="ignore"):
+        assert math.isnan(metrics.norm_entropy([1e200, 1.0], exponent=2.0))  # overflows to inf
+    rows = [[np.inf, 0.0], [0.0, 0.0], [1.0, 3.0], [np.inf, np.inf]]
+    h = metrics.norm_entropy(rows)
+    assert np.isnan(h).tolist() == [True, False, False, True]
+    assert h[1:3].tolist() == [metrics.norm_entropy(r) for r in rows[1:3]]
+
+
 def test_norm_entropy_scale_invariance_and_bounds():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -54,9 +54,12 @@ def test_every_import_is_used():
 
 def test_every_dataclass_field_is_read():
     # a field that nothing reads is state kept for no one; a read is an
-    # attribute load anywhere in src/equicast, a config field that `harness`
-    # hands a generator as the parameter of the same name, or any field of a
-    # class that hands `self` to `asdict`, which reads every field
+    # attribute load anywhere in src/equicast, or a config field that `harness`
+    # hands a generator as the parameter of the same name.  An output record
+    # is written out whole: its `as_dict` hands `self` to `asdict`, which
+    # reads every field.  Only the classes named here count as one, so a dead
+    # knob added to a config class still fails
+    output_records = {"RunSummary"}
     modules = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
     read = {node.attr for module in modules for node in ast.walk(module)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
@@ -69,8 +72,10 @@ def test_every_dataclass_field_is_read():
                 for d in cls.decorator_list
             ):
                 continue
-            if any(isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "asdict"
-                   and [getattr(arg, "id", None) for arg in node.args] == ["self"] for node in ast.walk(cls)):
+            if cls.name in output_records and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "asdict"
+                and [getattr(arg, "id", None) for arg in node.args] == ["self"] for node in ast.walk(cls)
+            ):
                 continue
             unread += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)

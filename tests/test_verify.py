@@ -290,6 +290,13 @@ def test_a_nan_oracle_fails_its_suite(monkeypatch, suite):
     assert "nan" in result.detail
 
 
+def test_an_infinite_oracle_fails_the_entropy_suite(monkeypatch):
+    # infinite optima give infinite costs, whose shares are NaN: they must not drop out either
+    monkeypatch.setattr(verify, "minimize_toy", lambda toy, q: np.full(len(toy.targets), np.inf))
+    result = verify.check_theorem_entropy(n_toys=5, seed=0)
+    assert not result.passed and "nan" in result.detail
+
+
 def test_run_all_calls_the_suites_through_module_globals(monkeypatch):
     # bench/tracing.py wraps each check_* by its module attribute; run_all must reach the wrapper
     names = [
