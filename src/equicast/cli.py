@@ -111,8 +111,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _effective_config(args)
-    if args.jobs < 1:  # before --out is made; `run_sweep` refuses it for its other callers
-        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+    harness.check_sweep(config, args.jobs)  # before --out is made; `run_sweep` checks again for its other callers
     Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep trains
     rows = harness.run_sweep(config, jobs=args.jobs)
     path = harness.write_sweep_files(rows, args.out, config)

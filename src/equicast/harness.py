@@ -360,6 +360,14 @@ def _sweep_task(args) -> list[SweepRow]:
     return rows
 
 
+def check_sweep(config: ExperimentConfig, jobs: int) -> None:
+    """Refuse a sweep that cannot run: fewer than one job, or an empty grid."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if not config.sweep_q_plus_1 or not config.sweep_beta:
+        raise ConfigError("sweep grids must be nonempty")
+
+
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
     """One run per (q+1, beta, seed) cell of the config's grid, in (q+1, beta, seed) order.
 
@@ -367,10 +375,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
     (`_sweep_task`); `min(jobs, tasks)` worker processes run the tasks, or
     this process when that is one.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if not config.sweep_q_plus_1 or not config.sweep_beta:
-        raise ConfigError("sweep grids must be nonempty")
+    check_sweep(config, jobs)
     grid = [(qp1, beta) for qp1 in config.sweep_q_plus_1 for beta in config.sweep_beta]
     size = -(-len(grid) * config.repeats // jobs)
     tasks = [

@@ -169,14 +169,16 @@ def _dc_pipeline_terms(params, agents_list, Xs, Ys, row_ctxs, t_mean, t_scale) -
 def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 0, tol: float = 1e-3) -> SuiteResult:
     """The chain update `train` applies vs central finite differences on a two-layer net + data-center costs.
 
-    Two agents' 6 rows each form a pool.  One chain `train` call at batch
+    Two agents' 6 rows each form a pool.  One chain `train` step at batch
     size n, lr 1 and plain SGD moves the parameters by minus its gradient,
     so the trainer's whole step is checked against the scalar
-    `agents.regret` path.  A row given another agent's regret weight shows
-    at every q > 0.  The error is relative to the smaller of the two weighted
-    parts' finite-difference scales, (1 - beta) * max|d eq| and
-    beta * max|d mse| (a part of weight 0 is skipped), so where the squared
-    error dominates the gradient an error in the regret part is not hidden.
+    `agents.regret` path.  The (q, beta) cells train in one lockstep call; a
+    cell whose run stops raises that run's error.  A row given another
+    agent's regret weight shows at every q > 0.  The error is relative to the
+    smaller of the two weighted parts' finite-difference scales,
+    (1 - beta) * max|d eq| and beta * max|d mse| (a part of weight 0 is
+    skipped), so where the squared error dominates the gradient an error in
+    the regret part is not hidden.
     """
     rng = np.random.default_rng(seed)
     n_in, n_hidden = 4, 5
@@ -195,26 +197,35 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     Xs, Ys, ctxs = (np.split(a, len(agents_list)) for a in (X, Y, w))
 
     # the probed regrets and MSE do not depend on (q, beta): each +-h probe
-    # of each parameter runs once, and every (q, beta) blends its terms
+    # of each parameter runs once, on one vector that it edits in place and
+    # restores, and every (q, beta) blends its terms
     h = 1e-5
     row_ctxs = [[replace(a.context, workload=float(wi)) for wi in ws] for a, ws in zip(agents_list, ctxs)]
+    probe = params.with_values(params.values.copy())
     terms = []
-    for j in range(params.values.size):
-        v = params.values.copy()
-        v[j] += h
-        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale))
-        v[j] -= 2 * h
-        terms.append(_dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale))
+    for j, value in enumerate(params.values):
+        probe.values[j] += h
+        terms.append(_dc_pipeline_terms(probe, agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale))
+        probe.values[j] -= 2 * h
+        terms.append(_dc_pipeline_terms(probe, agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale))
+        probe.values[j] = value
 
+    # each lockstep run is bitwise its solo run
+    cells = training.train(
+        [training.TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, epochs=1, batch_size=b, seed=seed)
+         for q in qs for beta in betas],
+        params, agents_list, pool,
+    ).outcomes
     mse = np.array([m for _, m in terms])
     mse_fd = (mse[0::2] - mse[1::2]) / (2 * h)
     errors = []
-    for q in qs:
+    for i, q in enumerate(qs):
         eq = np.array([objective.equitable_loss(r, q) for r, _ in terms])
         eq_fd = (eq[0::2] - eq[1::2]) / (2 * h)
-        for beta in betas:
-            config = training.TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, epochs=1, batch_size=b, seed=seed)
-            grad = params.values - training.train(config, params, agents_list, pool).params.values
+        for beta, run in zip(betas, cells[i * len(betas):(i + 1) * len(betas)]):
+            if isinstance(run, Exception):  # the cell's run stopped: the suite fails with its error
+                raise run
+            grad = params.values - run.params.values
             losses = (1.0 - beta) * eq + beta * mse
             fd = (losses[0::2] - losses[1::2]) / (2 * h)
             parts = ((1.0 - beta, eq_fd), (beta, mse_fd))
@@ -306,40 +317,49 @@ class QuadraticToy:
             raise ConfigError("offsets must be nonnegative")
 
     def costs(self, theta) -> np.ndarray:
-        return (np.reshape(theta, (-1, 1)) - self.targets) ** 2 + self.offsets
+        return (np.asarray(theta).reshape(-1, 1) - self.targets) ** 2 + self.offsets
 
     def loss(self, theta, q: float) -> np.ndarray:
-        return np.sum(self.costs(theta) ** (q + 1.0), axis=1)
+        return (self.costs(theta) ** (q + 1.0)).sum(axis=1)
 
     def loss_grad(self, theta, q: float) -> np.ndarray:
         c = self.costs(theta)
-        return np.sum((q + 1.0) * c**q * 2.0 * (np.reshape(theta, (-1, 1)) - self.targets), axis=1)
+        return ((q + 1.0) * c**q * 2.0 * (np.asarray(theta).reshape(-1, 1) - self.targets)).sum(axis=1)
 
     def loss_hess(self, theta, q: float) -> np.ndarray:
         c = self.costs(theta)
-        dc = 2.0 * (np.reshape(theta, (-1, 1)) - self.targets)
-        return np.sum((q + 1.0) * (q * np.where(c > 0, c, 1.0) ** (q - 1.0) * dc**2 + c**q * 2.0), axis=1)
+        dc = 2.0 * (np.asarray(theta).reshape(-1, 1) - self.targets)
+        return ((q + 1.0) * (q * np.where(c > 0, c, 1.0) ** (q - 1.0) * dc**2 + c**q * 2.0)).sum(axis=1)
 
 
-def minimize_toy(toy: QuadraticToy, q: float) -> np.ndarray:
-    """Global minimizer of each toy's aggregate loss at one exponent q, (K,).
+def minimize_toy(toy: QuadraticToy, qs) -> np.ndarray:
+    """Global minimizer of each toy's aggregate loss at each exponent in `qs`, (len(qs), K).
 
     Golden-section brackets the optimum; a few Newton steps on the gradient
     then push it to machine precision (golden alone stalls near sqrt(eps)
-    because it compares nearly-equal function values).  All toys run in
-    lockstep, each with its own bracket; a row's result is taken when its
-    own stopping test fires, so every row equals a one-toy scalar run bit
-    for bit.  q stays one scalar: numpy's `**` fast paths for the exponents 1
-    and 2 are exact, and a per-row exponent array would bypass them.
+    because it compares nearly-equal function values).  Every (exponent,
+    toy) row runs in lockstep, each with its own bracket; a row's result is
+    taken when its own stopping test fires, so every row equals a one-toy
+    scalar run bit for bit.  Each exponent's row block is scored by the
+    toy's methods at that one scalar q: numpy's `**` fast paths for the
+    exponents 1 and 2 are exact, and a per-row exponent array would bypass
+    them.
     """
+    def blocks(fn, theta):
+        out = np.empty(theta.shape)
+        for i, q in enumerate(qs):
+            out[i] = fn(theta[i], q)
+        return out
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = toy.targets.min(axis=1) - 1.0
-    b = toy.targets.max(axis=1) + 1.0
+    shape = (len(qs), len(toy.targets))
+    a = np.broadcast_to(toy.targets.min(axis=1) - 1.0, shape)
+    b = np.broadcast_to(toy.targets.max(axis=1) + 1.0, shape)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = toy.loss(c, q), toy.loss(d, q)
-    theta = np.full(a.shape, np.nan)
-    pending = np.ones(a.shape, dtype=bool)
+    fc, fd = blocks(toy.loss, c), blocks(toy.loss, d)
+    theta = np.full(shape, np.nan)
+    pending = np.ones(shape, dtype=bool)
     while True:
         done = pending & ~(b - a > 1e-10)
         theta = np.where(done, 0.5 * (a + b), theta)
@@ -351,11 +371,11 @@ def minimize_toy(toy: QuadraticToy, q: float) -> np.ndarray:
         a, b = np.where(left, a, c), np.where(left, d, b)
         gap = invphi * (b - a)
         c, d = np.where(left, b - gap, d), np.where(left, c, a + gap)
-        f_new = toy.loss(np.where(left, c, d), q)
+        f_new = blocks(toy.loss, np.where(left, c, d))
         fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    live = np.ones(theta.shape, dtype=bool)
+    live = np.ones(shape, dtype=bool)
     for _ in range(50):
-        g, h = toy.loss_grad(theta, q), toy.loss_hess(theta, q)
+        g, h = blocks(toy.loss_grad, theta), blocks(toy.loss_hess, theta)
         live &= ~(h <= 0)  # negated tests: a NaN row runs on, as in a one-toy loop
         step = np.divide(g, h, out=np.zeros_like(g), where=live)
         theta = theta - step
@@ -380,8 +400,9 @@ def _random_toys(rng, n_toys: int, min_offset: float = 0.0) -> QuadraticToy:
 def check_theorem_variance(n_toys: int = 50, seed: int = 0) -> SuiteResult:
     """Variance at the q=1 optimum never exceeds the q=0 one on random convex toys."""
     toys = _random_toys(np.random.default_rng(seed), n_toys)
-    var0 = np.array([metrics.variance(c) for c in toys.costs(minimize_toy(toys, 0.0))])
-    var1 = np.array([metrics.variance(c) for c in toys.costs(minimize_toy(toys, 1.0))])
+    theta0, theta1 = minimize_toy(toys, (0.0, 1.0))
+    var0 = np.array([metrics.variance(c) for c in toys.costs(theta0)])
+    var1 = np.array([metrics.variance(c) for c in toys.costs(theta1)])
     worst = np.max(var1 - var0)  # np.max keeps a NaN, which then fails the gate
     detail = f"{n_toys} toys, worst var(q=1)-var(q=0) = {worst:.2e} (must be <= 1e-9)"
     if not worst <= 1e-9:
@@ -398,10 +419,10 @@ def check_theorem_entropy(n_toys: int = 20, qs=(0.0, 0.5, 1.0, 2.0), seed: int =
     """
     toys = _random_toys(np.random.default_rng(seed), n_toys, min_offset=0.1)
     h = 1e-3
+    optima = minimize_toy(toys, [p for q in qs for p in (q + h, q - h)])
     derivs = []
-    for q in qs:
-        hi = toys.costs(minimize_toy(toys, q + h))
-        lo = toys.costs(minimize_toy(toys, q - h))
+    for q, theta_hi, theta_lo in zip(qs, optima[0::2], optima[1::2]):
+        hi, lo = toys.costs(theta_hi), toys.costs(theta_lo)
         derivs.append(
             (metrics.norm_entropy(hi, exponent=q + 1.0) - metrics.norm_entropy(lo, exponent=q + 1.0)) / (2.0 * h)
         )

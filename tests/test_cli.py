@@ -509,6 +509,29 @@ def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
     assert pools == [] and not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("field", ["sweep_q_plus_1", "sweep_beta"])
+def test_sweep_refuses_an_empty_grid_before_it_makes_out(tmp_path, capsys, field):
+    # this exited 1 but left an empty --out behind
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, tiny_config(**{field: []})), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: sweep grids must be nonempty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("optimizer", "rmsprop", "optimizer must be one of ('sgd', 'adam'), got 'rmsprop'"),
+    ("lr_step", 0, "lr_step must be >= 1, got 0"),
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+], ids=["optimizer", "lr_step", "epochs", "batch_size"])
+def test_train_config_refusal_is_a_usage_error(tmp_path, capsys, field, value, message):
+    doc = tiny_config()
+    doc["train"][field] = value
+    assert cli.main(["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_evaluate_uses_checkpoint(tmp_path):
     cfg = write_config(tmp_path, tiny_config())
     run = tmp_path / "run"

@@ -227,6 +227,118 @@ def test_decision_oracles_match_the_brute_force_suite(seed):
     assert verify.check_decision_oracles(n_cases=100, seed=seed) == _brute_force_decision_oracles(100, seed)
 
 
+def _scalar_optima(toys, q):
+    """Each toy's optimum at the one exponent q, by the one-toy loop."""
+    return np.array([_scalar_minimize(t, o, q)[0] for t, o in zip(toys.targets, toys.offsets)])
+
+
+def _per_exponent_theorem_variance(n_toys, seed):
+    """The variance suite with each exponent's optima found on their own."""
+    toys = verify._random_toys(np.random.default_rng(seed), n_toys)
+    var0 = np.array([variance(c) for c in toys.costs(_scalar_optima(toys, 0.0))])
+    var1 = np.array([variance(c) for c in toys.costs(_scalar_optima(toys, 1.0))])
+    worst = np.max(var1 - var0)
+    detail = f"{n_toys} toys, worst var(q=1)-var(q=0) = {worst:.2e} (must be <= 1e-9)"
+    if not worst <= 1e-9:
+        return verify.SuiteResult("theorem_variance", False, f"equity-by-variance violated: {detail}")
+    return verify.SuiteResult("theorem_variance", True, detail)
+
+
+def _per_exponent_theorem_entropy(n_toys, qs, seed):
+    """The entropy suite with each exponent's optima found on their own."""
+    toys = verify._random_toys(np.random.default_rng(seed), n_toys, min_offset=0.1)
+    h = 1e-3
+    derivs = []
+    for q in qs:
+        hi = toys.costs(_scalar_optima(toys, q + h))
+        lo = toys.costs(_scalar_optima(toys, q - h))
+        derivs.append((norm_entropy(hi, exponent=q + 1.0) - norm_entropy(lo, exponent=q + 1.0)) / (2.0 * h))
+    lowest = np.min(derivs)
+    detail = f"{n_toys} toys x q in {list(qs)}, min derivative {lowest:.2e} (must be >= -1e-6)"
+    if not lowest >= -1e-6:
+        return verify.SuiteResult("theorem_entropy", False, f"entropy derivative bound violated: {detail}")
+    return verify.SuiteResult("theorem_entropy", True, detail)
+
+
+def _per_cell_chain_gradient(qs, betas, seed, tol):
+    """The chain suite with a new vector per probe and one solo `train` call per (q, beta) cell."""
+    from dataclasses import replace
+
+    from equicast import objective, predictor, training
+    from equicast.agents import AgentSpec
+    from equicast.data import Part, PoolWindows
+
+    rng = np.random.default_rng(seed)
+    params = predictor.init_params([4, 5, 1], seed=seed + 1)
+    agents_list = [
+        AgentSpec(0, "datacenter", DataCenterContext(workload=1.5, latency_weight=2.0)),
+        AgentSpec(1, "datacenter", DataCenterContext(workload=3.0, latency_weight=0.8)),
+    ]
+    b = 6
+    X = rng.uniform(-1, 1, size=(2 * b, 4))
+    Y = rng.uniform(0.9, 2.4, size=(2 * b, 1))
+    w = rng.uniform(1.0, 4.0, size=2 * b)
+    part = Part(X, Y, Y, w, 2)
+    pool = training.PoolData(agents_list, PoolWindows(part, part))
+    Xs, Ys, ctxs = (np.split(a, 2) for a in (X, Y, w))
+    h = 1e-5
+    row_ctxs = [[replace(a.context, workload=float(wi)) for wi in ws] for a, ws in zip(agents_list, ctxs)]
+
+    def probe(v):
+        return verify._dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale)
+
+    terms = []
+    for j in range(params.values.size):
+        v = params.values.copy()
+        v[j] += h
+        terms.append(probe(v))
+        v[j] -= 2 * h
+        terms.append(probe(v))
+    mse = np.array([m for _, m in terms])
+    mse_fd = (mse[0::2] - mse[1::2]) / (2 * h)
+    errors = []
+    for q in qs:
+        eq = np.array([objective.equitable_loss(r, q) for r, _ in terms])
+        eq_fd = (eq[0::2] - eq[1::2]) / (2 * h)
+        for beta in betas:
+            config = training.TrainConfig(mode="chain", q=q, beta=beta, lr=1.0, epochs=1, batch_size=b, seed=seed)
+            grad = params.values - training.train(config, params, agents_list, pool).params.values
+            losses = (1.0 - beta) * eq + beta * mse
+            fd = (losses[0::2] - losses[1::2]) / (2 * h)
+            parts = ((1.0 - beta, eq_fd), (beta, mse_fd))
+            scale = max(min(w * float(np.max(np.abs(part))) for w, part in parts if w > 0), 1e-8)
+            errors.append(float(np.max(np.abs(grad - fd))) / scale)
+    worst = float(np.max(errors))
+    return verify.SuiteResult("chain_gradient", worst < tol, f"max relative error {worst:.2e} vs tolerance {tol}")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 9001])
+def test_lockstep_suites_match_the_per_exponent_and_per_cell_suites(seed):
+    assert verify.check_theorem_variance(seed=seed) == _per_exponent_theorem_variance(50, seed)
+    assert verify.check_theorem_entropy(seed=seed) == _per_exponent_theorem_entropy(20, (0.0, 0.5, 1.0, 2.0), seed)
+    assert verify.check_chain_gradient(seed=seed) == _per_cell_chain_gradient(
+        (0.0, 1.0, 2.0), (0.0, 0.5, 1.0), seed, 1e-3
+    )
+
+
+def test_a_chain_cell_whose_run_stops_fails_the_suite_with_its_error(monkeypatch):
+    # the cells train in one lockstep call, which keeps a stopped run's error
+    # as its outcome; the other cells' runs finish and pass
+    from equicast import objective
+
+    real = objective.chain_grad
+
+    def breaks_at_q2(y_hat, y, means, slope, b, q, beta):
+        if q == 2.0:
+            raise RuntimeError(f"chain_grad broke at q={q}")
+        return real(y_hat, y, means, slope, b, q, beta)
+
+    monkeypatch.setattr(objective, "chain_grad", breaks_at_q2)
+    with pytest.raises(RuntimeError, match="broke at q=2.0"):
+        verify.check_chain_gradient(seed=0)
+    assert verify.check_chain_gradient(qs=(0.0, 1.0), seed=0).passed
+
+
 def test_decision_grid_window_holds_the_full_grid_minimum():
     rng = np.random.default_rng(3)
     for w, lam, c in rng.uniform(0.5, 4.0, size=(2000, 3)).tolist():
@@ -254,7 +366,8 @@ def test_subset_masks_follow_the_combinations_order():
 
 def test_injected_theorem_variance_bug_detected(monkeypatch):
     real = verify.minimize_toy
-    monkeypatch.setattr(verify, "minimize_toy", lambda toy, q: real(toy, 1.0 - q))  # swap the q=0 and q=1 optima
+    # swap the q=0 and q=1 optima
+    monkeypatch.setattr(verify, "minimize_toy", lambda toy, qs: real(toy, [1.0 - q for q in qs]))
     result = verify.check_theorem_variance(n_toys=10, seed=0)
     assert not result.passed
     assert result.detail.startswith("equity-by-variance violated")
@@ -263,10 +376,15 @@ def test_injected_theorem_variance_bug_detected(monkeypatch):
 def test_injected_theorem_entropy_bug_detected(monkeypatch):
     real = verify.minimize_toy
     # swap the q+h and q-h optima: p = q +- h becomes 2q - p = q -+ h on the grid of halves
-    monkeypatch.setattr(verify, "minimize_toy", lambda toy, p: real(toy, round(2 * p) - p))
+    monkeypatch.setattr(verify, "minimize_toy", lambda toy, ps: real(toy, [round(2 * p) - p for p in ps]))
     result = verify.check_theorem_entropy(n_toys=5, seed=0)
     assert not result.passed
     assert result.detail.startswith("entropy derivative")
+
+
+def _optima_of(value):
+    """A `minimize_toy` stand-in whose every optimum is `value`."""
+    return lambda toy, qs: np.full((len(qs), len(toy.targets)), value)
 
 
 # each suite's oracle, a stand-in that returns NaN, and the suite's sizes for a short run
@@ -275,8 +393,8 @@ _NAN_ORACLES = {
     "chain_gradient": (
         "_dc_pipeline_terms", lambda *a: ([np.nan, np.nan], np.nan), {"qs": (0.0, 2.0), "betas": (0.0, 1.0)}
     ),
-    "theorem_variance": ("minimize_toy", lambda toy, q: np.full(len(toy.targets), np.nan), {"n_toys": 10}),
-    "theorem_entropy": ("minimize_toy", lambda toy, q: np.full(len(toy.targets), np.nan), {"n_toys": 5}),
+    "theorem_variance": ("minimize_toy", _optima_of(np.nan), {"n_toys": 10}),
+    "theorem_entropy": ("minimize_toy", _optima_of(np.nan), {"n_toys": 5}),
 }
 
 
@@ -292,7 +410,7 @@ def test_a_nan_oracle_fails_its_suite(monkeypatch, suite):
 
 def test_an_infinite_oracle_fails_the_entropy_suite(monkeypatch):
     # infinite optima give infinite costs, whose shares are NaN: they must not drop out either
-    monkeypatch.setattr(verify, "minimize_toy", lambda toy, q: np.full(len(toy.targets), np.inf))
+    monkeypatch.setattr(verify, "minimize_toy", _optima_of(np.inf))
     result = verify.check_theorem_entropy(n_toys=5, seed=0)
     assert not result.passed and "nan" in result.detail
 
@@ -351,9 +469,15 @@ def _scalar_minimize(targets, offsets, q, tol=1e-10):
     return theta, steps, stop
 
 
+# exponents on both sides of the fast paths' 1 and 2, and below -0.5, where Newton can meet negative curvature
+_MIXED_QS = (-0.9, 0.0, 0.5 - 1e-3, 0.5 + 1e-3, 1.0, 2.0)
+
+
 @pytest.mark.parametrize("n_agents", [2, 3])
 @pytest.mark.parametrize("q", [0.0, 0.5 - 1e-3, 0.5 + 1e-3, 1.0, 2.0])
 def test_minimize_toy_matches_scalar_loop_bitwise(n_agents, q):
+    # one call over the mixed exponents, q's block first
+    qs = (q,) + tuple(p for p in _MIXED_QS if p != q)
     rng = np.random.default_rng(n_agents)
     # target spreads up to ~60 give brackets of width 2..62, so rows finish golden
     # section after different numbers of steps
@@ -361,9 +485,12 @@ def test_minimize_toy_matches_scalar_loop_bitwise(n_agents, q):
     offsets = rng.uniform(0.0, 1.0, size=(16, n_agents))
     offsets[0] = 0.0
     targets[1], offsets[1] = 0.3, 0.0  # all costs 0 at the optimum
-    ref = [_scalar_minimize(t, o, q) for t, o in zip(targets, offsets)]
-    assert len({steps for _, steps, _ in ref}) >= 3
-    assert np.array_equal(minimize_toy(QuadraticToy(targets, offsets), q), [theta for theta, _, _ in ref])
+    optima = minimize_toy(QuadraticToy(targets, offsets), qs)
+    assert optima.shape == (len(qs), 16)
+    for p, row in zip(qs, optima):
+        ref = [_scalar_minimize(t, o, p) for t, o in zip(targets, offsets)]
+        assert len({steps for _, steps, _ in ref}) >= 3
+        assert np.array_equal(row, [theta for theta, _, _ in ref]), p
 
 
 def test_minimize_toy_matches_scalar_loop_when_newton_meets_negative_curvature():
@@ -371,12 +498,14 @@ def test_minimize_toy_matches_scalar_loop_when_newton_meets_negative_curvature()
     # positive for q > -0.5 (at q <= 2 the sum vanishes only if every cost underflows).
     # The entropy suite's lower probe reaches q = -0.999, and below -0.5 a
     # zero-offset agent makes the loss concave next to its target, so Newton
-    # stops on h <= 0 there.
+    # stops on h <= 0 there, while the rows of the other exponents run on.
     targets = np.array([[0.0, 0.7], [0.0, 0.7], [0.2, 0.25]])
     offsets = np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.0]])
-    ref = [_scalar_minimize(t, o, -0.9) for t, o in zip(targets, offsets)]
-    assert [stop for _, _, stop in ref] == ["hess", "step", "hess"]
-    assert np.array_equal(minimize_toy(QuadraticToy(targets, offsets), -0.9), [theta for theta, _, _ in ref])
+    refs = {q: [_scalar_minimize(t, o, q) for t, o in zip(targets, offsets)] for q in _MIXED_QS}
+    assert [stop for _, _, stop in refs[-0.9]] == ["hess", "step", "hess"]
+    optima = minimize_toy(QuadraticToy(targets, offsets), _MIXED_QS)
+    for q, row in zip(_MIXED_QS, optima):
+        assert np.array_equal(row, [theta for theta, _, _ in refs[q]]), q
 
 
 # --- theorem toys
@@ -384,21 +513,21 @@ def test_minimize_toy_matches_scalar_loop_when_newton_meets_negative_curvature()
 
 def _variances(toy, q):
     """Each toy's variance of per-agent costs at its q optimum, as `check_theorem_variance` takes it."""
-    return np.array([variance(c) for c in toy.costs(minimize_toy(toy, q))])
+    return np.array([variance(c) for c in toy.costs(minimize_toy(toy, [q])[0])])
 
 
 def _entropy_derivatives(toy, qs, h=1e-3):
     """(K, len(qs)) central differences of the entropy at the optima, as `check_theorem_entropy` takes them."""
+    optima = minimize_toy(toy, [p for q in qs for p in (q + h, q - h)])
     return np.array([
-        (norm_entropy(toy.costs(minimize_toy(toy, q + h)), q + 1.0)
-         - norm_entropy(toy.costs(minimize_toy(toy, q - h)), q + 1.0)) / (2.0 * h)
-        for q in qs
+        (norm_entropy(toy.costs(hi), q + 1.0) - norm_entropy(toy.costs(lo), q + 1.0)) / (2.0 * h)
+        for q, hi, lo in zip(qs, optima[0::2], optima[1::2])
     ]).T
 
 
 def test_minimize_toy_high_precision():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.3, 0.3])
-    (theta,) = minimize_toy(toy, 0.0)
+    ((theta,),) = minimize_toy(toy, [0.0])
     assert abs(theta - 0.5) < 1e-12  # symmetric: exact midpoint
     assert abs(toy.loss_grad(theta, 0.0)[0]) < 1e-10
 
@@ -447,6 +576,7 @@ def test_theorem_entropy_asymmetric_nonnegative():
 def test_theorem_entropy_secant_form():
     toy = QuadraticToy(targets=[-0.3, 0.8], offsets=[0.15, 0.6])
     for q in (0.0, 1.0):
-        h_q = norm_entropy(toy.costs(minimize_toy(toy, q))[0], exponent=q + 1.0)
-        h_up = norm_entropy(toy.costs(minimize_toy(toy, q + 0.05))[0], exponent=q + 1.0)
+        theta_q, theta_up = minimize_toy(toy, [q, q + 0.05])
+        h_q = norm_entropy(toy.costs(theta_q)[0], exponent=q + 1.0)
+        h_up = norm_entropy(toy.costs(theta_up)[0], exponent=q + 1.0)
         assert h_up >= h_q - 1e-6
