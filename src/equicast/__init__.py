@@ -9,7 +9,6 @@ from .agents import (
     AgentSpec,
     ChargingContext,
     DataCenterContext,
-    RegretRecord,
     dc_act,
     dc_cost,
     dc_optimal,

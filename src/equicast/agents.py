@@ -116,12 +116,6 @@ class AgentSpec:
             raise ConfigError(f"{self.family} agent needs a {wanted.__name__}")
 
 
-@dataclass(frozen=True)
-class RegretRecord:
-    agent_id: int
-    value: float
-
-
 # ---------------------------------------------------------------------------
 # Data-center family
 
@@ -267,8 +261,8 @@ def _pairwise(a: np.ndarray) -> np.ndarray:
 # Regret
 
 
-def regret(agent: AgentSpec, y_hat, y, context=None) -> RegretRecord:
-    """Decision regret of forecasting y_hat when y realized.
+def regret(agent: AgentSpec, y_hat, y, context=None) -> float:
+    """Decision regret of forecasting y_hat when y realized, clamped at zero.
 
     For data-center agents y_hat and y are scalars (forecast and realized
     intensity); for charging agents they are length-T signal vectors.  An
@@ -290,7 +284,7 @@ def regret(agent: AgentSpec, y_hat, y, context=None) -> RegretRecord:
         raise ValueError(
             f"regret {value} below -{REGRET_TOLERANCE}: decision oracle is inconsistent"
         )
-    return RegretRecord(agent_id=agent.agent_id, value=max(value, 0.0))
+    return max(value, 0.0)
 
 
 def dc_optimal_batch(workloads, lams, c) -> np.ndarray:

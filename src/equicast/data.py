@@ -74,9 +74,7 @@ def synth_carbon(
     noise_std: float = 0.15,
     phase: float = 0.0,
 ) -> np.ndarray:
-    """Daily sinusoid around `base` with Gaussian noise, floored at 0.05*base; `ExperimentConfig` checks `length`."""
-    if base <= 0:
-        raise ConfigError(f"base intensity must be positive, got {base}")
+    """Daily sinusoid around `base` (> 0) with Gaussian noise, floored at 0.05*base; `ExperimentConfig` checks `length`."""
     rng = np.random.default_rng(seed)
     t = np.arange(length)
     series = base + daily_amplitude * np.sin(2.0 * np.pi * t / 24.0 + phase)
@@ -98,7 +96,6 @@ def synth_agents(
     lambda_scheme: str = "same",
     seed: int = 0,
     length: int = 600,
-    base: float = 2.0,
 ):
     """Data-center pool: shared signal, per-agent intensity and workload streams.
 
@@ -109,6 +106,7 @@ def synth_agents(
     at least an order of magnitude.
     The config fields arrive checked by `harness.ExperimentConfig`.
     """
+    base = 2.0  # the shared signal's mean intensity, which scales the offsets and noise
     rng = np.random.default_rng(seed)
     signal = synth_carbon(length, seed=seed, base=base)
 
@@ -403,20 +401,18 @@ def load_csv(path, schema: str):
     return SeriesDataset(timestamps=np.asarray(ts0), workloads=workloads, agent_ids=tuple(agent_ids))
 
 
-def write_series_csv(path, timestamps, values, value_column: str, comment: str | None = None) -> None:
+def write_series_csv(path, timestamps, values, value_column: str, comment: str) -> None:
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["timestamp", value_column])
         for t, v in zip(timestamps, values):
             writer.writerow([int(t), repr(float(v))])
 
 
-def write_workload_csv(path, timestamps, workloads, comment: str | None = None) -> None:
+def write_workload_csv(path, timestamps, workloads, comment: str) -> None:
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "agent_id", "demand"])
         for m in range(workloads.shape[0]):

@@ -24,16 +24,16 @@ class SchemaError(ValueError):
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss, gradient or parameters, or evaluation a non-finite summary.
 
-    Carries enough context (phase, step, agent, offending values) to locate the
-    blow-up; an evaluation's message names its non-finite summary fields.
+    Carries enough context (phase, step, agent) to locate the blow-up; the
+    message names the agent, when one is known, and an evaluation's message
+    its non-finite summary fields.
     """
 
-    def __init__(self, message, step=None, agent_id=None, values=None, phase="training"):
-        super().__init__(message)
+    def __init__(self, message, step=None, agent_id=None, phase="training"):
+        super().__init__(message if agent_id is None else f"{message} (agent {agent_id})")
         self.phase = phase  # "training" or "evaluation"
         self.step = step
         self.agent_id = agent_id
-        self.values = values
 
 
 # the errors a command reports as a usage error (exit 1): a bad config or
@@ -90,10 +90,8 @@ def check_fields(cls, doc: dict, what: str) -> None:
             ok, wanted = isinstance(value, dict), "an object"
         elif want is tuple:
             ok, wanted = isinstance(value, list) and all(type(v) in (int, float) for v in value), "a list of numbers"
-        elif want in (bool, int, float, str):
+        else:  # bool, int, float or str: every other field type of the checked dataclasses
             ok, wanted = type(value) is want or (want is float and type(value) is int), want.__name__
-        else:
-            continue
         numbers = value if want is tuple else [value] if want is float else []
         if ok and not all(abs(v) <= sys.float_info.max for v in numbers):  # NaN, inf, an int past float
             ok, wanted = False, "finite"

@@ -124,17 +124,14 @@ def vjp_batch(params: ParamVector, X, cotangents, acts: Activations) -> np.ndarr
     """
     X = np.asarray(X, dtype=float)
     cot = np.asarray(cotangents, dtype=float)
-    if X.ndim != 2 or X.shape[1] != params.n_inputs:
-        raise ValueError(f"expected batch of shape (B, {params.n_inputs}), got {X.shape}")
-    if cot.shape != (X.shape[0], params.n_outputs):
-        raise ValueError(
-            f"expected cotangents of shape ({X.shape[0]}, {params.n_outputs}), got {cot.shape}"
-        )
     if acts.values is not params.values:
         raise ValueError("activations were not computed with these parameter values")
     layers, kept = params.layers, acts.layers
+    # X must be the batch `forward_batch` checked, so it has its (B, n_in) shape
     if len(kept) != len(layers) + 1 or not (kept[0] is X or np.array_equal(kept[0], X)):
         raise ValueError("activations were not computed from this batch")
+    if cot.shape != (X.shape[0], params.n_outputs):
+        raise ValueError(f"expected cotangents of shape ({X.shape[0]}, {params.n_outputs}), got {cot.shape}")
     grad = np.empty(params.values.size)
     end, delta = grad.size, cot
     for i in range(len(layers) - 1, -1, -1):

@@ -515,13 +515,10 @@ class _Run:
                 f"|grad|max={np.max(np.abs(grad)) if grad.size else math.nan}",
                 step=t,
                 agent_id=self.agents[bad[0]].agent_id if bad.size else None,
-                values=(combined,),
             )
         lr_t = self.update(grad, t)
         if not np.isfinite(self.theta).all():
-            raise DivergenceError(
-                f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t, values=(combined,)
-            )
+            raise DivergenceError(f"non-finite parameters after the update at step {t}: lr={lr_t!r}", step=t)
 
         self.step_log.append({"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined})
 

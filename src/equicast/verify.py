@@ -159,7 +159,7 @@ def _dc_pipeline_terms(params, agents_list, Xs, Ys, row_ctxs, t_mean, t_scale) -
         values = []
         for i, ctx in enumerate(contexts):
             c_hat = t_mean + t_scale * float(preds[i, 0])
-            values.append(agentmod.regret(agent, c_hat, float(Y[i, 0]), context=ctx).value)
+            values.append(agentmod.regret(agent, c_hat, float(Y[i, 0]), context=ctx))
         mean_regrets.append(np.mean(values))
         y_norm = (Y - t_mean) / t_scale
         mse_sum += float(np.mean(np.sum((preds - y_norm) ** 2, axis=1)))

@@ -63,6 +63,23 @@ def test_dc_cost_infeasible_allocation():
         dc_cost(ctx, 1.0, 1.0)
 
 
+def test_scalar_oracles_refuse_inputs_outside_their_domain():
+    dc = DataCenterContext(workload=1.0, latency_weight=1.0)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"intensity must be positive, got {c}"):
+            dc_cost(dc, 2.0, c)
+        with pytest.raises(ValueError, match=f"intensity must be positive, got {c}"):
+            dc_optimal(dc, c)
+    ev = ChargingContext(initial=0.0, demand=1.5, rate=1.0, horizon=3)
+    for short in ([1.0, 2.0], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError, match="must have length 3"):
+            ev_cost(ev, [1, 1, 0], short)
+        with pytest.raises(ValueError, match="must have length 3"):
+            ev_cost(ev, short, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="forecast must have length 3"):
+            ev_act(ev, short)
+
+
 def test_dc_act_matches_grid_search():
     for w, lam, c in ((1.0, 1.0, 1.0), (4.0, 1.0, 1.0), (2.5, 3.0, 0.7)):
         ctx = DataCenterContext(workload=w, latency_weight=lam)
@@ -86,9 +103,9 @@ def test_dc_act_stays_feasible_for_huge_forecasts():
         assert p > ctx.workload
         assert np.isfinite(dc_cost(ctx, p, 1.5))
     spec = AgentSpec(0, "datacenter", ctx)
-    assert np.isfinite(regret(spec, 1e300, 1.5).value)
+    assert np.isfinite(regret(spec, 1e300, 1.5))
     batch, _ = dc_regret_batch([5.0], [2.0], [1e300], [1.5], dc_optimal_batch([5.0], [2.0], [1.5]))
-    assert batch[0] == pytest.approx(regret(spec, 1e300, 1.5).value, rel=1e-12)
+    assert batch[0] == pytest.approx(regret(spec, 1e300, 1.5), rel=1e-12)
 
 
 def test_dc_act_jacobian_closed_form_and_clamp():
@@ -213,21 +230,21 @@ def test_required_slots_and_feasibility():
 
 def test_regret_perfect_prediction():
     dc = AgentSpec(0, "datacenter", DataCenterContext(2.0, 1.5))
-    assert regret(dc, 1.3, 1.3).value <= 1e-12
+    assert regret(dc, 1.3, 1.3) <= 1e-12
     ev = AgentSpec(1, "charging", ChargingContext(0.0, 2.4, 1.0, 4))
     e = np.array([1.0, 3.0, 0.5, 2.0])
-    assert regret(ev, e, e).value == 0.0
+    assert regret(ev, e, e) == 0.0
 
 
 def test_regret_datacenter_hand_value():
     # w=1, lam=1, y=1, yhat=4: allocation 1.5, cost 3.5, optimum 3 -> regret 0.5
     dc = AgentSpec(0, "datacenter", DataCenterContext(1.0, 1.0))
-    assert regret(dc, 4.0, 1.0).value == pytest.approx(0.5, abs=1e-12)
+    assert regret(dc, 4.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_regret_charging_hand_value():
     ev = AgentSpec(1, "charging", ChargingContext(0.0, 1.0, 1.0, 2))
-    assert regret(ev, np.array([2.0, 1.0]), np.array([1.0, 2.0])).value == pytest.approx(1.0)
+    assert regret(ev, np.array([2.0, 1.0]), np.array([1.0, 2.0])) == pytest.approx(1.0)
 
 
 def test_regret_nonnegative_random():
@@ -235,11 +252,36 @@ def test_regret_nonnegative_random():
     dc = AgentSpec(0, "datacenter", DataCenterContext(2.0, 5.0))
     for _ in range(200):
         r = regret(dc, float(rng.uniform(-1, 4)), float(rng.uniform(0.2, 4)))
-        assert r.value >= 0.0
+        assert r >= 0.0
     ev = AgentSpec(1, "charging", ChargingContext(0.0, 3.3, 1.0, 6))
     for _ in range(200):
         r = regret(ev, rng.uniform(0, 3, size=6), rng.uniform(0.1, 3, size=6))
-        assert r.value >= 0.0
+        assert r >= 0.0
+
+
+def test_regret_below_tolerance_is_an_oracle_bug(monkeypatch):
+    # an optimum that costs more than the action taken is an inconsistent oracle, not a clamped zero
+    dc = AgentSpec(0, "datacenter", DataCenterContext(2.0, 1.5))
+    ev = AgentSpec(1, "charging", ChargingContext(0.0, 2.4, 1.0, 4))
+    e = np.array([1.0, 3.0, 0.5, 2.0])
+    real_dc, real_ev = agents.dc_optimal, agents.ev_optimal
+    monkeypatch.setattr(agents, "dc_optimal", lambda ctx, c: (real_dc(ctx, c)[0], real_dc(ctx, c)[1] + 1e-6))
+    monkeypatch.setattr(agents, "ev_optimal", lambda ctx, y: (real_ev(ctx, y)[0], real_ev(ctx, y)[1] + 1e-6))
+    for spec, y_hat, y in ((dc, 1.3, 1.3), (ev, e, e)):
+        with pytest.raises(ValueError, match="decision oracle is inconsistent"):
+            regret(spec, y_hat, y)
+    # the batched ops check the `best` they are handed
+    w, lam, c = np.array([2.0, 3.0]), np.array([1.5, 4.0]), np.array([1.3, 0.7])
+    best = dc_optimal_batch(w, lam, c)
+    assert np.all(dc_regret_batch(w, lam, c, c, best)[0] <= 1e-12)
+    with pytest.raises(ValueError, match="below -1e-09"):
+        dc_regret_batch(w, lam, c, c, best + 1e-6)
+    ranking = SlotRanking([2, 3], [1.0, 2.0], 4)
+    realized = np.array([e, e[::-1]])
+    best = ev_optimal_batch(ranking, realized)
+    assert np.all(ev_regret_batch(ranking, realized, realized, best) == 0.0)
+    with pytest.raises(ValueError, match="below -1e-09"):
+        ev_regret_batch(ranking, realized, realized, best + 1e-6)
 
 
 def test_regret_batch_helpers_match_scalar_path():
@@ -254,7 +296,7 @@ def test_regret_batch_helpers_match_scalar_path():
     for i in range(100):
         ctx = DataCenterContext(w[i], lam[i])
         spec = AgentSpec(0, "datacenter", ctx)
-        assert batch[i] == pytest.approx(regret(spec, c_hat[i], c[i]).value, abs=1e-12)
+        assert batch[i] == pytest.approx(regret(spec, c_hat[i], c[i]), abs=1e-12)
         expected = dc_cost_grad_action(ctx, dc_act(ctx, c_hat[i]), c[i]) * dc_act_jacobian(ctx, c_hat[i])
         assert slope[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -267,7 +309,7 @@ def test_regret_batch_helpers_match_scalar_path():
     batch = ev_regret_batch(ranking, eh, ee, best)
     for i in range(50):
         assert best[i] == ev_optimal(ctx, ee[i])[1]
-        assert batch[i] == pytest.approx(regret(spec, eh[i], ee[i]).value, abs=1e-12)
+        assert batch[i] == pytest.approx(regret(spec, eh[i], ee[i]), abs=1e-12)
 
     # several agents' (k, rate) in one call, three draws of forecasts per
     # realized row, and integer forecasts so rows tie at the k-th value
@@ -306,7 +348,7 @@ def test_regret_batch_helpers_match_scalar_path():
             ties += np.sum(row == ordered[slots[i] - 1]) > 1
             following_ties += slots[i] < 8 and ordered[slots[i]] == ordered[slots[i] - 1]
             nan_at_k += np.isnan(ordered[slots[i] - 1])
-            assert batch[d, i] == regret(specs[m], row, realized[i]).value
+            assert batch[d, i] == regret(specs[m], row, realized[i])
     assert ties > 50 and following_ties > 50 and nan_at_k >= 3
     with pytest.raises(InfeasibleActionError):
         SlotRanking(np.full(len(owner), 9), 1.0, 8, n_draws=3)
@@ -349,7 +391,7 @@ def test_dc_regret_batch_scores_stacked_draws_like_single_blocks():
         assert np.array_equal(slopes[d * n_rows:(d + 1) * n_rows], one_slopes)
         for i in range(n_rows):
             spec = AgentSpec(0, "datacenter", DataCenterContext(w[i], lam[i]))
-            assert one_values[i] == pytest.approx(regret(spec, c_hat[d, i], c[i]).value, abs=1e-12)
+            assert one_values[i] == pytest.approx(regret(spec, c_hat[d, i], c[i]), abs=1e-12)
     with pytest.raises(ValueError, match="realized rows"):
         dc_regret_batch(w, lam, c_hat.ravel()[:-1], c, best)
 

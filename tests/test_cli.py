@@ -358,6 +358,24 @@ def test_malformed_agents_json_is_a_schema_error(tmp_path, capsys, edit, message
     assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("initial", -1.0, "initial charge must be nonnegative, got -1.0"),
+    ("rate", 0.0, "charge rate must be positive, got 0.0"),
+    ("horizon", 0, "horizon must be >= 1, got 0"),
+    ("water_weight", -0.5, "mixing weights must be nonnegative"),
+    ("price_weight", -0.5, "mixing weights must be nonnegative"),
+])
+def test_malformed_charging_context_is_a_schema_error(tmp_path, capsys, field, value, message):
+    doc = tiny_config(application="charging", horizon=5)
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, doc), "--out", str(data_dir)]) == 0
+    path = data_dir / "agents.json"
+    path.write_text(json.dumps(_context(json.loads(path.read_text()), **{field: value})))
+    cfg = write_config(tmp_path, dict(doc, data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: agent entry 0: {message}\n"
+
+
 @pytest.mark.parametrize("application, override", [
     ("charging", {"lambda_scheme": "bogus"}),
     ("mixed", {"heterogeneity": "bogus"}),
@@ -386,7 +404,8 @@ def test_corrupt_checkpoint_is_a_usage_error(tmp_path, capsys):
 
 # each used to end in a traceback: UnicodeDecodeError (a byte that is not
 # UTF-8), TOMLDecodeError (invalid TOML), ValueError (json's limit on an
-# integer's digits) or RecursionError (nesting deeper than json recurses)
+# integer's digits) or RecursionError (nesting deeper than json recurses);
+# a document that is not an object is refused as well
 @pytest.mark.parametrize("name, edit, message", [
     ("config.json", lambda b: b + b"\xff", "not UTF-8 text"),
     ("config.json", lambda b: b'{"seed": ' + b"1" * 5000 + b"}", "not valid JSON"),
@@ -397,7 +416,11 @@ def test_corrupt_checkpoint_is_a_usage_error(tmp_path, capsys):
     ("meta.json", lambda b: b + b"\xff", "not UTF-8 text"),
     ("agents.json", lambda b: b + b"\xff", "not UTF-8 text"),
     ("target_m001.csv", lambda b: b + b"\xff", "not UTF-8 text"),
-], ids=["json-bytes", "json-digits", "json-depth", "toml-bytes", "toml-syntax", "checkpoint", "meta", "agents", "series-csv"])
+    ("config.json", lambda b: b"[1, 2]", "expected an object, got list"),
+    ("checkpoint.json", lambda b: b'"values"', "expected an object, got str"),
+    ("meta.json", lambda b: b"[]", "expected an object, got list"),
+], ids=["json-bytes", "json-digits", "json-depth", "toml-bytes", "toml-syntax", "checkpoint", "meta", "agents", "series-csv",
+        "json-array", "checkpoint-string", "meta-array"])
 def test_undecodable_input_file_is_a_usage_error(tmp_path, capsys, name, edit, message):
     data_dir, run = tmp_path / "data", tmp_path / "run"
     assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
@@ -509,12 +532,16 @@ def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
     assert pools == [] and not (tmp_path / "sweep").exists()
 
 
-@pytest.mark.parametrize("field", ["sweep_q_plus_1", "sweep_beta"])
-def test_sweep_refuses_an_empty_grid_before_it_makes_out(tmp_path, capsys, field):
+@pytest.mark.parametrize("field, value, message", [
+    ("sweep_q_plus_1", [], "sweep grids must be nonempty"),
+    ("sweep_beta", [], "sweep grids must be nonempty"),
+    ("repeats", 0, "repeats must be >= 1, got 0"),  # no seed axis
+], ids=["sweep_q_plus_1", "sweep_beta", "repeats"])
+def test_sweep_refuses_an_empty_grid_before_it_makes_out(tmp_path, capsys, field, value, message):
     # this exited 1 but left an empty --out behind
     out = tmp_path / "sweep"
-    assert cli.main(["sweep", "--config", write_config(tmp_path, tiny_config(**{field: []})), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: sweep grids must be nonempty\n"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, tiny_config(**{field: value})), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -649,10 +676,13 @@ def test_negative_grad_clip_is_a_usage_error(tmp_path, capsys):
     assert "grad_clip" in err and "Traceback" not in err
 
 
-def test_divergence_exits_2(tmp_path):
+def test_divergence_exits_2(tmp_path, capsys):
     doc = tiny_config(train={"mode": "plain", "lr": 1e12, "epochs": 10, "batch_size": 16})
     cfg = write_config(tmp_path, doc)
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    # the message names the agent that went non-finite first
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: non-finite loss or gradient at step ") and err.endswith(" (agent 0)\n")
 
 
 def test_non_finite_update_exits_2(tmp_path, capsys):
@@ -807,6 +837,34 @@ def test_sweep_records_failures_and_continues(tmp_path, monkeypatch):
     lines = (out / "sweep.csv").read_text().splitlines()[2:]
     statuses = [line.split(",")[7] for line in lines]
     assert statuses == ["ok", "failed"]
+
+
+def test_sweep_fails_every_cell_of_a_task_whose_pool_cannot_be_built(tmp_path, monkeypatch):
+    # an error that is not a user error fails the task's cells, and the sweep writes its table
+    def broken(config, seed):
+        raise RuntimeError("injected pool failure")
+
+    monkeypatch.setattr(harness, "build_pool", broken)
+    cfg = write_config(tmp_path, tiny_config(repeats=2, sweep_q_plus_1=[1, 2], sweep_beta=[0.0]))
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 2
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[2:]
+    assert rows == [f"{qp1},0,{seed},,,,,failed" for qp1 in (1, 2) for seed in (0, 1)]
+
+
+def test_sweep_cell_with_a_user_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a cell whose own outcome is a config error ends the sweep, as a task's does
+    real = training.evaluate
+
+    def refusing(params, agents, data, q=0.0, beta=0.0, seed=0):
+        if q == 1.0:
+            raise ConfigError("injected cell refusal")
+        return real(params, agents, data, q=q, beta=beta, seed=seed)
+
+    monkeypatch.setattr(training, "evaluate", refusing)
+    cfg = write_config(tmp_path, tiny_config(repeats=1, sweep_q_plus_1=[1, 2], sweep_beta=[0.0]))
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 1
+    assert capsys.readouterr().err == "error: injected cell refusal\n"
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 # a user error in a cell ends the sweep with exit 1, as it ends `train`; it

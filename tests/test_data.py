@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -31,11 +32,6 @@ def test_synth_carbon_pure_sinusoid_when_noiseless():
 def test_synth_carbon_clamp_floor():
     s = synth_carbon(500, seed=1, base=1.0, daily_amplitude=2.0, noise_std=1.0)
     assert s.min() >= 0.05 * 1.0 - 1e-12
-
-
-def test_synth_carbon_rejects_bad_base():
-    with pytest.raises(ConfigError):
-        synth_carbon(100, seed=0, base=0.0)
 
 
 def test_synth_agents_lambda_schemes():
@@ -140,6 +136,22 @@ def test_load_csv_non_monotone_timestamps(tmp_path):
     p = write(tmp_path, "c.csv", "timestamp,carbon_intensity\n0,1.5\n0,2.0\n")
     with pytest.raises(SchemaError, match="increasing"):
         load_csv(p, "carbon")
+
+
+@pytest.mark.parametrize("schema, text, message", [
+    ("carbon", "# a comment only\n\n", ": no header row found"),
+    ("carbon", "timestamp,carbon_intensity\n# no rows follow\n", ": no data rows"),
+    ("carbon", "timestamp,carbon_intensity\n0,1.5\n1,nan\n", ":3: column 'carbon_intensity' is not finite: 'nan'"),
+    ("energy", "timestamp,E\n0,1.5\n1\n", ":3: row has no 'E' cell"),
+    ("workload", "timestamp,agent_id,demand\n0,0,inf\n", ":2: column 'demand' is not finite: 'inf'"),
+    ("workload", "timestamp,agent_id,demand\n1,0,1.0\n0,0,1.0\n", ": timestamps must be strictly increasing per agent"),
+    ("workload", "timestamp,agent_id,demand\n0,0,1.0\n1,0,1.0\n0,1,1.0\n2,1,1.0\n",
+     ": agent 1 does not cover the same timestamps as agent 0"),
+])
+def test_load_csv_refusals_name_the_file(tmp_path, schema, text, message):
+    p = write(tmp_path, "c.csv", text)
+    with pytest.raises(SchemaError, match=re.escape(f"{p}{message}")):
+        load_csv(p, schema)
 
 
 def test_load_workload_csv(tmp_path):

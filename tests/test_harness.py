@@ -72,8 +72,8 @@ def test_mixed_pool_structure():
         if agent.family != "datacenter":
             continue
         raws = data.mean + data.scale * predictor.forward_batch(params, test_x[m])
-        by_mean = np.mean([regret(agent, float(r.mean()), float(c[0])).value for r, c in zip(raws, test_outcome[m])])
-        by_first = np.mean([regret(agent, float(r[0]), float(c[0])).value for r, c in zip(raws, test_outcome[m])])
+        by_mean = np.mean([regret(agent, float(r.mean()), float(c[0])) for r, c in zip(raws, test_outcome[m])])
+        by_first = np.mean([regret(agent, float(r[0]), float(c[0])) for r, c in zip(raws, test_outcome[m])])
         assert summary.per_agent_regret[m] == pytest.approx(by_mean, rel=1e-9)
         assert summary.per_agent_regret[m] != pytest.approx(by_first, rel=1e-6)
 

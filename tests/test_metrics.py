@@ -20,6 +20,17 @@ def test_variance_population_normalization():
 def test_variance_empty_rejected():
     with pytest.raises(ValueError):
         metrics.variance([])
+    # every other metric refuses its empty or malformed inputs too
+    for call, message in (
+        (lambda: metrics.percentile_gap([]), "percentile gap of an empty vector"),
+        (lambda: metrics.norm_entropy([]), "entropy of an empty vector"),
+        (lambda: metrics.norm_entropy([0.2, 0.4], exponent=0.0), "exponent must be positive, got 0.0"),
+        (lambda: metrics.norm_entropy([0.2, 0.4], exponent=-1.0), "exponent must be positive, got -1.0"),
+        (lambda: metrics.mse([[1.0]], [[1.0], [2.0]]), "1 prediction groups vs 2 target groups"),
+        (lambda: metrics.mse([[1.0], []], [[1.0], []]), "empty agent group"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_percentile_gap_two_points():

@@ -18,6 +18,14 @@ def test_equitable_loss_validation():
         objective.equitable_loss([0.2], -0.5)
     with pytest.raises(ValueError):
         objective.equitable_loss([], 1.0)
+    one = np.ones((1, 1))
+    for beta in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=f"beta must lie in \\[0, 1\\], got {beta}"):
+            objective.chain_grad(one, one, np.ones(1), one, 1, 1.0, beta)
+    with pytest.raises(ValueError, match="q must be nonnegative, got -0.5"):
+        objective.chain_grad(one, one, np.ones(1), one, 1, -0.5, 0.5)
+    with pytest.raises(ValueError, match="q must be nonnegative, got -0.5"):
+        objective.holder_max_value([0.2, 0.4], -0.5)
     # tiny negatives are float noise, clamped
     assert objective.equitable_loss([-1e-12, 0.3], 1.0) == pytest.approx(0.09)
 
@@ -72,7 +80,7 @@ def pipeline_loss(params, specs, Xs, Ys, t_mean, t_scale, q, beta):
     for agent, X, Y in zip(specs, Xs, Ys):
         preds = predictor.forward_batch(params, X)
         values = [
-            regret(agent, t_mean + t_scale * float(preds[i, 0]), float(Y[i, 0])).value
+            regret(agent, t_mean + t_scale * float(preds[i, 0]), float(Y[i, 0]))
             for i in range(X.shape[0])
         ]
         mean_regrets.append(np.mean(values))
@@ -229,7 +237,7 @@ def test_pg_matches_chain_on_differentiable_toy():
         sampled = preds + std * eps
         score_sum = predictor.vjp_batch(params, X, eps / std, acts)
         values = [
-            regret(spec, t_mean + t_scale * float(sampled[i, 0]), float(Y[i, 0])).value
+            regret(spec, t_mean + t_scale * float(sampled[i, 0]), float(Y[i, 0]))
             for i in range(4)
         ]
         loss = objective.equitable_loss([np.mean(values)], q)

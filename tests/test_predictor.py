@@ -166,6 +166,13 @@ def test_vjp_batch_takes_only_its_own_forward_pass():
         predictor.vjp_batch(p, X + 1.0, cots, acts)
     with pytest.raises(ValueError, match="this batch"):
         predictor.vjp_batch(p, X, cots, acts._replace(layers=acts.layers[:-1]))
+    # a batch of another shape is another batch
+    for other in (X[:, :3], X[:5], X[0], 1.0):
+        with pytest.raises(ValueError, match="this batch"):
+            predictor.vjp_batch(p, other, cots, acts)
+    for bad in (cots[:, :1], cots[:6], cots[0], cots.T):
+        with pytest.raises(ValueError, match=r"expected cotangents of shape \(7, 2\)"):
+            predictor.vjp_batch(p, X, bad, acts)
     # activations of other parameters, e.g. of an earlier step, are refused
     for other in (predictor.init_params([4, 5, 3, 2], seed=7), p.with_values(p.values - 0.1)):
         _, theirs = predictor.forward_batch(other, X, keep=True)

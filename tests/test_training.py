@@ -154,7 +154,7 @@ def test_chain_mode_converges_to_grid_minimizer():
 
     train_c = split.train_y_raw[:, 0]
     grid = np.linspace(0.3, 3.5, 3201)
-    regrets = [np.mean([regret(DC_AGENT, b, c).value for c in train_c]) for b in grid]
+    regrets = [np.mean([regret(DC_AGENT, b, c) for c in train_c]) for b in grid]
     b_grid = grid[int(np.argmin(regrets))]
     assert abs(b_hat - b_grid) < 1e-2
 
@@ -342,7 +342,7 @@ def test_pg_step_matches_batch_op():
     eps = rng.standard_normal((1, 24, 1))
     scores = np.stack([row_score(p0, X[i], eps[0, i], std) for i in range(24)])
     raws = to_raw([split], predictor.forward_batch(p0, X) + std * eps[0])
-    regrets = [regret(DC_AGENT, float(raws[i, 0]), float(split.train_y_raw[sel][i, 0])).value
+    regrets = [regret(DC_AGENT, float(raws[i, 0]), float(split.train_y_raw[sel][i, 0]))
                for i in range(24)]
     loss = objective.equitable_loss([np.mean(regrets)], q=1.0)
     expected = p0.values - lr * scores.sum(axis=0) * loss
@@ -365,10 +365,10 @@ def _three_agent_pool():
 
 def _sample_regret(agent, split, raw, outcome, ctx):
     if agent.family == "charging":
-        return regret(agent, raw, outcome).value
+        return regret(agent, raw, outcome)
     c_hat = raw.mean()  # a data-center agent reads the mean of the forecast window
     context = None if ctx is None else DataCenterContext(float(ctx), agent.context.latency_weight)
-    return regret(agent, c_hat, outcome[0], context=context).value
+    return regret(agent, c_hat, outcome[0], context=context)
 
 
 def _reference_pg_sgd(cfg, params, agents, splits):
@@ -608,7 +608,7 @@ def test_charging_regrets_match_per_sample_regret_across_calls():
         for d in range(n_draws):
             for r, m in enumerate(np.repeat(np.arange(len(agents)), batch)):
                 realized = splits[m].train_outcome[perms[m][k * batch + r % batch]]
-                assert values[d, r] == regret(agents[m], raws[k, d, r], realized).value
+                assert values[d, r] == regret(agents[m], raws[k, d, r], realized)
 
     # a slot count outside 1..T is refused when the pool is built
     bad = AgentSpec(9, "charging", ChargingContext(0.0, 1e-14, 1.0, 4))

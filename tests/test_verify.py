@@ -7,6 +7,7 @@ import pytest
 from equicast import agents as agentmod
 from equicast import verify
 from equicast.agents import ChargingContext, DataCenterContext
+from equicast.errors import ConfigError
 from equicast.metrics import norm_entropy, variance
 from equicast.verify import QuadraticToy, minimize_toy
 
@@ -120,6 +121,45 @@ def test_injected_trainer_target_transform_shift_detected(monkeypatch):
     monkeypatch.setattr(training._StackedRows, "to_raw", lambda self, *a, **k: real(self, *a, **k) + 0.01)
     result = verify.check_chain_gradient(seed=0)
     assert not result.passed
+
+
+def test_injected_costly_closed_form_detected(monkeypatch):
+    # a closed form that costs more than a grid point is refused before the error bound is read
+    real = agentmod.dc_optimal
+    monkeypatch.setattr(agentmod, "dc_optimal", lambda ctx, c: (real(ctx, c)[0], real(ctx, c)[1] + 0.01))
+    result = verify.check_decision_oracles(n_cases=5, seed=0)
+    assert not result.passed and result.detail.startswith("grid found cost -0.0")
+    assert result.detail.endswith("below closed form")
+
+
+def test_biased_draws_fail_the_five_se_gate(monkeypatch):
+    # draws of mean 0.5: the op still equals the mean of its per-draw estimates, which is biased
+    real = np.random.default_rng
+
+    class Shifted:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, size):
+            return self.rng.standard_normal(size) + 0.5
+
+    monkeypatch.setattr(verify.np.random, "default_rng", Shifted)
+    result = verify.check_pg_estimator(thetas=(0.5,), n_draws=20_000, seed=1)
+    assert not result.passed
+    assert result.detail.startswith("theta=0.5: |err|=") and "vs 5se=" in result.detail
+
+
+def test_run_all_fails_a_suite_that_raises(monkeypatch):
+    def check_dual_norm(seed):  # a crashed suite is named as run_all names its check_* function
+        raise ArithmeticError(f"injected crash at seed {seed}")
+
+    for name in ("check_decision_oracles", "check_chain_gradient", "check_pg_estimator",
+                 "check_theorem_variance", "check_theorem_entropy"):
+        monkeypatch.setattr(verify, name, lambda seed, name=name: verify.SuiteResult(name, True, "stub"))
+    monkeypatch.setattr(verify, "check_dual_norm", check_dual_norm)
+    results = verify.run_all(seed=3)
+    assert all(r.passed for r in results[:-1])
+    assert results[-1] == verify.SuiteResult("dual_norm", False, "ArithmeticError: injected crash at seed 3")
 
 
 def test_injected_pg_bug_detected(monkeypatch):
@@ -523,6 +563,14 @@ def _entropy_derivatives(toy, qs, h=1e-3):
         (norm_entropy(toy.costs(hi), q + 1.0) - norm_entropy(toy.costs(lo), q + 1.0)) / (2.0 * h)
         for q, hi, lo in zip(qs, optima[0::2], optima[1::2])
     ]).T
+
+
+def test_quadratic_toy_refuses_malformed_toys():
+    for targets, offsets in (([0.0, 1.0], [0.1, 0.2, 0.3]), ([0.0], [0.1]), ([[[0.0, 1.0]]], [[[0.1, 0.2]]])):
+        with pytest.raises(ConfigError, match="matching target/offset vectors of length >= 2"):
+            QuadraticToy(targets=targets, offsets=offsets)
+    with pytest.raises(ConfigError, match="offsets must be nonnegative"):
+        QuadraticToy(targets=[0.0, 1.0], offsets=[0.1, -0.2])
 
 
 def test_minimize_toy_high_precision():
