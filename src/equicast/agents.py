@@ -185,7 +185,7 @@ def ev_cost(ctx: ChargingContext, schedule, energy) -> float:
         raise ValueError(
             f"schedule/energy must have length {ctx.horizon}, got {x.shape} and {e.shape}"
         )
-    return float(ctx.rate * (x * e).sum())
+    return float(ctx.rate * np.add.reduce(x * e))
 
 
 def ev_act(ctx: ChargingContext, e_hat) -> np.ndarray:
@@ -271,8 +271,7 @@ def regret(agent: AgentSpec, y_hat, y, context=None) -> float:
     """
     ctx = context if context is not None else agent.context
     if agent.family == "datacenter":
-        c_hat = float(np.asarray(y_hat).reshape(-1)[0]) if np.ndim(y_hat) else float(y_hat)
-        c = float(np.asarray(y).reshape(-1)[0]) if np.ndim(y) else float(y)
+        c_hat, c = _first_value(y_hat), _first_value(y)
         taken = dc_cost(ctx, dc_act(ctx, c_hat), c)
         _, best = dc_optimal(ctx, c)
     else:
@@ -285,6 +284,13 @@ def regret(agent: AgentSpec, y_hat, y, context=None) -> float:
             f"regret {value} below -{REGRET_TOLERANCE}: decision oracle is inconsistent"
         )
     return max(value, 0.0)
+
+
+def _first_value(v) -> float:
+    """A scalar, or an array's first entry, as a Python float."""
+    if isinstance(v, float):  # a Python float or an np.float64, which np.ndim reads slowly
+        return float(v)
+    return float(np.asarray(v).reshape(-1)[0]) if np.ndim(v) else float(v)
 
 
 def dc_optimal_batch(workloads, lams, c) -> np.ndarray:

@@ -74,9 +74,39 @@ def _subset_masks(horizon: int) -> tuple[np.ndarray, np.ndarray]:
     codes = np.arange(2**horizon - 1, 0, -1)
     masks = (codes[:, None] >> np.arange(horizon - 1, -1, -1)) & 1
     sizes = masks.sum(axis=1)
-    masks = masks[np.argsort(sizes, kind="stable")].astype(float)
+    masks = masks[np.argsort(sizes, kind="stable")]
     starts = np.concatenate(([0], np.cumsum(np.bincount(sizes)[1:])))
     return masks, starts
+
+
+def _schedule_sums(e: np.ndarray) -> np.ndarray:
+    """`row_sums(mask * e)` of every 0/1 mask over one signal of 8 to 15 slots, bit for bit, by doubling.
+
+    numpy sums the products pairwise, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then adds slots 8 and up one by one.  A masked-out slot's product is a
+    zero that leaves a nonzero sum as it is, so its add is skipped: the four
+    pair sums take 4 values each, their two outer sums 16 and the outer sum
+    of those 256, and each later slot doubles the filled run of one buffer.
+    The mask with bits b sits at sum_{j<8} b_j 2^(7-j) + sum_{j>=8} b_j 2^j.
+    A zero sum comes out +0.0, as row_sums' identity makes it, for any signal
+    with no -0.0 entry.
+    """
+    pairs = np.zeros((4, 4))
+    pairs[:, 1], pairs[:, 2] = e[1:8:2], e[0:8:2]
+    np.add(e[0:8:2], e[1:8:2], out=pairs[:, 3])
+    sums = np.empty(2 ** len(e))
+    left, right = (pairs[0::2, :, None] + pairs[1::2, None, :]).reshape(2, 16)
+    np.add.outer(left, right, out=sums[:256].reshape(16, 16))
+    for j in range(8, len(e)):
+        np.add(sums[:2**j], e[j], out=sums[2**j:2 ** (j + 1)])
+    return sums
+
+
+def _schedule_positions(masks: np.ndarray) -> np.ndarray:
+    """Where each 0/1 mask's sum sits in `_schedule_sums`' buffer."""
+    horizon = masks.shape[1]
+    bits = np.concatenate((2 ** np.arange(7, -1, -1), 2 ** np.arange(8, horizon)))
+    return masks @ bits
 
 
 def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float = 1e-4) -> SuiteResult:
@@ -111,20 +141,18 @@ def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float =
 
     horizon = 12
     masks, starts = _subset_masks(horizon)
-    # slot-major masks: `row_sums` adds a column at a time, and each column
-    # is one contiguous run; the products go into one buffer for every case
-    masks_f = np.asfortranarray(masks)
-    work = np.empty_like(masks_f)
+    positions = _schedule_positions(masks)
     mismatches = 0
     signals, rates, enum_best = np.empty((n_cases, horizon)), np.empty(n_cases), np.empty((n_cases, horizon))
     for i in range(n_cases):
         e = rng.uniform(0.2, 3.0, size=horizon)
         rate = float(rng.uniform(0.5, 3.0))
         # every subset's cost as ev_cost takes it, rate times numpy's sum of
-        # the schedule times the signal (`row_sums` is that sum bit for bit),
-        # so each size's least cost is what ev_cost gives its best schedule,
-        # and equality must be exact
-        enum_costs = rate * agentmod.row_sums(np.multiply(masks_f, e, out=work))
+        # the schedule times the signal (`_schedule_sums` builds every
+        # subset's sum in numpy's order, bit for bit), so each size's least
+        # cost is what ev_cost gives its best schedule, and equality must be
+        # exact
+        enum_costs = rate * _schedule_sums(e)[positions]
         enum_best[i] = np.minimum.reduceat(enum_costs, starts[:-1])
         for k in range(1, horizon + 1):
             ctx = ChargingContext(initial=0.0, demand=(k - 0.5) * rate, rate=rate, horizon=horizon)
@@ -145,24 +173,24 @@ def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float =
     )
 
 
-def _dc_pipeline_terms(params, agents_list, Xs, Ys, row_ctxs, t_mean, t_scale) -> tuple[list, float]:
+def _dc_pipeline_terms(params, agents_list, rows, t_mean, t_scale) -> tuple[list, float]:
     """Per-agent mean regrets and MSE sum of a data-center pipeline, for finite differencing.
 
     Regrets go through the scalar `agents.regret` path, independent of the
-    batched one the trainer uses; `row_ctxs` holds each agent's per-row
-    contexts.
+    batched one the trainer uses.  `rows` holds, per agent, what no probe
+    changes: its windows, its realized values as floats, its (b, 1) targets
+    normalized by `t_mean` and `t_scale`, and its per-row contexts.
     """
     mean_regrets = []
     mse_sum = 0.0
-    for agent, X, Y, contexts in zip(agents_list, Xs, Ys, row_ctxs):
+    for agent, (X, ys, ys_norm, contexts) in zip(agents_list, rows):
         preds = predictor.forward_batch(params, X)
-        values = []
-        for i, ctx in enumerate(contexts):
-            c_hat = t_mean + t_scale * float(preds[i, 0])
-            values.append(agentmod.regret(agent, c_hat, float(Y[i, 0]), context=ctx))
+        values = [
+            agentmod.regret(agent, t_mean + t_scale * p, y, context=ctx)
+            for p, y, ctx in zip(preds[:, 0].tolist(), ys, contexts)
+        ]
         mean_regrets.append(np.mean(values))
-        y_norm = (Y - t_mean) / t_scale
-        mse_sum += float(np.mean(np.sum((preds - y_norm) ** 2, axis=1)))
+        mse_sum += float(np.mean(np.sum((preds - ys_norm) ** 2, axis=1)))
     return mean_regrets, mse_sum
 
 
@@ -194,20 +222,22 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     w = rng.uniform(1.0, 4.0, size=rows)
     part = Part(X, Y, Y, w, len(agents_list))
     pool = training.PoolData(agents_list, PoolWindows(part, part))
-    Xs, Ys, ctxs = (np.split(a, len(agents_list)) for a in (X, Y, w))
+    agent_rows = []
+    for agent, Xa, Ya, wa in zip(agents_list, *(np.split(v, len(agents_list)) for v in (X, Y, w))):
+        contexts = [replace(agent.context, workload=wi) for wi in wa.tolist()]
+        agent_rows.append((Xa, Ya[:, 0].tolist(), (Ya - pool.mean) / pool.scale, contexts))
 
     # the probed regrets and MSE do not depend on (q, beta): each +-h probe
     # of each parameter runs once, on one vector that it edits in place and
     # restores, and every (q, beta) blends its terms
     h = 1e-5
-    row_ctxs = [[replace(a.context, workload=float(wi)) for wi in ws] for a, ws in zip(agents_list, ctxs)]
     probe = params.with_values(params.values.copy())
     terms = []
     for j, value in enumerate(params.values):
         probe.values[j] += h
-        terms.append(_dc_pipeline_terms(probe, agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale))
+        terms.append(_dc_pipeline_terms(probe, agents_list, agent_rows, pool.mean, pool.scale))
         probe.values[j] -= 2 * h
-        terms.append(_dc_pipeline_terms(probe, agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale))
+        terms.append(_dc_pipeline_terms(probe, agents_list, agent_rows, pool.mean, pool.scale))
         probe.values[j] = value
 
     # each lockstep run is bitwise its solo run
@@ -301,8 +331,9 @@ class QuadraticToy:
     """K toys of M agents: agent m of toy k costs (theta_k - t_km)^2 + c_km.
 
     Strictly convex, minimum c_km >= 0 off-target.  Targets and offsets are
-    (K, M); one toy may be given as (M,) vectors.  The methods take one theta
-    per toy (or one for all) and return one value per toy, or (K, M) costs.
+    (K, M); one toy may be given as (M,) vectors.  `costs` takes one theta
+    per toy (or one for all, or an (..., K) stack of them) and returns the
+    (..., K, M) costs.
     """
 
     targets: np.ndarray
@@ -317,39 +348,41 @@ class QuadraticToy:
             raise ConfigError("offsets must be nonnegative")
 
     def costs(self, theta) -> np.ndarray:
-        return (np.asarray(theta).reshape(-1, 1) - self.targets) ** 2 + self.offsets
-
-    def loss(self, theta, q: float) -> np.ndarray:
-        return (self.costs(theta) ** (q + 1.0)).sum(axis=1)
-
-    def loss_grad(self, theta, q: float) -> np.ndarray:
-        c = self.costs(theta)
-        return ((q + 1.0) * c**q * 2.0 * (np.asarray(theta).reshape(-1, 1) - self.targets)).sum(axis=1)
-
-    def loss_hess(self, theta, q: float) -> np.ndarray:
-        c = self.costs(theta)
-        dc = 2.0 * (np.asarray(theta).reshape(-1, 1) - self.targets)
-        return ((q + 1.0) * (q * np.where(c > 0, c, 1.0) ** (q - 1.0) * dc**2 + c**q * 2.0)).sum(axis=1)
+        return (np.asarray(theta)[..., None] - self.targets) ** 2 + self.offsets
 
 
 def minimize_toy(toy: QuadraticToy, qs) -> np.ndarray:
     """Global minimizer of each toy's aggregate loss at each exponent in `qs`, (len(qs), K).
 
-    Golden-section brackets the optimum; a few Newton steps on the gradient
-    then push it to machine precision (golden alone stalls near sqrt(eps)
-    because it compares nearly-equal function values).  Every (exponent,
-    toy) row runs in lockstep, each with its own bracket; a row's result is
-    taken when its own stopping test fires, so every row equals a one-toy
-    scalar run bit for bit.  Each exponent's row block is scored by the
-    toy's methods at that one scalar q: numpy's `**` fast paths for the
-    exponents 1 and 2 are exact, and a per-row exponent array would bypass
-    them.
+    The loss at q is sum_m cost_m^(q+1).  Golden-section brackets the
+    optimum; a few Newton steps on the gradient then push it to machine
+    precision (golden alone stalls near sqrt(eps) because it compares
+    nearly-equal function values).  Every (exponent, toy) row runs in
+    lockstep, each with its own bracket; a row's result is taken when its
+    own stopping test fires, so every row equals a one-toy scalar run bit for
+    bit.  Each iterate's costs are formed once for every row; each
+    exponent's row block then takes its powers at that one scalar q: numpy's
+    `**` fast paths for the exponents 1 and 2 are exact, and a per-row
+    exponent array would bypass them.
     """
-    def blocks(fn, theta):
+    def losses(theta):
+        costs = toy.costs(theta)
         out = np.empty(theta.shape)
         for i, q in enumerate(qs):
-            out[i] = fn(theta[i], q)
+            out[i] = np.add.reduce(costs[i] ** (q + 1.0), axis=1)
         return out
+
+    def derivatives(theta):
+        costs = toy.costs(theta)
+        diff = theta[..., None] - toy.targets
+        dc_sq = (2.0 * diff) ** 2
+        positive = np.where(costs > 0, costs, 1.0)
+        g, h = np.empty(theta.shape), np.empty(theta.shape)
+        for i, q in enumerate(qs):
+            cq = costs[i] ** q
+            g[i] = np.add.reduce((q + 1.0) * cq * 2.0 * diff[i], axis=1)
+            h[i] = np.add.reduce((q + 1.0) * (q * positive[i] ** (q - 1.0) * dc_sq[i] + cq * 2.0), axis=1)
+        return g, h
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     shape = (len(qs), len(toy.targets))
@@ -357,7 +390,7 @@ def minimize_toy(toy: QuadraticToy, qs) -> np.ndarray:
     b = np.broadcast_to(toy.targets.max(axis=1) + 1.0, shape)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = blocks(toy.loss, c), blocks(toy.loss, d)
+    fc, fd = losses(c), losses(d)
     theta = np.full(shape, np.nan)
     pending = np.ones(shape, dtype=bool)
     while True:
@@ -371,11 +404,11 @@ def minimize_toy(toy: QuadraticToy, qs) -> np.ndarray:
         a, b = np.where(left, a, c), np.where(left, d, b)
         gap = invphi * (b - a)
         c, d = np.where(left, b - gap, d), np.where(left, c, a + gap)
-        f_new = blocks(toy.loss, np.where(left, c, d))
+        f_new = losses(np.where(left, c, d))
         fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     live = np.ones(shape, dtype=bool)
     for _ in range(50):
-        g, h = blocks(toy.loss_grad, theta), blocks(toy.loss_hess, theta)
+        g, h = derivatives(theta)
         live &= ~(h <= 0)  # negated tests: a NaN row runs on, as in a one-toy loop
         step = np.divide(g, h, out=np.zeros_like(g), where=live)
         theta = theta - step

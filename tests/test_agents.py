@@ -247,6 +247,16 @@ def test_regret_charging_hand_value():
     assert regret(ev, np.array([2.0, 1.0]), np.array([1.0, 2.0])) == pytest.approx(1.0)
 
 
+def test_regret_takes_a_data_center_value_in_any_scalar_form():
+    # a Python float or an np.float64 is read as it is, an array by its first entry
+    dc = AgentSpec(0, "datacenter", DataCenterContext(2.0, 1.5))
+    forms = (float, np.float64, np.array, lambda v: np.array([v]))
+    values = [regret(dc, f(0.8), g(1.3)) for f in forms for g in forms]
+    assert regret(dc, 0.8, 1.3) > 0.0
+    assert values == [regret(dc, 0.8, 1.3)] * 16
+    assert {type(v) for v in values} == {float}
+
+
 def test_regret_nonnegative_random():
     rng = np.random.default_rng(5)
     dc = AgentSpec(0, "datacenter", DataCenterContext(2.0, 5.0))

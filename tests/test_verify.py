@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,10 +323,14 @@ def _per_cell_chain_gradient(qs, betas, seed, tol):
     pool = training.PoolData(agents_list, PoolWindows(part, part))
     Xs, Ys, ctxs = (np.split(a, 2) for a in (X, Y, w))
     h = 1e-5
-    row_ctxs = [[replace(a.context, workload=float(wi)) for wi in ws] for a, ws in zip(agents_list, ctxs)]
+    rows = [
+        (Xa, [float(y) for y in Ya[:, 0]], (Ya - pool.mean) / pool.scale,
+         [replace(a.context, workload=float(wi)) for wi in ws])
+        for a, Xa, Ya, ws in zip(agents_list, Xs, Ys, ctxs)
+    ]
 
     def probe(v):
-        return verify._dc_pipeline_terms(params.with_values(v), agents_list, Xs, Ys, row_ctxs, pool.mean, pool.scale)
+        return verify._dc_pipeline_terms(params.with_values(v), agents_list, rows, pool.mean, pool.scale)
 
     terms = []
     for j in range(params.values.size):
@@ -402,6 +407,42 @@ def test_subset_masks_follow_the_combinations_order():
         combos = [[1.0 if i in combo else 0.0 for i in range(12)] for combo in itertools.combinations(range(12), k)]
         assert np.array_equal(masks[starts[k - 1]:starts[k]], combos)
     assert starts[-1] == len(masks) == 4095
+
+
+@pytest.mark.parametrize("horizon, n_signals", [(12, 1000), (8, 100), (15, 20)])
+def test_schedule_sums_are_numpys_row_sums_bit_for_bit(horizon, n_signals):
+    # every subset's sum, read at its mask's place, is `row_sums` of the masked
+    # signal to the last bit: on the suite's range, on integer signals (ties),
+    # and on signals with zeros and negative entries
+    masks, _ = verify._subset_masks(horizon)
+    positions = verify._schedule_positions(masks)
+    assert sorted(positions.tolist()) == list(range(1, 2**horizon))
+    rng = np.random.default_rng(horizon)
+    signals = np.concatenate((
+        rng.uniform(0.2, 3.0, size=(n_signals, horizon)),
+        rng.integers(1, 4, size=(n_signals // 2, horizon)).astype(float),
+        rng.integers(-2, 3, size=(n_signals // 4, horizon)).astype(float),
+        rng.uniform(-3.0, 3.0, size=(n_signals // 4, horizon)),
+    ))
+    for e in signals:
+        sums = verify._schedule_sums(e)[positions]
+        assert np.array_equal(sums.view(np.int64), agentmod.row_sums(masks * e).view(np.int64))
+
+
+def _left_to_right_schedule_sums(e):
+    """`_schedule_sums`' buffer with each subset's slots added left to right."""
+    places = np.arange(2 ** len(e))[:, None]
+    shifts = np.concatenate((np.arange(7, -1, -1), np.arange(8, len(e))))
+    return np.cumsum(((places >> shifts) & 1) * e, axis=1)[:, -1]
+
+
+def test_enumeration_summed_left_to_right_fails_the_decision_suite(monkeypatch):
+    # the scalar ev_optimal sums in numpy's pairwise order; subsets summed in
+    # another order differ from it in the last bit
+    monkeypatch.setattr(verify, "_schedule_sums", _left_to_right_schedule_sums)
+    result = verify.check_decision_oracles(n_cases=100, seed=0)
+    assert not result.passed
+    assert re.fullmatch(r"\d+ enumeration mismatches", result.detail), result.detail
 
 
 def test_injected_theorem_variance_bug_detected(monkeypatch):
@@ -573,11 +614,16 @@ def test_quadratic_toy_refuses_malformed_toys():
         QuadraticToy(targets=[0.0, 1.0], offsets=[0.1, -0.2])
 
 
+def _loss_grad(toy, theta, q):
+    """d/dtheta of each toy's loss sum_m cost_m^(q+1) at its theta."""
+    return ((q + 1.0) * toy.costs(theta) ** q * 2.0 * (np.asarray(theta)[..., None] - toy.targets)).sum(axis=-1)
+
+
 def test_minimize_toy_high_precision():
     toy = QuadraticToy(targets=[0.0, 1.0], offsets=[0.3, 0.3])
     ((theta,),) = minimize_toy(toy, [0.0])
     assert abs(theta - 0.5) < 1e-12  # symmetric: exact midpoint
-    assert abs(toy.loss_grad(theta, 0.0)[0]) < 1e-10
+    assert abs(_loss_grad(toy, theta, 0.0)[0]) < 1e-10
 
 
 def test_theorem_variance_symmetric_equality():
