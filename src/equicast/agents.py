@@ -264,14 +264,14 @@ def _pairwise(a: np.ndarray) -> np.ndarray:
 def regret(agent: AgentSpec, y_hat, y, context=None) -> float:
     """Decision regret of forecasting y_hat when y realized, clamped at zero.
 
-    For data-center agents y_hat and y are scalars (forecast and realized
-    intensity); for charging agents they are length-T signal vectors.  An
-    explicit `context` overrides the agent's stored one, which lets callers
-    feed per-sample workloads without rebuilding specs.
+    For data-center agents y_hat and y are scalars, or arrays of one entry
+    (forecast and realized intensity); for charging agents they are length-T
+    signal vectors.  An explicit `context` overrides the agent's stored one,
+    which lets callers feed per-sample workloads without rebuilding specs.
     """
     ctx = context if context is not None else agent.context
     if agent.family == "datacenter":
-        c_hat, c = _first_value(y_hat), _first_value(y)
+        c_hat, c = _one_value(y_hat), _one_value(y)
         taken = dc_cost(ctx, dc_act(ctx, c_hat), c)
         _, best = dc_optimal(ctx, c)
     else:
@@ -286,11 +286,13 @@ def regret(agent: AgentSpec, y_hat, y, context=None) -> float:
     return max(value, 0.0)
 
 
-def _first_value(v) -> float:
-    """A scalar, or an array's first entry, as a Python float."""
-    if isinstance(v, float):  # a Python float or an np.float64, which np.ndim reads slowly
+def _one_value(v) -> float:
+    """A scalar, or an array of one entry, as a Python float."""
+    if isinstance(v, float):  # a Python float or an np.float64, which np.asarray reads slowly
         return float(v)
-    return float(np.asarray(v).reshape(-1)[0]) if np.ndim(v) else float(v)
+    if np.size(v) != 1:  # the trainer scores a multi-output forecast at its mean, not its first entry
+        raise ValueError(f"a data-center forecast or realized value is one number, got an array of size {np.size(v)}")
+    return float(np.asarray(v).reshape(-1)[0])
 
 
 def dc_optimal_batch(workloads, lams, c) -> np.ndarray:

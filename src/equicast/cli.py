@@ -118,7 +118,7 @@ def cmd_sweep(args) -> int:
     failed = [r for r in rows if r.status != "ok"]
     print(f"{len(rows)} runs ({len(failed)} failed); table at {path}")
     for r in failed:
-        print(f"  failed q+1={r.q_plus_1:g} beta={r.beta:g} seed={r.seed}: {r.error}")
+        print(f"  failed q+1={harness.sweep_label(r.q_plus_1)} beta={harness.sweep_label(r.beta)} seed={r.seed}: {r.error}")
     return 2 if failed else 0
 
 

@@ -15,11 +15,10 @@ stacked in agent order (z-scored features; raw targets, outcomes and
 workloads; the target transform is one per pool, fitted by
 `training.PoolData`).
 
-CSV schemas (header row required, '#' comment lines allowed before it):
-
-* carbon:   timestamp,carbon_intensity
-* energy:   timestamp,E
-* workload: timestamp,agent_id,demand
+CSV files (header row required, '#' comment lines allowed before it) have
+one reader per kind: `load_series` reads `timestamp` and a value column (its
+application's, which `harness._APPLICATIONS` names), `load_workloads`
+reads `timestamp,agent_id,demand`.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ class SplitSpec:
 class SeriesDataset:
     """A shared input signal plus optional per-agent outcome/context streams.
 
-    Every array spans the timestamps, as its builders make it: the generators
-    and `load_csv`, and `harness.load_pool`, which refuses other timestamps.
+    Every array spans the timestamps, as its builders make it: the generators,
+    and `harness.load_pool`, which refuses files of other timestamps.
     """
 
     timestamps: np.ndarray
@@ -59,7 +58,6 @@ class SeriesDataset:
     agent_targets: np.ndarray | None = None  # (M, N) per-agent forecast targets
     outcome_targets: np.ndarray | None = None  # (M, N) decision streams, if distinct
     workloads: np.ndarray | None = None  # (M, N) per-agent demand series
-    agent_ids: tuple | None = None  # the workload rows' agent ids, sorted
 
 
 # ---------------------------------------------------------------------------
@@ -314,79 +312,72 @@ def heterogeneity_summary(dataset: SeriesDataset) -> dict:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-_SCHEMAS = {
-    "carbon": ["timestamp", "carbon_intensity"],
-    "energy": ["timestamp", "E"],
-    "workload": ["timestamp", "agent_id", "demand"],
-}
+_WORKLOAD_COLUMNS = ["timestamp", "agent_id", "demand"]
 
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    lines = read_text(path, SchemaError).splitlines()
-    rows = []
-    header = None
-    for lineno, line in enumerate(lines, start=1):
+def _read_rows(path, columns: list[str]) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A CSV file's header, which must hold `columns`, and its data rows as (line number, cells)."""
+    header, rows = None, []
+    for lineno, line in enumerate(read_text(path, SchemaError).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        cells = next(csv.reader([line]))
+        cells = [c.strip() for c in next(csv.reader([line]))]
         if header is None:
-            header = [c.strip() for c in cells]
+            header = cells
         else:
-            rows.append((lineno, [c.strip() for c in cells]))
+            rows.append((lineno, cells))
     if header is None:
         raise SchemaError(f"{path}: no header row found")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: header {header} is missing column(s) {missing}")
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
     return header, rows
 
 
-def _parse_float(path, lineno, column, text) -> float:
+def _number(path, header: list[str], lineno: int, cells: list[str], column: str) -> float:
+    """A row's cell in `column`, which must be a finite number."""
+    at = header.index(column)
+    if at >= len(cells):
+        raise SchemaError(f"{path}:{lineno}: row has no '{column}' cell")
     try:
-        value = float(text)
+        value = float(cells[at])
     except ValueError as exc:
-        raise SchemaError(f"{path}:{lineno}: column '{column}' is not numeric: {text!r}") from exc
+        raise SchemaError(f"{path}:{lineno}: column '{column}' is not numeric: {cells[at]!r}") from exc
     if not math.isfinite(value):
-        raise SchemaError(f"{path}:{lineno}: column '{column}' is not finite: {text!r}")
+        raise SchemaError(f"{path}:{lineno}: column '{column}' is not finite: {cells[at]!r}")
     return value
 
 
-def load_csv(path, schema: str):
-    """Parse and validate a CSV file against one of the documented schemas into a SeriesDataset."""
-    if schema not in _SCHEMAS:
-        raise SchemaError(f"unknown schema '{schema}', expected one of {sorted(_SCHEMAS)}")
-    required = _SCHEMAS[schema]
-    header, rows = _read_rows(path)
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise SchemaError(f"{path}: header {header} is missing column(s) {missing}")
-    idx = {c: header.index(c) for c in header}
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
+def load_series(path, column: str) -> tuple[np.ndarray, np.ndarray]:
+    """A series file's timestamps, which must increase strictly, and its values in `column`."""
+    header, rows = _read_rows(path, ["timestamp", column])
+    ts, values = [], []
+    for lineno, cells in rows:
+        ts.append(_number(path, header, lineno, cells, "timestamp"))
+        values.append(_number(path, header, lineno, cells, column))
+    ts = np.asarray(ts)
+    if np.any(np.diff(ts) <= 0):
+        bad = int(np.argmax(np.diff(ts) <= 0))
+        raise SchemaError(f"{path}: timestamps must be strictly increasing (row {bad + 2})")
+    return ts, np.asarray(values)
 
-    def cell(row_cells, lineno, column):
-        if idx[column] >= len(row_cells):
-            raise SchemaError(f"{path}:{lineno}: row has no '{column}' cell")
-        return row_cells[idx[column]]
 
-    if schema in ("carbon", "energy"):
-        value_col = required[1]
-        ts, vals = [], []
-        for lineno, cells in rows:
-            ts.append(_parse_float(path, lineno, "timestamp", cell(cells, lineno, "timestamp")))
-            vals.append(_parse_float(path, lineno, value_col, cell(cells, lineno, value_col)))
-        ts = np.asarray(ts)
-        if np.any(np.diff(ts) <= 0):
-            bad = int(np.argmax(np.diff(ts) <= 0))
-            raise SchemaError(f"{path}: timestamps must be strictly increasing (row {bad + 2})")
-        return SeriesDataset(timestamps=ts, signal=np.asarray(vals))
+def load_workloads(path) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """A workload file's timestamps, its agent ids, sorted, and their (agents, timestamps) demands.
 
-    # workload: one row per (timestamp, agent)
+    One row per (timestamp, agent); every agent must have the first agent's
+    timestamps, increasing strictly.
+    """
+    header, rows = _read_rows(path, _WORKLOAD_COLUMNS)
     per_agent: dict[int, list[tuple[float, float]]] = {}
     for lineno, cells in rows:
-        t = _parse_float(path, lineno, "timestamp", cell(cells, lineno, "timestamp"))
-        text = cell(cells, lineno, "agent_id")
-        a = _parse_float(path, lineno, "agent_id", text)
+        t = _number(path, header, lineno, cells, "timestamp")
+        a = _number(path, header, lineno, cells, "agent_id")
         if not a.is_integer():  # int() would read 1.5 as agent 1
-            raise SchemaError(f"{path}:{lineno}: column 'agent_id' is not an integer: {text!r}")
-        d = _parse_float(path, lineno, "demand", cell(cells, lineno, "demand"))
+            raise SchemaError(f"{path}:{lineno}: column 'agent_id' is not an integer: {cells[header.index('agent_id')]!r}")
+        d = _number(path, header, lineno, cells, "demand")
         if d <= 0:
             raise SchemaError(f"{path}:{lineno}: demand must be positive, got {d}")
         per_agent.setdefault(int(a), []).append((t, d))
@@ -397,27 +388,24 @@ def load_csv(path, schema: str):
     for a in agent_ids:
         if [t for t, _ in per_agent[a]] != ts0:
             raise SchemaError(f"{path}: agent {a} does not cover the same timestamps as agent {agent_ids[0]}")
-    workloads = np.asarray([[d for _, d in per_agent[a]] for a in agent_ids])
-    return SeriesDataset(timestamps=np.asarray(ts0), workloads=workloads, agent_ids=tuple(agent_ids))
+    return np.asarray(ts0), agent_ids, np.asarray([[d for _, d in per_agent[a]] for a in agent_ids])
 
 
-def write_series_csv(path, timestamps, values, value_column: str, comment: str) -> None:
+def _write_rows(path, comment: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", value_column])
-        for t, v in zip(timestamps, values):
-            writer.writerow([int(t), repr(float(v))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_series_csv(path, timestamps, values, column: str, comment: str) -> None:
+    _write_rows(path, comment, ["timestamp", column], ([int(t), repr(float(v))] for t, v in zip(timestamps, values)))
 
 
 def write_workload_csv(path, timestamps, workloads, comment: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "agent_id", "demand"])
-        for m in range(workloads.shape[0]):
-            for t, v in zip(timestamps, workloads[m]):
-                writer.writerow([int(t), m, repr(float(v))])
+    rows = ([int(t), m, repr(float(v))] for m in range(len(workloads)) for t, v in zip(timestamps, workloads[m]))
+    _write_rows(path, comment, _WORKLOAD_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

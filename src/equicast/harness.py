@@ -38,7 +38,7 @@ import numpy as np
 from . import data as datamod
 from . import predictor, training
 from .agents import AgentSpec, load_agent_pool, save_agent_pool
-from .data import SplitSpec, load_csv, synth_agents, synth_charging, synth_mixed, window_split
+from .data import SplitSpec, load_series, load_workloads, synth_agents, synth_charging, synth_mixed, window_split
 from .errors import USER_ERRORS, ConfigError, SchemaError, check_fields, read_object
 from .training import PoolData, RunSummary, TrainConfig, TrainResult
 
@@ -129,27 +129,27 @@ class Pool:
 
 
 class _Application(NamedTuple):
-    """An application's generator, the CSV schema and value column of its
-    series files, and the config fields the generator reads (`fields`)."""
+    """An application's generator, the value column of its series files, which
+    `generate_files` writes and `load_pool` reads, and the config fields the
+    generator reads (`fields`)."""
 
     generate: Callable
-    schema: str
     column: str
     fields: tuple[str, ...]
 
 
-def _application(generate: Callable, schema: str, column: str) -> _Application:
+def _application(generate: Callable, column: str) -> _Application:
     """`fields` are `generate`'s parameters that name a config field, but
     `n_agents` (passed first) and `seed` (the run's seed)."""
     names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"n_agents", "seed"}
-    return _Application(generate, schema, column, tuple(p for p in inspect.signature(generate).parameters if p in names))
+    return _Application(generate, column, tuple(p for p in inspect.signature(generate).parameters if p in names))
 
 
 # read once, here: `build_pool` runs for every run of a sweep
 _APPLICATIONS = {
-    "datacenter": _application(synth_agents, "carbon", "carbon_intensity"),
-    "charging": _application(synth_charging, "energy", "E"),
-    "mixed": _application(synth_mixed, "carbon", "carbon_intensity"),
+    "datacenter": _application(synth_agents, "carbon_intensity"),
+    "charging": _application(synth_charging, "E"),
+    "mixed": _application(synth_mixed, "carbon_intensity"),
 }
 APPLICATIONS = tuple(_APPLICATIONS)
 
@@ -197,20 +197,18 @@ def generate_files(config: ExperimentConfig, out_dir) -> dict:
     tag = f"config_hash={config_hash(config)} seed={seed}"
 
     agents, ds = _synthesize(config, seed)
-    schema_col = _APPLICATIONS[config.application].column
-    datamod.write_series_csv(out / "signal.csv", ds.timestamps, ds.signal, schema_col, comment=tag)
-    refs = []
-    for m in range(config.n_agents):
-        name = f"target_m{m:03d}.csv"
-        datamod.write_series_csv(out / name, ds.timestamps, ds.agent_targets[m], schema_col, comment=tag)
-        refs.append(name)
+    column = _APPLICATIONS[config.application].column
+
+    def write_series(names, rows):
+        for name, row in zip(names, rows):
+            datamod.write_series_csv(out / name, ds.timestamps, row, column, comment=tag)
+        return names
+
+    write_series(["signal.csv"], [ds.signal])
+    refs = write_series([f"target_m{m:03d}.csv" for m in range(config.n_agents)], ds.agent_targets)
     outcome_refs = None
     if ds.outcome_targets is not None:
-        outcome_refs = []
-        for m in range(config.n_agents):
-            name = f"outcome_m{m:03d}.csv"
-            datamod.write_series_csv(out / name, ds.timestamps, ds.outcome_targets[m], schema_col, comment=tag)
-            outcome_refs.append(name)
+        outcome_refs = write_series([f"outcome_m{m:03d}.csv" for m in range(config.n_agents)], ds.outcome_targets)
     if ds.workloads is not None:
         datamod.write_workload_csv(out / "workloads.csv", ds.timestamps, ds.workloads, comment=tag)
     agents = [replace(a, data_ref=refs[i]) for i, a in enumerate(agents)]
@@ -221,7 +219,7 @@ def generate_files(config: ExperimentConfig, out_dir) -> dict:
         "config_hash": config_hash(config),
         "seed": seed,
         "application": config.application,
-        "schema_column": schema_col,
+        "schema_column": column,
         "outcome_refs": outcome_refs,
         "heterogeneity_summary": datamod.heterogeneity_summary(ds),
     }
@@ -257,30 +255,30 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
         isinstance(outcome_refs, list) and len(outcome_refs) == len(agents) and all(isinstance(r, str) for r in outcome_refs)
     ):
         raise SchemaError(f"{root / 'meta.json'}: 'outcome_refs' must be null or a list of {len(agents)} file names")
-    schema = _APPLICATIONS[config.application].schema
-    signal = load_csv(root / "signal.csv", schema)
-    n = len(signal.timestamps)
+    column = _APPLICATIONS[config.application].column
+    timestamps, signal = load_series(root / "signal.csv", column)
+    n = len(timestamps)
 
-    def rows(path, found):
-        ts = found.timestamps
+    def read(name, reader, *args):
+        """What `reader` reads of file `name` after its timestamps, which must be signal.csv's."""
+        path = root / name
+        ts, *found = reader(path, *args)
         if len(ts) != n:
             raise SchemaError(f"{path} has {len(ts)} timestamps but signal.csv has {n}")
-        if np.any(ts != signal.timestamps):
-            i = int(np.argmax(ts != signal.timestamps))
-            raise SchemaError(f"{path} has timestamp {ts[i]:g} at data row {i + 1} where signal.csv has {signal.timestamps[i]:g}")
+        if np.any(ts != timestamps):
+            i = int(np.argmax(ts != timestamps))
+            raise SchemaError(f"{path} has timestamp {ts[i]:g} at data row {i + 1} where signal.csv has {timestamps[i]:g}")
         return found
 
     def series(names):
-        return np.stack([rows(root / name, load_csv(root / name, schema)).signal for name in names])
+        return np.stack([read(name, load_series, column)[0] for name in names])
 
     workloads = None  # `generate` writes workloads.csv for data-center pools only
     if config.application == "datacenter" or (root / "workloads.csv").exists():
-        found = rows(root / "workloads.csv", load_csv(root / "workloads.csv", "workload"))
-        workloads, ids = found.workloads, tuple(a.agent_id for a in agents)
-        if len(workloads) != len(agents):
-            raise SchemaError(f"{root / 'workloads.csv'} has {len(workloads)} agents but agents.json has {len(agents)}")
-        if found.agent_ids != ids:  # row m of the workloads is agent m's
-            raise SchemaError(f"{root / 'workloads.csv'} has agent ids {list(found.agent_ids)} but agents.json has {list(ids)}")
+        found_ids, workloads = read("workloads.csv", load_workloads)
+        ids = [a.agent_id for a in agents]
+        if found_ids != ids:  # row m of the workloads is agent m's
+            raise SchemaError(f"{root / 'workloads.csv'} has agent ids {found_ids} but agents.json has {ids}")
         for a, row in zip(agents, workloads):  # `generate` records each agent's median workload
             median = float(np.median(row))
             if a.family == "datacenter" and a.context.workload != median:
@@ -289,8 +287,8 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
                     f"but the median of its row in workloads.csv is {median!r}"
                 )
     ds = datamod.SeriesDataset(
-        timestamps=signal.timestamps,
-        signal=signal.signal,
+        timestamps=timestamps,
+        signal=signal,
         agent_targets=series([a.data_ref for a in agents]),
         outcome_targets=None if outcome_refs is None else series(outcome_refs),
         workloads=workloads,
@@ -360,12 +358,22 @@ def _sweep_task(args) -> list[SweepRow]:
     return rows
 
 
+def sweep_label(value: float) -> str:
+    """A grid value as the sweep files print it: in `sweep.csv` and in the regret files' names."""
+    return f"{value:g}"
+
+
 def check_sweep(config: ExperimentConfig, jobs: int) -> None:
-    """Refuse a sweep that cannot run: fewer than one job, or an empty grid."""
+    """Refuse a sweep that cannot run: fewer than one job, an empty grid, or
+    a grid with two values that print alike (their files would collide)."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if not config.sweep_q_plus_1 or not config.sweep_beta:
         raise ConfigError("sweep grids must be nonempty")
+    for name in ("sweep_q_plus_1", "sweep_beta"):
+        labels = [sweep_label(v) for v in getattr(config, name)]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"{name} values {list(getattr(config, name))} print as {labels} in sweep files: each must print apart")
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
@@ -400,18 +408,13 @@ def write_sweep_files(rows: list[SweepRow], out_dir, config: ExperimentConfig) -
         fh.write(f"# {tag}\n")
         fh.write("q_plus_1,beta,seed,variance,mean,c95_minus_c5,mse,status\n")
         for row in rows:
-            if row.summary is None:
-                fh.write(f"{row.q_plus_1:g},{row.beta:g},{row.seed},,,,,{row.status}\n")
-                continue
             s = row.summary
-            fh.write(
-                f"{row.q_plus_1:g},{row.beta:g},{row.seed},"
-                f"{s.variance!r},{s.mean!r},{s.c95_minus_c5!r},{s.mse!r},{row.status}\n"
-            )
+            stats = ",,," if s is None else f"{s.variance!r},{s.mean!r},{s.c95_minus_c5!r},{s.mse!r}"
+            fh.write(f"{sweep_label(row.q_plus_1)},{sweep_label(row.beta)},{row.seed},{stats},{row.status}\n")
     for row in rows:
         if row.summary is None:
             continue
-        name = f"regrets_q{row.q_plus_1:g}_b{row.beta:g}_s{row.seed}.csv"
+        name = f"regrets_q{sweep_label(row.q_plus_1)}_b{sweep_label(row.beta)}_s{row.seed}.csv"
         with open(out / name, "w") as fh:
             fh.write(f"# {tag}\n")
             fh.write("agent_id,mean_regret\n")

@@ -69,10 +69,9 @@ A row's squared errors are summed over its outputs with
 bitwise what `np.sum` gives by running its pairwise sum once per row.
 
 Before step 0 in every mode, and in `evaluate`, the call refuses agents
-other than the pool's (its hindsight costs are theirs) and a pool that does
-not fit the model: a charging agent whose horizon differs from the model's
-output width, or targets of another width.  The optimizer helper clips the
-gradient and updates theta <- theta - lr_t * g with
+other than the pool's (its hindsight costs are theirs) and a model whose
+output width is not the pool's (`PoolData.width`).  The optimizer helper
+clips the gradient and updates theta <- theta - lr_t * g with
 lr_t = lr * decay^floor(t/step), by SGD (optionally with momentum) or Adam,
 in place on the one theta array of the run's parameters; it holds the
 velocity or Adam's moments and two work arrays, and updates them in place
@@ -199,19 +198,23 @@ class ScoredPart:
 class PoolData:
     """A pool's windows (`data.window_split`) fitted once to its agents.
 
-    It holds the agents and their decision parameters, the target transform
-    (`mean`, `scale`: of all raw training targets), and each part's rows with
-    their hindsight-optimal costs (`ev_optimal_batch` for charging rows,
-    `dc_optimal_batch` on the first outcome step for data-center rows).  A
-    pool that cannot be scored (an agent count other than the windows', a
-    part whose arrays do not share one row count that is a multiple of M, an
-    empty part, a realized intensity that is not positive, a slot count
-    outside 1..T) is refused here, in every mode.
+    It holds the agents and their decision parameters, the output `width`
+    (the training targets' values per row, which a model must emit), the
+    target transform (`mean`, `scale`: of all raw training targets), and each
+    part's rows with their hindsight-optimal costs (`ev_optimal_batch` for
+    charging rows, `dc_optimal_batch` on the first outcome step for
+    data-center rows).  A pool that cannot be scored (an agent count other
+    than the windows', a part whose arrays do not share one row count that
+    is a multiple of M, a part whose targets or outcomes are not `width`
+    wide, an empty part, a charging agent whose horizon is not `width`, a
+    realized intensity that is not positive, a slot count outside 1..T) is
+    refused here, in every mode.
     """
 
     def __init__(self, agents: list[AgentSpec], windows: PoolWindows):
         if not agents:
             raise ConfigError("empty agent pool")
+        self.width = windows.train.y_raw.shape[1]
         for name, part in (("training", windows.train), ("test", windows.test)):
             if part.n_agents != len(agents):
                 raise ConfigError(f"{len(agents)} agents but {part.n_agents} data splits")
@@ -220,8 +223,15 @@ class PoolData:
                 raise ConfigError(
                     f"the {name} split's arrays must share one row count, n rows for each of {len(agents)} agents"
                 )
+            if {part.y_raw.shape[1], part.outcome.shape[1]} != {self.width}:
+                raise ConfigError(f"the {name} split's targets and outcomes must have {self.width} values per row")
             if not len(part.x):
                 raise ConfigError(f"every agent has an empty {name} split")
+        for a in agents:  # before any `SlotRanking` refuses its slot counts
+            if a.family == "charging" and a.context.horizon != self.width:
+                raise ConfigError(
+                    f"charging agent {a.agent_id} has horizon {a.context.horizon} but the pool's targets have {self.width} values per row"
+                )
         self.agents = tuple(agents)
         pooled = windows.train.y_raw.ravel()
         self.mean, self.scale = float(pooled.mean()), max(float(pooled.std()), 1e-9)
@@ -268,8 +278,8 @@ def _family_rows(mask: np.ndarray) -> slice | np.ndarray:
 class _StackedRows:
     """What one `train` or `evaluate` call reads of one part of the pool.
 
-    `agents` must be the pool's own, and a charging agent's horizon and the
-    targets' width must equal the model's output width.  The part holds `n`
+    `agents` must be the pool's own, and the model must emit the pool's
+    output width (`PoolData.width`) per row.  The part holds `n`
     rows of each agent, and a batch b = min(batch_size, n) rows of each (all
     n when `batch_size` is None), agents in order: batch rows m*b ..
     (m+1)*b - 1 are agent m's.  `ev_rows` and `dc_rows` address each agent
@@ -295,16 +305,8 @@ class _StackedRows:
         for agent, own in zip(agents, data.agents):
             if agent != own:  # the pool's hindsight costs are its own agents'
                 raise ConfigError(f"agent {agent.agent_id} differs from the pool's agent {own.agent_id}")
-            if agent.family == "charging" and agent.context.horizon != n_outputs:
-                raise ConfigError(
-                    f"charging agent {agent.agent_id} has horizon {agent.context.horizon} "
-                    f"but the model emits {n_outputs} values"
-                )
-        width = part.rows.y_raw.shape[1]
-        if width != n_outputs:
-            raise ConfigError(
-                f"agent {agents[0].agent_id} has {width} target values per row but the model emits {n_outputs}"
-            )
+        if n_outputs != data.width:
+            raise ConfigError(f"the model emits {n_outputs} values per row but the pool's targets have {data.width}")
         self.agents, self.part, self.mean, self.scale = data.agents, part, data.mean, data.scale
         self.x, self.y_raw = part.rows.x, part.rows.y_raw
         self.realized_c = part.rows.outcome[:, 0]  # a data-center row's realized intensity (a view)

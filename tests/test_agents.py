@@ -248,13 +248,23 @@ def test_regret_charging_hand_value():
 
 
 def test_regret_takes_a_data_center_value_in_any_scalar_form():
-    # a Python float or an np.float64 is read as it is, an array by its first entry
+    # a Python float or an np.float64 is read as it is, an array of one entry by that entry
     dc = AgentSpec(0, "datacenter", DataCenterContext(2.0, 1.5))
     forms = (float, np.float64, np.array, lambda v: np.array([v]))
     values = [regret(dc, f(0.8), g(1.3)) for f in forms for g in forms]
     assert regret(dc, 0.8, 1.3) > 0.0
     assert values == [regret(dc, 0.8, 1.3)] * 16
     assert {type(v) for v in values} == {float}
+
+
+def test_regret_refuses_a_data_center_value_of_more_than_one_entry():
+    # regret read an array's first entry: a two-output forecast scored as its first output,
+    # where the trainer scores a data-center forecast at its mean
+    dc = AgentSpec(0, "datacenter", DataCenterContext(2.0, 1.5))
+    for y_hat, y in ((np.array([1.0, 50.0]), 2.0), (1.0, np.array([[2.0, 3.0, 4.0]])), (1.0, np.array([]))):
+        size = np.size(y_hat) if np.size(y_hat) != 1 else np.size(y)
+        with pytest.raises(ValueError, match=f"one number, got an array of size {size}$"):
+            regret(dc, y_hat, y)
 
 
 def test_regret_nonnegative_random():

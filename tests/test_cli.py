@@ -376,6 +376,22 @@ def test_malformed_charging_context_is_a_schema_error(tmp_path, capsys, field, v
     assert capsys.readouterr().err == f"error: {path}: agent entry 0: {message}\n"
 
 
+@pytest.mark.parametrize("slots", [20, 5])
+def test_charging_horizon_other_than_the_pools_is_a_config_error(tmp_path, capsys, slots):
+    # 20 slots ended in an InfeasibleActionError traceback from the slot ranking,
+    # 5 slots in another message from the trainer: one fault, two outcomes
+    doc = tiny_config(application="charging")
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, doc), "--out", str(data_dir)]) == 0
+    path = data_dir / "agents.json"
+    ctx = json.loads(path.read_text())["agents"][0]["context"]
+    path.write_text(json.dumps(_context(json.loads(path.read_text()), horizon=24,
+                                        demand=ctx["initial"] + slots * ctx["rate"])))
+    cfg = write_config(tmp_path, dict(doc, data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: charging agent 0 has horizon 24 but the pool's targets have 12 values per row\n"
+
+
 @pytest.mark.parametrize("application, override", [
     ("charging", {"lambda_scheme": "bogus"}),
     ("mixed", {"heterogeneity": "bogus"}),
@@ -536,7 +552,13 @@ def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
     ("sweep_q_plus_1", [], "sweep grids must be nonempty"),
     ("sweep_beta", [], "sweep grids must be nonempty"),
     ("repeats", 0, "repeats must be >= 1, got 0"),  # no seed axis
-], ids=["sweep_q_plus_1", "sweep_beta", "repeats"])
+    # two cells labelled alike wrote two equal sweep.csv keys, and the second's regret file overwrote the first's
+    ("sweep_q_plus_1", [1.0, 1.0000001],
+     "sweep_q_plus_1 values [1.0, 1.0000001] print as ['1', '1'] in sweep files: each must print apart"),
+    ("sweep_q_plus_1", [2, 2], "sweep_q_plus_1 values [2, 2] print as ['2', '2'] in sweep files: each must print apart"),
+    ("sweep_beta", [0.5, 0.1, 0.1000001],
+     "sweep_beta values [0.5, 0.1, 0.1000001] print as ['0.5', '0.1', '0.1'] in sweep files: each must print apart"),
+], ids=["sweep_q_plus_1", "sweep_beta", "repeats", "sweep_q_plus_1_alike", "sweep_q_plus_1_repeated", "sweep_beta_alike"])
 def test_sweep_refuses_an_empty_grid_before_it_makes_out(tmp_path, capsys, field, value, message):
     # this exited 1 but left an empty --out behind
     out = tmp_path / "sweep"

@@ -6,7 +6,7 @@ import pytest
 
 from equicast import data, harness, training
 from equicast.data import (
-    SplitSpec, grid_components, load_csv, synth_agents, synth_carbon, synth_charging, synth_mixed, window_split,
+    SplitSpec, grid_components, load_series, load_workloads, synth_agents, synth_carbon, synth_charging, synth_mixed, window_split,
 )
 from equicast.agents import required_slots
 from equicast.errors import ConfigError, SchemaError
@@ -107,35 +107,41 @@ def write(tmp_path, name, text):
     return p
 
 
+def read(path, kind):
+    """Read a file of one kind with its reader: a carbon or an energy series, or workloads."""
+    if kind == "workload":
+        return load_workloads(path)
+    return load_series(path, {"carbon": "carbon_intensity", "energy": "E"}[kind])
+
+
 def test_load_carbon_csv(tmp_path):
     p = write(tmp_path, "c.csv", "timestamp,carbon_intensity\n0,1.5\n1,2.5\n2,2.0\n")
-    ds = load_csv(p, "carbon")
-    assert np.array_equal(ds.timestamps, [0, 1, 2])
-    assert np.array_equal(ds.signal, [1.5, 2.5, 2.0])
+    ts, values = load_series(p, "carbon_intensity")
+    assert np.array_equal(ts, [0, 1, 2])
+    assert np.array_equal(values, [1.5, 2.5, 2.0])
 
 
 def test_load_csv_skips_comment_header(tmp_path):
     p = write(tmp_path, "c.csv", "# config_hash=abc seed=0\ntimestamp,E\n0,1.0\n1,2.0\n")
-    ds = load_csv(p, "energy")
-    assert np.array_equal(ds.signal, [1.0, 2.0])
+    assert np.array_equal(load_series(p, "E")[1], [1.0, 2.0])
 
 
 def test_load_csv_missing_column(tmp_path):
     p = write(tmp_path, "c.csv", "timestamp,intensity\n0,1.5\n")
     with pytest.raises(SchemaError, match="carbon_intensity"):
-        load_csv(p, "carbon")
+        load_series(p, "carbon_intensity")
 
 
 def test_load_csv_non_numeric_cell_reports_line(tmp_path):
     p = write(tmp_path, "c.csv", "timestamp,carbon_intensity\n0,1.5\n1,oops\n")
     with pytest.raises(SchemaError, match=":3"):
-        load_csv(p, "carbon")
+        load_series(p, "carbon_intensity")
 
 
 def test_load_csv_non_monotone_timestamps(tmp_path):
     p = write(tmp_path, "c.csv", "timestamp,carbon_intensity\n0,1.5\n0,2.0\n")
     with pytest.raises(SchemaError, match="increasing"):
-        load_csv(p, "carbon")
+        load_series(p, "carbon_intensity")
 
 
 @pytest.mark.parametrize("schema, text, message", [
@@ -151,7 +157,7 @@ def test_load_csv_non_monotone_timestamps(tmp_path):
 def test_load_csv_refusals_name_the_file(tmp_path, schema, text, message):
     p = write(tmp_path, "c.csv", text)
     with pytest.raises(SchemaError, match=re.escape(f"{p}{message}")):
-        load_csv(p, schema)
+        read(p, schema)
 
 
 def test_load_workload_csv(tmp_path):
@@ -160,22 +166,16 @@ def test_load_workload_csv(tmp_path):
         for a in range(2):
             rows.append(f"{t},{a},{1.0 + a + 0.1 * t}")
     p = write(tmp_path, "w.csv", "\n".join(rows) + "\n")
-    ds = load_csv(p, "workload")
-    assert ds.workloads.shape == (2, 3)
-    assert ds.workloads[1, 2] == pytest.approx(2.2)
+    ts, agent_ids, demands = load_workloads(p)
+    assert np.array_equal(ts, [0, 1, 2]) and agent_ids == [0, 1]
+    assert demands.shape == (2, 3)
+    assert demands[1, 2] == pytest.approx(2.2)
 
 
 def test_load_workload_rejects_nonpositive_demand(tmp_path):
     p = write(tmp_path, "w.csv", "timestamp,agent_id,demand\n0,0,0.0\n")
     with pytest.raises(SchemaError, match="positive"):
-        load_csv(p, "workload")
-
-
-def test_load_csv_rejects_unknown_schema(tmp_path):
-    # pools carry their charging contexts in agents.json; there is no charging CSV
-    p = write(tmp_path, "ch.csv", "agent_id,initial,demand,rate,horizon\n0,0.0,2.5,1.0,4\n")
-    with pytest.raises(SchemaError, match="unknown schema"):
-        load_csv(p, "charging")
+        load_workloads(p)
 
 
 def test_csv_roundtrip_series(tmp_path):
@@ -183,8 +183,7 @@ def test_csv_roundtrip_series(tmp_path):
     vals = np.array([1.0, 2.5, 0.3333333333333333, 4.0, 5.5])
     p = tmp_path / "s.csv"
     data.write_series_csv(p, ts, vals, "carbon_intensity", comment="seed=1")
-    ds = load_csv(p, "carbon")
-    assert np.array_equal(ds.signal, vals)
+    assert np.array_equal(load_series(p, "carbon_intensity")[1], vals)
 
 
 # --- windowing

@@ -738,10 +738,16 @@ def test_charging_horizon_must_match_model_outputs():
     agents, splits = _three_agent_pool()
     p0 = predictor.init_params([2, 4, 2], seed=4)
     cfg = TrainConfig(mode="pg", std=0.3, epochs=1, batch_size=6, seed=17)
-    with pytest.raises(ConfigError, match="horizon 3"):
+    with pytest.raises(ConfigError, match="the model emits 2 values per row but the pool's targets have 3"):
         train(cfg, p0, agents, make_pool(agents, splits))
-    with pytest.raises(ConfigError, match="horizon 3"):
+    with pytest.raises(ConfigError, match="the model emits 2 values per row but the pool's targets have 3"):
         evaluate(p0, agents, make_pool(agents, splits))
+    # a pool whose charging agent's horizon is not its targets' width is refused
+    # when it is built, before a slot ranking could refuse its slot count
+    for horizon, demand in ((4, 2.3), (24, 20.2)):
+        ev = replace(agents[0], context=replace(agents[0].context, horizon=horizon, demand=demand))
+        with pytest.raises(ConfigError, match=f"charging agent 0 has horizon {horizon} but the pool's targets have 3 values per row"):
+            make_pool([ev] + agents[1:], splits)
 
 
 @pytest.mark.parametrize("call", ["plain", "chain", "pg", "evaluate"])
@@ -752,7 +758,7 @@ def test_target_width_must_match_model_outputs(call):
     agents = [AgentSpec(m, "datacenter", DataCenterContext(2.0, 1.0 + m)) for m in range(3)]
     splits = [make_split(rng.uniform(-1, 1, (12, 2)), rng.uniform(0.5, 3.0, (12, 1))) for _ in agents]
     p0 = predictor.init_params([2, 4, 3], seed=1)
-    with pytest.raises(ConfigError, match="agent 0 has 1 target values per row but the model emits 3"):
+    with pytest.raises(ConfigError, match="the model emits 3 values per row but the pool's targets have 1"):
         if call == "evaluate":
             evaluate(p0, agents, make_pool(agents, splits))
         else:
@@ -796,6 +802,11 @@ def test_pool_whose_part_is_not_n_rows_per_agent_is_refused(part):
             PoolData(agents, bad)
     with pytest.raises(ConfigError, match="3 agents but 2 data splits"):
         PoolData(agents, replace(windows, **{part: replace(got, n_agents=2)}))
+    # every part's targets and outcomes are as wide as the training targets: the model's output width
+    for field in ("y_raw", "outcome"):
+        width = 2 if (part, field) == ("train", "y_raw") else 3
+        with pytest.raises(ConfigError, match=f"the {name} split's targets and outcomes must have {width} values per row"):
+            PoolData(agents, replace(windows, **{part: replace(got, **{field: getattr(got, field)[:, :2]})}))
 
 
 def test_evaluate_perfect_predictor():
