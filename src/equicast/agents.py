@@ -69,7 +69,8 @@ class ChargingContext:
     `water_weight` and `price_weight` are the agent's mixing weights for the
     water-efficiency and price components of its energy signal; both zero
     reduces the agent to pure carbon-aware charging (e.g. a phone topping up
-    overnight).
+    overnight).  The demand must need 1 to `horizon` slots at the rate
+    (`required_slots`), so every schedule charges at least one slot.
     """
 
     initial: float
@@ -90,10 +91,9 @@ class ChargingContext:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.water_weight < 0 or self.price_weight < 0:
             raise ConfigError("mixing weights must be nonnegative")
-        if required_slots(self) > self.horizon:
-            raise ConfigError(
-                f"demand needs {required_slots(self)} slots but horizon is {self.horizon}"
-            )
+        k = required_slots(self)
+        if not 1 <= k <= self.horizon:
+            raise ConfigError(f"demand needs {k} slots but a session charges in 1 to {self.horizon} (its horizon)")
 
 
 _CONTEXTS = {"datacenter": DataCenterContext, "charging": ChargingContext}
@@ -344,8 +344,8 @@ class SlotRanking:
 
     Built once per call for B realized rows, row i charging `slots[i]` slots
     at `rates[i]`, and D blocks of B forecast rows (one per draw), forecast
-    row j ranked with k = slots[j % B].  A count outside 1..horizon raises
-    `InfeasibleActionError` here.  It holds each forecast row's k, the flat
+    row j ranked with k = slots[j % B], each count in 1..horizon as a
+    `ChargingContext` needs.  It holds each forecast row's k, the flat
     positions of its k-th and (k+1)-th sorted entries (the latter clipped
     into the array), the k < T mask, and the work arrays that every
     `ev_optimal_batch` or `ev_regret_batch` call refills: the sorted copy,
@@ -355,8 +355,6 @@ class SlotRanking:
 
     def __init__(self, slots, rates, horizon: int, n_draws: int = 1):
         k = np.asarray(slots, dtype=np.int64)
-        if np.any(k < 1) or np.any(k > horizon):
-            raise InfeasibleActionError(f"need between 1 and {horizon} slots per row, got {k.min()}..{k.max()}")
         self.rate = np.broadcast_to(np.asarray(rates, dtype=float), k.shape)
         self.slots = np.tile(k, n_draws)
         size = self.slots.size * horizon

@@ -273,8 +273,8 @@ def load_pool(data_dir, config: ExperimentConfig, seed: int) -> Pool:
     def series(names):
         return np.stack([read(name, load_series, column)[0] for name in names])
 
-    workloads = None  # `generate` writes workloads.csv for data-center pools only
-    if config.application == "datacenter" or (root / "workloads.csv").exists():
+    workloads = None  # `generate` writes workloads.csv for data-center pools only; another pool ignores one
+    if config.application == "datacenter":
         found_ids, workloads = read("workloads.csv", load_workloads)
         ids = [a.agent_id for a in agents]
         if found_ids != ids:  # row m of the workloads is agent m's

@@ -144,6 +144,8 @@ class TrainConfig:
             raise ConfigError(f"std must be finite and positive, got {self.std}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.momentum and self.optimizer != "sgd":  # Adam has no momentum term to set
+            raise ConfigError(f"momentum is for sgd only, got {self.momentum} with optimizer '{self.optimizer}'")
         # a negative clip would flip every step uphill
         if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
             raise ConfigError(f"grad_clip must be null or finite and positive, got {self.grad_clip}")
@@ -207,8 +209,7 @@ class PoolData:
     than the windows', a part whose arrays do not share one row count that
     is a multiple of M, a part whose targets or outcomes are not `width`
     wide, an empty part, a charging agent whose horizon is not `width`, a
-    realized intensity that is not positive, a slot count outside 1..T) is
-    refused here, in every mode.
+    realized intensity that is not positive) is refused here, in every mode.
     """
 
     def __init__(self, agents: list[AgentSpec], windows: PoolWindows):
@@ -227,7 +228,7 @@ class PoolData:
                 raise ConfigError(f"the {name} split's targets and outcomes must have {self.width} values per row")
             if not len(part.x):
                 raise ConfigError(f"every agent has an empty {name} split")
-        for a in agents:  # before any `SlotRanking` refuses its slot counts
+        for a in agents:
             if a.family == "charging" and a.context.horizon != self.width:
                 raise ConfigError(
                     f"charging agent {a.agent_id} has horizon {a.context.horizon} but the pool's targets have {self.width} values per row"
@@ -263,13 +264,11 @@ class PoolData:
 def _family_rows(mask: np.ndarray) -> slice | np.ndarray:
     """How to index the batch rows of one agent family, the rows where `mask` holds.
 
-    slice(None) when the family owns every row, slice(a, b) when its rows
-    form one run, else their index array: a slice reads views of the step's
+    slice(a, b) when its rows form one run (slice(0, R) when the family owns
+    all R rows), else their index array: a slice reads views of the step's
     arrays where an index array copies them.
     """
     at = mask.nonzero()[0]
-    if at.size == mask.size:
-        return slice(None)
     if at.size and at[-1] - at[0] == at.size - 1:
         return slice(int(at[0]), int(at[-1]) + 1)
     return at
@@ -283,10 +282,10 @@ class _StackedRows:
     rows of each agent, and a batch b = min(batch_size, n) rows of each (all
     n when `batch_size` is None), agents in order: batch rows m*b ..
     (m+1)*b - 1 are agent m's.  `ev_rows` and `dc_rows` address each agent
-    family's batch rows: slice(None) when one family owns every row,
-    slice(a, b) when its rows form one run (as in every built mixed pool,
+    family's batch rows: slice(a, b) when its rows form one run (all of
+    them when one family owns every row, or as in every built mixed pool,
     which lists its data-center agents first), else their index array; the
-    same indexing code reads all three.  `epoch_index` maps an epoch's M permutations of
+    same indexing code reads both.  `epoch_index` maps an epoch's M permutations of
     range(n) to the stacked rows of its batches, and `regret_inputs`
     gathers those rows' inputs to the regret ops.  `regrets` scores a
     batch's forecasts against its regret inputs, in a new array, with one

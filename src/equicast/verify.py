@@ -64,21 +64,6 @@ def _dc_grid_min(w: float, lam: float, c: float, step: float) -> float:
     return float(cost(np.arange(max(best - _DC_STRIDE, 0), min(best + _DC_STRIDE + 1, n))).min())
 
 
-def _subset_masks(horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every nonempty subset of `horizon` slots as a 0/1 row, and where each size's rows start.
-
-    Rows are ordered by size, and within a size as `itertools.combinations`
-    yields them: that order is the subsets' bit patterns, slot 0 the most
-    significant bit, from high to low.
-    """
-    codes = np.arange(2**horizon - 1, 0, -1)
-    masks = (codes[:, None] >> np.arange(horizon - 1, -1, -1)) & 1
-    sizes = masks.sum(axis=1)
-    masks = masks[np.argsort(sizes, kind="stable")]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(sizes)[1:])))
-    return masks, starts
-
-
 def _schedule_sums(e: np.ndarray) -> np.ndarray:
     """`row_sums(mask * e)` of every 0/1 mask over one signal of 8 to 15 slots, bit for bit, by doubling.
 
@@ -87,9 +72,10 @@ def _schedule_sums(e: np.ndarray) -> np.ndarray:
     zero that leaves a nonzero sum as it is, so its add is skipped: the four
     pair sums take 4 values each, their two outer sums 16 and the outer sum
     of those 256, and each later slot doubles the filled run of one buffer.
-    The mask with bits b sits at sum_{j<8} b_j 2^(7-j) + sum_{j>=8} b_j 2^j.
-    A zero sum comes out +0.0, as row_sums' identity makes it, for any signal
-    with no -0.0 entry.
+    A subset's sum sits at its place, the integer whose set bits are its
+    slots: slot j at bit 7 - j below 8, at bit j from 8 on.  A zero sum
+    comes out +0.0, as row_sums' identity makes it, for any signal with no
+    -0.0 entry.
     """
     pairs = np.zeros((4, 4))
     pairs[:, 1], pairs[:, 2] = e[1:8:2], e[0:8:2]
@@ -102,11 +88,17 @@ def _schedule_sums(e: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _schedule_positions(masks: np.ndarray) -> np.ndarray:
-    """Where each 0/1 mask's sum sits in `_schedule_sums`' buffer."""
-    horizon = masks.shape[1]
-    bits = np.concatenate((2 ** np.arange(7, -1, -1), 2 ** np.arange(8, horizon)))
-    return masks @ bits
+def _subset_places(horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonempty subset's place in `_schedule_sums`' buffer, by size, and where each size's places start.
+
+    A place's bit count is its subset's size; the order within a size is
+    unread, as the suite takes each size's minimum.
+    """
+    places = np.arange(1, 2**horizon)
+    sizes = sum((places >> j) & 1 for j in range(horizon))
+    order = np.argsort(sizes, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(sizes)[1:])))
+    return places[order], starts
 
 
 def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float = 1e-4) -> SuiteResult:
@@ -140,8 +132,7 @@ def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float =
         return SuiteResult("decision_oracles", False, f"dc_optimal_batch differs from dc_optimal on {misses} cases")
 
     horizon = 12
-    masks, starts = _subset_masks(horizon)
-    positions = _schedule_positions(masks)
+    places, starts = _subset_places(horizon)
     mismatches = 0
     signals, rates, enum_best = np.empty((n_cases, horizon)), np.empty(n_cases), np.empty((n_cases, horizon))
     for i in range(n_cases):
@@ -152,7 +143,7 @@ def check_decision_oracles(n_cases: int = 100, seed: int = 0, grid_step: float =
         # subset's sum in numpy's order, bit for bit), so each size's least
         # cost is what ev_cost gives its best schedule, and equality must be
         # exact
-        enum_costs = rate * _schedule_sums(e)[positions]
+        enum_costs = rate * _schedule_sums(e)[places]
         enum_best[i] = np.minimum.reduceat(enum_costs, starts[:-1])
         for k in range(1, horizon + 1):
             ctx = ChargingContext(initial=0.0, demand=(k - 0.5) * rate, rate=rate, horizon=horizon)

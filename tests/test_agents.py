@@ -370,8 +370,6 @@ def test_regret_batch_helpers_match_scalar_path():
             nan_at_k += np.isnan(ordered[slots[i] - 1])
             assert batch[d, i] == regret(specs[m], row, realized[i])
     assert ties > 50 and following_ties > 50 and nan_at_k >= 3
-    with pytest.raises(InfeasibleActionError):
-        SlotRanking(np.full(len(owner), 9), 1.0, 8, n_draws=3)
     with pytest.raises(ValueError):
         ev_regret_batch(ranking, draws.reshape(-1, 8)[:-1], realized, best)
     with pytest.raises(ValueError):
@@ -479,14 +477,6 @@ def test_charging_batch_ops_equal_the_np_sum_recipe_bit_for_bit(horizon):
     product = np.multiply(realized, mask.reshape(n_draws, n_rows, horizon))
     expected = np.clip((drawn.rate * np.sum(product, axis=2) - best).reshape(-1), 0.0, None)
     assert np.array_equal(_bits(ev_regret_batch(drawn, forecasts, realized, best)), _bits(expected))
-
-
-def test_ev_regret_batch_refuses_slot_counts_outside_horizon():
-    # the counts are checked once, when the ranking that both batched ops
-    # take is built
-    for slots in ([0, 0, 0, 0], [7, 7, 7, 7], [2, 2, 0, 2], [2, 7, 2, 2]):
-        with pytest.raises(InfeasibleActionError, match="between 1 and 6"):
-            SlotRanking(slots, 1.5, 6, n_draws=2)
 
 
 # --- contexts and pool files

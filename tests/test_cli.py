@@ -215,6 +215,27 @@ def test_train_mixed_pool_from_its_files(tmp_path):
     assert from_files == memory
 
 
+@pytest.mark.parametrize("doc", [
+    tiny_config(application="charging", length=60),
+    tiny_config(application="mixed", length=80),
+])
+def test_stale_workloads_file_is_ignored_by_a_pool_without_one(tmp_path, doc):
+    # a data-center pool's workloads.csv left in the directory was read: the
+    # charging run exited 1 on its timestamp count, the mixed run on a median
+    summaries = []
+    for name, stale in (("stale", True), ("clean", False)):
+        data_dir = tmp_path / name
+        if stale:
+            dc = write_config(tmp_path, tiny_config(length=80), "dc.json")
+            assert cli.main(["generate", "--config", dc, "--out", str(data_dir)]) == 0
+        assert cli.main(["generate", "--config", write_config(tmp_path, doc), "--out", str(data_dir)]) == 0
+        assert (data_dir / "workloads.csv").exists() == stale
+        cfg = write_config(tmp_path, {**doc, "data_dir": str(data_dir)}, "from_files.json")
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / f"{name}_run")]) == 0
+        summaries.append(json.loads((tmp_path / f"{name}_run" / "summary.json").read_text())["summary"])
+    assert summaries[0] == summaries[1]
+
+
 def test_corrupt_meta_json_is_a_schema_error(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert cli.main(["generate", "--config", write_config(tmp_path, tiny_config()), "--out", str(data_dir)]) == 0
@@ -374,6 +395,22 @@ def test_malformed_charging_context_is_a_schema_error(tmp_path, capsys, field, v
     cfg = write_config(tmp_path, dict(doc, data_dir=str(data_dir)), "from_files.json")
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: {path}: agent entry 0: {message}\n"
+
+
+def test_charging_context_that_needs_no_slot_is_a_schema_error(tmp_path, capsys):
+    # the context was accepted, its scalar schedule charged nothing, and the
+    # run ended in an InfeasibleActionError traceback from the slot ranking
+    doc = tiny_config(application="charging", length=60)
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, doc), "--out", str(data_dir)]) == 0
+    path = data_dir / "agents.json"
+    ctx = json.loads(path.read_text())["agents"][0]["context"]
+    path.write_text(json.dumps(_context(json.loads(path.read_text()), demand=ctx["initial"] + 1e-14 * ctx["rate"])))
+    cfg = write_config(tmp_path, dict(doc, data_dir=str(data_dir)), "from_files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: agent entry 0: demand needs 0 slots but a session charges in 1 to 12 (its horizon)\n"
+    )
 
 
 @pytest.mark.parametrize("slots", [20, 5])
@@ -567,15 +604,17 @@ def test_sweep_refuses_an_empty_grid_before_it_makes_out(tmp_path, capsys, field
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("optimizer", "rmsprop", "optimizer must be one of ('sgd', 'adam'), got 'rmsprop'"),
-    ("lr_step", 0, "lr_step must be >= 1, got 0"),
-    ("epochs", 0, "epochs must be >= 1, got 0"),
-    ("batch_size", 0, "batch_size must be >= 1, got 0"),
-], ids=["optimizer", "lr_step", "epochs", "batch_size"])
-def test_train_config_refusal_is_a_usage_error(tmp_path, capsys, field, value, message):
+@pytest.mark.parametrize("train, message", [
+    ({"optimizer": "rmsprop"}, "optimizer must be one of ('sgd', 'adam'), got 'rmsprop'"),
+    ({"lr_step": 0}, "lr_step must be >= 1, got 0"),
+    ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    # Adam never read the momentum, and the run trained without it
+    ({"optimizer": "adam", "momentum": 0.9}, "momentum is for sgd only, got 0.9 with optimizer 'adam'"),
+], ids=["optimizer", "lr_step", "epochs", "batch_size", "momentum_with_adam"])
+def test_train_config_refusal_is_a_usage_error(tmp_path, capsys, train, message):
     doc = tiny_config()
-    doc["train"][field] = value
+    doc["train"].update(train)
     assert cli.main(["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run" / "checkpoint.json").exists()

@@ -9,7 +9,7 @@ from equicast.agents import (
     AgentSpec, ChargingContext, DataCenterContext, dc_optimal_batch, dc_regret_batch, regret, required_slots,
 )
 from equicast.data import Part, PoolWindows
-from equicast.errors import ConfigError, DivergenceError, InfeasibleActionError
+from equicast.errors import ConfigError, DivergenceError
 from equicast.training import PoolData, TrainConfig, TrainRuns, _StackedRows, evaluate, train
 
 
@@ -120,6 +120,10 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=field_name):
             TrainConfig(**{field_name: bad})
     TrainConfig(grad_clip=0.5, momentum=0.9)
+    # Adam never read the momentum
+    with pytest.raises(ConfigError, match="momentum is for sgd only"):
+        TrainConfig(optimizer="adam", momentum=0.9)
+    TrainConfig(optimizer="adam", momentum=0.0)
 
 
 def test_plain_mode_fits_linear_map():
@@ -596,7 +600,7 @@ def test_charging_regrets_match_per_sample_regret_across_calls():
     n_draws, batch = 3, 3
     pool = make_pool(agents, splits)
     rows = _StackedRows(agents, pool, pool.train, batch, 4, n_draws=n_draws)
-    assert rows.ev_rows == slice(None)
+    assert rows.ev_rows == slice(0, len(agents) * batch)
     rng = np.random.default_rng(32)
     perms = [rng.permutation(6) for _ in agents]
     steps = rows.epoch_index(perms, 2)
@@ -610,11 +614,9 @@ def test_charging_regrets_match_per_sample_regret_across_calls():
                 realized = splits[m].train_outcome[perms[m][k * batch + r % batch]]
                 assert values[d, r] == regret(agents[m], raws[k, d, r], realized)
 
-    # a slot count outside 1..T is refused when the pool is built
-    bad = AgentSpec(9, "charging", ChargingContext(0.0, 1e-14, 1.0, 4))
-    assert required_slots(bad.context) == 0
-    with pytest.raises(InfeasibleActionError, match="between 1 and 4"):
-        make_pool(agents + [bad], splits + splits[:1])
+    # a context that needs no slot is refused when it is built
+    with pytest.raises(ConfigError, match="needs 0 slots but a session charges in 1 to 4"):
+        ChargingContext(0.0, 1e-14, 1.0, 4)
 
 
 def _mixed_pool(order):

@@ -401,22 +401,30 @@ def test_decision_grid_points_are_numpys():
         assert np.array_equal(verify._arange_points(w + 1e-4, 1e-4, np.arange(n)), ps)
 
 
-def test_subset_masks_follow_the_combinations_order():
-    masks, starts = verify._subset_masks(12)
+def _place_masks(places, horizon):
+    """Each place's subset as a 0/1 row: slot j at bit 7 - j below 8, at bit j from 8 on."""
+    shifts = np.concatenate((np.arange(7, -1, -1), np.arange(8, horizon)))
+    return (places[:, None] >> shifts) & 1
+
+
+def test_subset_places_hold_each_size_once():
+    places, starts = verify._subset_places(12)
+    masks = _place_masks(places, 12)
     for k in range(1, 13):
-        combos = [[1.0 if i in combo else 0.0 for i in range(12)] for combo in itertools.combinations(range(12), k)]
-        assert np.array_equal(masks[starts[k - 1]:starts[k]], combos)
-    assert starts[-1] == len(masks) == 4095
+        subsets = {tuple(np.flatnonzero(mask)) for mask in masks[starts[k - 1]:starts[k]]}
+        assert starts[k] - starts[k - 1] == len(subsets) == math.comb(12, k)
+        assert subsets == set(itertools.combinations(range(12), k))
+    assert starts[-1] == len(places) == 4095
 
 
 @pytest.mark.parametrize("horizon, n_signals", [(12, 1000), (8, 100), (15, 20)])
 def test_schedule_sums_are_numpys_row_sums_bit_for_bit(horizon, n_signals):
-    # every subset's sum, read at its mask's place, is `row_sums` of the masked
+    # every subset's sum, read at its place, is `row_sums` of the masked
     # signal to the last bit: on the suite's range, on integer signals (ties),
     # and on signals with zeros and negative entries
-    masks, _ = verify._subset_masks(horizon)
-    positions = verify._schedule_positions(masks)
-    assert sorted(positions.tolist()) == list(range(1, 2**horizon))
+    places, _ = verify._subset_places(horizon)
+    assert sorted(places.tolist()) == list(range(1, 2**horizon))
+    masks = _place_masks(places, horizon)
     rng = np.random.default_rng(horizon)
     signals = np.concatenate((
         rng.uniform(0.2, 3.0, size=(n_signals, horizon)),
@@ -425,15 +433,13 @@ def test_schedule_sums_are_numpys_row_sums_bit_for_bit(horizon, n_signals):
         rng.uniform(-3.0, 3.0, size=(n_signals // 4, horizon)),
     ))
     for e in signals:
-        sums = verify._schedule_sums(e)[positions]
+        sums = verify._schedule_sums(e)[places]
         assert np.array_equal(sums.view(np.int64), agentmod.row_sums(masks * e).view(np.int64))
 
 
 def _left_to_right_schedule_sums(e):
     """`_schedule_sums`' buffer with each subset's slots added left to right."""
-    places = np.arange(2 ** len(e))[:, None]
-    shifts = np.concatenate((np.arange(7, -1, -1), np.arange(8, len(e))))
-    return np.cumsum(((places >> shifts) & 1) * e, axis=1)[:, -1]
+    return np.cumsum(_place_masks(np.arange(2 ** len(e)), len(e)) * e, axis=1)[:, -1]
 
 
 def test_enumeration_summed_left_to_right_fails_the_decision_suite(monkeypatch):
