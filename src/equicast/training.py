@@ -42,6 +42,19 @@ so each run is bitwise the run that `train` gives its config alone; a run
 whose step raises (a `DivergenceError`, or any other error) stops alone,
 and the others go on with the same stream.
 
+The stream (`_batches`): per epoch, each agent's permutation, agents in
+order; then in pg, per step, one fill of every agent's (D, b, O) block of
+standard normals, agent by agent.  A pg call in a process with a second
+usable core draws the next step's fill on one helper thread while the
+current step trains, into the other of two buffers; an epoch's first step
+draws inline, after the permutations, so the generator makes the same calls
+in the same order and never serves two threads at once.  The call joins the
+thread before it returns, however its runs end.  Plain and chain calls
+start no thread, and a pg call draws inline in a process that
+`multiprocessing` started (a sweep's worker: the workers already fill the
+cores) or that has one usable core.  No result depends on which: every bit
+is the same.
+
 What does not depend on the call is fitted once per pool (`PoolData`): its
 one output calibration (the mean and scale of its raw training targets,
 with which each batch's targets are normalized as they are gathered and
@@ -54,10 +67,11 @@ the normalized training targets, how each agent family's batch rows are
 addressed (a slice when they form one run, else an index array), the
 charging ranking of a batch's D draws (`agents.SlotRanking`: each row's
 slot count and rate, its threshold positions and its work arrays), and
-pg's work arrays (the draw, agent by agent, and its restack; per run, the
-sampled forecasts; each run's raw-unit forecasts reuse the draw's buffer),
-which every step refills in place, and the buffers of an epoch's X and Y
-batches and of its regret ops' row inputs.  Per epoch:
+pg's work arrays (the draw's buffer, or two when drawn ahead, and its
+restack; per run, the sampled forecasts; each run's raw-unit forecasts
+reuse the buffer just restacked), which every step refills in place, and
+the buffers of an epoch's X and Y batches and of its regret ops' row
+inputs.  Per epoch:
 every step's batch rows as one (steps, rows) array, and the X and Y
 batches and, in chain and pg, the regret ops' row inputs (a charging row's
 outcome and hindsight cost, a data-center row's workload, realized
@@ -84,7 +98,9 @@ given the config seed.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -391,9 +407,9 @@ class _StackedRows:
         return np.add.reduceat(values, self.starts, axis=-1) / self.b
 
 
-def _plain(config: TrainConfig, rows: _StackedRows, std: float, eps, raws):
+def _plain(config: TrainConfig, rows: _StackedRows, std: float):
     """The squared-error step: `objective.chain_grad` at beta = 1."""
-    def step(batch, Y, preds):
+    def step(batch, Y, preds, draw):
         agent_terms = rows.agent_means(row_sums((preds - Y) ** 2))
         mse_term = float(agent_terms.sum())
         cot = objective.chain_grad(preds, Y, agent_terms, None, rows.b, config.q, 1.0)
@@ -401,12 +417,12 @@ def _plain(config: TrainConfig, rows: _StackedRows, std: float, eps, raws):
     return step
 
 
-def _chain(config: TrainConfig, rows: _StackedRows, std: float, eps, raws):
+def _chain(config: TrainConfig, rows: _StackedRows, std: float):
     """The exact step through loss -> regret -> action -> forecast; data-center agents only."""
     bad = [a.agent_id for a in rows.agents if a.family != "datacenter"]
     if bad:
         raise ConfigError(f"chain mode needs differentiable costs; charging agents {bad} are discrete")
-    def step(batch, Y, preds):
+    def step(batch, Y, preds, draw):
         mse_term = float(rows.agent_means(row_sums((preds - Y) ** 2)).sum())
         values, dvalues = rows.dc_regrets(rows.to_raw(preds)[None], batch)
         slope = dvalues[0][:, None] * rows.dc_chat_grad
@@ -417,20 +433,21 @@ def _chain(config: TrainConfig, rows: _StackedRows, std: float, eps, raws):
     return step
 
 
-def _pg(config: TrainConfig, rows: _StackedRows, std: float, eps: np.ndarray, raws: np.ndarray):
-    """The score-function step over the step's draws `eps` (D, rows, O), which the loop refills.
+def _pg(config: TrainConfig, rows: _StackedRows, std: float):
+    """The score-function step over the step's `draw` (`_batches`): its noise `eps` (D, rows, O).
 
-    The baseline of each draw does not depend on it.  `raws` is a work array
-    shaped like `eps` that the step may overwrite (the draw's buffer).
+    The baseline of each draw does not depend on it.  The draw's `raws` is a
+    work array shaped like `eps` that the step may overwrite.
     """
     n_draws = config.pg_samples
-    sampled = np.empty_like(eps)  # the sampled forecasts, refilled every step
+    sampled = np.empty((n_draws, len(rows.agents) * rows.b, rows.n_outputs))  # the sampled forecasts, refilled every step
     # the baseline, picked once per run (pg_baseline: the leave-one-out mean,
     # or with one draw an EMA of past batch losses; else 0)
     leave_one_out, tracks_ema = config.pg_baseline and n_draws > 1, config.pg_baseline and n_draws == 1
     ema = None
-    def step(batch, Y, preds):
+    def step(batch, Y, preds, draw):
         nonlocal ema
+        eps, raws = draw
         np.multiply(eps, std, out=sampled)
         np.add(sampled, preds, out=sampled)
         agent_terms = rows.agent_means(rows.regrets(rows.to_raw(sampled, out=raws), batch))
@@ -492,8 +509,8 @@ class _Run:
     optimizer, its mode step (so its own pg baseline), its step log, and the
     error that stopped it, if one did."""
 
-    def __init__(self, config: TrainConfig, params: ParamVector, rows: _StackedRows, std: float, eps, raws):
-        self.mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, std, eps, raws)
+    def __init__(self, config: TrainConfig, params: ParamVector, rows: _StackedRows, std: float):
+        self.mode_step = {"plain": _plain, "chain": _chain, "pg": _pg}[config.mode](config, rows, std)
         # the optimizer updates the values theta in place, so theta's
         # finiteness is checked once per step
         self.current = params.with_values(params.values.copy())
@@ -503,9 +520,9 @@ class _Run:
         self.agents = rows.agents
         self.error: Exception | None = None
 
-    def step(self, t: int, X: np.ndarray, Y: np.ndarray, batch) -> None:
+    def step(self, t: int, X: np.ndarray, Y: np.ndarray, batch, draw) -> None:
         preds, acts = predictor.forward_batch(self.current, X, keep=True)
-        cot, agent_terms, eq_term, mse_term, combined = self.mode_step(batch, Y, preds)
+        cot, agent_terms, eq_term, mse_term, combined = self.mode_step(batch, Y, preds, draw)
         grad = predictor.vjp_batch(self.current, X, cot, acts)
 
         if not math.isfinite(combined) or not np.isfinite(grad).all():
@@ -524,13 +541,41 @@ class _Run:
         self.step_log.append({"step": t, "lr": lr_t, "equitable": eq_term, "mse_norm": mse_term, "combined": combined})
 
 
-def _batches(config: TrainConfig, rows: _StackedRows, targets: np.ndarray, rng):
-    """Every step's (t, X, Y, regret inputs), epoch by epoch, gathered into buffers refilled each epoch."""
+def _draws_ahead() -> bool:
+    """Whether a pg call draws each next step's noise on a helper thread.
+
+    Not in a process that `multiprocessing` started (a sweep's worker: the
+    workers already fill the cores), nor with one usable core.
+    """
+    import multiprocessing  # imported here: a call that draws no noise does not pay for the import
+
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return multiprocessing.parent_process() is None and len(cores) > 1
+
+
+def _batches(config: TrainConfig, rows: _StackedRows, targets: np.ndarray, rng, helper=None):
+    """Every step's (t, X, Y, regret inputs, draw), epoch by epoch, from the call's one random stream.
+
+    The stream is the module docstring's.  X, Y and the regret inputs are
+    views of buffers gathered once per epoch.  A pg step's draw is (eps,
+    raws): the step's fill restacked as (D, rows, O) into `eps`, and the
+    filled buffer itself as (D, rows, O), dead once restacked, which the
+    step may overwrite; plain and chain steps get None.  With `helper`, a
+    one-thread pool, the next step's fill runs on it, into the other of two
+    buffers, while the caller trains the current step; an epoch's first
+    step fills inline.
+    """
     steps_per_epoch = rows.n // rows.b
     # new arrays each epoch would page-fault on every gather
     batch_shape = (steps_per_epoch, len(rows.agents) * rows.b)
     batches_x, batches_y = np.empty(batch_shape + rows.x.shape[1:]), np.empty(batch_shape + targets.shape[1:])
     inputs = ()  # the regret ops' row inputs, in buffers the first epoch allocates; plain scores no decision
+    fills, ahead = (), None  # `ahead`: the next step's fill, submitted to the helper
+    if config.mode == "pg":
+        n_agents, n_draws, b, n_out = len(rows.agents), config.pg_samples, rows.b, rows.n_outputs
+        fills = [np.empty((n_agents, n_draws, b, n_out)) for _ in range(1 if helper is None else 2)]
+        eps = np.empty((n_draws, n_agents * b, n_out))
+        eps_blocks = eps.reshape(n_draws, n_agents, b, n_out)
     for epoch in range(config.epochs):
         perms = [rng.permutation(rows.n) for _ in rows.agents]
         index = rows.epoch_index(perms, steps_per_epoch)
@@ -540,7 +585,20 @@ def _batches(config: TrainConfig, rows: _StackedRows, targets: np.ndarray, rng):
         if config.mode != "plain":
             inputs = rows.regret_inputs(index, out=inputs)
         for k, (X, Y, *batch) in enumerate(zip(batches_x, batches_y, *inputs)):
-            yield epoch * steps_per_epoch + k, X, Y, batch
+            draw = None
+            if fills:
+                fill = fills[k % len(fills)]
+                if ahead is None:
+                    rng.standard_normal(out=fill)
+                else:
+                    ahead.result()
+                ahead = None
+                if helper is not None and k + 1 < steps_per_epoch:
+                    # the generator's bound method itself: the helper thread runs no line of this package
+                    ahead = helper.submit(rng.standard_normal, out=fills[(k + 1) % 2])
+                np.copyto(eps_blocks, fill.swapaxes(0, 1))
+                draw = eps, fill.reshape(eps.shape)
+            yield epoch * steps_per_epoch + k, X, Y, batch, draw
 
 
 def train(config: TrainConfig | list[TrainConfig], params: ParamVector, agents: list[AgentSpec],
@@ -567,29 +625,25 @@ def train(config: TrainConfig | list[TrainConfig], params: ParamVector, agents: 
     rng = np.random.default_rng(first.seed)
     targets = rows.normalized()
     std = first.std if first.std is not None else 0.1 * max(float(targets.std()), 1e-6)
-    # pg's draw, made once per step for every run: each agent's (D, b, O)
-    # block in agent order, which fixes the RNG stream, restacked as (D,
-    # rows, O) into eps; the draw's buffer is dead once restacked, so each
-    # run's step writes its raw-unit forecasts into it
-    n_draws, n_agents, b, n_out = first.pg_samples, len(agents), rows.b, rows.n_outputs
-    draw = eps = raws = None
-    if first.mode == "pg":
-        draw, eps = np.empty((n_agents, n_draws, b, n_out)), np.empty((n_draws, n_agents * b, n_out))
-        raws = draw.reshape(eps.shape)
-        eps_blocks = eps.reshape(n_draws, n_agents, b, n_out)
-    runs = [_Run(c, params, rows, std, eps, raws) for c in configs]
+    runs = [_Run(c, params, rows, std) for c in configs]
+    # pg draws each step's noise once for every run; where a second core is
+    # free, a helper thread draws the next step's while this one trains
+    # (`_batches`), and the pool's `with` joins it before the call returns
+    helper = contextlib.nullcontext()
+    if first.mode == "pg" and _draws_ahead():
+        from concurrent.futures import ThreadPoolExecutor  # imported here, as `multiprocessing` is
+
+        helper = ThreadPoolExecutor(max_workers=1)
 
     # non-finite values are detected explicitly in each run's step; numpy's
     # overflow warnings on the way there (a finite gradient times a huge lr
     # can still overflow theta in the optimizer) are just noise
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), helper as pool:
         live = runs
-        for t, X, Y, batch in _batches(first, rows, targets, rng):
-            if draw is not None:
-                np.copyto(eps_blocks, rng.standard_normal(out=draw).swapaxes(0, 1))
+        for t, X, Y, batch, draw in _batches(first, rows, targets, rng, pool):
             for run in live:
                 try:
-                    run.step(t, X, Y, batch)
+                    run.step(t, X, Y, batch, draw)
                 except Exception as exc:  # this run stops; the shared stream goes on for the others
                     run.error = exc
                     live = [other for other in live if other is not run]  # the loop goes on over the old list

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -883,3 +889,118 @@ def test_runs_trained_together_may_differ_only_in_q_and_beta(change):
         train([configs[0], replace(configs[2], **change)], params, agents, pool)
     with pytest.raises(ValueError, match="at least one config"):
         train([], params, agents, pool)
+
+
+def test_stream_is_the_default_rng_recipe_with_draws_ahead():
+    # the trainer's one random stream, written out: per epoch each agent's
+    # permutation, agents in order, then per step each agent's (D, b, O)
+    # block of standard normals; drawing ahead on a helper changes none of it
+    agents, splits = _mixed_pool(INTERLEAVED)
+    pool = make_pool(agents, splits)
+    cfg = TrainConfig(mode="pg", epochs=3, batch_size=2, pg_samples=3, seed=23)
+    rows = _StackedRows(agents, pool, pool.train, cfg.batch_size, 4, n_draws=cfg.pg_samples)
+    assert len(np.unique(rows.x, axis=0)) == len(rows.x)  # so a gathered batch names its rows
+    targets = rows.normalized()
+    n_agents, n, b, steps = len(agents), rows.n, rows.b, rows.n // rows.b
+    assert (n_agents, n, b, steps) == (6, 6, 2, 3)
+    rng, recipe = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    taken, submitted = 0, []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            submit = helper.submit
+            helper.submit = lambda fn, **kw: submitted.append(fn) or submit(fn, **kw)
+            stream = training._batches(cfg, rows, targets, rng, helper)
+            for epoch in range(cfg.epochs):
+                perms = [recipe.permutation(n) for _ in agents]
+                for k in range(steps):
+                    t, X, Y, batch, (eps, raws) = next(stream)
+                    index = np.concatenate([m * n + perm[k * b:(k + 1) * b] for m, perm in enumerate(perms)])
+                    blocks = [recipe.standard_normal((cfg.pg_samples, b, 4)) for _ in agents]
+                    assert t == epoch * steps + k
+                    assert X.tobytes() == rows.x[index].tobytes() and Y.tobytes() == targets[index].tobytes()
+                    assert eps.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+                    assert raws.shape == eps.shape and not np.shares_memory(raws, eps)
+                    raws.fill(np.nan)  # a step may overwrite the draw's buffer; no later draw may read it
+                    taken += 1
+            assert next(stream, None) is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert taken == 9
+    # each epoch's first step draws inline; the helper runs the generator's own method, no line of the package
+    assert len(submitted) == cfg.epochs * (steps - 1)
+    assert all(fn == rng.standard_normal for fn in submitted)
+
+
+def test_drawing_ahead_trains_bitwise_as_drawing_inline(monkeypatch):
+    # a mixed pool, three draws, three epochs of three steps; q = 1e300
+    # diverges at step 1, mid-epoch, and its sibling trains on
+    agents, pool, params, configs = _lockstep_inputs("pg", 3)
+    configs = configs[1:3]
+    default = train(configs, params, agents, pool)
+    calls = {}
+    for ahead in (False, True):
+        monkeypatch.setattr(training, "_draws_ahead", lambda ahead=ahead: ahead)
+        calls[ahead] = train(configs, params, agents, pool)
+    stopped, trained = default.outcomes
+    assert isinstance(stopped, DivergenceError) and stopped.step == 1
+    assert len(trained.step_log) == 9
+    for runs in calls.values():
+        assert runs.step_log == default.step_log
+        assert str(runs.outcomes[0]) == str(stopped) and runs.outcomes[0].step == stopped.step
+        assert runs.outcomes[1].params.values.tobytes() == trained.params.values.tobytes()
+        assert runs.outcomes[1].step_log == trained.step_log
+
+
+def _raising_pg_grad(*args, **kwargs):
+    raise RuntimeError("not a divergence")
+
+
+@pytest.mark.parametrize("case", ["pg", "pg-all-diverge", "pg-all-raise", "plain", "chain"])
+def test_no_thread_outlives_train(case, monkeypatch):
+    # pg draws ahead on a helper thread (forced here, as on one core it
+    # would draw inline); the call joins it however its runs end
+    monkeypatch.setattr(training, "_draws_ahead", lambda: True)
+    mode = case.split("-")[0]
+    agents, pool, params, configs = _lockstep_inputs(mode, 3 if mode == "pg" else 1)
+    if case == "pg-all-diverge":  # steps 1 and 2, in the first of three epochs
+        configs = [replace(configs[1], beta=beta) for beta in (0.0, 0.5)]
+    name = "pg_grad" if mode == "pg" else "chain_grad"
+    real = _raising_pg_grad if case == "pg-all-raise" else getattr(objective, name)
+    during = []
+    monkeypatch.setattr(objective, name, lambda *a, **k: during.append(threading.active_count()) or real(*a, **k))
+    before = threading.active_count()
+    runs = train(configs, params, agents, pool)
+    assert threading.active_count() == before
+    assert set(during) == ({before + 1} if mode == "pg" else {before})
+    if case == "pg-all-diverge":
+        assert [run.step for run in runs.outcomes] == [1, 2]
+    if case == "pg-all-raise":
+        assert all(isinstance(run, RuntimeError) for run in runs.outcomes) and not runs.step_log
+
+
+def _fresh_python(code: str) -> str:
+    """What `code` prints in a new interpreter that imports this checkout's package."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_sweep_workers_and_one_core_processes_draw_inline():
+    # a sweep's workers already fill the cores; with one core a helper only takes turns with the step
+    assert training._draws_ahead() == (len(os.sched_getaffinity(0)) > 1)
+    with ProcessPoolExecutor(max_workers=1) as workers:
+        assert workers.submit(training._draws_ahead).result(timeout=60) is False
+    one_core = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); from equicast import training"
+    assert _fresh_python(f"{one_core}; print(training._draws_ahead())") == "False"
+
+
+def test_importing_the_package_loads_no_thread_or_process_pool():
+    # the trainer imports them in its pg path only; `import equicast.verify`
+    # is what the verify workload's set-up time measures
+    pools = "sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))"
+    assert _fresh_python(f"import sys, equicast.verify; print({pools})") == "[]"
