@@ -542,7 +542,7 @@ class _Run:
 
 
 def _draws_ahead() -> bool:
-    """Whether a pg call draws each next step's noise on a helper thread.
+    """Whether a pg call draws each next step's noise on a helper thread, and `verify.run_all` its pg suite's.
 
     Not in a process that `multiprocessing` started (a sweep's worker: the
     workers already fill the cores), nor with one usable core.
@@ -551,6 +551,19 @@ def _draws_ahead() -> bool:
 
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     return multiprocessing.parent_process() is None and len(cores) > 1
+
+
+def _draw_helper(draws: bool = True):
+    """The one-thread pool a call that `draws` noise draws ahead on, where `_draws_ahead()` holds; else a nullcontext.
+
+    The caller enters it in a `with`, which joins the thread however the
+    call ends.
+    """
+    if not (draws and _draws_ahead()):
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # imported here, as `multiprocessing` is
+
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def _batches(config: TrainConfig, rows: _StackedRows, targets: np.ndarray, rng, helper=None):
@@ -628,17 +641,11 @@ def train(config: TrainConfig | list[TrainConfig], params: ParamVector, agents: 
     runs = [_Run(c, params, rows, std) for c in configs]
     # pg draws each step's noise once for every run; where a second core is
     # free, a helper thread draws the next step's while this one trains
-    # (`_batches`), and the pool's `with` joins it before the call returns
-    helper = contextlib.nullcontext()
-    if first.mode == "pg" and _draws_ahead():
-        from concurrent.futures import ThreadPoolExecutor  # imported here, as `multiprocessing` is
-
-        helper = ThreadPoolExecutor(max_workers=1)
-
-    # non-finite values are detected explicitly in each run's step; numpy's
+    # (`_batches`), and the pool's `with` joins it before the call returns.
+    # Non-finite values are detected explicitly in each run's step; numpy's
     # overflow warnings on the way there (a finite gradient times a huge lr
     # can still overflow theta in the optimizer) are just noise
-    with np.errstate(over="ignore", invalid="ignore"), helper as pool:
+    with np.errstate(over="ignore", invalid="ignore"), _draw_helper(first.mode == "pg") as pool:
         live = runs
         for t, X, Y, batch, draw in _batches(first, rows, targets, rng, pool):
             for run in live:

@@ -257,7 +257,11 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
     return SuiteResult("chain_gradient", passed, f"max relative error {worst:.2e} vs tolerance {tol}")
 
 
-def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: float = 0.3, seed: int = 0) -> SuiteResult:
+_PG_THETAS, _PG_DRAWS = (0.0, 0.5, 2.0), 200_000
+
+
+def check_pg_estimator(thetas=_PG_THETAS, n_draws: int = _PG_DRAWS, std: float = 0.3, seed: int = 0,
+                       draws=None) -> SuiteResult:
     """The trainer's score-function op vs the analytic gradient of E[(yhat-1)^2].
 
     A one-parameter model (bias-only, zero input) makes the prediction equal
@@ -269,35 +273,43 @@ def check_pg_estimator(thetas=(0.0, 0.5, 2.0), n_draws: int = 200_000, std: floa
     leave-one-out baseline: each result must equal the mean of the per-draw
     estimates (loss - baseline) * eps / std, and lie within five standard
     errors of the analytic gradient.
+
+    `draws` holds each theta's (n_draws,) standard normals, in order; by
+    default each is `rng.standard_normal(n_draws)` on `default_rng(seed)`,
+    drawn as its theta is checked.  `run_all` hands in the same draws, each
+    drawn on a helper thread ahead of its use.
     """
-    rng = np.random.default_rng(seed)
+    if draws is None:
+        rng = np.random.default_rng(seed)
+        draws = (rng.standard_normal(n_draws) for _ in thetas)
     X = np.zeros((1, 1))
     details = []
-    # the draws' losses, baselines and terms are formed in place, in these buffers
-    losses, loo, terms = np.empty(n_draws), np.empty(n_draws), np.empty(n_draws)
-    for theta in thetas:
+    # the draws' losses are formed in place in `losses`; each pass's baseline, then its terms, in `work`
+    losses, work = np.empty(n_draws), np.empty(n_draws)
+    for theta, eps in zip(thetas, draws):
         params = predictor.ParamVector(values=np.array([0.0, theta]), layer_sizes=(1, 1))
         _, acts = predictor.forward_batch(params, X, keep=True)
-        eps = rng.standard_normal(n_draws)
         cot = objective.pg_grad(eps[:1].reshape(1, 1, 1), np.ones(1), 0.0, std)
         score = predictor.vjp_batch(params, X, cot, acts)
         if not np.allclose(score, [0.0, eps[0] / std], rtol=0, atol=1e-12):
             return SuiteResult("pg_estimator", False, f"theta={theta}: one-draw pg_grad {score} vs [0, {eps[0] / std}]")
-        # losses = (theta + std * eps - 1)^2, loo = (sum - losses) / (n - 1)
+        # losses = (theta + std * eps - 1)^2
         np.multiply(eps, std, out=losses)
         losses += theta
         losses -= 1.0
         np.square(losses, out=losses)
-        np.subtract(losses.sum(), losses, out=loo)
-        loo /= n_draws - 1
         target = 2.0 * (theta - 1.0)
-        for label, baseline in (("", 0.0), (", leave-one-out baseline", loo)):
-            # terms = (losses - baseline) * eps / std
-            np.subtract(losses, baseline, out=terms)
-            terms *= eps
-            terms /= std
+        for label in ("", ", leave-one-out baseline"):
+            baseline = 0.0
+            if label:  # the leave-one-out baseline, (sum - losses) / (n - 1)
+                baseline = np.subtract(losses.sum(), losses, out=work)
+                baseline /= n_draws - 1
             cot = objective.pg_grad(eps.reshape(-1, 1, 1), losses, baseline, std)
             estimate = float(predictor.vjp_batch(params, X, cot, acts)[1])
+            # terms = (losses - baseline) * eps / std, over the baseline once pg_grad has read it
+            terms = np.subtract(losses, baseline, out=work)
+            terms *= eps
+            terms /= std
             if not np.isclose(estimate, terms.mean(), rtol=1e-12, atol=0.0):
                 return SuiteResult(
                     "pg_estimator", False, f"theta={theta}{label}: pg_grad {estimate} vs mean of draws {terms.mean()}"
@@ -483,19 +495,47 @@ def check_dual_norm(n_cases: int = 100, qs=(0.0, 0.5, 2.0, 9.0), seed: int = 0, 
     return SuiteResult("dual_norm", passed, f"max relative error {worst:.2e} vs tolerance {tol}")
 
 
+def _drawn_ahead(helper, seed: int):
+    """The pg suite's default draws, `default_rng(seed).standard_normal(_PG_DRAWS)` per theta, each run on `helper`.
+
+    The first is submitted now; each next one as the one before it is
+    taken.  So at most one is pending, and the generator serves one thread
+    at a time.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draws(pending):
+        for k in range(1, len(_PG_THETAS) + 1):
+            eps = pending.result()
+            if k < len(_PG_THETAS):
+                # the generator's bound method itself: the helper thread runs no line of this package
+                pending = helper.submit(rng.standard_normal, _PG_DRAWS)
+            yield eps
+
+    return draws(helper.submit(rng.standard_normal, _PG_DRAWS))
+
+
 def run_all(seed: int = 0) -> list[SuiteResult]:
-    suites = (
-        check_decision_oracles,
-        check_chain_gradient,
-        check_pg_estimator,
-        check_theorem_variance,
-        check_theorem_entropy,
-        check_dual_norm,
-    )
+    """Every suite at its default sizes, in order; a suite that raises fails with its error.
+
+    Where `training._draws_ahead()` holds, the pg suite's draws run on one
+    helper thread: the first while the suites before it run, each next one
+    while the theta before it is checked.  The `with` joins the thread
+    before the call returns, however the suites end.
+    """
     results = []
-    for fn in suites:
-        try:
-            results.append(fn(seed=seed))
-        except Exception as exc:  # a crashed suite is a failed suite
-            results.append(SuiteResult(fn.__name__.removeprefix("check_"), False, f"{type(exc).__name__}: {exc}"))
+    with training._draw_helper() as helper:
+        suites = (
+            (check_decision_oracles, {}),
+            (check_chain_gradient, {}),
+            (check_pg_estimator, {"draws": None if helper is None else _drawn_ahead(helper, seed)}),
+            (check_theorem_variance, {}),
+            (check_theorem_entropy, {}),
+            (check_dual_norm, {}),
+        )
+        for fn, kwargs in suites:
+            try:
+                results.append(fn(seed=seed, **kwargs))
+            except Exception as exc:  # a crashed suite is a failed suite
+                results.append(SuiteResult(fn.__name__.removeprefix("check_"), False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -1,12 +1,17 @@
+import hashlib
 import itertools
 import math
 import re
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from equicast import agents as agentmod
-from equicast import verify
+from equicast import objective, training, verify
 from equicast.agents import ChargingContext, DataCenterContext
 from equicast.errors import ConfigError
 from equicast.metrics import norm_entropy, variance
@@ -156,7 +161,7 @@ def test_run_all_fails_a_suite_that_raises(monkeypatch):
 
     for name in ("check_decision_oracles", "check_chain_gradient", "check_pg_estimator",
                  "check_theorem_variance", "check_theorem_entropy"):
-        monkeypatch.setattr(verify, name, lambda seed, name=name: verify.SuiteResult(name, True, "stub"))
+        monkeypatch.setattr(verify, name, lambda seed, name=name, draws=None: verify.SuiteResult(name, True, "stub"))
     monkeypatch.setattr(verify, "check_dual_norm", check_dual_norm)
     results = verify.run_all(seed=3)
     assert all(r.passed for r in results[:-1])
@@ -510,8 +515,111 @@ def test_run_all_calls_the_suites_through_module_globals(monkeypatch):
     ]
     stubs = {name: verify.SuiteResult(name, True, "stub") for name in names}
     for name in names:
-        monkeypatch.setattr(verify, name, lambda seed, name=name: stubs[name] if seed == 7 else None)
+        monkeypatch.setattr(verify, name, lambda seed, name=name, draws=None: stubs[name] if seed == 7 else None)
     assert verify.run_all(seed=7) == [stubs[name] for name in names]
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_drawing_ahead_runs_the_suites_bitwise_as_drawing_inline(seed, monkeypatch):
+    # the pg suite's draws on a helper thread (forced on here, as on one core
+    # they are drawn inline) are the same calls on the same stream: every
+    # result, every pg_grad call and every draw are the same bits
+    real_pg_grad, real_suite, real_submit = objective.pg_grad, verify.check_pg_estimator, ThreadPoolExecutor.submit
+    calls, handed, submitted = [], [], []
+
+    def pg_grad(*args):
+        out = real_pg_grad(*args)
+        calls.append(tuple(_digest(value) for value in args + (out,)))
+        return out
+
+    monkeypatch.setattr(objective, "pg_grad", pg_grad)
+    monkeypatch.setattr(verify, "check_pg_estimator",
+                        lambda seed, draws: handed.append(draws) or real_suite(seed=seed, draws=draws))
+    monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                        lambda pool, fn, *a, **k: submitted.append(fn) or real_submit(pool, fn, *a, **k))
+    runs = {}
+    interval = sys.getswitchinterval()
+    for ahead in (True, False):
+        monkeypatch.setattr(training, "_draws_ahead", lambda ahead=ahead: ahead)
+        calls.clear()
+        sys.setswitchinterval(1e-6 if ahead else interval)  # drawing ahead: switch threads as often as possible
+        try:
+            runs[ahead] = verify.run_all(seed), list(calls)
+        finally:
+            sys.setswitchinterval(interval)
+    assert runs[True] == runs[False]
+    assert all(r.passed for r in runs[True][0])
+    # the helper ran the generator's bound method itself, no line of the package, once per theta
+    ahead_draws, inline_draws = handed
+    assert ahead_draws is not None and inline_draws is None
+    assert len(submitted) == 3
+    assert all(fn.__name__ == "standard_normal" and isinstance(fn.__self__, np.random.Generator) for fn in submitted)
+    # per theta, one call on its first value, then its no-baseline and leave-one-out calls on its whole draw
+    recipe = np.random.default_rng(seed)
+    expected = [_digest(recipe.standard_normal(200_000)) for _ in range(3)]
+    eps = [args[0] for args in runs[True][1]]
+    assert len(eps) == 9 and eps[1::3] == eps[2::3] == expected
+
+
+@pytest.mark.parametrize("ahead", [True, False])
+@pytest.mark.parametrize("case", ["pass", "pg-fails-first-theta", "earlier-suite-raises", "pg-raises-partway"])
+def test_no_thread_outlives_run_all(case, ahead, monkeypatch):
+    # the pg suite's helper thread is joined however the suites end; it
+    # exists from before the first suite, whose run sees it
+    monkeypatch.setattr(training, "_draws_ahead", lambda: ahead)
+    real_decision, real_pg_grad, real_submit = verify.check_decision_oracles, objective.pg_grad, ThreadPoolExecutor.submit
+    during, pg_calls, submitted = [], [], []
+
+    def check_decision_oracles(seed):  # a crashed suite is named as run_all names its check_* function
+        during.append(threading.active_count())
+        if case == "earlier-suite-raises":
+            raise ArithmeticError("injected crash")
+        return real_decision(seed=seed)
+
+    def pg_grad(*args):
+        pg_calls.append(args)
+        if case == "pg-raises-partway" and len(pg_calls) == 4:  # theta 0.5's first call, the last draw submitted
+            raise RuntimeError("injected crash")
+        out = real_pg_grad(*args)
+        return out * 1.05 if case == "pg-fails-first-theta" else out  # fails theta 0's first check
+
+    monkeypatch.setattr(verify, "check_decision_oracles", check_decision_oracles)
+    monkeypatch.setattr(objective, "pg_grad", pg_grad)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                        lambda pool, fn, *a, **k: submitted.append(fn) or real_submit(pool, fn, *a, **k))
+    before = threading.active_count()
+    results = verify.run_all(0)
+    assert threading.active_count() == before
+    assert during == [before + ahead]
+    # draws submitted: one before the first suite, then one as each theta but the last takes its draw
+    assert len(submitted) == ahead * (2 if case == "pg-fails-first-theta" else 3)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    if case == "pass":
+        assert failed == {}
+    elif case == "pg-fails-first-theta":
+        assert list(failed) == ["pg_estimator"] and failed["pg_estimator"].startswith("theta=0.0: one-draw pg_grad")
+    elif case == "earlier-suite-raises":
+        assert failed == {"decision_oracles": "ArithmeticError: injected crash"}
+    else:
+        assert failed == {"pg_estimator": "RuntimeError: injected crash"}
+
+
+def test_drawing_ahead_holds_at_most_five_draw_sized_arrays(monkeypatch):
+    # the bench bounds verify's peak RSS; a sixth live (200_000,) buffer in
+    # the pg suite (say, a draw ahead beside a separate terms buffer) fails here
+    monkeypatch.setattr(training, "_draws_ahead", lambda: True)
+    verify.run_all(0)  # the imports and first-call caches are not the suites' memory
+    tracemalloc.start()
+    try:
+        verify.run_all(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 200_000 * 8 + 256 * 1024
 
 
 def _scalar_minimize(targets, offsets, q, tol=1e-10):
