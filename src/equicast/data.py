@@ -316,7 +316,7 @@ _WORKLOAD_COLUMNS = ["timestamp", "agent_id", "demand"]
 
 
 def _read_rows(path, columns: list[str]) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """A CSV file's header, which must hold `columns`, and its data rows as (line number, cells)."""
+    """A CSV file's header, naming each of `columns` once, and its data rows, none longer, as (line number, cells)."""
     header, rows = None, []
     for lineno, line in enumerate(read_text(path, SchemaError).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -324,6 +324,11 @@ def _read_rows(path, columns: list[str]) -> tuple[list[str], list[tuple[int, lis
         cells = [c.strip() for c in next(csv.reader([line]))]
         if header is None:
             header = cells
+            twice = [c for c in columns if cells.count(c) > 1]
+            if twice:
+                raise SchemaError(f"{path}:{lineno}: header {header} names column(s) {twice} more than once")
+        elif len(cells) > len(header):
+            raise SchemaError(f"{path}:{lineno}: row has {len(cells)} cells but the header has {len(header)}")
         else:
             rows.append((lineno, cells))
     if header is None:

@@ -42,18 +42,15 @@ so each run is bitwise the run that `train` gives its config alone; a run
 whose step raises (a `DivergenceError`, or any other error) stops alone,
 and the others go on with the same stream.
 
-The stream (`_batches`): per epoch, each agent's permutation, agents in
+The stream (`_stream`): per epoch, each agent's permutation, agents in
 order; then in pg, per step, one fill of every agent's (D, b, O) block of
-standard normals, agent by agent.  A pg call in a process with a second
-usable core draws the next step's fill on one helper thread while the
-current step trains, into the other of two buffers; an epoch's first step
-draws inline, after the permutations, so the generator makes the same calls
-in the same order and never serves two threads at once.  The call joins the
-thread before it returns, however its runs end.  Plain and chain calls
-start no thread, and a pg call draws inline in a process that
-`multiprocessing` started (a sweep's worker: the workers already fill the
-cores) or that has one usable core.  No result depends on which: every bit
-is the same.
+standard normals, agent by agent.  With a second usable core, a pg call
+makes each fill ahead on one helper thread (`_ahead`, the rule that
+`verify.run_all` shares), an epoch's first while its batches are gathered,
+one at a time: the generator makes the same calls in the same order.  The
+call joins the thread however its runs end.  Plain and chain calls start no
+thread, nor does a pg call in a process that `multiprocessing` started (a
+sweep's worker: the workers already fill the cores).  Every bit is the same.
 
 What does not depend on the call is fitted once per pool (`PoolData`): its
 one output calibration (the mean and scale of its raw training targets,
@@ -102,6 +99,7 @@ import contextlib
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -542,11 +540,8 @@ class _Run:
 
 
 def _draws_ahead() -> bool:
-    """Whether a pg call draws each next step's noise on a helper thread, and `verify.run_all` its pg suite's.
-
-    Not in a process that `multiprocessing` started (a sweep's worker: the
-    workers already fill the cores), nor with one usable core.
-    """
+    """Whether `_draw_helper` starts a thread: not in a process that `multiprocessing` started (a sweep's
+    worker: the workers already fill the cores), nor with one usable core."""
     import multiprocessing  # imported here: a call that draws no noise does not pay for the import
 
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
@@ -554,11 +549,8 @@ def _draws_ahead() -> bool:
 
 
 def _draw_helper(draws: bool = True):
-    """The one-thread pool a call that `draws` noise draws ahead on, where `_draws_ahead()` holds; else a nullcontext.
-
-    The caller enters it in a `with`, which joins the thread however the
-    call ends.
-    """
+    """The one-thread pool `_ahead` draws on if `draws` and `_draws_ahead()` hold, else a nullcontext (inline).
+    The caller enters it in a `with`, which joins the thread however the call ends."""
     if not (draws and _draws_ahead()):
         return contextlib.nullcontext()
     from concurrent.futures import ThreadPoolExecutor  # imported here, as `multiprocessing` is
@@ -566,31 +558,60 @@ def _draw_helper(draws: bool = True):
     return ThreadPoolExecutor(max_workers=1)
 
 
-def _batches(config: TrainConfig, rows: _StackedRows, targets: np.ndarray, rng, helper=None):
-    """Every step's (t, X, Y, regret inputs, draw), epoch by epoch, from the call's one random stream.
+def _ahead(helper, calls):
+    """The results of `calls` (`functools.partial`s) in order, each run inline as its result is taken.
 
-    The stream is the module docstring's.  X, Y and the regret inputs are
-    views of buffers gathered once per epoch.  A pg step's draw is (eps,
-    raws): the step's fill restacked as (D, rows, O) into `eps`, and the
-    filled buffer itself as (D, rows, O), dead once restacked, which the
-    step may overwrite; plain and chain steps get None.  With `helper`, a
-    one-thread pool, the next step's fill runs on it, into the other of two
-    buffers, while the caller trains the current step; an epoch's first
-    step fills inline.
+    With `helper`, each runs on its thread, as the partial's own function (a
+    generator's bound method, no line of this package): the first submitted
+    now, each later one as the result before it is taken, so at most one is
+    pending.  A call that raises raises where its result is taken.
+    """
+    if helper is None:
+        return (call() for call in calls)
+    submitted = (helper.submit(call.func, *call.args, **call.keywords) for call in calls)
+
+    def results(pending):
+        while pending is not None:
+            result = pending.result()
+            pending = next(submitted, None)
+            yield result
+
+    return results(next(submitted, None))
+
+
+def _stream(config: TrainConfig, n_agents: int, n: int, b: int, n_outputs: int, helper=None):
+    """The call's random stream, `default_rng(config.seed)`: per epoch, (its M permutations of range(n), its fills).
+
+    In pg, an epoch's fills are its n // b steps' (M, D, b, O) standard
+    normals, through `_ahead`, each into one buffer (with `helper`, the
+    other of two) that lives until the next fill is taken; else none.
+    """
+    rng = np.random.default_rng(config.seed)
+    copies = 0 if config.mode != "pg" else 1 if helper is None else 2
+    buffers = [np.empty((n_agents, config.pg_samples, b, n_outputs)) for _ in range(copies)]
+    for _ in range(config.epochs):
+        perms = [rng.permutation(n) for _ in range(n_agents)]
+        fills = [partial(rng.standard_normal, out=buffers[k % len(buffers)]) for k in range(n // b)] if buffers else []
+        yield perms, _ahead(helper, fills)
+
+
+def _batches(config: TrainConfig, rows: _StackedRows, targets: np.ndarray, helper=None):
+    """Every step's (t, X, Y, regret inputs, draw) from `_stream`: X, Y and the inputs gathered once per epoch.
+
+    A pg step's draw is (eps, raws): its fill restacked as (D, rows, O), and
+    the fill itself as (D, rows, O), dead once restacked, which the step may
+    overwrite; plain and chain steps get None.
     """
     steps_per_epoch = rows.n // rows.b
     # new arrays each epoch would page-fault on every gather
     batch_shape = (steps_per_epoch, len(rows.agents) * rows.b)
     batches_x, batches_y = np.empty(batch_shape + rows.x.shape[1:]), np.empty(batch_shape + targets.shape[1:])
     inputs = ()  # the regret ops' row inputs, in buffers the first epoch allocates; plain scores no decision
-    fills, ahead = (), None  # `ahead`: the next step's fill, submitted to the helper
     if config.mode == "pg":
-        n_agents, n_draws, b, n_out = len(rows.agents), config.pg_samples, rows.b, rows.n_outputs
-        fills = [np.empty((n_agents, n_draws, b, n_out)) for _ in range(1 if helper is None else 2)]
-        eps = np.empty((n_draws, n_agents * b, n_out))
-        eps_blocks = eps.reshape(n_draws, n_agents, b, n_out)
-    for epoch in range(config.epochs):
-        perms = [rng.permutation(rows.n) for _ in rows.agents]
+        eps = np.empty((config.pg_samples, len(rows.agents) * rows.b, rows.n_outputs))
+        eps_blocks = eps.reshape(config.pg_samples, len(rows.agents), rows.b, rows.n_outputs)
+    stream = _stream(config, len(rows.agents), rows.n, rows.b, rows.n_outputs, helper)
+    for epoch, (perms, fills) in enumerate(stream):
         index = rows.epoch_index(perms, steps_per_epoch)
         # mode="clip" lets `take` write into `out` unbuffered; every index is in range
         np.take(rows.x, index, axis=0, out=batches_x, mode="clip")
@@ -599,16 +620,8 @@ def _batches(config: TrainConfig, rows: _StackedRows, targets: np.ndarray, rng, 
             inputs = rows.regret_inputs(index, out=inputs)
         for k, (X, Y, *batch) in enumerate(zip(batches_x, batches_y, *inputs)):
             draw = None
-            if fills:
-                fill = fills[k % len(fills)]
-                if ahead is None:
-                    rng.standard_normal(out=fill)
-                else:
-                    ahead.result()
-                ahead = None
-                if helper is not None and k + 1 < steps_per_epoch:
-                    # the generator's bound method itself: the helper thread runs no line of this package
-                    ahead = helper.submit(rng.standard_normal, out=fills[(k + 1) % 2])
+            if config.mode == "pg":
+                fill = next(fills)
                 np.copyto(eps_blocks, fill.swapaxes(0, 1))
                 draw = eps, fill.reshape(eps.shape)
             yield epoch * steps_per_epoch + k, X, Y, batch, draw
@@ -635,19 +648,16 @@ def train(config: TrainConfig | list[TrainConfig], params: ParamVector, agents: 
         if replace(other, q=first.q, beta=first.beta) != first:
             raise ValueError(f"runs trained together may differ only in q and beta: {other} vs {first}")
     rows = _StackedRows(agents, data, data.train, first.batch_size, params.n_outputs, n_draws=first.pg_samples)
-    rng = np.random.default_rng(first.seed)
     targets = rows.normalized()
     std = first.std if first.std is not None else 0.1 * max(float(targets.std()), 1e-6)
     runs = [_Run(c, params, rows, std) for c in configs]
-    # pg draws each step's noise once for every run; where a second core is
-    # free, a helper thread draws the next step's while this one trains
-    # (`_batches`), and the pool's `with` joins it before the call returns.
-    # Non-finite values are detected explicitly in each run's step; numpy's
-    # overflow warnings on the way there (a finite gradient times a huge lr
-    # can still overflow theta in the optimizer) are just noise
+    # pg draws each step's noise once for every run, ahead on `pool`'s thread
+    # if it has one.  Non-finite values are detected explicitly in each run's
+    # step; numpy's overflow warnings on the way there (a finite gradient
+    # times a huge lr can still overflow theta in the optimizer) are just noise
     with np.errstate(over="ignore", invalid="ignore"), _draw_helper(first.mode == "pg") as pool:
         live = runs
-        for t, X, Y, batch, draw in _batches(first, rows, targets, rng, pool):
+        for t, X, Y, batch, draw in _batches(first, rows, targets, pool):
             for run in live:
                 try:
                     run.step(t, X, Y, batch, draw)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -260,6 +261,12 @@ def check_chain_gradient(qs=(0.0, 1.0, 2.0), betas=(0.0, 0.5, 1.0), seed: int = 
 _PG_THETAS, _PG_DRAWS = (0.0, 0.5, 2.0), 200_000
 
 
+def _pg_draws(seed: int, n_draws: int = _PG_DRAWS, n_thetas: int = len(_PG_THETAS), helper=None):
+    """The pg suite's stream: per theta, `standard_normal(n_draws)` on `default_rng(seed)`, through `training._ahead`."""
+    rng = np.random.default_rng(seed)
+    return training._ahead(helper, [partial(rng.standard_normal, n_draws)] * n_thetas)
+
+
 def check_pg_estimator(thetas=_PG_THETAS, n_draws: int = _PG_DRAWS, std: float = 0.3, seed: int = 0,
                        draws=None) -> SuiteResult:
     """The trainer's score-function op vs the analytic gradient of E[(yhat-1)^2].
@@ -275,13 +282,11 @@ def check_pg_estimator(thetas=_PG_THETAS, n_draws: int = _PG_DRAWS, std: float =
     errors of the analytic gradient.
 
     `draws` holds each theta's (n_draws,) standard normals, in order; by
-    default each is `rng.standard_normal(n_draws)` on `default_rng(seed)`,
-    drawn as its theta is checked.  `run_all` hands in the same draws, each
-    drawn on a helper thread ahead of its use.
+    default the suite's stream (`_pg_draws`), drawn inline as each theta is
+    checked.
     """
     if draws is None:
-        rng = np.random.default_rng(seed)
-        draws = (rng.standard_normal(n_draws) for _ in thetas)
+        draws = _pg_draws(seed, n_draws, len(thetas))
     X = np.zeros((1, 1))
     details = []
     # the draws' losses are formed in place in `losses`; each pass's baseline, then its terms, in `work`
@@ -495,40 +500,18 @@ def check_dual_norm(n_cases: int = 100, qs=(0.0, 0.5, 2.0, 9.0), seed: int = 0, 
     return SuiteResult("dual_norm", passed, f"max relative error {worst:.2e} vs tolerance {tol}")
 
 
-def _drawn_ahead(helper, seed: int):
-    """The pg suite's default draws, `default_rng(seed).standard_normal(_PG_DRAWS)` per theta, each run on `helper`.
-
-    The first is submitted now; each next one as the one before it is
-    taken.  So at most one is pending, and the generator serves one thread
-    at a time.
-    """
-    rng = np.random.default_rng(seed)
-
-    def draws(pending):
-        for k in range(1, len(_PG_THETAS) + 1):
-            eps = pending.result()
-            if k < len(_PG_THETAS):
-                # the generator's bound method itself: the helper thread runs no line of this package
-                pending = helper.submit(rng.standard_normal, _PG_DRAWS)
-            yield eps
-
-    return draws(helper.submit(rng.standard_normal, _PG_DRAWS))
-
-
 def run_all(seed: int = 0) -> list[SuiteResult]:
     """Every suite at its default sizes, in order; a suite that raises fails with its error.
 
-    Where `training._draws_ahead()` holds, the pg suite's draws run on one
-    helper thread: the first while the suites before it run, each next one
-    while the theta before it is checked.  The `with` joins the thread
-    before the call returns, however the suites end.
+    The pg suite's draws (`_pg_draws`) are made ahead on `training._draw_helper`'s thread where it
+    gives one, the first while the earlier suites run; the `with` joins it however the suites end.
     """
     results = []
     with training._draw_helper() as helper:
         suites = (
             (check_decision_oracles, {}),
             (check_chain_gradient, {}),
-            (check_pg_estimator, {"draws": None if helper is None else _drawn_ahead(helper, seed)}),
+            (check_pg_estimator, {"draws": _pg_draws(seed, helper=helper)}),
             (check_theorem_variance, {}),
             (check_theorem_entropy, {}),
             (check_dual_norm, {}),

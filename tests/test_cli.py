@@ -163,6 +163,29 @@ def test_train_refuses_non_positive_realized_intensity(tmp_path, capsys):
         assert not (tmp_path / mode / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    # both files used to load: a second 'demand' column was ignored, a row's extra cell dropped
+    ("workloads.csv", lambda line: line + ",demand" if line.startswith("timestamp") else line + ",-1.0",
+     "names column(s) ['demand'] more than once"),
+    ("target_m001.csv", lambda line: line + ",7", "row has 3 cells but the header has 2"),
+])
+def test_train_refuses_a_file_whose_rows_do_not_match_its_header(name, edit, message, tmp_path, capsys):
+    cfg_doc = tiny_config()
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "--config", write_config(tmp_path, cfg_doc), "--out", str(data_dir)]) == 0
+    path = data_dir / name
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if not line.startswith("#"))  # the header
+    at += name != "workloads.csv"  # the first data row
+    lines[at:] = [edit(line) for line in lines[at:]]
+    path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, dict(cfg_doc, data_dir=str(data_dir)), "files.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{at + 1}: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_plain_train_refuses_a_zero_intensity_in_one_training_row(tmp_path, capsys):
     # plain training used to accept it: it never scored a training row, and
     # the evaluation that followed scored the test rows only

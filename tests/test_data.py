@@ -153,11 +153,22 @@ def test_load_csv_non_monotone_timestamps(tmp_path):
     ("workload", "timestamp,agent_id,demand\n1,0,1.0\n0,0,1.0\n", ": timestamps must be strictly increasing per agent"),
     ("workload", "timestamp,agent_id,demand\n0,0,1.0\n1,0,1.0\n0,1,1.0\n2,1,1.0\n",
      ": agent 1 does not cover the same timestamps as agent 0"),
+    # a column read twice, and a row longer than the header, used to load
+    ("energy", "# seed=1\ntimestamp,E,E\n0,1.0,2.0\n",
+     ":2: header ['timestamp', 'E', 'E'] names column(s) ['E'] more than once"),
+    ("workload", "timestamp,agent_id,demand,demand\n0,0,1.0,-1.0\n",
+     ":1: header ['timestamp', 'agent_id', 'demand', 'demand'] names column(s) ['demand'] more than once"),
+    ("energy", "timestamp,E\n0,1.0\n1,1.0,7\n", ":3: row has 3 cells but the header has 2"),
 ])
 def test_load_csv_refusals_name_the_file(tmp_path, schema, text, message):
     p = write(tmp_path, "c.csv", text)
     with pytest.raises(SchemaError, match=re.escape(f"{p}{message}")):
         read(p, schema)
+
+
+def test_load_csv_allows_a_repeated_column_it_does_not_read(tmp_path):
+    p = write(tmp_path, "c.csv", "timestamp,E,note,note\n0,1.0,a,b\n1,2.0,c,d\n")
+    assert np.array_equal(load_series(p, "E")[1], [1.0, 2.0])
 
 
 def test_load_workload_csv(tmp_path):

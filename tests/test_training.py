@@ -1,10 +1,13 @@
+import math
 import os
 import subprocess
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -214,16 +217,16 @@ def _reference_plain_updates(cfg, theta, split):
     """The optimizer written out on y = w*x + b: squared-error gradients by hand,
     the clip, the lr schedule, then SGD with momentum or Adam.  Returns the
     final (w, b) and how many steps the clip scaled."""
-    rng = np.random.default_rng(cfg.seed)
     n, b = len(split.train_x), cfg.batch_size
     steps = n // b
+    stream = training._stream(cfg, 1, n, b, 1)
     velocity = adam_m = adam_v = np.zeros(2)
     ys = to_normalized([split], split.train_y_raw)
     clipped = 0
     for t in range(cfg.epochs * steps):
         k = t % steps
         if k == 0:
-            perm = rng.permutation(n)
+            (perm,), _ = next(stream)
         sel = perm[k * b : (k + 1) * b]
         x, y = split.train_x[sel, 0], ys[sel, 0]
         resid = theta[0] * x + theta[1] - y
@@ -345,11 +348,10 @@ def test_pg_step_matches_batch_op():
                       optimizer="sgd", pg_samples=1)
     res = train(cfg, p0, [DC_AGENT], make_pool([DC_AGENT], [split]))
 
-    rng = np.random.default_rng(13)
-    perm = rng.permutation(split.train_x.shape[0])
+    (perm,), fills = next(training._stream(cfg, 1, split.train_x.shape[0], 24, 1))
     sel = perm[:24]
     X = split.train_x[sel]
-    eps = rng.standard_normal((1, 24, 1))
+    (eps,) = next(fills)  # the one agent's (D, b, O) block
     scores = np.stack([row_score(p0, X[i], eps[0, i], std) for i in range(24)])
     raws = to_raw([split], predictor.forward_batch(p0, X) + std * eps[0])
     regrets = [regret(DC_AGENT, float(raws[i, 0]), float(split.train_y_raw[sel][i, 0]))
@@ -382,24 +384,21 @@ def _sample_regret(agent, split, raw, outcome, ctx):
 
 
 def _reference_pg_sgd(cfg, params, agents, splits):
-    """SGD on the per-sample score-function estimate averaged over draws, drawing
-    randomness in the trainer's order.
+    """SGD on the per-sample score-function estimate averaged over draws, with
+    the trainer's permutations and draws (`training._stream`).
 
     A draw's estimate is the summed log-density gradients of its sampled rows
     times its batch loss minus its baseline.
     """
-    rng = np.random.default_rng(cfg.seed)
-    counts = [s.train_x.shape[0] for s in splits]
-    sizes = [min(cfg.batch_size, n) for n in counts]
-    steps = min(n // b for n, b in zip(counts, sizes))
+    (n,) = {s.train_x.shape[0] for s in splits}
+    b = min(cfg.batch_size, n)
     std, n_draws = cfg.std, cfg.pg_samples
     ema = None
-    for _ in range(cfg.epochs):
-        perms = [rng.permutation(n) for n in counts]
-        for k in range(steps):
-            sels = [perm[k * b : (k + 1) * b] for perm, b in zip(perms, sizes)]
+    for perms, fills in training._stream(cfg, len(splits), n, b, params.n_outputs):
+        for k in range(n // b):
+            sels = [perm[k * b : (k + 1) * b] for perm in perms]
             means = [predictor.forward_batch(params, s.train_x[sel]) for s, sel in zip(splits, sels)]
-            eps = [rng.standard_normal((n_draws, b, params.n_outputs)) for b in sizes]
+            eps = next(fills)  # agent m's (D, b, O) block is eps[m]
             draws = []
             for d in range(n_draws):
                 scores, regrets, sq_errors = [], [], []
@@ -475,8 +474,8 @@ def _chain_step(q=1.0, beta=0.5):
                       seed=11, optimizer="sgd")
     res = train(cfg, p0, agents, make_pool(agents, splits))
     assert len(res.step_log) == 1
-    perm_rng = np.random.default_rng(cfg.seed)
-    sels = [perm_rng.permutation(len(s.train_x))[:6] for s in splits]
+    perms, _ = next(training._stream(cfg, len(splits), len(splits[0].train_x), 6, 2))
+    sels = [perm[:6] for perm in perms]
     return agents, splits, p0, cfg, res, sels
 
 
@@ -894,7 +893,8 @@ def test_runs_trained_together_may_differ_only_in_q_and_beta(change):
 def test_stream_is_the_default_rng_recipe_with_draws_ahead():
     # the trainer's one random stream, written out: per epoch each agent's
     # permutation, agents in order, then per step each agent's (D, b, O)
-    # block of standard normals; drawing ahead on a helper changes none of it
+    # block of standard normals; drawing ahead on a helper, an epoch's first
+    # fill while its batches are gathered, changes none of it
     agents, splits = _mixed_pool(INTERLEAVED)
     pool = make_pool(agents, splits)
     cfg = TrainConfig(mode="pg", epochs=3, batch_size=2, pg_samples=3, seed=23)
@@ -903,15 +903,15 @@ def test_stream_is_the_default_rng_recipe_with_draws_ahead():
     targets = rows.normalized()
     n_agents, n, b, steps = len(agents), rows.n, rows.b, rows.n // rows.b
     assert (n_agents, n, b, steps) == (6, 6, 2, 3)
-    rng, recipe = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    recipe = np.random.default_rng(cfg.seed)
     taken, submitted = 0, []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
         with ThreadPoolExecutor(max_workers=1) as helper:
             submit = helper.submit
-            helper.submit = lambda fn, **kw: submitted.append(fn) or submit(fn, **kw)
-            stream = training._batches(cfg, rows, targets, rng, helper)
+            helper.submit = lambda fn, *a, **kw: submitted.append(fn) or submit(fn, *a, **kw)
+            stream = training._batches(cfg, rows, targets, helper)
             for epoch in range(cfg.epochs):
                 perms = [recipe.permutation(n) for _ in agents]
                 for k in range(steps):
@@ -928,9 +928,73 @@ def test_stream_is_the_default_rng_recipe_with_draws_ahead():
     finally:
         sys.setswitchinterval(interval)
     assert taken == 9
-    # each epoch's first step draws inline; the helper runs the generator's own method, no line of the package
-    assert len(submitted) == cfg.epochs * (steps - 1)
-    assert all(fn == rng.standard_normal for fn in submitted)
+    # every fill runs on the helper, as one generator's own method: no line of the package
+    assert len(submitted) == cfg.epochs * steps
+    assert all(fn.__name__ == "standard_normal" and isinstance(fn.__self__, np.random.Generator) for fn in submitted)
+    assert len({id(fn.__self__) for fn in submitted}) == 1
+
+
+class _CountingHelper:
+    """A one-thread pool's stand-in that records each submitted function and counts the calls pending:
+    submitted, their results not yet taken."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted, self.pending, self.most_pending = pool, [], 0, 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted.append(fn)
+        self.pending += 1
+        self.most_pending = max(self.most_pending, self.pending)
+        future = self.pool.submit(fn, *args, **kwargs)
+
+        def result():
+            self.pending -= 1
+            return future.result()
+        return SimpleNamespace(result=result)
+
+
+def test_ahead_takes_results_in_order_with_at_most_one_call_pending():
+    calls = [partial(pow, 3, k) for k in range(6)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = _CountingHelper(pool)
+        results = training._ahead(helper, calls)
+        assert helper.submitted == [pow]  # the first call, submitted as the results are made
+        taken = []
+        for result in results:
+            taken.append(result)
+            assert len(helper.submitted) == min(len(taken) + 1, len(calls))  # the next, as this one was taken
+    assert taken == [3**k for k in range(6)] == list(training._ahead(None, calls))
+    assert helper.most_pending == 1 and helper.pending == 0
+
+
+def test_ahead_with_no_calls_submits_nothing():
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = _CountingHelper(pool)
+        assert list(training._ahead(helper, [])) == [] and helper.submitted == []
+
+
+def test_ahead_raises_a_calls_error_where_its_result_is_taken():
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="math domain error"):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = _CountingHelper(pool)
+            results = training._ahead(helper, [partial(math.sqrt, x) for x in (4.0, -1.0, 9.0)])
+            assert next(results) == 2.0
+            try:
+                next(results)
+            finally:  # the failed call's result was taken, and no later call was submitted
+                assert helper.pending == 0 and len(helper.submitted) == 2
+    assert threading.active_count() == before  # the `with` joined the thread
+
+
+def test_ahead_without_a_helper_runs_each_call_inline_as_its_result_is_taken():
+    before, made = threading.active_count(), []
+    results = training._ahead(None, [partial(made.append, k) for k in range(3)])
+    assert made == []
+    for k, _ in enumerate(results):
+        assert made == list(range(k + 1)) and threading.active_count() == before
+    ran_on = list(training._ahead(None, [partial(threading.current_thread)] * 2))
+    assert ran_on == [threading.main_thread()] * 2
 
 
 def test_drawing_ahead_trains_bitwise_as_drawing_inline(monkeypatch):

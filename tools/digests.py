@@ -12,7 +12,11 @@ seed's `sweep` line hashes the rows of `harness.run_sweep` on the
 benchmark's mixed sweep from that seed, once at `jobs` 1 and once at 2:
 each row's cell, status, error and summary.  Each seed's `verify` line
 gives one short digest per suite of `verify.run_all`'s results, so a diff
-names the suite whose detail changed.
+names the suite whose detail changed, and a last one, `returns`, of every
+ndarray and float (and each one in a returned tuple) that a function of the
+package returns during `run_all`, in order: a suite's detail prints its
+worst case to three digits, and `returns` sees the bits below them.  One
+`sys.setprofile` hook collects them; it names no function of the package.
 
 The pools and trainers are the benchmark's (`bench/run.py`), and the
 variants below each change one thing about them.  A run builds its inputs
@@ -22,6 +26,8 @@ parameters and the trainer seed all come from the seed.
 
 import hashlib
 import json
+import os
+import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -83,6 +89,29 @@ def sweep_digest(seed: int, jobs: int) -> str:
     ]).encode())
 
 
+def returned_values(fn, *args):
+    """`fn(*args)`, and a short digest of every ndarray and float that a function of the package returns in it."""
+    package = os.path.dirname(training.__file__) + os.sep
+    digest = hashlib.sha256()
+
+    def hook(frame, event, value):
+        if event != "return" or not frame.f_code.co_filename.startswith(package):
+            return
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, np.ndarray):
+                digest.update(f"{v.dtype.str}{v.shape}".encode())
+                digest.update(np.ascontiguousarray(v).tobytes())
+            elif isinstance(v, float):
+                digest.update(struct.pack("<d", v))
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, digest.hexdigest()[:12]
+
+
 def main() -> int:
     print(header(), flush=True)
     for name, (config, trainer) in CONFIGS.items():
@@ -91,10 +120,9 @@ def main() -> int:
     for seed in SEEDS:
         print(f"sweep seed={seed} jobs1={sweep_digest(seed, 1)} jobs2={sweep_digest(seed, 2)}", flush=True)
     for seed in SEEDS:
-        suites = " ".join(
-            f"{r.name}={sha(json.dumps([r.passed, r.detail]).encode(), short=True)}" for r in verify.run_all(seed)
-        )
-        print(f"verify seed={seed} {suites}", flush=True)
+        results, returns = returned_values(verify.run_all, seed)
+        suites = " ".join(f"{r.name}={sha(json.dumps([r.passed, r.detail]).encode(), short=True)}" for r in results)
+        print(f"verify seed={seed} {suites} returns={returns}", flush=True)
     return 0
 
 
